@@ -165,12 +165,21 @@ type generator struct {
 	c        *circuit.Circuit
 	cfg      Config
 	ctx      context.Context // nil means never canceled
-	rng      *rand.Rand
 	just     backend
 	faults   []robust.FaultConditions
 	detected []bool
 	tried    []bool
-	arbOrder []int // iteration order for Arbitrary
+	// order is the iteration order of primaries and secondary
+	// candidates: shuffled by the seed for Arbitrary, fault-list order
+	// otherwise.
+	order []int
+	// im holds the implications of the current test's cube; nil when
+	// the backend does not seed from implications (see justifyFault).
+	im *robust.Implier
+
+	// Scratch buffers of the secondary loop.
+	cand  []int
+	delta []int
 }
 
 // canceled reports whether the run's context has been canceled; the
@@ -192,13 +201,24 @@ func newGenerator(c *circuit.Circuit, fcs []robust.FaultConditions, cfg Config) 
 	g := &generator{
 		c:        c,
 		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		just:     be,
 		faults:   fcs,
 		detected: make([]bool, len(fcs)),
 		tried:    make([]bool, len(fcs)),
 	}
-	g.arbOrder = g.rng.Perm(len(fcs))
+	g.order = rand.New(rand.NewSource(cfg.Seed)).Perm(len(fcs))
+	if cfg.Heuristic != Arbitrary {
+		for i := range g.order {
+			g.order[i] = i
+		}
+	}
+	seeds := !cfg.Justify.DisableImplicationSeed
+	if cfg.UseBnB {
+		seeds = !cfg.BnB.DisableImplicationSeed
+	}
+	if seeds {
+		g.im = robust.NewImplier(c)
+	}
 	return g
 }
 
@@ -327,37 +347,43 @@ func EnrichCtx(ctx context.Context, c *circuit.Circuit, p0, p1 []robust.FaultCon
 
 // justifyFault tries the fault's alternatives (merged into base when
 // non-nil) and returns the first test found with the merged cube.
+//
+// When the backend seeds from implications, g.im holds the
+// implications of base (of nothing for a primary), and each
+// alternative is first extended onto them: an alternative whose
+// implications conflict is one the backend would reject before any
+// search, so it is skipped without merging or justifying, which
+// leaves the backend's random stream as it was. The extension of the
+// accepted alternative is kept, so g.im then holds the implications of
+// the returned cube.
 func (g *generator) justifyFault(i int, base *robust.Cube) (circuit.TwoPattern, robust.Cube, bool) {
+	if g.im != nil && base == nil {
+		g.im.Rollback(0)
+	}
 	for a := range g.faults[i].Alts {
-		cube := g.faults[i].Alts[a]
-		if base != nil {
-			m, ok := base.Merge(&g.faults[i].Alts[a])
-			if !ok {
+		alt := &g.faults[i].Alts[a]
+		mark := 0
+		if g.im != nil {
+			mark = g.im.Mark()
+			if !g.im.Extend(alt) {
+				g.im.Rollback(mark)
 				continue
 			}
-			cube = m
 		}
-		if test, ok := g.just.justifyCube(&cube); ok {
-			return test, cube, true
+		cube, ok := *alt, true
+		if base != nil {
+			cube, ok = base.Merge(alt)
+		}
+		if ok {
+			if test, ok := g.just.justifyCube(&cube); ok {
+				return test, cube, true
+			}
+		}
+		if g.im != nil {
+			g.im.Rollback(mark)
 		}
 	}
 	return circuit.TwoPattern{}, robust.Cube{}, false
-}
-
-// minDeltaIndex returns the position in cand of the fault whose best
-// alternative adds the fewest new value positions to the cube.
-func (g *generator) minDeltaIndex(cand []int, cube *robust.Cube) int {
-	best, bestDelta := 0, int(^uint(0)>>1)
-	for pos, fi := range cand {
-		for a := range g.faults[fi].Alts {
-			d := cube.NewlySpecified(&g.faults[fi].Alts[a])
-			if d < bestDelta {
-				bestDelta = d
-				best = pos
-			}
-		}
-	}
-	return best
 }
 
 // dropDetected fault simulates the finished test over all undetected

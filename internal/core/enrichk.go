@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"repro/internal/circuit"
@@ -111,8 +112,7 @@ func EnrichKCtx(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultCo
 
 // pickPrimarySet picks the next primary from the given set.
 func (g *generator) pickPrimarySet(setOf []int, want int) int {
-	order := g.primaryOrder()
-	for _, i := range order {
+	for _, i := range g.order {
 		if setOf[i] != want || g.detected[i] || g.tried[i] {
 			continue
 		}
@@ -121,30 +121,26 @@ func (g *generator) pickPrimarySet(setOf []int, want int) int {
 	return -1
 }
 
-func (g *generator) primaryOrder() []int {
-	if g.cfg.Heuristic == Arbitrary {
-		return g.arbOrder
-	}
-	order := make([]int, len(g.faults))
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
 // addSecondariesPhased runs the secondary loop over k phases.
 func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, cube robust.Cube, res *Result, setOf []int, k int) circuit.TwoPattern {
 	sim := test.Simulate(g.c)
 	res.ensureSets(k)
 	for phase := 0; phase < k; phase++ {
 		cand := g.candidatesSet(primary, setOf, phase)
+		// delta[i] is the best nΔ of cand[i] against cube, recomputed
+		// only when cube changes.
+		delta, stale := g.delta[:0], true
 		for len(cand) > 0 {
 			if g.canceled() {
 				return test
 			}
 			pick := 0
 			if g.cfg.Heuristic == ValueBased {
-				pick = g.minDeltaIndex(cand, &cube)
+				if stale {
+					delta, stale = g.deltas(cand, &cube, delta[:0]), false
+				}
+				pick = firstMin(delta)
+				delta = append(delta[:pick], delta[pick+1:]...)
 			}
 			fi := cand[pick]
 			cand = append(cand[:pick], cand[pick+1:]...)
@@ -160,6 +156,12 @@ func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, c
 					if alt.CoveredBy(sim) {
 						if m, mok := cube.Merge(alt); mok {
 							newCube, newTest, ok, cheap = m, test, true, true
+							// The test's simulation covers cube ∪ alt and
+							// every implication holds in it, so no
+							// implication can conflict.
+							if g.im != nil && !g.im.Extend(alt) {
+								panic("core: implications of a covered cube conflict")
+							}
 						}
 						break
 					}
@@ -169,7 +171,7 @@ func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, c
 				newTest, newCube, ok = g.justifyFault(fi, &cube)
 			}
 			if ok {
-				cube = newCube
+				cube, stale = newCube, true
 				if !cheap {
 					test = newTest
 					sim = test.Simulate(g.c)
@@ -184,26 +186,45 @@ func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, c
 				res.SecondaryRejectsBySet[phase]++
 			}
 		}
+		g.delta = delta
 	}
 	return test
 }
 
-func (g *generator) candidatesSet(primary int, setOf []int, want int) []int {
-	var order []int
-	if g.cfg.Heuristic == Arbitrary {
-		order = g.arbOrder
-	} else {
-		order = make([]int, len(g.faults))
-		for i := range order {
-			order[i] = i
+// deltas appends to out, for each candidate, the fewest new value
+// positions any of its alternatives adds to the cube (nΔ, Section 2.2).
+func (g *generator) deltas(cand []int, cube *robust.Cube, out []int) []int {
+	for _, fi := range cand {
+		best := math.MaxInt
+		for a := range g.faults[fi].Alts {
+			best = min(best, cube.NewlySpecified(&g.faults[fi].Alts[a]))
+		}
+		out = append(out, best)
+	}
+	return out
+}
+
+// firstMin returns the first index of the smallest element.
+func firstMin(xs []int) int {
+	best := 0
+	for i, x := range xs {
+		if x < xs[best] {
+			best = i
 		}
 	}
-	var out []int
-	for _, i := range order {
+	return best
+}
+
+// candidatesSet lists the secondary candidates of one set in g.order,
+// reusing the scratch buffer g.cand.
+func (g *generator) candidatesSet(primary int, setOf []int, want int) []int {
+	out := g.cand[:0]
+	for _, i := range g.order {
 		if i == primary || g.detected[i] || setOf[i] != want {
 			continue
 		}
 		out = append(out, i)
 	}
+	g.cand = out
 	return out
 }

@@ -22,13 +22,22 @@
 // values must be hazard-free under the conservative three-plane
 // simulation) and returned.
 //
-// Two engineering refinements keep the procedure fast without changing
-// its character:
+// Three engineering refinements keep the procedure fast without
+// changing its character:
 //
 //   - the justifier seeds the input values with the implications of
-//     the cube (necessary values by construction), and
+//     the cube (necessary values by construction);
 //   - tentative probing is restricted to inputs whose probe outcome
-//     may have changed, tracked with precomputed reachability bitsets.
+//     may have changed, tracked with precomputed reachability bitsets;
+//   - and among those, to inputs whose fanout cone holds a required
+//     net: a probe of any other input changes no required net, so it
+//     can never rule a value out.
+//
+// With implication seeding on, a cube whose implications conflict
+// fails before any probe or random draw. A caller that already holds
+// the implications of a cube can therefore reject such extensions of
+// it itself (robust.Implier.Extend) without calling Justify and without
+// changing the results; the secondary-target loop of package core does.
 package justify
 
 import (
@@ -85,8 +94,13 @@ type Justifier struct {
 
 	req     []tval.Triple // per net; TX when unconstrained
 	reqList []int
+	// reqMask is the union of support[] over the current cube's nets:
+	// the PIs whose fanout cone holds a required net. A probe of any
+	// other PI changes no required net, so it can never conflict.
+	reqMask []uint64
 
 	dirty []uint64
+	free  []piPos // pickDecision's scratch list
 
 	stats Stats
 }
@@ -109,6 +123,7 @@ func New(c *circuit.Circuit, cfg Config) *Justifier {
 		j.req[i] = tval.TX
 	}
 	j.dirty = make([]uint64, j.words)
+	j.reqMask = make([]uint64, j.words)
 
 	// support: forward pass in topological order.
 	for i, pi := range c.PIs {
@@ -158,6 +173,12 @@ func (j *Justifier) Justify(cube *robust.Cube) (test circuit.TwoPattern, ok bool
 	j.sim.Reset()
 	for w := range j.dirty {
 		j.dirty[w] = 0
+		j.reqMask[w] = 0
+	}
+	for _, net := range cube.Nets {
+		for w, m := range j.support[net*j.words : (net+1)*j.words] {
+			j.reqMask[w] |= m
+		}
 	}
 
 	// Seed with the implications of the cube: every implied primary
@@ -178,9 +199,7 @@ func (j *Justifier) Justify(cube *robust.Cube) (test circuit.TwoPattern, ok bool
 	}
 
 	// Inputs that can influence a required net must be probed.
-	for _, net := range cube.Nets {
-		j.orDirty(j.support[net*j.words:])
-	}
+	j.orDirty(j.reqMask)
 
 	if !j.assignNecessary() {
 		return test, false
@@ -226,7 +245,7 @@ func (j *Justifier) orDirty(mask []uint64) {
 		return
 	}
 	for w := 0; w < j.words; w++ {
-		j.dirty[w] |= mask[w]
+		j.dirty[w] |= mask[w] & j.reqMask[w]
 	}
 }
 
@@ -336,6 +355,10 @@ func (j *Justifier) popDirty() int {
 	return -1
 }
 
+// piPos is a pattern position (plane 0 or 2) of the primary input with
+// index pi.
+type piPos struct{ pi, plane int }
+
 // pickDecision chooses the next position to specify: first an input
 // with exactly one pattern value specified (copied to make the input
 // stable), otherwise a random unspecified position with a random
@@ -353,18 +376,16 @@ func (j *Justifier) pickDecision() (piIdx, plane int, v tval.V, done bool) {
 		}
 	}
 	// Random unspecified position.
-	type pos struct {
-		pi, plane int
-	}
-	var free []pos
+	free := j.free[:0]
 	for i, net := range c.PIs {
 		if j.sim.Value(net, 0) == tval.X {
-			free = append(free, pos{i, 0})
+			free = append(free, piPos{i, 0})
 		}
 		if j.sim.Value(net, 2) == tval.X {
-			free = append(free, pos{i, 2})
+			free = append(free, piPos{i, 2})
 		}
 	}
+	j.free = free
 	if len(free) == 0 {
 		return 0, 0, tval.X, true
 	}

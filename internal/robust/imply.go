@@ -25,10 +25,14 @@ type Implier struct {
 	q         []int
 	gateOfNet []int // net -> driving gate, -1 for PI
 	fanout    [][]int
+	// conflict is set when an assignment contradicts a held value;
+	// Rollback clears it.
+	conflict bool
 
-	// touched records (plane, net) assignments of the current run so
-	// the next run clears only those instead of every line — Imply is
-	// the hot path of justification seeding.
+	// touched is the assignment log: the (plane, net) assignments made
+	// since the last Rollback(0), in order. A mark is a log length;
+	// Rollback undoes the assignments after it, so a run clears only
+	// the lines it assigned instead of every line.
 	touched []int32
 }
 
@@ -61,7 +65,7 @@ func NewImplier(c *circuit.Circuit) *Implier {
 // whether the cube is consistent; ok == false means a conflict was
 // derived, i.e. any fault requiring this cube is undetectable.
 func (im *Implier) Imply(cube *Cube) (vals []tval.Triple, ok bool) {
-	if !im.implyCore(cube) {
+	if !im.ImplyConsistent(cube) {
 		return nil, false
 	}
 	c := im.c
@@ -73,105 +77,117 @@ func (im *Implier) Imply(cube *Cube) (vals []tval.Triple, ok bool) {
 	return vals, true
 }
 
-// implyCore runs the fixpoint; it returns false on conflict.
-func (im *Implier) implyCore(cube *Cube) bool {
-	// Clear only what the previous run assigned.
-	for _, t := range im.touched {
-		plane := int(t) % circuit.NumPlanes
-		net := int(t) / circuit.NumPlanes
-		im.val[plane][net] = tval.X
+// Mark returns the current position of the assignment log, for a
+// later Rollback.
+func (im *Implier) Mark() int { return len(im.touched) }
+
+// Rollback undoes every assignment made after mark, restoring the
+// implied values as they were when Mark returned it. Rollback(0)
+// clears all values.
+func (im *Implier) Rollback(mark int) {
+	for _, t := range im.touched[mark:] {
+		im.val[int(t)%circuit.NumPlanes][int(t)/circuit.NumPlanes] = tval.X
 	}
-	im.touched = im.touched[:0]
-	// The queue fully drains on success; on a conflict the previous
-	// run left entries flagged.
+	im.touched = im.touched[:mark]
+	// The queue fully drains on success; a conflict leaves entries
+	// flagged.
 	for _, gi := range im.q {
 		im.inQ[gi] = false
 	}
 	im.q = im.q[:0]
-	conflict := false
+	im.conflict = false
+}
 
-	enqueueNet := func(net int) {
-		if g := im.gateOfNet[net]; g >= 0 && !im.inQ[g] {
-			im.inQ[g] = true
-			im.q = append(im.q, g)
-		}
-		for _, g := range im.fanout[net] {
-			if !im.inQ[g] {
-				im.inQ[g] = true
-				im.q = append(im.q, g)
-			}
-		}
-	}
-	var assign func(net, plane int, v tval.V)
-	assign = func(net, plane int, v tval.V) {
-		if v == tval.X || conflict {
-			return
-		}
-		cur := im.val[plane][net]
-		if cur == v {
-			return
-		}
-		if cur != tval.X {
-			conflict = true
-			return
-		}
-		im.val[plane][net] = v
-		im.touched = append(im.touched, int32(net*circuit.NumPlanes+plane))
-		enqueueNet(net)
-		// Primary inputs change at most once between the two patterns,
-		// so a specified intermediate value forces both pattern values,
-		// and equal specified pattern values force the intermediate.
-		// Internal nets may glitch; the rule applies to PIs only.
-		if im.gateOfNet[net] < 0 {
-			switch plane {
-			case 1:
-				assign(net, 0, v)
-				assign(net, 2, v)
-			default:
-				other := 2 - plane
-				if ov := im.val[other][net]; ov == v {
-					assign(net, 1, v)
-				}
-			}
-		}
-	}
-
+// Extend adds the cube's requirements to the implied values and runs
+// the fixpoint again. When the values held are the implications of a
+// cube base, a true result leaves the implications of base ∪ cube: the
+// fixpoint is unique, so closure(base ∪ cube) equals
+// closure(closure(base) ∪ cube). A false result means base ∪ cube is
+// inconsistent; the values are then partial, and the caller must
+// Rollback to a mark taken before the call.
+func (im *Implier) Extend(cube *Cube) bool {
 	for i, net := range cube.Nets {
 		for p := 0; p < circuit.NumPlanes; p++ {
-			assign(net, p, cube.Vals[i].At(p))
+			im.assign(net, p, cube.Vals[i].At(p))
 		}
 	}
-
-	for len(im.q) > 0 && !conflict {
+	for len(im.q) > 0 && !im.conflict {
 		gi := im.q[len(im.q)-1]
 		im.q = im.q[:len(im.q)-1]
 		im.inQ[gi] = false
-		im.implyGate(gi, assign)
+		im.implyGate(gi)
 	}
-	return !conflict
+	return !im.conflict
+}
+
+func (im *Implier) enqueueNet(net int) {
+	if g := im.gateOfNet[net]; g >= 0 && !im.inQ[g] {
+		im.inQ[g] = true
+		im.q = append(im.q, g)
+	}
+	for _, g := range im.fanout[net] {
+		if !im.inQ[g] {
+			im.inQ[g] = true
+			im.q = append(im.q, g)
+		}
+	}
+}
+
+func (im *Implier) assign(net, plane int, v tval.V) {
+	if v == tval.X || im.conflict {
+		return
+	}
+	cur := im.val[plane][net]
+	if cur == v {
+		return
+	}
+	if cur != tval.X {
+		im.conflict = true
+		return
+	}
+	im.val[plane][net] = v
+	im.touched = append(im.touched, int32(net*circuit.NumPlanes+plane))
+	im.enqueueNet(net)
+	// Primary inputs change at most once between the two patterns,
+	// so a specified intermediate value forces both pattern values,
+	// and equal specified pattern values force the intermediate.
+	// Internal nets may glitch; the rule applies to PIs only.
+	if im.gateOfNet[net] < 0 {
+		switch plane {
+		case 1:
+			im.assign(net, 0, v)
+			im.assign(net, 2, v)
+		default:
+			other := 2 - plane
+			if ov := im.val[other][net]; ov == v {
+				im.assign(net, 1, v)
+			}
+		}
+	}
 }
 
 // ImplyConsistent runs the same fixpoint but skips materializing the
 // per-line triples; implied values are read back with Value. This is
 // the hot-path entry used by the justifiers to seed their search.
 func (im *Implier) ImplyConsistent(cube *Cube) bool {
-	return im.implyCore(cube)
+	im.Rollback(0)
+	return im.Extend(cube)
 }
 
 // Value returns the value implied for a line on a plane by the most
-// recent Imply/ImplyConsistent call.
+// recent Imply, ImplyConsistent, Extend or Rollback call.
 func (im *Implier) Value(line, plane int) tval.V {
 	return im.val[plane][im.c.Lines[line].Net]
 }
 
-func (im *Implier) implyGate(gi int, assign func(net, plane int, v tval.V)) {
+func (im *Implier) implyGate(gi int) {
 	g := &im.c.Gates[gi]
 	for p := 0; p < circuit.NumPlanes; p++ {
-		im.implyGatePlane(g, p, assign)
+		im.implyGatePlane(g, p)
 	}
 }
 
-func (im *Implier) implyGatePlane(g *circuit.Gate, plane int, assign func(net, plane int, v tval.V)) {
+func (im *Implier) implyGatePlane(g *circuit.Gate, plane int) {
 	vals := im.val[plane]
 	c := im.c
 	inNet := func(k int) int { return c.Lines[g.In[k]].Net }
@@ -179,12 +195,12 @@ func (im *Implier) implyGatePlane(g *circuit.Gate, plane int, assign func(net, p
 	// Forward implication.
 	switch g.Type {
 	case circuit.Not:
-		assign(g.Out, plane, vals[inNet(0)].Not())
+		im.assign(g.Out, plane, vals[inNet(0)].Not())
 	case circuit.Buf:
-		assign(g.Out, plane, vals[inNet(0)])
+		im.assign(g.Out, plane, vals[inNet(0)])
 	default:
 		fwd := im.evalForward(g, plane)
-		assign(g.Out, plane, fwd)
+		im.assign(g.Out, plane, fwd)
 	}
 
 	out := vals[g.Out]
@@ -195,9 +211,9 @@ func (im *Implier) implyGatePlane(g *circuit.Gate, plane int, assign func(net, p
 	// Backward implication.
 	switch g.Type {
 	case circuit.Not:
-		assign(inNet(0), plane, out.Not())
+		im.assign(inNet(0), plane, out.Not())
 	case circuit.Buf:
-		assign(inNet(0), plane, out)
+		im.assign(inNet(0), plane, out)
 	case circuit.And, circuit.Nand, circuit.Or, circuit.Nor:
 		core := out
 		if g.Type.Inverting() {
@@ -208,7 +224,7 @@ func (im *Implier) implyGatePlane(g *circuit.Gate, plane int, assign func(net, p
 		if core == nc {
 			// Non-controlled output: every input non-controlling.
 			for k := range g.In {
-				assign(inNet(k), plane, nc)
+				im.assign(inNet(k), plane, nc)
 			}
 		} else {
 			// Controlled output: if exactly one input is not known
@@ -227,7 +243,7 @@ func (im *Implier) implyGatePlane(g *circuit.Gate, plane int, assign func(net, p
 				}
 			}
 			if count == 1 {
-				assign(inNet(unknown), plane, ctrl)
+				im.assign(inNet(unknown), plane, ctrl)
 			}
 			// count == 0 means all inputs are non-controlling while the
 			// output is controlled: the forward pass will flag the
@@ -251,7 +267,7 @@ func (im *Implier) implyGatePlane(g *circuit.Gate, plane int, assign func(net, p
 			parity = tval.Xor(parity, v)
 		}
 		if count == 1 {
-			assign(inNet(unknown), plane, tval.Xor(parity, target))
+			im.assign(inNet(unknown), plane, tval.Xor(parity, target))
 		}
 	}
 }
