@@ -57,8 +57,8 @@ cluster-smoke:
 
 # Tenant smoke: boot pdfd with a -tenants roster file, prove bearer
 # auth (401), per-tenant quota backpressure (429 + shed counters),
-# tenant-labelled health/metrics, and the legacy-route sunset with its
-# -legacy-routes escape hatch.
+# tenant-labelled health/metrics, and 404 on the removed unversioned
+# routes.
 tenant-smoke:
 	$(GO) test -race -count=1 -run 'TestTenantSmoke' -v ./internal/cli/
 

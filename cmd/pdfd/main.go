@@ -47,10 +47,7 @@
 //	GET    /v1/healthz          liveness probe; 503 "overloaded" past the watermark
 //	GET    /v1/version          build version + Go toolchain, also pdfd_build_info
 //	GET    /v1/metrics          Prometheus text exposition (OpenMetrics + exemplars via Accept)
-//	GET    /v1/metrics.json     queue/cache/latency/resilience counters as JSON
 //
-// The pre-/v1 routes (/jobs, /jobs/{id}, /healthz, /metrics) still
-// answer with a Deprecation header pointing at their successors.
 // Errors everywhere use one envelope:
 // {"error":{"code":"overloaded","message":"...","retry_after_ms":1000}}.
 //

@@ -56,8 +56,7 @@ func PDFD(args []string, stdout, stderr io.Writer) error {
 		storeBytes  = fs.Int64("store-bytes", store.DefaultMaxBytes, "durable store payload byte cap before LRU eviction (negative = unbounded)")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful shutdown: how long running jobs may finish after a signal")
 
-		tenantsFile  = fs.String("tenants", "", `tenant roster JSON file ({"tenants":[{"name":...,"key":...,"weight":...,"queue_depth":...,"max_inflight":...}]}); enables per-tenant fair scheduling, quotas and (with keys) bearer auth`)
-		legacyRoutes = fs.Bool("legacy-routes", false, "resurrect the sunset unversioned routes (/jobs, /healthz, /metrics) for one release")
+		tenantsFile = fs.String("tenants", "", `tenant roster JSON file ({"tenants":[{"name":...,"key":...,"weight":...,"queue_depth":...,"max_inflight":...}]}); enables per-tenant fair scheduling, quotas and (with keys) bearer auth`)
 
 		coordinator = fs.Bool("coordinator", false, "run as a cluster coordinator fronting -backends instead of a local engine")
 		backendsArg = fs.String("backends", "", "coordinator: comma-separated backends, each name=url or a bare url (auto-named b0, b1, ...)")
@@ -148,7 +147,7 @@ func PDFD(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	log.Info("pdfd listening", "addr", ln.Addr().String())
-	srv := &http.Server{Handler: engine.NewServerWith(eng, engine.ServerConfig{Logger: log, LegacyRoutes: *legacyRoutes})}
+	srv := &http.Server{Handler: engine.NewServerWith(eng, engine.ServerConfig{Logger: log})}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

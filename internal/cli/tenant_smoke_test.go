@@ -42,8 +42,7 @@ func tenantReq(t *testing.T, method, url, key, body string) (*http.Response, []b
 // with a real -tenants roster file and prove the multi-tenant contract
 // through the flag paths — bearer auth (401), per-tenant quota
 // backpressure (429 + shed counters), tenant-labelled health and
-// metrics, and the legacy-route sunset with its -legacy-routes escape
-// hatch.
+// metrics, and no unversioned seed-era routes.
 func TestTenantSmoke(t *testing.T) {
 	roster := filepath.Join(t.TempDir(), "tenants.json")
 	if err := os.WriteFile(roster, []byte(`{
@@ -82,9 +81,9 @@ func TestTenantSmoke(t *testing.T) {
 		}
 	}
 
-	// The legacy unversioned surface is sunset by default.
+	// The unversioned seed-era surface is gone.
 	if resp, raw := tenantReq(t, http.MethodGet, base+"/healthz", "k-gold", ""); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("sunset GET /healthz = %d, want 404 (%s)", resp.StatusCode, raw)
+		t.Errorf("GET /healthz = %d, want 404 (%s)", resp.StatusCode, raw)
 	}
 
 	// A valid key submits onto its own queue, whatever the spec claims.
@@ -174,19 +173,4 @@ func TestTenantSmoke(t *testing.T) {
 		}
 	}
 	stopPDFD(t, exit)
-
-	// -legacy-routes resurrects the unversioned surface for one
-	// release (no roster: anonymous mode, no auth).
-	var out2 syncBuffer
-	base2, exit2 := startPDFD(t, &out2, "-legacy-routes")
-	if resp, _ := tenantReq(t, http.MethodGet, base2+"/healthz", "", ""); resp.StatusCode != http.StatusOK {
-		t.Errorf("GET /healthz under -legacy-routes = %d, want 200", resp.StatusCode)
-	} else if resp.Header.Get("Deprecation") == "" {
-		t.Error("resurrected legacy route lacks the Deprecation header")
-	}
-	resp2, _ := tenantReq(t, http.MethodGet, base2+"/healthz", "", "")
-	if link := resp2.Header.Get("Link"); !strings.Contains(link, "/v1/healthz") {
-		t.Errorf("legacy Link header = %q, want a /v1/healthz successor", link)
-	}
-	stopPDFD(t, exit2)
 }

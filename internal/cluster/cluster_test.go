@@ -355,7 +355,7 @@ func TestClusterBatchAndSpillover(t *testing.T) {
 	if got := waitVia(t, srv.URL, sv.ID); got.Status != engine.StatusDone {
 		t.Fatalf("spilled job = %s (%s)", got.Status, got.Error)
 	}
-	if c.MetricsSnapshot().Spillovers == 0 {
+	if c.metrics.spillovers.Load() == 0 {
 		t.Fatal("spillover counter did not move")
 	}
 

@@ -608,8 +608,8 @@ func (c *Coordinator) noteFailure(b *backend) {
 	}
 }
 
-// BackendStatus is one backend's externally visible state (healthz
-// and metrics.json payloads).
+// BackendStatus is one backend's externally visible state, as
+// served in the coordinator's /v1/healthz body.
 type BackendStatus struct {
 	URL           string `json:"url"`
 	State         State  `json:"state"`

@@ -139,29 +139,3 @@ func (m *metrics) setBackendGauges(b *backend) {
 	m.backendInflight.With(b.name).Set(float64(b.inflight.Load()))
 	m.proxyInflight.With(b.name).Set(float64(b.proxied.Load()))
 }
-
-// Snapshot is the JSON mirror of the cluster metrics, served on
-// /v1/metrics.json.
-type Snapshot struct {
-	Backends   map[string]BackendStatus `json:"backends"`
-	Healthy    int                      `json:"healthy"`
-	RingNodes  int                      `json:"ring_nodes"`
-	Spillovers int64                    `json:"spillovers"`
-	Batches    int64                    `json:"batches"`
-	BatchJobs  int64                    `json:"batch_jobs"`
-}
-
-// MetricsSnapshot returns the cluster state as plain JSON-ready data.
-func (c *Coordinator) MetricsSnapshot() Snapshot {
-	c.mu.Lock()
-	ringNodes := c.ring.Len()
-	c.mu.Unlock()
-	return Snapshot{
-		Backends:   c.Backends(),
-		Healthy:    c.Healthy(),
-		RingNodes:  ringNodes,
-		Spillovers: c.metrics.spillovers.Load(),
-		Batches:    c.metrics.batches.Load(),
-		BatchJobs:  c.metrics.batchJobs.Load(),
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -79,7 +78,6 @@ type HealthView struct {
 //	GET    /v1/healthz                      fleet summary; 503 "no_backend" with zero healthy backends
 //	GET    /v1/version                      build version and toolchain from embedded build info
 //	GET    /v1/metrics                      Prometheus text format (OpenMetrics with exemplars via Accept)
-//	GET    /v1/metrics.json                 cluster Snapshot as JSON
 //
 // Job IDs returned by the coordinator are "{backend}/{id}" and feed
 // straight back into the GET/DELETE routes. Errors use the engine's
@@ -115,8 +113,7 @@ func NewServer(c *Coordinator) http.Handler {
 	route("GET /v1/traces/{trace_id}", "traces.get", s.tracesGet)
 	open("GET /v1/healthz", "healthz", s.healthz)
 	open("GET /v1/version", "version", s.version)
-	open("GET /v1/metrics", "metrics", s.metricsProm)
-	open("GET /v1/metrics.json", "metrics.json", s.metricsJSON)
+	open("GET /v1/metrics", "metrics", c.registry.ServeHTTP)
 	return mux
 }
 
@@ -130,7 +127,7 @@ func (s *clusterServer) submit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, engine.CodeInvalidSpec, "bad job spec: "+err.Error(), 0)
+		engine.WriteError(w, http.StatusBadRequest, engine.CodeInvalidSpec, "bad job spec: "+err.Error(), 0)
 		return
 	}
 	// The authenticated tenant owns the job, whatever the spec claims.
@@ -148,7 +145,7 @@ func (s *clusterServer) submit(w http.ResponseWriter, r *http.Request) {
 	if res.View != nil {
 		w.Header().Set("X-Pdfd-Backend", res.Route.Backend)
 		w.Header().Set("X-Pdfd-Affinity", res.Route.Affinity)
-		writeJSON(w, http.StatusAccepted, res.View)
+		engine.WriteJSON(w, http.StatusAccepted, res.View)
 		return
 	}
 	relayEnvelope(w, res)
@@ -159,15 +156,15 @@ func (s *clusterServer) batch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, engine.CodeInvalidSpec, "bad batch: "+err.Error(), 0)
+		engine.WriteError(w, http.StatusBadRequest, engine.CodeInvalidSpec, "bad batch: "+err.Error(), 0)
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, engine.CodeInvalidSpec, "empty batch", 0)
+		engine.WriteError(w, http.StatusBadRequest, engine.CodeInvalidSpec, "empty batch", 0)
 		return
 	}
 	if len(req.Jobs) > maxBatchJobs {
-		writeError(w, http.StatusBadRequest, engine.CodeInvalidSpec,
+		engine.WriteError(w, http.StatusBadRequest, engine.CodeInvalidSpec,
 			"batch of "+strconv.Itoa(len(req.Jobs))+" jobs exceeds the limit of "+strconv.Itoa(maxBatchJobs), 0)
 		return
 	}
@@ -204,7 +201,7 @@ func (s *clusterServer) batch(w http.ResponseWriter, r *http.Request) {
 			resp.Rejected++
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	engine.WriteJSON(w, http.StatusOK, resp)
 }
 
 // submitOne routes one batch entry, folding every failure mode into
@@ -247,7 +244,7 @@ func (s *clusterServer) resolve(w http.ResponseWriter, r *http.Request) (*backen
 	name := r.PathValue("backend")
 	b, ok := s.c.backendFor(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, engine.CodeNotFound, "unknown backend "+strconv.Quote(name), 0)
+		engine.WriteError(w, http.StatusNotFound, engine.CodeNotFound, "unknown backend "+strconv.Quote(name), 0)
 		return nil, "", false
 	}
 	return b, r.PathValue("id"), true
@@ -268,7 +265,7 @@ func (s *clusterServer) proxyGet(w http.ResponseWriter, r *http.Request) {
 	}
 	status, body, hdr, err := s.c.do(r.Context(), b, http.MethodGet, path, "jobs.get", nil, nil)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+": "+err.Error(), time.Second)
+		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+": "+err.Error(), time.Second)
 		return
 	}
 	echoBackendRequestID(w, hdr)
@@ -278,11 +275,11 @@ func (s *clusterServer) proxyGet(w http.ResponseWriter, r *http.Request) {
 	}
 	var v engine.JobView
 	if err := json.Unmarshal(body, &v); err != nil {
-		writeError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+" returned an unreadable job view", time.Second)
+		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+" returned an unreadable job view", time.Second)
 		return
 	}
 	v.ID = b.name + "/" + v.ID
-	writeJSON(w, http.StatusOK, v)
+	engine.WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *clusterServer) proxyCancel(w http.ResponseWriter, r *http.Request) {
@@ -292,7 +289,7 @@ func (s *clusterServer) proxyCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	status, body, hdr, err := s.c.do(r.Context(), b, http.MethodDelete, "/v1/jobs/"+id, "jobs.cancel", nil, nil)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+": "+err.Error(), time.Second)
+		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+": "+err.Error(), time.Second)
 		return
 	}
 	echoBackendRequestID(w, hdr)
@@ -305,11 +302,11 @@ func (s *clusterServer) proxyCancel(w http.ResponseWriter, r *http.Request) {
 		Canceled bool   `json:"canceled"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
-		writeError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+" returned an unreadable cancel result", time.Second)
+		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+" returned an unreadable cancel result", time.Second)
 		return
 	}
 	out.ID = b.name + "/" + out.ID
-	writeJSON(w, http.StatusOK, out)
+	engine.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *clusterServer) proxyTrace(w http.ResponseWriter, r *http.Request) {
@@ -319,7 +316,7 @@ func (s *clusterServer) proxyTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	status, body, hdr, err := s.c.do(r.Context(), b, http.MethodGet, "/v1/jobs/"+id+"/trace", "jobs.trace", nil, nil)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+": "+err.Error(), time.Second)
+		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+": "+err.Error(), time.Second)
 		return
 	}
 	echoBackendRequestID(w, hdr)
@@ -332,11 +329,11 @@ func (s *clusterServer) proxyTrace(w http.ResponseWriter, r *http.Request) {
 		Trace json.RawMessage `json:"trace"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
-		writeError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+" returned an unreadable trace", time.Second)
+		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+" returned an unreadable trace", time.Second)
 		return
 	}
 	out.JobID = b.name + "/" + out.JobID
-	writeJSON(w, http.StatusOK, out)
+	engine.WriteJSON(w, http.StatusOK, out)
 }
 
 // proxyEvents streams the backend's SSE feed through to the client,
@@ -357,7 +354,7 @@ func (s *clusterServer) proxyEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := s.c.newOutboundRequest(r.Context(), http.MethodGet, u, nil)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, CodeBackendDown, err.Error(), time.Second)
+		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, err.Error(), time.Second)
 		return
 	}
 	if lid := r.Header.Get("Last-Event-ID"); lid != "" {
@@ -366,7 +363,7 @@ func (s *clusterServer) proxyEvents(w http.ResponseWriter, r *http.Request) {
 	req.Header.Set("Accept", "text/event-stream")
 	resp, err := s.c.client.Do(req)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+": "+err.Error(), time.Second)
+		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+": "+err.Error(), time.Second)
 		return
 	}
 	defer resp.Body.Close()
@@ -402,10 +399,10 @@ func (s *clusterServer) healthz(w http.ResponseWriter, r *http.Request) {
 	if hv.Healthy == 0 {
 		hv.Status = CodeNoBackend
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, hv)
+		engine.WriteJSON(w, http.StatusServiceUnavailable, hv)
 		return
 	}
-	writeJSON(w, http.StatusOK, hv)
+	engine.WriteJSON(w, http.StatusOK, hv)
 }
 
 // tracesList serves GET /v1/traces: summaries of tail-retained routing
@@ -413,34 +410,12 @@ func (s *clusterServer) healthz(w http.ResponseWriter, r *http.Request) {
 // set. The listed trace IDs feed GET /v1/traces/{trace_id} for the
 // fully assembled cross-node tree.
 func (s *clusterServer) tracesList(w http.ResponseWriter, r *http.Request) {
-	var f obs.ListFilter
-	qs := r.URL.Query()
-	if v := qs.Get("min_duration"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, engine.CodeInvalidSpec, "bad min_duration "+strconv.Quote(v), 0)
-			return
-		}
-		f.MinDuration = d
+	f, err := obs.ParseListFilter(r.URL.Query())
+	if err != nil {
+		engine.WriteError(w, http.StatusBadRequest, engine.CodeInvalidSpec, err.Error(), 0)
+		return
 	}
-	if v := qs.Get("outcome"); v != "" {
-		switch v {
-		case "ok", "error":
-			f.Outcome = v
-		default:
-			writeError(w, http.StatusBadRequest, engine.CodeInvalidSpec, "unknown outcome "+strconv.Quote(v), 0)
-			return
-		}
-	}
-	if v := qs.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, engine.CodeInvalidSpec, "bad limit "+strconv.Quote(v), 0)
-			return
-		}
-		f.Limit = n
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"traces": s.c.Traces().List(f)})
+	engine.WriteJSON(w, http.StatusOK, map[string]any{"traces": s.c.Traces().List(f)})
 }
 
 // tracesGet serves GET /v1/traces/{trace_id}: the retained routing
@@ -450,15 +425,15 @@ func (s *clusterServer) tracesGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("trace_id")
 	rt, ok := s.c.Traces().Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, engine.CodeNotFound, "no retained trace "+id, 0)
+		engine.WriteError(w, http.StatusNotFound, engine.CodeNotFound, "no retained trace "+id, 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.c.AssembleTrace(r.Context(), rt))
+	engine.WriteJSON(w, http.StatusOK, s.c.AssembleTrace(r.Context(), rt))
 }
 
 // version serves GET /v1/version from the binary's embedded build info.
 func (s *clusterServer) version(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, obs.Version())
+	engine.WriteJSON(w, http.StatusOK, obs.Version())
 }
 
 // echoBackendRequestID relays the backend's request ID beside the
@@ -470,54 +445,14 @@ func echoBackendRequestID(w http.ResponseWriter, hdr http.Header) {
 	}
 }
 
-func (s *clusterServer) metricsProm(w http.ResponseWriter, r *http.Request) {
-	// OpenMetrics is opt-in by Accept (exemplars are only valid there);
-	// the 0.0.4 text format stays the default.
-	if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
-		w.Header().Set("Content-Type", obs.OpenMetricsContentType)
-		s.c.registry.WriteOpenMetrics(w)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.c.registry.WritePrometheus(w)
-}
-
-func (s *clusterServer) metricsJSON(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.c.MetricsSnapshot())
-}
-
-// ---- Envelope plumbing (mirrors the engine server's) ----
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// writeError emits the unified /v1 error envelope; retryAfter > 0 also
-// sets the Retry-After header (whole seconds, rounded up).
-func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	env := struct {
-		Error engine.APIError `json:"error"`
-	}{Error: engine.APIError{Code: code, Message: msg}}
-	if retryAfter > 0 {
-		env.Error.RetryAfterMS = retryAfter.Milliseconds()
-		secs := int64((retryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	writeJSON(w, status, env)
-}
-
 // writeRouted maps a Submit error (always a *RoutedError) to the wire.
 func writeRouted(w http.ResponseWriter, err error) {
 	var re *RoutedError
 	if errors.As(err, &re) {
-		writeError(w, re.Status, re.Code, re.Message, re.RetryAfter)
+		engine.WriteError(w, re.Status, re.Code, re.Message, re.RetryAfter)
 		return
 	}
-	writeError(w, http.StatusBadGateway, CodeBackendDown, err.Error(), time.Second)
+	engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, err.Error(), time.Second)
 }
 
 // relayEnvelope copies a backend's error response through verbatim

@@ -263,3 +263,30 @@ func containsStr(ss []string, want string) bool {
 	}
 	return false
 }
+
+// A malformed trace-list filter is rejected in the shared error
+// envelope, with the same message as on a backend.
+func TestClusterTracesListBadLimit(t *testing.T) {
+	_, srv, _ := newFleet(t, 1)
+	resp, err := http.Get(srv.URL + "/v1/traces?limit=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("GET /v1/traces?limit=0 = %d: %s", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q, want application/json", ct)
+	}
+	var env struct {
+		Error engine.APIError `json:"error"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("not an error envelope: %v\n%s", err, body)
+	}
+	if env.Error.Code != engine.CodeInvalidSpec || env.Error.Message != `bad limit "0"` {
+		t.Errorf("envelope = %+v, want invalid_spec / bad limit \"0\"", env.Error)
+	}
+}

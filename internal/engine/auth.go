@@ -80,7 +80,7 @@ func (a *TenantAuth) Wrap(next http.Handler) http.Handler {
 		tenant, ok := a.Resolve(r)
 		if !ok {
 			w.Header().Set("WWW-Authenticate", `Bearer realm="pdfd"`)
-			writeError(w, http.StatusUnauthorized, CodeUnauthorized,
+			WriteError(w, http.StatusUnauthorized, CodeUnauthorized,
 				"missing or unknown bearer credential", 0)
 			return
 		}

@@ -99,7 +99,7 @@ func TestAuthRequired(t *testing.T) {
 	if resp, _ := doJSON(t, http.MethodGet, srv.URL+"/v1/jobs", nil, nil); resp.StatusCode != http.StatusUnauthorized {
 		t.Errorf("unauthenticated GET /v1/jobs = %d, want 401", resp.StatusCode)
 	}
-	for _, open := range []string{"/v1/healthz", "/v1/metrics", "/v1/metrics.json"} {
+	for _, open := range []string{"/v1/healthz", "/v1/metrics"} {
 		if resp, body := doJSON(t, http.MethodGet, srv.URL+open, nil, nil); resp.StatusCode != http.StatusOK {
 			t.Errorf("unauthenticated GET %s = %d, want 200 (%s)", open, resp.StatusCode, body)
 		}

@@ -1018,13 +1018,40 @@ func (e *Engine) simWorkers(spec Spec) int {
 	return 1
 }
 
-// stageDone records a completed pipeline stage in the latency metrics
-// and the journal.
-func (e *Engine) stageDone(j *Job, name string, d time.Duration) {
-	e.metrics.observeStage(name, d, j.exemplarID())
-	e.journalAppend(journal.Record{Op: journal.OpStage, JobID: j.id, Seq: j.seq, Stage: name})
+// stage is one timed pipeline stage of a job: prepare, generation
+// (dynamic compaction) or simulation. Its span and its record share
+// one name, one start and one end time.
+type stage struct {
+	e     *Engine
+	j     *Job
+	name  string
+	start time.Time
+	span  *obs.Span // nil past the trace's span cap
+}
+
+// startStage opens the span of stage name and starts its clock.
+func (e *Engine) startStage(ctx context.Context, j *Job, name string, attrs ...obs.Attr) (context.Context, *stage) {
+	st := &stage{e: e, j: j, name: name, start: time.Now()}
+	ctx, st.span = obs.StartSpanAt(ctx, name, st.start, attrs...)
+	return ctx, st
+}
+
+// fail ends the span of a stage that did not complete; the stage is
+// not recorded.
+func (st *stage) fail() { st.span.End() }
+
+// done ends the span with attrs and records the completed stage —
+// with or without a span — in pdfd_stage_duration_seconds, the
+// journal (one OpStage record) and the job's event stream.
+func (st *stage) done(attrs ...obs.Attr) {
+	end := time.Now()
+	st.span.EndAt(end, attrs...)
+	d := end.Sub(st.start)
+	e, j := st.e, st.j
+	e.metrics.stageSeconds.With(st.name).ObserveExemplar(d.Seconds(), j.exemplarID())
+	e.journalAppend(journal.Record{Op: journal.OpStage, JobID: j.id, Seq: j.seq, Stage: st.name})
 	e.events.Publish(j.id, "stage", map[string]string{
-		"stage":       name,
+		"stage":       st.name,
 		"duration_ms": fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond)),
 	})
 }
@@ -1038,20 +1065,19 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	if err := e.inject(ctx, SitePrepare, j.id); err != nil {
 		return nil, false, err
 	}
-	t0 := time.Now()
-	prepCtx, prepSpan := obs.StartSpan(ctx, "prepare")
+	prepCtx, prep := e.startStage(ctx, j, "prepare")
 	c := spec.Circ
 	if c == nil {
 		var err error
 		c, err = experiments.LoadCircuit(spec.Circuit)
 		if err != nil {
-			prepSpan.End()
+			prep.fail()
 			return nil, false, err
 		}
 	}
 	d, err := experiments.PrepareCircuitCtx(prepCtx, c, experiments.Params{NP: spec.NP, NP0: spec.NP0, Seed: spec.Seed})
 	if err != nil {
-		prepSpan.End()
+		prep.fail()
 		return nil, false, err
 	}
 	p0, p1 := d.P0, d.P1
@@ -1062,8 +1088,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		p1 = collapseSet(p1)
 		cspan.End(obs.Int("p0_after", len(p0)), obs.Int("p1_after", len(p1)))
 	}
-	prepSpan.End(obs.Int("p0", len(p0)), obs.Int("p1", len(p1)))
-	e.stageDone(j, "prepare", time.Since(t0))
+	prep.done(obs.Int("p0", len(p0)), obs.Int("p1", len(p1)))
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
@@ -1113,42 +1138,38 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	if err := e.inject(ctx, SiteRun, j.id); err != nil {
 		return nil, false, err
 	}
-	t1 := time.Now()
 	switch spec.Kind {
 	case KindGenerate:
-		genCtx, genSpan := obs.StartSpan(ctx, "generation",
+		genCtx, gen := e.startStage(ctx, j, "generation",
 			obs.String("heuristic", spec.Heuristic), obs.Int("targets", len(p0)))
 		gres, err := core.GenerateCtx(genCtx, c, p0, cfg)
 		if err != nil {
-			genSpan.End()
+			gen.fail()
 			return nil, false, err
 		}
 		res.TestPatterns = gres.Tests
 		res.PrimaryAborts = gres.PrimaryAborts
 		res.P0Detected = gres.DetectedCount
 		e.metrics.observeATPG(gres.JustifyStats, gres.SecondaryAcceptsBySet, gres.SecondaryRejectsBySet, gres.RegenPerTest)
-		genSpan.End(obs.Int("tests", len(gres.Tests)), obs.Int("aborts", gres.PrimaryAborts))
+		gen.done(obs.Int("tests", len(gres.Tests)), obs.Int("aborts", gres.PrimaryAborts))
 		all := d.All()
 		res.AllTotal = len(all)
-		e.stageDone(j, "generate", time.Since(t1))
-		ts := time.Now()
-		simCtx, simSpan := obs.StartSpan(ctx, "simulation",
+		simCtx, sim := e.startStage(ctx, j, "simulation",
 			obs.Int("tests", len(gres.Tests)), obs.Int("faults", len(all)), obs.Int("workers", workers))
 		n, err := faultsim.CountParallel(simCtx, c, gres.Tests, all, workers)
 		if err != nil {
-			simSpan.End()
+			sim.fail()
 			return nil, false, err
 		}
 		res.AllDetected = n
-		simSpan.End(obs.Int("detected", n))
-		e.stageDone(j, "simulate", time.Since(ts))
+		sim.done(obs.Int("detected", n))
 	case KindEnrich:
-		genCtx, genSpan := obs.StartSpan(ctx, "generation",
+		genCtx, gen := e.startStage(ctx, j, "generation",
 			obs.String("heuristic", spec.Heuristic),
 			obs.Int("p0_targets", len(p0)), obs.Int("p1_targets", len(p1)))
 		er, err := core.EnrichCtx(genCtx, c, p0, p1, cfg)
 		if err != nil {
-			genSpan.End()
+			gen.fail()
 			return nil, false, err
 		}
 		res.TestPatterns = er.Tests
@@ -1158,19 +1179,18 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		res.AllTotal = len(p0) + len(p1)
 		res.AllDetected = er.DetectedP0Count + er.DetectedP1Count
 		e.metrics.observeATPG(er.JustifyStats, er.SecondaryAcceptsBySet, er.SecondaryRejectsBySet, er.RegenPerTest)
-		genSpan.End(obs.Int("tests", len(er.Tests)), obs.Int("aborts", er.PrimaryAborts))
-		e.stageDone(j, "enrich", time.Since(t1))
+		gen.done(obs.Int("tests", len(er.Tests)), obs.Int("aborts", er.PrimaryAborts))
 	case KindFaultSim:
 		tests, err := testio.ReadTests(strings.NewReader(strings.Join(spec.Tests, "\n")), len(c.PIs))
 		if err != nil {
 			return nil, false, err
 		}
 		all := d.All()
-		simCtx, simSpan := obs.StartSpan(ctx, "simulation",
+		simCtx, sim := e.startStage(ctx, j, "simulation",
 			obs.Int("tests", len(tests)), obs.Int("faults", len(all)), obs.Int("workers", workers))
 		first, err := faultsim.RunParallel(simCtx, c, tests, all, workers)
 		if err != nil {
-			simSpan.End()
+			sim.fail()
 			return nil, false, err
 		}
 		res.TestPatterns = tests
@@ -1181,8 +1201,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 				res.Detected++
 			}
 		}
-		simSpan.End(obs.Int("detected", res.Detected))
-		e.stageDone(j, "faultsim", time.Since(t1))
+		sim.done(obs.Int("detected", res.Detected))
 	}
 	res.Tests = make([]string, len(res.TestPatterns))
 	for i, tp := range res.TestPatterns {

@@ -10,39 +10,37 @@ import (
 	"time"
 )
 
-// /v1/healthz (and, under LegacyRoutes, the legacy /healthz alias)
-// carries both shapes: the seed-era status string, the
+// /v1/healthz carries both shapes: the seed-era status string, the
 // queue_depth/inflight load fields the cluster coordinator ranks
 // backends by, and the per-tenant queue depths.
 func TestHealthzBodyShapes(t *testing.T) {
-	_, srv := newLegacyTestServer(t)
-	for _, path := range []string{"/v1/healthz", "/healthz"} {
-		var body map[string]any
-		resp := getJSON(t, srv.URL+path, &body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+	_, srv := newTestServer(t)
+	const path = "/v1/healthz"
+	var body map[string]any
+	resp := getJSON(t, srv.URL+path, &body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d", path, resp.StatusCode)
+	}
+	if body["status"] != "ok" {
+		t.Errorf("%s legacy status field = %v, want ok", path, body["status"])
+	}
+	for _, key := range []string{"queue_depth", "inflight"} {
+		if _, ok := body[key].(float64); !ok {
+			t.Errorf("%s lacks numeric %q: %v", path, key, body)
 		}
-		if body["status"] != "ok" {
-			t.Errorf("%s legacy status field = %v, want ok", path, body["status"])
-		}
-		for _, key := range []string{"queue_depth", "inflight"} {
-			if _, ok := body[key].(float64); !ok {
-				t.Errorf("%s lacks numeric %q: %v", path, key, body)
-			}
-		}
-		// The typed contract decodes too.
-		var h Health
-		resp2, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(resp2.Body).Decode(&h); err != nil {
-			t.Fatalf("%s does not decode into Health: %v", path, err)
-		}
-		resp2.Body.Close()
-		if h.Status != "ok" {
-			t.Errorf("%s Health.Status = %q", path, h.Status)
-		}
+	}
+	// The typed contract decodes too.
+	var h Health
+	resp2, err := http.Get(srv.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp2.Body).Decode(&h); err != nil {
+		t.Fatalf("%s does not decode into Health: %v", path, err)
+	}
+	resp2.Body.Close()
+	if h.Status != "ok" {
+		t.Errorf("%s Health.Status = %q", path, h.Status)
 	}
 }
 

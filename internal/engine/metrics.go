@@ -2,18 +2,16 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/justify"
 	"repro/internal/obs"
 )
 
 // Metrics holds the engine's operational counters. All methods are
-// safe for concurrent use. The JSON Snapshot keeps the seed-era
-// summary shape; the obs histograms below additionally feed the
-// Prometheus exposition built by Engine.Registry.
+// safe for concurrent use. Engine.Registry exposes all of them in the
+// Prometheus exposition; Snapshot copies the scalar counters for Go
+// callers.
 type Metrics struct {
 	jobsSubmitted atomic.Int64
 	jobsRunning   atomic.Int64
@@ -63,9 +61,6 @@ type Metrics struct {
 	tenantDone      *obs.CounterVec
 	tenantShed      *obs.CounterVec
 	tenantQueueWait *obs.HistogramVec
-
-	mu     sync.Mutex
-	stages map[string]*stageStat
 }
 
 // RegenBuckets are the upper bounds of the per-test regeneration
@@ -73,15 +68,8 @@ type Metrics struct {
 // were never regenerated (all secondaries cheap or rejected).
 var RegenBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64}
 
-type stageStat struct {
-	count int64
-	total time.Duration
-	max   time.Duration
-}
-
 func newMetrics() *Metrics {
 	return &Metrics{
-		stages: make(map[string]*stageStat),
 		stageSeconds: obs.NewHistogramVec("pdfd_stage_duration_seconds",
 			"Pipeline stage latency by stage name.", obs.DefBuckets, "stage"),
 		jobSeconds: obs.NewHistogramVec("pdfd_job_duration_seconds",
@@ -135,35 +123,8 @@ func (m *Metrics) observeATPG(js justify.Stats, acceptsBySet, rejectsBySet, rege
 // most critical set, p1 the next, and so on.
 func setLabel(s int) string { return fmt.Sprintf("p%d", s) }
 
-// observeStage records one execution of a named pipeline stage.
-// exemplarID, when non-empty, links the landing bucket to that trace
-// in the OpenMetrics exposition.
-func (m *Metrics) observeStage(name string, d time.Duration, exemplarID string) {
-	m.stageSeconds.With(name).ObserveExemplar(d.Seconds(), exemplarID)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.stages[name]
-	if st == nil {
-		st = &stageStat{}
-		m.stages[name] = st
-	}
-	st.count++
-	st.total += d
-	if d > st.max {
-		st.max = d
-	}
-}
-
-// StageSnapshot is the exported view of one stage's latency counters.
-type StageSnapshot struct {
-	Count   int64   `json:"count"`
-	TotalMS float64 `json:"total_ms"`
-	AvgMS   float64 `json:"avg_ms"`
-	MaxMS   float64 `json:"max_ms"`
-}
-
-// Snapshot is a consistent copy of all counters, ready to marshal as
-// the /metrics payload.
+// Snapshot is a copy of the engine's scalar counters for Go callers;
+// /v1/metrics exposes the same values as pdfd_* series.
 type Snapshot struct {
 	JobsSubmitted int64 `json:"jobs_submitted"`
 	JobsQueued    int64 `json:"jobs_queued"`
@@ -178,7 +139,7 @@ type Snapshot struct {
 	JobsShed    int64 `json:"jobs_shed"`
 	JobPanics   int64 `json:"job_panics"`
 	// QueueDepth is the instantaneous run-queue occupancy; Overloaded
-	// reports the shed watermark state feeding /healthz.
+	// reports the shed watermark state feeding /v1/healthz.
 	QueueDepth  int   `json:"queue_depth"`
 	Overloaded  bool  `json:"overloaded"`
 	CacheHits   int64 `json:"cache_hits"`
@@ -190,9 +151,6 @@ type Snapshot struct {
 	JournalAppends     int64 `json:"journal_appends"`
 	JournalErrors      int64 `json:"journal_errors"`
 	JournalCompactions int64 `json:"journal_compactions"`
-	// Stages reports per-stage latency (prepare, generate, enrich,
-	// faultsim, simulate).
-	Stages map[string]StageSnapshot `json:"stages"`
 	// Tenants reports each tenant's live scheduler state (queued,
 	// running, sheds, weight). Filled by Engine.Metrics.
 	Tenants map[string]TenantSnapshot `json:"tenants"`
@@ -200,8 +158,8 @@ type Snapshot struct {
 
 // buildRegistry wires the engine's counters, gauges and histograms
 // into a Prometheus registry. Counters are exposed through read
-// functions over the existing atomics so the JSON snapshot and the
-// exposition can never disagree.
+// functions over the existing atomics so Snapshot and the exposition
+// can never disagree.
 func buildRegistry(e *Engine) *obs.Registry {
 	m := e.metrics
 	ctr := func(name, help string, v *atomic.Int64) obs.Collector {
@@ -315,22 +273,7 @@ func (m *Metrics) snapshot(cacheLen int) Snapshot {
 		JournalAppends:     m.journalAppends.Load(),
 		JournalErrors:      m.journalErrors.Load(),
 		JournalCompactions: m.journalCompactions.Load(),
-
-		Stages: make(map[string]StageSnapshot),
 	}
 	s.JobsQueued = s.JobsSubmitted - s.JobsRunning - s.JobsDone - s.JobsFailed - s.JobsCanceled
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for name, st := range m.stages {
-		snap := StageSnapshot{
-			Count:   st.count,
-			TotalMS: float64(st.total) / float64(time.Millisecond),
-			MaxMS:   float64(st.max) / float64(time.Millisecond),
-		}
-		if st.count > 0 {
-			snap.AvgMS = snap.TotalMS / float64(st.count)
-		}
-		s.Stages[name] = snap
-	}
 	return s
 }

@@ -8,14 +8,13 @@ import (
 	"net/http"
 	"regexp"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
 )
 
 // Stable machine-readable error codes of the /v1 error envelope. Every
-// error response, versioned or legacy, carries one:
+// error response carries one:
 //
 //	{"error": {"code": "overloaded", "message": "...", "retry_after_ms": 1000}}
 const (
@@ -65,19 +64,13 @@ type ServerConfig struct {
 	// Logger receives one access-log record per request; nil disables
 	// access logging.
 	Logger *slog.Logger
-	// Registry is the Prometheus registry served on /metrics and
-	// /v1/metrics; nil uses the engine's own (the right choice unless
-	// a front-end aggregates several engines).
+	// Registry is the Prometheus registry served on /v1/metrics; nil
+	// uses the engine's own (the right choice unless a front-end
+	// aggregates several engines).
 	Registry *obs.Registry
 	// Heartbeat paces the SSE keep-alive comments of
 	// /v1/jobs/{id}/events; 0 uses 15s.
 	Heartbeat time.Duration
-	// LegacyRoutes resurrects the seed-era unversioned routes (/jobs,
-	// /jobs/{id}, /healthz, /metrics), deprecated since the /v1
-	// redesign and gone by default: without it they answer 404 with a
-	// migration message. pdfd exposes it as -legacy-routes for one
-	// release.
-	LegacyRoutes bool
 }
 
 // NewServer returns the JSON API handler served by cmd/pdfd. The
@@ -94,13 +87,8 @@ type ServerConfig struct {
 //	GET    /v1/healthz         liveness probe; 503 "overloaded" past the watermark
 //	GET    /v1/version         build version and toolchain from embedded build info
 //	GET    /v1/metrics         Prometheus text exposition (OpenMetrics with exemplars via Accept)
-//	GET    /v1/metrics.json    the JSON counter snapshot (Snapshot)
 //
-// The seed-era unversioned routes (/jobs, /jobs/{id}, /healthz,
-// /metrics) still answer, marked with a Deprecation header and a Link
-// to their successor; /metrics now serves the Prometheus text format
-// (the JSON snapshot moved to /v1/metrics.json). Errors use one
-// envelope everywhere — see APIError.
+// Errors use one envelope everywhere — see APIError and WriteError.
 func NewServer(e *Engine) http.Handler { return NewServerWith(e, ServerConfig{}) }
 
 // NewServerWith is NewServer with access logging and a metrics
@@ -113,14 +101,9 @@ func NewServerWith(e *Engine, sc ServerConfig) http.Handler {
 	mux := http.NewServeMux()
 
 	// route registers pattern with tenant auth and the observability
-	// middleware; successor != "" marks the route as a deprecated
-	// alias of it.
-	route := func(pattern, name, successor string, h http.HandlerFunc) {
-		hh := s.auth.Wrap(h)
-		if successor != "" {
-			hh = deprecated(successor, hh)
-		}
-		mux.Handle(pattern, obs.Middleware(name, sc.Logger, e.httpMetrics, hh))
+	// middleware.
+	route := func(pattern, name string, h http.HandlerFunc) {
+		mux.Handle(pattern, obs.Middleware(name, sc.Logger, e.httpMetrics, s.auth.Wrap(h)))
 	}
 	// open registers pattern without auth: the liveness and metrics
 	// planes stay scrapeable by probes and Prometheus.
@@ -128,57 +111,20 @@ func NewServerWith(e *Engine, sc ServerConfig) http.Handler {
 		mux.Handle(pattern, obs.Middleware(name, sc.Logger, e.httpMetrics, h))
 	}
 
-	route("POST /v1/jobs", "jobs.submit", "", s.submit)
-	route("GET /v1/jobs", "jobs.list", "", s.listV1)
-	route("GET /v1/jobs/{id}", "jobs.get", "", s.get)
-	route("DELETE /v1/jobs/{id}", "jobs.cancel", "", s.cancel)
-	route("GET /v1/jobs/{id}/trace", "jobs.trace", "", s.trace)
-	route("GET /v1/jobs/{id}/events", "jobs.events", "", s.jobEvents)
-	route("GET /v1/cache/{key...}", "cache.get", "", s.cacheGet)
-	route("PUT /v1/cache/{key...}", "cache.put", "", s.cachePut)
-	route("GET /v1/traces", "traces.list", "", s.tracesList)
-	route("GET /v1/traces/{trace_id}", "traces.get", "", s.tracesGet)
+	route("POST /v1/jobs", "jobs.submit", s.submit)
+	route("GET /v1/jobs", "jobs.list", s.list)
+	route("GET /v1/jobs/{id}", "jobs.get", s.get)
+	route("DELETE /v1/jobs/{id}", "jobs.cancel", s.cancel)
+	route("GET /v1/jobs/{id}/trace", "jobs.trace", s.trace)
+	route("GET /v1/jobs/{id}/events", "jobs.events", s.jobEvents)
+	route("GET /v1/cache/{key...}", "cache.get", s.cacheGet)
+	route("PUT /v1/cache/{key...}", "cache.put", s.cachePut)
+	route("GET /v1/traces", "traces.list", s.tracesList)
+	route("GET /v1/traces/{trace_id}", "traces.get", s.tracesGet)
 	open("GET /v1/healthz", "healthz", s.healthz)
 	open("GET /v1/version", "version", s.version)
-	open("GET /v1/metrics", "metrics", s.metricsProm)
-	open("GET /v1/metrics.json", "metrics.json", s.metricsJSON)
-
-	// The seed-era unversioned surface, deprecated since the /v1
-	// redesign: sunset by default (404 with a migration pointer),
-	// resurrectable for one release with LegacyRoutes.
-	legacy := func(pattern, name, successor string, h http.HandlerFunc) {
-		if !sc.LegacyRoutes {
-			h = legacyGone(successor)
-		}
-		route(pattern, name, successor, h)
-	}
-	legacy("POST /jobs", "jobs.submit", "/v1/jobs", s.submit)
-	legacy("GET /jobs", "jobs.list", "/v1/jobs", s.listLegacy)
-	legacy("GET /jobs/{id}", "jobs.get", "/v1/jobs/{id}", s.get)
-	legacy("DELETE /jobs/{id}", "jobs.cancel", "/v1/jobs/{id}", s.cancel)
-	legacy("GET /healthz", "healthz", "/v1/healthz", s.healthz)
-	legacy("GET /metrics", "metrics", "/v1/metrics", s.metricsProm)
-
+	open("GET /v1/metrics", "metrics", sc.Registry.ServeHTTP)
 	return mux
-}
-
-// legacyGone answers for a sunset legacy route: 404 in the unified
-// envelope, naming the successor (and the escape hatch).
-func legacyGone(successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, CodeNotFound,
-			"legacy route removed; use "+successor+" (pdfd -legacy-routes restores it for one release)", 0)
-	}
-}
-
-// deprecated marks a legacy route per RFC 9745/8594 conventions: a
-// Deprecation header plus a Link to the successor route.
-func deprecated(successor string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-		next.ServeHTTP(w, r)
-	})
 }
 
 type server struct {
@@ -198,7 +144,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 		if m := unknownFieldRE.FindStringSubmatch(err.Error()); m != nil {
 			msg = "unknown field " + strconv.Quote(m[1]) + " in job spec"
 		}
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, msg, 0)
+		WriteError(w, http.StatusBadRequest, CodeInvalidSpec, msg, 0)
 		return
 	}
 	// The resolved tenant (bearer auth, or a coordinator's forwarded
@@ -215,20 +161,20 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 				"request_id", obs.RequestID(r.Context()), "job_id", j.ID(),
 				"kind", spec.Kind, "circuit", spec.Circuit, "tenant", spec.Tenant)
 		}
-		writeJSON(w, http.StatusAccepted, j.View())
+		WriteJSON(w, http.StatusAccepted, j.View())
 	case errors.Is(err, ErrQuotaExceeded):
 		// Per-tenant backpressure: only this tenant is over its bound.
-		writeError(w, http.StatusTooManyRequests, CodeQuotaExceeded, err.Error(), time.Second)
+		WriteError(w, http.StatusTooManyRequests, CodeQuotaExceeded, err.Error(), time.Second)
 	case errors.Is(err, ErrUnknownTenant):
-		writeError(w, http.StatusUnauthorized, CodeUnauthorized, err.Error(), 0)
+		WriteError(w, http.StatusUnauthorized, CodeUnauthorized, err.Error(), 0)
 	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrBusy):
 		// Backpressure, not failure: tell well-behaved clients when to
 		// try again.
-		writeError(w, http.StatusServiceUnavailable, CodeOverloaded, err.Error(), time.Second)
+		WriteError(w, http.StatusServiceUnavailable, CodeOverloaded, err.Error(), time.Second)
 	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, CodeEngineClosed, err.Error(), 0)
+		WriteError(w, http.StatusServiceUnavailable, CodeEngineClosed, err.Error(), 0)
 	default:
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error(), 0)
+		WriteError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error(), 0)
 	}
 }
 
@@ -239,7 +185,7 @@ const (
 	maxPageLimit     = 1000
 )
 
-func (s *server) listV1(w http.ResponseWriter, r *http.Request) {
+func (s *server) list(w http.ResponseWriter, r *http.Request) {
 	q := JobsQuery{Limit: defaultPageLimit}
 	qs := r.URL.Query()
 	if v := qs.Get("status"); v != "" {
@@ -247,7 +193,7 @@ func (s *server) listV1(w http.ResponseWriter, r *http.Request) {
 		case StatusQueued, StatusRunning, StatusRetrying, StatusDone, StatusFailed, StatusCanceled:
 			q.Status = st
 		default:
-			writeError(w, http.StatusBadRequest, CodeInvalidSpec, "unknown status "+strconv.Quote(v), 0)
+			WriteError(w, http.StatusBadRequest, CodeInvalidSpec, "unknown status "+strconv.Quote(v), 0)
 			return
 		}
 	}
@@ -256,14 +202,14 @@ func (s *server) listV1(w http.ResponseWriter, r *http.Request) {
 		case KindGenerate, KindEnrich, KindFaultSim:
 			q.Kind = k
 		default:
-			writeError(w, http.StatusBadRequest, CodeInvalidSpec, "unknown kind "+strconv.Quote(v), 0)
+			WriteError(w, http.StatusBadRequest, CodeInvalidSpec, "unknown kind "+strconv.Quote(v), 0)
 			return
 		}
 	}
 	if v := qs.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, CodeInvalidSpec, "bad limit "+strconv.Quote(v), 0)
+			WriteError(w, http.StatusBadRequest, CodeInvalidSpec, "bad limit "+strconv.Quote(v), 0)
 			return
 		}
 		q.Limit = min(n, maxPageLimit)
@@ -271,7 +217,7 @@ func (s *server) listV1(w http.ResponseWriter, r *http.Request) {
 	if v := qs.Get("page_token"); v != "" {
 		seq, err := decodePageToken(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidSpec, "bad page_token "+strconv.Quote(v), 0)
+			WriteError(w, http.StatusBadRequest, CodeInvalidSpec, "bad page_token "+strconv.Quote(v), 0)
 			return
 		}
 		q.AfterSeq = seq
@@ -281,7 +227,7 @@ func (s *server) listV1(w http.ResponseWriter, r *http.Request) {
 	if nextSeq > 0 {
 		page.NextPageToken = encodePageToken(nextSeq)
 	}
-	writeJSON(w, http.StatusOK, page)
+	WriteJSON(w, http.StatusOK, page)
 }
 
 // The page token is the submission sequence number of the last job on
@@ -299,22 +245,17 @@ func decodePageToken(tok string) (int64, error) {
 	return seq, nil
 }
 
-// listLegacy keeps the seed response shape: a bare array of every job.
-func (s *server) listLegacy(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.e.Jobs())
-}
-
 func (s *server) get(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.e.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "unknown job "+id, 0)
+		WriteError(w, http.StatusNotFound, CodeNotFound, "unknown job "+id, 0)
 		return
 	}
 	if waitArg := r.URL.Query().Get("wait"); waitArg != "" {
 		d, err := time.ParseDuration(waitArg)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidSpec, "bad wait duration: "+err.Error(), 0)
+			WriteError(w, http.StatusBadRequest, CodeInvalidSpec, "bad wait duration: "+err.Error(), 0)
 			return
 		}
 		select {
@@ -323,17 +264,17 @@ func (s *server) get(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 		}
 	}
-	writeJSON(w, http.StatusOK, j.View())
+	WriteJSON(w, http.StatusOK, j.View())
 }
 
 func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.e.Get(id); !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "unknown job "+id, 0)
+		WriteError(w, http.StatusNotFound, CodeNotFound, "unknown job "+id, 0)
 		return
 	}
 	canceled := s.e.Cancel(id)
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "canceled": canceled})
+	WriteJSON(w, http.StatusOK, map[string]any{"id": id, "canceled": canceled})
 }
 
 // maxCachePayload bounds PUT /v1/cache bodies (matches the
@@ -347,7 +288,7 @@ func (s *server) cacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	payload, ok := s.e.CachedResult(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no cached result for "+key, 0)
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no cached result for "+key, 0)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -363,65 +304,43 @@ func (s *server) cachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxCachePayload+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, "read body: "+err.Error(), 0)
+		WriteError(w, http.StatusBadRequest, CodeInvalidSpec, "read body: "+err.Error(), 0)
 		return
 	}
 	if len(body) > maxCachePayload {
-		writeError(w, http.StatusRequestEntityTooLarge, CodeInvalidSpec, "result payload too large", 0)
+		WriteError(w, http.StatusRequestEntityTooLarge, CodeInvalidSpec, "result payload too large", 0)
 		return
 	}
 	if err := s.e.InstallResult(key, body); err != nil {
 		if errors.Is(err, ErrNoStore) {
-			writeError(w, http.StatusNotImplemented, CodeNoStore, err.Error(), 0)
+			WriteError(w, http.StatusNotImplemented, CodeNoStore, err.Error(), 0)
 			return
 		}
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error(), 0)
+		WriteError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "installed": true})
+	WriteJSON(w, http.StatusOK, map[string]any{"key": key, "installed": true})
 }
 
 func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.e.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "unknown job "+id, 0)
+		WriteError(w, http.StatusNotFound, CodeNotFound, "unknown job "+id, 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"job_id": id, "trace": j.TraceView()})
+	WriteJSON(w, http.StatusOK, map[string]any{"job_id": id, "trace": j.TraceView()})
 }
 
 // tracesList serves GET /v1/traces: summaries of tail-retained traces,
 // newest first; ?min_duration= ?outcome= ?limit= narrow the set.
 func (s *server) tracesList(w http.ResponseWriter, r *http.Request) {
-	var f obs.ListFilter
-	qs := r.URL.Query()
-	if v := qs.Get("min_duration"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, CodeInvalidSpec, "bad min_duration "+strconv.Quote(v), 0)
-			return
-		}
-		f.MinDuration = d
+	f, err := obs.ParseListFilter(r.URL.Query())
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error(), 0)
+		return
 	}
-	if v := qs.Get("outcome"); v != "" {
-		switch v {
-		case "ok", "error", "canceled":
-			f.Outcome = v
-		default:
-			writeError(w, http.StatusBadRequest, CodeInvalidSpec, "unknown outcome "+strconv.Quote(v), 0)
-			return
-		}
-	}
-	if v := qs.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, CodeInvalidSpec, "bad limit "+strconv.Quote(v), 0)
-			return
-		}
-		f.Limit = n
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"traces": s.e.Traces().List(f)})
+	WriteJSON(w, http.StatusOK, map[string]any{"traces": s.e.Traces().List(f)})
 }
 
 // tracesGet serves GET /v1/traces/{trace_id}: one retained trace with
@@ -430,19 +349,19 @@ func (s *server) tracesGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("trace_id")
 	rt, ok := s.e.Traces().Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no retained trace "+id, 0)
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no retained trace "+id, 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, rt)
+	WriteJSON(w, http.StatusOK, rt)
 }
 
 // version serves GET /v1/version: the build's module version and
 // toolchain, from the binary's embedded build info.
 func (s *server) version(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, obs.Version())
+	WriteJSON(w, http.StatusOK, obs.Version())
 }
 
-// Health is the /v1/healthz (and legacy /healthz) response body.
+// Health is the /v1/healthz response body.
 // Status is the legacy plain field ("ok", or "overloaded" beside a 503
 // past the shed watermark); QueueDepth and Inflight size the backend's
 // current load so the cluster coordinator can rank backends for
@@ -467,29 +386,16 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	if s.e.Overloaded() {
 		h.Status = "overloaded"
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, h)
+		WriteJSON(w, http.StatusServiceUnavailable, h)
 		return
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
-func (s *server) metricsProm(w http.ResponseWriter, r *http.Request) {
-	// OpenMetrics is opt-in by Accept (it is the only exposition that
-	// may carry exemplars); the 0.0.4 text format stays the default.
-	if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
-		w.Header().Set("Content-Type", obs.OpenMetricsContentType)
-		s.cfg.Registry.WriteOpenMetrics(w)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.cfg.Registry.WritePrometheus(w)
-}
-
-func (s *server) metricsJSON(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.e.Metrics())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as an indented JSON response with the given
+// status; every success body of the engine and the coordinator goes
+// through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -497,14 +403,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// writeError emits the unified error envelope; retryAfter > 0 also
+// WriteError emits the unified error envelope; retryAfter > 0 also
 // sets the Retry-After header (whole seconds, rounded up).
-func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
+func WriteError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
 	env := errorEnvelope{Error: APIError{Code: code, Message: msg}}
 	if retryAfter > 0 {
 		env.Error.RetryAfterMS = retryAfter.Milliseconds()
 		secs := int64((retryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeJSON(w, status, env)
+	WriteJSON(w, status, env)
 }

@@ -27,19 +27,6 @@ func newTestServer(t *testing.T) (*Engine, *httptest.Server) {
 	return e, srv
 }
 
-// newLegacyTestServer serves with the sunset unversioned routes
-// resurrected (the -legacy-routes escape hatch).
-func newLegacyTestServer(t *testing.T) (*Engine, *httptest.Server) {
-	t.Helper()
-	e := New(Config{Workers: 2, SimWorkers: 4})
-	srv := httptest.NewServer(NewServerWith(e, ServerConfig{LegacyRoutes: true}))
-	t.Cleanup(func() {
-		srv.Close()
-		e.Close()
-	})
-	return e, srv
-}
-
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	b, err := json.Marshal(body)
@@ -127,20 +114,34 @@ func TestServerEnrichmentEndToEnd(t *testing.T) {
 	if again.Status != StatusDone || !again.CacheHit {
 		t.Fatalf("resubmission: status %s cache_hit %t", again.Status, again.CacheHit)
 	}
-	var m Snapshot
-	getJSON(t, srv.URL+"/v1/metrics.json", &m)
-	if m.CacheHits < 1 {
-		t.Errorf("metrics cache_hits = %d, want >= 1", m.CacheHits)
+	resp, err := http.Get(srv.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.JobsDone < 2 {
-		t.Errorf("metrics jobs_done = %d, want >= 2", m.JobsDone)
+	samples, _ := parsePromText(t, string(readBody(t, resp)))
+	if v := promValue(samples, "pdfd_cache_hits_total", ""); v < 1 {
+		t.Errorf("pdfd_cache_hits_total = %v, want >= 1", v)
 	}
-	if _, ok := m.Stages["enrich"]; !ok {
-		t.Errorf("metrics missing enrich stage latency: %v", m.Stages)
+	if v := promValue(samples, "pdfd_jobs_done_total", ""); v < 2 {
+		t.Errorf("pdfd_jobs_done_total = %v, want >= 2", v)
 	}
-	if _, ok := m.Stages["prepare"]; !ok {
-		t.Errorf("metrics missing prepare stage latency: %v", m.Stages)
+	// Both jobs prepared; only the first one reached generation.
+	for stage, want := range map[string]float64{"prepare": 2, "generation": 1} {
+		if v := promValue(samples, "pdfd_stage_duration_seconds_count", `stage="`+stage+`"`); v != want {
+			t.Errorf("pdfd_stage_duration_seconds_count{stage=%q} = %v, want %v", stage, v, want)
+		}
 	}
+}
+
+// promValue returns the value of the series name{labels} in samples
+// parsed by parsePromText, or -1 when it is absent.
+func promValue(samples map[string][]promSeries, name, labels string) float64 {
+	for _, s := range samples[name] {
+		if s.labels == labels {
+			return s.value
+		}
+	}
+	return -1
 }
 
 func TestServerHealthAndListing(t *testing.T) {
@@ -160,16 +161,6 @@ func TestServerHealthAndListing(t *testing.T) {
 	}
 	if page.NextPageToken != "" {
 		t.Errorf("single-page listing has next_page_token %q", page.NextPageToken)
-	}
-	// The legacy route is sunset by default: 404 in the envelope,
-	// pointing clients at the successor.
-	var env errorEnvelope
-	resp = getJSON(t, srv.URL+"/jobs", &env)
-	if resp.StatusCode != http.StatusNotFound || env.Error.Code != CodeNotFound {
-		t.Errorf("GET /jobs = %d/%q, want sunset 404/%q", resp.StatusCode, env.Error.Code, CodeNotFound)
-	}
-	if !strings.Contains(env.Error.Message, "/v1/jobs") {
-		t.Errorf("sunset message %q does not name the successor", env.Error.Message)
 	}
 }
 
@@ -256,11 +247,8 @@ func TestServerErrorEnvelope(t *testing.T) {
 			http.StatusBadRequest, CodeInvalidSpec, "limit"},
 		{"bad page token", http.MethodGet, "/v1/jobs?page_token=zzz", nil,
 			http.StatusBadRequest, CodeInvalidSpec, "page_token"},
-		{"sunset legacy submit", http.MethodPost, "/jobs",
-			map[string]any{"kind": "explode", "circuit": "s27"},
-			http.StatusNotFound, CodeNotFound, "/v1/jobs"},
-		{"sunset legacy get", http.MethodGet, "/jobs/j999", nil,
-			http.StatusNotFound, CodeNotFound, "/v1/jobs/{id}"},
+		{"bad trace outcome", http.MethodGet, "/v1/traces?outcome=slow", nil,
+			http.StatusBadRequest, CodeInvalidSpec, `unknown outcome "slow"`},
 	}
 	for _, c := range cases {
 		resp, body := do(c.method, c.path, c.body)
@@ -411,55 +399,6 @@ func TestServerJobListPagination(t *testing.T) {
 	}
 }
 
-// The unversioned seed routes are sunset: 404 by default, answering
-// again — still marked deprecated with a successor Link — only under
-// ServerConfig.LegacyRoutes (pdfd -legacy-routes); /v1 routes are
-// never marked.
-func TestServerDeprecatedAliases(t *testing.T) {
-	aliases := []struct{ old, successor string }{
-		{"/healthz", "/v1/healthz"},
-		{"/jobs", "/v1/jobs"},
-		{"/metrics", "/v1/metrics"},
-	}
-
-	_, sunset := newTestServer(t)
-	for _, a := range aliases {
-		var env errorEnvelope
-		resp := getJSON(t, sunset.URL+a.old, &env)
-		if resp.StatusCode != http.StatusNotFound || env.Error.Code != CodeNotFound {
-			t.Errorf("GET %s = %d/%q, want sunset 404/%q", a.old, resp.StatusCode, env.Error.Code, CodeNotFound)
-		}
-		if !strings.Contains(env.Error.Message, a.successor) {
-			t.Errorf("GET %s: sunset message %q does not name %s", a.old, env.Error.Message, a.successor)
-		}
-	}
-
-	_, srv := newLegacyTestServer(t)
-	for _, a := range aliases {
-		resp := getJSON(t, srv.URL+a.old, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d", a.old, resp.StatusCode)
-		}
-		if dep := resp.Header.Get("Deprecation"); dep != "true" {
-			t.Errorf("GET %s: Deprecation header %q, want \"true\"", a.old, dep)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, a.successor) {
-			t.Errorf("GET %s: Link header %q does not point at %s", a.old, link, a.successor)
-		}
-	}
-	// The resurrected legacy list keeps the seed shape: a bare array.
-	var list []JobView
-	if resp := getJSON(t, srv.URL+"/jobs", &list); resp.StatusCode != http.StatusOK {
-		t.Errorf("legacy GET /jobs = %d", resp.StatusCode)
-	}
-	for _, path := range []string{"/v1/healthz", "/v1/jobs", "/v1/metrics", "/v1/metrics.json"} {
-		resp := getJSON(t, srv.URL+path, nil)
-		if resp.Header.Get("Deprecation") != "" {
-			t.Errorf("GET %s is marked deprecated", path)
-		}
-	}
-}
-
 // promSeries is one parsed exposition sample: name, sorted label
 // string, value.
 type promSeries struct {
@@ -527,8 +466,8 @@ func parsePromText(t *testing.T, text string) (map[string][]promSeries, map[stri
 	return samples, types
 }
 
-// /v1/metrics (and the deprecated /metrics alias) serve parseable
-// Prometheus text with coherent histogram series.
+// /v1/metrics serves parseable Prometheus text with coherent histogram
+// series.
 func TestServerPrometheusExposition(t *testing.T) {
 	_, srv := newTestServer(t)
 	submitWait(t, srv.URL, map[string]any{"kind": "enrich", "circuit": "s27", "np0": 10, "seed": 1})
@@ -639,22 +578,6 @@ func TestServerPrometheusExposition(t *testing.T) {
 	}
 	if len(samples["pdfd_tenant_queue_wait_seconds_bucket"]) == 0 {
 		t.Errorf("no pdfd_tenant_queue_wait_seconds buckets after a finished job")
-	}
-
-	// The deprecated alias (resurrected via LegacyRoutes) serves the
-	// identical format; by default it is sunset.
-	if sresp := getJSON(t, srv.URL+"/metrics", nil); sresp.StatusCode != http.StatusNotFound {
-		t.Errorf("sunset GET /metrics = %d, want 404", sresp.StatusCode)
-	}
-	_, legacySrv := newLegacyTestServer(t)
-	dresp, err := http.Get(legacySrv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbody := readBody(t, dresp)
-	parsePromText(t, string(dbody))
-	if dresp.Header.Get("Deprecation") != "true" {
-		t.Errorf("/metrics alias not marked deprecated")
 	}
 }
 
@@ -792,8 +715,8 @@ func TestServerJSONContentType(t *testing.T) {
 		{"healthz", func() *http.Response {
 			return getJSON(t, srv.URL+"/v1/healthz", nil)
 		}, http.StatusOK},
-		{"metrics.json", func() *http.Response {
-			return getJSON(t, srv.URL+"/v1/metrics.json", nil)
+		{"version", func() *http.Response {
+			return getJSON(t, srv.URL+"/v1/version", nil)
 		}, http.StatusOK},
 	}
 	for _, c := range checks {
@@ -807,14 +730,21 @@ func TestServerJSONContentType(t *testing.T) {
 	}
 }
 
-// /v1/metrics.json exposes the resilience counters.
+// /v1/metrics exposes the resilience counters.
 func TestServerMetricsResilienceFields(t *testing.T) {
 	_, srv := newTestServer(t)
-	var m map[string]any
-	getJSON(t, srv.URL+"/v1/metrics.json", &m)
-	for _, key := range []string{"jobs_retried", "jobs_shed", "job_panics", "queue_depth", "overloaded", "journal_appends", "journal_errors", "journal_compactions"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("/v1/metrics.json missing %q", key)
+	resp, err := http.Get(srv.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, _ := parsePromText(t, string(readBody(t, resp)))
+	for _, name := range []string{
+		"pdfd_jobs_retried_total", "pdfd_jobs_shed_total", "pdfd_job_panics_total",
+		"pdfd_queue_depth", "pdfd_overloaded", "pdfd_journal_appends_total",
+		"pdfd_journal_errors_total", "pdfd_journal_compactions_total",
+	} {
+		if len(samples[name]) != 1 {
+			t.Errorf("/v1/metrics has %d %s samples, want 1", len(samples[name]), name)
 		}
 	}
 }

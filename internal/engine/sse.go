@@ -33,7 +33,7 @@ const defaultHeartbeat = 15 * time.Second
 func (s *server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.e.Get(id); !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "unknown job "+id, 0)
+		WriteError(w, http.StatusNotFound, CodeNotFound, "unknown job "+id, 0)
 		return
 	}
 	after := int64(0)
@@ -44,7 +44,7 @@ func (s *server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	if lastID != "" {
 		n, err := strconv.ParseInt(lastID, 10, 64)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, CodeInvalidSpec, "bad Last-Event-ID "+strconv.Quote(lastID), 0)
+			WriteError(w, http.StatusBadRequest, CodeInvalidSpec, "bad Last-Event-ID "+strconv.Quote(lastID), 0)
 			return
 		}
 		after = n

@@ -78,9 +78,9 @@ func TestEngineStoreWarmRestart(t *testing.T) {
 	if hits := st2.MetricsRef().Hits.Load(); hits != 1 {
 		t.Fatalf("store hits = %d, want 1", hits)
 	}
-	// Zero re-simulation: the run stages never executed on e2.
-	if snap := e2.Metrics(); snap.Stages["enrich"].Count != 0 {
-		t.Fatalf("enrich stage ran %d times on the restarted engine, want 0", snap.Stages["enrich"].Count)
+	// Zero re-simulation: the generation stage never executed on e2.
+	if n := e2.metrics.stageSeconds.With("generation").Count(); n != 0 {
+		t.Fatalf("generation stage ran %d times on the restarted engine, want 0", n)
 	}
 }
 

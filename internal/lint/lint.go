@@ -269,7 +269,6 @@ func DefaultConfig() *Config {
 		ResourcePkgs: []string{
 			"repro/internal",
 			"repro/cmd",
-			"repro/cli",
 		},
 		NondetSinks: map[string][]int{
 			// Digests key the result cache, journal replay equivalence
@@ -279,8 +278,8 @@ func DefaultConfig() *Config {
 			"repro/internal/engine.CircuitDigest": nil,
 			// Store and journal records replicate across the fleet;
 			// their keys must be derivable, not wall-clock or rand.
-			"(*repro/internal/store.Store).Put": {0},
-			"(*repro/internal/store.Store).Get": {0},
+			"(*repro/internal/store.Store).Put":    {0},
+			"(*repro/internal/store.Store).Get":    {0},
 			"(*repro/internal/journal.Log).Append": nil,
 		},
 	}

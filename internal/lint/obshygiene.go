@@ -127,9 +127,10 @@ func constString(pass *Pass, expr ast.Expr) (string, bool) {
 	return constant.StringVal(tv.Value), true
 }
 
-// AnalyzerSpanEnd checks that every span returned by obs.StartSpan is
-// ended in the function that started it — via defer or on every exit
-// path the function owns. A span stored into a struct field is
+// AnalyzerSpanEnd checks that every span returned by obs.StartSpan
+// (or StartSpanAt) is ended in the function that started it — via
+// defer or on every exit path the function owns. A span stored into a
+// struct field is
 // excluded (the engine's job root/queued spans end in other methods);
 // a span assigned to the blank identifier or a dropped return value
 // can never end and is always a finding. Unended spans hold their
@@ -229,7 +230,7 @@ func spanEnded(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
 func isStartSpan(pass *Pass, file *ast.File, call *ast.CallExpr) bool {
 	pkgPath, name, ok := pkgFuncCall(pass, file, call)
 	if ok {
-		return name == "StartSpan" && pkgPath == pass.Config.ObsPkg
+		return (name == "StartSpan" || name == "StartSpanAt") && pkgPath == pass.Config.ObsPkg
 	}
 	return false
 }
@@ -258,7 +259,7 @@ func runErrEnvelope(pass *Pass) {
 			pkgPath, name, ok := pkgFuncCall(pass, file, call)
 			if ok && pkgPath == "net/http" && name == "Error" {
 				pass.Reportf(call.Pos(),
-					"http.Error bypasses the /v1 error envelope: use writeError (code + message + retry_after_ms) instead")
+					"http.Error bypasses the /v1 error envelope: use engine.WriteError (code + message + retry_after_ms) instead")
 			}
 			return true
 		})

@@ -8,9 +8,8 @@ import (
 	"net/http"
 )
 
-// writeError is the fixture's stand-in for the engine's envelope
-// helper.
-func writeError(w http.ResponseWriter, status int, code, msg string) {
+// writeEnvelope is the fixture's stand-in for engine.WriteError.
+func writeEnvelope(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]any{
@@ -30,7 +29,7 @@ func BadHandler(w http.ResponseWriter, r *http.Request) {
 // GoodHandler answers through the envelope.
 func GoodHandler(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_spec", "method not allowed")
+		writeEnvelope(w, http.StatusMethodNotAllowed, "invalid_spec", "method not allowed")
 		return
 	}
 	w.WriteHeader(http.StatusOK)

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -85,5 +87,33 @@ func TestHistogramVecExemplars(t *testing.T) {
 	out := om.String()
 	if !strings.Contains(out, `vec_seconds_bucket{outcome="error",le="1"} 1 # {trace_id="00f067aa0ba902b700f067aa0ba902b7"} 0.5`) {
 		t.Fatalf("labeled bucket missing exemplar:\n%s", out)
+	}
+}
+
+func TestRegistryServeHTTP(t *testing.T) {
+	r := NewRegistry()
+	h := NewHistogram("test_seconds", "test histogram", []float64{1})
+	r.MustRegister(h)
+	h.ObserveExemplar(0.5, "4bf92f3577b34da6a3ce929d0e0e4736")
+
+	rec := httptest.NewRecorder()
+	r.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Errorf("default Content-Type = %q, want the 0.0.4 text format", ct)
+	}
+	if body := rec.Body.String(); !strings.Contains(body, `test_seconds_bucket{le="1"} 1`) || strings.Contains(body, "trace_id") {
+		t.Errorf("default exposition is not plain 0.0.4 text:\n%s", body)
+	}
+
+	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
+	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
+	rec = httptest.NewRecorder()
+	r.ServeHTTP(rec, req)
+	if ct := rec.Header().Get("Content-Type"); ct != OpenMetricsContentType {
+		t.Errorf("negotiated Content-Type = %q, want %q", ct, OpenMetricsContentType)
+	}
+	body := rec.Body.String()
+	if !strings.Contains(body, `# {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 0.5`) || !strings.HasSuffix(body, "# EOF\n") {
+		t.Errorf("OpenMetrics exposition lacks the exemplar or the EOF marker:\n%s", body)
 	}
 }

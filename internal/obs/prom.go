@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -101,7 +102,7 @@ type openMetricsCollector interface {
 }
 
 // OpenMetricsContentType is the Content-Type of WriteOpenMetrics
-// output, matched against Accept headers by the metrics handlers.
+// output, as served by ServeHTTP.
 const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 // WriteOpenMetrics serializes every registered family in the
@@ -127,6 +128,19 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "# EOF\n")
 	return err
+}
+
+// ServeHTTP serves the exposition, negotiated by Accept: the 0.0.4
+// text format by default, OpenMetrics (the only flavor that may carry
+// exemplars) when the client asks for application/openmetrics-text.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	if strings.Contains(req.Header.Get("Accept"), "application/openmetrics-text") {
+		w.Header().Set("Content-Type", OpenMetricsContentType)
+		r.WriteOpenMetrics(w)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	r.WritePrometheus(w)
 }
 
 func formatFloat(v float64) string {

@@ -157,19 +157,26 @@ func Transplant(dst, src context.Context) context.Context {
 // span limit — it returns ctx unchanged and a nil span; both the nil
 // span and its would-be children degrade gracefully.
 func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
+	return StartSpanAt(ctx, name, time.Now(), attrs...)
+}
+
+// StartSpanAt is StartSpan with the caller's start time, for callers
+// that time the same interval for a metric and want both to read one
+// clock (see Span.EndAt).
+func StartSpanAt(ctx context.Context, name string, start time.Time, attrs ...Attr) (context.Context, *Span) {
 	t := FromContext(ctx)
 	if t == nil {
 		return ctx, nil
 	}
 	parent, _ := ctx.Value(spanKey).(int)
-	s := t.start(name, parent, attrs)
+	s := t.start(name, parent, start, attrs)
 	if s == nil {
 		return ctx, nil
 	}
 	return context.WithValue(ctx, spanKey, s.id), s
 }
 
-func (t *Trace) start(name string, parent int, attrs []Attr) *Span {
+func (t *Trace) start(name string, parent int, start time.Time, attrs []Attr) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.spans) >= t.limit {
@@ -182,7 +189,7 @@ func (t *Trace) start(name string, parent int, attrs []Attr) *Span {
 		id:     t.nextID,
 		parent: parent,
 		name:   name,
-		start:  time.Now(),
+		start:  start,
 		attrs:  attrs,
 	}
 	t.spans = append(t.spans, s)
@@ -192,13 +199,16 @@ func (t *Trace) start(name string, parent int, attrs []Attr) *Span {
 // End closes the span, optionally attaching final attributes (e.g.
 // counts only known on completion). Ending twice keeps the first end
 // time; a nil receiver is a no-op.
-func (s *Span) End(attrs ...Attr) {
+func (s *Span) End(attrs ...Attr) { s.EndAt(time.Now(), attrs...) }
+
+// EndAt is End with the caller's end time. Nil-safe.
+func (s *Span) EndAt(end time.Time, attrs ...Attr) {
 	if s == nil {
 		return
 	}
 	s.t.mu.Lock()
 	if s.end.IsZero() {
-		s.end = time.Now()
+		s.end = end
 	}
 	s.attrs = append(s.attrs, attrs...)
 	s.t.mu.Unlock()

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"errors"
+	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -46,7 +49,7 @@ type RetainedTrace struct {
 	Name         string     `json:"name"`
 	JobID        string     `json:"job_id,omitempty"`
 	Node         string     `json:"node,omitempty"`
-	Outcome      string     `json:"outcome"` // "ok" or "error"
+	Outcome      string     `json:"outcome"` // "ok", "error" or "canceled"
 	Error        string     `json:"error,omitempty"`
 	DurationMS   float64    `json:"duration_ms"`
 	OriginUnixMS int64      `json:"origin_unix_ms,omitempty"`
@@ -110,7 +113,8 @@ func NewTraceBuffer(maxCount int, maxBytes int64) *TraceBuffer {
 }
 
 // Offer submits a finished trace for retention and returns the reason
-// it was kept ("" if it was not). rt.Outcome must be "ok" or "error";
+// it was kept ("" if it was not). rt.Outcome is "ok", "error" or
+// "canceled"; every outcome but "ok" is retained under RetainError.
 // sampled is the head-sampling decision carried by the trace.
 func (b *TraceBuffer) Offer(rt RetainedTrace, sampled bool) string {
 	if b == nil || rt.TraceID == "" {
@@ -234,8 +238,38 @@ func (b *TraceBuffer) Get(traceID string) (RetainedTrace, bool) {
 // ListFilter narrows List output; zero values match everything.
 type ListFilter struct {
 	MinDuration time.Duration
-	Outcome     string // "", "ok" or "error"
+	Outcome     string // "", "ok", "error" or "canceled"
 	Limit       int    // <= 0 means 50
+}
+
+// ParseListFilter reads a ListFilter from the ?min_duration=
+// ?outcome= ?limit= query parameters of GET /v1/traces. The error
+// message names the offending parameter and value.
+func ParseListFilter(qs url.Values) (ListFilter, error) {
+	var f ListFilter
+	if v := qs.Get("min_duration"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			return f, errors.New("bad min_duration " + strconv.Quote(v))
+		}
+		f.MinDuration = d
+	}
+	if v := qs.Get("outcome"); v != "" {
+		switch v {
+		case "ok", "error", "canceled":
+			f.Outcome = v
+		default:
+			return f, errors.New("unknown outcome " + strconv.Quote(v))
+		}
+	}
+	if v := qs.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n <= 0 {
+			return f, errors.New("bad limit " + strconv.Quote(v))
+		}
+		f.Limit = n
+	}
+	return f, nil
 }
 
 // List returns summaries (spans elided) of retained traces matching

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"net/url"
 	"testing"
 	"time"
 )
@@ -127,5 +128,40 @@ func TestTraceBufferNilSafe(t *testing.T) {
 	}
 	if st := b.Stats(); st != (TraceBufferStats{}) {
 		t.Fatalf("nil buffer Stats = %+v", st)
+	}
+}
+
+func TestParseListFilter(t *testing.T) {
+	for _, tc := range []struct {
+		query   string
+		want    ListFilter
+		wantErr string
+	}{
+		{query: "", want: ListFilter{}},
+		{query: "min_duration=250ms&outcome=canceled&limit=7",
+			want: ListFilter{MinDuration: 250 * time.Millisecond, Outcome: "canceled", Limit: 7}},
+		{query: "outcome=ok", want: ListFilter{Outcome: "ok"}},
+		{query: "outcome=error", want: ListFilter{Outcome: "error"}},
+		{query: "min_duration=soon", wantErr: `bad min_duration "soon"`},
+		{query: "min_duration=-1s", wantErr: `bad min_duration "-1s"`},
+		{query: "outcome=slow", wantErr: `unknown outcome "slow"`},
+		{query: "limit=0", wantErr: `bad limit "0"`},
+		{query: "limit=-3", wantErr: `bad limit "-3"`},
+		{query: "limit=ten", wantErr: `bad limit "ten"`},
+	} {
+		qs, err := url.ParseQuery(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseListFilter(qs)
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("ParseListFilter(%q) error = %v, want %q", tc.query, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseListFilter(%q) = %+v, %v; want %+v", tc.query, got, err, tc.want)
+		}
 	}
 }
