@@ -1,6 +1,6 @@
 // Command pdfd serves the test generation procedures as HTTP jobs: an
 // engine of bounded workers runs ATPG, enrichment and fault-simulation
-// jobs with per-job deadlines, sharded parallel fault simulation and a
+// jobs with per-job deadlines, word-parallel fault simulation and a
 // result cache keyed by (circuit hash, config, fault-set digest).
 //
 // The engine is crash-safe: job panics are contained and retried with
@@ -23,7 +23,7 @@
 // Usage:
 //
 //	pdfd [-addr :8344] [-debug-addr ""] [-log-format text] [-log-level info]
-//	     [-workers 0] [-sim-workers 4] [-queue 64] [-cache 128]
+//	     [-workers 0] [-queue 64] [-cache 128]
 //	     [-timeout 10m] [-max-retries 0] [-shed-watermark 0]
 //	     [-trace-spans 512] [-trace-sample 1] [-trace-buffer 256]
 //	     [-journal DIR] [-drain 30s]

@@ -13,9 +13,9 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/bitsim"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faultsim"
 )
 
 func main() {
@@ -34,7 +34,10 @@ func main() {
 	// Basic compact test set for P0 only.
 	basic := core.Generate(d.Circuit, d.P0, core.Config{Heuristic: core.ValueBased, Seed: p.Seed})
 	all := d.All()
-	accidental := faultsim.Count(d.Circuit, basic.Tests, all)
+	accidental, err := bitsim.Count(d.Circuit, basic.Tests, all)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("basic value-based procedure (targets P0 only):\n")
 	fmt.Printf("  %4d tests, P0 detected %d/%d\n", len(basic.Tests), basic.DetectedCount, len(d.P0))
 	fmt.Printf("  P0∪P1 detected (accidental): %d/%d\n\n", accidental, len(all))

@@ -17,9 +17,9 @@ import (
 	"math/rand"
 	"os"
 
+	"repro/internal/bitsim"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faultsim"
 	"repro/internal/yield"
 )
 
@@ -81,7 +81,10 @@ func main() {
 	// What the enrichment buys against exactly that risk.
 	basic := core.Generate(c, d.P0, core.Config{Heuristic: core.ValueBased, Seed: p.Seed})
 	all := d.All()
-	accidental := faultsim.Count(c, basic.Tests, all)
+	accidental, err := bitsim.Count(c, basic.Tests, all)
+	if err != nil {
+		log.Fatal(err)
+	}
 	er := core.Enrich(c, d.P0, d.P1, core.Config{Seed: p.Seed})
 	fmt.Printf("\nP1 coverage: accidental %d/%d -> enriched %d/%d at %+d tests\n",
 		accidental-basic.DetectedCount, len(d.P1),

@@ -183,7 +183,10 @@ func TestSuiteSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := experiments.BasicTable(d1, p)
+	row, err := experiments.BasicTable(d1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if row.P0Faults == 0 || row.Tests[3] == 0 {
 		t.Fatalf("degenerate basic row: %+v", row)
 	}

@@ -4,13 +4,17 @@
 //
 // Values are dual-rail encoded per plane: bit i of H is set when test
 // i drives the net to 1, bit i of L when it drives it to 0; neither
-// bit set means x (only possible on the intermediate plane for fully
-// specified tests). This gives a ~64× throughput improvement for fault
-// simulation over large test sets — the dominant cost of Table 5-style
-// experiments — with results bit-identical to the scalar simulator.
+// bit set means x. Tests may leave inputs unspecified: every gate rule
+// computes the same three-valued result as circuit.SimulateTriples.
+// This gives a ~64× throughput improvement for fault simulation over
+// large test sets — the dominant cost of Table 5-style experiments —
+// with results bit-identical to the scalar simulator (faultsim.Run).
+// It is the one fault simulator of the engine, the CLIs and the
+// experiments.
 package bitsim
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -31,19 +35,40 @@ type Batch struct {
 	h, l [circuit.NumPlanes][]uint64
 }
 
-// Simulate simulates up to 64 fully specified tests in one pass.
+// Simulate simulates up to 64 tests in one pass.
 func Simulate(c *circuit.Circuit, tests []circuit.TwoPattern) (*Batch, error) {
-	if len(tests) == 0 || len(tests) > WordSize {
-		return nil, fmt.Errorf("bitsim: batch of %d tests (want 1..%d)", len(tests), WordSize)
+	b := newBatch(c)
+	if err := b.load(tests, 0); err != nil {
+		return nil, err
 	}
-	b := &Batch{c: c, n: len(tests)}
+	return b, nil
+}
+
+func newBatch(c *circuit.Circuit) *Batch {
+	b := &Batch{c: c}
 	for p := 0; p < circuit.NumPlanes; p++ {
 		b.h[p] = make([]uint64, len(c.Lines))
 		b.l[p] = make([]uint64, len(c.Lines))
 	}
+	return b
+}
+
+// load replaces the batch's contents with the simulation of tests,
+// reusing the plane storage. base is the index of tests[0] in the
+// caller's test set, for error messages.
+func (b *Batch) load(tests []circuit.TwoPattern, base int) error {
+	c := b.c
+	if len(tests) == 0 || len(tests) > WordSize {
+		return fmt.Errorf("bitsim: batch of %d tests (want 1..%d)", len(tests), WordSize)
+	}
+	for p := 0; p < circuit.NumPlanes; p++ {
+		clear(b.h[p])
+		clear(b.l[p])
+	}
+	b.n = len(tests)
 	for ti, tp := range tests {
-		if !tp.FullySpecified() {
-			return nil, fmt.Errorf("bitsim: test %d not fully specified", ti)
+		if len(tp.P1) != len(c.PIs) || len(tp.P3) != len(c.PIs) {
+			return fmt.Errorf("bitsim: test %d has %d/%d values for %d inputs", base+ti, len(tp.P1), len(tp.P3), len(c.PIs))
 		}
 		bit := uint64(1) << uint(ti)
 		for i, pi := range c.PIs {
@@ -60,7 +85,7 @@ func Simulate(c *circuit.Circuit, tests []circuit.TwoPattern) (*Batch, error) {
 			b.evalGate(g, p)
 		}
 	}
-	return b, nil
+	return nil
 }
 
 func set(b *Batch, plane, net int, v tval.V, bit uint64) {
@@ -169,31 +194,39 @@ func batchMask(n int) uint64 {
 }
 
 // Run is the word-parallel equivalent of faultsim.Run: it returns, for
-// each fault, the index of the first detecting test, or -1.
+// each fault, the index of the first detecting test, or -1. It fails
+// only on a test whose patterns do not match the circuit's inputs.
 func Run(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) ([]int, error) {
+	return RunContext(context.Background(), c, tests, fcs)
+}
+
+// RunContext is Run with cancellation: it returns ctx.Err() if ctx is
+// canceled, checked between 64-test batches. Each fault is dropped
+// from the scan after its first detection.
+func RunContext(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) ([]int, error) {
 	firstDet := make([]int, len(fcs))
+	active := make([]int, len(fcs))
 	for i := range firstDet {
 		firstDet[i] = -1
+		active[i] = i
 	}
-	remaining := len(fcs)
-	for base := 0; base < len(tests) && remaining > 0; base += WordSize {
-		end := base + WordSize
-		if end > len(tests) {
-			end = len(tests)
-		}
-		b, err := Simulate(c, tests[base:end])
-		if err != nil {
+	b := newBatch(c)
+	for base := 0; base < len(tests) && len(active) > 0; base += WordSize {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for fi := range fcs {
-			if firstDet[fi] >= 0 {
-				continue
-			}
+		if err := b.load(tests[base:min(base+WordSize, len(tests))], base); err != nil {
+			return nil, err
+		}
+		kept := active[:0]
+		for _, fi := range active {
 			if mask := b.Detects(&fcs[fi]); mask != 0 {
-				firstDet[fi] = base + lowestBit(mask)
-				remaining--
+				firstDet[fi] = base + bits.TrailingZeros64(mask)
+			} else {
+				kept = append(kept, fi)
 			}
 		}
+		active = kept
 	}
 	return firstDet, nil
 }
@@ -201,16 +234,17 @@ func Run(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultCondi
 // Count returns how many faults the test set detects.
 func Count(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) (int, error) {
 	first, err := Run(c, tests, fcs)
-	if err != nil {
-		return 0, err
-	}
+	return Detected(first), err
+}
+
+// Detected counts the detected faults of a first-detection vector as
+// returned by Run.
+func Detected(first []int) int {
 	n := 0
 	for _, d := range first {
 		if d >= 0 {
 			n++
 		}
 	}
-	return n, nil
+	return n
 }
-
-func lowestBit(x uint64) int { return bits.TrailingZeros64(x) }

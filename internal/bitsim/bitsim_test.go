@@ -1,10 +1,12 @@
-package bitsim
+package bitsim_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/bitsim"
 	"repro/internal/circuit"
 	"repro/internal/faultsim"
 	"repro/internal/justify"
@@ -29,6 +31,47 @@ func randomTests(c *circuit.Circuit, r *rand.Rand, n int) []circuit.TwoPattern {
 	return out
 }
 
+// withX returns a copy of tests in which about a quarter of the input
+// positions of both patterns are x.
+func withX(tests []circuit.TwoPattern, r *rand.Rand) []circuit.TwoPattern {
+	out := make([]circuit.TwoPattern, len(tests))
+	for i, tp := range tests {
+		p1 := append([]tval.V(nil), tp.P1...)
+		p3 := append([]tval.V(nil), tp.P3...)
+		for k := range p1 {
+			if r.Intn(4) == 0 {
+				p1[k] = tval.X
+			}
+			if r.Intn(4) == 0 {
+				p3[k] = tval.X
+			}
+		}
+		out[i] = circuit.TwoPattern{P1: p1, P3: p3}
+	}
+	return out
+}
+
+// checkBatch compares every line and plane of a batch against the
+// scalar three-valued simulation of each test.
+func checkBatch(t *testing.T, c *circuit.Circuit, tests []circuit.TwoPattern) {
+	t.Helper()
+	b, err := bitsim.Simulate(c, tests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti, tp := range tests {
+		want := tp.Simulate(c)
+		for id := range c.Lines {
+			for p := 0; p < circuit.NumPlanes; p++ {
+				if got := b.Value(id, p, ti); got != want[id].At(p) {
+					t.Fatalf("%s test %d (%v) line %s plane %d: bitsim %v, scalar %v",
+						c.Name, ti, tp, c.Lines[id].Name, p, got, want[id].At(p))
+				}
+			}
+		}
+	}
+}
+
 func TestBatchMatchesScalarSimulation(t *testing.T) {
 	for _, name := range []string{"s27", "b03", "s1196"} {
 		name := name
@@ -41,21 +84,8 @@ func TestBatchMatchesScalarSimulation(t *testing.T) {
 			}
 			r := rand.New(rand.NewSource(3))
 			tests := randomTests(c, r, 64)
-			b, err := Simulate(c, tests)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ti, tp := range tests {
-				want := tp.Simulate(c)
-				for id := range c.Lines {
-					for p := 0; p < circuit.NumPlanes; p++ {
-						if got := b.Value(id, p, ti); got != want[id].At(p) {
-							t.Fatalf("test %d line %s plane %d: bitsim %v, scalar %v",
-								ti, c.Lines[id].Name, p, got, want[id].At(p))
-						}
-					}
-				}
-			}
+			checkBatch(t, c, tests)
+			checkBatch(t, c, withX(tests, r))
 		})
 	}
 }
@@ -69,7 +99,7 @@ func TestCoversMatchesScalar(t *testing.T) {
 	kept, _ := robust.Screen(c, res.Faults)
 	r := rand.New(rand.NewSource(7))
 	tests := randomTests(c, r, 64)
-	b, err := Simulate(c, tests)
+	b, err := bitsim.Simulate(c, tests)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,19 +126,25 @@ func TestRunMatchesScalarRun(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	// Random tests rarely hit long-path faults; mix in generated tests
 	// so the comparison is non-vacuous, and let the set cross two
-	// batch boundaries.
+	// batch boundaries. Tests 40..89 carry x in both patterns, across
+	// the first boundary, and the generated tests are followed by
+	// x-bearing copies.
 	j := justify.New(c, justify.Config{Seed: 13})
 	tests := randomTests(c, r, 100)
+	copy(tests[40:90], withX(tests[40:90], r))
+	var generated []circuit.TwoPattern
 	for i := range kept {
-		if len(tests) >= 150 {
+		if len(generated) >= 50 {
 			break
 		}
 		if tp, ok := j.Justify(&kept[i].Alts[0]); ok {
-			tests = append(tests, tp)
+			generated = append(generated, tp)
 		}
 	}
+	tests = append(tests, withX(generated, r)...)
+	tests = append(tests, generated...)
 	scalar := faultsim.Run(c, tests, kept)
-	parallel, err := Run(c, tests, kept)
+	parallel, err := bitsim.Run(c, tests, kept)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +160,7 @@ func TestRunMatchesScalarRun(t *testing.T) {
 			sc++
 		}
 	}
-	pc, err := Count(c, tests, kept)
+	pc, err := bitsim.Count(c, tests, kept)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,29 +170,57 @@ func TestRunMatchesScalarRun(t *testing.T) {
 	if pc == 0 {
 		t.Error("no detections; comparison vacuous")
 	}
+	byX := 0
+	for _, d := range scalar {
+		if d >= 0 && !tests[d].FullySpecified() {
+			byX++
+		}
+	}
+	if byX == 0 {
+		t.Error("no fault first detected by an x-bearing test; comparison vacuous")
+	}
+}
+
+func TestRunContextCanceled(t *testing.T) {
+	c := bench.S27()
+	res, err := pathenum.Enumerate(c, pathenum.Config{Mode: pathenum.DistancePruned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, _ := robust.Screen(c, res.Faults)
+	tests := randomTests(c, rand.New(rand.NewSource(5)), 16)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := bitsim.RunContext(ctx, c, tests, kept); err != context.Canceled {
+		t.Errorf("canceled RunContext err = %v, want context.Canceled", err)
+	}
 }
 
 func TestSimulateErrors(t *testing.T) {
 	c := bench.S27()
-	if _, err := Simulate(c, nil); err == nil {
+	if _, err := bitsim.Simulate(c, nil); err == nil {
 		t.Error("empty batch must be rejected")
 	}
 	r := rand.New(rand.NewSource(1))
-	if _, err := Simulate(c, randomTests(c, r, 65)); err == nil {
+	if _, err := bitsim.Simulate(c, randomTests(c, r, 65)); err == nil {
 		t.Error("oversized batch must be rejected")
 	}
-	bad := randomTests(c, r, 1)
-	bad[0].P1[0] = tval.X
-	if _, err := Simulate(c, bad); err == nil {
-		t.Error("partial test must be rejected")
+	short := randomTests(c, r, 1)
+	short[0].P3 = short[0].P3[1:]
+	if _, err := bitsim.Simulate(c, short); err == nil {
+		t.Error("test shorter than the input list must be rejected")
 	}
+	// A partial test simulates and matches the scalar simulator.
+	partial := randomTests(c, r, 1)
+	partial[0].P1[0] = tval.X
+	checkBatch(t, c, partial)
 }
 
 func TestSmallBatchMask(t *testing.T) {
 	c := bench.S27()
 	r := rand.New(rand.NewSource(2))
 	tests := randomTests(c, r, 3)
-	b, err := Simulate(c, tests)
+	b, err := bitsim.Simulate(c, tests)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,21 +267,8 @@ func TestBatchMatchesScalarOnRandomCircuits(t *testing.T) {
 			t.Fatal(err)
 		}
 		tests := randomTests(c, r, 64)
-		batch, err := Simulate(c, tests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ti, tp := range tests {
-			want := tp.Simulate(c)
-			for id := range c.Lines {
-				for p := 0; p < circuit.NumPlanes; p++ {
-					if got := batch.Value(id, p, ti); got != want[id].At(p) {
-						t.Fatalf("seed %d test %d line %s plane %d: %v != %v",
-							seed, ti, c.Lines[id].Name, p, got, want[id].At(p))
-					}
-				}
-			}
-		}
+		checkBatch(t, c, tests)
+		checkBatch(t, c, withX(tests, r))
 	}
 }
 

@@ -2,13 +2,19 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/faultsim"
+	"repro/internal/pathenum"
 	"repro/internal/perfreg"
+	"repro/internal/robust"
+	"repro/internal/testio"
 )
 
 // run invokes a CLI function capturing stdout and stderr.
@@ -302,6 +308,61 @@ func TestPDFSimCLIWithFaultList(t *testing.T) {
 		return PDFSim(a, o, e)
 	}, "-profile", "s27"); err == nil {
 		t.Error("missing -tests must fail")
+	}
+}
+
+// Tests with x inputs simulate like fully specified ones: every
+// per-fault line of pdfsim -v matches the scalar reference simulator.
+func TestPDFSimPartialTests(t *testing.T) {
+	c := bench.S27()
+	r := rand.New(rand.NewSource(1))
+	var sb strings.Builder
+	for i := 0; i < 40; i++ {
+		for k := 0; k < 2*len(c.PIs); k++ {
+			if k == len(c.PIs) {
+				sb.WriteString(" -> ")
+			}
+			sb.WriteByte("01x1"[r.Intn(4)])
+		}
+		sb.WriteByte('\n')
+	}
+	testsFile := filepath.Join(t.TempDir(), "tests.txt")
+	if err := os.WriteFile(testsFile, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := run(t, func(a []string, o, e *bytes.Buffer) error {
+		return PDFSim(a, o, e)
+	}, "-profile", "s27", "-np", "0", "-tests", testsFile, "-v")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tests, err := testio.ReadTests(strings.NewReader(sb.String()), len(c.PIs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pathenum.Enumerate(c, pathenum.Config{Mode: pathenum.DistancePruned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, _ := robust.Screen(c, res.Faults)
+	lines := strings.Split(out, "\n")
+	if len(lines) < len(kept) {
+		t.Fatalf("%d output lines for %d faults:\n%s", len(lines), len(kept), out)
+	}
+	detected := 0
+	for i, d := range faultsim.Run(c, tests, kept) {
+		status := "UNDETECTED"
+		if d >= 0 {
+			status = fmt.Sprintf("detected by t%d", d)
+			detected++
+		}
+		if want := fmt.Sprintf("%-60s %s", kept[i].Fault.Format(c), status); lines[i] != want {
+			t.Errorf("fault %d:\n got %q\nwant %q", i, lines[i], want)
+		}
+	}
+	if detected == 0 {
+		t.Error("no fault detected; comparison vacuous")
 	}
 }
 

@@ -16,8 +16,7 @@ import (
 )
 
 // PDFATPG implements cmd/pdfatpg: the full test generation flow on one
-// circuit. The run is executed as an engine job, so -workers shards
-// the fault-simulation stages (results are identical for any value).
+// circuit, executed as an engine job.
 func PDFATPG(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("pdfatpg", stderr)
 	load := circuitFlags(fs)
@@ -29,7 +28,6 @@ func PDFATPG(args []string, stdout, stderr io.Writer) error {
 		useBnB    = fs.Bool("bnb", false, "use the branch-and-bound justification backend")
 		tdfMode   = fs.Bool("tdf", false, "generate transition fault tests instead (extension)")
 		seed      = fs.Int64("seed", 1, "randomization seed")
-		workers   = fs.Int("workers", 1, "fault-simulation shard count (identical results for any value)")
 		testsOut  = fs.String("tests", "", "write the generated two-pattern tests to this file")
 		rep       = fs.Bool("report", false, "print a coverage report (by path length and observation point)")
 		collapse  = fs.Bool("collapse", false, "collapse subsumed faults before targeting (coverage still measured on the full set)")
@@ -68,7 +66,6 @@ func PDFATPG(args []string, stdout, stderr io.Writer) error {
 		Heuristic: *heuristic,
 		UseBnB:    *useBnB,
 		Collapse:  *collapse,
-		Workers:   *workers,
 	}
 	if *enrich {
 		spec.Kind = engine.KindEnrich
@@ -77,7 +74,7 @@ func PDFATPG(args []string, stdout, stderr io.Writer) error {
 		// CLI (which never passed the flag into core.Enrich).
 		spec.Heuristic = core.ValueBased.String()
 	}
-	eng := engine.New(engine.Config{Workers: 1, SimWorkers: *workers, CacheSize: 4})
+	eng := engine.New(engine.Config{Workers: 1, CacheSize: 4})
 	defer eng.Close()
 	v, err := eng.RunJob(context.Background(), spec)
 	if err != nil {
@@ -117,8 +114,12 @@ func PDFATPG(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		rp, err := report.Build(c, r.TestPatterns, d.All())
+		if err != nil {
+			return err
+		}
 		fmt.Fprintln(stdout)
-		report.Build(c, r.TestPatterns, d.All()).Render(stdout)
+		rp.Render(stdout)
 	}
 	return writeTestsFile(stdout, *testsOut, r.TestPatterns)
 }

@@ -41,7 +41,6 @@ func PDFD(args []string, stdout, stderr io.Writer) error {
 		logFormat   = fs.String("log-format", "text", "log output format: text or json")
 		logLevel    = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		workers     = fs.Int("workers", 0, "job worker pool size (0 = GOMAXPROCS)")
-		simWorkers  = fs.Int("sim-workers", 4, "default fault-simulation shards per job")
 		queue       = fs.Int("queue", 64, "maximum queued jobs (submissions beyond it get 503)")
 		cacheSize   = fs.Int("cache", 128, "result cache entries")
 		timeout     = fs.Duration("timeout", 10*time.Minute, "default per-job deadline (0 = none)")
@@ -96,7 +95,6 @@ func PDFD(args []string, stdout, stderr io.Writer) error {
 	}
 	cfg := engine.Config{
 		Workers:          *workers,
-		SimWorkers:       *simWorkers,
 		QueueDepth:       *queue,
 		Tenants:          tenants,
 		CacheSize:        *cacheSize,

@@ -279,26 +279,26 @@ func TestObsSmoke(t *testing.T) {
 	stopPDFD(t, exit)
 }
 
-// The -workers flag must not change any byte of the report: the CLI
-// rides the engine's deterministic sharded fault simulation.
+// pdfatpg has no simulation knob any more: the removed -workers flag
+// is rejected, and repeated runs print the same bytes.
 func TestPDFATPGWorkersIdenticalOutput(t *testing.T) {
+	pdfatpg := func(a []string, o, e *bytes.Buffer) error { return PDFATPG(a, o, e) }
 	for _, extra := range [][]string{nil, {"-enrich"}} {
 		base := append([]string{"-profile", "s27", "-np", "0", "-np0", "10"}, extra...)
-		serial, _, err := run(t, func(a []string, o, e *bytes.Buffer) error {
-			return PDFATPG(a, o, e)
-		}, append(base, "-workers", "1")...)
+		first, _, err := run(t, pdfatpg, base...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, _, err := run(t, func(a []string, o, e *bytes.Buffer) error {
-			return PDFATPG(a, o, e)
-		}, append(base, "-workers", "8")...)
+		again, _, err := run(t, pdfatpg, base...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if serial != parallel {
-			t.Errorf("workers changed the output (%v):\n--- serial ---\n%s--- parallel ---\n%s",
-				extra, serial, parallel)
+		if first != again {
+			t.Errorf("rerun changed the output (%v):\n--- first ---\n%s--- again ---\n%s",
+				extra, first, again)
+		}
+		if _, _, err := run(t, pdfatpg, append(base, "-workers", "8")...); err == nil {
+			t.Errorf("removed -workers flag accepted (%v)", extra)
 		}
 	}
 }
@@ -311,21 +311,24 @@ func TestPDFSimWorkersIdenticalOutput(t *testing.T) {
 	}, "-profile", "s27", "-np", "0", "-np0", "10", "-tests", testsFile); err != nil {
 		t.Fatal(err)
 	}
+	pdfsim := func(a []string, o, e *bytes.Buffer) error { return PDFSim(a, o, e) }
+	args := []string{"-profile", "s27", "-np", "0", "-tests", testsFile, "-v"}
 	var outs []string
-	for _, w := range []string{"1", "4"} {
-		out, _, err := run(t, func(a []string, o, e *bytes.Buffer) error {
-			return PDFSim(a, o, e)
-		}, "-profile", "s27", "-np", "0", "-tests", testsFile, "-v", "-workers", w)
+	for range 2 {
+		out, _, err := run(t, pdfsim, args...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		outs = append(outs, out)
 	}
 	if outs[0] != outs[1] {
-		t.Errorf("pdfsim -workers changed the output:\n--- 1 ---\n%s--- 4 ---\n%s", outs[0], outs[1])
+		t.Errorf("pdfsim rerun changed the output:\n--- first ---\n%s--- again ---\n%s", outs[0], outs[1])
 	}
 	if !strings.Contains(outs[0], "detected") {
 		t.Errorf("missing detection summary:\n%s", outs[0])
+	}
+	if _, _, err := run(t, pdfsim, append(args, "-workers", "4")...); err == nil {
+		t.Error("removed -workers flag accepted")
 	}
 }
 

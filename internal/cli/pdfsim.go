@@ -1,14 +1,12 @@
 package cli
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/bitsim"
 	"repro/internal/faults"
-	"repro/internal/faultsim"
 	"repro/internal/pathenum"
 	"repro/internal/robust"
 	"repro/internal/testio"
@@ -22,7 +20,6 @@ func PDFSim(args []string, stdout, stderr io.Writer) error {
 		testsFile  = fs.String("tests", "", "two-pattern test set file (required)")
 		faultsFile = fs.String("faults", "", "fault list file (default: enumerate)")
 		np         = fs.Int("np", 2000, "N_P fault budget when enumerating")
-		workers    = fs.Int("workers", 1, "fault-simulation shard count (identical results for any value)")
 		verbose    = fs.Bool("v", false, "print per-fault detection")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -66,23 +63,13 @@ func PDFSim(args []string, stdout, stderr io.Writer) error {
 		fls = res.Faults
 	}
 	kept, eliminated := robust.Screen(c, fls)
-	var first []int
-	if *workers > 1 {
-		// Sharded scalar simulation; byte-identical to the serial and
-		// word-parallel paths.
-		first, err = faultsim.RunParallel(context.Background(), c, tests, kept, *workers)
-	} else {
-		first, err = bitsim.Run(c, tests, kept)
-	}
+	first, err := bitsim.Run(c, tests, kept)
 	if err != nil {
 		return err
 	}
-	detected := 0
-	for i, d := range first {
-		if d >= 0 {
-			detected++
-		}
-		if *verbose {
+	detected := bitsim.Detected(first)
+	if *verbose {
+		for i, d := range first {
 			status := "UNDETECTED"
 			if d >= 0 {
 				status = fmt.Sprintf("detected by t%d", d)

@@ -89,7 +89,11 @@ func runTables(p experiments.Params, table, circuitList, format string, stdout, 
 				continue
 			}
 			log.Info("running basic procedures", "circuit", name, "p0", len(d.P0), "p1", len(d.P1))
-			basic = append(basic, experiments.BasicTable(d, p))
+			row, err := experiments.BasicTable(d, p)
+			if err != nil {
+				return err
+			}
+			basic = append(basic, row)
 		}
 	}
 	var enrich []*experiments.EnrichRow

@@ -43,7 +43,7 @@ func newChaosFleet(t *testing.T, n, rf int) *chaosFleet {
 			t.Fatal(err)
 		}
 		tb := &testBackend{name: name}
-		tb.e = engine.New(engine.Config{Workers: 2, SimWorkers: 2, Store: st})
+		tb.e = engine.New(engine.Config{Workers: 2, Store: st})
 		tb.srv = httptest.NewServer(engine.NewServer(tb.e))
 		t.Cleanup(func() {
 			tb.srv.Close()

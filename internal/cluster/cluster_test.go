@@ -28,7 +28,7 @@ type testBackend struct {
 func newTestBackend(t *testing.T, name string) *testBackend {
 	t.Helper()
 	tb := &testBackend{name: name}
-	tb.e = engine.New(engine.Config{Workers: 2, SimWorkers: 2})
+	tb.e = engine.New(engine.Config{Workers: 2})
 	h := engine.NewServer(tb.e)
 	tb.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if tb.shed.Load() && r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {

@@ -9,7 +9,7 @@ import (
 var benchProfiles = []string{"s641", "s953", "s1196", "b09"}
 
 func benchEngineEnrich(b *testing.B, poolWorkers int) {
-	e := New(Config{Workers: poolWorkers, SimWorkers: 1})
+	e := New(Config{Workers: poolWorkers})
 	defer e.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -98,9 +98,9 @@ func faultSetDigest(sets ...[]robust.FaultConditions) string {
 
 // SpecDigest hashes every Spec field that selects a job's computation
 // — the named circuit plus the config parameters and the input test
-// list — into a stable hex digest. Workers, TimeoutMS and NoCache are
-// deliberately excluded: they must not change results (the determinism
-// golden tests assert this), so serial and sharded runs share digests.
+// list — into a stable hex digest. TimeoutMS and NoCache are
+// deliberately excluded: they are execution knobs that must not change
+// results, so runs differing only in them share digests.
 //
 // The digest is used twice, and the two uses must agree: the engine
 // embeds it in its result cache key, and the cluster coordinator

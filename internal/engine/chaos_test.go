@@ -107,6 +107,46 @@ func TestChaosRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
+// A journal written before the "workers" spec field was removed still
+// replays: Restore decodes leniently, and the job completes with the
+// result of the same spec without the field.
+func TestJournalReplaysLegacyWorkersSpec(t *testing.T) {
+	dir := t.TempDir()
+	log1, _ := openJournal(t, dir)
+	legacy := `{"kind":"enrich","circuit":"s27","np0":10,"seed":1,"workers":4}`
+	if err := log1.Append(journal.Record{Op: journal.OpSubmitted, JobID: "j1", Seq: 1,
+		Tenant: DefaultTenant, Spec: json.RawMessage(legacy)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	log2, recs := openJournal(t, dir)
+	defer log2.Close()
+	e := New(Config{Workers: 1, Journal: log2})
+	defer e.Close()
+	if n, err := e.Restore(recs); err != nil || n != 1 {
+		t.Fatalf("Restore = %d, %v, want 1 job", n, err)
+	}
+	replayed := waitDone(t, e, "j1")
+	if replayed.Status != StatusDone {
+		t.Fatalf("replayed job status = %s (%s)", replayed.Status, replayed.Error)
+	}
+
+	ctrlEngine := New(Config{Workers: 1})
+	defer ctrlEngine.Close()
+	ctrl, err := ctrlEngine.RunJob(context.Background(), s27Spec(KindEnrich))
+	if err != nil || ctrl.Status != StatusDone {
+		t.Fatalf("control run: %v %s", err, ctrl.Status)
+	}
+	got, _ := json.Marshal(replayed.Result)
+	want, _ := json.Marshal(ctrl.Result)
+	if !bytes.Equal(got, want) {
+		t.Errorf("legacy replay result differs from control:\n got %s\nwant %s", got, want)
+	}
+}
+
 // Crash mid-run, restart with the same journal dir: the interrupted
 // job is replayed under its original ID and its Result is
 // byte-identical to an uninterrupted run.

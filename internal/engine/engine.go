@@ -14,10 +14,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitsim"
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/experiments"
-	"repro/internal/faultsim"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/retry"
@@ -57,8 +57,10 @@ func (p *PanicError) Error() string { return "engine: job panicked: " + p.Value 
 type Config struct {
 	// Workers is the job worker pool size; 0 uses GOMAXPROCS.
 	Workers int
-	// SimWorkers is the default fault-simulation shard count of jobs
-	// that do not set Spec.Workers; 0 means serial.
+	// SimWorkers is ignored: jobs fault simulate with the word-parallel
+	// bitsim simulator, which has no shards.
+	//
+	// Deprecated: ignored.
 	SimWorkers int
 	// QueueDepth bounds each tenant queue that does not set its own
 	// TenantConfig.QueueDepth; beyond it Submit returns ErrBusy
@@ -344,8 +346,11 @@ func (e *Engine) finish(j *Job, st Status, res *Result, hit bool, err error) boo
 }
 
 // afterTerminal records the observability of a terminal transition
-// that already happened (markDone or cancelQueued returned true).
+// that already happened (markDone or cancelQueued returned true), then
+// wakes the job's waiters: a client that scrapes right after Done sees
+// the job in every counter and histogram.
 func (e *Engine) afterTerminal(j *Job, st Status, err error) {
+	defer j.wake()
 	switch st {
 	case StatusDone:
 		e.metrics.jobsDone.Add(1)
@@ -1007,17 +1012,6 @@ func (e *Engine) Restore(recs []journal.Record) (int, error) {
 	return n, nil
 }
 
-// simWorkers resolves a job's fault-simulation shard count.
-func (e *Engine) simWorkers(spec Spec) int {
-	if spec.Workers > 0 {
-		return spec.Workers
-	}
-	if e.cfg.SimWorkers > 0 {
-		return e.cfg.SimWorkers
-	}
-	return 1
-}
-
 // stage is one timed pipeline stage of a job: prepare, generation
 // (dynamic compaction) or simulation. Its span and its record share
 // one name, one start and one end time.
@@ -1132,7 +1126,6 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		return nil, false, err
 	}
 	cfg := core.Config{Heuristic: h, Seed: spec.Seed, UseBnB: spec.UseBnB}
-	workers := e.simWorkers(spec)
 
 	// Stage 3: run the procedure.
 	if err := e.inject(ctx, SiteRun, j.id); err != nil {
@@ -1155,14 +1148,14 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		all := d.All()
 		res.AllTotal = len(all)
 		simCtx, sim := e.startStage(ctx, j, "simulation",
-			obs.Int("tests", len(gres.Tests)), obs.Int("faults", len(all)), obs.Int("workers", workers))
-		n, err := faultsim.CountParallel(simCtx, c, gres.Tests, all, workers)
+			obs.Int("tests", len(gres.Tests)), obs.Int("faults", len(all)))
+		first, err := bitsim.RunContext(simCtx, c, gres.Tests, all)
 		if err != nil {
 			sim.fail()
 			return nil, false, err
 		}
-		res.AllDetected = n
-		sim.done(obs.Int("detected", n))
+		res.AllDetected = bitsim.Detected(first)
+		sim.done(obs.Int("detected", res.AllDetected))
 	case KindEnrich:
 		genCtx, gen := e.startStage(ctx, j, "generation",
 			obs.String("heuristic", spec.Heuristic),
@@ -1187,8 +1180,8 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		}
 		all := d.All()
 		simCtx, sim := e.startStage(ctx, j, "simulation",
-			obs.Int("tests", len(tests)), obs.Int("faults", len(all)), obs.Int("workers", workers))
-		first, err := faultsim.RunParallel(simCtx, c, tests, all, workers)
+			obs.Int("tests", len(tests)), obs.Int("faults", len(all)))
+		first, err := bitsim.RunContext(simCtx, c, tests, all)
 		if err != nil {
 			sim.fail()
 			return nil, false, err
@@ -1196,11 +1189,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		res.TestPatterns = tests
 		res.FirstDetect = first
 		res.AllTotal = len(all)
-		for _, fd := range first {
-			if fd >= 0 {
-				res.Detected++
-			}
-		}
+		res.Detected = bitsim.Detected(first)
 		sim.done(obs.Int("detected", res.Detected))
 	}
 	res.Tests = make([]string, len(res.TestPatterns))

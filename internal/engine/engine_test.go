@@ -2,8 +2,16 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
+	"repro/internal/faultsim"
+	"repro/internal/testio"
 )
 
 // s27Spec is the fast spec most tests use (same scale as the cli
@@ -50,7 +58,7 @@ func TestEngineGenerateJob(t *testing.T) {
 }
 
 func TestEngineEnrichJob(t *testing.T) {
-	e := New(Config{Workers: 2, SimWorkers: 4})
+	e := New(Config{Workers: 2})
 	defer e.Close()
 	v, err := e.RunJob(context.Background(), s27Spec(KindEnrich))
 	if err != nil {
@@ -77,7 +85,6 @@ func TestEngineFaultSimJob(t *testing.T) {
 	}
 	spec := s27Spec(KindFaultSim)
 	spec.Tests = gen.Result.Tests
-	spec.Workers = 4
 	sim, err := e.RunJob(context.Background(), spec)
 	if err != nil || sim.Status != StatusDone {
 		t.Fatalf("faultsim: %v %s", err, sim.Status)
@@ -144,24 +151,26 @@ func TestEngineCacheHit(t *testing.T) {
 }
 
 func TestEngineWorkersShareCacheKey(t *testing.T) {
-	// Workers is an execution knob, not an identity field: a serial
-	// and a sharded run of the same job must share a cache entry.
+	// The removed "workers" field survives only in old journals, which
+	// replay through a lenient decode: such a spec is the same job as
+	// one without it and must share its cache entry.
 	e := New(Config{Workers: 1})
 	defer e.Close()
-	serial := s27Spec(KindGenerate)
-	serial.Workers = 1
-	sharded := s27Spec(KindGenerate)
-	sharded.Workers = 8
-	v1, err := e.RunJob(context.Background(), serial)
+	fresh := s27Spec(KindGenerate)
+	v1, err := e.RunJob(context.Background(), fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := e.RunJob(context.Background(), sharded)
+	var legacy Spec
+	if err := json.Unmarshal([]byte(`{"kind":"generate","circuit":"s27","np0":10,"seed":1,"workers":8}`), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := e.RunJob(context.Background(), legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v2.CacheHit {
-		t.Error("sharded rerun of a cached serial job must hit the cache")
+		t.Error("a legacy spec carrying workers must hit the cache of the same spec without it")
 	}
 	if v1.Result.CacheKey != v2.Result.CacheKey {
 		t.Error("workers changed the cache key")
@@ -255,5 +264,89 @@ func TestEngineDeadline(t *testing.T) {
 	}
 	if e.CacheLen() != 0 {
 		t.Error("timed-out job must not be cached")
+	}
+}
+
+// A faultsim job must reproduce the scalar reference simulator
+// (faultsim.Run) index for index, independently of the word-parallel
+// simulator the job runs. The test set mixes fully specified and
+// x-bearing tests across a 64-test batch boundary: random tests with
+// x in about a quarter of the positions, a generated set with a few x
+// masked in, then the generated set itself.
+func TestEngineFaultSimMatchesScalar(t *testing.T) {
+	for _, spec := range []Spec{
+		{Kind: KindGenerate, Circuit: "s27", NP0: 10, Seed: 1},
+		{Kind: KindGenerate, Circuit: "c17", NP0: 10, Seed: 1},
+		{Kind: KindGenerate, Circuit: "s953", NP: 300, NP0: 60, Seed: 1},
+	} {
+		t.Run(spec.Circuit, func(t *testing.T) {
+			e := New(Config{Workers: 1})
+			defer e.Close()
+			gen, err := e.RunJob(context.Background(), spec)
+			if err != nil || gen.Status != StatusDone {
+				t.Fatalf("generate: %v %s", err, gen.Status)
+			}
+			c, err := experiments.LoadCircuit(spec.Circuit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(1))
+			// mask turns about one in every n specified positions into x.
+			mask := func(s string, n int) string {
+				b := []byte(s)
+				for i := range b {
+					if (b[i] == '0' || b[i] == '1') && r.Intn(n) == 0 {
+						b[i] = 'x'
+					}
+				}
+				return string(b)
+			}
+			var lines []string
+			for i := 0; i < 70; i++ {
+				var sb strings.Builder
+				for k := 0; k < 2*len(c.PIs); k++ {
+					if k == len(c.PIs) {
+						sb.WriteString(" -> ")
+					}
+					sb.WriteByte("01"[r.Intn(2)])
+				}
+				lines = append(lines, mask(sb.String(), 4))
+			}
+			for _, s := range gen.Result.Tests {
+				lines = append(lines, mask(s, 16))
+			}
+			lines = append(lines, gen.Result.Tests...)
+
+			fs := spec
+			fs.Kind, fs.Tests = KindFaultSim, lines
+			sim, err := e.RunJob(context.Background(), fs)
+			if err != nil || sim.Status != StatusDone {
+				t.Fatalf("faultsim: %v %s %s", err, sim.Status, sim.Error)
+			}
+
+			d, err := experiments.PrepareCircuit(c, experiments.Params{NP: spec.NP, NP0: spec.NP0, Seed: spec.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tests, err := testio.ReadTests(strings.NewReader(strings.Join(lines, "\n")), len(c.PIs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := faultsim.Run(c, tests, d.All())
+			if !reflect.DeepEqual(sim.Result.FirstDetect, want) {
+				t.Fatalf("first-detect indices differ from faultsim.Run:\n got %v\nwant %v", sim.Result.FirstDetect, want)
+			}
+			byX := 0
+			for _, ti := range want {
+				if ti >= 0 && !tests[ti].FullySpecified() {
+					byX++
+				}
+			}
+			if byX == 0 {
+				t.Error("no fault first detected by an x-bearing test; comparison vacuous")
+			}
+			t.Logf("%s: %d tests, %d/%d detected, %d first by an x-bearing test",
+				spec.Circuit, len(tests), sim.Result.Detected, len(want), byX)
+		})
 	}
 }

@@ -1,14 +1,13 @@
 // Package engine is the concurrent job-orchestration layer over the
 // paper's procedures: ATPG (core.Generate), test enrichment
-// (core.Enrich) and fault simulation (faultsim.Run) become *jobs*
+// (core.Enrich) and fault simulation (bitsim.Run) become *jobs*
 // executed on a bounded worker pool with per-job context cancellation
-// and deadlines, sharded parallel fault simulation with deterministic
-// merge, and a result cache keyed by (circuit hash, config digest,
-// fault-set digest).
+// and deadlines, and a result cache keyed by (circuit hash, config
+// digest, fault-set digest).
 //
 // The engine is consumed two ways: programmatically (internal/cli
-// routes pdfatpg/pdfsim runs through it, gaining a -workers flag) and
-// over HTTP (cmd/pdfd serves the JSON API of server.go).
+// routes pdfatpg runs through it) and over HTTP (cmd/pdfd serves the
+// JSON API of server.go).
 package engine
 
 import (
@@ -58,10 +57,6 @@ type Spec struct {
 	// Collapse removes subsumed faults from the target sets before
 	// generation (coverage is still measured on the full sets).
 	Collapse bool `json:"collapse,omitempty"`
-	// Workers is the per-job fault-simulation shard count; 0 uses the
-	// engine default. Results are identical for every value (the
-	// determinism golden tests assert this).
-	Workers int `json:"workers,omitempty"`
 	// TimeoutMS bounds the job's run time; 0 uses the engine default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MaxRetries is the job's retry budget: a run that panics or fails
@@ -114,7 +109,7 @@ func (s Spec) normalized() (Spec, error) {
 	if s.Kind == KindFaultSim && len(s.Tests) == 0 {
 		return s, fmt.Errorf("engine: faultsim job needs tests")
 	}
-	if s.NP < 0 || s.NP0 < 0 || s.Workers < 0 || s.TimeoutMS < 0 || s.MaxRetries < 0 {
+	if s.NP < 0 || s.NP0 < 0 || s.TimeoutMS < 0 || s.MaxRetries < 0 {
 		return s, fmt.Errorf("engine: negative spec parameter")
 	}
 	if s.Tenant == "" {
@@ -302,8 +297,12 @@ func (j *Job) attempts() int {
 func (j *Job) ID() string { return j.id }
 
 // Done returns a channel closed when the job reaches a terminal
-// status.
+// status, after the engine has recorded its terminal counters and
+// latency, so a waiter that reads the metrics next sees the job.
 func (j *Job) Done() <-chan struct{} { return j.done }
+
+// wake closes the Done channel; idempotent.
+func (j *Job) wake() { j.doneOnce.Do(func() { close(j.done) }) }
 
 // JobView is a consistent snapshot of a job, safe to marshal.
 type JobView struct {
@@ -382,6 +381,7 @@ func (j *Job) ViewLite() JobView {
 // this call performed the transition; a job that is already terminal is
 // left untouched, so two racing finishers (e.g. Cancel and a worker)
 // cannot overwrite each other's terminal state or double-count metrics.
+// Waiters are woken later, by afterTerminal.
 func (j *Job) markDone(st Status, res *Result, hit bool, err error) bool {
 	j.mu.Lock()
 	if j.status.Terminal() {
@@ -394,7 +394,6 @@ func (j *Job) markDone(st Status, res *Result, hit bool, err error) bool {
 	j.err = err
 	j.finished = time.Now()
 	j.mu.Unlock()
-	j.doneOnce.Do(func() { close(j.done) })
 	return true
 }
 
@@ -402,7 +401,8 @@ func (j *Job) markDone(st Status, res *Result, hit bool, err error) bool {
 // backoff) job to Canceled atomically under j.mu, so a worker that
 // dequeues it afterwards observes a terminal status and skips it — the
 // job can never be both canceled and run. A pending retry timer is
-// stopped. It reports whether the transition happened.
+// stopped. It reports whether the transition happened; waiters are
+// woken later, by afterTerminal.
 func (j *Job) cancelQueued() bool {
 	j.mu.Lock()
 	if j.status != StatusQueued && j.status != StatusRetrying {
@@ -418,7 +418,6 @@ func (j *Job) cancelQueued() bool {
 	if timer != nil {
 		timer.Stop()
 	}
-	j.doneOnce.Do(func() { close(j.done) })
 	return true
 }
 

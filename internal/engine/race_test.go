@@ -132,6 +132,14 @@ func TestJobMarkDoneIdempotent(t *testing.T) {
 	if v.Status != StatusCanceled || v.Result != nil {
 		t.Errorf("terminal state overwritten: status %s, result %v", v.Status, v.Result)
 	}
+	// Waiters wake only once the engine has recorded the terminal
+	// counters (afterTerminal), not at the transition itself.
+	select {
+	case <-j.Done():
+		t.Error("done channel closed before the terminal counters were recorded")
+	default:
+	}
+	j.wake()
 	select {
 	case <-j.Done():
 	default:
@@ -139,5 +147,26 @@ func TestJobMarkDoneIdempotent(t *testing.T) {
 	}
 	if v.Error != context.Canceled.Error() {
 		t.Errorf("error = %q", v.Error)
+	}
+}
+
+// A waiter woken by Done must find the job in the terminal counters
+// and the end-to-end latency histogram: afterTerminal records them
+// before it closes the channel.
+func TestTerminalCountersBeforeWake(t *testing.T) {
+	e := New(Config{Workers: 2})
+	defer e.Close()
+	hist := e.metrics.jobSeconds.With(string(KindGenerate), string(StatusDone))
+	for n := 1; n <= 50; n++ {
+		v, err := e.RunJob(context.Background(), s27Spec(KindGenerate))
+		if err != nil || v.Status != StatusDone {
+			t.Fatalf("job %d: %v %s", n, err, v.Status)
+		}
+		if got := e.Metrics().JobsDone; got != int64(n) {
+			t.Fatalf("after job %d returned: jobs_done = %d", n, got)
+		}
+		if got := hist.Count(); got != uint64(n) {
+			t.Fatalf("after job %d returned: job duration count = %d", n, got)
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 
 func newTestServer(t *testing.T) (*Engine, *httptest.Server) {
 	t.Helper()
-	e := New(Config{Workers: 2, SimWorkers: 4})
+	e := New(Config{Workers: 2})
 	srv := httptest.NewServer(NewServer(e))
 	t.Cleanup(func() {
 		srv.Close()
@@ -231,6 +231,9 @@ func TestServerErrorEnvelope(t *testing.T) {
 		{"unknown field", http.MethodPost, "/v1/jobs",
 			map[string]any{"kind": "generate", "circuit": "s27", "bogus": 1},
 			http.StatusBadRequest, CodeInvalidSpec, `unknown field "bogus"`},
+		{"removed workers field", http.MethodPost, "/v1/jobs",
+			map[string]any{"kind": "generate", "circuit": "s27", "workers": 4},
+			http.StatusBadRequest, CodeInvalidSpec, `unknown field "workers"`},
 		{"unknown job", http.MethodGet, "/v1/jobs/j999", nil,
 			http.StatusNotFound, CodeNotFound, "j999"},
 		{"unknown job trace", http.MethodGet, "/v1/jobs/j999/trace", nil,

@@ -25,7 +25,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/faultsim"
 	"repro/internal/obs"
 	"repro/internal/pathenum"
 	"repro/internal/robust"
@@ -217,7 +216,7 @@ type BasicRow struct {
 
 // BasicTable runs the basic procedure with all four heuristics on a
 // prepared circuit, producing the circuit's rows of Tables 3-5.
-func BasicTable(d *CircuitData, p Params) *BasicRow {
+func BasicTable(d *CircuitData, p Params) (*BasicRow, error) {
 	row := &BasicRow{
 		Circuit:    d.Name,
 		I0:         d.I0,
@@ -230,17 +229,14 @@ func BasicTable(d *CircuitData, p Params) *BasicRow {
 		row.Detected[h] = res.DetectedCount
 		row.Tests[h] = len(res.Tests)
 		row.Elapsed[h] = res.Elapsed
-		// Table 5: simulate P0 ∪ P1 under this test set with the
-		// word-parallel simulator (bit-identical to the scalar one).
+		// Table 5: simulate P0 ∪ P1 under this test set.
 		n, err := bitsim.Count(d.Circuit, res.Tests, all)
 		if err != nil {
-			// Impossible for fully specified generated tests; fall
-			// back to the scalar simulator defensively.
-			n = faultsim.Count(d.Circuit, res.Tests, all)
+			return nil, fmt.Errorf("%s: %w", d.Name, err)
 		}
 		row.P0P1Detected[h] = n
 	}
-	return row
+	return row, nil
 }
 
 // EnrichRow is one circuit's row of Table 6 plus the Table 7 ratio.
@@ -317,7 +313,12 @@ func RunSuiteCircuits(p Params, basicNames, enrichNames []string) *Suite {
 	}
 	for _, name := range basicNames {
 		if d := prepare(name); d != nil {
-			s.Basic = append(s.Basic, BasicTable(d, p))
+			row, err := BasicTable(d, p)
+			if err != nil {
+				s.Errs = append(s.Errs, err)
+				continue
+			}
+			s.Basic = append(s.Basic, row)
 		}
 	}
 	for _, name := range enrichNames {

@@ -99,7 +99,10 @@ func TestBasicAndEnrichRowsOnSmallCircuit(t *testing.T) {
 	if len(d.P1) < 30 {
 		t.Fatalf("b09 stand-in has degenerate P1 (%d faults); retune profile or budget", len(d.P1))
 	}
-	row := BasicTable(d, p)
+	row, err := BasicTable(d, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("b09 basic: P0=%d detected=%v tests=%v elapsed=%v",
 		row.P0Faults, row.Detected, row.Tests, row.Elapsed)
 

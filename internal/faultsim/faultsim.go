@@ -7,9 +7,17 @@
 // The three-plane simulation is conservative about hazards, so a
 // "stable" requirement is only satisfied by a provably glitch-free
 // signal.
+//
+// This is the scalar simulator: one test at a time. DetectsSim serves
+// per-test checks (core's fault dropping, diagnosis), and Run is the
+// reference that the word-parallel bitsim, which simulates whole test
+// sets everywhere else, is tested against.
 package faultsim
 
 import (
+	"context"
+
+	"repro/internal/bitsim"
 	"repro/internal/circuit"
 	"repro/internal/robust"
 	"repro/internal/tval"
@@ -65,11 +73,21 @@ func Run(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultCondi
 
 // Count returns how many faults the test set detects.
 func Count(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) int {
-	n := 0
-	for _, d := range Run(c, tests, fcs) {
-		if d >= 0 {
-			n++
-		}
-	}
-	return n
+	return bitsim.Detected(Run(c, tests, fcs))
+}
+
+// RunParallel forwards to bitsim.RunContext, the word-parallel
+// simulator the engine runs; the result is identical to Run.
+//
+// Deprecated: call bitsim.RunContext. workers is ignored.
+func RunParallel(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions, workers int) ([]int, error) {
+	return bitsim.RunContext(ctx, c, tests, fcs)
+}
+
+// CountParallel is Count over bitsim.RunContext.
+//
+// Deprecated: call bitsim.RunContext. workers is ignored.
+func CountParallel(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions, workers int) (int, error) {
+	first, err := bitsim.RunContext(ctx, c, tests, fcs)
+	return bitsim.Detected(first), err
 }

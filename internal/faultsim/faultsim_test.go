@@ -1,7 +1,9 @@
 package faultsim
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/justify"
 	"repro/internal/pathenum"
 	"repro/internal/robust"
+	"repro/internal/synth"
 	"repro/internal/tval"
 )
 
@@ -218,5 +221,104 @@ func TestAccidentalDetection(t *testing.T) {
 	}
 	if !multi {
 		t.Error("no generated test detected multiple faults; accidental detection absent")
+	}
+}
+
+// simSetup enumerates and screens the faults of a synthetic benchmark
+// and builds a deterministic random test set.
+func simSetup(tb testing.TB, profile string, np, nTests int) (*circuit.Circuit, []circuit.TwoPattern, []robust.FaultConditions) {
+	tb.Helper()
+	c, err := synth.Benchmark(profile)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := pathenum.Enumerate(c, pathenum.Config{MaxFaults: np, Mode: pathenum.DistancePruned})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	kept, _ := robust.Screen(c, res.Faults)
+	rng := rand.New(rand.NewSource(7))
+	tests := make([]circuit.TwoPattern, nTests)
+	for i := range tests {
+		tp := circuit.TwoPattern{
+			P1: make([]tval.V, len(c.PIs)),
+			P3: make([]tval.V, len(c.PIs)),
+		}
+		for k := range tp.P1 {
+			tp.P1[k] = tval.V(rng.Intn(2))
+			tp.P3[k] = tval.V(rng.Intn(2))
+		}
+		tests[i] = tp
+	}
+	return c, tests, kept
+}
+
+// runNaive is the pre-fix Run: already-detected faults are skipped
+// with a per-test check but stay in the scan list. Kept as the
+// benchmark baseline for the short-circuit win.
+func runNaive(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) []int {
+	firstDet := make([]int, len(fcs))
+	for i := range firstDet {
+		firstDet[i] = -1
+	}
+	remaining := len(fcs)
+	for ti := range tests {
+		if remaining == 0 {
+			break
+		}
+		sim := tests[ti].Simulate(c)
+		for fi := range fcs {
+			if firstDet[fi] >= 0 {
+				continue
+			}
+			if DetectsSim(&fcs[fi], sim) {
+				firstDet[fi] = ti
+				remaining--
+			}
+		}
+	}
+	return firstDet
+}
+
+func TestRunMatchesNaive(t *testing.T) {
+	c, tests, fcs := simSetup(t, "s641", 400, 64)
+	want := runNaive(c, tests, fcs)
+	got := Run(c, tests, fcs)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("short-circuit Run diverges from reference")
+	}
+}
+
+// RunParallel and CountParallel survive as forwarders to the
+// word-parallel simulator; they must still reproduce the scalar Run.
+func TestRunParallelMatchesSerial(t *testing.T) {
+	c, tests, fcs := simSetup(t, "s641", 400, 64)
+	want := Run(c, tests, fcs)
+	for _, workers := range []int{0, 1, 2, 4, 8} {
+		got, err := RunParallel(context.Background(), c, tests, fcs, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: parallel result diverges from serial", workers)
+		}
+	}
+	n, err := CountParallel(context.Background(), c, tests, fcs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want2 := Count(c, tests, fcs)
+	if n != want2 {
+		t.Errorf("CountParallel = %d, want %d", n, want2)
+	}
+}
+
+func TestRunParallelEmpty(t *testing.T) {
+	c, tests, fcs := simSetup(t, "s641", 400, 4)
+	if got, err := RunParallel(context.Background(), c, nil, fcs, 4); err != nil || len(got) != len(fcs) {
+		t.Errorf("no tests: got %d results, err %v", len(got), err)
+	}
+	if got, err := RunParallel(context.Background(), c, tests, nil, 4); err != nil || len(got) != 0 {
+		t.Errorf("no faults: got %d results, err %v", len(got), err)
 	}
 }

@@ -12,9 +12,8 @@
 //     caused them.
 //   - Tracing: a Trace is a bounded, concurrency-safe collection of
 //     spans. StartSpan reads the trace and the parent span from the
-//     context, so instrumented code (engine stages, the ATPG pipeline,
-//     fault-simulation shards) needs no plumbing beyond the ctx it
-//     already carries. Without a trace in the context, StartSpan is a
+//     context, so instrumented code (engine stages, the ATPG pipeline)
+//     needs no plumbing beyond the ctx it already carries. Without a trace in the context, StartSpan is a
 //     near-free no-op.
 //   - Metrics: a Registry of counters, gauges and fixed-bucket
 //     histograms that serializes itself in the Prometheus text format

@@ -34,8 +34,7 @@ func Bool(k string, v bool) Attr { return Attr{Key: k, Value: fmt.Sprintf("%t", 
 
 // Trace is a bounded in-process span collection for one unit of work
 // (the engine creates one per job). All methods are safe for
-// concurrent use; fault-simulation shards record spans from worker
-// goroutines.
+// concurrent use.
 type Trace struct {
 	mu      sync.Mutex
 	origin  time.Time

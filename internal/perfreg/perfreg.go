@@ -131,7 +131,7 @@ func Run(ctx context.Context, suite []Case, opts Options) (*Snapshot, error) {
 	if reps <= 0 {
 		reps = 3
 	}
-	e := engine.New(engine.Config{Workers: 1, SimWorkers: 1})
+	e := engine.New(engine.Config{Workers: 1})
 	defer e.Close()
 
 	snap := &Snapshot{
@@ -156,7 +156,7 @@ func runCase(ctx context.Context, e *engine.Engine, c Case, reps int, log io.Wri
 	spec := engine.Spec{
 		Kind: c.Kind, Circuit: c.Circuit, NP: c.NP, NP0: c.NP0, Seed: c.Seed,
 		Heuristic: c.Heuristic, Collapse: c.Collapse, UseBnB: c.UseBnB,
-		Workers: 1, NoCache: true,
+		NoCache: true,
 	}
 	cr := &CaseResult{Name: c.Name, Kind: c.Kind, Circuit: c.Circuit, Reps: reps}
 	runCtx := ctx

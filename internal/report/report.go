@@ -9,8 +9,8 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/bitsim"
 	"repro/internal/circuit"
-	"repro/internal/faultsim"
 	"repro/internal/robust"
 	"repro/internal/tval"
 )
@@ -52,8 +52,11 @@ type Report struct {
 
 // Build fault simulates the test set over the fault list and assembles
 // the report.
-func Build(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) *Report {
-	first := faultsim.Run(c, tests, fcs)
+func Build(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) (*Report, error) {
+	first, err := bitsim.Run(c, tests, fcs)
+	if err != nil {
+		return nil, err
+	}
 	r := &Report{Faults: len(fcs)}
 
 	byLen := map[int]*LengthBucket{}
@@ -102,7 +105,7 @@ func Build(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultCon
 		r.TestStats.Transitions = float64(tr) / float64(len(tests))
 		r.TestStats.DetectedPerTest = float64(r.Detected) / float64(len(tests))
 	}
-	return r
+	return r, nil
 }
 
 // Render prints the report.

@@ -17,7 +17,10 @@ func TestBuildAndRender(t *testing.T) {
 	}
 	fcs := d.All()
 	er := core.Enrich(c, d.P0, d.P1, core.Config{Seed: 1})
-	r := Build(c, er.Tests, fcs)
+	r, err := Build(c, er.Tests, fcs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if r.Faults != len(fcs) {
 		t.Errorf("Faults = %d, want %d", r.Faults, len(fcs))
@@ -68,7 +71,10 @@ func TestBuildEmptyTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Build(c, nil, d.All())
+	r, err := Build(c, nil, d.All())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Detected != 0 || r.TestStats.Tests != 0 {
 		t.Errorf("empty test set report wrong: %+v", r)
 	}
