@@ -4,7 +4,7 @@ GO ?= go
 # refresh it with `make bench` and commit the new file (see PERF.md).
 BENCH_BASELINE ?= BENCH_2026-08-06.json
 
-.PHONY: build test lint race check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check go-bench engine-bench
+.PHONY: build test lint race check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check go-bench engine-bench loc
 
 build:
 	$(GO) build ./...
@@ -92,3 +92,8 @@ go-bench:
 # The ENGINE_BENCH entry in EXPERIMENTS.md.
 engine-bench:
 	$(GO) test -run='^$$' -bench='Engine|Count' -benchtime=3x ./internal/engine/ ./internal/faultsim/
+
+# The figure ROADMAP judges simplifications by: non-test Go lines
+# outside perfbench/ and testdata/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs cat | wc -l

@@ -515,31 +515,6 @@ func BenchmarkYieldMonteCarlo(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelScreening compares sequential and 4-worker
-// undetectable-fault screening.
-func BenchmarkParallelScreening(b *testing.B) {
-	c, err := experiments.LoadCircuit("b09")
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := pathenum.Enumerate(c, pathenum.Config{
-		MaxFaults: benchParams.NP, Mode: pathenum.DistancePruned,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			robust.ScreenParallel(c, res.Faults, 1)
-		}
-	})
-	b.Run("4-workers", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			robust.ScreenParallel(c, res.Faults, 4)
-		}
-	})
-}
-
 // BenchmarkAblationCollapse compares ATPG with and without subsumption
 // collapsing of the target list (coverage measured over the full
 // population either way).

@@ -291,9 +291,9 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 	}
 	for _, gi := range c.TopoGates() {
 		g := &c.Gates[gi]
-		ins := make([]string, len(g.In))
-		for i, l := range g.In {
-			ins[i] = c.Lines[c.Lines[l].Net].Name
+		ins := make([]string, len(g.InNets))
+		for i, net := range g.InNets {
+			ins[i] = c.Lines[net].Name
 		}
 		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, g.Type, strings.Join(ins, ", "))
 	}

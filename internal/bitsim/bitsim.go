@@ -97,20 +97,16 @@ func set(b *Batch, plane, net int, v tval.V, bit uint64) {
 }
 
 func (b *Batch) evalGate(g *circuit.Gate, p int) {
-	c := b.c
 	h, l := b.h[p], b.l[p]
 	var oh, ol uint64
 	switch g.Type {
 	case circuit.Not:
-		net := c.Lines[g.In[0]].Net
-		oh, ol = l[net], h[net]
+		oh, ol = l[g.InNets[0]], h[g.InNets[0]]
 	case circuit.Buf:
-		net := c.Lines[g.In[0]].Net
-		oh, ol = h[net], l[net]
+		oh, ol = h[g.InNets[0]], l[g.InNets[0]]
 	case circuit.And, circuit.Nand:
 		oh, ol = ^uint64(0), 0
-		for _, in := range g.In {
-			net := c.Lines[in].Net
+		for _, net := range g.InNets {
 			oh &= h[net]
 			ol |= l[net]
 		}
@@ -119,8 +115,7 @@ func (b *Batch) evalGate(g *circuit.Gate, p int) {
 		}
 	case circuit.Or, circuit.Nor:
 		oh, ol = 0, ^uint64(0)
-		for _, in := range g.In {
-			net := c.Lines[in].Net
+		for _, net := range g.InNets {
 			oh |= h[net]
 			ol &= l[net]
 		}
@@ -129,8 +124,7 @@ func (b *Batch) evalGate(g *circuit.Gate, p int) {
 		}
 	case circuit.Xor, circuit.Xnor:
 		oh, ol = 0, ^uint64(0) // parity starts at 0
-		for _, in := range g.In {
-			net := c.Lines[in].Net
+		for _, net := range g.InNets {
 			nh := (oh & l[net]) | (ol & h[net])
 			nl := (oh & h[net]) | (ol & l[net])
 			oh, ol = nh, nl

@@ -164,13 +164,25 @@ func (b *Builder) Build() (*Circuit, error) {
 		}
 	}
 
-	// Pass 2: create the gates. Input pin line IDs are fixed up in
-	// pass 3 once branches exist.
+	// Pass 2: create the gates, with their input nets. Input pin line
+	// IDs are fixed up in pass 3 once branches exist. Every gate's In
+	// and InNets are sub-slices of one backing array.
+	pins := 0
+	for _, n := range b.nets {
+		pins += len(n.inputs)
+	}
+	pinBuf := make([]int, 2*pins)
+	inBuf, netBuf := pinBuf[:pins], pinBuf[pins:]
 	for id, n := range b.nets {
 		if n.isPI {
 			continue
 		}
-		g := Gate{Type: n.gtype, Name: n.name, Out: netLine[id], In: make([]int, len(n.inputs))}
+		k := len(n.inputs)
+		g := Gate{Type: n.gtype, Name: n.name, Out: netLine[id], In: inBuf[:k:k], InNets: netBuf[:k:k]}
+		inBuf, netBuf = inBuf[k:], netBuf[k:]
+		for pin, in := range n.inputs {
+			g.InNets[pin] = netLine[in]
+		}
 		gateOf[id] = len(c.Gates)
 		c.Lines[netLine[id]].Gate = len(c.Gates)
 		c.Gates = append(c.Gates, g)
@@ -236,8 +248,48 @@ func (b *Builder) Build() (*Circuit, error) {
 			c.order = append(c.order, gateOf[id])
 		}
 	}
-
+	c.resolveFanout()
+	c.resolveLevels()
 	return c, nil
+}
+
+// resolveFanout fills the fanout arrays. fanoutStart[net] first counts
+// the pins net feeds, then becomes its end offset by a prefix sum; the
+// fill walks the pins backwards, decrementing it down to the start
+// offset, which leaves each net's gates in ascending gate order.
+func (c *Circuit) resolveFanout() {
+	c.fanoutStart = make([]int, len(c.Lines)+1)
+	for gi := range c.Gates {
+		for _, net := range c.Gates[gi].InNets {
+			c.fanoutStart[net]++
+		}
+	}
+	for i := 1; i < len(c.fanoutStart); i++ {
+		c.fanoutStart[i] += c.fanoutStart[i-1]
+	}
+	c.fanout = make([]int, c.fanoutStart[len(c.Lines)])
+	for gi := len(c.Gates) - 1; gi >= 0; gi-- {
+		in := c.Gates[gi].InNets
+		for k := len(in) - 1; k >= 0; k-- {
+			c.fanoutStart[in[k]]--
+			c.fanout[c.fanoutStart[in[k]]] = gi
+		}
+	}
+}
+
+// resolveLevels assigns each gate its topological level.
+func (c *Circuit) resolveLevels() {
+	c.level = make([]int, len(c.Gates))
+	for _, gi := range c.order {
+		lv := 0
+		for _, net := range c.Gates[gi].InNets {
+			if d := c.Lines[net].Gate; d >= 0 {
+				lv = max(lv, c.level[d]+1)
+			}
+		}
+		c.level[gi] = lv
+		c.maxLevel = max(c.maxLevel, lv)
+	}
 }
 
 func pinCount(inputs []int, net int) int {

@@ -102,17 +102,19 @@ func (t GateType) Controlling() (tval.V, bool) {
 	return tval.X, false
 }
 
-// Eval evaluates the gate function over three-valued inputs.
-func (t GateType) Eval(in []tval.V) tval.V {
+// Eval evaluates the gate function over three-valued inputs: input
+// pin k carries vals[in[k]]. Net-indexed callers pass Gate.InNets and a
+// value plane; line-indexed callers pass Gate.In.
+func (t GateType) Eval(in []int, vals []tval.V) tval.V {
 	switch t {
 	case Not:
-		return in[0].Not()
+		return vals[in[0]].Not()
 	case Buf:
-		return in[0]
+		return vals[in[0]]
 	case And, Nand:
 		v := tval.One
-		for _, x := range in {
-			v = tval.And(v, x)
+		for _, k := range in {
+			v = tval.And(v, vals[k])
 			if v == tval.Zero {
 				break
 			}
@@ -123,8 +125,8 @@ func (t GateType) Eval(in []tval.V) tval.V {
 		return v
 	case Or, Nor:
 		v := tval.Zero
-		for _, x := range in {
-			v = tval.Or(v, x)
+		for _, k := range in {
+			v = tval.Or(v, vals[k])
 			if v == tval.One {
 				break
 			}
@@ -135,8 +137,8 @@ func (t GateType) Eval(in []tval.V) tval.V {
 		return v
 	case Xor, Xnor:
 		v := tval.Zero
-		for _, x := range in {
-			v = tval.Xor(v, x)
+		for _, k := range in {
+			v = tval.Xor(v, vals[k])
 			if v == tval.X {
 				return tval.X
 			}
@@ -204,12 +206,13 @@ type Line struct {
 
 // Gate is one logic gate. In holds the IDs of the lines feeding each
 // input pin (branch lines where the source has fanout, otherwise the
-// source PI/stem directly).
+// source PI/stem directly); InNets holds the nets those lines carry.
 type Gate struct {
-	Type GateType
-	Name string // name of the output signal
-	Out  int    // line ID of the output stem
-	In   []int  // line IDs feeding the input pins
+	Type   GateType
+	Name   string // name of the output signal
+	Out    int    // line ID of the output stem
+	In     []int  // line IDs feeding the input pins
+	InNets []int  // InNets[k] == Lines[In[k]].Net
 }
 
 // Circuit is an immutable combinational circuit.
@@ -229,6 +232,15 @@ type Circuit struct {
 
 	// piIndex maps a PI line ID to its position in PIs.
 	piIndex map[int]int
+
+	// fanout[fanoutStart[net]:fanoutStart[net+1]] are the gates
+	// consuming net, in gate order, one entry per input pin.
+	fanout      []int
+	fanoutStart []int
+	// level is each gate's topological level: 0 when fed only by
+	// primary inputs, else one more than its highest-level driver.
+	level    []int
+	maxLevel int
 }
 
 // NumLines returns the total number of lines.
@@ -240,6 +252,21 @@ func (c *Circuit) NumGates() int { return len(c.Gates) }
 // TopoGates returns gate indices in topological (evaluation) order.
 // The returned slice must not be modified.
 func (c *Circuit) TopoGates() []int { return c.order }
+
+// Fanout returns the gates consuming net, in gate order, with one
+// entry per input pin (a gate reading net on two pins appears twice).
+// The returned slice must not be modified.
+func (c *Circuit) Fanout(net int) []int {
+	return c.fanout[c.fanoutStart[net]:c.fanoutStart[net+1]]
+}
+
+// Level returns the topological level of gate gi; every gate sits at a
+// higher level than the gates driving its inputs.
+func (c *Circuit) Level(gi int) int { return c.level[gi] }
+
+// MaxLevel returns the highest gate level (0 for a circuit without
+// gates).
+func (c *Circuit) MaxLevel() int { return c.maxLevel }
 
 // PIIndex returns the position of PI line id within PIs, or -1.
 func (c *Circuit) PIIndex(id int) int {
@@ -324,9 +351,8 @@ func (c *Circuit) SupportPIs(nets []int) []int {
 		case LinePI:
 			out = append(out, net)
 		case LineStem:
-			g := &c.Gates[l.Gate]
-			for _, in := range g.In {
-				visit(c.Lines[in].Net)
+			for _, in := range c.Gates[l.Gate].InNets {
+				visit(in)
 			}
 		}
 	}

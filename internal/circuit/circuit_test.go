@@ -180,7 +180,11 @@ func TestGateEval(t *testing.T) {
 		{Xnor, []tval.V{v1, v0}, v0},
 	}
 	for _, c := range cases {
-		if got := c.t.Eval(c.in); got != c.want {
+		pins := make([]int, len(c.in))
+		for k := range pins {
+			pins[k] = k
+		}
+		if got := c.t.Eval(pins, c.in); got != c.want {
 			t.Errorf("%v%v = %v, want %v", c.t, c.in, got, c.want)
 		}
 	}

@@ -18,13 +18,10 @@ type Simulator struct {
 	c   *Circuit
 	val [NumPlanes][]tval.V
 
-	fanout [][]int // net line ID -> consumer gate indices
-	level  []int   // gate index -> topological level
-
 	undo []undoEntry
 
 	// propagation scratch, reused across calls
-	buckets [][]int
+	buckets [][]int // level -> gates scheduled for evaluation
 	stamp   []int
 	epoch   int
 	changed []int
@@ -45,29 +42,7 @@ func NewSimulator(c *Circuit) *Simulator {
 	for p := range s.val {
 		s.val[p] = make([]tval.V, len(c.Lines))
 	}
-	s.fanout = make([][]int, len(c.Lines))
-	for gi := range c.Gates {
-		for _, in := range c.Gates[gi].In {
-			net := c.Lines[in].Net
-			s.fanout[net] = append(s.fanout[net], gi)
-		}
-	}
-	s.level = make([]int, len(c.Gates))
-	maxLevel := 0
-	for _, gi := range c.TopoGates() {
-		lv := 0
-		for _, in := range c.Gates[gi].In {
-			net := c.Lines[in].Net
-			if g := c.Lines[net].Gate; g >= 0 && s.level[g]+1 > lv {
-				lv = s.level[g] + 1
-			}
-		}
-		s.level[gi] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	s.buckets = make([][]int, maxLevel+1)
+	s.buckets = make([][]int, c.MaxLevel()+1)
 	s.stamp = make([]int, len(c.Gates))
 	for i := range s.stamp {
 		s.stamp[i] = -1
@@ -139,88 +114,39 @@ func (s *Simulator) Assign(pi, plane int, v tval.V) []int {
 	s.changed = append(s.changed, pi)
 
 	s.epoch++
-	maxLv := -1
-	enqueue := func(net int) {
-		for _, gi := range s.fanout[net] {
-			if s.stamp[gi] != s.epoch {
-				s.stamp[gi] = s.epoch
-				lv := s.level[gi]
-				s.buckets[lv] = append(s.buckets[lv], gi)
-				if lv > maxLv {
-					maxLv = lv
-				}
-			}
-		}
-	}
-	enqueue(pi)
+	maxLv := s.enqueue(pi, -1)
+	// A consumer sits at a higher level than its producer, so the
+	// level-ordered drain empties every bucket it fills.
 	for lv := 0; lv <= maxLv; lv++ {
 		for _, gi := range s.buckets[lv] {
 			g := &s.c.Gates[gi]
-			nv := s.evalGate(g, plane)
+			nv := g.Type.Eval(g.InNets, vals)
 			out := g.Out
 			if nv != vals[out] {
 				s.undo = append(s.undo, undoEntry{plane, out, vals[out]})
 				vals[out] = nv
 				s.changed = append(s.changed, out)
-				enqueue(out)
+				maxLv = s.enqueue(out, maxLv)
 			}
 		}
 		s.buckets[lv] = s.buckets[lv][:0]
 	}
-	if maxLv >= 0 {
-		// Later buckets may have been filled by enqueue at lv <= maxLv
-		// and already drained; clear any leftovers defensively.
-		for lv := 0; lv < len(s.buckets); lv++ {
-			s.buckets[lv] = s.buckets[lv][:0]
-		}
-	}
 	return s.changed
 }
 
-func (s *Simulator) evalGate(g *Gate, plane int) tval.V {
-	vals := s.val[plane]
-	switch g.Type {
-	case Not:
-		return vals[s.c.Lines[g.In[0]].Net].Not()
-	case Buf:
-		return vals[s.c.Lines[g.In[0]].Net]
-	case And, Nand:
-		v := tval.One
-		for _, in := range g.In {
-			v = tval.And(v, vals[s.c.Lines[in].Net])
-			if v == tval.Zero {
-				break
-			}
+// enqueue schedules the consumers of net not yet scheduled by the
+// current Assign and returns the highest level scheduled, at least
+// maxLv.
+func (s *Simulator) enqueue(net, maxLv int) int {
+	for _, gi := range s.c.Fanout(net) {
+		if s.stamp[gi] != s.epoch {
+			s.stamp[gi] = s.epoch
+			lv := s.c.Level(gi)
+			s.buckets[lv] = append(s.buckets[lv], gi)
+			maxLv = max(maxLv, lv)
 		}
-		if g.Type == Nand {
-			return v.Not()
-		}
-		return v
-	case Or, Nor:
-		v := tval.Zero
-		for _, in := range g.In {
-			v = tval.Or(v, vals[s.c.Lines[in].Net])
-			if v == tval.One {
-				break
-			}
-		}
-		if g.Type == Nor {
-			return v.Not()
-		}
-		return v
-	default: // Xor, Xnor
-		v := tval.Zero
-		for _, in := range g.In {
-			v = tval.Xor(v, vals[s.c.Lines[in].Net])
-			if v == tval.X {
-				return tval.X
-			}
-		}
-		if g.Type == Xnor {
-			return v.Not()
-		}
-		return v
 	}
+	return maxLv
 }
 
 // SimulateTriples fully simulates a two-pattern test given by the
@@ -232,38 +158,38 @@ func SimulateTriples(c *Circuit, p1, p3 []tval.V) []tval.Triple {
 	if len(p1) != len(c.PIs) || len(p3) != len(c.PIs) {
 		panic("circuit: SimulateTriples pattern length mismatch")
 	}
-	var planes [NumPlanes][]tval.V
-	for p := range planes {
-		planes[p] = make([]tval.V, len(c.Lines))
-		for i := range planes[p] {
-			planes[p][i] = tval.X
-		}
-	}
-	for i, pi := range c.PIs {
-		planes[0][pi] = p1[i]
-		planes[2][pi] = p3[i]
+	mid := make([]tval.V, len(c.PIs))
+	for i := range mid {
+		mid[i] = tval.X
 		if p1[i] != tval.X && p1[i] == p3[i] {
-			planes[1][pi] = p1[i]
+			mid[i] = p1[i]
 		}
 	}
-	for p := range planes {
-		evalPlane(c, planes[p])
-	}
+	v1, v2, v3 := Evaluate(c, p1), Evaluate(c, mid), Evaluate(c, p3)
 	out := make([]tval.Triple, len(c.Lines))
-	for i := range c.Lines {
-		net := c.Lines[i].Net
-		out[i] = tval.NewTriple(planes[0][net], planes[1][net], planes[2][net])
+	for i := range out {
+		out[i] = tval.NewTriple(v1[i], v2[i], v3[i])
 	}
 	return out
 }
 
-func evalPlane(c *Circuit, vals []tval.V) {
+// Evaluate returns the value of every line, indexed by line ID, under
+// one pattern of the primary-input values (in PIs order).
+func Evaluate(c *Circuit, pattern []tval.V) []tval.V {
+	vals := make([]tval.V, len(c.Lines))
+	for i := range vals {
+		vals[i] = tval.X
+	}
+	for i, pi := range c.PIs {
+		vals[pi] = pattern[i]
+	}
 	for _, gi := range c.TopoGates() {
 		g := &c.Gates[gi]
-		in := make([]tval.V, len(g.In))
-		for k, l := range g.In {
-			in[k] = vals[c.Lines[l].Net]
-		}
-		vals[g.Out] = g.Type.Eval(in)
+		vals[g.Out] = g.Type.Eval(g.InNets, vals)
 	}
+	// Nets are PI and stem line IDs; a branch reads its stem's value.
+	for i := range c.Lines {
+		vals[i] = vals[c.Lines[i].Net]
+	}
+	return vals
 }

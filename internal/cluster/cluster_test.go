@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -274,6 +275,56 @@ func TestClusterBackendDeathReroutes(t *testing.T) {
 			t.Fatalf("want backend_down envelope, got %s", body)
 		}
 		break
+	}
+}
+
+// A malformed spec gets pdfd's invalid_spec message from the
+// coordinator too, on submit and as a batch item: all three decode it
+// with engine.DecodeSpec.
+func TestClusterSpecErrorsMatchPDFD(t *testing.T) {
+	_, srv, backs := newFleet(t, 1)
+	for _, tc := range []struct{ body, msg string }{
+		{`{"kind":"enrich","circuit":"s27","workers":4}`, `unknown field "workers" in job spec`},
+		{`{"kind":"enrich","circuit":"s27","np0":"ten"}`, ""},
+	} {
+		message := func(base string) string {
+			resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var env struct {
+				Error engine.APIError `json:"error"`
+			}
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &env) != nil || env.Error.Code != engine.CodeInvalidSpec {
+				t.Fatalf("POST %s/v1/jobs %s = %d %s, want 400 invalid_spec", base, tc.body, resp.StatusCode, raw)
+			}
+			return env.Error.Message
+		}
+		want := message(backs[0].srv.URL)
+		if tc.msg != "" && want != tc.msg {
+			t.Errorf("pdfd message %q, want %q", want, tc.msg)
+		}
+		if got := message(srv.URL); got != want {
+			t.Errorf("coordinator submit message %q, pdfd says %q", got, want)
+		}
+
+		body, _ := json.Marshal(BatchRequest{Jobs: []json.RawMessage{json.RawMessage(tc.body)}})
+		resp, err := http.Post(srv.URL+"/v1/jobs:batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var br BatchResponse
+		err = json.NewDecoder(resp.Body).Decode(&br)
+		resp.Body.Close()
+		if err != nil || len(br.Results) != 1 {
+			t.Fatalf("batch response: %v %+v", err, br)
+		}
+		if it := br.Results[0]; it.Status != "rejected" || it.Error == nil ||
+			it.Error.Code != engine.CodeInvalidSpec || it.Error.Message != want {
+			t.Errorf("batch item = %+v, want invalid_spec %q", it, want)
+		}
 	}
 }
 

@@ -123,11 +123,9 @@ type clusterServer struct {
 }
 
 func (s *clusterServer) submit(w http.ResponseWriter, r *http.Request) {
-	var spec engine.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		engine.WriteError(w, http.StatusBadRequest, engine.CodeInvalidSpec, "bad job spec: "+err.Error(), 0)
+	spec, err := engine.DecodeSpec(r.Body)
+	if err != nil {
+		engine.WriteError(w, http.StatusBadRequest, engine.CodeInvalidSpec, err.Error(), 0)
 		return
 	}
 	// The authenticated tenant owns the job, whatever the spec claims.
@@ -175,12 +173,10 @@ func (s *clusterServer) batch(w http.ResponseWriter, r *http.Request) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, batchConcurrency)
 	for i, raw := range req.Jobs {
-		var spec engine.Spec
-		d := json.NewDecoder(bytes.NewReader(raw))
-		d.DisallowUnknownFields()
-		if err := d.Decode(&spec); err != nil {
+		spec, err := engine.DecodeSpec(bytes.NewReader(raw))
+		if err != nil {
 			results[i] = BatchItem{Index: i, Status: "rejected",
-				Error: &engine.APIError{Code: engine.CodeInvalidSpec, Message: "bad job spec: " + err.Error()}}
+				Error: &engine.APIError{Code: engine.CodeInvalidSpec, Message: err.Error()}}
 			continue
 		}
 		wg.Add(1)

@@ -135,16 +135,26 @@ type server struct {
 
 var unknownFieldRE = regexp.MustCompile(`unknown field "([^"]*)"`)
 
-func (s *server) submit(w http.ResponseWriter, r *http.Request) {
+// DecodeSpec strictly decodes one JSON job spec: a field Spec does not
+// declare is rejected by name. The error's message is what pdfd and
+// the coordinator return in the invalid_spec envelope.
+func DecodeSpec(r io.Reader) (Spec, error) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		msg := "bad job spec: " + err.Error()
 		if m := unknownFieldRE.FindStringSubmatch(err.Error()); m != nil {
-			msg = "unknown field " + strconv.Quote(m[1]) + " in job spec"
+			return Spec{}, errors.New("unknown field " + strconv.Quote(m[1]) + " in job spec")
 		}
-		WriteError(w, http.StatusBadRequest, CodeInvalidSpec, msg, 0)
+		return Spec{}, errors.New("bad job spec: " + err.Error())
+	}
+	return spec, nil
+}
+
+func (s *server) submit(w http.ResponseWriter, r *http.Request) {
+	spec, err := DecodeSpec(r.Body)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error(), 0)
 		return
 	}
 	// The resolved tenant (bearer auth, or a coordinator's forwarded

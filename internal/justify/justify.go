@@ -132,8 +132,8 @@ func New(c *circuit.Circuit, cfg Config) *Justifier {
 	for _, gi := range c.TopoGates() {
 		g := &c.Gates[gi]
 		out := g.Out * j.words
-		for _, in := range g.In {
-			net := c.Lines[in].Net * j.words
+		for _, in := range g.InNets {
+			net := in * j.words
 			for w := 0; w < j.words; w++ {
 				j.support[out+w] |= j.support[net+w]
 			}
@@ -145,8 +145,8 @@ func New(c *circuit.Circuit, cfg Config) *Justifier {
 	for _, gi := range c.TopoGates() {
 		g := &c.Gates[gi]
 		out := g.Out * j.words
-		for _, in := range g.In {
-			net := c.Lines[in].Net * j.words
+		for _, in := range g.InNets {
+			net := in * j.words
 			for w := 0; w < j.words; w++ {
 				j.dirtyMask[net+w] |= j.support[out+w]
 			}

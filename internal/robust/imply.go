@@ -19,12 +19,10 @@ import (
 //	          outputs with one undetermined input force its parity;
 //	          NOT/BUF force their input directly.
 type Implier struct {
-	c         *circuit.Circuit
-	val       [circuit.NumPlanes][]tval.V
-	inQ       []bool
-	q         []int
-	gateOfNet []int // net -> driving gate, -1 for PI
-	fanout    [][]int
+	c   *circuit.Circuit
+	val [circuit.NumPlanes][]tval.V
+	inQ []bool
+	q   []int
 	// conflict is set when an assignment contradicts a held value;
 	// Rollback clears it.
 	conflict bool
@@ -46,17 +44,6 @@ func NewImplier(c *circuit.Circuit) *Implier {
 		}
 	}
 	im.inQ = make([]bool, len(c.Gates))
-	im.gateOfNet = make([]int, len(c.Lines))
-	im.fanout = make([][]int, len(c.Lines))
-	for i := range c.Lines {
-		im.gateOfNet[i] = c.Lines[i].Gate
-	}
-	for gi := range c.Gates {
-		for _, in := range c.Gates[gi].In {
-			net := c.Lines[in].Net
-			im.fanout[net] = append(im.fanout[net], gi)
-		}
-	}
 	return im
 }
 
@@ -121,11 +108,11 @@ func (im *Implier) Extend(cube *Cube) bool {
 }
 
 func (im *Implier) enqueueNet(net int) {
-	if g := im.gateOfNet[net]; g >= 0 && !im.inQ[g] {
+	if g := im.c.Lines[net].Gate; g >= 0 && !im.inQ[g] {
 		im.inQ[g] = true
 		im.q = append(im.q, g)
 	}
-	for _, g := range im.fanout[net] {
+	for _, g := range im.c.Fanout(net) {
 		if !im.inQ[g] {
 			im.inQ[g] = true
 			im.q = append(im.q, g)
@@ -152,7 +139,7 @@ func (im *Implier) assign(net, plane int, v tval.V) {
 	// so a specified intermediate value forces both pattern values,
 	// and equal specified pattern values force the intermediate.
 	// Internal nets may glitch; the rule applies to PIs only.
-	if im.gateOfNet[net] < 0 {
+	if im.c.Lines[net].Kind == circuit.LinePI {
 		switch plane {
 		case 1:
 			im.assign(net, 0, v)
@@ -189,19 +176,10 @@ func (im *Implier) implyGate(gi int) {
 
 func (im *Implier) implyGatePlane(g *circuit.Gate, plane int) {
 	vals := im.val[plane]
-	c := im.c
-	inNet := func(k int) int { return c.Lines[g.In[k]].Net }
+	in := g.InNets
 
 	// Forward implication.
-	switch g.Type {
-	case circuit.Not:
-		im.assign(g.Out, plane, vals[inNet(0)].Not())
-	case circuit.Buf:
-		im.assign(g.Out, plane, vals[inNet(0)])
-	default:
-		fwd := im.evalForward(g, plane)
-		im.assign(g.Out, plane, fwd)
-	}
+	im.assign(g.Out, plane, g.Type.Eval(in, vals))
 
 	out := vals[g.Out]
 	if out == tval.X {
@@ -211,9 +189,9 @@ func (im *Implier) implyGatePlane(g *circuit.Gate, plane int) {
 	// Backward implication.
 	switch g.Type {
 	case circuit.Not:
-		im.assign(inNet(0), plane, out.Not())
+		im.assign(in[0], plane, out.Not())
 	case circuit.Buf:
-		im.assign(inNet(0), plane, out)
+		im.assign(in[0], plane, out)
 	case circuit.And, circuit.Nand, circuit.Or, circuit.Nor:
 		core := out
 		if g.Type.Inverting() {
@@ -223,27 +201,27 @@ func (im *Implier) implyGatePlane(g *circuit.Gate, plane int) {
 		nc := ctrl.Not()
 		if core == nc {
 			// Non-controlled output: every input non-controlling.
-			for k := range g.In {
-				im.assign(inNet(k), plane, nc)
+			for _, net := range in {
+				im.assign(net, plane, nc)
 			}
 		} else {
 			// Controlled output: if exactly one input is not known
 			// non-controlling, it must be controlling.
 			unknown := -1
 			count := 0
-			for k := range g.In {
-				switch vals[inNet(k)] {
+			for _, net := range in {
+				switch vals[net] {
 				case nc:
 					continue
 				case ctrl:
 					return // already justified
 				default:
-					unknown = k
+					unknown = net
 					count++
 				}
 			}
 			if count == 1 {
-				im.assign(inNet(unknown), plane, ctrl)
+				im.assign(unknown, plane, ctrl)
 			}
 			// count == 0 means all inputs are non-controlling while the
 			// output is controlled: the forward pass will flag the
@@ -257,50 +235,17 @@ func (im *Implier) implyGatePlane(g *circuit.Gate, plane int) {
 		parity := tval.Zero
 		unknown := -1
 		count := 0
-		for k := range g.In {
-			v := vals[inNet(k)]
+		for _, net := range in {
+			v := vals[net]
 			if v == tval.X {
-				unknown = k
+				unknown = net
 				count++
 				continue
 			}
 			parity = tval.Xor(parity, v)
 		}
 		if count == 1 {
-			im.assign(inNet(unknown), plane, tval.Xor(parity, target))
+			im.assign(unknown, plane, tval.Xor(parity, target))
 		}
 	}
-}
-
-func (im *Implier) evalForward(g *circuit.Gate, plane int) tval.V {
-	vals := im.val[plane]
-	c := im.c
-	var v tval.V
-	switch g.Type {
-	case circuit.And, circuit.Nand:
-		v = tval.One
-		for _, in := range g.In {
-			v = tval.And(v, vals[c.Lines[in].Net])
-		}
-		if g.Type == circuit.Nand {
-			v = v.Not()
-		}
-	case circuit.Or, circuit.Nor:
-		v = tval.Zero
-		for _, in := range g.In {
-			v = tval.Or(v, vals[c.Lines[in].Net])
-		}
-		if g.Type == circuit.Nor {
-			v = v.Not()
-		}
-	case circuit.Xor, circuit.Xnor:
-		v = tval.Zero
-		for _, in := range g.In {
-			v = tval.Xor(v, vals[c.Lines[in].Net])
-		}
-		if g.Type == circuit.Xnor {
-			v = v.Not()
-		}
-	}
-	return v
 }

@@ -376,27 +376,3 @@ func TestCoveredBy(t *testing.T) {
 		t.Error("glitchy off-path value must not cover a steady requirement")
 	}
 }
-
-func TestScreenParallelMatchesSequential(t *testing.T) {
-	c := bench.S27()
-	res, err := pathenum.Enumerate(c, pathenum.Config{Mode: pathenum.DistancePruned})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, elimSeq := Screen(c, res.Faults)
-	for _, workers := range []int{0, 2, 4, 7} {
-		par, elimPar := ScreenParallel(c, res.Faults, workers)
-		if len(par) != len(seq) || elimPar != elimSeq {
-			t.Fatalf("workers=%d: %d/%d vs sequential %d/%d",
-				workers, len(par), elimPar, len(seq), elimSeq)
-		}
-		for i := range seq {
-			if par[i].Fault.Key() != seq[i].Fault.Key() {
-				t.Fatalf("workers=%d: fault order changed at %d", workers, i)
-			}
-			if len(par[i].Alts) != len(seq[i].Alts) {
-				t.Fatalf("workers=%d: alternative count changed at %d", workers, i)
-			}
-		}
-	}
-}

@@ -1,9 +1,6 @@
 package robust
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/circuit"
 	"repro/internal/faults"
 )
@@ -29,68 +26,7 @@ type FaultConditions struct {
 // It returns the surviving faults with their alternatives, preserving
 // input order, plus the number eliminated.
 func Screen(c *circuit.Circuit, fs []faults.Fault) (kept []FaultConditions, eliminated int) {
-	return ScreenParallel(c, fs, 1)
-}
-
-// ScreenParallel is Screen with the per-fault work spread over the
-// given number of workers (0 means GOMAXPROCS). The result is
-// identical to the sequential Screen: order is preserved and the
-// screening of each fault is independent.
-func ScreenParallel(c *circuit.Circuit, fs []faults.Fault, workers int) (kept []FaultConditions, eliminated int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(fs) {
-		workers = len(fs)
-	}
-	results := make([][]Cube, len(fs))
-	if workers <= 1 {
-		im := NewImplier(c)
-		for i := range fs {
-			results[i] = screenOne(c, im, &fs[i])
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				im := NewImplier(c)
-				for i := range next {
-					results[i] = screenOne(c, im, &fs[i])
-				}
-			}()
-		}
-		for i := range fs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-	for i := range fs {
-		if len(results[i]) == 0 {
-			eliminated++
-			continue
-		}
-		kept = append(kept, FaultConditions{Fault: fs[i], Alts: results[i]})
-	}
-	return kept, eliminated
-}
-
-func screenOne(c *circuit.Circuit, im *Implier, f *faults.Fault) []Cube {
-	return screenOneWith(c, im, f, Conditions)
-}
-
-func screenOneWith(c *circuit.Circuit, im *Implier, f *faults.Fault, cond ConditionFunc) []Cube {
-	alts := cond(c, f)
-	var ok []Cube
-	for j := range alts {
-		if im.ImplyConsistent(&alts[j]) {
-			ok = append(ok, alts[j])
-		}
-	}
-	return ok
+	return ScreenWith(c, fs, Conditions)
 }
 
 // ConditionFunc generates the A(p) alternatives of a fault; Conditions
@@ -105,7 +41,12 @@ type ConditionFunc func(*circuit.Circuit, *faults.Fault) []Cube
 func ScreenWith(c *circuit.Circuit, fs []faults.Fault, cond ConditionFunc) (kept []FaultConditions, eliminated int) {
 	im := NewImplier(c)
 	for i := range fs {
-		ok := screenOneWith(c, im, &fs[i], cond)
+		var ok []Cube
+		for _, alt := range cond(c, &fs[i]) {
+			if im.ImplyConsistent(&alt) {
+				ok = append(ok, alt)
+			}
+		}
 		if len(ok) == 0 {
 			eliminated++
 			continue

@@ -105,7 +105,7 @@ func validate(c *circuit.Circuit, st *bench.State, opt Options) error {
 // match the second pattern's state part (x state bits in the test
 // match anything).
 func broadside(c *circuit.Circuit, st *bench.State, test circuit.TwoPattern, opt Options) bool {
-	vals := onePatternValues(c, test.P1)
+	vals := circuit.Evaluate(c, test.P1)
 	for i, dataNet := range st.FFDataNet {
 		want := test.P3[st.NumPI+i]
 		if want == tval.X {
@@ -148,31 +148,6 @@ func skewedLoad(st *bench.State, test circuit.TwoPattern, opt Options) bool {
 	// Chain[0] receives scan-in: free. Real PIs may change during the
 	// last shift, so they are unconstrained.
 	return true
-}
-
-// onePatternValues evaluates the circuit under one pattern and returns
-// per-line values.
-func onePatternValues(c *circuit.Circuit, pattern []tval.V) []tval.V {
-	net := make([]tval.V, len(c.Lines))
-	for i := range net {
-		net[i] = tval.X
-	}
-	for i, pi := range c.PIs {
-		net[pi] = pattern[i]
-	}
-	for _, gi := range c.TopoGates() {
-		g := &c.Gates[gi]
-		in := make([]tval.V, len(g.In))
-		for k, l := range g.In {
-			in[k] = net[c.Lines[l].Net]
-		}
-		net[g.Out] = g.Type.Eval(in)
-	}
-	out := make([]tval.V, len(c.Lines))
-	for id := range c.Lines {
-		out[id] = net[c.Lines[id].Net]
-	}
-	return out
 }
 
 // Stats summarizes the applicability of a test set.

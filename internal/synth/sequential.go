@@ -73,9 +73,9 @@ func SequentialSource(p Profile, nFF int) (string, error) {
 	}
 	for _, gi := range c.TopoGates() {
 		g := &c.Gates[gi]
-		ins := make([]string, len(g.In))
-		for k, l := range g.In {
-			ins[k] = c.Lines[c.Lines[l].Net].Name
+		ins := make([]string, len(g.InNets))
+		for k, net := range g.InNets {
+			ins[k] = c.Lines[net].Name
 		}
 		fmt.Fprintf(&sb, "%s = %s(%s)\n", g.Name, gateTypeName(g.Type), strings.Join(ins, ", "))
 	}

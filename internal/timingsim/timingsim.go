@@ -164,7 +164,7 @@ func Simulate(c *circuit.Circuit, delays Delays, test circuit.TwoPattern) (*Resu
 	}
 
 	// Steady state under pattern 1.
-	cur := steadyState(c, test.P1)
+	cur := circuit.Evaluate(c, test.P1)
 	wf := make([]Waveform, len(c.Lines))
 	for id := range c.Lines {
 		wf[id] = Waveform{{T: 0, V: cur[id]}}
@@ -178,15 +178,6 @@ func Simulate(c *circuit.Circuit, delays Delays, test circuit.TwoPattern) (*Resu
 			heap.Push(&q, event{t: delays[pi], seq: seq, line: pi, v: test.P3[i]})
 			seq++
 		}
-	}
-
-	evalGate := func(gi int) tval.V {
-		g := &c.Gates[gi]
-		in := make([]tval.V, len(g.In))
-		for k, l := range g.In {
-			in[k] = cur[l]
-		}
-		return g.Type.Eval(in)
 	}
 
 	guard := 0
@@ -213,40 +204,17 @@ func Simulate(c *circuit.Circuit, delays Delays, test circuit.TwoPattern) (*Resu
 			}
 		}
 		// Propagate into the consumer gate (direct connection), or —
-		// when this line is a branch — into its consumer gate.
-		if g := l.ConsumerGate; g >= 0 {
-			out := c.Gates[g].Out
-			nv := evalGate(g)
-			heap.Push(&q, event{t: e.t + delays[out], seq: seq, line: out, v: nv})
+		// when this line is a branch — into its consumer gate. The
+		// gate reads its input lines, not nets: each branch carries
+		// its own waveform.
+		if gi := l.ConsumerGate; gi >= 0 {
+			g := &c.Gates[gi]
+			nv := g.Type.Eval(g.In, cur)
+			heap.Push(&q, event{t: e.t + delays[g.Out], seq: seq, line: g.Out, v: nv})
 			seq++
 		}
 	}
 	return &Result{Waveforms: wf}, nil
-}
-
-// steadyState computes the stable binary value of every line under one
-// pattern.
-func steadyState(c *circuit.Circuit, pattern []tval.V) []tval.V {
-	vals := make([]tval.V, len(c.Lines))
-	net := make([]tval.V, len(c.Lines))
-	for i := range net {
-		net[i] = tval.X
-	}
-	for i, pi := range c.PIs {
-		net[pi] = pattern[i]
-	}
-	for _, gi := range c.TopoGates() {
-		g := &c.Gates[gi]
-		in := make([]tval.V, len(g.In))
-		for k, l := range g.In {
-			in[k] = net[c.Lines[l].Net]
-		}
-		net[g.Out] = g.Type.Eval(in)
-	}
-	for id := range c.Lines {
-		vals[id] = net[c.Lines[id].Net]
-	}
-	return vals
 }
 
 // Detected reports whether the fault injected on path is caught: the

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/circuit"
+	"repro/internal/tval"
 )
 
 const c17Verilog = `// c17 in structural verilog
@@ -73,6 +75,58 @@ func TestParseS27VerilogMatchesBench(t *testing.T) {
 	for _, n := range []string{"G0", "G5", "G17", "G13"} {
 		if c.LineByName(n) == nil {
 			t.Errorf("signal %s missing", n)
+		}
+	}
+}
+
+// TestBenchVsVerilogC17 checks that the Verilog and .bench readings of
+// c17 compute the same function: under all 32 input patterns, every
+// output, matched by name, carries the same value in both.
+func TestBenchVsVerilogC17(t *testing.T) {
+	const c17Bench = `# c17 with the verilog names
+INPUT(N1)
+INPUT(N2)
+INPUT(N3)
+INPUT(N6)
+INPUT(N7)
+OUTPUT(N22)
+OUTPUT(N23)
+N10 = NAND(N1, N3)
+N11 = NAND(N3, N6)
+N16 = NAND(N2, N11)
+N19 = NAND(N11, N7)
+N22 = NAND(N10, N16)
+N23 = NAND(N16, N19)
+`
+	a, err := bench.ParseCombinationalString("c17b", c17Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ParseCombinational("c17v", strings.NewReader(c17Verilog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.PIs) != 5 || len(b.PIs) != 5 || len(a.POs) != len(b.POs) {
+		t.Fatalf("interfaces differ: %d/%d inputs, %d/%d outputs", len(a.PIs), len(b.PIs), len(a.POs), len(b.POs))
+	}
+	// pattern applies input code bit i to a's i-th input, in both
+	// circuits by name.
+	pattern := func(c *circuit.Circuit, code int) []tval.V {
+		p := make([]tval.V, len(c.PIs))
+		for i, pi := range c.PIs {
+			j := a.PIIndex(a.LineByName(c.Lines[pi].Name).ID)
+			p[i] = tval.V(code >> uint(j) & 1)
+		}
+		return p
+	}
+	for code := 0; code < 32; code++ {
+		va, vb := circuit.Evaluate(a, pattern(a, code)), circuit.Evaluate(b, pattern(b, code))
+		for _, po := range a.POs {
+			name := a.Lines[a.Lines[po].Net].Name
+			got, want := vb[b.LineByName(name).ID], va[a.Lines[po].Net]
+			if got != want || want == tval.X {
+				t.Fatalf("input code %05b: output %s = %v in verilog, %v in bench", code, name, got, want)
+			}
 		}
 	}
 }
