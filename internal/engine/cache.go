@@ -97,21 +97,16 @@ func faultSetDigest(sets ...[]robust.FaultConditions) string {
 }
 
 // SpecDigest hashes every Spec field that selects a job's computation
-// — the named circuit plus the config parameters and the input test
-// list — into a stable hex digest. TimeoutMS and NoCache are
-// deliberately excluded: they are execution knobs that must not change
-// results, so runs differing only in them share digests.
+// — the named circuit, the config parameters and the input test list —
+// into a stable hex digest. Execution knobs (TimeoutMS, MaxRetries,
+// NoCache, tenant, priority) cannot change a result and are excluded.
 //
-// The digest is used twice, and the two uses must agree: the engine
-// embeds it in its result cache key, and the cluster coordinator
-// hashes it onto the backend ring — so resubmitting an identical spec
-// routes to the backend that already holds the cached result. The
-// spec is normalized first (defaults filled), so a spec that spells
-// the default heuristic explicitly digests identically to one that
-// omits it; a spec that fails validation is digested as given. The
-// format is versioned ("spec/v1") and pinned by a golden test:
-// changing it reshuffles every ring assignment and orphans cached
-// results across a rolling upgrade, so bump it deliberately.
+// The engine's cache key and the coordinator's ring placement both use
+// it, so a resubmitted spec routes to the backend holding its result.
+// The spec is normalized first (an explicit default heuristic digests
+// like an omitted one); an invalid spec is digested as given. The
+// "spec/v1" format is pinned by a golden test: changing it reshuffles
+// the ring and orphans cached results, so bump it deliberately.
 func SpecDigest(s Spec) string {
 	if ns, err := s.normalized(); err == nil {
 		s = ns
@@ -125,9 +120,14 @@ func SpecDigest(s Spec) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cacheKey combines the three identity digests of a prepared job: the
-// circuit structure hash, the SpecDigest routing key, and the
-// enumerated fault-set digest.
-func cacheKey(circuitHash, specHash, faultHash string) string {
-	return circuitHash[:16] + "/" + specHash[:16] + "/" + faultHash[:16]
+// resultVersion leads every cache key (hex: store keys are [0-9a-f/]).
+// Bump it whenever TestCrossVersionGoldens is re-recorded, so results
+// an older build stored are never addressed again.
+const resultVersion = "02"
+
+// cacheKey is a result's identity. The fault sets derive
+// deterministically from the circuit and the spec, so the key is known
+// before prepare and a hit skips it.
+func cacheKey(circuitHash, specHash string) string {
+	return resultVersion + "/" + circuitHash[:16] + "/" + specHash[:16]
 }

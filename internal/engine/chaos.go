@@ -22,8 +22,8 @@ type Site string
 
 // The injection sites, in pipeline order.
 const (
-	// SitePrepare fires before the prepare stage (circuit load,
-	// enumeration, partition).
+	// SitePrepare fires as a job enters the pipeline: before the
+	// circuit load, the cache lookup and the prepare stage.
 	SitePrepare Site = "prepare"
 	// SiteRun fires after the cache miss, before the generate /
 	// enrich / faultsim procedure runs.

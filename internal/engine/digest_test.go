@@ -1,6 +1,13 @@
 package engine
 
-import "testing"
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/circuit"
+)
 
 // SpecDigest is a wire contract, not an implementation detail: the
 // cluster coordinator hashes it onto the ring and the engine embeds it
@@ -61,5 +68,76 @@ func TestSpecDigestNormalization(t *testing.T) {
 	other.Seed = 2
 	if SpecDigest(raw) == SpecDigest(other) {
 		t.Fatal("different seeds produced the same digest")
+	}
+}
+
+// The cache key addresses durable stores and replicas across versions.
+// Its format is pinned here; when TestCrossVersionGoldens is
+// re-recorded, bump resultVersion (and this golden with it) so stores
+// written by the older build are never read as the new results.
+func TestCacheKeyGolden(t *testing.T) {
+	spec := Spec{Kind: KindEnrich, Circuit: "s27", NP0: 10, Seed: 1}
+	const want = "02/c5ecacf0d7512f2d/b2147016c03ff14e"
+	if got := cacheKey(CircuitDigest(bench.S27()), SpecDigest(spec)); got != want {
+		t.Fatalf("cacheKey = %s, want %s (bump resultVersion whenever TestCrossVersionGoldens changes)", got, want)
+	}
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	v, err := e.RunJob(context.Background(), spec)
+	if err != nil || v.Status != StatusDone {
+		t.Fatalf("run: %+v, %v", v, err)
+	}
+	if v.Result.CacheKey != want {
+		t.Fatalf("result cache_key = %s, want %s", v.Result.CacheKey, want)
+	}
+}
+
+// The key trusts the circuit's structure, not its name: two inline
+// circuits called "s27" that differ in one gate must not share a
+// result.
+func TestCacheKeyInlineCircuitStructure(t *testing.T) {
+	orig := bench.S27()
+	variant, err := bench.ParseCombinationalString("s27",
+		strings.Replace(bench.S27Source, "G8 = AND(G14, G6)", "G8 = NAND(G14, G6)", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	var keys []string
+	for _, c := range []*circuit.Circuit{orig, variant} {
+		v, err := e.RunJob(context.Background(), Spec{Kind: KindEnrich, Circ: c, NP0: 10, Seed: 1})
+		if err != nil || v.Status != StatusDone {
+			t.Fatalf("run: %+v, %v", v, err)
+		}
+		if v.CacheHit {
+			t.Fatalf("circuit %d was served another circuit's cached result", len(keys))
+		}
+		keys = append(keys, v.Result.CacheKey)
+	}
+	if keys[0] == keys[1] {
+		t.Fatalf("structurally different circuits share cache key %s", keys[0])
+	}
+}
+
+// Execution knobs are outside the key: a spec that differs only in its
+// deadline and retry budget is served from the cache.
+func TestCacheKeyIgnoresExecutionKnobs(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	ctx := context.Background()
+	spec := Spec{Kind: KindEnrich, Circuit: "s27", NP0: 10, Seed: 1}
+	first, err := e.RunJob(ctx, spec)
+	if err != nil || first.Status != StatusDone {
+		t.Fatalf("run: %+v, %v", first, err)
+	}
+	spec.TimeoutMS = 60000
+	spec.MaxRetries = 3
+	again, err := e.RunJob(ctx, spec)
+	if err != nil || again.Status != StatusDone {
+		t.Fatalf("rerun: %+v, %v", again, err)
+	}
+	if !again.CacheHit || again.Result.CacheKey != first.Result.CacheKey {
+		t.Fatalf("knob-only change: cache_hit %t, key %s vs %s", again.CacheHit, again.Result.CacheKey, first.Result.CacheKey)
 	}
 }

@@ -1050,25 +1050,45 @@ func (st *stage) done(attrs ...obs.Attr) {
 	})
 }
 
-// execute runs one job through the prepare → cache → run → store
-// pipeline. It never stores a result for a canceled or failed run.
+// execute runs one job through the load → cache → prepare → run →
+// store pipeline; a cache hit returns before prepare. It never stores
+// a result for a canceled or failed run.
 func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	spec := j.spec
-	// Stage 1: prepare — load the circuit, enumerate and partition the
-	// fault sets.
 	if err := e.inject(ctx, SitePrepare, j.id); err != nil {
 		return nil, false, err
 	}
-	prepCtx, prep := e.startStage(ctx, j, "prepare")
+	// Stage 1: load the circuit; digest it and the spec into the key.
+	_, lspan := obs.StartSpan(ctx, "load", obs.String("circuit", spec.Circuit))
 	c := spec.Circ
 	if c == nil {
 		var err error
-		c, err = experiments.LoadCircuit(spec.Circuit)
-		if err != nil {
-			prep.fail()
+		if c, err = experiments.LoadCircuit(spec.Circuit); err != nil {
+			lspan.End()
 			return nil, false, err
 		}
 	}
+	circuitHash := CircuitDigest(c)
+	key := cacheKey(circuitHash, SpecDigest(spec))
+	lspan.End()
+
+	// Stage 2: memory LRU, then read through the durable store.
+	if !spec.NoCache {
+		_, lookup := obs.StartSpan(ctx, "cache_lookup")
+		res, ok := e.cache.Get(key)
+		if !ok {
+			res, ok = e.storeGet(key, len(c.PIs))
+		}
+		lookup.End(obs.Bool("hit", ok))
+		if ok {
+			e.metrics.cacheHits.Add(1)
+			return res, true, nil
+		}
+		e.metrics.cacheMisses.Add(1)
+	}
+
+	// Stage 3: prepare — enumerate, screen and partition the fault sets.
+	prepCtx, prep := e.startStage(ctx, j, "prepare")
 	d, err := experiments.PrepareCircuitCtx(prepCtx, c, experiments.Params{NP: spec.NP, NP0: spec.NP0, Seed: spec.Seed})
 	if err != nil {
 		prep.fail()
@@ -1085,26 +1105,6 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	prep.done(obs.Int("p0", len(p0)), obs.Int("p1", len(p1)))
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
-	}
-
-	// Stage 2: cache lookup keyed by (circuit hash, config digest,
-	// fault-set digest).
-	circuitHash := CircuitDigest(c)
-	key := cacheKey(circuitHash, SpecDigest(spec), faultSetDigest(p0, p1))
-	if !spec.NoCache {
-		res, ok := e.cache.Get(key)
-		if !ok {
-			// Memory miss: read through the durable store (promotes
-			// into the LRU on success).
-			res, ok = e.storeGet(key, len(c.PIs))
-		}
-		_, lspan := obs.StartSpan(ctx, "cache_lookup", obs.Bool("hit", ok))
-		lspan.End()
-		if ok {
-			e.metrics.cacheHits.Add(1)
-			return res, true, nil
-		}
-		e.metrics.cacheMisses.Add(1)
 	}
 
 	res := &Result{
@@ -1127,7 +1127,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	}
 	cfg := core.Config{Heuristic: h, Seed: spec.Seed, UseBnB: spec.UseBnB}
 
-	// Stage 3: run the procedure.
+	// Stage 4: run the procedure.
 	if err := e.inject(ctx, SiteRun, j.id); err != nil {
 		return nil, false, err
 	}
@@ -1201,7 +1201,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		return nil, false, err
 	}
 
-	// Stage 4: store. Only complete, uncanceled results reach here.
+	// Stage 5: store. Only complete, uncanceled results reach here.
 	if err := e.inject(ctx, SiteStore, j.id); err != nil {
 		return nil, false, err
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -125,11 +126,76 @@ func TestServerEnrichmentEndToEnd(t *testing.T) {
 	if v := promValue(samples, "pdfd_jobs_done_total", ""); v < 2 {
 		t.Errorf("pdfd_jobs_done_total = %v, want >= 2", v)
 	}
-	// Both jobs prepared; only the first one reached generation.
-	for stage, want := range map[string]float64{"prepare": 2, "generation": 1} {
+	// Only the first job prepared and reached generation; the hit
+	// skipped both.
+	for stage, want := range map[string]float64{"prepare": 1, "generation": 1} {
 		if v := promValue(samples, "pdfd_stage_duration_seconds_count", `stage="`+stage+`"`); v != want {
 			t.Errorf("pdfd_stage_duration_seconds_count{stage=%q} = %v, want %v", stage, v, want)
 		}
+	}
+}
+
+// A cache hit is looked up before prepare: the resubmission's trace
+// holds the load and the lookup but no prepare span or its children,
+// and the prepare stage histogram does not grow.
+func TestServerCacheHitSkipsPrepare(t *testing.T) {
+	_, srv := newTestServer(t)
+	spec := map[string]any{"kind": "enrich", "circuit": "s27", "np0": 10, "seed": 1}
+	prepares := func() float64 {
+		resp, err := http.Get(srv.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, _ := parsePromText(t, string(readBody(t, resp)))
+		return promValue(samples, "pdfd_stage_duration_seconds_count", `stage="prepare"`)
+	}
+	traceSpans := func(id string) []obs.SpanView {
+		var tr struct {
+			Trace obs.TraceView `json:"trace"`
+		}
+		getJSON(t, srv.URL+"/v1/jobs/"+id+"/trace", &tr)
+		return tr.Trace.Spans
+	}
+
+	first := submitWait(t, srv.URL, spec)
+	if first.Status != StatusDone || first.CacheHit {
+		t.Fatalf("first run: status %s cache_hit %t", first.Status, first.CacheHit)
+	}
+	// On a miss the lookup precedes prepare.
+	var order []string
+	for _, s := range traceSpans(first.ID) {
+		switch s.Name {
+		case "load", "cache_lookup", "prepare":
+			order = append(order, s.Name)
+		}
+	}
+	if want := []string{"load", "cache_lookup", "prepare"}; !slices.Equal(order, want) {
+		t.Errorf("miss timeline order = %v, want %v", order, want)
+	}
+	before := prepares()
+
+	again := submitWait(t, srv.URL, spec)
+	if again.Status != StatusDone || !again.CacheHit {
+		t.Fatalf("resubmission: status %s cache_hit %t", again.Status, again.CacheHit)
+	}
+	if after := prepares(); after != before {
+		t.Errorf("prepare stage count went %v -> %v on a cache hit", before, after)
+	}
+	spans := traceSpans(again.ID)
+	seen := map[string]obs.SpanView{}
+	for _, s := range spans {
+		seen[s.Name] = s
+	}
+	for _, name := range []string{"prepare", "pathenum", "screen", "partition", "generation"} {
+		if _, ok := seen[name]; ok {
+			t.Errorf("cache hit ran %q: timeline %v", name, names(spans))
+		}
+	}
+	if _, ok := seen["load"]; !ok {
+		t.Errorf("no load span on the hit: %v", names(spans))
+	}
+	if l, ok := seen["cache_lookup"]; !ok || l.Attrs["hit"] != "true" {
+		t.Errorf("cache_lookup span = %+v, want hit=true", l)
 	}
 }
 

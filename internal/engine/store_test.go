@@ -84,6 +84,61 @@ func TestEngineStoreWarmRestart(t *testing.T) {
 	}
 }
 
+// A store directory written under the older three-digest key
+// (circuit/spec/faults) is never addressed by the current key: the job
+// misses, recomputes, and returns the bytes a fresh engine computes.
+func TestEngineStoreOldKeyMisses(t *testing.T) {
+	ctx := context.Background()
+	spec := Spec{Kind: KindEnrich, Circuit: "s27", NP0: 10, Seed: 1}
+	fresh := New(Config{Workers: 1})
+	defer fresh.Close()
+	v, err := fresh.RunJob(ctx, spec)
+	if err != nil || v.Status != StatusDone {
+		t.Fatalf("fresh run: %+v, %v", v, err)
+	}
+	want, err := json.Marshal(v.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	old := *v.Result
+	old.CacheKey = v.Result.CircuitHash[:16] + "/" + SpecDigest(spec)[:16] + "/" + v.Result.FaultDigest[:16]
+	payload, err := json.Marshal(&old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := openTestStore(t, dir)
+	if err := seed.Put(old.CacheKey, payload); err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+
+	st := openTestStore(t, dir)
+	e := New(Config{Workers: 1, Store: st})
+	defer e.Close()
+	got, err := e.RunJob(ctx, spec)
+	if err != nil || got.Status != StatusDone {
+		t.Fatalf("run over the old store: %+v, %v", got, err)
+	}
+	if got.CacheHit {
+		t.Fatal("an old-format store entry was served as a hit")
+	}
+	b, err := json.Marshal(got.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, want) {
+		t.Fatalf("recomputed result differs from a fresh engine's:\n%s\nvs\n%s", b, want)
+	}
+	if hits := st.MetricsRef().Hits.Load(); hits != 0 {
+		t.Fatalf("store hits = %d, want 0", hits)
+	}
+	if st.Len() != 2 {
+		t.Fatalf("store Len = %d, want the old entry plus the new one", st.Len())
+	}
+}
+
 func TestEngineStoreNoCacheBypassesStore(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
 	e := New(Config{Workers: 1, Store: st})

@@ -6,13 +6,13 @@
 // The checks encode invariants the rest of the repository depends on
 // but the compiler cannot see:
 //
-//   - determinism: the generation pipeline (internal/core,
-//     internal/justify, internal/faultsim, internal/pathenum,
-//     internal/tval) must be bit-identical run to run — journal
-//     replay, the engine result cache and the perfreg baseline all
-//     key on digests of its output. No unseeded math/rand, no
-//     time.Now outside telemetry-annotated call sites, no map
-//     iteration feeding an ordered result without a sort.
+//   - determinism: everything between a job's spec and its result
+//     (internal/circuit, synth, experiments, pathenum, robust, faults,
+//     core, justify, tval, bitsim, faultsim) must be bit-identical: the
+//     result cache serves it by (circuit, spec) alone, before prepare,
+//     and journal replay and perfbench compare it. No unseeded
+//     math/rand, no time.Now outside telemetry-annotated call sites,
+//     no map iteration feeding an ordered result without a sort.
 //   - lock discipline: no channel operation or blocking call while a
 //     sync.Mutex/RWMutex is held, and no Lock without a reachable
 //     Unlock in the same function.
@@ -234,11 +234,11 @@ type Config struct {
 func DefaultConfig() *Config {
 	return &Config{
 		DeterministicPkgs: []string{
-			"repro/internal/core",
-			"repro/internal/justify",
-			"repro/internal/faultsim",
-			"repro/internal/pathenum",
-			"repro/internal/tval",
+			// Everything between a job's spec and its result.
+			"repro/internal/circuit", "repro/internal/synth", "repro/internal/experiments",
+			"repro/internal/pathenum", "repro/internal/robust", "repro/internal/faults",
+			"repro/internal/core", "repro/internal/justify", "repro/internal/tval",
+			"repro/internal/bitsim", "repro/internal/faultsim",
 		},
 		LongLivedPkgs: []string{
 			"repro/internal/cluster",
