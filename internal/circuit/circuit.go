@@ -16,7 +16,6 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/tval"
 )
@@ -333,34 +332,6 @@ func (c *Circuit) IsCompletePath(path []int) bool {
 		return false
 	}
 	return c.Lines[path[0]].Kind == LinePI && c.Lines[path[len(path)-1]].IsPOEnd
-}
-
-// SupportPIs returns the PI line IDs in the transitive fanin of the
-// given nets (PI or stem line IDs), sorted ascending.
-func (c *Circuit) SupportPIs(nets []int) []int {
-	seen := make(map[int]bool)
-	var out []int
-	var visit func(net int)
-	visit = func(net int) {
-		if seen[net] {
-			return
-		}
-		seen[net] = true
-		l := &c.Lines[net]
-		switch l.Kind {
-		case LinePI:
-			out = append(out, net)
-		case LineStem:
-			for _, in := range c.Gates[l.Gate].InNets {
-				visit(in)
-			}
-		}
-	}
-	for _, n := range nets {
-		visit(c.Lines[n].Net)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Stats summarizes circuit size.

@@ -253,20 +253,6 @@ func TestValidatePath(t *testing.T) {
 	}
 }
 
-func TestSupportPIs(t *testing.T) {
-	c := buildSmall(t)
-	or := c.LineByName("or1")
-	got := c.SupportPIs([]int{or.ID})
-	want := []int{c.LineByName("b").ID, c.LineByName("c").ID}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("SupportPIs(or1) = %v, want %v", got, want)
-	}
-	y := c.LineByName("y")
-	if got := c.SupportPIs([]int{y.ID}); len(got) != 3 {
-		t.Errorf("SupportPIs(y) = %v, want all 3 PIs", got)
-	}
-}
-
 func TestPathString(t *testing.T) {
 	c := buildSmall(t)
 	p := []int{c.LineByName("a").ID, c.LineByName("y").ID}

@@ -156,3 +156,130 @@ func TestSimulatorsMatchSimulateTriples(t *testing.T) {
 		}
 	}
 }
+
+// faninCone marks the transitive fanin of the given nets.
+func faninCone(c *circuit.Circuit, nets []int) []bool {
+	cone := make([]bool, len(c.Lines))
+	var visit func(net int)
+	visit = func(net int) {
+		if cone[net] {
+			return
+		}
+		cone[net] = true
+		if g := c.Lines[net].Gate; g >= 0 {
+			for _, in := range c.Gates[g].InNets {
+				visit(in)
+			}
+		}
+	}
+	for _, n := range nets {
+		visit(n)
+	}
+	return cone
+}
+
+// TestAssignWithinMatchesAssign drives a full and a cone-limited
+// simulator through the same x-bearing assignment orders. Inside the
+// cone the two must agree on every net and plane; outside it only the
+// assigned primary inputs may change; every changed list stays inside
+// cone ∪ {pi}; and a tentative cone-limited assignment rolls back to
+// the exact prior state.
+func TestAssignWithinMatchesAssign(t *testing.T) {
+	circuits := []*circuit.Circuit{sharedPinCircuit(t)}
+	for seed := int64(1); seed <= 6; seed++ {
+		circuits = append(circuits, circuit.RandomTestCircuit(t, seed, 10, 40))
+	}
+	r := rand.New(rand.NewSource(5))
+	type pos struct{ pi, plane int }
+	for _, c := range circuits {
+		var nets []int // PIs and stems
+		for id := range c.Lines {
+			if c.Lines[id].Net == id {
+				nets = append(nets, id)
+			}
+		}
+		for trial := 0; trial < 40; trial++ {
+			roots := make([]int, 1+r.Intn(3))
+			for i := range roots {
+				roots[i] = nets[r.Intn(len(nets))]
+			}
+			cone := faninCone(c, roots)
+			tp := randomTests(c, r, 1)[0]
+			var order []pos
+			for i, pi := range c.PIs {
+				if tp.P1[i] != tval.X {
+					order = append(order, pos{pi, 0})
+				}
+				if tp.P3[i] != tval.X {
+					order = append(order, pos{pi, 2})
+				}
+				if tp.P1[i] != tval.X && tp.P1[i] == tp.P3[i] {
+					order = append(order, pos{pi, 1})
+				}
+			}
+			r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			value := func(p pos) tval.V {
+				i := c.PIIndex(p.pi)
+				if p.plane == 2 {
+					return tp.P3[i]
+				}
+				return tp.P1[i]
+			}
+
+			full, coned := circuit.NewSimulator(c), circuit.NewSimulator(c)
+			assigned := make(map[int]bool)
+			checkChanged := func(changed []int, pi int) {
+				for _, n := range changed {
+					if n != pi && !cone[n] {
+						t.Fatalf("%s trial %d: net %s changed outside the cone", c.Name, trial, c.Lines[n].Name)
+					}
+				}
+			}
+			for step, p := range order {
+				// A tentative assignment of a still-x position must
+				// roll back to the exact prior state.
+				pi := c.PIs[r.Intn(len(c.PIs))]
+				if plane := 2 * r.Intn(2); coned.Value(pi, plane) == tval.X {
+					var before [circuit.NumPlanes][]tval.V
+					for pl := range before {
+						for id := range c.Lines {
+							before[pl] = append(before[pl], coned.Value(id, pl))
+						}
+					}
+					m := coned.Snapshot()
+					checkChanged(coned.AssignWithin(pi, plane, tval.V(r.Intn(2)), cone), pi)
+					coned.RollbackTo(m)
+					for pl := range before {
+						for id := range c.Lines {
+							if got := coned.Value(id, pl); got != before[pl][id] {
+								t.Fatalf("%s trial %d step %d: rollback left line %s plane %d at %v, want %v",
+									c.Name, trial, step, c.Lines[id].Name, pl, got, before[pl][id])
+							}
+						}
+					}
+				}
+
+				v := value(p)
+				full.Assign(p.pi, p.plane, v)
+				checkChanged(coned.AssignWithin(p.pi, p.plane, v, cone), p.pi)
+				assigned[p.pi] = true
+				for id := range c.Lines {
+					net := c.Lines[id].Net
+					for pl := 0; pl < circuit.NumPlanes; pl++ {
+						got, want := coned.Value(id, pl), full.Value(id, pl)
+						switch {
+						case cone[net] || assigned[net]:
+							if got != want {
+								t.Fatalf("%s trial %d step %d: line %s plane %d: cone-limited %v, full %v",
+									c.Name, trial, step, c.Lines[id].Name, pl, got, want)
+							}
+						case got != tval.X:
+							t.Fatalf("%s trial %d step %d: line %s outside the cone set to %v on plane %d",
+								c.Name, trial, step, c.Lines[id].Name, got, pl)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -100,6 +100,15 @@ func (s *Simulator) ClearUndo() { s.undo = s.undo[:0] }
 // different specified value panics, as the incremental propagation
 // only supports x → 0/1 refinement.
 func (s *Simulator) Assign(pi, plane int, v tval.V) []int {
+	return s.AssignWithin(pi, plane, v, nil)
+}
+
+// AssignWithin is Assign propagating only into gates whose output net
+// is marked in within (indexed by net; nil marks every net). When
+// within is closed under fanin (a marked net's gate reads only marked
+// nets), the marked nets change exactly as under Assign, and no other
+// net but pi changes.
+func (s *Simulator) AssignWithin(pi, plane int, v tval.V, within []bool) []int {
 	vals := s.val[plane]
 	old := vals[pi]
 	if old == v {
@@ -114,7 +123,7 @@ func (s *Simulator) Assign(pi, plane int, v tval.V) []int {
 	s.changed = append(s.changed, pi)
 
 	s.epoch++
-	maxLv := s.enqueue(pi, -1)
+	maxLv := s.enqueue(pi, -1, within)
 	// A consumer sits at a higher level than its producer, so the
 	// level-ordered drain empties every bucket it fills.
 	for lv := 0; lv <= maxLv; lv++ {
@@ -126,7 +135,7 @@ func (s *Simulator) Assign(pi, plane int, v tval.V) []int {
 				s.undo = append(s.undo, undoEntry{plane, out, vals[out]})
 				vals[out] = nv
 				s.changed = append(s.changed, out)
-				maxLv = s.enqueue(out, maxLv)
+				maxLv = s.enqueue(out, maxLv, within)
 			}
 		}
 		s.buckets[lv] = s.buckets[lv][:0]
@@ -134,11 +143,14 @@ func (s *Simulator) Assign(pi, plane int, v tval.V) []int {
 	return s.changed
 }
 
-// enqueue schedules the consumers of net not yet scheduled by the
-// current Assign and returns the highest level scheduled, at least
-// maxLv.
-func (s *Simulator) enqueue(net, maxLv int) int {
+// enqueue schedules the consumers of net inside within not yet
+// scheduled by the current Assign and returns the highest level
+// scheduled, at least maxLv.
+func (s *Simulator) enqueue(net, maxLv int, within []bool) int {
 	for _, gi := range s.c.Fanout(net) {
+		if within != nil && !within[s.c.Gates[gi].Out] {
+			continue
+		}
 		if s.stamp[gi] != s.epoch {
 			s.stamp[gi] = s.epoch
 			lv := s.c.Level(gi)

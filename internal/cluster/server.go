@@ -84,37 +84,30 @@ type HealthView struct {
 // envelope with two added codes: no_backend and backend_down.
 func NewServer(c *Coordinator) http.Handler {
 	s := &clusterServer{c: c, auth: engine.NewTenantAuth(c.cfg.Tenants)}
-	mux := http.NewServeMux()
-	// route registers the job routes behind tenant auth (a no-op
-	// resolver when Config.Tenants carries no keys) and the trace edge:
-	// a request arriving without a traceparent gets one minted here,
-	// head-sampled at the configured rate, so every backend hop it fans
-	// into shares one trace ID. open keeps the liveness and metrics
-	// planes scrapeable without credentials.
+	// The job routes sit behind tenant auth (a no-op resolver when
+	// Config.Tenants carries no keys) and the trace edge: a request
+	// arriving without a traceparent gets one minted here, head-sampled
+	// at the configured rate, so every backend hop it fans into shares
+	// one trace ID. The liveness and metrics planes stay open.
 	edge := func(h http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			ctx, _ := c.ensureTraceContext(r.Context())
 			h(w, r.WithContext(ctx))
 		}
 	}
-	route := func(pattern, name string, h http.HandlerFunc) {
-		mux.Handle(pattern, obs.Middleware(name, c.cfg.Logger, c.httpMetrics, s.auth.Wrap(edge(h))))
-	}
-	open := func(pattern, name string, h http.HandlerFunc) {
-		mux.Handle(pattern, obs.Middleware(name, c.cfg.Logger, c.httpMetrics, h))
-	}
-	route("POST /v1/jobs", "jobs.submit", s.submit)
-	route("POST /v1/jobs:batch", "jobs.batch", s.batch)
-	route("GET /v1/jobs/{backend}/{id}", "jobs.get", s.proxyGet)
-	route("DELETE /v1/jobs/{backend}/{id}", "jobs.cancel", s.proxyCancel)
-	route("GET /v1/jobs/{backend}/{id}/trace", "jobs.trace", s.proxyTrace)
-	route("GET /v1/jobs/{backend}/{id}/events", "jobs.events", s.proxyEvents)
-	route("GET /v1/traces", "traces.list", s.tracesList)
-	route("GET /v1/traces/{trace_id}", "traces.get", s.tracesGet)
-	open("GET /v1/healthz", "healthz", s.healthz)
-	open("GET /v1/version", "version", s.version)
-	open("GET /v1/metrics", "metrics", c.registry.ServeHTTP)
-	return mux
+	mux := engine.Mux{ServeMux: http.NewServeMux(), Logger: c.cfg.Logger, Metrics: c.httpMetrics, Auth: s.auth}
+	mux.Route("POST /v1/jobs", "jobs.submit", edge(s.submit))
+	mux.Route("POST /v1/jobs:batch", "jobs.batch", edge(s.batch))
+	mux.Route("GET /v1/jobs/{backend}/{id}", "jobs.get", edge(s.proxyGet))
+	mux.Route("DELETE /v1/jobs/{backend}/{id}", "jobs.cancel", edge(s.proxyCancel))
+	mux.Route("GET /v1/jobs/{backend}/{id}/trace", "jobs.trace", edge(s.proxyTrace))
+	mux.Route("GET /v1/jobs/{backend}/{id}/events", "jobs.events", edge(s.proxyEvents))
+	mux.Route("GET /v1/traces", "traces.list", edge(s.tracesList))
+	mux.Route("GET /v1/traces/{trace_id}", "traces.get", edge(s.tracesGet))
+	mux.Open("GET /v1/healthz", "healthz", s.healthz)
+	mux.Open("GET /v1/version", "version", s.version)
+	mux.Open("GET /v1/metrics", "metrics", c.registry.ServeHTTP)
+	return mux.ServeMux
 }
 
 type clusterServer struct {

@@ -136,23 +136,24 @@ func (r *Result) ensureSets(k int) {
 	}
 }
 
-// backend abstracts the two justification procedures.
+// backend abstracts the two justification procedures. im holds the
+// implications of the cube, or is nil when the backend derives them.
 type backend interface {
-	justifyCube(cube *robust.Cube) (circuit.TwoPattern, bool)
+	justifyCube(cube *robust.Cube, im *robust.Implier) (circuit.TwoPattern, bool)
 	stats() justify.Stats
 }
 
 type randomizedBackend struct{ j *justify.Justifier }
 
-func (b randomizedBackend) justifyCube(cube *robust.Cube) (circuit.TwoPattern, bool) {
-	return b.j.Justify(cube)
+func (b randomizedBackend) justifyCube(cube *robust.Cube, im *robust.Implier) (circuit.TwoPattern, bool) {
+	return b.j.JustifyImplied(cube, im)
 }
 func (b randomizedBackend) stats() justify.Stats { return b.j.Stats() }
 
 type bnbBackend struct{ b *justify.BnB }
 
-func (b bnbBackend) justifyCube(cube *robust.Cube) (circuit.TwoPattern, bool) {
-	test, ok, _ := b.b.Justify(cube)
+func (b bnbBackend) justifyCube(cube *robust.Cube, im *robust.Implier) (circuit.TwoPattern, bool) {
+	test, ok, _ := b.b.JustifyImplied(cube, im)
 	return test, ok
 }
 func (b bnbBackend) stats() justify.Stats {
@@ -353,9 +354,11 @@ func EnrichCtx(ctx context.Context, c *circuit.Circuit, p0, p1 []robust.FaultCon
 // alternative is first extended onto them: an alternative whose
 // implications conflict is one the backend would reject before any
 // search, so it is skipped without merging or justifying, which
-// leaves the backend's random stream as it was. The extension of the
-// accepted alternative is kept, so g.im then holds the implications of
-// the returned cube.
+// leaves the backend's random stream as it was. The extension is the
+// implication closure of the merged cube, so the backend seeds from it
+// instead of deriving it again; the extension of the accepted
+// alternative is kept, so g.im then holds the implications of the
+// returned cube.
 func (g *generator) justifyFault(i int, base *robust.Cube) (circuit.TwoPattern, robust.Cube, bool) {
 	if g.im != nil && base == nil {
 		g.im.Rollback(0)
@@ -375,7 +378,7 @@ func (g *generator) justifyFault(i int, base *robust.Cube) (circuit.TwoPattern, 
 			cube, ok = base.Merge(alt)
 		}
 		if ok {
-			if test, ok := g.just.justifyCube(&cube); ok {
+			if test, ok := g.just.justifyCube(&cube, g.im); ok {
 				return test, cube, true
 			}
 		}

@@ -1,0 +1,33 @@
+package core_test
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/experiments"
+)
+
+// BenchmarkEnrichS953 runs the per-job work of perfbench's enrich-cold
+// workload without the engine: prepare (path enumeration, screening,
+// partition) and enrichment on s953 with N_P 1000 and N_P0 200, for
+// seeds 1–6. One iteration is six jobs. A CPU profile of the
+// justification hot path:
+//
+//	go test -run '^$' -bench EnrichS953 -cpuprofile cpu.out ./internal/core/
+func BenchmarkEnrichS953(b *testing.B) {
+	c, err := experiments.LoadCircuit("s953")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for seed := int64(1); seed <= 6; seed++ {
+			d, err := experiments.PrepareCircuit(c, experiments.Params{NP: 1000, NP0: 200, Seed: seed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			core.Enrich(c, d.P0, d.P1, core.Config{Seed: seed})
+		}
+	}
+}

@@ -98,33 +98,41 @@ func NewServerWith(e *Engine, sc ServerConfig) http.Handler {
 		sc.Registry = e.Registry()
 	}
 	s := &server{e: e, cfg: sc, auth: NewTenantAuth(e.cfg.Tenants)}
-	mux := http.NewServeMux()
+	mux := Mux{http.NewServeMux(), sc.Logger, e.httpMetrics, s.auth}
+	mux.Route("POST /v1/jobs", "jobs.submit", s.submit)
+	mux.Route("GET /v1/jobs", "jobs.list", s.list)
+	mux.Route("GET /v1/jobs/{id}", "jobs.get", s.get)
+	mux.Route("DELETE /v1/jobs/{id}", "jobs.cancel", s.cancel)
+	mux.Route("GET /v1/jobs/{id}/trace", "jobs.trace", s.trace)
+	mux.Route("GET /v1/jobs/{id}/events", "jobs.events", s.jobEvents)
+	mux.Route("GET /v1/cache/{key...}", "cache.get", s.cacheGet)
+	mux.Route("PUT /v1/cache/{key...}", "cache.put", s.cachePut)
+	mux.Route("GET /v1/traces", "traces.list", s.tracesList)
+	mux.Route("GET /v1/traces/{trace_id}", "traces.get", s.tracesGet)
+	mux.Open("GET /v1/healthz", "healthz", s.healthz)
+	mux.Open("GET /v1/version", "version", s.version)
+	mux.Open("GET /v1/metrics", "metrics", sc.Registry.ServeHTTP)
+	return mux.ServeMux
+}
 
-	// route registers pattern with tenant auth and the observability
-	// middleware.
-	route := func(pattern, name string, h http.HandlerFunc) {
-		mux.Handle(pattern, obs.Middleware(name, sc.Logger, e.httpMetrics, s.auth.Wrap(h)))
-	}
-	// open registers pattern without auth: the liveness and metrics
-	// planes stay scrapeable by probes and Prometheus.
-	open := func(pattern, name string, h http.HandlerFunc) {
-		mux.Handle(pattern, obs.Middleware(name, sc.Logger, e.httpMetrics, h))
-	}
+// Mux registers the routes of pdfd and of the coordinator, each under
+// the access-log and metrics middleware labelled with its route name.
+type Mux struct {
+	*http.ServeMux
+	Logger  *slog.Logger
+	Metrics *obs.HTTPMetrics
+	Auth    *TenantAuth
+}
 
-	route("POST /v1/jobs", "jobs.submit", s.submit)
-	route("GET /v1/jobs", "jobs.list", s.list)
-	route("GET /v1/jobs/{id}", "jobs.get", s.get)
-	route("DELETE /v1/jobs/{id}", "jobs.cancel", s.cancel)
-	route("GET /v1/jobs/{id}/trace", "jobs.trace", s.trace)
-	route("GET /v1/jobs/{id}/events", "jobs.events", s.jobEvents)
-	route("GET /v1/cache/{key...}", "cache.get", s.cacheGet)
-	route("PUT /v1/cache/{key...}", "cache.put", s.cachePut)
-	route("GET /v1/traces", "traces.list", s.tracesList)
-	route("GET /v1/traces/{trace_id}", "traces.get", s.tracesGet)
-	open("GET /v1/healthz", "healthz", s.healthz)
-	open("GET /v1/version", "version", s.version)
-	open("GET /v1/metrics", "metrics", sc.Registry.ServeHTTP)
-	return mux
+// Route registers h behind tenant auth.
+func (m Mux) Route(pattern, name string, h http.HandlerFunc) {
+	m.Handle(pattern, obs.Middleware(name, m.Logger, m.Metrics, m.Auth.Wrap(h)))
+}
+
+// Open registers h without auth: the liveness and metrics planes stay
+// scrapeable by probes and Prometheus.
+func (m Mux) Open(pattern, name string, h http.HandlerFunc) {
+	m.Handle(pattern, obs.Middleware(name, m.Logger, m.Metrics, h))
 }
 
 type server struct {

@@ -28,14 +28,12 @@ type BnBConfig struct {
 // Unlike Justifier, BnB either finds a test, proves that none exists
 // (no fully specified two-pattern test covers the cube), or gives up
 // at its backtrack bound.
+//
+// The search reads only primary-input positions and required nets, so
+// every assignment propagates within the cube's cone.
 type BnB struct {
-	c   *circuit.Circuit
-	sim *circuit.Simulator
-	im  *robust.Implier
+	reqSim
 	cfg BnBConfig
-
-	req     []tval.Triple
-	reqList []int
 
 	backtracks int
 	stats      BnBStats
@@ -52,17 +50,7 @@ func NewBnB(c *circuit.Circuit, cfg BnBConfig) *BnB {
 	if cfg.MaxBacktracks == 0 {
 		cfg.MaxBacktracks = 20000
 	}
-	b := &BnB{
-		c:   c,
-		sim: circuit.NewSimulator(c),
-		im:  robust.NewImplier(c),
-		cfg: cfg,
-		req: make([]tval.Triple, len(c.Lines)),
-	}
-	for i := range b.req {
-		b.req[i] = tval.TX
-	}
-	return b
+	return &BnB{reqSim: newReqSim(c), cfg: cfg}
 }
 
 // Stats returns accumulated counters.
@@ -74,40 +62,32 @@ func (b *BnB) Stats() BnBStats { return b.stats }
 // two-pattern test covers the cube (the fault combination is
 // untestable), proven=false means the backtrack bound was hit.
 func (b *BnB) Justify(cube *robust.Cube) (test circuit.TwoPattern, ok, proven bool) {
+	return b.JustifyImplied(cube, nil)
+}
+
+// JustifyImplied is Justify seeded from im, which holds the
+// implications of the cube (see Justifier.JustifyImplied); nil derives
+// them.
+func (b *BnB) JustifyImplied(cube *robust.Cube, im *robust.Implier) (test circuit.TwoPattern, ok, proven bool) {
 	b.stats.Calls++
-	defer func() {
-		for _, net := range b.reqList {
-			b.req[net] = tval.TX
-		}
-		b.reqList = b.reqList[:0]
-	}()
-	for i, net := range cube.Nets {
-		b.req[net] = cube.Vals[i]
-		b.reqList = append(b.reqList, net)
-	}
-	b.sim.Reset()
+	b.load(cube)
+	defer b.clear()
 	b.backtracks = 0
 
-	if !b.cfg.DisableImplicationSeed {
-		if !b.im.ImplyConsistent(cube) {
-			b.stats.Proofs++
-			return test, false, true
-		}
-		for _, pi := range b.c.PIs {
-			for _, plane := range []int{0, 2} {
-				if v := b.im.Value(pi, plane); v != tval.X {
-					if b.apply(pi, plane, v) {
-						b.stats.Proofs++
-						return test, false, true
-					}
-				}
-			}
-		}
+	if !b.cfg.DisableImplicationSeed && !b.seed(cube, im, b.cone) {
+		b.stats.Proofs++
+		return test, false, true
 	}
 
-	// Decision positions: both pattern planes of every support-cone
-	// input, most-connected inputs first for stronger early pruning.
-	cone := b.c.SupportPIs(cube.Nets)
+	// Decision positions: both pattern planes of every input in the
+	// cone, most-connected inputs first for stronger early pruning.
+	var cone []int
+	for _, net := range b.coneList {
+		if b.c.Lines[net].Kind == circuit.LinePI {
+			cone = append(cone, net)
+		}
+	}
+	sort.Ints(cone)
 	positions := make([]position, 0, 2*len(cone))
 	for _, pi := range cone {
 		positions = append(positions, position{pi, 0}, position{pi, 2})
@@ -143,13 +123,13 @@ func (b *BnB) search(cube *robust.Cube, positions []position) (found, exhausted 
 		positions = positions[1:]
 	}
 	if len(positions) == 0 {
-		return b.coveredAfterFill(cube), true
+		return b.covers(cube), true
 	}
 	pos := positions[0]
 	exhausted = true
 	for _, v := range []tval.V{tval.Zero, tval.One} {
 		m := b.sim.Snapshot()
-		if !b.apply(pos.net, pos.plane, v) {
+		if !b.apply(pos.net, pos.plane, v, b.cone, nil) {
 			f, ex := b.search(cube, positions[1:])
 			if f {
 				return true, true
@@ -166,65 +146,4 @@ func (b *BnB) search(cube *robust.Cube, positions []position) (found, exhausted 
 		}
 	}
 	return false, exhausted
-}
-
-// apply assigns a pattern position (with the stable-input intermediate
-// coupling) and reports whether a requirement is contradicted.
-func (b *BnB) apply(pi, plane int, v tval.V) (conflict bool) {
-	if b.sim.Value(pi, plane) == v {
-		return false
-	}
-	if b.check(b.sim.Assign(pi, plane, v), plane) {
-		return true
-	}
-	other := 2 - plane
-	if b.sim.Value(pi, other) == v && b.sim.Value(pi, 1) == tval.X {
-		if b.check(b.sim.Assign(pi, 1, v), 1) {
-			return true
-		}
-	}
-	return false
-}
-
-func (b *BnB) check(changed []int, plane int) (conflict bool) {
-	for _, n := range changed {
-		r := b.req[n]
-		if r == tval.TX {
-			continue
-		}
-		if want := r.At(plane); want != tval.X && b.sim.Value(n, plane) != want {
-			return true
-		}
-	}
-	return false
-}
-
-// coveredAfterFill checks coverage once every cone position is
-// specified. Inputs outside the cone cannot influence required nets;
-// they are filled with stable zeros in the extracted test.
-func (b *BnB) coveredAfterFill(cube *robust.Cube) bool {
-	for i, net := range cube.Nets {
-		if !cube.Vals[i].Covers(b.sim.Triple(net)) {
-			return false
-		}
-	}
-	return true
-}
-
-func (b *BnB) extract() circuit.TwoPattern {
-	t := circuit.TwoPattern{
-		P1: make([]tval.V, len(b.c.PIs)),
-		P3: make([]tval.V, len(b.c.PIs)),
-	}
-	for i, net := range b.c.PIs {
-		v1, v3 := b.sim.Value(net, 0), b.sim.Value(net, 2)
-		if v1 == tval.X {
-			v1 = tval.Zero
-		}
-		if v3 == tval.X {
-			v3 = tval.Zero
-		}
-		t.P1[i], t.P3[i] = v1, v3
-	}
-	return t
 }

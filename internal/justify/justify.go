@@ -22,7 +22,7 @@
 // values must be hazard-free under the conservative three-plane
 // simulation) and returned.
 //
-// Three engineering refinements keep the procedure fast without
+// Four engineering refinements keep the procedure fast without
 // changing its character:
 //
 //   - the justifier seeds the input values with the implications of
@@ -31,13 +31,19 @@
 //     may have changed, tracked with precomputed reachability bitsets;
 //   - and among those, to inputs whose fanout cone holds a required
 //     net: a probe of any other input changes no required net, so it
-//     can never rule a value out.
+//     can never rule a value out;
+//   - a probe propagates only within the cube's cone, the transitive
+//     fanin of its required nets: it is rolled back, and can conflict
+//     only on a required net, whose value the cone alone determines.
+//     Committed assignments propagate fully, because the dirty
+//     tracking reads every net they change.
 //
 // With implication seeding on, a cube whose implications conflict
 // fails before any probe or random draw. A caller that already holds
 // the implications of a cube can therefore reject such extensions of
 // it itself (robust.Implier.Extend) without calling Justify and without
-// changing the results; the secondary-target loop of package core does.
+// changing the results, and seed from the extension it keeps
+// (JustifyImplied); the secondary-target loop of package core does both.
 package justify
 
 import (
@@ -77,9 +83,7 @@ type Stats struct {
 // Justifier generates two-pattern tests satisfying requirement cubes
 // on one circuit. It is not safe for concurrent use.
 type Justifier struct {
-	c   *circuit.Circuit
-	sim *circuit.Simulator
-	im  *robust.Implier
+	reqSim
 	rng *rand.Rand
 	cfg Config
 
@@ -92,8 +96,6 @@ type Justifier struct {
 	// or reaching any gate output fed by net.
 	dirtyMask []uint64
 
-	req     []tval.Triple // per net; TX when unconstrained
-	reqList []int
 	// reqMask is the union of support[] over the current cube's nets:
 	// the PIs whose fanout cone holds a required net. A probe of any
 	// other PI changes no required net, so it can never conflict.
@@ -108,20 +110,14 @@ type Justifier struct {
 // New creates a Justifier for the circuit.
 func New(c *circuit.Circuit, cfg Config) *Justifier {
 	j := &Justifier{
-		c:   c,
-		sim: circuit.NewSimulator(c),
-		im:  robust.NewImplier(c),
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		cfg: cfg,
+		reqSim: newReqSim(c),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		cfg:    cfg,
 	}
 	n := len(c.Lines)
 	j.words = (len(c.PIs) + 63) / 64
 	j.support = make([]uint64, n*j.words)
 	j.dirtyMask = make([]uint64, n*j.words)
-	j.req = make([]tval.Triple, n)
-	for i := range j.req {
-		j.req[i] = tval.TX
-	}
 	j.dirty = make([]uint64, j.words)
 	j.reqMask = make([]uint64, j.words)
 
@@ -163,14 +159,17 @@ func (j *Justifier) Stats() Stats { return j.stats }
 // the procedure is randomized and incomplete, so failure does not
 // prove the cube unsatisfiable.
 func (j *Justifier) Justify(cube *robust.Cube) (test circuit.TwoPattern, ok bool) {
+	return j.JustifyImplied(cube, nil)
+}
+
+// JustifyImplied is Justify for a caller that already holds the
+// implications of the cube in im (see robust.Implier.Extend): the
+// search seeds from them instead of deriving them again, with the
+// same result. A nil im derives them, as Justify does.
+func (j *Justifier) JustifyImplied(cube *robust.Cube, im *robust.Implier) (test circuit.TwoPattern, ok bool) {
 	j.stats.Calls++
-	c := j.c
-	defer j.clearReq()
-	for i, net := range cube.Nets {
-		j.req[net] = cube.Vals[i]
-		j.reqList = append(j.reqList, net)
-	}
-	j.sim.Reset()
+	j.load(cube)
+	defer j.clear()
 	for w := range j.dirty {
 		j.dirty[w] = 0
 		j.reqMask[w] = 0
@@ -181,21 +180,11 @@ func (j *Justifier) Justify(cube *robust.Cube) (test circuit.TwoPattern, ok bool
 		}
 	}
 
-	// Seed with the implications of the cube: every implied primary
-	// input value is necessary.
-	if !j.cfg.DisableImplicationSeed {
-		if !j.im.ImplyConsistent(cube) {
-			return test, false
-		}
-		for i, pi := range c.PIs {
-			for _, plane := range []int{0, 2} {
-				if v := j.im.Value(pi, plane); v != tval.X {
-					if j.applyPos(i, plane, v, true) {
-						return test, false
-					}
-				}
-			}
-		}
+	// Seed with the implications of the cube. Committed values
+	// propagate fully, so every later commit changes, and marks dirty,
+	// the nets it would change in the full simulation.
+	if !j.cfg.DisableImplicationSeed && !j.seed(cube, im, nil) {
+		return test, false
 	}
 
 	// Inputs that can influence a required net must be probed.
@@ -210,7 +199,7 @@ func (j *Justifier) Justify(cube *robust.Cube) (test circuit.TwoPattern, ok bool
 			break
 		}
 		j.stats.Decisions++
-		if j.applyPos(piIdx, plane, v, true) {
+		if j.commit(piIdx, plane, v) {
 			return test, false
 		}
 		if !j.assignNecessary() {
@@ -218,23 +207,14 @@ func (j *Justifier) Justify(cube *robust.Cube) (test circuit.TwoPattern, ok bool
 		}
 	}
 
-	// All inputs specified: verify that the simulated values cover the
-	// cube (required stable values must be hazard-free).
-	for i, net := range cube.Nets {
-		if !cube.Vals[i].Covers(j.sim.Triple(net)) {
-			return test, false
-		}
+	// All inputs specified: verify the simulated values against the
+	// cube.
+	if !j.covers(cube) {
+		return test, false
 	}
 	test = j.extract()
 	j.stats.Successes++
 	return test, true
-}
-
-func (j *Justifier) clearReq() {
-	for _, net := range j.reqList {
-		j.req[net] = tval.TX
-	}
-	j.reqList = j.reqList[:0]
 }
 
 func (j *Justifier) orDirty(mask []uint64) {
@@ -249,6 +229,13 @@ func (j *Justifier) orDirty(mask []uint64) {
 	}
 }
 
+// markDirty extends the dirty set by the nets an assignment changed.
+func (j *Justifier) markDirty(changed []int) {
+	for _, n := range changed {
+		j.orDirty(j.dirtyMask[n*j.words:])
+	}
+}
+
 func (j *Justifier) allDirty() {
 	n := len(j.c.PIs)
 	for w := 0; w < j.words; w++ {
@@ -259,50 +246,20 @@ func (j *Justifier) allDirty() {
 	}
 }
 
-// applyPos assigns pattern position plane∈{0,2} of primary input
-// piIdx, propagates, and reports whether a required value was
-// contradicted. When the other pattern position holds the same value,
-// the intermediate also becomes specified (the input is stable).
-// When commit is true, changed nets extend the dirty set.
-func (j *Justifier) applyPos(piIdx, plane int, v tval.V, commit bool) (conflict bool) {
-	net := j.c.PIs[piIdx]
-	if j.sim.Value(net, plane) == v {
-		return false
-	}
-	if j.consume(j.sim.Assign(net, plane, v), plane, commit) {
-		return true
-	}
-	other := 2 - plane
-	if j.sim.Value(net, other) == v && j.sim.Value(net, 1) == tval.X {
-		if j.consume(j.sim.Assign(net, 1, v), 1, commit) {
-			return true
-		}
-	}
-	return false
-}
-
-// consume checks changed nets against the requirements and, on commit,
-// extends the dirty set.
-func (j *Justifier) consume(changed []int, plane int, commit bool) (conflict bool) {
-	for _, n := range changed {
-		r := j.req[n]
-		if r != tval.TX {
-			if want := r.At(plane); want != tval.X && j.sim.Value(n, plane) != want {
-				conflict = true
-			}
-		}
-		if commit {
-			j.orDirty(j.dirtyMask[n*j.words:])
-		}
-	}
-	return conflict
+// commit permanently assigns a position value of the primary input
+// with index piIdx, extending the dirty set by every net it changes,
+// and reports conflict.
+func (j *Justifier) commit(piIdx, plane int, v tval.V) bool {
+	return j.apply(j.c.PIs[piIdx], plane, v, nil, j.markDirty)
 }
 
 // probe tentatively applies a position value and reports conflict.
+// A probe is rolled back and marks nothing dirty, so it propagates
+// within the cone only.
 func (j *Justifier) probe(piIdx, plane int, v tval.V) bool {
 	j.stats.Probes++
 	m := j.sim.Snapshot()
-	conflict := j.applyPos(piIdx, plane, v, false)
+	conflict := j.apply(j.c.PIs[piIdx], plane, v, j.cone, nil)
 	j.sim.RollbackTo(m)
 	return conflict
 }
@@ -326,11 +283,11 @@ func (j *Justifier) assignNecessary() bool {
 			case c0 && c1:
 				return false
 			case c0:
-				if j.applyPos(piIdx, plane, tval.One, true) {
+				if j.commit(piIdx, plane, tval.One) {
 					return false
 				}
 			case c1:
-				if j.applyPos(piIdx, plane, tval.Zero, true) {
+				if j.commit(piIdx, plane, tval.Zero) {
 					return false
 				}
 			}
@@ -391,18 +348,4 @@ func (j *Justifier) pickDecision() (piIdx, plane int, v tval.V, done bool) {
 	}
 	p := free[j.rng.Intn(len(free))]
 	return p.pi, p.plane, tval.V(j.rng.Intn(2)), false
-}
-
-// extract snapshots the current fully specified input values.
-func (j *Justifier) extract() circuit.TwoPattern {
-	c := j.c
-	t := circuit.TwoPattern{
-		P1: make([]tval.V, len(c.PIs)),
-		P3: make([]tval.V, len(c.PIs)),
-	}
-	for i, net := range c.PIs {
-		t.P1[i] = j.sim.Value(net, 0)
-		t.P3[i] = j.sim.Value(net, 2)
-	}
-	return t
 }
