@@ -4,13 +4,19 @@ GO ?= go
 # refresh it with `make bench` and commit the new file (see PERF.md).
 BENCH_BASELINE ?= BENCH_2026-08-06.json
 
-.PHONY: build test lint race check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check go-bench engine-bench loc
+.PHONY: build test fmt lint race check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check go-bench engine-bench loc
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# The formatting gate: every Go file outside the perfbench build
+# output must be gofmt-clean.
+fmt:
+	@out=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # The project-invariant static analysis (internal/lint + cmd/pdflint):
 # determinism, lock discipline, goroutine hygiene, obs hygiene, plus
@@ -62,10 +68,13 @@ cluster-smoke:
 tenant-smoke:
 	$(GO) test -race -count=1 -run 'TestTenantSmoke' -v ./internal/cli/
 
-# The CI gate: vet + build + full suite under -race + the performance
-# regression gate against the committed baseline.
+# The CI gate: formatting + vet (perfbench too: it is a separate module
+# that compiles against internal APIs) + build + full suite under -race
+# + the performance regression gate against the committed baseline.
 check:
+	$(MAKE) fmt
 	$(GO) vet ./...
+	cd perfbench && GOWORK=off $(GO) vet ./...
 	$(MAKE) lint
 	$(GO) build ./...
 	$(GO) test -race ./...

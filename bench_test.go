@@ -332,7 +332,7 @@ func BenchmarkFaultSimulation(b *testing.B) {
 		sim := test.Simulate(d.Circuit)
 		n := 0
 		for f := range all {
-			if faultsim.DetectsSim(&all[f], sim) {
+			if all[f].DetectedBy(sim) {
 				n++
 			}
 		}

@@ -1,30 +1,29 @@
-// Package core implements the paper's test generation procedures: the
-// basic dynamic-compaction ATPG with primary and secondary target
-// faults (Section 2.2) and the test enrichment procedure with multiple
-// sets of target faults (Section 3.2).
+// Package core implements the paper's test generation procedure: the
+// dynamic-compaction ATPG with primary and secondary target faults
+// (Section 2.2) run over an ordered list of target sets, the test
+// enrichment procedure of Section 3.2. The basic procedure of Section 2
+// is the one-set case.
 //
-// Every test starts from a primary target fault. Secondary target
-// faults are added to the set P(t) one at a time; after each addition
-// the justification procedure regenerates a test satisfying the union
-// of the A(p) cubes of P(t) — the addition is accepted only if
-// regeneration succeeds. Once a test is complete, all remaining target
-// faults are fault simulated against it and detected faults are
-// dropped.
-//
-// The enrichment procedure runs the same loop with two target sets:
-// primaries come only from P0; secondaries come from P0 first and,
-// only when P0 is exhausted, from P1. Faults in P1 are therefore
-// detected without increasing the number of tests.
+// Every test starts from a primary target fault of the first set.
+// Secondary target faults are added to the set P(t) one at a time;
+// after each addition the justification procedure regenerates a test
+// satisfying the union of the A(p) cubes of P(t) — the addition is
+// accepted only if regeneration succeeds. Secondaries come from the
+// first set, then, once it is exhausted for the current test, from the
+// second, and so on: with two sets P0 and P1, faults of P1 are detected
+// without increasing the number of tests. Once a test is complete, all
+// remaining target faults are fault simulated against it and detected
+// faults are dropped.
 package core
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/faultsim"
 	"repro/internal/justify"
 	"repro/internal/obs"
 	"repro/internal/robust"
@@ -98,10 +97,13 @@ type Config struct {
 	BnB justify.BnBConfig
 }
 
-// Result reports a run of the basic procedure over one target set.
+// Result reports a run of the procedure. Generate returns it as is;
+// the enrichment results embed it and view its detection flags per
+// target set.
 type Result struct {
 	Tests []circuit.TwoPattern
-	// Detected[i] reports whether target fault i was detected.
+	// Detected[i] reports whether target fault i was detected, with the
+	// faults of all target sets numbered in set order.
 	Detected []bool
 	// DetectedCount is the number of detected target faults.
 	DetectedCount int
@@ -112,8 +114,9 @@ type Result struct {
 	SecondaryAccepts, SecondaryRejects, CheapAccepts int
 	// SecondaryAcceptsBySet / SecondaryRejectsBySet split the
 	// secondary outcomes by the target set (phase) the candidate came
-	// from: index s counts candidates of sets[s] in EnrichK terms
-	// (Generate runs a single set, so only index 0 is populated).
+	// from: index s counts candidates of sets[s] in EnrichK terms.
+	// Generate runs a single set, so only index 0 is populated, and
+	// both stay nil when no test was compacted.
 	SecondaryAcceptsBySet, SecondaryRejectsBySet []int
 	// RegenPerTest[t] counts the test regenerations of test t: each
 	// accepted secondary whose conditions were not already covered
@@ -163,11 +166,15 @@ func (b bnbBackend) stats() justify.Stats {
 
 // generator holds the shared state of one run.
 type generator struct {
-	c        *circuit.Circuit
-	cfg      Config
-	ctx      context.Context // nil means never canceled
-	just     backend
-	faults   []robust.FaultConditions
+	c      *circuit.Circuit
+	cfg    Config
+	ctx    context.Context
+	just   backend
+	faults []robust.FaultConditions
+	// setOf[i] is the index of the target set fault i came from; k is
+	// the number of sets.
+	setOf    []int
+	k        int
 	detected []bool
 	tried    []bool
 	// order is the iteration order of primaries and secondary
@@ -184,13 +191,13 @@ type generator struct {
 }
 
 // canceled reports whether the run's context has been canceled; the
-// generation loops poll it between primary targets and between
+// generation loop polls it between primary targets and between
 // secondary candidates.
 func (g *generator) canceled() bool {
-	return g.ctx != nil && g.ctx.Err() != nil
+	return g.ctx.Err() != nil
 }
 
-func newGenerator(c *circuit.Circuit, fcs []robust.FaultConditions, cfg Config) *generator {
+func newGenerator(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultConditions, cfg Config) *generator {
 	var be backend
 	if cfg.UseBnB {
 		be = bnbBackend{justify.NewBnB(c, cfg.BnB)}
@@ -199,13 +206,22 @@ func newGenerator(c *circuit.Circuit, fcs []robust.FaultConditions, cfg Config) 
 		jcfg.Seed = cfg.Seed
 		be = randomizedBackend{justify.New(c, jcfg)}
 	}
+	fcs := slices.Concat(sets...)
 	g := &generator{
 		c:        c,
 		cfg:      cfg,
+		ctx:      ctx,
 		just:     be,
 		faults:   fcs,
+		setOf:    make([]int, 0, len(fcs)),
+		k:        len(sets),
 		detected: make([]bool, len(fcs)),
 		tried:    make([]bool, len(fcs)),
+	}
+	for s, set := range sets {
+		for range set {
+			g.setOf = append(g.setOf, s)
+		}
 	}
 	g.order = rand.New(rand.NewSource(cfg.Seed)).Perm(len(fcs))
 	if cfg.Heuristic != Arbitrary {
@@ -235,16 +251,22 @@ func Generate(c *circuit.Circuit, fcs []robust.FaultConditions, cfg Config) *Res
 // ctx.Err(). Cancellation is observed between primary targets and
 // between secondary candidates.
 func GenerateCtx(ctx context.Context, c *circuit.Circuit, fcs []robust.FaultConditions, cfg Config) (*Result, error) {
+	return run(ctx, c, [][]robust.FaultConditions{fcs}, cfg)
+}
+
+// run is the one generation loop: primaries come from sets[0] and each
+// test is compacted with secondaries phased over sets (unless the
+// heuristic is Uncompacted), then fault simulated to drop what it
+// detects.
+func run(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultConditions, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now() //lint:telemetry feeds Result.Elapsed only, never a generation decision
-	g := newGenerator(c, fcs, cfg)
-	g.ctx = ctx
+	g := newGenerator(ctx, c, sets, cfg)
 	res := &Result{}
-	setOf := make([]int, len(fcs))
 	for !g.canceled() {
-		pi := g.pickPrimarySet(setOf, 0)
+		pi := g.pickPrimary()
 		if pi < 0 {
 			break
 		}
@@ -255,27 +277,42 @@ func GenerateCtx(ctx context.Context, c *circuit.Circuit, fcs []robust.FaultCond
 			continue
 		}
 		if cfg.Heuristic != Uncompacted {
-			test = g.compactTest(ctx, pi, test, cube, res, setOf, 1)
+			test = g.compactTest(ctx, pi, test, cube, res)
 		} else {
 			res.RegenPerTest = append(res.RegenPerTest, 0)
 		}
 		res.Tests = append(res.Tests, test)
 		g.simDrop(ctx, test)
 	}
-	g.fill(res)
+	res.Detected = g.detected
+	for _, d := range g.detected {
+		if d {
+			res.DetectedCount++
+		}
+	}
 	res.Elapsed = time.Since(start) //lint:telemetry wall-clock report, not part of the digest
 	res.JustifyStats = g.just.stats()
 	return res, ctx.Err()
 }
 
+// pickPrimary picks the next primary from the first target set.
+func (g *generator) pickPrimary() int {
+	for _, i := range g.order {
+		if g.setOf[i] == 0 && !g.detected[i] && !g.tried[i] {
+			return i
+		}
+	}
+	return -1
+}
+
 // compactTest is addSecondariesPhased under a "compaction" span on the
 // job timeline — one span per generated test, attributed with the
 // secondary accept/reject deltas.
-func (g *generator) compactTest(ctx context.Context, primary int, test circuit.TwoPattern, cube robust.Cube, res *Result, setOf []int, k int) circuit.TwoPattern {
+func (g *generator) compactTest(ctx context.Context, primary int, test circuit.TwoPattern, cube robust.Cube, res *Result) circuit.TwoPattern {
 	accepts, rejects, cheap := res.SecondaryAccepts, res.SecondaryRejects, res.CheapAccepts
 	_, span := obs.StartSpan(ctx, "compaction",
 		obs.String("heuristic", g.cfg.Heuristic.String()), obs.Int("test", len(res.Tests)))
-	test = g.addSecondariesPhased(primary, test, cube, res, setOf, k)
+	test = g.addSecondariesPhased(primary, test, cube, res)
 	// Every non-cheap accept regenerated the test under the grown cube.
 	res.RegenPerTest = append(res.RegenPerTest,
 		(res.SecondaryAccepts-accepts)-(res.CheapAccepts-cheap))
@@ -284,66 +321,18 @@ func (g *generator) compactTest(ctx context.Context, primary int, test circuit.T
 	return test
 }
 
-// simDrop is dropDetected under a "simulation" span on the job
-// timeline: the end-of-test fault simulation that drops the target
-// faults the finished test detects.
+// simDrop fault simulates the finished test over all undetected target
+// faults and drops the ones it detects, under a "simulation" span on
+// the job timeline.
 func (g *generator) simDrop(ctx context.Context, test circuit.TwoPattern) {
 	_, span := obs.StartSpan(ctx, "simulation", obs.Int("faults", len(g.faults)))
-	g.dropDetected(test, nil)
+	sim := test.Simulate(g.c)
+	for i := range g.faults {
+		if !g.detected[i] && g.faults[i].DetectedBy(sim) {
+			g.detected[i] = true
+		}
+	}
 	span.End()
-}
-
-// EnrichResult reports a run of the enrichment procedure.
-type EnrichResult struct {
-	Tests []circuit.TwoPattern
-	// DetectedP0 / DetectedP1 are per-fault detection flags for the
-	// two target sets.
-	DetectedP0, DetectedP1                           []bool
-	DetectedP0Count                                  int
-	DetectedP1Count                                  int
-	PrimaryAborts                                    int
-	SecondaryAccepts, SecondaryRejects, CheapAccepts int
-	// SecondaryAcceptsBySet / SecondaryRejectsBySet split the
-	// secondary outcomes between P0 (index 0) and P1 (index 1) —
-	// the counters the paper's Table 6 discussion argues about.
-	SecondaryAcceptsBySet, SecondaryRejectsBySet []int
-	// RegenPerTest[t] counts the justification regenerations of test
-	// t (see Result.RegenPerTest).
-	RegenPerTest []int
-	Elapsed      time.Duration
-	JustifyStats justify.Stats
-}
-
-// Enrich runs the test enrichment procedure of Section 3.2: primaries
-// and first-phase secondaries from p0; second-phase secondaries from
-// p1. It always uses the value-based secondary ordering unless the
-// config selects another compaction heuristic. Enrich is the k = 2
-// case of EnrichK, the configuration the paper evaluates.
-func Enrich(c *circuit.Circuit, p0, p1 []robust.FaultConditions, cfg Config) *EnrichResult {
-	res, _ := EnrichCtx(context.Background(), c, p0, p1, cfg)
-	return res
-}
-
-// EnrichCtx is Enrich under a context; see GenerateCtx for the
-// cancellation contract.
-func EnrichCtx(ctx context.Context, c *circuit.Circuit, p0, p1 []robust.FaultConditions, cfg Config) (*EnrichResult, error) {
-	kres, err := EnrichKCtx(ctx, c, [][]robust.FaultConditions{p0, p1}, cfg)
-	return &EnrichResult{
-		Tests:                 kres.Tests,
-		DetectedP0:            kres.Detected[0],
-		DetectedP1:            kres.Detected[1],
-		DetectedP0Count:       kres.DetectedCounts[0],
-		DetectedP1Count:       kres.DetectedCounts[1],
-		PrimaryAborts:         kres.PrimaryAborts,
-		SecondaryAccepts:      kres.SecondaryAccepts,
-		SecondaryRejects:      kres.SecondaryRejects,
-		CheapAccepts:          kres.CheapAccepts,
-		SecondaryAcceptsBySet: kres.SecondaryAcceptsBySet,
-		SecondaryRejectsBySet: kres.SecondaryRejectsBySet,
-		RegenPerTest:          kres.RegenPerTest,
-		Elapsed:               kres.Elapsed,
-		JustifyStats:          kres.JustifyStats,
-	}, err
 }
 
 // justifyFault tries the fault's alternatives (merged into base when
@@ -387,29 +376,6 @@ func (g *generator) justifyFault(i int, base *robust.Cube) (circuit.TwoPattern, 
 		}
 	}
 	return circuit.TwoPattern{}, robust.Cube{}, false
-}
-
-// dropDetected fault simulates the finished test over all undetected
-// target faults and marks detections.
-func (g *generator) dropDetected(test circuit.TwoPattern, _ []bool) {
-	sim := test.Simulate(g.c)
-	for i := range g.faults {
-		if g.detected[i] {
-			continue
-		}
-		if faultsim.DetectsSim(&g.faults[i], sim) {
-			g.detected[i] = true
-		}
-	}
-}
-
-func (g *generator) fill(res *Result) {
-	res.Detected = append([]bool(nil), g.detected...)
-	for _, d := range g.detected {
-		if d {
-			res.DetectedCount++
-		}
-	}
 }
 
 // RandomTest returns a random fully specified two-pattern test; used

@@ -269,7 +269,7 @@ func TestLengthBasedPrimaryIsLongest(t *testing.T) {
 		sim := res.Tests[0].Simulate(c)
 		hit := false
 		for i := range fcs {
-			if fcs[i].Fault.Length == maxLen && faultsim.DetectsSim(&fcs[i], sim) {
+			if fcs[i].Fault.Length == maxLen && fcs[i].DetectedBy(sim) {
 				hit = true
 				break
 			}

@@ -3,32 +3,53 @@ package core
 import (
 	"context"
 	"math"
-	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/justify"
 	"repro/internal/robust"
 )
 
+// EnrichResult reports a run of the enrichment procedure: the run's
+// Result (Detected numbers P0's faults, then P1's) viewed per set.
+type EnrichResult struct {
+	Result
+	// DetectedP0 / DetectedP1 are the per-fault detection flags of the
+	// two target sets, subslices of Result.Detected.
+	DetectedP0, DetectedP1           []bool
+	DetectedP0Count, DetectedP1Count int
+}
+
+// Enrich runs the test enrichment procedure of Section 3.2: primaries
+// and first-phase secondaries from p0; second-phase secondaries from
+// p1. It always uses the value-based secondary ordering unless the
+// config selects another compaction heuristic. Enrich is the k = 2
+// case of EnrichK, the configuration the paper evaluates.
+func Enrich(c *circuit.Circuit, p0, p1 []robust.FaultConditions, cfg Config) *EnrichResult {
+	res, _ := EnrichCtx(context.Background(), c, p0, p1, cfg)
+	return res
+}
+
+// EnrichCtx is Enrich under a context; see GenerateCtx for the
+// cancellation contract.
+func EnrichCtx(ctx context.Context, c *circuit.Circuit, p0, p1 []robust.FaultConditions, cfg Config) (*EnrichResult, error) {
+	k, err := EnrichKCtx(ctx, c, [][]robust.FaultConditions{p0, p1}, cfg)
+	return &EnrichResult{
+		Result:          k.Result,
+		DetectedP0:      k.Detected[0],
+		DetectedP1:      k.Detected[1],
+		DetectedP0Count: k.DetectedCounts[0],
+		DetectedP1Count: k.DetectedCounts[1],
+	}, err
+}
+
 // EnrichKResult reports a run of the generalized enrichment procedure
-// over k target sets.
+// over k target sets: the run's Result viewed per set.
 type EnrichKResult struct {
-	Tests []circuit.TwoPattern
-	// Detected[s][i] reports detection of fault i of set s.
+	Result
+	// Detected[s][i] reports detection of fault i of set s; Detected[s]
+	// is a subslice of Result.Detected.
 	Detected [][]bool
 	// DetectedCounts[s] is the number of detected faults of set s.
-	DetectedCounts                                   []int
-	PrimaryAborts                                    int
-	SecondaryAccepts, SecondaryRejects, CheapAccepts int
-	// SecondaryAcceptsBySet / SecondaryRejectsBySet split the
-	// secondary outcomes by the target set the candidate came from
-	// (index s corresponds to sets[s]).
-	SecondaryAcceptsBySet, SecondaryRejectsBySet []int
-	// RegenPerTest[t] counts the justification regenerations of test
-	// t (non-cheap secondary accepts; see core.Result.RegenPerTest).
-	RegenPerTest []int
-	Elapsed      time.Duration
-	JustifyStats justify.Stats
+	DetectedCounts []int
 }
 
 // EnrichK generalizes the enrichment procedure to any number of target
@@ -47,86 +68,37 @@ func EnrichK(c *circuit.Circuit, sets [][]robust.FaultConditions, cfg Config) *E
 // ctx is canceled, returning the partial result together with
 // ctx.Err().
 func EnrichKCtx(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultConditions, cfg Config) (*EnrichKResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if cfg.Heuristic == Uncompacted {
 		cfg.Heuristic = ValueBased
 	}
-	start := time.Now() //lint:telemetry feeds EnrichKResult.Elapsed only, never a generation decision
-	var all []robust.FaultConditions
-	setOf := make([]int, 0)
-	for s, set := range sets {
-		all = append(all, set...)
-		for range set {
-			setOf = append(setOf, s)
-		}
-	}
-	g := newGenerator(c, all, cfg)
-	g.ctx = ctx
-	res := &Result{}
-	for !g.canceled() {
-		pi := g.pickPrimarySet(setOf, 0)
-		if pi < 0 {
-			break
-		}
-		g.tried[pi] = true
-		test, cube, ok := g.justifyFault(pi, nil)
-		if !ok {
-			res.PrimaryAborts++
-			continue
-		}
-		test = g.compactTest(ctx, pi, test, cube, res, setOf, len(sets))
-		res.Tests = append(res.Tests, test)
-		g.simDrop(ctx, test)
-	}
+	res, err := run(ctx, c, sets, cfg)
 	res.ensureSets(len(sets))
 	out := &EnrichKResult{
-		Tests:                 res.Tests,
-		Detected:              make([][]bool, len(sets)),
-		DetectedCounts:        make([]int, len(sets)),
-		PrimaryAborts:         res.PrimaryAborts,
-		SecondaryAccepts:      res.SecondaryAccepts,
-		SecondaryRejects:      res.SecondaryRejects,
-		CheapAccepts:          res.CheapAccepts,
-		SecondaryAcceptsBySet: res.SecondaryAcceptsBySet,
-		SecondaryRejectsBySet: res.SecondaryRejectsBySet,
-		RegenPerTest:          res.RegenPerTest,
-		//lint:telemetry wall-clock report, not part of the digest
-		Elapsed:      time.Since(start),
-		JustifyStats: g.just.stats(),
+		Result:         *res,
+		Detected:       make([][]bool, len(sets)),
+		DetectedCounts: make([]int, len(sets)),
 	}
-	idx := 0
+	off := 0
 	for s, set := range sets {
-		out.Detected[s] = make([]bool, len(set))
-		for i := range set {
-			out.Detected[s][i] = g.detected[idx]
-			if g.detected[idx] {
+		end := off + len(set)
+		out.Detected[s] = res.Detected[off:end:end]
+		for _, d := range out.Detected[s] {
+			if d {
 				out.DetectedCounts[s]++
 			}
-			idx++
 		}
+		off = end
 	}
-	return out, ctx.Err()
+	return out, err
 }
 
-// pickPrimarySet picks the next primary from the given set.
-func (g *generator) pickPrimarySet(setOf []int, want int) int {
-	for _, i := range g.order {
-		if setOf[i] != want || g.detected[i] || g.tried[i] {
-			continue
-		}
-		return i
-	}
-	return -1
-}
-
-// addSecondariesPhased runs the secondary loop over k phases.
-func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, cube robust.Cube, res *Result, setOf []int, k int) circuit.TwoPattern {
+// addSecondariesPhased runs the secondary loop over one phase per
+// target set.
+func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, cube robust.Cube, res *Result) circuit.TwoPattern {
 	sim := test.Simulate(g.c)
-	res.ensureSets(k)
-	for phase := 0; phase < k; phase++ {
-		cand := g.candidatesSet(primary, setOf, phase)
+	res.ensureSets(g.k)
+	for phase := 0; phase < g.k; phase++ {
+		cand := g.candidates(primary, phase)
 		// delta[i] is the best nΔ of cand[i] against cube, recomputed
 		// only when cube changes.
 		delta, stale := g.delta[:0], true
@@ -215,12 +187,12 @@ func firstMin(xs []int) int {
 	return best
 }
 
-// candidatesSet lists the secondary candidates of one set in g.order,
+// candidates lists the secondary candidates of one set in g.order,
 // reusing the scratch buffer g.cand.
-func (g *generator) candidatesSet(primary int, setOf []int, want int) []int {
+func (g *generator) candidates(primary, set int) []int {
 	out := g.cand[:0]
 	for _, i := range g.order {
-		if i == primary || g.detected[i] || setOf[i] != want {
+		if i == primary || g.detected[i] || g.setOf[i] != set {
 			continue
 		}
 		out = append(out, i)

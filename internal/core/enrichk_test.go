@@ -1,7 +1,14 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/circuit"
 
 	"repro/internal/faults"
 	"repro/internal/faultsim"
@@ -48,6 +55,21 @@ func TestEnrichKThreeSets(t *testing.T) {
 	}
 	t.Logf("3-set enrichment: %d tests, detected %v of sizes [%d %d %d]",
 		len(res.Tests), res.DetectedCounts, len(sets[0]), len(sets[1]), len(sets[2]))
+	// Recorded once: any change to the generated tests fails here.
+	const want = "45 [223 126 161] 4751c201acf5771358530f9dd90bd52d82593ee3e65411b952604545941db2ec"
+	if got := fmt.Sprintf("%d %v %s", len(res.Tests), res.DetectedCounts, testsDigest(res.Tests)); got != want {
+		t.Errorf("3-set enrichment: got %s, want %s", got, want)
+	}
+}
+
+// testsDigest is the SHA-256 of the newline-joined test strings.
+func testsDigest(tests []circuit.TwoPattern) string {
+	lines := make([]string, len(tests))
+	for i := range tests {
+		lines[i] = tests[i].String()
+	}
+	sum := sha256.Sum256([]byte(strings.Join(lines, "\n")))
+	return hex.EncodeToString(sum[:])
 }
 
 func TestEnrichKMatchesEnrich(t *testing.T) {
@@ -68,5 +90,33 @@ func TestEnrichKMatchesEnrich(t *testing.T) {
 		t.Fatalf("Enrich and EnrichK(k=2) diverge: %d/%d/%d vs %d/%d/%d",
 			len(a.Tests), a.DetectedP0Count, a.DetectedP1Count,
 			len(b.Tests), b.DetectedCounts[0], b.DetectedCounts[1])
+	}
+
+	// k = 1: enrichment over one set is the basic procedure under the
+	// value-based heuristic.
+	g := Generate(c, fcs, Config{Heuristic: ValueBased, Seed: 12})
+	k := EnrichK(c, [][]robust.FaultConditions{fcs}, Config{Seed: 12})
+	if len(k.Detected) != 1 || len(k.DetectedCounts) != 1 {
+		t.Fatalf("EnrichK(k=1) returned %d detection sets", len(k.Detected))
+	}
+	for _, f := range []struct {
+		name     string
+		gen, enr any
+	}{
+		{"Tests", g.Tests, k.Tests},
+		{"Detected", g.Detected, k.Detected[0]},
+		{"DetectedCount", g.DetectedCount, k.DetectedCounts[0]},
+		{"PrimaryAborts", g.PrimaryAborts, k.PrimaryAborts},
+		{"SecondaryAccepts", g.SecondaryAccepts, k.SecondaryAccepts},
+		{"SecondaryRejects", g.SecondaryRejects, k.SecondaryRejects},
+		{"CheapAccepts", g.CheapAccepts, k.CheapAccepts},
+		{"SecondaryAcceptsBySet", g.SecondaryAcceptsBySet, k.SecondaryAcceptsBySet},
+		{"SecondaryRejectsBySet", g.SecondaryRejectsBySet, k.SecondaryRejectsBySet},
+		{"RegenPerTest", g.RegenPerTest, k.RegenPerTest},
+		{"JustifyStats", g.JustifyStats, k.JustifyStats},
+	} {
+		if !reflect.DeepEqual(f.gen, f.enr) {
+			t.Errorf("EnrichK(k=1) and Generate diverge on %s:\n%v\n%v", f.name, f.gen, f.enr)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/circuit"
-	"repro/internal/faultsim"
 	"repro/internal/robust"
 )
 
@@ -29,7 +28,7 @@ func StaticCompact(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.
 			if detected[fi] {
 				continue
 			}
-			if faultsim.DetectsSim(&fcs[fi], sim) {
+			if fcs[fi].DetectedBy(sim) {
 				detected[fi] = true
 				useful = true
 			}

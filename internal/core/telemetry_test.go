@@ -78,8 +78,9 @@ func TestGeneratePerSetTallies(t *testing.T) {
 	}
 }
 
-// The wall-clock reads in GenerateCtx and EnrichKCtx are annotated
-// //lint:telemetry: they may feed the Elapsed field and nothing else.
+// The one pair of wall-clock reads, in the generation loop that
+// Generate and EnrichK share, is annotated //lint:telemetry: it may
+// feed the Elapsed field and nothing else.
 // This pins that invariant — two same-seed runs must be deep-equal in
 // every field once Elapsed is zeroed, so the clock demonstrably never
 // leaks into tests, detection bookkeeping or justification counters

@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"repro/internal/circuit"
-	"repro/internal/faultsim"
 	"repro/internal/robust"
 )
 
@@ -60,7 +59,7 @@ func Diagnose(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.Fault
 		sim := tests[ti].Simulate(c)
 		detects[ti] = make([]bool, len(fcs))
 		for fi := range fcs {
-			detects[ti][fi] = faultsim.DetectsSim(&fcs[fi], sim)
+			detects[ti][fi] = fcs[fi].DetectedBy(sim)
 		}
 	}
 	observedFailures := 0

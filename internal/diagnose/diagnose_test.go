@@ -42,7 +42,7 @@ func TestDiagnoseScoring(t *testing.T) {
 	obs := make([]Observation, len(tests))
 	for ti := range tests {
 		sim := tests[ti].Simulate(c)
-		if faultsim.DetectsSim(&fcs[target], sim) {
+		if fcs[target].DetectedBy(sim) {
 			obs[ti] = Observation{Failed: true, FailingPOs: []int{fcs[target].Fault.Sink()}}
 		}
 	}

@@ -1170,7 +1170,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		res.P0Detected = er.DetectedP0Count
 		res.P1Detected = er.DetectedP1Count
 		res.AllTotal = len(p0) + len(p1)
-		res.AllDetected = er.DetectedP0Count + er.DetectedP1Count
+		res.AllDetected = er.DetectedCount
 		e.metrics.observeATPG(er.JustifyStats, er.SecondaryAcceptsBySet, er.SecondaryRejectsBySet, er.RegenPerTest)
 		gen.done(obs.Int("tests", len(er.Tests)), obs.Int("aborts", er.PrimaryAborts))
 	case KindFaultSim:

@@ -36,6 +36,14 @@ func TestCrossVersionGoldens(t *testing.T) {
 			54, 230, 33, "9e59bf89f635b5a981011825bfe45f221f73b3a6a8f6038532f691dd5b830246"},
 		{"s953/enrich/seed2", Spec{Kind: KindEnrich, Circuit: "s953", NP: 1000, NP0: 200, Seed: 2},
 			55, 230, 33, "0315d0fb0390335bb7d3dd4e4a6b994ab402c8ddbb42bc4309a29dae9b208cca"},
+		{"b09/generate/uncomp", Spec{Kind: KindGenerate, Circuit: "b09", NP: 1000, NP0: 200, Seed: 1, Heuristic: "uncomp"},
+			137, 211, 0, "f55ea63c1a1325a4ff021c469eb2a9fddf6f04689b6fd2a21453086e37923852"},
+		{"b09/generate/arbit", Spec{Kind: KindGenerate, Circuit: "b09", NP: 1000, NP0: 200, Seed: 1, Heuristic: "arbit"},
+			45, 212, 0, "c678b4de25ce71fbbb345bc9621ec0546a755069a151cd3002faa9995bd7a475"},
+		{"b09/generate/length", Spec{Kind: KindGenerate, Circuit: "b09", NP: 1000, NP0: 200, Seed: 1, Heuristic: "length"},
+			43, 213, 0, "01f357bb2deb5091c698689719d1e403afab07495354e034a8ae3c1f553dd1c5"},
+		{"c17/generate/collapse", Spec{Kind: KindGenerate, Circuit: "c17", NP0: 10, Seed: 1, Collapse: true},
+			4, 10, 0, "934b8e9f3455b7aa42630d098da92f212b1fb57d7ddb3e8cdcdd6aec276b5081"},
 	}
 	e := New(Config{Workers: 1})
 	defer e.Close()

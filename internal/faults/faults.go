@@ -132,22 +132,9 @@ func Partition(fs []Fault, nP0 int) (p0, p1 []Fault, i0 int) {
 		return nil, nil, 0
 	}
 	prof := Profile(fs)
-	i0 = len(prof) - 1
-	for i, row := range prof {
-		if row.Cumulative >= nP0 {
-			i0 = i
-			break
-		}
-	}
-	cut := prof[i0].L
-	for i := range fs {
-		if fs[i].Length >= cut {
-			p0 = append(p0, fs[i])
-		} else {
-			p1 = append(p1, fs[i])
-		}
-	}
-	return p0, p1, i0
+	i0 = cutIndex(prof, nP0)
+	sets := split(fs, []int{prof[i0].L})
+	return sets[0], sets[1], i0
 }
 
 // PartitionK generalizes Partition to k target sets (the paper notes
@@ -162,28 +149,32 @@ func PartitionK(fs []Fault, sizes []int) [][]Fault {
 	// cuts[i] is the minimum length admitted to sets 0..i.
 	cuts := make([]int, len(sizes))
 	for si, want := range sizes {
-		idx := len(prof) - 1
-		for i, row := range prof {
-			if row.Cumulative >= want {
-				idx = i
-				break
-			}
-		}
-		cuts[si] = prof[idx].L
+		cuts[si] = prof[cutIndex(prof, want)].L
 	}
-	out := make([][]Fault, len(sizes)+1)
+	return split(fs, cuts)
+}
+
+// cutIndex returns the smallest index i of the profile with
+// N_p(L_i) ≥ want, or the last index when no length reaches it.
+func cutIndex(prof []LengthCount, want int) int {
+	for i, row := range prof {
+		if row.Cumulative >= want {
+			return i
+		}
+	}
+	return len(prof) - 1
+}
+
+// split puts each fault, in order, into the first set whose minimum
+// length cuts[s] it reaches; set len(cuts) receives the rest.
+func split(fs []Fault, cuts []int) [][]Fault {
+	out := make([][]Fault, len(cuts)+1)
 	for i := range fs {
-		placed := false
-		for si, cut := range cuts {
-			if fs[i].Length >= cut {
-				out[si] = append(out[si], fs[i])
-				placed = true
-				break
-			}
+		s := 0
+		for s < len(cuts) && fs[i].Length < cuts[s] {
+			s++
 		}
-		if !placed {
-			out[len(sizes)] = append(out[len(sizes)], fs[i])
-		}
+		out[s] = append(out[s], fs[i])
 	}
 	return out
 }

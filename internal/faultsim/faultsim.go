@@ -8,10 +8,11 @@
 // "stable" requirement is only satisfied by a provably glitch-free
 // signal.
 //
-// This is the scalar simulator: one test at a time. DetectsSim serves
-// per-test checks (core's fault dropping, diagnosis), and Run is the
-// reference that the word-parallel bitsim, which simulates whole test
-// sets everywhere else, is tested against.
+// This is the scalar simulator: one test at a time, with
+// robust.FaultConditions.DetectedBy as the detection predicate (the
+// one core's fault dropping, static compaction and diagnosis also
+// call). Run is the reference that the word-parallel bitsim, which
+// simulates whole test sets everywhere else, is tested against.
 package faultsim
 
 import (
@@ -20,23 +21,11 @@ import (
 	"repro/internal/bitsim"
 	"repro/internal/circuit"
 	"repro/internal/robust"
-	"repro/internal/tval"
 )
-
-// DetectsSim reports whether precomputed simulation triples (indexed
-// by line ID) cover one of the fault's alternatives.
-func DetectsSim(fc *robust.FaultConditions, sim []tval.Triple) bool {
-	for i := range fc.Alts {
-		if fc.Alts[i].CoveredBy(sim) {
-			return true
-		}
-	}
-	return false
-}
 
 // Detects simulates one test and reports whether it detects the fault.
 func Detects(c *circuit.Circuit, test circuit.TwoPattern, fc *robust.FaultConditions) bool {
-	return DetectsSim(fc, test.Simulate(c))
+	return fc.DetectedBy(test.Simulate(c))
 }
 
 // Run simulates every test against every fault and returns, for each
@@ -60,7 +49,7 @@ func Run(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultCondi
 		sim := tests[ti].Simulate(c)
 		kept := active[:0]
 		for _, fi := range active {
-			if DetectsSim(&fcs[fi], sim) {
+			if fcs[fi].DetectedBy(sim) {
 				firstDet[fi] = ti
 			} else {
 				kept = append(kept, fi)

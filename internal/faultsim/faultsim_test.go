@@ -19,7 +19,7 @@ import (
 // walkRobust is an independent oracle: it walks the fault's path
 // through the simulated values and checks the classic robust
 // propagation conditions gate by gate, instead of going through the
-// A(p) cube. Used to cross-validate DetectsSim.
+// A(p) cube. Used to cross-validate FaultConditions.DetectedBy.
 func walkRobust(c *circuit.Circuit, f *faults.Fault, sim []tval.Triple) bool {
 	tr := tval.R
 	if f.Dir == faults.SlowToFall {
@@ -104,7 +104,7 @@ func TestDetectsMatchesWalkOracle(t *testing.T) {
 		test := randomTest(c, r)
 		sim := test.Simulate(c)
 		for i := range kept {
-			got := DetectsSim(&kept[i], sim)
+			got := kept[i].DetectedBy(sim)
 			want := walkRobust(c, &kept[i].Fault, sim)
 			if got != want {
 				t.Fatalf("trial %d fault %s: cube detection %v, walk oracle %v\ntest %v",
@@ -210,7 +210,7 @@ func TestAccidentalDetection(t *testing.T) {
 		sim := test.Simulate(c)
 		n := 0
 		for k := range kept {
-			if DetectsSim(&kept[k], sim) {
+			if kept[k].DetectedBy(sim) {
 				n++
 			}
 		}
@@ -271,7 +271,7 @@ func runNaive(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.Fault
 			if firstDet[fi] >= 0 {
 				continue
 			}
-			if DetectsSim(&fcs[fi], sim) {
+			if fcs[fi].DetectedBy(sim) {
 				firstDet[fi] = ti
 				remaining--
 			}

@@ -36,7 +36,7 @@ func countFullScan(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.
 	for ti := range tests {
 		sim := tests[ti].Simulate(c)
 		for fi := range fcs {
-			if faultsim.DetectsSim(&fcs[fi], sim) {
+			if fcs[fi].DetectedBy(sim) {
 				detected[fi] = true
 			}
 		}

@@ -206,28 +206,28 @@ func ctxParamIndices(n *FuncNode) []int {
 // sections are assumed short, and including them would make every
 // lock user "blocking" for ctxflow.
 var blockingStd = map[string]string{
-	"time.Sleep":                      "time.Sleep",
-	"(*sync.WaitGroup).Wait":          "WaitGroup.Wait",
-	"(*sync.Cond).Wait":               "Cond.Wait",
-	"(*net/http.Client).Do":           "http.Client.Do",
-	"(*net/http.Client).Get":          "http.Client.Get",
-	"(*net/http.Client).Post":         "http.Client.Post",
-	"(*net/http.Client).PostForm":     "http.Client.PostForm",
-	"(*net/http.Client).Head":         "http.Client.Head",
-	"net/http.Get":                    "http.Get",
-	"net/http.Post":                   "http.Post",
-	"net/http.PostForm":               "http.PostForm",
-	"net/http.Head":                   "http.Head",
-	"net.Dial":                        "net.Dial",
-	"net.DialTimeout":                 "net.DialTimeout",
-	"net.Listen":                      "net.Listen",
-	"(*os/exec.Cmd).Run":              "exec.Cmd.Run",
-	"(*os/exec.Cmd).Wait":             "exec.Cmd.Wait",
-	"(*os/exec.Cmd).Output":           "exec.Cmd.Output",
-	"(*os/exec.Cmd).CombinedOutput":   "exec.Cmd.CombinedOutput",
+	"time.Sleep":                        "time.Sleep",
+	"(*sync.WaitGroup).Wait":            "WaitGroup.Wait",
+	"(*sync.Cond).Wait":                 "Cond.Wait",
+	"(*net/http.Client).Do":             "http.Client.Do",
+	"(*net/http.Client).Get":            "http.Client.Get",
+	"(*net/http.Client).Post":           "http.Client.Post",
+	"(*net/http.Client).PostForm":       "http.Client.PostForm",
+	"(*net/http.Client).Head":           "http.Client.Head",
+	"net/http.Get":                      "http.Get",
+	"net/http.Post":                     "http.Post",
+	"net/http.PostForm":                 "http.PostForm",
+	"net/http.Head":                     "http.Head",
+	"net.Dial":                          "net.Dial",
+	"net.DialTimeout":                   "net.DialTimeout",
+	"net.Listen":                        "net.Listen",
+	"(*os/exec.Cmd).Run":                "exec.Cmd.Run",
+	"(*os/exec.Cmd).Wait":               "exec.Cmd.Wait",
+	"(*os/exec.Cmd).Output":             "exec.Cmd.Output",
+	"(*os/exec.Cmd).CombinedOutput":     "exec.Cmd.CombinedOutput",
 	"(*net/http.Server).ListenAndServe": "http.Server.ListenAndServe",
-	"net/http.ListenAndServe":         "http.ListenAndServe",
-	"(*net/http.Server).Serve":        "http.Server.Serve",
+	"net/http.ListenAndServe":           "http.ListenAndServe",
+	"(*net/http.Server).Serve":          "http.Server.Serve",
 }
 
 // allocatorStd names standard-library calls whose first result is a

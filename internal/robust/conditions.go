@@ -31,6 +31,34 @@ const MaxAlternatives = 16
 // directly (the first kind of undetectable fault eliminated in Section
 // 3.1).
 func Conditions(c *circuit.Circuit, f *faults.Fault) []Cube {
+	return conditions(c, f, true)
+}
+
+// NonRobustConditions computes the necessary assignments for
+// *non-robust* detection of a path delay fault. The paper restricts
+// itself to robust tests; non-robust tests are the natural extension
+// supported by the same machinery (the whole downstream flow —
+// justification, compaction, enrichment — is condition-set agnostic).
+//
+// A non-robust test only requires every off-path input to present the
+// non-controlling value under the second pattern (xx,nc); the test is
+// invalidated if other paths are also slow, which is exactly the
+// guarantee robust tests add by demanding hazard-free stable side
+// inputs on transitions toward the controlling value. XOR/XNOR side
+// inputs still need a stable final value to define the propagated
+// transition's polarity; we require the value only under the second
+// pattern and enumerate both polarities as alternatives.
+//
+// Every robust test is also a non-robust test: the robust cube of a
+// fault covers (is a superset of) one of its non-robust cubes, which
+// TestNonRobustSubsumption verifies.
+func NonRobustConditions(c *circuit.Circuit, f *faults.Fault) []Cube {
+	return conditions(c, f, false)
+}
+
+// conditions walks the path of f, extending every alternative through
+// each on-path gate under the robust or the non-robust criterion.
+func conditions(c *circuit.Circuit, f *faults.Fault, robust bool) []Cube {
 	src := tval.R
 	if f.Dir == faults.SlowToFall {
 		src = tval.F
@@ -52,7 +80,7 @@ func Conditions(c *circuit.Circuit, f *faults.Fault) []Cube {
 		g := &c.Gates[ln.Gate]
 		var next []altResult
 		for _, a := range alts {
-			next = append(next, stepGate(c, g, onPath, a.cube, a.tr)...)
+			next = append(next, stepGate(c, g, onPath, a.cube, a.tr, robust)...)
 			if len(next) > MaxAlternatives {
 				next = next[:MaxAlternatives]
 				break
@@ -73,8 +101,10 @@ func Conditions(c *circuit.Circuit, f *faults.Fault) []Cube {
 // stepGate extends one alternative through gate g with the on-path
 // input line onPath carrying transition tr. It returns zero or more
 // extended alternatives (zero when the side requirements conflict with
-// the cube).
-func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, cube Cube, tr tval.Triple) []altResult {
+// the cube). The two criteria differ only in the side-input values:
+// where robust detection needs a stable, hazard-free value, non-robust
+// detection needs that value under the second pattern only.
+func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, cube Cube, tr tval.Triple, robust bool) []altResult {
 	switch g.Type {
 	case circuit.Not:
 		return []altResult{{cube: cube, tr: tr.Not()}}
@@ -83,16 +113,12 @@ func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, cube Cube, tr tva
 	case circuit.And, circuit.Nand, circuit.Or, circuit.Nor:
 		ctrl, _ := g.Type.Controlling()
 		nc := ctrl.Not()
-		var side tval.Triple
-		if tr.P3() == ctrl {
-			// Transition toward the controlling value: off-path inputs
-			// must be stable, hazard-free non-controlling.
+		// Off-path inputs need the non-controlling value under the
+		// second pattern; on a transition toward the controlling value,
+		// robust detection needs it stable and hazard-free.
+		side := tval.NewTriple(tval.X, tval.X, nc)
+		if robust && tr.P3() == ctrl {
 			side = tval.NewTriple(nc, nc, nc)
-		} else {
-			// Transition away from the controlling value: off-path
-			// inputs need the non-controlling value only under the
-			// second pattern.
-			side = tval.NewTriple(tval.X, tval.X, nc)
 		}
 		q := cube
 		for _, in := range g.In {
@@ -109,8 +135,9 @@ func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, cube Cube, tr tva
 		}
 		return []altResult{{cube: q, tr: out}}
 	case circuit.Xor, circuit.Xnor:
-		// Every off-path input must hold a stable, hazard-free value;
-		// each choice flips or preserves the transition.
+		// Every off-path input must hold a value (stable and
+		// hazard-free for robust detection, final otherwise), tried 0
+		// then 1; each choice preserves or flips the transition.
 		results := []altResult{{cube: cube, tr: tr}}
 		for _, in := range g.In {
 			if in == onPath {
@@ -119,13 +146,17 @@ func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, cube Cube, tr tva
 			net := c.Lines[in].Net
 			var expanded []altResult
 			for _, r := range results {
-				for _, sv := range []tval.Triple{tval.S0, tval.S1} {
+				for _, v := range []tval.V{tval.Zero, tval.One} {
+					sv := tval.TX.With(2, v)
+					if robust {
+						sv = tval.NewTriple(v, v, v)
+					}
 					q := r.cube.Clone()
 					if !q.add(net, sv) {
 						continue
 					}
 					nt := r.tr
-					if sv == tval.S1 {
+					if v == tval.One {
 						nt = nt.Not()
 					}
 					expanded = append(expanded, altResult{cube: q, tr: nt})

@@ -128,6 +128,18 @@ func (q *Cube) CoveredBy(sim []tval.Triple) bool {
 	return true
 }
 
+// DetectedBy reports whether simulated line triples detect the fault:
+// they cover one of its alternatives. It is the one detection
+// predicate of the scalar simulation paths.
+func (fc *FaultConditions) DetectedBy(sim []tval.Triple) bool {
+	for i := range fc.Alts {
+		if fc.Alts[i].CoveredBy(sim) {
+			return true
+		}
+	}
+	return false
+}
+
 // String renders the cube with line names for debugging.
 func (q *Cube) Format(c *circuit.Circuit) string {
 	var sb strings.Builder

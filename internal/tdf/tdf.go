@@ -137,7 +137,7 @@ func Generate(c *circuit.Circuit, tfs []Fault, cfg Config) *Result {
 				continue
 			}
 			for _, si := range cand[i] {
-				if covers(&surrogates[si], sim) {
+				if surrogates[si].DetectedBy(sim) {
 					res.Detected[i] = true
 					break
 				}
@@ -150,15 +150,6 @@ func Generate(c *circuit.Circuit, tfs []Fault, cfg Config) *Result {
 		}
 	}
 	return res
-}
-
-func covers(fc *robust.FaultConditions, sim []tval.Triple) bool {
-	for i := range fc.Alts {
-		if fc.Alts[i].CoveredBy(sim) {
-			return true
-		}
-	}
-	return false
 }
 
 func mergeCfg(cfg Config) core.Config {
