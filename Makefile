@@ -4,7 +4,7 @@ GO ?= go
 # refresh it with `make bench` and commit the new file (see PERF.md).
 BENCH_BASELINE ?= BENCH_2026-08-06.json
 
-.PHONY: build test fmt lint race check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check go-bench engine-bench loc
+.PHONY: build test fmt lint race check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check bench-smoke go-bench engine-bench loc
 
 build:
 	$(GO) build ./...
@@ -70,7 +70,8 @@ tenant-smoke:
 
 # The CI gate: formatting + vet (perfbench too: it is a separate module
 # that compiles against internal APIs) + build + full suite under -race
-# + the performance regression gate against the committed baseline.
+# + every go-test benchmark run once + the performance regression gate
+# against the committed baseline.
 check:
 	$(MAKE) fmt
 	$(GO) vet ./...
@@ -81,6 +82,7 @@ check:
 	$(MAKE) cluster-smoke
 	$(MAKE) tenant-smoke
 	$(MAKE) chaos-cluster
+	$(MAKE) bench-smoke
 	$(MAKE) bench-check
 
 # Run the perfreg suite and write a fresh BENCH_<date>.json snapshot
@@ -93,6 +95,11 @@ bench:
 # baseline; exits non-zero on any regression (see PERF.md thresholds).
 bench-check:
 	$(GO) run ./cmd/pdfbench -reps 3 -baseline $(BENCH_BASELINE)
+
+# Every go-test benchmark, one iteration each: `go vet` only compiles
+# benchmarks, so this is what catches one that fails at run time.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The stock go-test microbenchmarks (pre-perfreg behavior of `bench`).
 go-bench:

@@ -339,23 +339,36 @@ func BenchmarkFaultSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkScreening measures undetectable-fault elimination.
+// BenchmarkScreening measures undetectable-fault elimination on b09
+// (no XOR gates) and on the fault sets of the s953 enrichment and the
+// s1423 grading workloads.
 func BenchmarkScreening(b *testing.B) {
-	c, err := experiments.LoadCircuit("b09")
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := pathenum.Enumerate(c, pathenum.Config{
-		MaxFaults: benchParams.NP, Mode: pathenum.DistancePruned,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		robust.Screen(c, res.Faults)
+	for _, tc := range []struct {
+		circuit string
+		np      int
+	}{{"b09", benchParams.NP}, {"s953", 1000}, {"s1423", 2000}} {
+		b.Run(tc.circuit, func(b *testing.B) {
+			c, err := experiments.LoadCircuit(tc.circuit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := pathenum.Enumerate(c, pathenum.Config{
+				MaxFaults: tc.np, Mode: pathenum.DistancePruned,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				screenSink, _ = robust.Screen(c, res.Faults)
+			}
+		})
 	}
 }
+
+// screenSink keeps BenchmarkScreening's result live.
+var screenSink []robust.FaultConditions
 
 // BenchmarkSynthGeneration measures stand-in circuit generation.
 func BenchmarkSynthGeneration(b *testing.B) {

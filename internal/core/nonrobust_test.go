@@ -20,7 +20,7 @@ func TestNonRobustATPGEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	rob, robElim := robust.Screen(c, res.Faults)
-	non, nonElim := robust.ScreenWith(c, res.Faults, robust.NonRobustConditions)
+	non, nonElim := robust.ScreenWith(c, res.Faults, false)
 	if len(non) < len(rob) {
 		t.Fatalf("non-robust screening kept fewer faults: %d vs %d", len(non), len(rob))
 	}

@@ -138,7 +138,7 @@ func Enumerate(c *circuit.Circuit, cfg Config) (*Result, error) {
 	return nil, fmt.Errorf("pathenum: unknown mode %d", cfg.Mode)
 }
 
-// faultsOf expands complete paths into two faults each and sorts them.
+// finish expands complete paths into two faults each and sorts them.
 func finish(entries []*entry, st Stats) *Result {
 	var fs []faults.Fault
 	for _, e := range entries {

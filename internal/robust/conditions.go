@@ -8,8 +8,9 @@ import (
 
 // MaxAlternatives bounds the number of A(p) alternatives generated for
 // paths through XOR/XNOR gates (each such gate doubles the choices for
-// its stable side inputs). Faults exceeding the bound are treated as
-// out of scope and reported undetectable.
+// its stable side inputs). A fault exceeding the bound keeps its first
+// MaxAlternatives alternatives and loses the rest; a test satisfying
+// only a lost one does not count as detecting it.
 const MaxAlternatives = 16
 
 // Conditions computes A(p), the set of values a two-pattern test must
@@ -57,59 +58,112 @@ func NonRobustConditions(c *circuit.Circuit, f *faults.Fault) []Cube {
 }
 
 // conditions walks the path of f, extending every alternative through
-// each on-path gate under the robust or the non-robust criterion.
+// each on-path gate under the robust or the non-robust criterion. It
+// is the one-path case of the level step the screen walks a trie with.
 func conditions(c *circuit.Circuit, f *faults.Fault, robust bool) []Cube {
-	src := tval.R
-	if f.Dir == faults.SlowToFall {
-		src = tval.F
-	}
-	first := altResult{tr: src}
-	if !first.cube.add(c.Lines[f.Path[0]].Net, src) {
-		return nil
-	}
-	alts := []altResult{first}
-
+	var cur, next level
+	cur.start(c, f)
 	for i := 1; i < len(f.Path); i++ {
-		onPath := f.Path[i-1]
-		lineID := f.Path[i]
-		ln := &c.Lines[lineID]
-		if ln.Kind == circuit.LineBranch {
+		if c.Lines[f.Path[i]].Kind == circuit.LineBranch {
 			// Stem to branch: same signal, same transition.
 			continue
 		}
-		g := &c.Gates[ln.Gate]
-		var next []altResult
-		for _, a := range alts {
-			next = append(next, stepGate(c, g, onPath, a.cube, a.tr, robust)...)
-			if len(next) > MaxAlternatives {
-				next = next[:MaxAlternatives]
-				break
-			}
-		}
-		alts = next
-		if len(alts) == 0 {
+		next.step(c, &cur, f.Path[i-1], f.Path[i], robust)
+		cur, next = next, cur
+		if len(cur.alts) == 0 {
 			return nil
 		}
 	}
-	out := make([]Cube, len(alts))
-	for i := range alts {
-		out[i] = alts[i].cube
+	out := make([]Cube, len(cur.alts))
+	for i := range cur.alts {
+		out[i] = cur.alts[i].cube.Clone()
 	}
 	return out
 }
 
-// stepGate extends one alternative through gate g with the on-path
-// input line onPath carrying transition tr. It returns zero or more
-// extended alternatives (zero when the side requirements conflict with
-// the cube). The two criteria differ only in the side-input values:
-// where robust detection needs a stable, hazard-free value, non-robust
-// detection needs that value under the second pattern only.
-func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, cube Cube, tr tval.Triple, robust bool) []altResult {
+// level is the A(p) alternative list of one path prefix, in the order
+// conditions reports it. A slot keeps its slices when the level is
+// refilled, so a walk that reuses one level per depth allocates only
+// while the lists grow.
+type level struct {
+	alts []alt
+}
+
+// alt is one alternative of a level.
+type alt struct {
+	cube Cube        // the requirements of the whole prefix
+	tr   tval.Triple // the transition on the prefix's last line
+	from int         // the alternative of the parent level it extends
+	step Cube        // the requirements the last gate added, unsorted
+}
+
+// start sets l to the one alternative of the source of f.
+func (l *level) start(c *circuit.Circuit, f *faults.Fault) {
+	src := tval.R
+	if f.Dir == faults.SlowToFall {
+		src = tval.F
+	}
+	l.alts = l.alts[:0]
+	l.push(&alt{}, 0, src).require(c.Lines[f.Path[0]].Net, src)
+}
+
+// step sets l to the alternatives of a prefix of parent's extended by
+// line, the output of a gate whose input onPath ends the prefix: each
+// alternative of parent in turn, extended through the gate, with the
+// list cut at MaxAlternatives.
+func (l *level) step(c *circuit.Circuit, parent *level, onPath, line int, robust bool) {
+	l.alts = l.alts[:0]
+	g := &c.Gates[c.Lines[line].Gate]
+	for k := range parent.alts {
+		stepGate(c, g, onPath, l, &parent.alts[k], k, robust)
+		if len(l.alts) > MaxAlternatives {
+			l.alts = l.alts[:MaxAlternatives]
+			return
+		}
+	}
+}
+
+// push appends a copy of p's cube as the alternative of l extending
+// parent alternative from, carrying transition tr.
+func (l *level) push(p *alt, from int, tr tval.Triple) *alt {
+	if len(l.alts) < cap(l.alts) {
+		l.alts = l.alts[:len(l.alts)+1]
+	} else {
+		l.alts = append(l.alts, alt{})
+	}
+	a := &l.alts[len(l.alts)-1]
+	a.cube.Nets = append(a.cube.Nets[:0], p.cube.Nets...)
+	a.cube.Vals = append(a.cube.Vals[:0], p.cube.Vals...)
+	a.step.Nets = a.step.Nets[:0]
+	a.step.Vals = a.step.Vals[:0]
+	a.tr, a.from = tr, from
+	return a
+}
+
+// pop drops the last alternative, whose requirements conflict.
+func (l *level) pop() { l.alts = l.alts[:len(l.alts)-1] }
+
+// require adds a requirement to the alternative and to its step. It
+// reports false when the requirement conflicts with the cube.
+func (a *alt) require(net int, v tval.Triple) bool {
+	a.step.Nets = append(a.step.Nets, net)
+	a.step.Vals = append(a.step.Vals, v)
+	return a.cube.add(net, v)
+}
+
+// stepGate appends to l the extensions through gate g of p, alternative
+// from of the parent level, whose transition the on-path input line
+// onPath carries: zero alternatives when the side requirements
+// conflict with p's cube, several for an XOR/XNOR gate. The two
+// criteria differ only in the side-input values: where robust
+// detection needs a stable, hazard-free value, non-robust detection
+// needs that value under the second pattern only.
+func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, l *level, p *alt, from int, robust bool) {
 	switch g.Type {
 	case circuit.Not:
-		return []altResult{{cube: cube, tr: tr.Not()}}
+		l.push(p, from, p.tr.Not())
 	case circuit.Buf:
-		return []altResult{{cube: cube, tr: tr}}
+		l.push(p, from, p.tr)
 	case circuit.And, circuit.Nand, circuit.Or, circuit.Nor:
 		ctrl, _ := g.Type.Controlling()
 		nc := ctrl.Not()
@@ -117,67 +171,58 @@ func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, cube Cube, tr tva
 		// second pattern; on a transition toward the controlling value,
 		// robust detection needs it stable and hazard-free.
 		side := tval.NewTriple(tval.X, tval.X, nc)
-		if robust && tr.P3() == ctrl {
+		if robust && p.tr.P3() == ctrl {
 			side = tval.NewTriple(nc, nc, nc)
 		}
-		q := cube
-		for _, in := range g.In {
-			if in == onPath {
-				continue
-			}
-			if !q.add(c.Lines[in].Net, side) {
-				return nil
-			}
-		}
-		out := tr
+		out := p.tr
 		if g.Type.Inverting() {
-			out = tr.Not()
+			out = out.Not()
 		}
-		return []altResult{{cube: q, tr: out}}
+		a := l.push(p, from, out)
+		for _, in := range g.In {
+			if in != onPath && !a.require(c.Lines[in].Net, side) {
+				l.pop()
+				return
+			}
+		}
 	case circuit.Xor, circuit.Xnor:
 		// Every off-path input must hold a value (stable and
 		// hazard-free for robust detection, final otherwise), tried 0
-		// then 1; each choice preserves or flips the transition.
-		results := []altResult{{cube: cube, tr: tr}}
+		// then 1 with the first input most significant; each choice
+		// preserves or flips the transition.
+		sides := 0
 		for _, in := range g.In {
-			if in == onPath {
-				continue
+			if in != onPath {
+				sides++
 			}
-			net := c.Lines[in].Net
-			var expanded []altResult
-			for _, r := range results {
-				for _, v := range []tval.V{tval.Zero, tval.One} {
-					sv := tval.TX.With(2, v)
-					if robust {
-						sv = tval.NewTriple(v, v, v)
-					}
-					q := r.cube.Clone()
-					if !q.add(net, sv) {
-						continue
-					}
-					nt := r.tr
-					if v == tval.One {
-						nt = nt.Not()
-					}
-					expanded = append(expanded, altResult{cube: q, tr: nt})
+		}
+		out := p.tr
+		if g.Type == circuit.Xnor {
+			out = out.Not()
+		}
+	choices:
+		for m := 0; m < 1<<sides; m++ {
+			a := l.push(p, from, out)
+			bit := sides
+			for _, in := range g.In {
+				if in == onPath {
+					continue
+				}
+				bit--
+				v := tval.Zero
+				if m>>bit&1 == 1 {
+					v = tval.One
+					a.tr = a.tr.Not()
+				}
+				sv := tval.TX.With(2, v)
+				if robust {
+					sv = tval.NewTriple(v, v, v)
+				}
+				if !a.require(c.Lines[in].Net, sv) {
+					l.pop()
+					continue choices
 				}
 			}
-			results = expanded
-			if len(results) == 0 {
-				return nil
-			}
 		}
-		if g.Type == circuit.Xnor {
-			for i := range results {
-				results[i].tr = results[i].tr.Not()
-			}
-		}
-		return results
 	}
-	return nil
-}
-
-type altResult struct {
-	cube Cube
-	tr   tval.Triple
 }

@@ -140,7 +140,7 @@ func (fc *FaultConditions) DetectedBy(sim []tval.Triple) bool {
 	return false
 }
 
-// String renders the cube with line names for debugging.
+// Format renders the cube with line names for debugging.
 func (q *Cube) Format(c *circuit.Circuit) string {
 	var sb strings.Builder
 	sb.WriteByte('{')

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/circuit"
+	"repro/internal/faults"
 	"repro/internal/pathenum"
 	"repro/internal/synth"
 )
@@ -38,7 +40,7 @@ func TestConditionsGolden(t *testing.T) {
 			}
 			for _, k := range []struct {
 				name string
-				cond ConditionFunc
+				cond func(*circuit.Circuit, *faults.Fault) []Cube
 				want string
 			}{{"robust", Conditions, tc.robust}, {"nonrobust", NonRobustConditions, tc.nonRobust}} {
 				h := sha256.New()

@@ -153,9 +153,9 @@ func (im *Implier) assign(net, plane int, v tval.V) {
 	}
 }
 
-// ImplyConsistent runs the same fixpoint but skips materializing the
-// per-line triples; implied values are read back with Value. This is
-// the hot-path entry used by the justifiers to seed their search.
+// ImplyConsistent runs the fixpoint of Imply from cleared values but
+// skips materializing the per-line triples; implied values are read
+// back with Value.
 func (im *Implier) ImplyConsistent(cube *Cube) bool {
 	im.Rollback(0)
 	return im.Extend(cube)
