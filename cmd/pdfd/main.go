@@ -1,7 +1,8 @@
 // Command pdfd serves the test generation procedures as HTTP jobs: an
 // engine of bounded workers runs ATPG, enrichment and fault-simulation
 // jobs with per-job deadlines, word-parallel fault simulation and a
-// result cache keyed by (circuit hash, config, fault-set digest).
+// result cache keyed by (result version, circuit hash, spec hash),
+// looked up before prepare.
 //
 // The engine is crash-safe: job panics are contained and retried with
 // backoff (-max-retries), submissions past the -shed-watermark are

@@ -118,10 +118,10 @@ type Config struct {
 	// Error and slowest-percentile routing traces are tail-retained
 	// regardless.
 	TraceSample float64
-	// TraceBufferCount / TraceBufferBytes cap the tail-retention buffer
-	// of routing traces; 0 uses the obs defaults.
+	// TraceBufferCount caps the tail-retention buffer of routing
+	// traces; 0 uses obs.DefaultTraceBufferCount. Its byte cap is
+	// obs.DefaultTraceBufferBytes.
 	TraceBufferCount int
-	TraceBufferBytes int64
 
 	// RequestTimeout bounds one proxied (non-SSE) backend request;
 	// 0 uses 30s.
@@ -138,9 +138,6 @@ type Config struct {
 	// Logger receives routing and health-transition records; nil
 	// discards them.
 	Logger *slog.Logger
-	// Registry receives the cluster metric families; nil builds a
-	// fresh registry (with the Go runtime collectors).
-	Registry *obs.Registry
 }
 
 func (cfg Config) withDefaults() Config {
@@ -219,12 +216,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: no backends configured")
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-		obs.RegisterBuildInfo(reg)
-		obs.RegisterGoRuntime(reg)
-	}
+	reg := obs.NewRegistry()
+	obs.RegisterBuildInfo(reg)
+	obs.RegisterGoRuntime(reg)
 	log := cfg.Logger
 	if log == nil {
 		log = obs.NopLogger()
@@ -242,7 +236,7 @@ func New(cfg Config) (*Coordinator, error) {
 		backends: make(map[string]*backend, len(cfg.Backends)),
 		ring:     NewRing(cfg.VNodes),
 		fullRing: NewRing(cfg.VNodes),
-		traces:   obs.NewTraceBuffer(cfg.TraceBufferCount, cfg.TraceBufferBytes),
+		traces:   obs.NewTraceBuffer(cfg.TraceBufferCount, obs.DefaultTraceBufferBytes),
 		ctx:      ctx,
 		cancel:   cancel,
 	}

@@ -244,66 +244,42 @@ func (s *clusterServer) resolve(w http.ResponseWriter, r *http.Request) (*backen
 // through. Down backends are still attempted — they may be back before
 // the next health probe — and fail with backend_down if not.
 func (s *clusterServer) proxyGet(w http.ResponseWriter, r *http.Request) {
-	b, id, ok := s.resolve(w, r)
-	if !ok {
-		return
-	}
-	path := "/v1/jobs/" + id
+	suffix := ""
 	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
-	status, body, hdr, err := s.c.do(r.Context(), b, http.MethodGet, path, "jobs.get", nil, nil)
-	if err != nil {
-		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+": "+err.Error(), time.Second)
-		return
-	}
-	echoBackendRequestID(w, hdr)
-	if status != http.StatusOK {
-		relayEnvelope(w, SubmitResult{Status: status, Body: body, RetryAfter: hdr.Get("Retry-After")})
-		return
+		suffix = "?" + r.URL.RawQuery
 	}
 	var v engine.JobView
-	if err := json.Unmarshal(body, &v); err != nil {
-		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+" returned an unreadable job view", time.Second)
-		return
-	}
-	v.ID = b.name + "/" + v.ID
-	engine.WriteJSON(w, http.StatusOK, v)
+	s.relay(w, r, http.MethodGet, suffix, "jobs.get", "job view", &v, func(prefix string) { v.ID = prefix + v.ID })
 }
 
 func (s *clusterServer) proxyCancel(w http.ResponseWriter, r *http.Request) {
-	b, id, ok := s.resolve(w, r)
-	if !ok {
-		return
-	}
-	status, body, hdr, err := s.c.do(r.Context(), b, http.MethodDelete, "/v1/jobs/"+id, "jobs.cancel", nil, nil)
-	if err != nil {
-		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+": "+err.Error(), time.Second)
-		return
-	}
-	echoBackendRequestID(w, hdr)
-	if status != http.StatusOK {
-		relayEnvelope(w, SubmitResult{Status: status, Body: body, RetryAfter: hdr.Get("Retry-After")})
-		return
-	}
 	var out struct {
 		ID       string `json:"id"`
 		Canceled bool   `json:"canceled"`
 	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+" returned an unreadable cancel result", time.Second)
-		return
-	}
-	out.ID = b.name + "/" + out.ID
-	engine.WriteJSON(w, http.StatusOK, out)
+	s.relay(w, r, http.MethodDelete, "", "jobs.cancel", "cancel result", &out, func(prefix string) { out.ID = prefix + out.ID })
 }
 
 func (s *clusterServer) proxyTrace(w http.ResponseWriter, r *http.Request) {
+	var out struct {
+		JobID string          `json:"job_id"`
+		Trace json.RawMessage `json:"trace"`
+	}
+	s.relay(w, r, http.MethodGet, "/trace", "jobs.trace", "trace", &out, func(prefix string) { out.JobID = prefix + out.JobID })
+}
+
+// relay forwards method /v1/jobs/{id}<suffix> to the job's backend and
+// answers with its reply: 502 backend_down when the backend cannot be
+// reached, a non-200 reply relayed as is, otherwise the reply decoded
+// into out with its job ID made routable by routable("<backend>/").
+// noun names out in the unreadable-reply error. The backend's request
+// ID is echoed once the backend answered.
+func (s *clusterServer) relay(w http.ResponseWriter, r *http.Request, method, suffix, route, noun string, out any, routable func(prefix string)) {
 	b, id, ok := s.resolve(w, r)
 	if !ok {
 		return
 	}
-	status, body, hdr, err := s.c.do(r.Context(), b, http.MethodGet, "/v1/jobs/"+id+"/trace", "jobs.trace", nil, nil)
+	status, body, hdr, err := s.c.do(r.Context(), b, method, "/v1/jobs/"+id+suffix, route, nil, nil)
 	if err != nil {
 		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+": "+err.Error(), time.Second)
 		return
@@ -313,15 +289,11 @@ func (s *clusterServer) proxyTrace(w http.ResponseWriter, r *http.Request) {
 		relayEnvelope(w, SubmitResult{Status: status, Body: body, RetryAfter: hdr.Get("Retry-After")})
 		return
 	}
-	var out struct {
-		JobID string          `json:"job_id"`
-		Trace json.RawMessage `json:"trace"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+" returned an unreadable trace", time.Second)
+	if err := json.Unmarshal(body, out); err != nil {
+		engine.WriteError(w, http.StatusBadGateway, CodeBackendDown, "backend "+b.name+" returned an unreadable "+noun, time.Second)
 		return
 	}
-	out.JobID = b.name + "/" + out.JobID
+	routable(b.name + "/")
 	engine.WriteJSON(w, http.StatusOK, out)
 }
 

@@ -60,21 +60,8 @@ func (c *Coordinator) ensureTraceContext(ctx context.Context) (context.Context, 
 		return ctx, tc
 	}
 	tc := obs.NewTraceContext(false)
-	tc.Sampled = obs.SampleDecision(tc.TraceID, c.traceSampleRate())
+	tc.Sampled = obs.SampleDecision(tc.TraceID, obs.SampleRate(c.cfg.TraceSample))
 	return obs.WithTraceContext(ctx, tc), tc
-}
-
-// traceSampleRate maps Config.TraceSample to an effective rate: 0
-// (unset) keeps every trace, negative keeps none, >1 clamps to 1.
-func (c *Coordinator) traceSampleRate() float64 {
-	r := c.cfg.TraceSample
-	switch {
-	case r == 0 || r > 1:
-		return 1
-	case r < 0:
-		return 0
-	}
-	return r
 }
 
 // Traces returns the coordinator's tail-retention buffer of routing

@@ -139,16 +139,10 @@ type Config struct {
 	// everything; error and slowest-percentile traces are kept
 	// regardless of this rate); negative means 0.
 	TraceSample float64
-	// TraceBufferCount / TraceBufferBytes cap the tail-retention
-	// trace buffer; 0 uses obs.DefaultTraceBufferCount /
+	// TraceBufferCount caps the tail-retention trace buffer; 0 uses
+	// obs.DefaultTraceBufferCount. Its byte cap is
 	// obs.DefaultTraceBufferBytes.
 	TraceBufferCount int
-	TraceBufferBytes int64
-
-	// EventHistory bounds each job's event-stream history ring (the
-	// replay window of /v1/jobs/{id}/events); 0 uses
-	// events.DefaultHistory.
-	EventHistory int
 }
 
 // Engine runs jobs on a bounded worker pool. Create with New, release
@@ -213,8 +207,8 @@ func New(cfg Config) *Engine {
 		sched:        newSched(cfg, m.tenantQueued, m.tenantRunning),
 		rng:          rand.New(rand.NewSource(time.Now().UnixNano())),
 		jobs:         make(map[string]*Job),
-		events:       events.NewBus(cfg.EventHistory),
-		traces:       obs.NewTraceBuffer(cfg.TraceBufferCount, cfg.TraceBufferBytes),
+		events:       events.NewBus(events.DefaultHistory),
+		traces:       obs.NewTraceBuffer(cfg.TraceBufferCount, obs.DefaultTraceBufferBytes),
 	}
 	e.registry = buildRegistry(e)
 	e.httpMetrics = obs.NewHTTPMetrics(e.registry, "pdfd")
@@ -289,7 +283,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 		done:       make(chan struct{}),
 	}
 	remote, _ := obs.TraceContextFrom(ctx)
-	j.initTrace(e.cfg.TraceSpanLimit, remote, e.traceSampleRate(),
+	j.initTrace(e.cfg.TraceSpanLimit, remote, obs.SampleRate(e.cfg.TraceSample),
 		obs.String("job_id", j.id),
 		obs.String("kind", string(spec.Kind)),
 		obs.String("circuit", spec.Circuit),
@@ -396,19 +390,6 @@ func (e *Engine) afterTerminal(j *Job, st Status, err error) {
 		return
 	}
 	e.log.Info("job finished", attrs...)
-}
-
-// traceSampleRate resolves Config.TraceSample's operator conventions
-// (0 = keep everything, negative = keep nothing) to a [0,1] rate.
-func (e *Engine) traceSampleRate() float64 {
-	r := e.cfg.TraceSample
-	switch {
-	case r == 0 || r > 1:
-		return 1
-	case r < 0:
-		return 0
-	}
-	return r
 }
 
 // offerTrace hands a finished job's trace to the tail-retention
@@ -972,7 +953,7 @@ func (e *Engine) Restore(recs []journal.Record) (int, error) {
 			created:    time.Now(),
 			done:       make(chan struct{}),
 		}
-		j.initTrace(e.cfg.TraceSpanLimit, obs.TraceContext{}, e.traceSampleRate(),
+		j.initTrace(e.cfg.TraceSpanLimit, obs.TraceContext{}, obs.SampleRate(e.cfg.TraceSample),
 			obs.String("job_id", j.id),
 			obs.String("kind", string(spec.Kind)),
 			obs.String("circuit", spec.Circuit),

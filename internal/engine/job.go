@@ -2,8 +2,10 @@
 // paper's procedures: ATPG (core.Generate), test enrichment
 // (core.Enrich) and fault simulation (bitsim.Run) become *jobs*
 // executed on a bounded worker pool with per-job context cancellation
-// and deadlines, and a result cache keyed by (circuit hash, config
-// digest, fault-set digest).
+// and deadlines, and a result cache keyed by
+// 02/<circuit16>/<spec16>: the result version, then the first 16 hex
+// digits of the circuit and spec digests. The fault sets derive from
+// those two, so the key is known before prepare (see cacheKey).
 //
 // The engine is consumed two ways: programmatically (internal/cli
 // routes pdfatpg runs through it) and over HTTP (cmd/pdfd serves the

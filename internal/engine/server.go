@@ -64,10 +64,6 @@ type ServerConfig struct {
 	// Logger receives one access-log record per request; nil disables
 	// access logging.
 	Logger *slog.Logger
-	// Registry is the Prometheus registry served on /v1/metrics; nil
-	// uses the engine's own (the right choice unless a front-end
-	// aggregates several engines).
-	Registry *obs.Registry
 	// Heartbeat paces the SSE keep-alive comments of
 	// /v1/jobs/{id}/events; 0 uses 15s.
 	Heartbeat time.Duration
@@ -91,12 +87,9 @@ type ServerConfig struct {
 // Errors use one envelope everywhere — see APIError and WriteError.
 func NewServer(e *Engine) http.Handler { return NewServerWith(e, ServerConfig{}) }
 
-// NewServerWith is NewServer with access logging and a metrics
-// registry override.
+// NewServerWith is NewServer with access logging and an SSE
+// heartbeat override.
 func NewServerWith(e *Engine, sc ServerConfig) http.Handler {
-	if sc.Registry == nil {
-		sc.Registry = e.Registry()
-	}
 	s := &server{e: e, cfg: sc, auth: NewTenantAuth(e.cfg.Tenants)}
 	mux := Mux{http.NewServeMux(), sc.Logger, e.httpMetrics, s.auth}
 	mux.Route("POST /v1/jobs", "jobs.submit", s.submit)
@@ -111,7 +104,7 @@ func NewServerWith(e *Engine, sc ServerConfig) http.Handler {
 	mux.Route("GET /v1/traces/{trace_id}", "traces.get", s.tracesGet)
 	mux.Open("GET /v1/healthz", "healthz", s.healthz)
 	mux.Open("GET /v1/version", "version", s.version)
-	mux.Open("GET /v1/metrics", "metrics", sc.Registry.ServeHTTP)
+	mux.Open("GET /v1/metrics", "metrics", e.Registry().ServeHTTP)
 	return mux.ServeMux
 }
 
@@ -276,11 +269,13 @@ func (s *server) get(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, http.StatusBadRequest, CodeInvalidSpec, "bad wait duration: "+err.Error(), 0)
 			return
 		}
+		timer := time.NewTimer(d)
 		select {
 		case <-j.Done():
-		case <-time.After(d):
+		case <-timer.C:
 		case <-r.Context().Done():
 		}
+		timer.Stop()
 	}
 	WriteJSON(w, http.StatusOK, j.View())
 }

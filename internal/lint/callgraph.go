@@ -58,8 +58,6 @@ type FuncNode struct {
 	Summary Summary
 
 	// intra facts recorded by the walker, inputs to the fixed point.
-	ownBlockPos token.Pos
-	ownBlockWhy string
 	ownAcquires map[string]token.Pos
 	lockEdges   []lockEdge // intra-procedural acquisition-order edges
 

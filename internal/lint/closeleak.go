@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // AnalyzerCloseLeak checks close-on-all-paths for owned resources:
@@ -60,16 +61,8 @@ type openRes struct {
 }
 
 // leakState maps a resource variable to its open record; branchy
-// control flow clones it per path.
+// control flow clones it (maps.Clone) per path.
 type leakState map[types.Object]*openRes
-
-func (s leakState) clone() leakState {
-	c := make(leakState, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
 
 type leakWalker struct {
 	mp       *ModulePass
@@ -116,16 +109,16 @@ func (lw *leakWalker) stmt(stmt ast.Stmt, state leakState) {
 		if s.Init != nil {
 			lw.stmt(s.Init, state)
 		}
-		body := state.clone()
+		body := maps.Clone(state)
 		lw.block(s.Body.List, body)
 		lw.reconcile(state, s.Body.Rbrace, false, body)
 	case *ast.RangeStmt:
 		lw.escape(state, s.X)
-		body := state.clone()
+		body := maps.Clone(state)
 		lw.block(s.Body.List, body)
 		lw.reconcile(state, s.Body.Rbrace, false, body)
 	case *ast.BlockStmt:
-		inner := state.clone()
+		inner := maps.Clone(state)
 		lw.block(s.List, inner)
 		lw.reconcile(state, s.Rbrace, true, inner)
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
@@ -141,7 +134,7 @@ func (lw *leakWalker) ifStmt(s *ast.IfStmt, state leakState) {
 	}
 	errObj, op, condObj := lw.guard(s.Cond)
 
-	thenState := state.clone()
+	thenState := maps.Clone(state)
 	if errObj != nil && op == token.NEQ {
 		// `if err != nil`: the paired resource is nil on this path.
 		dropErrPaired(thenState, errObj)
@@ -150,7 +143,7 @@ func (lw *leakWalker) ifStmt(s *ast.IfStmt, state leakState) {
 
 	var elseState leakState
 	if s.Else != nil {
-		elseState = state.clone()
+		elseState = maps.Clone(state)
 		if errObj != nil && op == token.EQL {
 			dropErrPaired(elseState, errObj)
 		}
@@ -233,7 +226,7 @@ func (lw *leakWalker) clauses(stmt ast.Stmt, state leakState) {
 	}
 	var clones []leakState
 	for _, cc := range body.List {
-		clone := state.clone()
+		clone := maps.Clone(state)
 		switch c := cc.(type) {
 		case *ast.CaseClause:
 			lw.block(c.Body, clone)

@@ -17,38 +17,13 @@ import (
 var AnalyzerRand = &Analyzer{
 	Name: "rand",
 	Doc:  "unseeded math/rand package-level function in a deterministic package",
-	Run:  runRand,
+	Run:  runNondetSources,
 }
 
 // randConstructors build explicit sources/generators and are allowed.
 var randConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 	"NewPCG": true, "NewChaCha8": true,
-}
-
-func runRand(pass *Pass) {
-	if !pass.Config.Deterministic(pass.Pkg) {
-		return
-	}
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, isCall := n.(*ast.CallExpr)
-			if !isCall {
-				return true
-			}
-			pkgPath, name, ok := pkgFuncCall(pass, file, call)
-			if !ok || (pkgPath != "math/rand" && pkgPath != "math/rand/v2") {
-				return true
-			}
-			if randConstructors[name] {
-				return true
-			}
-			pass.Reportf(call.Pos(),
-				"unseeded %s.%s: use a *rand.Rand seeded from Config.Seed so runs are reproducible",
-				pkgPath, name)
-			return true
-		})
-	}
 }
 
 // AnalyzerTimeNow flags time.Now and time.Since in the deterministic
@@ -59,10 +34,12 @@ func runRand(pass *Pass) {
 var AnalyzerTimeNow = &Analyzer{
 	Name: "timenow",
 	Doc:  "time.Now/time.Since outside //lint:telemetry call sites in a deterministic package",
-	Run:  runTimeNow,
+	Run:  runNondetSources,
 }
 
-func runTimeNow(pass *Pass) {
+// runNondetSources reports, in a deterministic package, the calls
+// nondetSource attributes to pass.Analyzer (rand or timenow).
+func runNondetSources(pass *Pass) {
 	if !pass.Config.Deterministic(pass.Pkg) {
 		return
 	}
@@ -72,17 +49,16 @@ func runTimeNow(pass *Pass) {
 			if !isCall {
 				return true
 			}
-			pkgPath, name, ok := pkgFuncCall(pass, file, call)
-			if !ok || pkgPath != "time" || (name != "Now" && name != "Since") {
-				return true
+			switch analyzer, why := nondetSource(pass, file, call); {
+			case analyzer != pass.Analyzer.Name:
+			case analyzer == "rand":
+				pass.Reportf(call.Pos(),
+					"%s: use a *rand.Rand seeded from Config.Seed so runs are reproducible", why)
+			case !telemetryAnnotated(pass.Pkg, file, pass.Pkg.Fset.Position(call.Pos()).Line):
+				pass.Reportf(call.Pos(),
+					"%s in deterministic package %s: results must not depend on the wall clock (annotate //lint:telemetry if observational only)",
+					why, pass.Pkg.PkgPath)
 			}
-			line := pass.Pkg.Fset.Position(call.Pos()).Line
-			if telemetryAnnotated(pass.Pkg, file, line) {
-				return true
-			}
-			pass.Reportf(call.Pos(),
-				"time.%s in deterministic package %s: results must not depend on the wall clock (annotate //lint:telemetry if observational only)",
-				name, pass.Pkg.PkgPath)
 			return true
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -132,6 +133,11 @@ type Facts struct {
 	// deterministic order.
 	lockEdges []lockEdge
 	edgeIndex map[[2]string]*lockEdge
+
+	// pkgs are the analyzed packages; lockedBlocks are the walk's
+	// blocking operations under a held mutex (the locks analyzer).
+	pkgs         []*Package
+	lockedBlocks []lockedBlock
 }
 
 // BuildFacts runs the interprocedural analysis over the loaded
@@ -150,13 +156,15 @@ func BuildFacts(pkgs []*Package, cfg *Config) *Facts {
 		Cfg:       cfg,
 		Fset:      fset,
 		edgeIndex: make(map[[2]string]*lockEdge),
+		pkgs:      pkgs,
 	}
 	for _, n := range f.Graph.Nodes {
 		fw := &factWalker{facts: f, node: n, pass: &Pass{Pkg: n.Pkg}}
 		n.Summary.Acquires = make(map[string]*Acquire)
 		n.Summary.CtxParams = ctxParamIndices(n)
-		fw.walk()
+		fw.stmts(n.Decl.Body.List, newLockState())
 	}
+	f.walkPackageLiterals(pkgs)
 	f.Graph.computeSCCs()
 	for _, comp := range f.Graph.SCCs {
 		for changed := true; changed; {
@@ -270,24 +278,27 @@ func calleeFullName(pass *Pass, call *ast.CallExpr) string {
 	return ""
 }
 
-// nondetSource classifies a call as a nondeterminism source,
-// returning a human-readable name.
-func nondetSource(pass *Pass, file *ast.File, call *ast.CallExpr) (string, bool) {
+// nondetSource is the one table of nondeterminism sources: it
+// classifies a call as unseeded math/rand or a wall-clock read,
+// returning the analyzer that flags it in the deterministic packages
+// ("rand" or "timenow") and a human-readable name. nondetflow tracks
+// the same sources through returns and assignments.
+func nondetSource(pass *Pass, file *ast.File, call *ast.CallExpr) (analyzer, why string) {
 	pkgPath, name, ok := pkgFuncCall(pass, file, call)
 	if !ok {
-		return "", false
+		return "", ""
 	}
 	switch pkgPath {
 	case "math/rand", "math/rand/v2":
 		if !randConstructors[name] {
-			return "unseeded " + pkgPath + "." + name, true
+			return "rand", "unseeded " + pkgPath + "." + name
 		}
 	case "time":
 		if name == "Now" || name == "Since" {
-			return "time." + name, true
+			return "timenow", "time." + name
 		}
 	}
-	return "", false
+	return "", ""
 }
 
 // ---------------------------------------------------------------------------
@@ -328,6 +339,58 @@ func lockClassKey(pass *Pass, owner FuncKey, recv ast.Expr) string {
 
 // ---------------------------------------------------------------------------
 // Intra-procedural walk: locks held, blocking witnesses, call sites.
+//
+// This walk is the only code that threads a held-lock set. Besides the
+// summary inputs it records every blocking operation of the locks set
+// reached while a mutex is held (lockedBlocks, the locks analyzer's
+// findings). Every function literal is walked exactly once, as its own
+// frame with an empty held-set: literals inside a declaration from
+// their enclosing walk, package-level ones by walkPackageLiterals.
+
+// lockState is the held-set at one point of the walk, kept two ways:
+// classes by lock class (lockorder edges, CallSite.Held), recvs by
+// receiver rendering ("a.mu") with the Lock call that took it (locks
+// messages). They differ when two receivers share a class:
+// a.mu.Lock(); b.mu.Lock(); b.mu.Unlock() leaves a.mu held but no
+// class.
+type lockState struct {
+	classes map[string]bool
+	recvs   map[string]token.Pos
+}
+
+func newLockState() lockState {
+	return lockState{classes: make(map[string]bool), recvs: make(map[string]token.Pos)}
+}
+
+// clone gives a nested control-flow block its own copy: acquisitions
+// and releases inside a branch stay local to it.
+func (s lockState) clone() lockState {
+	return lockState{classes: maps.Clone(s.classes), recvs: maps.Clone(s.recvs)}
+}
+
+// classKeys lists the held lock classes, sorted.
+func (s lockState) classKeys() []string {
+	if len(s.classes) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(s.classes))
+	for k := range s.classes {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// lockedBlock is a blocking operation of the locks set (channel send
+// or receive, select without default, time.Sleep, WaitGroup.Wait)
+// reached while a mutex is held.
+type lockedBlock struct {
+	pos  token.Pos
+	what string // "channel send on q.ch", "time.Sleep"
+	// recv is the longest-held receiver, lockPos its Lock call.
+	recv    string
+	lockPos token.Pos
+}
 
 type factWalker struct {
 	facts *Facts
@@ -338,21 +401,22 @@ type factWalker struct {
 	async bool
 }
 
-func (fw *factWalker) walk() {
-	held := make(lockState)
-	fw.stmts(fw.node.Decl.Body.List, held)
-}
-
-func (fw *factWalker) heldKeys(held lockState) []string {
-	if len(held) == 0 {
-		return nil
+// walkPackageLiterals walks the function literals outside every
+// declaration body (var f = func(){…}). They belong to no call-graph
+// node, so they are walked against a detached one: only their
+// lockedBlocks survive.
+func (f *Facts) walkPackageLiterals(pkgs []*Package) {
+	for _, pkg := range pkgs {
+		detached := &FuncNode{Pkg: pkg, ownAcquires: make(map[string]token.Pos)}
+		fw := &factWalker{facts: f, node: detached, pass: &Pass{Pkg: pkg}}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				if _, isFunc := decl.(*ast.FuncDecl); !isFunc {
+					fw.lits(decl)
+				}
+			}
+		}
 	}
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func (fw *factWalker) stmts(list []ast.Stmt, held lockState) {
@@ -369,7 +433,7 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held lockState) {
 				key := lockClassKey(fw.pass, fw.node.Key, recv)
 				switch op {
 				case "Lock", "RLock":
-					for _, from := range fw.heldKeys(held) {
+					for _, from := range held.classKeys() {
 						if from != key {
 							fw.node.lockEdges = append(fw.node.lockEdges,
 								lockEdge{from: from, to: key, pos: call.Pos(), node: fw.node})
@@ -380,9 +444,11 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held lockState) {
 							fw.node.ownAcquires[key] = call.Pos()
 						}
 					}
-					held[key] = call.Pos()
+					held.classes[key] = true
+					held.recvs[exprString(recv)] = call.Pos()
 				case "Unlock", "RUnlock":
-					delete(held, key)
+					delete(held.classes, key)
+					delete(held.recvs, exprString(recv))
 				}
 				return
 			}
@@ -394,7 +460,7 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held lockState) {
 		}
 		fw.scan(s.Call, held)
 	case *ast.SendStmt:
-		fw.blockingWitness(s.Pos(), "channel send")
+		fw.blocking(held, s.Pos(), "channel send", "channel send on "+exprString(s.Chan))
 		fw.scan(s.Chan, held)
 		fw.scan(s.Value, held)
 	case *ast.AssignStmt:
@@ -424,6 +490,7 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held lockState) {
 		if s.Cond != nil {
 			fw.scan(s.Cond, held)
 		}
+		fw.lits(s.Post)
 		fw.stmts(s.Body.List, held.clone())
 	case *ast.RangeStmt:
 		fw.scan(s.X, held)
@@ -437,17 +504,11 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held lockState) {
 		if s.Tag != nil {
 			fw.scan(s.Tag, held)
 		}
-		for _, cc := range s.Body.List {
-			if c, isCase := cc.(*ast.CaseClause); isCase {
-				fw.stmts(c.Body, held.clone())
-			}
-		}
+		fw.clauses(s.Body, held)
 	case *ast.TypeSwitchStmt:
-		for _, cc := range s.Body.List {
-			if c, isCase := cc.(*ast.CaseClause); isCase {
-				fw.stmts(c.Body, held.clone())
-			}
-		}
+		fw.lits(s.Init)
+		fw.lits(s.Assign)
+		fw.clauses(s.Body, held)
 	case *ast.SelectStmt:
 		hasDefault := false
 		for _, cc := range s.Body.List {
@@ -456,13 +517,9 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held lockState) {
 			}
 		}
 		if !hasDefault {
-			fw.blockingWitness(s.Pos(), "blocking select")
+			fw.blocking(held, s.Pos(), "blocking select", "blocking select")
 		}
-		for _, cc := range s.Body.List {
-			if c, isComm := cc.(*ast.CommClause); isComm {
-				fw.stmts(c.Body, held.clone())
-			}
-		}
+		fw.clauses(s.Body, held)
 	case *ast.GoStmt:
 		// The goroutine's body runs outside this frame: walk it in
 		// async mode (its own lock nesting is recorded; nothing
@@ -470,10 +527,12 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held lockState) {
 		for _, a := range s.Call.Args {
 			fw.scan(a, held)
 		}
-		if lit, isLit := s.Call.Fun.(*ast.FuncLit); isLit {
-			sub := &factWalker{facts: fw.facts, node: fw.node, pass: fw.pass, async: true}
-			sub.stmts(lit.Body.List, make(lockState))
-		} else if callee := fw.facts.Graph.resolveCallee(fw.pass.Pkg, s.Call); callee != nil {
+		if lit, isLit := ast.Unparen(s.Call.Fun).(*ast.FuncLit); isLit {
+			fw.literal(lit, true)
+			return
+		}
+		fw.lits(s.Call.Fun)
+		if callee := fw.facts.Graph.resolveCallee(fw.pass.Pkg, s.Call); callee != nil {
 			fw.node.Calls = append(fw.node.Calls, &CallSite{
 				Caller: fw.node, Callee: callee, Pos: s.Call.Pos(), Call: s.Call, Async: true,
 			})
@@ -487,6 +546,51 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held lockState) {
 	}
 }
 
+// clauses walks each case or comm clause body of a switch or select
+// with its own copy of the held-set. The case expressions and comm
+// operations themselves contribute only their function literals.
+func (fw *factWalker) clauses(body *ast.BlockStmt, held lockState) {
+	for _, cc := range body.List {
+		switch c := cc.(type) {
+		case *ast.CaseClause:
+			for _, e := range c.List {
+				fw.lits(e)
+			}
+			fw.stmts(c.Body, held.clone())
+		case *ast.CommClause:
+			fw.lits(c.Comm)
+			fw.stmts(c.Body, held.clone())
+		}
+	}
+}
+
+// literal walks a function literal as its own frame with an empty
+// held-set. A non-go literal may run synchronously (deferred,
+// immediately invoked, passed to retry.Do): its calls count for the
+// enclosing summary — when it actually runs is unknown, hence the
+// empty held-set. A goroutine body is walked async.
+func (fw *factWalker) literal(lit *ast.FuncLit, async bool) {
+	sub := &factWalker{facts: fw.facts, node: fw.node, pass: fw.pass, async: async}
+	sub.stmts(lit.Body.List, newLockState())
+}
+
+// lits walks the function literals under n and nothing else: the
+// positions whose calls and channel operations the walk does not
+// record (case expressions, loop posts, comm clauses, type-switch
+// headers, a go statement's function expression).
+func (fw *factWalker) lits(n ast.Node) {
+	if n == nil {
+		return
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		if lit, isLit := n.(*ast.FuncLit); isLit {
+			fw.literal(lit, fw.async)
+			return false
+		}
+		return true
+	})
+}
+
 // scan inspects an expression subtree for call sites, blocking
 // operations and nested function literals.
 func (fw *factWalker) scan(root ast.Node, held lockState) {
@@ -496,19 +600,12 @@ func (fw *factWalker) scan(root ast.Node, held lockState) {
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			// A non-go literal may run synchronously (deferred,
-			// immediately invoked, passed to retry.Do): its calls count
-			// for the enclosing summary, but with an empty held-set —
-			// when it actually runs is unknown.
-			sub := &factWalker{facts: fw.facts, node: fw.node, pass: fw.pass, async: fw.async}
-			sub.stmts(n.Body.List, make(lockState))
+			fw.literal(n, fw.async)
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				fw.blockingWitness(n.Pos(), "channel receive")
+				fw.blocking(held, n.Pos(), "channel receive", "channel receive from "+exprString(n.X))
 			}
-		case *ast.SelectStmt:
-			// reached via DeclStmt scan; handled by stmt() elsewhere
 		case *ast.CallExpr:
 			fw.callSite(n, held)
 		}
@@ -519,20 +616,37 @@ func (fw *factWalker) scan(root ast.Node, held lockState) {
 // callSite records one call expression: a resolved module-local edge
 // and/or an intrinsic blocking witness.
 func (fw *factWalker) callSite(call *ast.CallExpr, held lockState) {
-	if full := calleeFullName(fw.pass, call); full != "" {
-		if why, isBlocking := blockingStd[full]; isBlocking {
-			fw.blockingWitness(call.Pos(), why)
+	if why, isBlocking := blockingStd[calleeFullName(fw.pass, call)]; isBlocking {
+		what := ""
+		if why == "time.Sleep" || why == "WaitGroup.Wait" {
+			// The locks set: Cond.Wait is called holding its lock by
+			// design, and network and exec calls are not in it.
+			what = why
 		}
+		fw.blocking(held, call.Pos(), why, what)
 	}
 	if callee := fw.facts.Graph.resolveCallee(fw.pass.Pkg, call); callee != nil {
 		fw.node.Calls = append(fw.node.Calls, &CallSite{
 			Caller: fw.node, Callee: callee, Pos: call.Pos(), Call: call,
-			Held: fw.heldKeys(held), Async: fw.async,
+			Held: held.classKeys(), Async: fw.async,
 		})
 	}
 }
 
-func (fw *factWalker) blockingWitness(pos token.Pos, why string) {
+// blocking records a blocking operation: the first synchronous one is
+// the summary's witness (why), and one of the locks set (what != "")
+// reached under a held mutex is a lockedBlock naming the longest-held
+// receiver, deterministically.
+func (fw *factWalker) blocking(held lockState, pos token.Pos, why, what string) {
+	if what != "" && len(held.recvs) > 0 {
+		b := lockedBlock{pos: pos, what: what}
+		for r, p := range held.recvs {
+			if b.recv == "" || p < b.lockPos || (p == b.lockPos && r < b.recv) {
+				b.recv, b.lockPos = r, p
+			}
+		}
+		fw.facts.lockedBlocks = append(fw.facts.lockedBlocks, b)
+	}
 	if fw.async {
 		return
 	}
@@ -956,7 +1070,7 @@ func (tc *taintCtx) callMark(call *ast.CallExpr) taintMark {
 		}
 	}
 	// Intrinsic nondeterminism source.
-	if why, isSrc := nondetSource(tc.pass, tc.node.File, call); isSrc {
+	if analyzer, why := nondetSource(tc.pass, tc.node.File, call); analyzer != "" {
 		return taintMark{src: true, why: why, pos: call.Pos()}
 	}
 	// Resolved module-local callee: use its summary.
@@ -1050,59 +1164,54 @@ func (f *Facts) frame(pos token.Pos, fn FuncKey, note string) ChainFrame {
 	return ChainFrame{Func: shortKey(fn), File: p.Filename, Line: p.Line, Note: note}
 }
 
-// BlockingChain explains why n blocks: the call-site frames down to
-// the intrinsic blocking operation.
-func (f *Facts) BlockingChain(n *FuncNode) []ChainFrame {
+// chain follows one summary fact down its provenance to the function
+// that has it intrinsically: fact returns the fact's position, its
+// intrinsic note and the call edge it was inherited through (nil at
+// the origin); ok false ends the chain.
+func (f *Facts) chain(n *FuncNode, fact func(*FuncNode) (pos token.Pos, why string, via *CallSite, ok bool)) []ChainFrame {
 	var chain []ChainFrame
 	seen := make(map[*FuncNode]bool)
 	for n != nil && !seen[n] {
 		seen[n] = true
-		s := n.Summary
-		if s.BlockingVia == nil {
-			chain = append(chain, f.frame(s.BlockingPos, n.Key, s.BlockingWhy))
+		pos, why, via, ok := fact(n)
+		if !ok {
 			break
 		}
-		chain = append(chain, f.frame(s.BlockingPos, n.Key, "calls "+shortKey(s.BlockingVia.Callee.Key)))
-		n = s.BlockingVia.Callee
+		if via == nil {
+			return append(chain, f.frame(pos, n.Key, why))
+		}
+		chain = append(chain, f.frame(pos, n.Key, "calls "+shortKey(via.Callee.Key)))
+		n = via.Callee
 	}
 	return chain
+}
+
+// BlockingChain explains why n blocks: the call-site frames down to
+// the intrinsic blocking operation.
+func (f *Facts) BlockingChain(n *FuncNode) []ChainFrame {
+	return f.chain(n, func(n *FuncNode) (token.Pos, string, *CallSite, bool) {
+		s := &n.Summary
+		return s.BlockingPos, s.BlockingWhy, s.BlockingVia, true
+	})
 }
 
 // AcquireChain explains how n comes to acquire lock class key.
 func (f *Facts) AcquireChain(n *FuncNode, key string) []ChainFrame {
-	var chain []ChainFrame
-	seen := make(map[*FuncNode]bool)
-	for n != nil && !seen[n] {
-		seen[n] = true
+	return f.chain(n, func(n *FuncNode) (token.Pos, string, *CallSite, bool) {
 		acq := n.Summary.Acquires[key]
 		if acq == nil {
-			break
+			return 0, "", nil, false
 		}
-		if acq.Via == nil {
-			chain = append(chain, f.frame(acq.Pos, n.Key, "acquires "+shortLock(key)))
-			break
-		}
-		chain = append(chain, f.frame(acq.Pos, n.Key, "calls "+shortKey(acq.Via.Callee.Key)))
-		n = acq.Via.Callee
-	}
-	return chain
+		return acq.Pos, "acquires " + shortLock(key), acq.Via, true
+	})
 }
 
 // TaintChain explains why n's return value is nondeterministic.
 func (f *Facts) TaintChain(n *FuncNode) []ChainFrame {
-	var chain []ChainFrame
-	seen := make(map[*FuncNode]bool)
-	for n != nil && !seen[n] {
-		seen[n] = true
-		s := n.Summary
-		if s.TaintVia == nil {
-			chain = append(chain, f.frame(s.TaintPos, n.Key, s.TaintWhy))
-			break
-		}
-		chain = append(chain, f.frame(s.TaintPos, n.Key, "calls "+shortKey(s.TaintVia.Callee.Key)))
-		n = s.TaintVia.Callee
-	}
-	return chain
+	return f.chain(n, func(n *FuncNode) (token.Pos, string, *CallSite, bool) {
+		s := &n.Summary
+		return s.TaintPos, s.TaintWhy, s.TaintVia, true
+	})
 }
 
 // markChain renders the provenance of one taint mark computed inside

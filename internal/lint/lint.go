@@ -118,7 +118,8 @@ type Analyzer struct {
 	Doc string
 	// Run inspects pass.Pkg and reports findings via pass.Reportf.
 	Run func(pass *Pass)
-	// RunModule inspects the whole module's facts (interprocedural
+	// RunModule inspects the whole module's facts (locks, which reads
+	// the facts walk's held-lock records, and the interprocedural
 	// analyzers: lockorder, ctxflow, nondetflow, closeleak).
 	RunModule func(mp *ModulePass)
 }
@@ -493,6 +494,9 @@ func sortDiags(ds []Diagnostic) {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }

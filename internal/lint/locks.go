@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"sort"
@@ -21,48 +20,38 @@ import (
 //     receiver in the same function (direct or deferred, including
 //     inside function literals defined there).
 //
-// The analysis is intra-procedural and branch-local: each branch of
-// an if/switch/select is analyzed with a copy of the held-set, so an
+// The held-set is threaded by the facts engine's walk (facts.go),
+// which records each such operation with the longest-held receiver.
+// It is intra-procedural and branch-local: each branch of an
+// if/switch/select is walked with a copy of the held-set, so an
 // early-return unlock inside a branch neither leaks out nor hides a
-// fall-through hold. Lock handoff across functions is rare and
+// fall-through hold, and every function literal is its own frame
+// with an empty held-set. Lock handoff across functions is rare and
 // intentional enough to deserve a //lint:ignore with its invariant
 // spelled out.
 var AnalyzerLocks = &Analyzer{
-	Name: "locks",
-	Doc:  "channel op / blocking call under a held mutex; Lock without reachable Unlock",
-	Run:  runLocks,
+	Name:      "locks",
+	Doc:       "channel op / blocking call under a held mutex; Lock without reachable Unlock",
+	RunModule: runLocks,
 }
 
-func runLocks(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		funcBodies(file, func(name string, body *ast.BlockStmt) {
-			lf := &lockFrame{pass: pass, file: file}
-			lf.block(body.List, lockState{})
-			lf.balance(name, body)
-		})
+func runLocks(mp *ModulePass) {
+	for _, b := range mp.Facts.lockedBlocks {
+		mp.Report(b.pos, nil, "%s while holding %s (locked at line %d)",
+			b.what, b.recv, mp.Facts.Fset.Position(b.lockPos).Line)
 	}
-}
-
-// lockState maps a receiver rendering ("e.mu") to the position of the
-// Lock call that acquired it.
-type lockState map[string]token.Pos
-
-func (s lockState) clone() lockState {
-	c := make(lockState, len(s))
-	for k, v := range s {
-		c[k] = v
+	for _, pkg := range mp.Facts.pkgs {
+		pass := &Pass{Pkg: pkg}
+		for _, file := range pkg.Files {
+			funcBodies(file, func(name string, body *ast.BlockStmt) {
+				balance(mp, pass, name, body)
+			})
+		}
 	}
-	return c
-}
-
-type lockFrame struct {
-	pass *Pass
-	file *ast.File
 }
 
 // mutexOp classifies call as a Lock/Unlock-family call on a mutex-ish
-// receiver, returning the receiver expression. Shared between the
-// intra-procedural locks analyzer and the facts engine (facts.go).
+// receiver, returning the receiver expression.
 func mutexOp(pass *Pass, call *ast.CallExpr) (recv ast.Expr, op string, ok bool) {
 	recvExpr, name, isMethod := methodCall(pass, call)
 	if !isMethod || len(call.Args) != 0 {
@@ -101,183 +90,11 @@ func mutexish(pass *Pass, recv ast.Expr, call *ast.CallExpr) bool {
 	return name == "mu" || name == "mutex" || strings.HasSuffix(name, "mu") || strings.HasSuffix(name, "lock")
 }
 
-// mutexOpStr is mutexOp with the receiver rendered as a string (the
-// locks analyzer keys its held-set on the textual receiver).
-func (lf *lockFrame) mutexOp(call *ast.CallExpr) (recv, op string, ok bool) {
-	recvExpr, name, isOp := mutexOp(lf.pass, call)
-	if !isOp {
-		return "", "", false
-	}
-	return exprString(recvExpr), name, true
-}
-
-// block walks a statement list in order, threading the held-set.
-// Nested control-flow blocks get a clone: acquisitions and releases
-// inside a branch stay local to it.
-func (lf *lockFrame) block(stmts []ast.Stmt, held lockState) {
-	for _, stmt := range stmts {
-		lf.stmt(stmt, held)
-	}
-}
-
-func (lf *lockFrame) stmt(stmt ast.Stmt, held lockState) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, isCall := s.X.(*ast.CallExpr); isCall {
-			if recv, op, ok := lf.mutexOp(call); ok {
-				switch op {
-				case "Lock", "RLock":
-					held[recv] = call.Pos()
-				case "Unlock", "RUnlock":
-					delete(held, recv)
-				}
-				return
-			}
-		}
-		lf.check(s.X, held)
-	case *ast.DeferStmt:
-		if recv, op, ok := lf.mutexOp(s.Call); ok && (op == "Unlock" || op == "RUnlock") {
-			// The lock is held until the function returns; keep it in
-			// the held-set so later statements are still checked.
-			_ = recv
-			return
-		}
-		lf.check(s.Call, held)
-	case *ast.SendStmt:
-		lf.report(held, s.Pos(), "channel send on %s", exprString(s.Chan))
-		lf.check(s.Chan, held)
-		lf.check(s.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			lf.check(e, held)
-		}
-		for _, e := range s.Lhs {
-			lf.check(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			lf.check(e, held)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			lf.stmt(s.Init, held)
-		}
-		lf.check(s.Cond, held)
-		lf.block(s.Body.List, held.clone())
-		if s.Else != nil {
-			lf.stmt(s.Else, held.clone())
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			lf.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			lf.check(s.Cond, held)
-		}
-		lf.block(s.Body.List, held.clone())
-	case *ast.RangeStmt:
-		lf.check(s.X, held)
-		lf.block(s.Body.List, held.clone())
-	case *ast.BlockStmt:
-		lf.block(s.List, held.clone())
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			lf.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			lf.check(s.Tag, held)
-		}
-		for _, cc := range s.Body.List {
-			if c, isCase := cc.(*ast.CaseClause); isCase {
-				lf.block(c.Body, held.clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cc := range s.Body.List {
-			if c, isCase := cc.(*ast.CaseClause); isCase {
-				lf.block(c.Body, held.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, cc := range s.Body.List {
-			if c, isComm := cc.(*ast.CommClause); isComm && c.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			lf.report(held, s.Pos(), "blocking select")
-		}
-		for _, cc := range s.Body.List {
-			if c, isComm := cc.(*ast.CommClause); isComm {
-				lf.block(c.Body, held.clone())
-			}
-		}
-	case *ast.GoStmt:
-		// The goroutine runs outside this frame's critical section;
-		// its body is analyzed as its own function by funcBodies. The
-		// call's arguments are evaluated here, though.
-		for _, a := range s.Call.Args {
-			lf.check(a, held)
-		}
-	case *ast.LabeledStmt:
-		lf.stmt(s.Stmt, held)
-	case *ast.DeclStmt:
-		lf.check(s, held)
-	}
-}
-
-// check walks an expression (or small statement) for blocking
-// operations while held is non-empty, skipping nested function
-// literals.
-func (lf *lockFrame) check(root ast.Node, held lockState) {
-	if len(held) == 0 || root == nil {
-		return
-	}
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				lf.report(held, n.Pos(), "channel receive from %s", exprString(n.X))
-			}
-		case *ast.CallExpr:
-			if pkgPath, name, ok := pkgFuncCall(lf.pass, lf.file, n); ok &&
-				pkgPath == "time" && name == "Sleep" {
-				lf.report(held, n.Pos(), "time.Sleep")
-			}
-			if _, name, ok := methodCall(lf.pass, n); ok && name == "Wait" &&
-				recvTypeIs(lf.pass, n, "sync.WaitGroup") {
-				lf.report(held, n.Pos(), "WaitGroup.Wait")
-			}
-		}
-		return true
-	})
-}
-
-func (lf *lockFrame) report(held lockState, pos token.Pos, format string, args ...any) {
-	if len(held) == 0 {
-		return
-	}
-	// Name the longest-held lock for the message, deterministically.
-	var recv string
-	var at token.Pos
-	for r, p := range held {
-		if recv == "" || p < at || (p == at && r < recv) {
-			recv, at = r, p
-		}
-	}
-	line := lf.pass.Pkg.Fset.Position(at).Line
-	lf.pass.Reportf(pos, "%s while holding %s (locked at line %d)",
-		fmt.Sprintf(format, args...), recv, line)
-}
-
 // balance reports Lock calls with no matching Unlock on the same
 // receiver anywhere in the function (including deferred calls and
 // function literals defined inside it — closures that release a
 // captured lock count as reachable).
-func (lf *lockFrame) balance(name string, body *ast.BlockStmt) {
+func balance(mp *ModulePass, pass *Pass, name string, body *ast.BlockStmt) {
 	locks := make(map[string][]token.Pos)
 	unlocks := make(map[string]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -285,10 +102,11 @@ func (lf *lockFrame) balance(name string, body *ast.BlockStmt) {
 		if !isCall {
 			return true
 		}
-		recv, op, ok := lf.mutexOp(call)
+		recvExpr, op, ok := mutexOp(pass, call)
 		if !ok {
 			return true
 		}
+		recv := exprString(recvExpr)
 		switch op {
 		case "Lock":
 			locks["Lock:"+recv] = append(locks["Lock:"+recv], call.Pos())
@@ -316,7 +134,7 @@ func (lf *lockFrame) balance(name string, body *ast.BlockStmt) {
 			op = "RUnlock"
 		}
 		for _, pos := range locks[k] {
-			lf.pass.Reportf(pos, "%s locked with no reachable %s in %s", recv, op, name)
+			mp.Report(pos, nil, "%s locked with no reachable %s in %s", recv, op, name)
 		}
 	}
 }

@@ -91,3 +91,58 @@ func (q *Queue) GoodBranchUnlock() int {
 	q.mu.Unlock()
 	return v
 }
+
+// Worker owns a lock its goroutines take themselves.
+type Worker struct {
+	mu  sync.Mutex
+	out chan int
+}
+
+// BadGoroutineSend sends from a goroutine body while holding the lock
+// that body took: the literal is its own frame.
+func (w *Worker) BadGoroutineSend() {
+	go func() {
+		w.mu.Lock()
+		w.out <- 1 // want `channel send on w.out while holding w.mu`
+		w.mu.Unlock()
+	}()
+}
+
+// registryMu guards the package-level sleeper below.
+var registryMu sync.Mutex
+
+// badSleeper is a package-level function literal: no declaration
+// encloses it, and it sleeps while holding registryMu.
+var badSleeper = func() {
+	registryMu.Lock()
+	time.Sleep(time.Millisecond) // want `time.Sleep while holding registryMu`
+	registryMu.Unlock()
+}
+
+// BadTwoReceivers still holds a.mu after releasing b.mu: both belong
+// to one lock class, but the held-set is kept per receiver.
+func BadTwoReceivers(a, b *Queue) int {
+	a.mu.Lock()
+	b.mu.Lock()
+	b.mu.Unlock()
+	v := <-a.ch // want `channel receive from a.ch while holding a.mu`
+	a.mu.Unlock()
+	return v
+}
+
+// GoodDeferredLiteral defers a literal that receives: the literal is
+// its own frame with an empty held-set, so nothing is reported.
+func (q *Queue) GoodDeferredLiteral() {
+	q.mu.Lock()
+	defer func() {
+		<-q.ch
+	}()
+	q.mu.Unlock()
+}
+
+// BadIncDecRecv receives inside an increment statement under the lock.
+func (q *Queue) BadIncDecRecv(counts map[int]int) {
+	q.mu.Lock()
+	counts[<-q.ch]++ // want `channel receive from q.ch while holding q.mu`
+	q.mu.Unlock()
+}

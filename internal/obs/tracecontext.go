@@ -104,6 +104,19 @@ func TraceContextFrom(ctx context.Context) (TraceContext, bool) {
 	return tc, ok && tc.Valid()
 }
 
+// SampleRate resolves a configured TraceSample (engine and coordinator
+// alike) to the rate SampleDecision takes: 0 (unset) keeps every
+// trace, negative keeps none, above 1 clamps to 1.
+func SampleRate(configured float64) float64 {
+	switch {
+	case configured == 0 || configured > 1:
+		return 1
+	case configured < 0:
+		return 0
+	}
+	return configured
+}
+
 // SampleDecision is the fleet's head-sampling rule: whether a trace
 // with this ID is kept at the given rate (0 keeps nothing, 1 keeps
 // everything). The decision hashes the trace ID itself, so every node

@@ -8,9 +8,9 @@
 // eviction, and safe for concurrent use.
 //
 // Keys are the engine's composite cache keys
-// (circuit/spec/fault-set digest hex separated by '/'); the slash is
-// mapped to '-' for the file name, which is reversible because the
-// digest alphabet is hex.
+// (02/<circuit16>/<spec16>: result version, circuit and spec digest
+// hex separated by '/'); the slash is mapped to '-' for the file name,
+// which is reversible because the digest alphabet is hex.
 package store
 
 import (
