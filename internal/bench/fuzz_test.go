@@ -9,13 +9,9 @@ import (
 // parser or the combinational extraction, and that successful parses
 // survive a write/re-parse round trip.
 func FuzzParseCombinational(f *testing.F) {
-	f.Add(S27Source)
-	f.Add("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
-	f.Add("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(y)\ny = AND(a, b)\n")
-	f.Add("# only a comment\n")
-	f.Add("INPUT(a)\nOUTPUT(a)\n")
-	f.Add("INPUT(a)\nOUTPUT(y)\ny = XOR(a, a)\n")
-	f.Add("INPUT(a)\nOUTPUT(y)\ny = AND(a,a,a,a,a,a)\n")
+	for _, src := range Corpus {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := ParseCombinationalString("fuzz", src)
 		if err != nil {

@@ -288,7 +288,6 @@ func (c *Circuit) resolveLevels() {
 			}
 		}
 		c.level[gi] = lv
-		c.maxLevel = max(c.maxLevel, lv)
 	}
 }
 

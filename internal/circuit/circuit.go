@@ -238,8 +238,7 @@ type Circuit struct {
 	fanoutStart []int
 	// level is each gate's topological level: 0 when fed only by
 	// primary inputs, else one more than its highest-level driver.
-	level    []int
-	maxLevel int
+	level []int
 }
 
 // NumLines returns the total number of lines.
@@ -262,10 +261,6 @@ func (c *Circuit) Fanout(net int) []int {
 // Level returns the topological level of gate gi; every gate sits at a
 // higher level than the gates driving its inputs.
 func (c *Circuit) Level(gi int) int { return c.level[gi] }
-
-// MaxLevel returns the highest gate level (0 for a circuit without
-// gates).
-func (c *Circuit) MaxLevel() int { return c.maxLevel }
 
 // PIIndex returns the position of PI line id within PIs, or -1.
 func (c *Circuit) PIIndex(id int) int {

@@ -1,9 +1,12 @@
 package circuit_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/bitsim"
 	"repro/internal/circuit"
 	"repro/internal/robust"
@@ -56,8 +59,8 @@ func checkNetlist(t *testing.T, c *circuit.Circuit) {
 				lv = max(lv, c.Level(d)+1)
 			}
 		}
-		if c.Level(gi) != lv || lv > c.MaxLevel() {
-			t.Fatalf("%s: gate %s at level %d, want %d (max %d)", c.Name, g.Name, c.Level(gi), lv, c.MaxLevel())
+		if c.Level(gi) != lv {
+			t.Fatalf("%s: gate %s at level %d, want %d", c.Name, g.Name, c.Level(gi), lv)
 		}
 	}
 	for net := range c.Lines {
@@ -124,11 +127,10 @@ func TestSimulatorsMatchSimulateTriples(t *testing.T) {
 		for ti, tp := range tests {
 			sim.Reset()
 			for _, i := range r.Perm(len(c.PIs)) {
-				pi := c.PIs[i]
-				sim.Assign(pi, 0, tp.P1[i])
-				sim.Assign(pi, 2, tp.P3[i])
+				sim.Assign(i, 0, tp.P1[i])
+				sim.Assign(i, 2, tp.P3[i])
 				if tp.P1[i] == tp.P3[i] {
-					sim.Assign(pi, 1, tp.P1[i])
+					sim.Assign(i, 1, tp.P1[i])
 				}
 			}
 			if !im.ImplyConsistent(piCube(c, tp)) {
@@ -178,108 +180,182 @@ func faninCone(c *circuit.Circuit, nets []int) []bool {
 	return cone
 }
 
-// TestAssignWithinMatchesAssign drives a full and a cone-limited
-// simulator through the same x-bearing assignment orders. Inside the
-// cone the two must agree on every net and plane; outside it only the
-// assigned primary inputs may change; every changed list stays inside
-// cone ∪ {pi}; and a tentative cone-limited assignment rolls back to
-// the exact prior state.
-func TestAssignWithinMatchesAssign(t *testing.T) {
-	circuits := []*circuit.Circuit{sharedPinCircuit(t)}
+// checkCompiledCone drives a simulator compiled to the fanin cone of a
+// random cube and a whole-circuit simulator through the same x-bearing
+// assignment order, with a tentative assignment of a still-x position
+// rolled back before each step. The compiled set must be the cone plus
+// every primary input, with primary input i at slot i and every gate
+// above its drivers. After every assignment the two must agree on all
+// three planes of every compiled net, the compiled changed set must be
+// the whole-circuit one restricted to the compiled nets, both must
+// report the same conflicts with the cube, and every line outside the
+// compiled set must read x. A rollback must restore the exact prior
+// state.
+func checkCompiledCone(t testing.TB, c *circuit.Circuit, r *rand.Rand, trials int) {
+	t.Helper()
+	if len(c.PIs) == 0 {
+		return
+	}
+	var nets []int // PIs and stems
+	for id := range c.Lines {
+		if c.Lines[id].Net == id {
+			nets = append(nets, id)
+		}
+	}
+	whole, coned := circuit.NewSimulator(c), circuit.NewSimulator(c)
+	type pos struct{ pi, plane int }
+	for trial := 0; trial < trials; trial++ {
+		req := make(map[int]tval.Triple)
+		var roots []int
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			net := nets[r.Intn(len(nets))]
+			req[net] = tval.NewTriple(tval.V(r.Intn(3)), tval.V(r.Intn(3)), tval.V(r.Intn(3)))
+			roots = append(roots, net)
+		}
+		cone := faninCone(c, roots)
+		var coneList []int
+		for net, in := range cone {
+			if in {
+				coneList = append(coneList, net)
+			}
+		}
+		r.Shuffle(len(coneList), func(i, j int) { coneList[i], coneList[j] = coneList[j], coneList[i] })
+		coned.Compile(coneList)
+		whole.Reset()
+
+		compiled := make(map[int]bool)
+		for k := 0; k < coned.Len(); k++ {
+			net := coned.Net(k)
+			compiled[net] = true
+			if coned.Slot(net) != k {
+				t.Fatalf("%s trial %d: net %s at slot %d, Slot says %d", c.Name, trial, c.Lines[net].Name, k, coned.Slot(net))
+			}
+			if g := c.Lines[net].Gate; g >= 0 {
+				for _, in := range c.Gates[g].InNets {
+					if coned.Slot(in) >= k {
+						t.Fatalf("%s trial %d: gate %s at slot %d reads slot %d", c.Name, trial, c.Lines[net].Name, k, coned.Slot(in))
+					}
+				}
+			}
+		}
+		for i, pi := range c.PIs {
+			if coned.Slot(pi) != i {
+				t.Fatalf("%s trial %d: primary input %d at slot %d", c.Name, trial, i, coned.Slot(pi))
+			}
+		}
+		for _, net := range nets {
+			if want := cone[net] || c.Lines[net].Kind == circuit.LinePI; compiled[net] != want {
+				t.Fatalf("%s trial %d: net %s compiled=%v, want %v", c.Name, trial, c.Lines[net].Name, compiled[net], want)
+			}
+		}
+
+		conflict := func(s *circuit.Simulator, changed []int, plane int) bool {
+			for _, k := range changed {
+				if q, ok := req[s.Net(k)]; ok && q.At(plane) != tval.X && s.At(k, plane) != q.At(plane) {
+					return true
+				}
+			}
+			return false
+		}
+		assign := func(where string, pi, plane int, v tval.V) {
+			t.Helper()
+			var wantNets, gotNets []int
+			changed := whole.Assign(pi, plane, v)
+			wantConflict := conflict(whole, changed, plane)
+			for _, k := range changed {
+				if compiled[whole.Net(k)] {
+					wantNets = append(wantNets, whole.Net(k))
+				}
+			}
+			changed = coned.Assign(pi, plane, v)
+			gotConflict := conflict(coned, changed, plane)
+			for _, k := range changed {
+				gotNets = append(gotNets, coned.Net(k))
+			}
+			slices.Sort(wantNets)
+			slices.Sort(gotNets)
+			if !slices.Equal(gotNets, wantNets) {
+				t.Fatalf("%s trial %d %s: compiled changed %v, whole-circuit %v", c.Name, trial, where, gotNets, wantNets)
+			}
+			if gotConflict != wantConflict {
+				t.Fatalf("%s trial %d %s: compiled conflict %v, whole-circuit %v", c.Name, trial, where, gotConflict, wantConflict)
+			}
+			for id := range c.Lines {
+				want := tval.TX
+				if compiled[c.Lines[id].Net] {
+					want = whole.Triple(id)
+				}
+				if got := coned.Triple(id); got != want {
+					t.Fatalf("%s trial %d %s: line %s compiled %v, want %v", c.Name, trial, where, c.Lines[id].Name, got, want)
+				}
+			}
+		}
+
+		tp := randomTests(c, r, 1)[0]
+		var order []pos
+		for i := range c.PIs {
+			if tp.P1[i] != tval.X {
+				order = append(order, pos{i, 0})
+			}
+			if tp.P3[i] != tval.X {
+				order = append(order, pos{i, 2})
+			}
+			if tp.P1[i] != tval.X && tp.P1[i] == tp.P3[i] {
+				order = append(order, pos{i, 1})
+			}
+		}
+		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for step, p := range order {
+			if pi, plane := r.Intn(len(c.PIs)), 2*r.Intn(2); coned.At(pi, plane) == tval.X {
+				before := make([]tval.Triple, len(c.Lines))
+				for id := range before {
+					before[id] = coned.Triple(id)
+				}
+				mw, mc := whole.Snapshot(), coned.Snapshot()
+				assign(fmt.Sprintf("step %d (tentative)", step), pi, plane, tval.V(r.Intn(2)))
+				whole.RollbackTo(mw)
+				coned.RollbackTo(mc)
+				for id := range before {
+					if got := coned.Triple(id); got != before[id] {
+						t.Fatalf("%s trial %d step %d: rollback left line %s at %v, want %v",
+							c.Name, trial, step, c.Lines[id].Name, got, before[id])
+					}
+				}
+			}
+			v := tp.P1[p.pi]
+			if p.plane == 2 {
+				v = tp.P3[p.pi]
+			}
+			assign(fmt.Sprintf("step %d", step), p.pi, p.plane, v)
+		}
+	}
+}
+
+// TestCompiledConeMatchesWholeCircuit runs checkCompiledCone on
+// circuits with shared pins and on random circuits, recompiling one
+// simulator for every cube.
+func TestCompiledConeMatchesWholeCircuit(t *testing.T) {
+	circuits := []*circuit.Circuit{sharedPinCircuit(t), bench.S27(), bench.C17()}
 	for seed := int64(1); seed <= 6; seed++ {
 		circuits = append(circuits, circuit.RandomTestCircuit(t, seed, 10, 40))
 	}
 	r := rand.New(rand.NewSource(5))
-	type pos struct{ pi, plane int }
 	for _, c := range circuits {
-		var nets []int // PIs and stems
-		for id := range c.Lines {
-			if c.Lines[id].Net == id {
-				nets = append(nets, id)
-			}
-		}
-		for trial := 0; trial < 40; trial++ {
-			roots := make([]int, 1+r.Intn(3))
-			for i := range roots {
-				roots[i] = nets[r.Intn(len(nets))]
-			}
-			cone := faninCone(c, roots)
-			tp := randomTests(c, r, 1)[0]
-			var order []pos
-			for i, pi := range c.PIs {
-				if tp.P1[i] != tval.X {
-					order = append(order, pos{pi, 0})
-				}
-				if tp.P3[i] != tval.X {
-					order = append(order, pos{pi, 2})
-				}
-				if tp.P1[i] != tval.X && tp.P1[i] == tp.P3[i] {
-					order = append(order, pos{pi, 1})
-				}
-			}
-			r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-			value := func(p pos) tval.V {
-				i := c.PIIndex(p.pi)
-				if p.plane == 2 {
-					return tp.P3[i]
-				}
-				return tp.P1[i]
-			}
-
-			full, coned := circuit.NewSimulator(c), circuit.NewSimulator(c)
-			assigned := make(map[int]bool)
-			checkChanged := func(changed []int, pi int) {
-				for _, n := range changed {
-					if n != pi && !cone[n] {
-						t.Fatalf("%s trial %d: net %s changed outside the cone", c.Name, trial, c.Lines[n].Name)
-					}
-				}
-			}
-			for step, p := range order {
-				// A tentative assignment of a still-x position must
-				// roll back to the exact prior state.
-				pi := c.PIs[r.Intn(len(c.PIs))]
-				if plane := 2 * r.Intn(2); coned.Value(pi, plane) == tval.X {
-					var before [circuit.NumPlanes][]tval.V
-					for pl := range before {
-						for id := range c.Lines {
-							before[pl] = append(before[pl], coned.Value(id, pl))
-						}
-					}
-					m := coned.Snapshot()
-					checkChanged(coned.AssignWithin(pi, plane, tval.V(r.Intn(2)), cone), pi)
-					coned.RollbackTo(m)
-					for pl := range before {
-						for id := range c.Lines {
-							if got := coned.Value(id, pl); got != before[pl][id] {
-								t.Fatalf("%s trial %d step %d: rollback left line %s plane %d at %v, want %v",
-									c.Name, trial, step, c.Lines[id].Name, pl, got, before[pl][id])
-							}
-						}
-					}
-				}
-
-				v := value(p)
-				full.Assign(p.pi, p.plane, v)
-				checkChanged(coned.AssignWithin(p.pi, p.plane, v, cone), p.pi)
-				assigned[p.pi] = true
-				for id := range c.Lines {
-					net := c.Lines[id].Net
-					for pl := 0; pl < circuit.NumPlanes; pl++ {
-						got, want := coned.Value(id, pl), full.Value(id, pl)
-						switch {
-						case cone[net] || assigned[net]:
-							if got != want {
-								t.Fatalf("%s trial %d step %d: line %s plane %d: cone-limited %v, full %v",
-									c.Name, trial, step, c.Lines[id].Name, pl, got, want)
-							}
-						case got != tval.X:
-							t.Fatalf("%s trial %d step %d: line %s outside the cone set to %v on plane %d",
-								c.Name, trial, step, c.Lines[id].Name, got, pl)
-						}
-					}
-				}
-			}
-		}
+		checkCompiledCone(t, c, r, 40)
 	}
+}
+
+// FuzzCompiledCone runs checkCompiledCone on parsed circuits, seeded
+// from the parser's corpus.
+func FuzzCompiledCone(f *testing.F) {
+	for i, src := range bench.Corpus {
+		f.Add(src, int64(i))
+	}
+	f.Fuzz(func(t *testing.T, src string, seed int64) {
+		c, err := bench.ParseCombinationalString("fuzz", src)
+		if err != nil || len(c.Lines) > 4096 {
+			return
+		}
+		checkCompiledCone(t, c, rand.New(rand.NewSource(seed)), 8)
+	})
 }

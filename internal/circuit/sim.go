@@ -1,6 +1,11 @@
 package circuit
 
-import "repro/internal/tval"
+import (
+	"math/bits"
+	"slices"
+
+	"repro/internal/tval"
+)
 
 // NumPlanes is the number of simulation planes of a two-pattern test:
 // first pattern, intermediate, second pattern.
@@ -9,50 +14,135 @@ const NumPlanes = 3
 // Simulator performs incremental three-valued simulation of a circuit
 // on the three planes of a two-pattern test.
 //
+// It simulates a compiled net list: every net of the circuit after
+// NewSimulator, or the nets passed to Compile plus every primary input.
+// The compiled nets are numbered densely in topological order; these
+// numbers are slots. Primary input i (in PIs order) is slot i, and
+// every gate's output slot is higher than the slots it reads. Assign and At address
+// slots; Value and Triple address lines.
+//
 // Assignments are monotone: values only move from x to a specified
 // value, so propagation from a changed primary input touches exactly
 // the newly specified nets. Every Assign appends to an undo log;
 // RollbackTo restores an earlier state, which makes speculative probing
 // ("would assigning 0 to this input conflict?") cheap.
 type Simulator struct {
-	c   *Circuit
+	c *Circuit
+
+	nets []int // slot -> net ID
+	slot []int // net ID -> slot, -1 when not compiled
+
+	// Slot k ≥ len(c.PIs) holds the output of a gate of type typ[k]
+	// reading the slots in[inStart[k]:inStart[k+1]]. The compiled gates
+	// reading slot k are fo[foStart[k]:foStart[k+1]].
+	typ         []GateType
+	in, inStart []int
+	fo, foStart []int
+
 	val [NumPlanes][]tval.V
 
 	undo []undoEntry
 
 	// propagation scratch, reused across calls
-	buckets [][]int // level -> gates scheduled for evaluation
-	stamp   []int
-	epoch   int
+	sched   []uint64 // bitset of gate slots scheduled for evaluation
 	changed []int
 }
 
-type undoEntry struct {
-	plane int
-	net   int
-	old   tval.V
-}
+// undoEntry is one value set by Assign; as values move only from x,
+// undoing it restores x.
+type undoEntry struct{ plane, slot int32 }
 
 // Mark is a point in the undo log, returned by Snapshot.
 type Mark int
 
-// NewSimulator creates a simulator with all values x.
+// NewSimulator creates a simulator of the whole circuit with all
+// values x.
 func NewSimulator(c *Circuit) *Simulator {
-	s := &Simulator{c: c}
-	for p := range s.val {
-		s.val[p] = make([]tval.V, len(c.Lines))
+	s := &Simulator{c: c, slot: make([]int, len(c.Lines))}
+	for i := range s.slot {
+		s.slot[i] = -1
 	}
-	s.buckets = make([][]int, c.MaxLevel()+1)
-	s.stamp = make([]int, len(c.Gates))
-	for i := range s.stamp {
-		s.stamp[i] = -1
+	outs := make([]int, len(c.Gates))
+	for gi := range c.Gates {
+		outs[gi] = c.Gates[gi].Out
 	}
-	s.Reset()
+	s.Compile(outs)
 	return s
 }
 
 // Circuit returns the simulated circuit.
 func (s *Simulator) Circuit() *Circuit { return s.c }
+
+// Compile restricts the simulator to the given nets plus every primary
+// input and resets every value to x. The nets must be closed under
+// fanin: a gate output in the set reads only nets in the set or primary
+// inputs. Propagation then changes exactly the compiled nets that full
+// propagation changes, and Compile panics on a set that is not closed.
+// Buffers are reused, so recompiling allocates only when the set grows.
+func (s *Simulator) Compile(nets []int) {
+	c := s.c
+	for _, n := range s.nets {
+		s.slot[n] = -1
+	}
+	for _, n := range nets {
+		if c.Lines[n].Gate >= 0 {
+			s.slot[n] = 0 // member mark; overwritten below
+		}
+	}
+	s.nets = append(s.nets[:0], c.PIs...)
+	for _, gi := range c.TopoGates() {
+		if out := c.Gates[gi].Out; s.slot[out] == 0 {
+			s.nets = append(s.nets, out)
+		}
+	}
+	for k, n := range s.nets {
+		s.slot[n] = k
+	}
+
+	s.typ, s.in, s.fo = s.typ[:0], s.in[:0], s.fo[:0]
+	s.inStart, s.foStart = s.inStart[:0], s.foStart[:0]
+	for _, n := range s.nets {
+		s.inStart = append(s.inStart, len(s.in))
+		s.foStart = append(s.foStart, len(s.fo))
+		var typ GateType // unused for primary inputs
+		if g := c.Lines[n].Gate; g >= 0 {
+			typ = c.Gates[g].Type
+			for _, in := range c.Gates[g].InNets {
+				if s.slot[in] < 0 {
+					panic("circuit: compiled net set is not closed under fanin")
+				}
+				s.in = append(s.in, s.slot[in])
+			}
+		}
+		s.typ = append(s.typ, typ)
+		for _, gi := range c.Fanout(n) {
+			if r := s.slot[c.Gates[gi].Out]; r >= 0 {
+				s.fo = append(s.fo, r)
+			}
+		}
+	}
+	s.inStart = append(s.inStart, len(s.in))
+	s.foStart = append(s.foStart, len(s.fo))
+
+	size := len(s.nets)
+	for p := range s.val {
+		s.val[p] = slices.Grow(s.val[p][:0], size)[:size]
+	}
+	words := (size + 63) / 64
+	s.sched = slices.Grow(s.sched[:0], words)[:words]
+	clear(s.sched)
+	s.Reset()
+}
+
+// Len returns the number of compiled nets (slots).
+func (s *Simulator) Len() int { return len(s.nets) }
+
+// Slot returns the slot of a line's net, or -1 when it is not
+// compiled.
+func (s *Simulator) Slot(line int) int { return s.slot[s.c.Lines[line].Net] }
+
+// Net returns the net ID at slot k.
+func (s *Simulator) Net(k int) int { return s.nets[k] }
 
 // Reset sets every value to x and clears the undo log.
 func (s *Simulator) Reset() {
@@ -64,15 +154,21 @@ func (s *Simulator) Reset() {
 	s.undo = s.undo[:0]
 }
 
-// Value returns the simulated value of a line on one plane.
+// At returns the simulated value at slot k on one plane.
+func (s *Simulator) At(k, plane int) tval.V { return s.val[plane][k] }
+
+// Value returns the simulated value of a line on one plane; x when the
+// line's net is not compiled.
 func (s *Simulator) Value(line, plane int) tval.V {
-	return s.val[plane][s.c.Lines[line].Net]
+	if k := s.Slot(line); k >= 0 {
+		return s.val[plane][k]
+	}
+	return tval.X
 }
 
 // Triple returns the simulated value triple of a line.
 func (s *Simulator) Triple(line int) tval.Triple {
-	net := s.c.Lines[line].Net
-	return tval.NewTriple(s.val[0][net], s.val[1][net], s.val[2][net])
+	return tval.NewTriple(s.Value(line, 0), s.Value(line, 1), s.Value(line, 2))
 }
 
 // Snapshot returns a mark for RollbackTo.
@@ -82,7 +178,7 @@ func (s *Simulator) Snapshot() Mark { return Mark(len(s.undo)) }
 func (s *Simulator) RollbackTo(m Mark) {
 	for i := len(s.undo) - 1; i >= int(m); i-- {
 		e := s.undo[i]
-		s.val[e.plane][e.net] = e.old
+		s.val[e.plane][e.slot] = tval.X
 	}
 	s.undo = s.undo[:int(m)]
 }
@@ -91,74 +187,59 @@ func (s *Simulator) RollbackTo(m Mark) {
 // longer be rolled back to).
 func (s *Simulator) ClearUndo() { s.undo = s.undo[:0] }
 
-// Assign sets the value of a primary-input net on one plane and
-// propagates the consequences. It returns the net IDs whose value
-// changed on that plane (including pi itself); the slice is valid until
-// the next Assign. Assigning the already-present value is a no-op.
+// Assign sets the value of primary input pi (its index in PIs, which is
+// also its slot) on one plane and propagates the consequences through
+// the compiled nets. It returns the slots whose value changed on that
+// plane (including pi itself); the slice is valid until the next
+// Assign. Assigning the already-present value is a no-op.
 //
 // Assignments must be monotone: changing a specified value to a
 // different specified value panics, as the incremental propagation
 // only supports x → 0/1 refinement.
 func (s *Simulator) Assign(pi, plane int, v tval.V) []int {
-	return s.AssignWithin(pi, plane, v, nil)
-}
-
-// AssignWithin is Assign propagating only into gates whose output net
-// is marked in within (indexed by net; nil marks every net). When
-// within is closed under fanin (a marked net's gate reads only marked
-// nets), the marked nets change exactly as under Assign, and no other
-// net but pi changes.
-func (s *Simulator) AssignWithin(pi, plane int, v tval.V, within []bool) []int {
 	vals := s.val[plane]
-	old := vals[pi]
-	if old == v {
-		return s.changed[:0]
+	s.changed = s.changed[:0]
+	if vals[pi] == v {
+		return s.changed
 	}
-	if old != tval.X {
+	if vals[pi] != tval.X {
 		panic("circuit: non-monotone simulator assignment")
 	}
-	s.changed = s.changed[:0]
-	s.undo = append(s.undo, undoEntry{plane, pi, old})
-	vals[pi] = v
-	s.changed = append(s.changed, pi)
-
-	s.epoch++
-	maxLv := s.enqueue(pi, -1, within)
-	// A consumer sits at a higher level than its producer, so the
-	// level-ordered drain empties every bucket it fills.
-	for lv := 0; lv <= maxLv; lv++ {
-		for _, gi := range s.buckets[lv] {
-			g := &s.c.Gates[gi]
-			nv := g.Type.Eval(g.InNets, vals)
-			out := g.Out
-			if nv != vals[out] {
-				s.undo = append(s.undo, undoEntry{plane, out, vals[out]})
-				vals[out] = nv
-				s.changed = append(s.changed, out)
-				maxLv = s.enqueue(out, maxLv, within)
+	s.set(plane, pi, v)
+	hi := s.schedule(pi, -1)
+	// A reader's slot is higher than its drivers', so draining the
+	// scheduled set lowest slot first evaluates in topological order.
+	for w := pi / 64; w <= hi; w++ {
+		for s.sched[w] != 0 {
+			b := bits.TrailingZeros64(s.sched[w])
+			s.sched[w] &^= 1 << uint(b)
+			k := w*64 + b
+			if vals[k] != tval.X {
+				continue // specified values are final
+			}
+			if nv := s.typ[k].Eval(s.in[s.inStart[k]:s.inStart[k+1]], vals); nv != tval.X {
+				s.set(plane, k, nv)
+				hi = s.schedule(k, hi)
 			}
 		}
-		s.buckets[lv] = s.buckets[lv][:0]
 	}
 	return s.changed
 }
 
-// enqueue schedules the consumers of net inside within not yet
-// scheduled by the current Assign and returns the highest level
-// scheduled, at least maxLv.
-func (s *Simulator) enqueue(net, maxLv int, within []bool) int {
-	for _, gi := range s.c.Fanout(net) {
-		if within != nil && !within[s.c.Gates[gi].Out] {
-			continue
-		}
-		if s.stamp[gi] != s.epoch {
-			s.stamp[gi] = s.epoch
-			lv := s.c.Level(gi)
-			s.buckets[lv] = append(s.buckets[lv], gi)
-			maxLv = max(maxLv, lv)
-		}
+func (s *Simulator) set(plane, k int, v tval.V) {
+	s.undo = append(s.undo, undoEntry{int32(plane), int32(k)})
+	s.val[plane][k] = v
+	s.changed = append(s.changed, k)
+}
+
+// schedule marks the readers of slot k for evaluation and returns the
+// highest scheduled word, at least hi.
+func (s *Simulator) schedule(k, hi int) int {
+	for _, r := range s.fo[s.foStart[k]:s.foStart[k+1]] {
+		s.sched[r/64] |= 1 << uint(r%64)
+		hi = max(hi, r/64)
 	}
-	return maxLv
+	return hi
 }
 
 // SimulateTriples fully simulates a two-pattern test given by the

@@ -13,12 +13,12 @@ func TestSimulatorFullAssign(t *testing.T) {
 	a, b, cc := c.LineByName("a"), c.LineByName("b"), c.LineByName("c")
 	or, y := c.LineByName("or1"), c.LineByName("y")
 
-	s.Assign(a.ID, 0, tval.One)
-	s.Assign(b.ID, 0, tval.Zero)
+	s.Assign(c.PIIndex(a.ID), 0, tval.One)
+	s.Assign(c.PIIndex(b.ID), 0, tval.Zero)
 	if got := s.Value(y.ID, 0); got != tval.X {
 		t.Errorf("y undetermined inputs: got %v, want x", got)
 	}
-	s.Assign(cc.ID, 0, tval.One)
+	s.Assign(c.PIIndex(cc.ID), 0, tval.One)
 	if got := s.Value(or.ID, 0); got != tval.One {
 		t.Errorf("or1 = %v, want 1", got)
 	}
@@ -33,7 +33,7 @@ func TestSimulatorEarlyDetermination(t *testing.T) {
 	s := NewSimulator(c)
 	b := c.LineByName("b")
 	or := c.LineByName("or1")
-	changed := s.Assign(b.ID, 2, tval.One)
+	changed := s.Assign(c.PIIndex(b.ID), 2, tval.One)
 	if got := s.Value(or.ID, 2); got != tval.One {
 		t.Errorf("or1 = %v, want 1 (controlling input)", got)
 	}
@@ -41,7 +41,7 @@ func TestSimulatorEarlyDetermination(t *testing.T) {
 	// input and one 1 input is x).
 	foundOr := false
 	for _, n := range changed {
-		if n == or.ID {
+		if n == s.Slot(or.ID) {
 			foundOr = true
 		}
 	}
@@ -56,10 +56,10 @@ func TestSimulatorRollback(t *testing.T) {
 	a, b, cc := c.LineByName("a"), c.LineByName("b"), c.LineByName("c")
 	y := c.LineByName("y")
 
-	s.Assign(a.ID, 0, tval.One)
+	s.Assign(c.PIIndex(a.ID), 0, tval.One)
 	m := s.Snapshot()
-	s.Assign(b.ID, 0, tval.One)
-	s.Assign(cc.ID, 0, tval.Zero)
+	s.Assign(c.PIIndex(b.ID), 0, tval.One)
+	s.Assign(c.PIIndex(cc.ID), 0, tval.Zero)
 	if got := s.Value(y.ID, 0); got != tval.Zero {
 		t.Fatalf("y = %v, want 0", got)
 	}
@@ -79,13 +79,13 @@ func TestSimulatorNonMonotonePanics(t *testing.T) {
 	c := buildSmall(t)
 	s := NewSimulator(c)
 	a := c.LineByName("a")
-	s.Assign(a.ID, 0, tval.One)
+	s.Assign(c.PIIndex(a.ID), 0, tval.One)
 	defer func() {
 		if recover() == nil {
 			t.Error("overwriting a specified value must panic")
 		}
 	}()
-	s.Assign(a.ID, 0, tval.Zero)
+	s.Assign(c.PIIndex(a.ID), 0, tval.Zero)
 }
 
 func TestSimulatorMatchesFullSimulation(t *testing.T) {
@@ -105,15 +105,14 @@ func TestSimulatorMatchesFullSimulation(t *testing.T) {
 		s := NewSimulator(c)
 		order := r.Perm(len(c.PIs))
 		for _, i := range order {
-			pi := c.PIs[i]
 			if p1[i] != tval.X {
-				s.Assign(pi, 0, p1[i])
+				s.Assign(i, 0, p1[i])
 			}
 			if p3[i] != tval.X {
-				s.Assign(pi, 2, p3[i])
+				s.Assign(i, 2, p3[i])
 			}
 			if p1[i] != tval.X && p1[i] == p3[i] {
-				s.Assign(pi, 1, p1[i])
+				s.Assign(i, 1, p1[i])
 			}
 		}
 		for id := range c.Lines {

@@ -71,7 +71,7 @@ func TestAccessors(t *testing.T) {
 	if s.Circuit() != c {
 		t.Error("Simulator.Circuit wrong")
 	}
-	s.Assign(c.PIs[0], 0, tval.One)
+	s.Assign(0, 0, tval.One)
 	s.ClearUndo()
 	if got := s.Snapshot(); got != 0 {
 		t.Errorf("ClearUndo left %d entries", got)

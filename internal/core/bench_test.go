@@ -31,3 +31,24 @@ func BenchmarkEnrichS953(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEnrichPaperB04 runs enrichment at the paper's budgets on
+// b04: N_P 10000, N_P0 1000, seed 1. Prepare runs once, outside the
+// timer; one iteration is one enrichment, whose justification effort
+// it reports. A CPU profile of justification at the paper's scale:
+//
+//	go test -run '^$' -bench EnrichPaperB04 -cpuprofile cpu.out ./internal/core/
+func BenchmarkEnrichPaperB04(b *testing.B) {
+	d, err := experiments.Prepare("b04", experiments.Params{NP: 10000, NP0: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *core.EnrichResult
+	for i := 0; i < b.N; i++ {
+		res = core.Enrich(d.Circuit, d.P0, d.P1, core.Config{Seed: 1})
+	}
+	b.ReportMetric(float64(res.JustifyStats.Calls), "calls")
+	b.ReportMetric(float64(res.JustifyStats.Probes), "probes")
+}

@@ -1,7 +1,8 @@
 package justify
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/robust"
@@ -30,11 +31,12 @@ type BnBConfig struct {
 // at its backtrack bound.
 //
 // The search reads only primary-input positions and required nets, so
-// every assignment propagates within the cube's cone.
+// every assignment propagates within the cube's cone (reqSim).
 type BnB struct {
 	reqSim
 	cfg BnBConfig
 
+	positions  []position // the current call's decision positions
 	backtracks int
 	stats      BnBStats
 }
@@ -74,29 +76,29 @@ func (b *BnB) JustifyImplied(cube *robust.Cube, im *robust.Implier) (test circui
 	defer b.clear()
 	b.backtracks = 0
 
-	if !b.cfg.DisableImplicationSeed && !b.seed(cube, im, b.cone) {
+	if !b.cfg.DisableImplicationSeed && !b.seed(cube, im) {
 		b.stats.Proofs++
 		return test, false, true
 	}
 
 	// Decision positions: both pattern planes of every input in the
-	// cone, most-connected inputs first for stronger early pruning.
-	var cone []int
+	// cone, in line order, most-connected inputs first for stronger
+	// early pruning.
+	b.positions = b.positions[:0]
 	for _, net := range b.coneList {
 		if b.c.Lines[net].Kind == circuit.LinePI {
-			cone = append(cone, net)
+			pi := b.sim.Slot(net)
+			b.positions = append(b.positions, position{net, pi, 0}, position{net, pi, 2})
 		}
 	}
-	sort.Ints(cone)
-	positions := make([]position, 0, 2*len(cone))
-	for _, pi := range cone {
-		positions = append(positions, position{pi, 0}, position{pi, 2})
-	}
-	sort.SliceStable(positions, func(i, j int) bool {
-		return len(b.c.Lines[positions[i].net].Succs) > len(b.c.Lines[positions[j].net].Succs)
+	slices.SortFunc(b.positions, func(p, q position) int {
+		return cmp.Or(
+			cmp.Compare(len(b.c.Lines[q.net].Succs), len(b.c.Lines[p.net].Succs)),
+			cmp.Compare(p.net, q.net),
+			cmp.Compare(p.plane, q.plane))
 	})
 
-	ok, exhausted := b.search(cube, positions)
+	ok, exhausted := b.search(cube, b.positions)
 	if ok {
 		b.stats.Successes++
 		return b.extract(), true, false
@@ -109,8 +111,10 @@ func (b *BnB) JustifyImplied(cube *robust.Cube, im *robust.Implier) (test circui
 	return test, false, false
 }
 
+// position is a pattern position (plane 0 or 2) of the primary input
+// with line ID net and index pi.
 type position struct {
-	net, plane int
+	net, pi, plane int
 }
 
 // search assigns the remaining positions depth-first. It returns
@@ -119,7 +123,7 @@ type position struct {
 func (b *BnB) search(cube *robust.Cube, positions []position) (found, exhausted bool) {
 	b.stats.Nodes++
 	// Skip already specified positions (implications, earlier forces).
-	for len(positions) > 0 && b.sim.Value(positions[0].net, positions[0].plane) != tval.X {
+	for len(positions) > 0 && b.sim.At(positions[0].pi, positions[0].plane) != tval.X {
 		positions = positions[1:]
 	}
 	if len(positions) == 0 {
@@ -129,7 +133,7 @@ func (b *BnB) search(cube *robust.Cube, positions []position) (found, exhausted 
 	exhausted = true
 	for _, v := range []tval.V{tval.Zero, tval.One} {
 		m := b.sim.Snapshot()
-		if !b.apply(pos.net, pos.plane, v, b.cone, nil) {
+		if !b.apply(pos.pi, pos.plane, v, nil) {
 			f, ex := b.search(cube, positions[1:])
 			if f {
 				return true, true

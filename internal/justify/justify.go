@@ -32,11 +32,15 @@
 //   - and among those, to inputs whose fanout cone holds a required
 //     net: a probe of any other input changes no required net, so it
 //     can never rule a value out;
-//   - a probe propagates only within the cube's cone, the transitive
-//     fanin of its required nets: it is rolled back, and can conflict
-//     only on a required net, whose value the cone alone determines.
-//     Committed assignments propagate fully, because the dirty
-//     tracking reads every net they change.
+//   - every assignment, probe or commit, propagates only within the
+//     cube's cone, the transitive fanin of its required nets, which
+//     is compiled once per call with the primary inputs (reqSim). A
+//     conflict arises only on a required net, whose value the cone
+//     alone determines. A probe reads only cone nets, so a commit's
+//     change outside the cone could only mark an input dirty whose
+//     re-probe finds both values consistent, as before, and commits
+//     nothing. Tests, decisions and random draws are those of full
+//     propagation; only the probe count is lower.
 //
 // With implication seeding on, a cube whose implications conflict
 // fails before any probe or random draw. A caller that already holds
@@ -180,10 +184,10 @@ func (j *Justifier) JustifyImplied(cube *robust.Cube, im *robust.Implier) (test 
 		}
 	}
 
-	// Seed with the implications of the cube. Committed values
-	// propagate fully, so every later commit changes, and marks dirty,
-	// the nets it would change in the full simulation.
-	if !j.cfg.DisableImplicationSeed && !j.seed(cube, im, nil) {
+	// Seed with the implications of the cube, within the cone like
+	// every assignment. Seeding marks nothing dirty: every input that
+	// can influence a required net is marked next.
+	if !j.cfg.DisableImplicationSeed && !j.seed(cube, im) {
 		return test, false
 	}
 
@@ -229,10 +233,10 @@ func (j *Justifier) orDirty(mask []uint64) {
 	}
 }
 
-// markDirty extends the dirty set by the nets an assignment changed.
+// markDirty extends the dirty set by the slots an assignment changed.
 func (j *Justifier) markDirty(changed []int) {
-	for _, n := range changed {
-		j.orDirty(j.dirtyMask[n*j.words:])
+	for _, k := range changed {
+		j.orDirty(j.dirtyMask[j.sim.Net(k)*j.words:])
 	}
 }
 
@@ -250,16 +254,15 @@ func (j *Justifier) allDirty() {
 // with index piIdx, extending the dirty set by every net it changes,
 // and reports conflict.
 func (j *Justifier) commit(piIdx, plane int, v tval.V) bool {
-	return j.apply(j.c.PIs[piIdx], plane, v, nil, j.markDirty)
+	return j.apply(piIdx, plane, v, j.markDirty)
 }
 
 // probe tentatively applies a position value and reports conflict.
-// A probe is rolled back and marks nothing dirty, so it propagates
-// within the cone only.
+// A probe is rolled back and marks nothing dirty.
 func (j *Justifier) probe(piIdx, plane int, v tval.V) bool {
 	j.stats.Probes++
 	m := j.sim.Snapshot()
-	conflict := j.apply(j.c.PIs[piIdx], plane, v, j.cone, nil)
+	conflict := j.apply(piIdx, plane, v, nil)
 	j.sim.RollbackTo(m)
 	return conflict
 }
@@ -273,8 +276,7 @@ func (j *Justifier) assignNecessary() bool {
 			return true
 		}
 		for _, plane := range []int{0, 2} {
-			net := j.c.PIs[piIdx]
-			if j.sim.Value(net, plane) != tval.X {
+			if j.sim.At(piIdx, plane) != tval.X {
 				continue
 			}
 			c0 := j.probe(piIdx, plane, tval.Zero)
@@ -321,10 +323,10 @@ type piPos struct{ pi, plane int }
 // stable), otherwise a random unspecified position with a random
 // value. done is true when every position is specified.
 func (j *Justifier) pickDecision() (piIdx, plane int, v tval.V, done bool) {
-	c := j.c
-	for i, net := range c.PIs {
-		v1 := j.sim.Value(net, 0)
-		v3 := j.sim.Value(net, 2)
+	n := len(j.c.PIs)
+	for i := 0; i < n; i++ {
+		v1 := j.sim.At(i, 0)
+		v3 := j.sim.At(i, 2)
 		if v1 != tval.X && v3 == tval.X {
 			return i, 2, v1, false
 		}
@@ -334,11 +336,11 @@ func (j *Justifier) pickDecision() (piIdx, plane int, v tval.V, done bool) {
 	}
 	// Random unspecified position.
 	free := j.free[:0]
-	for i, net := range c.PIs {
-		if j.sim.Value(net, 0) == tval.X {
+	for i := 0; i < n; i++ {
+		if j.sim.At(i, 0) == tval.X {
 			free = append(free, piPos{i, 0})
 		}
-		if j.sim.Value(net, 2) == tval.X {
+		if j.sim.At(i, 2) == tval.X {
 			free = append(free, piPos{i, 2})
 		}
 	}

@@ -6,39 +6,33 @@ import (
 	"repro/internal/tval"
 )
 
-// reqSim is the requirement simulation both justifiers search on: a
-// three-plane simulator, the required value of every net, and the cone
-// of the current cube, every net in the transitive fanin of a required
-// net. A gate whose output lies in the cone reads only nets in the
-// cone, so an assignment propagated within the cone changes every cone
-// net, and finds every conflict, exactly as full propagation does.
+// reqSim is the requirement simulation both justifiers search on: the
+// cone of the current cube, every net in the transitive fanin of a
+// required net, compiled into a three-plane simulator together with
+// every primary input, and the required value of every compiled net.
+// A gate whose output lies in the cone reads only nets in the cone, so
+// an assignment changes every cone net, and finds every conflict,
+// exactly as it would in the whole circuit. The primary inputs outside
+// the cone keep the values decisions give them and feed nothing.
 type reqSim struct {
 	c   *circuit.Circuit
 	sim *circuit.Simulator
 	im  *robust.Implier // derives the implications a caller does not hold
 
-	req      []tval.Triple // per net; TX when unconstrained
-	reqList  []int
-	cone     []bool // per net
+	req      []tval.Triple // per slot; TX when unconstrained
+	cone     []bool        // per net
 	coneList []int
 }
 
 func newReqSim(c *circuit.Circuit) reqSim {
-	r := reqSim{c: c, sim: circuit.NewSimulator(c), im: robust.NewImplier(c),
-		req: make([]tval.Triple, len(c.Lines)), cone: make([]bool, len(c.Lines))}
-	for i := range r.req {
-		r.req[i] = tval.TX
-	}
-	return r
+	return reqSim{c: c, sim: circuit.NewSimulator(c), im: robust.NewImplier(c),
+		cone: make([]bool, len(c.Lines))}
 }
 
-// load resets the simulator to all-x and installs the cube's
-// requirements and cone; clear undoes it.
+// load compiles the cube's cone into the simulator, with every value
+// x, and installs the cube's requirements; clear undoes the marks.
 func (r *reqSim) load(cube *robust.Cube) {
-	r.sim.Reset()
-	for i, net := range cube.Nets {
-		r.req[net] = cube.Vals[i]
-		r.reqList = append(r.reqList, net)
+	for _, net := range cube.Nets {
 		r.mark(net)
 	}
 	for i := 0; i < len(r.coneList); i++ { // coneList is the work list
@@ -47,6 +41,14 @@ func (r *reqSim) load(cube *robust.Cube) {
 				r.mark(in)
 			}
 		}
+	}
+	r.sim.Compile(r.coneList)
+	r.req = r.req[:0]
+	for range r.sim.Len() {
+		r.req = append(r.req, tval.TX)
+	}
+	for i, net := range cube.Nets {
+		r.req[r.sim.Slot(net)] = cube.Vals[i]
 	}
 }
 
@@ -58,28 +60,25 @@ func (r *reqSim) mark(net int) {
 }
 
 func (r *reqSim) clear() {
-	for _, net := range r.reqList {
-		r.req[net] = tval.TX
-	}
 	for _, net := range r.coneList {
 		r.cone[net] = false
 	}
-	r.reqList, r.coneList = r.reqList[:0], r.coneList[:0]
+	r.coneList = r.coneList[:0]
 }
 
 // seed assigns every primary-input pattern value the cube implies, a
-// necessary value each, propagating within (see apply). im holds the
-// implications of the cube (robust.Implier.Extend leaves them); nil
-// derives them. seed reports false on a conflict.
-func (r *reqSim) seed(cube *robust.Cube, im *robust.Implier, within []bool) bool {
+// necessary value each. im holds the implications of the cube
+// (robust.Implier.Extend leaves them); nil derives them. seed reports
+// false on a conflict.
+func (r *reqSim) seed(cube *robust.Cube, im *robust.Implier) bool {
 	if im == nil {
 		if im = r.im; !im.ImplyConsistent(cube) {
 			return false
 		}
 	}
-	for _, pi := range r.c.PIs {
+	for i, pi := range r.c.PIs {
 		for _, plane := range []int{0, 2} {
-			if v := im.Value(pi, plane); v != tval.X && r.apply(pi, plane, v, within, nil) {
+			if v := im.Value(pi, plane); v != tval.X && r.apply(i, plane, v, nil) {
 				return false
 			}
 		}
@@ -87,21 +86,20 @@ func (r *reqSim) seed(cube *robust.Cube, im *robust.Implier, within []bool) bool
 	return true
 }
 
-// apply assigns pattern position plane∈{0,2} of primary input pi,
-// propagating only into the nets marked in within (nil: every net),
-// and reports whether a required value was contradicted. When the
-// other pattern position holds the same value, the intermediate also
-// becomes specified (the input is stable). touch, when non-nil, sees
-// the nets each propagation changed.
-func (r *reqSim) apply(pi, plane int, v tval.V, within []bool, touch func(changed []int)) (conflict bool) {
-	if r.sim.Value(pi, plane) == v {
+// apply assigns pattern position plane∈{0,2} of primary input pi (its
+// index in PIs) and reports whether a required value was contradicted.
+// When the other pattern position holds the same value, the
+// intermediate also becomes specified (the input is stable). touch,
+// when non-nil, sees the slots each propagation changed.
+func (r *reqSim) apply(pi, plane int, v tval.V, touch func(changed []int)) (conflict bool) {
+	if r.sim.At(pi, plane) == v {
 		return false
 	}
-	if r.check(r.sim.AssignWithin(pi, plane, v, within), plane, touch) {
+	if r.check(r.sim.Assign(pi, plane, v), plane, touch) {
 		return true
 	}
-	if r.sim.Value(pi, 2-plane) == v && r.sim.Value(pi, 1) == tval.X {
-		return r.check(r.sim.AssignWithin(pi, 1, v, within), 1, touch)
+	if r.sim.At(pi, 2-plane) == v && r.sim.At(pi, 1) == tval.X {
+		return r.check(r.sim.Assign(pi, 1, v), 1, touch)
 	}
 	return false
 }
@@ -110,8 +108,8 @@ func (r *reqSim) check(changed []int, plane int, touch func([]int)) (conflict bo
 	if touch != nil {
 		touch(changed)
 	}
-	for _, n := range changed {
-		if want := r.req[n].At(plane); want != tval.X && r.sim.Value(n, plane) != want {
+	for _, k := range changed {
+		if want := r.req[k].At(plane); want != tval.X && r.sim.At(k, plane) != want {
 			return true
 		}
 	}
@@ -133,8 +131,8 @@ func (r *reqSim) covers(cube *robust.Cube) bool {
 // zeros on the inputs still unspecified.
 func (r *reqSim) extract() circuit.TwoPattern {
 	t := circuit.TwoPattern{P1: make([]tval.V, len(r.c.PIs)), P3: make([]tval.V, len(r.c.PIs))}
-	for i, net := range r.c.PIs {
-		t.P1[i], t.P3[i] = r.sim.Value(net, 0), r.sim.Value(net, 2)
+	for i := range r.c.PIs {
+		t.P1[i], t.P3[i] = r.sim.At(i, 0), r.sim.At(i, 2)
 		if t.P1[i] == tval.X {
 			t.P1[i] = tval.Zero
 		}

@@ -1,6 +1,9 @@
 package justify_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"repro/internal/circuit"
@@ -68,16 +71,19 @@ func extend(t *testing.T, c *circuit.Circuit, im, ref *robust.Implier, sc *seedC
 
 // TestJustifyImpliedMatchesJustify checks that seeding from a caller's
 // implications returns, seed for seed, the tests and effort counters of
-// the self-seeding path, and pins those counters as recorded before
-// probes were limited to the requirement cone: a change to probing
-// shows as a counter diff here.
+// the self-seeding path, and pins those counters: a change to probing
+// shows as a counter diff here. Calls, successes and decisions were
+// recorded before probes were limited to the requirement cone. The
+// probe count was recorded again when commits were limited to the cone
+// too, which removes only re-probes that commit nothing;
+// TestJustifyTestsDigest pins the tests across that change.
 func TestJustifyImpliedMatchesJustify(t *testing.T) {
 	for _, tc := range []struct {
 		circuit string
 		want    justify.Stats
 	}{
-		{"s953", justify.Stats{Calls: 121, Successes: 92, Probes: 210692, Decisions: 6167}},
-		{"s641", justify.Stats{Calls: 100, Successes: 86, Probes: 167102, Decisions: 7781}},
+		{"s953", justify.Stats{Calls: 121, Successes: 92, Probes: 161406, Decisions: 6167}},
+		{"s641", justify.Stats{Calls: 100, Successes: 86, Probes: 123574, Decisions: 7781}},
 	} {
 		d := prepare(t, tc.circuit, 200)
 		c := d.Circuit
@@ -134,5 +140,53 @@ func TestBnBImpliedMatchesJustify(t *testing.T) {
 	}
 	if s1, s2 := self.Stats(), seeded.Stats(); s1 != s2 || s1 != want {
 		t.Errorf("self-seeded %+v, seeded from implications %+v, want %+v", s1, s2, want)
+	}
+}
+
+// TestJustifyTestsDigest pins, per circuit, the SHA-256 of the tests
+// the justifier returns on TestJustifyImpliedMatchesJustify's cases
+// (one line per case: the test, or "fail"). A change to how the
+// search propagates that must not change its results shows here as a
+// digest diff, whatever it does to the effort counters.
+func TestJustifyTestsDigest(t *testing.T) {
+	for _, tc := range []struct{ circuit, want string }{
+		{"s953", "5c09914757df9d380dcc4df7970df76b99bd86a2c0071c38ba1b9e6df7477184"},
+		{"s641", "2ba9e4ba632dec4d54b4dc4534b28f597803e97c316e5d3f2cfa9fe0fa97fc33"},
+	} {
+		d := prepare(t, tc.circuit, 200)
+		j := justify.New(d.Circuit, justify.Config{Seed: 1})
+		h := sha256.New()
+		for _, sc := range seedCases(d, 80) {
+			line := "fail"
+			if test, ok := j.Justify(&sc.cube); ok {
+				line = test.String()
+			}
+			fmt.Fprintln(h, line)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: tests digest %s, want %s", tc.circuit, got, tc.want)
+		}
+	}
+}
+
+// TestJustifyReusesBuffers checks that a warm justifier of either kind
+// allocates nothing in a call but the test it returns (its two pattern
+// slices): the cone compiled per call reuses the simulator's buffers.
+func TestJustifyReusesBuffers(t *testing.T) {
+	d := prepare(t, "s953", 200)
+	cases := seedCases(d, 80)
+	j := justify.New(d.Circuit, justify.Config{Seed: 1})
+	b := justify.NewBnB(d.Circuit, justify.BnBConfig{MaxBacktracks: 200})
+	for _, sc := range cases {
+		j.Justify(&sc.cube)
+		b.Justify(&sc.cube)
+	}
+	for i, sc := range cases {
+		if a := testing.AllocsPerRun(1, func() { j.Justify(&sc.cube) }); a > 2 {
+			t.Errorf("case %d: Justifier.Justify made %.0f allocations, want at most 2", i, a)
+		}
+		if a := testing.AllocsPerRun(1, func() { b.Justify(&sc.cube) }); a > 2 {
+			t.Errorf("case %d: BnB.Justify made %.0f allocations, want at most 2", i, a)
+		}
 	}
 }
