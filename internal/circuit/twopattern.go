@@ -1,10 +1,6 @@
 package circuit
 
-import (
-	"strings"
-
-	"repro/internal/tval"
-)
+import "repro/internal/tval"
 
 // TwoPattern is a two-pattern test: the values of the primary inputs
 // (in PIs order) under the first and second pattern.
@@ -39,13 +35,16 @@ func (t TwoPattern) Simulate(c *Circuit) []tval.Triple {
 
 // String renders the test as "<pattern1> -> <pattern2>".
 func (t TwoPattern) String() string {
-	var sb strings.Builder
-	for _, v := range t.P1 {
-		sb.WriteString(v.String())
+	b := make([]byte, 0, len(t.P1)+len(" -> ")+len(t.P3))
+	b = appendValues(b, t.P1)
+	b = append(b, " -> "...)
+	return string(appendValues(b, t.P3))
+}
+
+// appendValues appends the characters of vs (tval.V.String) to b.
+func appendValues(b []byte, vs []tval.V) []byte {
+	for _, v := range vs {
+		b = append(b, "01x"[min(v, tval.X)])
 	}
-	sb.WriteString(" -> ")
-	for _, v := range t.P3 {
-		sb.WriteString(v.String())
-	}
-	return sb.String()
+	return b
 }

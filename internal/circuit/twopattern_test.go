@@ -30,16 +30,6 @@ func TestTwoPatternFullySpecified(t *testing.T) {
 	}
 }
 
-func TestTwoPatternString(t *testing.T) {
-	tp := TwoPattern{
-		P1: []tval.V{tval.Zero, tval.One, tval.X},
-		P3: []tval.V{tval.One, tval.Zero, tval.One},
-	}
-	if got := tp.String(); got != "01x -> 101" {
-		t.Errorf("String = %q", got)
-	}
-}
-
 func TestTwoPatternSimulate(t *testing.T) {
 	c := buildSmall(t) // y = NAND(a, OR(b,c))
 	tp := TwoPattern{

@@ -12,52 +12,58 @@ import (
 	"repro/internal/robust"
 )
 
-// cache is a size-bounded LRU of completed results. Stored results are
-// treated as immutable.
-type cache struct {
+// lru is a size-bounded, least-recently-used map from string keys to
+// values. Stored values are treated as immutable, so all values ever
+// put under one key must be interchangeable: a Put on a resident key
+// keeps the first value (first insert wins) and returns it.
+type lru[V any] struct {
 	mu  sync.Mutex
 	cap int
 	ll  *list.List // front = most recently used
 	m   map[string]*list.Element
 }
 
-type cacheEntry struct {
+type lruEntry[V any] struct {
 	key string
-	res *Result
+	val V
 }
 
-func newCache(capacity int) *cache {
-	return &cache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
+func newLRU[V any](capacity int) *lru[V] {
+	return &lru[V]{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-func (c *cache) Get(key string) (*Result, bool) {
+func (c *lru[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-func (c *cache) Put(key string, res *Result) {
+// Put stores val under key unless key is resident, evicting the least
+// recently used entries past the capacity, and returns the value now
+// stored under key.
+func (c *lru[V]) Put(key string, val V) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
-		return
+		return el.Value.(*lruEntry[V]).val
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.m[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
-		delete(c.m, last.Value.(*cacheEntry).key)
+		delete(c.m, last.Value.(*lruEntry[V]).key)
 	}
+	return val
 }
 
-func (c *cache) Len() int {
+func (c *lru[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/bitsim"
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/experiments"
@@ -150,7 +151,8 @@ type Config struct {
 type Engine struct {
 	cfg          Config
 	metrics      *Metrics
-	cache        *cache
+	cache        *lru[*Result]
+	prepared     *lru[*preparedSets] // fault-set shape → prepared sets
 	compactEvery int
 	log          *slog.Logger
 	registry     *obs.Registry
@@ -199,7 +201,8 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:          cfg,
 		metrics:      m,
-		cache:        newCache(cfg.CacheSize),
+		cache:        newLRU[*Result](cfg.CacheSize),
+		prepared:     newLRU[*preparedSets](preparedMemoSize),
 		compactEvery: compactEvery,
 		log:          logger,
 		ctx:          ctx,
@@ -316,8 +319,11 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 	e.mu.Unlock()
 	// Journaled outside the lock: the fsync must not serialize
 	// submissions. A worker may journal this job's OpStarted first;
-	// replay is order-insensitive.
-	e.journalAppend(journal.Record{Op: journal.OpSubmitted, JobID: j.id, Seq: j.seq, Tenant: spec.Tenant, Spec: marshalSpec(spec)})
+	// replay is order-insensitive. The spec (every test string of a
+	// faultsim job) is marshaled only when there is a journal.
+	if e.cfg.Journal != nil {
+		e.journalAppend(journal.Record{Op: journal.OpSubmitted, JobID: j.id, Seq: j.seq, Tenant: spec.Tenant, Spec: marshalSpec(spec)})
+	}
 	e.events.Publish(j.id, "queued", map[string]string{
 		"kind": string(spec.Kind), "circuit": spec.Circuit,
 		"tenant": spec.Tenant, "priority": spec.Priority,
@@ -1068,22 +1074,21 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		e.metrics.cacheMisses.Add(1)
 	}
 
-	// Stage 3: prepare — enumerate, screen and partition the fault sets.
+	// Stage 3: prepare — enumerate, screen and partition the fault
+	// sets, or take them from the memo of this fault-set shape.
 	prepCtx, prep := e.startStage(ctx, j, "prepare")
-	d, err := experiments.PrepareCircuitCtx(prepCtx, c, experiments.Params{NP: spec.NP, NP0: spec.NP0, Seed: spec.Seed})
+	ps, hit, err := e.prepare(prepCtx, c, circuitHash, spec)
 	if err != nil {
 		prep.fail()
 		return nil, false, err
 	}
-	p0, p1 := d.P0, d.P1
-	if spec.Collapse {
-		_, cspan := obs.StartSpan(prepCtx, "collapse",
-			obs.Int("p0_before", len(p0)), obs.Int("p1_before", len(p1)))
-		p0 = collapseSet(p0)
-		p1 = collapseSet(p1)
-		cspan.End(obs.Int("p0_after", len(p0)), obs.Int("p1_after", len(p1)))
+	p0, p1 := ps.p0, ps.p1
+	memo := "miss"
+	if hit {
+		memo = "hit"
 	}
-	prep.done(obs.Int("p0", len(p0)), obs.Int("p1", len(p1)))
+	e.metrics.prepareMemo.With(memo).Add(1)
+	prep.done(obs.Int("p0", len(p0)), obs.Int("p1", len(p1)), obs.String("memo", memo))
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
@@ -1092,13 +1097,13 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		Kind:        spec.Kind,
 		Circuit:     c.Name,
 		CircuitHash: circuitHash,
-		FaultDigest: faultSetDigest(p0, p1),
+		FaultDigest: ps.faultDigest,
 		CacheKey:    key,
-		Enumerated:  d.Enumerated,
-		Eliminated:  d.Eliminated,
-		I0:          d.I0,
-		P0Size:      len(d.P0),
-		P1Size:      len(d.P1),
+		Enumerated:  ps.enumerated,
+		Eliminated:  ps.eliminated,
+		I0:          ps.i0,
+		P0Size:      ps.p0Size,
+		P1Size:      ps.p1Size,
 		P0Targets:   len(p0),
 		P1Targets:   len(p1),
 	}
@@ -1126,7 +1131,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		res.P0Detected = gres.DetectedCount
 		e.metrics.observeATPG(gres.JustifyStats, gres.SecondaryAcceptsBySet, gres.SecondaryRejectsBySet, gres.RegenPerTest)
 		gen.done(obs.Int("tests", len(gres.Tests)), obs.Int("aborts", gres.PrimaryAborts))
-		all := d.All()
+		all := ps.all
 		res.AllTotal = len(all)
 		simCtx, sim := e.startStage(ctx, j, "simulation",
 			obs.Int("tests", len(gres.Tests)), obs.Int("faults", len(all)))
@@ -1159,7 +1164,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		all := d.All()
+		all := ps.all
 		simCtx, sim := e.startStage(ctx, j, "simulation",
 			obs.Int("tests", len(tests)), obs.Int("faults", len(all)))
 		first, err := bitsim.RunContext(simCtx, c, tests, all)
@@ -1195,6 +1200,60 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		return nil, false, err
 	}
 	return res, false, nil
+}
+
+// preparedMemoSize bounds the prepared-set memo. An entry is the
+// screened sets of one fault-set shape (1.7 MiB for b04 at the paper's
+// NP 10000), and a server runs few shapes at a time.
+const preparedMemoSize = 16
+
+// preparedSets is everything execute derives from prepare for one
+// fault-set shape. One entry is shared by every job of its shape, so
+// nothing may modify it.
+type preparedSets struct {
+	p0, p1                     []robust.FaultConditions // the targets, after collapse
+	all                        []robust.FaultConditions // P0 then P1, never collapsed
+	p0Size, p1Size             int                      // |P0| and |P1| before collapse
+	i0, enumerated, eliminated int
+	faultDigest                string // faultSetDigest(p0, p1)
+}
+
+// preparedKey is a fault-set shape: the full circuit digest, NP, NP0
+// and collapse. Enumeration, screening and the N_P0 partition read
+// nothing but the circuit, NP and NP0, so the seed, heuristic, BnB,
+// kind and tests are not part of it.
+func preparedKey(circuitHash string, spec Spec) string {
+	return fmt.Sprintf("%s/np=%d/np0=%d/collapse=%t", circuitHash, spec.NP, spec.NP0, spec.Collapse)
+}
+
+// prepare returns the prepared sets of spec's shape and whether they
+// came from the memo. A miss prepares outside the memo's lock, so
+// concurrent misses on one shape may both compute (identical sets);
+// the first insert wins. A failed prepare is not memoized.
+func (e *Engine) prepare(ctx context.Context, c *circuit.Circuit, circuitHash string, spec Spec) (*preparedSets, bool, error) {
+	key := preparedKey(circuitHash, spec)
+	if ps, ok := e.prepared.Get(key); ok {
+		return ps, true, nil
+	}
+	d, err := experiments.PrepareCircuitCtx(ctx, c, experiments.Params{NP: spec.NP, NP0: spec.NP0})
+	if err != nil {
+		return nil, false, err
+	}
+	p0, p1 := d.P0, d.P1
+	if spec.Collapse {
+		_, cspan := obs.StartSpan(ctx, "collapse",
+			obs.Int("p0_before", len(p0)), obs.Int("p1_before", len(p1)))
+		p0 = collapseSet(p0)
+		p1 = collapseSet(p1)
+		cspan.End(obs.Int("p0_after", len(p0)), obs.Int("p1_after", len(p1)))
+	}
+	ps := &preparedSets{
+		p0: p0, p1: p1, all: d.All(),
+		p0Size: len(d.P0), p1Size: len(d.P1),
+		i0: d.I0, enumerated: d.Enumerated, eliminated: d.Eliminated,
+		faultDigest: faultSetDigest(p0, p1),
+	}
+	return e.prepared.Put(key, ps), false, nil
 }
 
 // collapseSet removes subsumed faults from a target set.

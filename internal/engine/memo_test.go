@@ -1,0 +1,174 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/robust"
+)
+
+// memoShapeSpecs are the jobs of the memo sharing tests: every
+// procedure over two seeds and collapse on and off, all on one
+// (circuit, NP, NP0), so they share two memo entries.
+func memoShapeSpecs() []Spec {
+	base := Spec{Circuit: "s27", NP: 0, NP0: 4}
+	tests := []string{"0110100 -> 1010010", "1111111 -> 0000000", "0x10x01 -> 1100110"}
+	var specs []Spec
+	for _, collapse := range []bool{false, true} {
+		for _, seed := range []int64{1, 2} {
+			add := func(s Spec) {
+				s.Circuit, s.NP, s.NP0 = base.Circuit, base.NP, base.NP0
+				s.Seed, s.Collapse = seed, collapse
+				specs = append(specs, s)
+			}
+			for _, h := range core.Heuristics {
+				add(Spec{Kind: KindGenerate, Heuristic: h.String()})
+			}
+			add(Spec{Kind: KindEnrich})
+			add(Spec{Kind: KindEnrich, UseBnB: true})
+			add(Spec{Kind: KindFaultSim, Tests: tests})
+		}
+	}
+	return specs
+}
+
+// One engine runs every job of a fault-set shape in shuffled order, so
+// later jobs take their sets from the memo; each result must marshal
+// byte-identical to the same spec on a fresh engine. With four workers
+// (and under the race detector) the jobs read the shared entries
+// concurrently; no consumer may modify them.
+func TestPreparedMemoSharing(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			specs := memoShapeSpecs()
+			rand.New(rand.NewSource(int64(workers))).Shuffle(len(specs), func(i, k int) {
+				specs[i], specs[k] = specs[k], specs[i]
+			})
+			e := New(Config{Workers: workers})
+			defer e.Close()
+			jobs := make([]*Job, len(specs))
+			for i, s := range specs {
+				j, err := e.Submit(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs[i] = j
+			}
+			for i, j := range jobs {
+				v := waitDone(t, e, j.ID())
+				if v.Status != StatusDone {
+					t.Fatalf("%+v: status %s: %s", specs[i], v.Status, v.Error)
+				}
+				got, err := json.Marshal(v.Result)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := runReport(t, specs[i], Config{Workers: 1}); !bytes.Equal(got, want) {
+					t.Errorf("%+v: shared-engine result differs from a fresh engine:\nshared: %s\nfresh:  %s",
+						specs[i], got, want)
+				}
+			}
+			// Two shapes (collapse off and on): every other prepare hit,
+			// unless concurrent misses on one shape both computed.
+			hits := e.metrics.prepareMemo.With("hit").Value()
+			misses := e.metrics.prepareMemo.With("miss").Value()
+			if hits+misses != int64(len(specs)) || misses < 2 || (workers == 1 && misses != 2) {
+				t.Errorf("memo hits=%d misses=%d over %d jobs", hits, misses, len(specs))
+			}
+			if n := e.prepared.Len(); n != 2 {
+				t.Errorf("memo holds %d entries, want 2", n)
+			}
+			fresh := New(Config{Workers: 1})
+			defer fresh.Close()
+			c, err := experiments.LoadCircuit("s27")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash := CircuitDigest(c)
+			for _, collapse := range []bool{false, true} {
+				spec := Spec{NP: 0, NP0: 4, Collapse: collapse}
+				shared, ok := e.prepared.Get(preparedKey(hash, spec))
+				if !ok {
+					t.Fatalf("collapse=%t: shape not memoized", collapse)
+				}
+				want, _, err := fresh.prepare(context.Background(), c, hash, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := deepDigest(shared), deepDigest(want); got != want {
+					t.Errorf("collapse=%t: memo entry was modified by its consumers", collapse)
+				}
+			}
+		})
+	}
+}
+
+// deepDigest hashes a memo entry whole: its fault digest, counts and
+// every fault of every set with all its A(p) cubes.
+func deepDigest(ps *preparedSets) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s %d %d %d %d %d\n", ps.faultDigest, ps.p0Size, ps.p1Size, ps.i0, ps.enumerated, ps.eliminated)
+	for s, set := range [][]robust.FaultConditions{ps.p0, ps.p1, ps.all} {
+		fmt.Fprintf(h, "set%d n=%d\n", s, len(set))
+		for i := range set {
+			fmt.Fprintf(h, "%d %v\n", set[i].Fault.Dir, set[i].Fault.Path)
+			for _, alt := range set[i].Alts {
+				fmt.Fprintf(h, "  %v %v\n", alt.Nets, alt.Vals)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The memo key leaves the seed out because prepare does not read it:
+// the same circuit, NP and NP0 give the same sets under any seed.
+func TestPrepareIgnoresSeed(t *testing.T) {
+	for _, tc := range []struct {
+		circuit string
+		np, np0 int
+	}{{"s27", 0, 4}, {"s641", 400, 100}} {
+		c, err := experiments.LoadCircuit(tc.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first string
+		for _, seed := range []int64{1, 2, 7} {
+			d, err := experiments.PrepareCircuit(c, experiments.Params{NP: tc.np, NP0: tc.np0, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("digest=%s i0=%d enumerated=%d eliminated=%d",
+				faultSetDigest(d.P0, d.P1), d.I0, d.Enumerated, d.Eliminated)
+			if seed == 1 {
+				first = got
+			} else if got != first {
+				t.Errorf("%s: seed %d prepares %s, seed 1 prepares %s", tc.circuit, seed, got, first)
+			}
+		}
+	}
+}
+
+// Put on a resident key keeps the first value and returns it, so jobs
+// whose concurrent misses both prepared one shape share one entry.
+func TestLRUFirstInsertWins(t *testing.T) {
+	c := newLRU[int](2)
+	if got := c.Put("a", 1); got != 1 {
+		t.Errorf("Put(a, 1) = %d, want 1", got)
+	}
+	if got := c.Put("a", 2); got != 1 {
+		t.Errorf("Put(a, 2) on resident a = %d, want the first value 1", got)
+	}
+	c.Put("b", 3)
+	c.Put("c", 4)
+	if _, ok := c.Get("a"); ok || c.Len() != 2 {
+		t.Errorf("after three keys in a 2-entry LRU: a resident=%t, len=%d", ok, c.Len())
+	}
+}

@@ -51,6 +51,11 @@ type Metrics struct {
 	secondaryOutcomes *obs.CounterVec
 	regenPerTest      *obs.Histogram
 
+	// prepareMemo counts completed prepare stages by whether the
+	// fault-set shape's prepared sets came from the memo (hit) or
+	// were computed (miss).
+	prepareMemo *obs.CounterVec
+
 	// The pdfd_tenant_* families of the multi-tenant scheduler: live
 	// queue depth and inflight count per tenant (kept current by the
 	// scheduler at every mutation), completed jobs, submit-time sheds
@@ -83,6 +88,9 @@ func newMetrics() *Metrics {
 			"set", "outcome"),
 		regenPerTest: obs.NewHistogram("pdfd_atpg_regenerations_per_test",
 			"Per-test justification regenerations (non-cheap secondary accepts).", RegenBuckets),
+		prepareMemo: obs.NewCounterVec("pdfd_prepare_memo_total",
+			"Completed prepare stages by result: hit = prepared sets reused from the memo of the job's fault-set shape, miss = enumerated, screened and partitioned.",
+			"result"),
 		tenantQueued: obs.NewGaugeVec("pdfd_tenant_queued",
 			"Queued jobs per tenant.", "tenant"),
 		tenantRunning: obs.NewGaugeVec("pdfd_tenant_running",
@@ -217,6 +225,7 @@ func buildRegistry(e *Engine) *obs.Registry {
 		m.queueSeconds,
 		m.secondaryOutcomes,
 		m.regenPerTest,
+		m.prepareMemo,
 		m.tenantQueued,
 		m.tenantRunning,
 		m.tenantDone,
