@@ -4,7 +4,7 @@ GO ?= go
 # refresh it with `make bench` and commit the new file (see PERF.md).
 BENCH_BASELINE ?= BENCH_2026-08-06.json
 
-.PHONY: build test fmt lint race check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check bench-smoke go-bench engine-bench loc
+.PHONY: build test fmt lint race check paper-check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check bench-smoke go-bench engine-bench loc
 
 build:
 	$(GO) build ./...
@@ -31,9 +31,28 @@ lint:
 # `pdflint -concurrent` prints every package whose syntax bears a go
 # statement, channel op, select or sync primitive, so a new concurrent
 # package cannot silently skip the race detector. Falls back to ./...
-# if the derivation fails.
+# if the derivation fails. The list spans the separate perfbench
+# module, whose packages are tested from inside it.
 race:
-	$(GO) test -race $$($(GO) run ./cmd/pdflint -concurrent ./... || echo ./...)
+	@set -e; pkgs=$$($(GO) run ./cmd/pdflint -concurrent ./... || echo ./...); \
+	root=$$(echo "$$pkgs" | grep -v '^repro/perfbench' || true); \
+	bench=$$(echo "$$pkgs" | grep '^repro/perfbench' || true); \
+	echo "go test -race $$(echo $$root)"; $(GO) test -race $$root; \
+	if [ -n "$$bench" ]; then \
+		echo "(cd perfbench) go test -race $$(echo $$bench)"; \
+		cd perfbench && GOWORK=off $(GO) test -race $$bench; \
+	fi
+
+# The paper-scale golden gate: Tables 3-7 at N_P=10000, N_P0=1000 must
+# match the recorded CSV in every column but Table 7's rt_ratio, a
+# wall-clock ratio that is printed and not gated. Refresh the golden
+# only for a change meant to alter the tables, and say why.
+paper-check:
+	@set -e; out=$$($(GO) run ./cmd/tables -np 10000 -np0 1000 -format csv); \
+	echo "Table 7 rt_ratio (not gated):"; \
+	echo "$$out" | awk -F, '/rt_ratio/{t=1} t{print "  " $$1, $$NF}'; \
+	echo "$$out" | awk '/rt_ratio/{t=1} t{sub(/,[^,]*$$/, "")} 1' | diff -u cmd/tables/testdata/paper_np10000_np0_1000.csv -; \
+	echo "paper-check: tables match cmd/tables/testdata/paper_np10000_np0_1000.csv"
 
 # The fault-injection suite: panic containment, retry/backoff, crash +
 # journal replay, load shedding — twice under the race detector.
@@ -70,8 +89,8 @@ tenant-smoke:
 
 # The CI gate: formatting + vet (perfbench too: it is a separate module
 # that compiles against internal APIs) + build + full suite under -race
-# + every go-test benchmark run once + the performance regression gate
-# against the committed baseline.
+# + the paper-scale table golden + every go-test benchmark run once +
+# the performance regression gate against the committed baseline.
 check:
 	$(MAKE) fmt
 	$(GO) vet ./...
@@ -82,6 +101,7 @@ check:
 	$(MAKE) cluster-smoke
 	$(MAKE) tenant-smoke
 	$(MAKE) chaos-cluster
+	$(MAKE) paper-check
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
 

@@ -139,25 +139,51 @@ func PDFD(args []string, stdout, stderr io.Writer) error {
 		log.Info("journal replayed", "dir", *journalDir, "jobs", n)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	handler := engine.NewServerWith(eng, engine.ServerConfig{Logger: log})
+	return serve(log, *addr, *debugAddr, handler, nil, eng.Close, func(srv *http.Server, sig os.Signal) {
+		log.Info("shutdown signal, draining running jobs", "signal", sig.String(), "drain", drain.String())
+		ctx, cancel := context.WithTimeout(context.Background(), *drain)
+		defer cancel()
+		srv.Shutdown(ctx)
+		err := eng.Shutdown(ctx)
+		switch {
+		case err == nil:
+			log.Info("drained cleanly")
+		case *journalDir != "":
+			log.Warn("drain incomplete; unfinished jobs stay journaled for replay", "err", err)
+		default:
+			log.Warn("drain incomplete; unfinished jobs canceled", "err", err)
+		}
+	})
+}
+
+// serve is the daemon loop of both pdfd modes: it serves handler on
+// addr, and the pprof debug server on debugAddr if set, until the
+// listener fails or a SIGINT / SIGTERM arrives. listenAttrs extend the
+// start banner. closeNow releases the mode's state when serving cannot
+// start or stops on an error, which serve then returns; on a signal,
+// shutdown drains the still-running API server and the mode's state,
+// and serve returns nil.
+func serve(log *slog.Logger, addr, debugAddr string, handler http.Handler, listenAttrs []any,
+	closeNow func(), shutdown func(srv *http.Server, sig os.Signal)) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		eng.Close()
+		closeNow()
 		return err
 	}
-	log.Info("pdfd listening", "addr", ln.Addr().String())
-	srv := &http.Server{Handler: engine.NewServerWith(eng, engine.ServerConfig{Logger: log})}
+	log.Info("pdfd listening", append([]any{"addr", ln.Addr().String()}, listenAttrs...)...)
+	srv := &http.Server{Handler: handler}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	var dbgSrv *http.Server
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
+	if debugAddr != "" {
+		dln, err := net.Listen("tcp", debugAddr)
 		if err != nil {
 			srv.Close()
-			eng.Close()
+			closeNow()
 			return fmt.Errorf("debug listener: %w", err)
 		}
-		dbgSrv = &http.Server{Handler: debugMux()}
+		dbgSrv := &http.Server{Handler: debugMux()}
 		log.Info("pprof debug server listening", "addr", dln.Addr().String())
 		go func() {
 			// The debug server is best-effort; its failure does not
@@ -175,22 +201,10 @@ func PDFD(args []string, stdout, stderr io.Writer) error {
 
 	select {
 	case err := <-serveErr:
-		eng.Close()
+		closeNow()
 		return err
 	case sig := <-sigCh:
-		log.Info("shutdown signal, draining running jobs", "signal", sig.String(), "drain", drain.String())
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		srv.Shutdown(ctx)
-		err := eng.Shutdown(ctx)
-		switch {
-		case err == nil:
-			log.Info("drained cleanly")
-		case *journalDir != "":
-			log.Warn("drain incomplete; unfinished jobs stay journaled for replay", "err", err)
-		default:
-			log.Warn("drain incomplete; unfinished jobs canceled", "err", err)
-		}
+		shutdown(srv, sig)
 		return nil
 	}
 }
@@ -219,54 +233,18 @@ func runCoordinator(addr, debugAddr, backendsArg string, healthIvl time.Duration
 		return err
 	}
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		coord.Close()
-		return err
-	}
-	log.Info("pdfd listening", "addr", ln.Addr().String(), "mode", "coordinator", "backends", len(confs))
-	srv := &http.Server{Handler: cluster.NewServer(coord)}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	var dbgSrv *http.Server
-	if debugAddr != "" {
-		dln, err := net.Listen("tcp", debugAddr)
-		if err != nil {
-			srv.Close()
+	return serve(log, addr, debugAddr, cluster.NewServer(coord), []any{"mode", "coordinator", "backends", len(confs)},
+		coord.Close, func(srv *http.Server, sig os.Signal) {
+			// The coordinator holds no job state of its own — in-flight
+			// proxied requests finish with the server drain, the backends
+			// keep running.
+			log.Info("shutdown signal, stopping coordinator", "signal", sig.String())
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			srv.Shutdown(ctx)
 			coord.Close()
-			return fmt.Errorf("debug listener: %w", err)
-		}
-		dbgSrv = &http.Server{Handler: debugMux()}
-		log.Info("pprof debug server listening", "addr", dln.Addr().String())
-		go func() {
-			if err := dbgSrv.Serve(dln); err != nil && err != http.ErrServerClosed {
-				log.Warn("pprof debug server stopped", "err", err)
-			}
-		}()
-		defer dbgSrv.Close()
-	}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-
-	select {
-	case err := <-serveErr:
-		coord.Close()
-		return err
-	case sig := <-sigCh:
-		// The coordinator holds no job state of its own — in-flight
-		// proxied requests finish with the server drain, the backends
-		// keep running.
-		log.Info("shutdown signal, stopping coordinator", "signal", sig.String())
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		coord.Close()
-		log.Info("coordinator stopped")
-		return nil
-	}
+			log.Info("coordinator stopped")
+		})
 }
 
 // parseBackends parses the -backends flag: comma-separated entries,

@@ -62,8 +62,8 @@ func TestObserveExemplarEmptyTraceID(t *testing.T) {
 	h.ObserveExemplar(0.5, "")
 
 	var om strings.Builder
-	if err := h.exposeOM(&om); err != nil {
-		t.Fatalf("exposeOM: %v", err)
+	if err := h.expose(&om, true); err != nil {
+		t.Fatalf("expose: %v", err)
 	}
 	out := om.String()
 	if strings.Contains(out, "trace_id") {

@@ -61,10 +61,7 @@ type gcPauseHistogram struct {
 
 func (g *gcPauseHistogram) familyName() string { return g.name }
 
-func (g *gcPauseHistogram) expose(w io.Writer) error {
-	if err := header(w, g.name, g.help, "histogram"); err != nil {
-		return err
-	}
+func (g *gcPauseHistogram) expose(w io.Writer, _ bool) error {
 	counts := make([]uint64, len(GCPauseBuckets)+1) // last is +Inf
 	var sum float64
 	var total uint64
@@ -100,7 +97,7 @@ func (g *gcPauseHistogram) expose(w io.Writer) error {
 		sum:     sum,
 		count:   total,
 	}
-	return hist.exposeRows(w, nil, nil, false)
+	return hist.expose(w, false)
 }
 
 // midpoint approximates a value inside [lo, hi), degrading to the

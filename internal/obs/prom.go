@@ -21,15 +21,18 @@ var DefBuckets = []float64{
 	1, 2.5, 5, 10, 30, 60,
 }
 
-// Collector is anything that can expose itself in the Prometheus text
-// format. The concrete types below implement it; a Registry serializes
-// its collectors in registration order.
+// Collector is anything that can expose itself in the text format:
+// the 0.0.4 Prometheus flavor, or the OpenMetrics one when om is set
+// (which only histograms render differently, carrying exemplars). The
+// concrete types below implement it; a Registry serializes its
+// collectors in registration order.
 type Collector interface {
-	expose(w io.Writer) error
+	familyName() string
+	expose(w io.Writer, om bool) error
 }
 
 // Registry holds a set of metric families and serializes them in the
-// Prometheus text exposition format (version 0.0.4).
+// Prometheus text exposition format (version 0.0.4) or OpenMetrics.
 type Registry struct {
 	mu    sync.Mutex
 	names map[string]bool
@@ -51,17 +54,15 @@ func (r *Registry) MustRegister(cs ...Collector) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, c := range cs {
-		if n, ok := c.(interface{ familyName() string }); ok {
-			name := n.familyName()
-			if !validMetricName(name) {
-				panic("obs: metric family name " + strconv.Quote(name) +
-					" does not match the Prometheus grammar [a-zA-Z_:][a-zA-Z0-9_:]*")
-			}
-			if r.names[name] {
-				panic("obs: duplicate metric family " + name)
-			}
-			r.names[name] = true
+		name := c.familyName()
+		if !validMetricName(name) {
+			panic("obs: metric family name " + strconv.Quote(name) +
+				" does not match the Prometheus grammar [a-zA-Z_:][a-zA-Z0-9_:]*")
 		}
+		if r.names[name] {
+			panic("obs: duplicate metric family " + name)
+		}
+		r.names[name] = true
 		r.fams = append(r.fams, c)
 	}
 }
@@ -82,24 +83,7 @@ func validMetricName(name string) bool {
 }
 
 // WritePrometheus serializes every registered family to w.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]Collector(nil), r.fams...)
-	r.mu.Unlock()
-	for _, f := range fams {
-		if err := f.expose(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// openMetricsCollector is implemented by collectors whose OpenMetrics
-// exposition differs from the 0.0.4 text format (histograms, which
-// carry exemplars there).
-type openMetricsCollector interface {
-	exposeOM(w io.Writer) error
-}
+func (r *Registry) WritePrometheus(w io.Writer) error { return r.write(w, false) }
 
 // OpenMetricsContentType is the Content-Type of WriteOpenMetrics
 // output, as served by ServeHTTP.
@@ -112,22 +96,24 @@ const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 // The 0.0.4 format has no exemplar syntax, which is why this is a
 // separate, Accept-negotiated exposition.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
+	if err := r.write(w, true); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "# EOF\n")
+	return err
+}
+
+// write is the one registry walk behind both formats.
+func (r *Registry) write(w io.Writer, om bool) error {
 	r.mu.Lock()
 	fams := append([]Collector(nil), r.fams...)
 	r.mu.Unlock()
 	for _, f := range fams {
-		var err error
-		if om, ok := f.(openMetricsCollector); ok {
-			err = om.exposeOM(w)
-		} else {
-			err = f.expose(w)
-		}
-		if err != nil {
+		if err := f.expose(w, om); err != nil {
 			return err
 		}
 	}
-	_, err := io.WriteString(w, "# EOF\n")
-	return err
+	return nil
 }
 
 // ServeHTTP serves the exposition, negotiated by Accept: the 0.0.4
@@ -182,6 +168,106 @@ func header(w io.Writer, name, help, typ string) error {
 	return err
 }
 
+// ---- Labeled families ----
+
+// vec is the one labeled metric family. Counters, gauges and
+// histograms differ only in their TYPE, how a child is made and how
+// one child writes its rows; the child map, the cardinality check and
+// the sorted exposition are shared.
+type vec[M rowWriter] struct {
+	name, help, typ string
+	labels          []string
+	newChild        func() M
+	mu              sync.Mutex
+	children        map[string]*vecChild[M]
+}
+
+// rowWriter is a family member: it writes its sample rows under the
+// family name with the given label pairs (no HELP/TYPE header).
+type rowWriter interface {
+	writeRows(w io.Writer, name string, labels, values []string, om bool) error
+}
+
+type vecChild[M any] struct {
+	values []string
+	metric M
+}
+
+// CounterVec is a family of counters keyed by label values.
+type CounterVec = vec[*Counter]
+
+// GaugeVec is a family of gauges keyed by label values.
+type GaugeVec = vec[*Gauge]
+
+// HistogramVec is a family of histograms keyed by label values.
+type HistogramVec = vec[*Histogram]
+
+func newVec[M rowWriter](name, help, typ string, labels []string, newChild func() M) *vec[M] {
+	return &vec[M]{name: name, help: help, typ: typ, labels: labels, newChild: newChild,
+		children: make(map[string]*vecChild[M])}
+}
+
+// NewCounterVec builds a labeled counter family.
+func NewCounterVec(name, help string, labels ...string) *CounterVec {
+	return newVec(name, help, "counter", labels, func() *Counter { return &Counter{} })
+}
+
+// NewGaugeVec builds a labeled gauge family.
+func NewGaugeVec(name, help string, labels ...string) *GaugeVec {
+	return newVec(name, help, "gauge", labels, func() *Gauge { return &Gauge{} })
+}
+
+// NewHistogramVec builds a labeled histogram family (nil buckets uses
+// DefBuckets).
+func NewHistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
+	return newVec(name, help, "histogram", labels, func() *Histogram {
+		//lint:ignore metricname name was validated when the vec itself was registered
+		return NewHistogram(name, help, buckets)
+	})
+}
+
+// With returns (creating on first use) the metric for the given label
+// values, which must match the label names positionally.
+func (v *vec[M]) With(values ...string) M {
+	if len(values) != len(v.labels) {
+		panic("obs: label cardinality mismatch on " + v.name)
+	}
+	k := strings.Join(values, "\x00")
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	c := v.children[k]
+	if c == nil {
+		c = &vecChild[M]{values: append([]string(nil), values...), metric: v.newChild()}
+		v.children[k] = c
+	}
+	return c.metric
+}
+
+func (v *vec[M]) familyName() string { return v.name }
+
+func (v *vec[M]) expose(w io.Writer, om bool) error {
+	if err := header(w, v.name, v.help, v.typ); err != nil {
+		return err
+	}
+	v.mu.Lock()
+	keys := make([]string, 0, len(v.children))
+	for k := range v.children {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	children := make([]*vecChild[M], 0, len(keys))
+	for _, k := range keys {
+		children = append(children, v.children[k])
+	}
+	v.mu.Unlock()
+	for _, c := range children {
+		if err := c.metric.writeRows(w, v.name, v.labels, c.values, om); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ---- Counter ----
 
 // Counter is a monotonically increasing integer counter.
@@ -198,68 +284,9 @@ func (c *Counter) Add(n int64) { c.n.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// CounterVec is a family of counters keyed by label values.
-type CounterVec struct {
-	name, help string
-	labels     []string
-	mu         sync.Mutex
-	children   map[string]*vecChild[*Counter]
-}
-
-type vecChild[T any] struct {
-	values []string
-	metric T
-}
-
-// NewCounterVec builds a labeled counter family.
-func NewCounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{name: name, help: help, labels: labels,
-		children: make(map[string]*vecChild[*Counter])}
-}
-
-func vecKey(values []string) string { return strings.Join(values, "\x00") }
-
-// With returns (creating on first use) the counter for the given label
-// values, which must match the label names positionally.
-func (v *CounterVec) With(values ...string) *Counter {
-	if len(values) != len(v.labels) {
-		panic("obs: label cardinality mismatch on " + v.name)
-	}
-	k := vecKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c := v.children[k]
-	if c == nil {
-		c = &vecChild[*Counter]{values: append([]string(nil), values...), metric: &Counter{}}
-		v.children[k] = c
-	}
-	return c.metric
-}
-
-func (v *CounterVec) familyName() string { return v.name }
-
-func (v *CounterVec) expose(w io.Writer) error {
-	if err := header(w, v.name, v.help, "counter"); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]string, 0, len(keys))
-	for _, k := range keys {
-		c := v.children[k]
-		rows = append(rows, fmt.Sprintf("%s%s %d\n", v.name, labelPairs(v.labels, c.values), c.metric.Value()))
-	}
-	v.mu.Unlock()
-	for _, row := range rows {
-		if _, err := io.WriteString(w, row); err != nil {
-			return err
-		}
-	}
-	return nil
+func (c *Counter) writeRows(w io.Writer, name string, labels, values []string, _ bool) error {
+	_, err := fmt.Fprintf(w, "%s%s %d\n", name, labelPairs(labels, values), c.Value())
+	return err
 }
 
 // ---- Gauge ----
@@ -288,61 +315,9 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// GaugeVec is a family of gauges keyed by label values.
-type GaugeVec struct {
-	name, help string
-	labels     []string
-	mu         sync.Mutex
-	children   map[string]*vecChild[*Gauge]
-}
-
-// NewGaugeVec builds a labeled gauge family.
-func NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{name: name, help: help, labels: labels,
-		children: make(map[string]*vecChild[*Gauge])}
-}
-
-// With returns (creating on first use) the gauge for the given label
-// values, which must match the label names positionally.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if len(values) != len(v.labels) {
-		panic("obs: label cardinality mismatch on " + v.name)
-	}
-	k := vecKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c := v.children[k]
-	if c == nil {
-		c = &vecChild[*Gauge]{values: append([]string(nil), values...), metric: &Gauge{}}
-		v.children[k] = c
-	}
-	return c.metric
-}
-
-func (v *GaugeVec) familyName() string { return v.name }
-
-func (v *GaugeVec) expose(w io.Writer) error {
-	if err := header(w, v.name, v.help, "gauge"); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]string, 0, len(keys))
-	for _, k := range keys {
-		c := v.children[k]
-		rows = append(rows, fmt.Sprintf("%s%s %s\n", v.name, labelPairs(v.labels, c.values), formatFloat(c.metric.Value())))
-	}
-	v.mu.Unlock()
-	for _, row := range rows {
-		if _, err := io.WriteString(w, row); err != nil {
-			return err
-		}
-	}
-	return nil
+func (g *Gauge) writeRows(w io.Writer, name string, labels, values []string, _ bool) error {
+	_, err := fmt.Fprintf(w, "%s%s %s\n", name, labelPairs(labels, values), formatFloat(g.Value()))
+	return err
 }
 
 // ---- Counter / gauge funcs ----
@@ -354,7 +329,7 @@ type funcMetric struct {
 
 func (f *funcMetric) familyName() string { return f.name }
 
-func (f *funcMetric) expose(w io.Writer) error {
+func (f *funcMetric) expose(w io.Writer, _ bool) error {
 	if err := header(w, f.name, f.help, f.typ); err != nil {
 		return err
 	}
@@ -412,34 +387,28 @@ func NewHistogram(name, help string, buckets []float64) *Histogram {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.buckets, v)
-	h.mu.Lock()
-	h.counts[i]++
-	h.sum += v
-	h.count++
-	h.mu.Unlock()
-}
+func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
 
 // ObserveExemplar records one value and attaches the trace ID as the
 // bucket's exemplar (replacing any previous one — "a recent trace
 // that landed here" is the contract). An empty traceID degrades to
 // Observe.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	if traceID == "" {
-		h.Observe(v)
-		return
-	}
 	i := sort.SearchFloat64s(h.buckets, v)
-	ts := float64(time.Now().UnixMilli()) / 1000
+	var ts float64
+	if traceID != "" {
+		ts = float64(time.Now().UnixMilli()) / 1000
+	}
 	h.mu.Lock()
 	h.counts[i]++
 	h.sum += v
 	h.count++
-	if h.exemplars == nil {
-		h.exemplars = make([]exemplar, len(h.counts))
+	if traceID != "" {
+		if h.exemplars == nil {
+			h.exemplars = make([]exemplar, len(h.counts))
+		}
+		h.exemplars[i] = exemplar{traceID: traceID, value: v, ts: ts}
 	}
-	h.exemplars[i] = exemplar{traceID: traceID, value: v, ts: ts}
 	h.mu.Unlock()
 }
 
@@ -452,125 +421,46 @@ func (h *Histogram) Count() uint64 {
 
 func (h *Histogram) familyName() string { return h.name }
 
-func (h *Histogram) expose(w io.Writer) error {
+func (h *Histogram) expose(w io.Writer, om bool) error {
 	if err := header(w, h.name, h.help, "histogram"); err != nil {
 		return err
 	}
-	return h.exposeRows(w, nil, nil, false)
+	return h.writeRows(w, h.name, nil, nil, om)
 }
 
-func (h *Histogram) exposeOM(w io.Writer) error {
-	if err := header(w, h.name, h.help, "histogram"); err != nil {
-		return err
-	}
-	return h.exposeRows(w, nil, nil, true)
-}
-
-// exposeRows writes the bucket/sum/count rows with optional extra
-// labels (used by HistogramVec). withExemplars appends the OpenMetrics
-// exemplar suffix to bucket rows that have one; the 0.0.4 exposition
-// must not, since "#" starts a comment there.
-func (h *Histogram) exposeRows(w io.Writer, labelNames, labelValues []string, withExemplars bool) error {
+// writeRows writes the bucket/sum/count rows. om appends the
+// OpenMetrics exemplar suffix to bucket rows that have one; the 0.0.4
+// exposition must not, since "#" starts a comment there.
+func (h *Histogram) writeRows(w io.Writer, name string, labelNames, labelValues []string, om bool) error {
 	h.mu.Lock()
 	counts := append([]uint64(nil), h.counts...)
 	sum, count := h.sum, h.count
 	var exs []exemplar
-	if withExemplars && h.exemplars != nil {
+	if om && h.exemplars != nil {
 		exs = append([]exemplar(nil), h.exemplars...)
 	}
 	h.mu.Unlock()
-	exemplarSuffix := func(i int) string {
-		if exs == nil || exs[i].traceID == "" {
-			return ""
-		}
-		return fmt.Sprintf(` # {trace_id="%s"} %s %s`,
-			escapeLabel(exs[i].traceID), formatFloat(exs[i].value), strconv.FormatFloat(exs[i].ts, 'f', 3, 64))
-	}
-	cum := uint64(0)
 	names := append(append([]string(nil), labelNames...), "le")
-	for i, ub := range h.buckets {
-		cum += counts[i]
-		values := append(append([]string(nil), labelValues...), formatFloat(ub))
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", h.name, labelPairs(names, values), cum, exemplarSuffix(i)); err != nil {
+	cum := uint64(0)
+	for i, n := range counts {
+		cum += n
+		le := "+Inf"
+		if i < len(h.buckets) {
+			le = formatFloat(h.buckets[i])
+		}
+		suffix := ""
+		if exs != nil && exs[i].traceID != "" {
+			suffix = fmt.Sprintf(` # {trace_id="%s"} %s %s`,
+				escapeLabel(exs[i].traceID), formatFloat(exs[i].value), strconv.FormatFloat(exs[i].ts, 'f', 3, 64))
+		}
+		values := append(append([]string(nil), labelValues...), le)
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", name, labelPairs(names, values), cum, suffix); err != nil {
 			return err
 		}
 	}
-	cum += counts[len(h.buckets)]
-	values := append(append([]string(nil), labelValues...), "+Inf")
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", h.name, labelPairs(names, values), cum, exemplarSuffix(len(h.buckets))); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, labelPairs(labelNames, labelValues), formatFloat(sum)); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", h.name, labelPairs(labelNames, labelValues), formatFloat(sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", h.name, labelPairs(labelNames, labelValues), count)
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labelPairs(labelNames, labelValues), count)
 	return err
-}
-
-// HistogramVec is a family of histograms keyed by label values.
-type HistogramVec struct {
-	name, help string
-	buckets    []float64
-	labels     []string
-	mu         sync.Mutex
-	children   map[string]*vecChild[*Histogram]
-}
-
-// NewHistogramVec builds a labeled histogram family (nil buckets uses
-// DefBuckets).
-func NewHistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	return &HistogramVec{name: name, help: help, buckets: buckets, labels: labels,
-		children: make(map[string]*vecChild[*Histogram])}
-}
-
-// With returns (creating on first use) the histogram for the given
-// label values.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if len(values) != len(v.labels) {
-		panic("obs: label cardinality mismatch on " + v.name)
-	}
-	k := vecKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c := v.children[k]
-	if c == nil {
-		c = &vecChild[*Histogram]{
-			values: append([]string(nil), values...),
-			//lint:ignore metricname v.name was validated when the vec itself was registered
-			metric: NewHistogram(v.name, v.help, v.buckets),
-		}
-		v.children[k] = c
-	}
-	return c.metric
-}
-
-func (v *HistogramVec) familyName() string { return v.name }
-
-func (v *HistogramVec) expose(w io.Writer) error   { return v.exposeAll(w, false) }
-func (v *HistogramVec) exposeOM(w io.Writer) error { return v.exposeAll(w, true) }
-
-func (v *HistogramVec) exposeAll(w io.Writer, withExemplars bool) error {
-	if err := header(w, v.name, v.help, "histogram"); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	children := make([]*vecChild[*Histogram], 0, len(keys))
-	for _, k := range keys {
-		children = append(children, v.children[k])
-	}
-	v.mu.Unlock()
-	for _, c := range children {
-		if err := c.metric.exposeRows(w, v.labels, c.values, withExemplars); err != nil {
-			return err
-		}
-	}
-	return nil
 }

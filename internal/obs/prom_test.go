@@ -194,7 +194,7 @@ func TestLabelEscaping(t *testing.T) {
 	cv := NewCounterVec("t_esc_total", "Esc.", "v")
 	cv.With("a\"b\\c\nd").Inc()
 	var b strings.Builder
-	if err := cv.expose(&b); err != nil {
+	if err := cv.expose(&b, false); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf(`t_esc_total{v="a\"b\\c\nd"} 1`)
