@@ -65,19 +65,26 @@ func (b *Batch) load(tests []circuit.TwoPattern, base int) error {
 		clear(b.h[p])
 		clear(b.l[p])
 	}
-	b.n = len(tests)
 	for ti, tp := range tests {
 		if len(tp.P1) != len(c.PIs) || len(tp.P3) != len(c.PIs) {
 			return fmt.Errorf("bitsim: test %d has %d/%d values for %d inputs", base+ti, len(tp.P1), len(tp.P3), len(c.PIs))
 		}
-		bit := uint64(1) << uint(ti)
-		for i, pi := range c.PIs {
-			set(b, 0, pi, tp.P1[i], bit)
-			set(b, 2, pi, tp.P3[i], bit)
-			if tp.P1[i] == tp.P3[i] {
-				set(b, 1, pi, tp.P1[i], bit)
-			}
+	}
+	b.n = len(tests)
+	// One input at a time, gather the tests' values into its plane 0
+	// and 2 words. An input is stable, and so specified on plane 1,
+	// in the tests whose two patterns give it one value.
+	for i, pi := range c.PIs {
+		var h0, l0, h2, l2 uint64
+		for ti, tp := range tests {
+			h0 |= bitIf(tp.P1[i] == tval.One, ti)
+			l0 |= bitIf(tp.P1[i] == tval.Zero, ti)
+			h2 |= bitIf(tp.P3[i] == tval.One, ti)
+			l2 |= bitIf(tp.P3[i] == tval.Zero, ti)
 		}
+		b.h[0][pi], b.l[0][pi] = h0, l0
+		b.h[1][pi], b.l[1][pi] = h0&h2, l0&l2
+		b.h[2][pi], b.l[2][pi] = h2, l2
 	}
 	for _, gi := range c.TopoGates() {
 		g := &c.Gates[gi]
@@ -88,12 +95,13 @@ func (b *Batch) load(tests []circuit.TwoPattern, base int) error {
 	return nil
 }
 
-func set(b *Batch, plane, net int, v tval.V, bit uint64) {
-	if v == tval.One {
-		b.h[plane][net] |= bit
-	} else if v == tval.Zero {
-		b.l[plane][net] |= bit
+// bitIf returns bit i set if cond holds, else 0.
+func bitIf(cond bool, i int) uint64 {
+	var v uint64
+	if cond {
+		v = 1
 	}
+	return v << uint(i)
 }
 
 func (b *Batch) evalGate(g *circuit.Gate, p int) {

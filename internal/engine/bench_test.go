@@ -1,7 +1,12 @@
 package engine
 
 import (
+	"context"
+	"math/rand"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 // benchProfiles are the synthetic benches of the ENGINE_BENCH entry in
@@ -60,6 +65,41 @@ func BenchmarkEngineCachedJob(b *testing.B) {
 		<-j.Done()
 		if v := j.View(); !v.CacheHit {
 			b.Fatal("expected a cache hit")
+		}
+	}
+}
+
+// BenchmarkEngineGradeSim is one grading job of perfbench's grade-sim
+// workload: 2,048 random tests fault simulated against s1423's P0∪P1
+// at NP 2000, NP0 700, with the result cache bypassed. A warm-up job
+// fills the engine's memos first, so each iteration measures parsing,
+// simulation and result assembly.
+func BenchmarkEngineGradeSim(b *testing.B) {
+	c, err := experiments.LoadCircuit("s1423")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	tests := make([]string, 2048)
+	for i := range tests {
+		tests[i] = core.RandomTest(c, rng).String()
+	}
+	spec := Spec{Kind: KindFaultSim, Circuit: "s1423", NP: 2000, NP0: 700, Tests: tests, NoCache: true}
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	ctx := context.Background()
+	if _, err := e.RunJob(ctx, spec); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := e.RunJob(ctx, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v.Status != StatusDone {
+			b.Fatalf("status %s: %s", v.Status, v.Error)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bufio"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -118,11 +119,16 @@ func SpecDigest(s Spec) string {
 		s = ns
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "spec/v1 circuit=%s kind=%s np=%d np0=%d seed=%d heur=%s bnb=%t collapse=%t\n",
+	// Buffered: the hash has no WriteString, and io.WriteString on it
+	// would copy every test to the heap.
+	w := bufio.NewWriter(h)
+	fmt.Fprintf(w, "spec/v1 circuit=%s kind=%s np=%d np0=%d seed=%d heur=%s bnb=%t collapse=%t\n",
 		s.Circuit, s.Kind, s.NP, s.NP0, s.Seed, s.Heuristic, s.UseBnB, s.Collapse)
 	for _, t := range s.Tests {
-		fmt.Fprintln(h, t)
+		io.WriteString(w, t)
+		io.WriteString(w, "\n")
 	}
+	w.Flush() // a hash's Write never fails
 	return hex.EncodeToString(h.Sum(nil))
 }
 

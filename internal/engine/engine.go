@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,6 +152,7 @@ type Engine struct {
 	metrics      *Metrics
 	cache        *lru[*Result]
 	prepared     *lru[*preparedSets] // fault-set shape → prepared sets
+	circuits     *lru[loadedCircuit] // circuit name → circuit and digest
 	compactEvery int
 	log          *slog.Logger
 	registry     *obs.Registry
@@ -203,6 +203,7 @@ func New(cfg Config) *Engine {
 		metrics:      m,
 		cache:        newLRU[*Result](cfg.CacheSize),
 		prepared:     newLRU[*preparedSets](preparedMemoSize),
+		circuits:     newLRU[loadedCircuit](circuitMemoSize),
 		compactEvery: compactEvery,
 		log:          logger,
 		ctx:          ctx,
@@ -1047,17 +1048,14 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	}
 	// Stage 1: load the circuit; digest it and the spec into the key.
 	_, lspan := obs.StartSpan(ctx, "load", obs.String("circuit", spec.Circuit))
-	c := spec.Circ
-	if c == nil {
-		var err error
-		if c, err = experiments.LoadCircuit(spec.Circuit); err != nil {
-			lspan.End()
-			return nil, false, err
-		}
+	lc, hit, err := e.loadCircuit(spec)
+	if err != nil {
+		lspan.End()
+		return nil, false, err
 	}
-	circuitHash := CircuitDigest(c)
+	c, circuitHash := lc.c, lc.digest
 	key := cacheKey(circuitHash, SpecDigest(spec))
-	lspan.End()
+	lspan.End(obs.String("memo", memoResult(hit)))
 
 	// Stage 2: memory LRU, then read through the durable store.
 	if !spec.NoCache {
@@ -1083,10 +1081,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		return nil, false, err
 	}
 	p0, p1 := ps.p0, ps.p1
-	memo := "miss"
-	if hit {
-		memo = "hit"
-	}
+	memo := memoResult(hit)
 	e.metrics.prepareMemo.With(memo).Add(1)
 	prep.done(obs.Int("p0", len(p0)), obs.Int("p1", len(p1)), obs.String("memo", memo))
 	if err := ctx.Err(); err != nil {
@@ -1160,7 +1155,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		e.metrics.observeATPG(er.JustifyStats, er.SecondaryAcceptsBySet, er.SecondaryRejectsBySet, er.RegenPerTest)
 		gen.done(obs.Int("tests", len(er.Tests)), obs.Int("aborts", er.PrimaryAborts))
 	case KindFaultSim:
-		tests, err := testio.ReadTests(strings.NewReader(strings.Join(spec.Tests, "\n")), len(c.PIs))
+		tests, text, err := testio.ParseTests(spec.Tests, len(c.PIs))
 		if err != nil {
 			return nil, false, err
 		}
@@ -1173,14 +1168,23 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 			return nil, false, err
 		}
 		res.TestPatterns = tests
+		// Echo each canonical submitted line; render the others.
+		for i, t := range text {
+			if t == "" {
+				text[i] = tests[i].String()
+			}
+		}
+		res.Tests = text
 		res.FirstDetect = first
 		res.AllTotal = len(all)
 		res.Detected = bitsim.Detected(first)
 		sim.done(obs.Int("detected", res.Detected))
 	}
-	res.Tests = make([]string, len(res.TestPatterns))
-	for i, tp := range res.TestPatterns {
-		res.Tests[i] = tp.String()
+	if spec.Kind != KindFaultSim { // fault simulation set its strings above
+		res.Tests = make([]string, len(res.TestPatterns))
+		for i, tp := range res.TestPatterns {
+			res.Tests[i] = tp.String()
+		}
 	}
 	res.TestCount = len(res.Tests)
 	if err := ctx.Err(); err != nil {
@@ -1200,6 +1204,46 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		return nil, false, err
 	}
 	return res, false, nil
+}
+
+// memoResult is a memo lookup's outcome as a span attribute and
+// metric label value.
+func memoResult(hit bool) string {
+	if hit {
+		return "hit"
+	}
+	return "miss"
+}
+
+// circuitMemoSize bounds the circuit memo. An entry is one built
+// circuit, and a server runs few at a time.
+const circuitMemoSize = 16
+
+// loadedCircuit is a circuit and its CircuitDigest. A circuit is not
+// modified after Builder.Build, so one memo entry is shared by every
+// job that names it.
+type loadedCircuit struct {
+	c      *circuit.Circuit
+	digest string
+}
+
+// loadCircuit returns spec's circuit and its digest, and whether they
+// came from the circuit memo. Only named circuits are memoized; an
+// inline one (spec.Circ) is digested per job. A miss loads outside the
+// memo's lock, so concurrent misses on one name may both load; the
+// first insert wins. A failed load is not memoized.
+func (e *Engine) loadCircuit(spec Spec) (loadedCircuit, bool, error) {
+	if c := spec.Circ; c != nil {
+		return loadedCircuit{c: c, digest: CircuitDigest(c)}, false, nil
+	}
+	if lc, ok := e.circuits.Get(spec.Circuit); ok {
+		return lc, true, nil
+	}
+	c, err := experiments.LoadCircuit(spec.Circuit)
+	if err != nil {
+		return loadedCircuit{}, false, err
+	}
+	return e.circuits.Put(spec.Circuit, loadedCircuit{c: c, digest: CircuitDigest(c)}), false, nil
 }
 
 // preparedMemoSize bounds the prepared-set memo. An entry is the

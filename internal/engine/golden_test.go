@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -62,6 +63,56 @@ func TestCrossVersionGoldens(t *testing.T) {
 			if r.TestCount != tc.tests || r.P0Detected != tc.p0 || r.P1Detected != tc.p1 || got != tc.sha {
 				t.Errorf("got tests=%d p0=%d p1=%d sha=%s, want tests=%d p0=%d p1=%d sha=%s",
 					r.TestCount, r.P0Detected, r.P1Detected, got, tc.tests, tc.p0, tc.p1, tc.sha)
+			}
+		})
+	}
+
+	// Fault simulation on s27: canonical lines alone, and with one each
+	// of an uppercase X, padded whitespace, a comment and a blank line,
+	// which the result renders canonically. The digest covers the
+	// result's test strings and first-detection indices.
+	canonical := []string{
+		"0110100 -> 1010010",
+		"1x00101 -> 0x01101",
+		"0000000 -> 1111111",
+		"1011001 -> 1011000",
+		"x1x0x1x -> 0101010",
+	}
+	mixed := []string{
+		canonical[0],
+		"0X10011 -> 1x1001X",
+		canonical[1],
+		"  1100110 ->   0011001\t",
+		"# a comment",
+		canonical[2],
+		"",
+		canonical[3],
+		canonical[4],
+	}
+	grades := []struct {
+		name            string
+		tests           []string
+		count, detected int
+		sha             string
+	}{
+		{"s27/faultsim", canonical, 5, 5, "f5cdaf77ee2d453377a8f7d46116f927a3717cd1c88218a46fc4dc7c33714fb7"},
+		{"s27/faultsim/mixed", mixed, 7, 5, "3441f133f4568631c8ff89bdd4cf831c8c16e49e176585a80dbef20ec583ba2b"},
+	}
+	for _, tc := range grades {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := e.RunJob(context.Background(), Spec{Kind: KindFaultSim, Circuit: "s27", NP0: 10, Tests: tc.tests})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Status != StatusDone {
+				t.Fatalf("status %s: %s", v.Status, v.Error)
+			}
+			r := v.Result
+			sum := sha256.Sum256([]byte(strings.Join(r.Tests, "\n") + "\n" + fmt.Sprint(r.FirstDetect)))
+			got := hex.EncodeToString(sum[:])
+			if r.TestCount != tc.count || r.Detected != tc.detected || got != tc.sha {
+				t.Errorf("got tests=%d detected=%d sha=%s, want tests=%d detected=%d sha=%s",
+					r.TestCount, r.Detected, got, tc.count, tc.detected, tc.sha)
 			}
 		})
 	}

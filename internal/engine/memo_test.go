@@ -172,3 +172,121 @@ func TestLRUFirstInsertWins(t *testing.T) {
 		t.Errorf("after three keys in a 2-entry LRU: a resident=%t, len=%d", ok, c.Len())
 	}
 }
+
+// loadMemo returns the memo attribute of a finished job's load span.
+func loadMemo(t *testing.T, j *Job) string {
+	t.Helper()
+	for _, s := range j.TraceView().Spans {
+		if s.Name == "load" {
+			return s.Attrs["memo"]
+		}
+	}
+	t.Fatalf("job %s has no load span", j.ID())
+	return ""
+}
+
+// A named circuit is loaded and digested once per engine: the second
+// job takes both from the memo, and the memoized digest is the one a
+// fresh LoadCircuit gives.
+func TestCircuitMemo(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	c, err := experiments.LoadCircuit("s27")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := CircuitDigest(c)
+	for i, memo := range []string{"miss", "hit"} {
+		j, err := e.Submit(Spec{Kind: KindEnrich, Circuit: "s27", NP0: 4, Seed: int64(i + 1), NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := waitDone(t, e, j.ID())
+		if v.Status != StatusDone {
+			t.Fatalf("job %d: status %s: %s", i, v.Status, v.Error)
+		}
+		if got := loadMemo(t, j); got != memo {
+			t.Errorf("job %d: load memo=%q, want %q", i, got, memo)
+		}
+		if v.Result.CircuitHash != want {
+			t.Errorf("job %d: circuit hash %s, want %s", i, v.Result.CircuitHash, want)
+		}
+	}
+	lc, ok := e.circuits.Get("s27")
+	if !ok || lc.digest != want || CircuitDigest(lc.c) != want {
+		t.Errorf("memo entry resident=%t digest=%s, want %s", ok, lc.digest, want)
+	}
+	// An inline circuit bypasses the memo: a miss that stores nothing.
+	j, err := e.Submit(Spec{Kind: KindEnrich, Circ: c, NP0: 4, Seed: 1, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitDone(t, e, j.ID()); v.Status != StatusDone {
+		t.Fatalf("inline job: status %s: %s", v.Status, v.Error)
+	}
+	if got := loadMemo(t, j); got != "miss" || e.circuits.Len() != 1 {
+		t.Errorf("inline circuit: load memo=%q, memo holds %d entries", got, e.circuits.Len())
+	}
+}
+
+// A circuit that fails to load is not memoized.
+func TestCircuitMemoSkipsFailedLoad(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	v, err := e.RunJob(context.Background(), Spec{Kind: KindEnrich, Circuit: "no-such-circuit", NP0: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Status != StatusFailed {
+		t.Fatalf("status %s, want failed", v.Status)
+	}
+	if _, ok := e.circuits.Get("no-such-circuit"); ok || e.circuits.Len() != 0 {
+		t.Errorf("failed load memoized (memo holds %d entries)", e.circuits.Len())
+	}
+}
+
+// Fault simulation and enrichment jobs share one memoized circuit from
+// four workers at once (run under the race detector by make race);
+// every result must marshal byte-identical to the same spec on a fresh
+// engine.
+func TestCircuitMemoConcurrent(t *testing.T) {
+	c, err := experiments.LoadCircuit("s641")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	tests := make([]string, 130)
+	for i := range tests {
+		tests[i] = core.RandomTest(c, rng).String()
+	}
+	var specs []Spec
+	for seed := int64(1); seed <= 3; seed++ {
+		specs = append(specs,
+			Spec{Kind: KindEnrich, Circuit: "s641", NP: 200, NP0: 50, Seed: seed, NoCache: true},
+			Spec{Kind: KindFaultSim, Circuit: "s641", NP: 200, NP0: 50, Tests: tests[seed*10:], NoCache: true})
+	}
+	e := New(Config{Workers: 4})
+	defer e.Close()
+	jobs := make([]*Job, len(specs))
+	for i, s := range specs {
+		if jobs[i], err = e.Submit(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, j := range jobs {
+		v := waitDone(t, e, j.ID())
+		if v.Status != StatusDone {
+			t.Fatalf("%s job %d: status %s: %s", specs[i].Kind, i, v.Status, v.Error)
+		}
+		got, err := json.Marshal(v.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := runReport(t, specs[i], Config{Workers: 1}); !bytes.Equal(got, want) {
+			t.Errorf("%s job %d: result on the shared circuit differs from a fresh engine", specs[i].Kind, i)
+		}
+	}
+	if n := e.circuits.Len(); n != 1 {
+		t.Errorf("memo holds %d circuits, want 1", n)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/testio"
 )
@@ -113,7 +112,7 @@ func decodeStoredResult(key string, payload []byte, piCount int) (*Result, error
 		return nil, fmt.Errorf("cache_key %q does not match %q", res.CacheKey, key)
 	}
 	if len(res.Tests) > 0 {
-		tps, err := testio.ReadTests(strings.NewReader(strings.Join(res.Tests, "\n")), piCount)
+		tps, _, err := testio.ParseTests(res.Tests, piCount)
 		if err != nil {
 			return nil, fmt.Errorf("rehydrate tests: %w", err)
 		}

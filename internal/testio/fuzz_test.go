@@ -7,13 +7,23 @@ import (
 	"repro/internal/bench"
 )
 
+// testSetSeeds is the seed corpus of the test set fuzzers.
+var testSetSeeds = []struct {
+	src string
+	n   int
+}{
+	{"0101010 -> 1111111\n", 7},
+	{"# c\nxxxxxxx -> 0000000\n", 7},
+	{"0 -> 1\n", 1},
+	{"->", 4},
+}
+
 // FuzzReadTests checks the test set reader never panics and that every
 // accepted test set round trips.
 func FuzzReadTests(f *testing.F) {
-	f.Add("0101010 -> 1111111\n", 7)
-	f.Add("# c\nxxxxxxx -> 0000000\n", 7)
-	f.Add("0 -> 1\n", 1)
-	f.Add("->", 4)
+	for _, s := range testSetSeeds {
+		f.Add(s.src, s.n)
+	}
 	f.Fuzz(func(t *testing.T, src string, n int) {
 		if n < 0 || n > 64 {
 			return
@@ -36,6 +46,51 @@ func FuzzReadTests(f *testing.F) {
 		for i := range tests {
 			if tests[i].String() != again[i].String() {
 				t.Fatalf("test %d changed: %q vs %q", i, tests[i], again[i])
+			}
+		}
+	})
+}
+
+// FuzzParseTests checks that ParseTests over src split at sep reads
+// what ReadTests reads from the pieces joined by '\n', or fails with
+// the same error, and that it marks a test canonical exactly when its
+// trimmed line is the test's String.
+func FuzzParseTests(f *testing.F) {
+	for _, s := range testSetSeeds {
+		f.Add(s.src, s.n, byte('\n'))
+		f.Add(s.src, s.n, byte(';'))
+	}
+	f.Add(" 0X1 ->  x10\n\n#\n01x -> 01x\r\n", 3, byte(';'))
+	f.Fuzz(func(t *testing.T, src string, n int, sep byte) {
+		if n < 0 || n > 64 {
+			return
+		}
+		lines := strings.Split(src, string(sep))
+		joined := strings.Join(lines, "\n")
+		want, wantErr := ReadTests(strings.NewReader(joined), n)
+		got, canon, err := ParseTests(lines, n)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("ParseTests error %v, ReadTests error %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		var text []string
+		for _, l := range strings.Split(joined, "\n") {
+			if l = strings.TrimSpace(l); l != "" && l[0] != '#' {
+				text = append(text, l)
+			}
+		}
+		if len(got) != len(want) || len(canon) != len(got) || len(text) != len(got) {
+			t.Fatalf("ParseTests read %d tests (%d canon), ReadTests %d, %d test lines", len(got), len(canon), len(want), len(text))
+		}
+		for i := range got {
+			s := got[i].String()
+			if s != want[i].String() {
+				t.Fatalf("test %d: ParseTests %q, ReadTests %q", i, s, want[i])
+			}
+			if (canon[i] != "") != (s == text[i]) || canon[i] != "" && canon[i] != s {
+				t.Fatalf("test %d: canon %q for line %q rendering %q", i, canon[i], text[i], s)
 			}
 		}
 	})

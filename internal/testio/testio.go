@@ -38,53 +38,134 @@ func WriteTests(w io.Writer, tests []circuit.TwoPattern) error {
 	return bw.Flush()
 }
 
-// ReadTests reads a test set written by WriteTests. Each pattern must
-// have exactly nInputs values over {0,1,x}.
-func ReadTests(r io.Reader, nInputs int) ([]circuit.TwoPattern, error) {
-	var out []circuit.TwoPattern
+// maxLine bounds one line of a test set or fault list read from a
+// stream.
+const maxLine = 1 << 20
+
+// newScanner returns a line scanner whose buffer starts at the
+// default size and grows up to maxLine.
+func newScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, "->")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("testio: line %d: expected 'p1 -> p2', got %q", lineNo, line)
-		}
-		p1, err := parsePattern(strings.TrimSpace(parts[0]), nInputs)
-		if err != nil {
-			return nil, fmt.Errorf("testio: line %d: %v", lineNo, err)
-		}
-		p3, err := parsePattern(strings.TrimSpace(parts[1]), nInputs)
-		if err != nil {
-			return nil, fmt.Errorf("testio: line %d: %v", lineNo, err)
-		}
-		out = append(out, circuit.TwoPattern{P1: p1, P3: p3})
-	}
-	return out, sc.Err()
+	sc.Buffer(nil, maxLine)
+	return sc
 }
 
-func parsePattern(s string, n int) ([]tval.V, error) {
-	if len(s) != n {
-		return nil, fmt.Errorf("pattern %q has %d values, want %d", s, len(s), n)
-	}
-	out := make([]tval.V, n)
-	for i := 0; i < n; i++ {
-		switch s[i] {
-		case '0':
-			out[i] = tval.Zero
-		case '1':
-			out[i] = tval.One
-		case 'x', 'X':
-			out[i] = tval.X
-		default:
-			return nil, fmt.Errorf("invalid value %q in pattern %q", s[i], s)
+// ReadTests reads a test set written by WriteTests. Each pattern must
+// have exactly nInputs values over {0,1,x}; 'X' reads as x. Blank
+// lines and lines starting with '#' are skipped.
+func ReadTests(r io.Reader, nInputs int) ([]circuit.TwoPattern, error) {
+	p := testParser{n: nInputs}
+	sc := newScanner(r)
+	for sc.Scan() {
+		if err := p.line(sc.Text()); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return p.tests, sc.Err()
+}
+
+// ParseTests parses test lines in ReadTests' format, one line per
+// element, or several where an element holds '\n': it returns what
+// ReadTests returns for the lines joined by '\n', without the joining.
+// canon[i] is the line that held tests[i], trimmed, when it is
+// byte-equal to tests[i].String(), and "" otherwise, so a caller can
+// echo canonical input without rendering it again. The tests' values
+// share one allocation.
+func ParseTests(lines []string, nInputs int) (tests []circuit.TwoPattern, canon []string, err error) {
+	p := testParser{
+		n:     nInputs,
+		slab:  make([]tval.V, 0, 2*max(nInputs, 0)*len(lines)),
+		tests: make([]circuit.TwoPattern, 0, len(lines)),
+		canon: make([]string, 0, len(lines)),
+	}
+	for _, l := range lines {
+		for more := true; more; {
+			var line string
+			line, l, more = strings.Cut(l, "\n")
+			if err := p.line(line); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return p.tests, p.canon, nil
+}
+
+// testParser is the one test-line grammar. It numbers the lines it is
+// fed and appends each test, whose values it carves out of slab.
+type testParser struct {
+	n      int // values per pattern
+	lineNo int
+	slab   []tval.V
+	tests  []circuit.TwoPattern
+	canon  []string
+}
+
+// slabTests is how many tests' values a slab grown by the parser
+// holds, at least.
+const slabTests = 64
+
+func (p *testParser) line(raw string) error {
+	p.lineNo++
+	line := strings.TrimSpace(raw)
+	if line == "" || line[0] == '#' {
+		return nil
+	}
+	arrow := strings.Index(line, "->")
+	if arrow < 0 || strings.Contains(line[arrow+2:], "->") {
+		return fmt.Errorf("testio: line %d: expected 'p1 -> p2', got %q", p.lineNo, line)
+	}
+	p1, canon1, err := p.pattern(strings.TrimSpace(line[:arrow]))
+	if err != nil {
+		return fmt.Errorf("testio: line %d: %v", p.lineNo, err)
+	}
+	p3, canon3, err := p.pattern(strings.TrimSpace(line[arrow+2:]))
+	if err != nil {
+		return fmt.Errorf("testio: line %d: %v", p.lineNo, err)
+	}
+	p.tests = append(p.tests, circuit.TwoPattern{P1: p1, P3: p3})
+	if n := p.n; !canon1 || !canon3 || len(line) != 2*n+4 || line[n:n+4] != " -> " {
+		line = ""
+	}
+	p.canon = append(p.canon, line)
+	return nil
+}
+
+// badChar marks the bytes that are not a pattern character in
+// charValue, which maps the others to their values.
+const badChar = 0xff
+
+var charValue = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = badChar
+	}
+	t['0'], t['1'], t['x'], t['X'] = uint8(tval.Zero), uint8(tval.One), uint8(tval.X), uint8(tval.X)
+	return t
+}()
+
+// pattern decodes s, which must hold one value per input, into the
+// slab and reports whether s is written canonically (lowercase x).
+func (p *testParser) pattern(s string) (vals []tval.V, canonical bool, err error) {
+	n := p.n
+	if len(s) != n {
+		return nil, false, fmt.Errorf("pattern %q has %d values, want %d", s, len(s), n)
+	}
+	if len(p.slab)+n > cap(p.slab) {
+		// Earlier tests keep the old slab.
+		p.slab = make([]tval.V, 0, max(cap(p.slab), 2*n*slabTests))
+	}
+	off := len(p.slab)
+	p.slab = p.slab[:off+n]
+	// The full slice expression keeps an append to one pattern from
+	// reaching the next.
+	vals = p.slab[off : off+n : off+n]
+	for i := 0; i < n; i++ {
+		v := charValue[s[i]]
+		if v == badChar {
+			return nil, false, fmt.Errorf("invalid value %q in pattern %q", s[i], s)
+		}
+		vals[i] = tval.V(v)
+	}
+	return vals, strings.IndexByte(s, 'X') < 0, nil
 }
 
 // WriteFaults writes a fault list using line names.
@@ -114,8 +195,7 @@ func ReadFaults(r io.Reader, c *circuit.Circuit, m delay.Model) ([]faults.Fault,
 		byName[c.Lines[i].Name] = i
 	}
 	var out []faults.Fault
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc := newScanner(r)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -111,3 +111,52 @@ func TestReadFaultsErrors(t *testing.T) {
 		}
 	}
 }
+
+// A test line longer than bufio.Scanner's default 64 KiB token limit
+// still reads.
+func TestReadTestsLongLine(t *testing.T) {
+	n := 40 << 10
+	src := strings.Repeat("0", n) + " -> " + strings.Repeat("1", n) + "\n"
+	got, err := ReadTests(strings.NewReader(src), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].String() != strings.TrimSpace(src) {
+		t.Fatalf("read %d tests", len(got))
+	}
+}
+
+func TestParseTests(t *testing.T) {
+	lines := []string{
+		"0110 -> 1010",
+		"  0X10 -> 1x10 ",
+		"# comment\n\n01x1 -> 1111",
+		"",
+		"\t0000->1111",
+	}
+	got, canon, err := ParseTests(lines, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"0110 -> 1010", "0x10 -> 1x10", "01x1 -> 1111", "0000 -> 1111"}
+	wantCanon := []string{"0110 -> 1010", "", "01x1 -> 1111", ""}
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d tests, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].String() != want[i] || canon[i] != wantCanon[i] {
+			t.Errorf("test %d: %q canon %q, want %q canon %q", i, got[i], canon[i], want[i], wantCanon[i])
+		}
+	}
+	// Appending to one pattern must not overwrite the next.
+	_ = append(got[0].P1, tval.One)
+	if got[0].P3[0] != tval.One {
+		t.Error("append to P1 reached P3")
+	}
+	// Line numbers count the lines inside elements, as in the joined
+	// text.
+	_, _, err = ParseTests([]string{"0000 -> 1111", "# a\n0000 -> 111"}, 4)
+	if err == nil || !strings.Contains(err.Error(), "line 3:") {
+		t.Errorf("error %v, want one on line 3", err)
+	}
+}
