@@ -172,8 +172,9 @@ func TestToolFormatsInterop(t *testing.T) {
 	}
 }
 
-// TestSuiteSmoke runs the full evaluation suite at tiny budgets on two
-// circuits to keep RunSuite covered.
+// TestSuiteSmoke runs each table's procedure (Prepare, BasicTable,
+// EnrichTable) at tiny budgets on b09. The tables command's full
+// rendering is covered in internal/cli.
 func TestSuiteSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -536,6 +536,34 @@ func TestTablesCLIRemainingTables(t *testing.T) {
 	}
 }
 
+// The "all" rendering runs every table over -circuits, skipping a
+// circuit that fails to prepare with a warning instead of aborting.
+func TestTablesCLIAllSkipsMissingCircuit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	out, errOut, err := run(t, func(a []string, o, e *bytes.Buffer) error {
+		return Tables(a, o, e)
+	}, "-table", "all", "-circuits", "b09,definitely-missing", "-np", "300", "-np0", "60")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 7; i++ {
+		if !strings.Contains(out, fmt.Sprintf("Table %d", i)) {
+			t.Errorf("all-tables output missing Table %d", i)
+		}
+	}
+	if !strings.Contains(out, "b09") {
+		t.Errorf("all-tables output has no b09 rows:\n%s", out)
+	}
+	if strings.Contains(out, "definitely-missing") {
+		t.Errorf("missing circuit rendered as a row:\n%s", out)
+	}
+	if !strings.Contains(errOut, `msg="skipping circuit"`) || !strings.Contains(errOut, "circuit=definitely-missing") {
+		t.Errorf("skip warning missing:\n%s", errOut)
+	}
+}
+
 func TestWaveformCLIToFile(t *testing.T) {
 	dir := t.TempDir()
 	vcd := filepath.Join(dir, "out.vcd")

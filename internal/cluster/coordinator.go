@@ -35,7 +35,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -659,12 +658,4 @@ func (c *Coordinator) Healthy() int {
 func (c *Coordinator) backendFor(name string) (*backend, bool) {
 	b, ok := c.backends[name]
 	return b, ok
-}
-
-// sortedNames returns the configured backend names sorted, for stable
-// log and error output.
-func (c *Coordinator) sortedNames() []string {
-	out := append([]string(nil), c.order...)
-	sort.Strings(out)
-	return out
 }

@@ -40,7 +40,7 @@ func TestEngineCancelMidEnrich(t *testing.T) {
 	if v.Result != nil {
 		t.Error("canceled job must not expose a result")
 	}
-	if e.CacheLen() != 0 {
+	if e.Metrics().CacheLen != 0 {
 		t.Error("canceled job must leave the cache untouched")
 	}
 	m := e.Metrics()

@@ -99,11 +99,11 @@ type Config struct {
 	// shedding.
 	ShedWatermark int
 
-	// Journal, when set, receives every job lifecycle transition as a
-	// durable WAL record; Restore replays a reopened journal after a
-	// crash. Engine-shutdown cancellations are deliberately not
-	// journaled, so interrupted jobs stay live on disk and re-run on
-	// restart. nil disables journaling.
+	// Journal, when set, receives each job's submitted record and its
+	// terminal record as durable WAL records; Restore replays a
+	// reopened journal after a crash. Engine-shutdown cancellations
+	// are deliberately not journaled, so interrupted jobs stay live on
+	// disk and re-run on restart. nil disables journaling.
 	Journal *journal.Log
 	// JournalCompactEvery paces journal compaction: after this many
 	// appended records the log is rewritten to just the live jobs.
@@ -271,39 +271,9 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 			return nil, ErrOverloaded
 		}
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrClosed
-	}
-	e.seq++
-	j := &Job{
-		id:         fmt.Sprintf("j%d", e.seq),
-		seq:        e.seq,
-		spec:       spec,
-		maxRetries: e.maxRetries(spec),
-		status:     StatusQueued,
-		created:    time.Now(),
-		done:       make(chan struct{}),
-	}
 	remote, _ := obs.TraceContextFrom(ctx)
-	j.initTrace(e.cfg.TraceSpanLimit, remote, obs.SampleRate(e.cfg.TraceSample),
-		obs.String("job_id", j.id),
-		obs.String("kind", string(spec.Kind)),
-		obs.String("circuit", spec.Circuit),
-		obs.String("tenant", spec.Tenant),
-		obs.String("priority", spec.Priority))
-	// Registration and enqueue share one critical section: a rejected
-	// job leaves no trace in jobs/order, and a job never lands in a
-	// tenant queue after Close (which flips closed under the same
-	// mutex) has started draining. jobsSubmitted is bumped before the
-	// enqueue so the derived queued gauge never goes negative if a
-	// worker finishes the job immediately.
-	e.metrics.jobsSubmitted.Add(1)
-	if err := e.sched.enqueue(j); err != nil {
-		e.metrics.jobsSubmitted.Add(-1)
-		e.seq--
-		e.mu.Unlock()
+	j, err := e.admit(spec, remote, nil)
+	if err != nil {
 		switch {
 		case errors.Is(err, ErrQuotaExceeded):
 			e.metrics.jobsShed.Add(1)
@@ -315,23 +285,98 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 		}
 		return nil, err
 	}
+	// Journaled outside the lock: the fsync must not serialize
+	// submissions. A worker may journal this job's terminal record
+	// first; replay is order-insensitive. The spec (every test string
+	// of a faultsim job) is marshaled only when there is a journal.
+	if e.cfg.Journal != nil {
+		e.journalAppend(journal.Record{Op: journal.OpSubmitted, JobID: j.id, Seq: j.seq, Spec: marshalSpec(spec)})
+	}
+	return j, nil
+}
+
+// admit builds a queued job for a normalized spec, registers it and
+// enqueues it on its tenant's queue: the one admission path of
+// SubmitCtx and Restore. A new submission (replay == nil) takes the
+// next ID from the engine's counter. A replayed one keeps its
+// journaled ID and seq, is skipped (nil job, nil error) when a job of
+// that ID is already registered, and moves to the default tenant when
+// its own is no longer configured.
+//
+// Registration and enqueue share one critical section: a rejected job
+// leaves no trace in jobs/order, and a job never lands in a tenant
+// queue after Close (which flips closed under the same mutex) has
+// started draining. jobsSubmitted is bumped before the enqueue so the
+// derived queued gauge never goes negative if a worker finishes the
+// job immediately, and rolled back if the enqueue fails.
+func (e *Engine) admit(spec Spec, remote obs.TraceContext, replay *journal.Record) (*Job, error) {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return nil, ErrClosed
+	}
+	var id string
+	var seq int64
+	if replay == nil {
+		e.seq++
+		id, seq = fmt.Sprintf("j%d", e.seq), e.seq
+	} else {
+		if _, dup := e.jobs[replay.JobID]; dup {
+			e.mu.Unlock()
+			return nil, nil
+		}
+		id, seq = replay.JobID, replay.Seq
+	}
+	j := &Job{
+		id:         id,
+		seq:        seq,
+		spec:       spec,
+		maxRetries: e.maxRetries(spec),
+		status:     StatusQueued,
+		created:    time.Now(),
+		done:       make(chan struct{}),
+	}
+	attrs := []obs.Attr{
+		obs.String("job_id", id),
+		obs.String("kind", string(spec.Kind)),
+		obs.String("circuit", spec.Circuit),
+		obs.String("tenant", spec.Tenant),
+		obs.String("priority", spec.Priority),
+	}
+	if replay != nil {
+		attrs = append(attrs, obs.Bool("replayed", true))
+	}
+	j.initTrace(e.cfg.TraceSpanLimit, remote, obs.SampleRate(e.cfg.TraceSample), attrs...)
+	e.metrics.jobsSubmitted.Add(1)
+	err := e.sched.enqueue(j)
+	if replay != nil && errors.Is(err, ErrUnknownTenant) {
+		// The tenant roster changed across the restart; don't lose
+		// the job — rehome it on the default tenant.
+		j.spec.Tenant = DefaultTenant
+		err = e.sched.enqueue(j)
+	}
+	if err != nil {
+		e.metrics.jobsSubmitted.Add(-1)
+		if replay == nil {
+			e.seq--
+		}
+		e.mu.Unlock()
+		return nil, err
+	}
 	e.jobs[j.id] = j
 	e.order = append(e.order, j.id)
 	e.mu.Unlock()
-	// Journaled outside the lock: the fsync must not serialize
-	// submissions. A worker may journal this job's OpStarted first;
-	// replay is order-insensitive. The spec (every test string of a
-	// faultsim job) is marshaled only when there is a journal.
-	if e.cfg.Journal != nil {
-		e.journalAppend(journal.Record{Op: journal.OpSubmitted, JobID: j.id, Seq: j.seq, Tenant: spec.Tenant, Spec: marshalSpec(spec)})
-	}
-	e.events.Publish(j.id, "queued", map[string]string{
+	data := map[string]string{
 		"kind": string(spec.Kind), "circuit": spec.Circuit,
-		"tenant": spec.Tenant, "priority": spec.Priority,
-	})
+		"tenant": j.spec.Tenant, "priority": spec.Priority,
+	}
+	if replay != nil {
+		data["replayed"] = "true"
+	}
+	e.events.Publish(j.id, "queued", data)
 	e.updateWatermark()
 	e.log.Debug("job submitted", "job_id", j.id, "kind", spec.Kind, "circuit", spec.Circuit,
-		"tenant", spec.Tenant, "priority", spec.Priority)
+		"tenant", j.spec.Tenant, "priority", spec.Priority, "replayed", replay != nil)
 	return j, nil
 }
 
@@ -460,28 +505,6 @@ func (e *Engine) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns snapshots of all jobs in submission order (without
-// span timelines; fetch a single job for its trace).
-func (e *Engine) Jobs() []JobView {
-	jobs := e.jobsInOrder()
-	views := make([]JobView, len(jobs))
-	for i, j := range jobs {
-		views[i] = j.ViewLite()
-	}
-	return views
-}
-
-// jobsInOrder snapshots the job pointers in submission order.
-func (e *Engine) jobsInOrder() []*Job {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	jobs := make([]*Job, 0, len(e.order))
-	for _, id := range e.order {
-		jobs = append(jobs, e.jobs[id])
-	}
-	return jobs
-}
-
 // JobsQuery filters and paginates a job listing.
 type JobsQuery struct {
 	// Status / Kind filter on the job's current status and kind; the
@@ -502,7 +525,12 @@ type JobsQuery struct {
 // time; a job that changes status between pages may appear in neither
 // or both — the listing is eventually consistent, never blocking.
 func (e *Engine) JobsPage(q JobsQuery) ([]JobView, int64) {
-	jobs := e.jobsInOrder()
+	e.mu.Lock()
+	jobs := make([]*Job, 0, len(e.order))
+	for _, id := range e.order {
+		jobs = append(jobs, e.jobs[id])
+	}
+	e.mu.Unlock()
 	views := make([]JobView, 0, min(len(jobs), max(q.Limit, 0)))
 	for _, j := range jobs {
 		if j.seq <= q.AfterSeq {
@@ -583,9 +611,6 @@ func (e *Engine) Metrics() Snapshot {
 	s.Tenants = e.sched.snapshot()
 	return s
 }
-
-// CacheLen returns the number of cached results.
-func (e *Engine) CacheLen() int { return e.cache.Len() }
 
 // QueueDepth returns the instantaneous run-queue occupancy across all
 // tenants. Cheap enough for /healthz, which the cluster coordinator
@@ -761,7 +786,6 @@ func (e *Engine) runJob(j *Job) {
 	e.events.Publish(j.id, "attempt", map[string]string{"attempt": fmt.Sprintf("%d", attempt)})
 	e.log.Debug("job attempt started", "job_id", j.id, "attempt", attempt)
 
-	e.journalAppend(journal.Record{Op: journal.OpStarted, JobID: j.id, Seq: j.seq, Attempt: attempt})
 	e.metrics.jobsRunning.Add(1)
 	res, hit, err := e.executeShielded(ctx, j)
 	e.metrics.jobsRunning.Add(-1)
@@ -769,7 +793,7 @@ func (e *Engine) runJob(j *Job) {
 	switch {
 	case err == nil:
 		if e.finish(j, StatusDone, res, hit, nil) {
-			e.journalAppend(journal.Record{Op: journal.OpDone, JobID: j.id, Seq: j.seq, Digest: res.CacheKey, Attempt: attempt})
+			e.journalAppend(journal.Record{Op: journal.OpDone, JobID: j.id, Seq: j.seq, Digest: res.CacheKey})
 		}
 	case errors.Is(err, context.Canceled):
 		if e.finish(j, StatusCanceled, nil, false, err) {
@@ -813,7 +837,7 @@ func (e *Engine) retryOrFail(j *Job, attempt int, err error) {
 	}
 	if attempt > j.maxRetries {
 		if e.finish(j, StatusFailed, nil, false, err) {
-			e.journalAppend(journal.Record{Op: journal.OpFailed, JobID: j.id, Seq: j.seq, Error: err.Error(), Attempt: attempt})
+			e.journalAppend(journal.Record{Op: journal.OpFailed, JobID: j.id, Seq: j.seq})
 		}
 		return
 	}
@@ -821,7 +845,6 @@ func (e *Engine) retryOrFail(j *Job, attempt int, err error) {
 		return // a cancel won the race
 	}
 	e.metrics.jobsRetried.Add(1)
-	e.journalAppend(journal.Record{Op: journal.OpRetrying, JobID: j.id, Seq: j.seq, Error: err.Error(), Attempt: attempt})
 	delay := e.retryDelay(attempt)
 	e.events.Publish(j.id, "retrying", map[string]string{
 		"attempt":    fmt.Sprintf("%d", attempt),
@@ -866,9 +889,9 @@ func (e *Engine) requeue(j *Job) {
 	e.mu.Unlock()
 }
 
-// journalAppend writes one lifecycle record, if a journal is
-// configured. Append failures degrade to a metric rather than failing
-// the job: the engine prefers availability over durability.
+// journalAppend writes one submitted or terminal record, if a journal
+// is configured. Append failures degrade to a metric rather than
+// failing the job: the engine prefers availability over durability.
 func (e *Engine) journalAppend(r journal.Record) {
 	log := e.cfg.Journal
 	if log == nil {
@@ -917,7 +940,7 @@ func (e *Engine) liveRecordsLocked() []journal.Record {
 		if terminal {
 			continue
 		}
-		live = append(live, journal.Record{Op: journal.OpSubmitted, JobID: j.id, Seq: j.seq, Tenant: j.spec.Tenant, Spec: marshalSpec(j.spec)})
+		live = append(live, journal.Record{Op: journal.OpSubmitted, JobID: j.id, Seq: j.seq, Spec: marshalSpec(j.spec)})
 	}
 	return live
 }
@@ -930,7 +953,8 @@ func (e *Engine) liveRecordsLocked() []journal.Record {
 // and new jobs never collide. Call Restore once, before serving
 // traffic; it reports how many jobs were re-enqueued. Records whose
 // Spec no longer validates are skipped (counted as journal errors),
-// not fatal.
+// not fatal. Replayed jobs are admitted like submissions (see admit),
+// without the shed check and without a second journal record.
 func (e *Engine) Restore(recs []journal.Record) (int, error) {
 	if maxSeq := journal.MaxSeq(recs); maxSeq > 0 {
 		e.mu.Lock()
@@ -951,51 +975,15 @@ func (e *Engine) Restore(recs []journal.Record) (int, error) {
 			e.metrics.journalErrors.Add(1)
 			continue
 		}
-		j := &Job{
-			id:         r.JobID,
-			seq:        r.Seq,
-			spec:       spec,
-			maxRetries: e.maxRetries(spec),
-			status:     StatusQueued,
-			created:    time.Now(),
-			done:       make(chan struct{}),
-		}
-		j.initTrace(e.cfg.TraceSpanLimit, obs.TraceContext{}, obs.SampleRate(e.cfg.TraceSample),
-			obs.String("job_id", j.id),
-			obs.String("kind", string(spec.Kind)),
-			obs.String("circuit", spec.Circuit),
-			obs.String("tenant", spec.Tenant),
-			obs.Bool("replayed", true))
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return n, ErrClosed
-		}
-		if _, dup := e.jobs[j.id]; dup {
-			e.mu.Unlock()
-			continue
-		}
-		err = e.sched.enqueue(j)
-		if errors.Is(err, ErrUnknownTenant) {
-			// The tenant roster changed across the restart; don't lose
-			// the job — rehome it on the default tenant.
-			j.spec.Tenant = DefaultTenant
-			spec.Tenant = DefaultTenant
-			err = e.sched.enqueue(j)
-		}
-		if err != nil {
-			e.mu.Unlock()
+		j, err := e.admit(spec, obs.TraceContext{}, &r)
+		switch {
+		case errors.Is(err, ErrClosed):
+			return n, err
+		case err != nil:
 			return n, fmt.Errorf("%w: journal replay overflowed the queue after %d jobs", ErrBusy, n)
+		case j != nil:
+			n++
 		}
-		e.metrics.jobsSubmitted.Add(1)
-		e.jobs[j.id] = j
-		e.order = append(e.order, j.id)
-		e.mu.Unlock()
-		e.events.Publish(j.id, "queued", map[string]string{
-			"kind": string(spec.Kind), "circuit": spec.Circuit,
-			"tenant": spec.Tenant, "priority": spec.Priority, "replayed": "true",
-		})
-		n++
 	}
 	return n, nil
 }
@@ -1023,15 +1011,14 @@ func (e *Engine) startStage(ctx context.Context, j *Job, name string, attrs ...o
 func (st *stage) fail() { st.span.End() }
 
 // done ends the span with attrs and records the completed stage —
-// with or without a span — in pdfd_stage_duration_seconds, the
-// journal (one OpStage record) and the job's event stream.
+// with or without a span — in pdfd_stage_duration_seconds and the
+// job's event stream.
 func (st *stage) done(attrs ...obs.Attr) {
 	end := time.Now()
 	st.span.EndAt(end, attrs...)
 	d := end.Sub(st.start)
 	e, j := st.e, st.j
 	e.metrics.stageSeconds.With(st.name).ObserveExemplar(d.Seconds(), j.exemplarID())
-	e.journalAppend(journal.Record{Op: journal.OpStage, JobID: j.id, Seq: j.seq, Stage: st.name})
 	e.events.Publish(j.id, "stage", map[string]string{
 		"stage":       st.name,
 		"duration_ms": fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond)),

@@ -145,8 +145,8 @@ func TestEngineCacheHit(t *testing.T) {
 	if fourth.CacheHit {
 		t.Error("no_cache run must not report a cache hit")
 	}
-	if e.CacheLen() != 2 {
-		t.Errorf("cache len = %d, want 2", e.CacheLen())
+	if n := e.Metrics().CacheLen; n != 2 {
+		t.Errorf("cache len = %d, want 2", n)
 	}
 }
 
@@ -237,7 +237,7 @@ func TestEngineJobsListing(t *testing.T) {
 	for _, id := range ids {
 		waitDone(t, e, id)
 	}
-	views := e.Jobs()
+	views, _ := e.JobsPage(JobsQuery{})
 	if len(views) != 3 {
 		t.Fatalf("listed %d jobs, want 3", len(views))
 	}
@@ -262,7 +262,7 @@ func TestEngineDeadline(t *testing.T) {
 	if v.Status != StatusFailed {
 		t.Fatalf("deadline-bounded job status = %s, want failed", v.Status)
 	}
-	if e.CacheLen() != 0 {
+	if e.Metrics().CacheLen != 0 {
 		t.Error("timed-out job must not be cached")
 	}
 }

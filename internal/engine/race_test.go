@@ -11,7 +11,7 @@ import (
 
 // Regression: Submit's ErrBusy path used to roll back by truncating the
 // last element of the submission order, which under concurrent Submits
-// could belong to a different job — leaving a dangling ID whose Jobs()
+// could belong to a different job — leaving a dangling ID whose JobsPage
 // snapshot panics on a nil *Job. The rollback is now atomic with the
 // enqueue, so rejected jobs leave no trace.
 func TestEngineSubmitBusyConcurrent(t *testing.T) {
@@ -50,10 +50,10 @@ func TestEngineSubmitBusyConcurrent(t *testing.T) {
 
 	// Every listed job must resolve — pre-fix this panicked on a nil
 	// *Job once a rollback had truncated someone else's order entry.
-	views := e.Jobs()
+	views, _ := e.JobsPage(JobsQuery{})
 	want := int(ok.Load()) + 1 // + blocker
 	if len(views) != want {
-		t.Errorf("Jobs() lists %d jobs, want %d (accepted submits + blocker)", len(views), want)
+		t.Errorf("JobsPage lists %d jobs, want %d (accepted submits + blocker)", len(views), want)
 	}
 	seen := make(map[string]bool, len(views))
 	for _, v := range views {

@@ -276,55 +276,3 @@ func EnrichTable(d *CircuitData, p Params) *EnrichRow {
 	}
 	return row
 }
-
-// Suite runs the full table suite over the standard circuit lists and
-// returns the rows. Circuits that fail to prepare are reported in
-// errs but do not abort the suite.
-type Suite struct {
-	Params Params
-	Basic  []*BasicRow  // Tables 3, 4, 5 (PaperOrder circuits)
-	Enrich []*EnrichRow // Tables 6, 7 (PaperOrderEnrichment circuits)
-	Errs   []error
-}
-
-// RunSuite executes the whole evaluation over the paper's circuit
-// lists.
-func RunSuite(p Params) *Suite {
-	return RunSuiteCircuits(p, synth.PaperOrder, synth.PaperOrderEnrichment)
-}
-
-// RunSuiteCircuits executes the evaluation over explicit circuit
-// lists: basicNames feed Tables 3-5, enrichNames Tables 6-7.
-func RunSuiteCircuits(p Params, basicNames, enrichNames []string) *Suite {
-	s := &Suite{Params: p}
-	prepared := make(map[string]*CircuitData)
-	prepare := func(name string) *CircuitData {
-		if d, ok := prepared[name]; ok {
-			return d
-		}
-		d, err := Prepare(name, p)
-		if err != nil {
-			s.Errs = append(s.Errs, err)
-			prepared[name] = nil
-			return nil
-		}
-		prepared[name] = d
-		return d
-	}
-	for _, name := range basicNames {
-		if d := prepare(name); d != nil {
-			row, err := BasicTable(d, p)
-			if err != nil {
-				s.Errs = append(s.Errs, err)
-				continue
-			}
-			s.Basic = append(s.Basic, row)
-		}
-	}
-	for _, name := range enrichNames {
-		if d := prepare(name); d != nil {
-			s.Enrich = append(s.Enrich, EnrichTable(d, p))
-		}
-	}
-	return s
-}

@@ -83,27 +83,3 @@ func RenderTable7(w io.Writer, rows []*EnrichRow) {
 		fmt.Fprintf(w, "%-8s %4d %7.2f\n", r.Circuit, r.I0, r.Ratio)
 	}
 }
-
-// RenderSuite prints every table of a completed suite.
-func RenderSuite(w io.Writer, s *Suite) {
-	if t1, err := Table1(); err == nil {
-		RenderTable1(w, t1)
-		fmt.Fprintln(w)
-	}
-	if prof, err := Table2("s1423", s.Params, 20); err == nil {
-		RenderTable2(w, "s1423 (stand-in)", prof)
-		fmt.Fprintln(w)
-	}
-	RenderTable3(w, s.Basic)
-	fmt.Fprintln(w)
-	RenderTable4(w, s.Basic)
-	fmt.Fprintln(w)
-	RenderTable5(w, s.Basic)
-	fmt.Fprintln(w)
-	RenderTable6(w, s.Enrich)
-	fmt.Fprintln(w)
-	RenderTable7(w, s.Enrich)
-	for _, err := range s.Errs {
-		fmt.Fprintf(w, "error: %v\n", err)
-	}
-}

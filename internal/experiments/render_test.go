@@ -51,31 +51,6 @@ func TestRenderTables3Through7(t *testing.T) {
 	}
 }
 
-func TestRunSuiteCircuitsSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	p := Params{NP: 300, NP0: 60, Seed: 1}
-	s := RunSuiteCircuits(p, []string{"b09"}, []string{"b09", "definitely-missing"})
-	if len(s.Basic) != 1 {
-		t.Fatalf("basic rows = %d, want 1", len(s.Basic))
-	}
-	if len(s.Enrich) != 1 {
-		t.Fatalf("enrich rows = %d, want 1", len(s.Enrich))
-	}
-	if len(s.Errs) != 1 {
-		t.Fatalf("errors = %d, want 1 (the missing circuit)", len(s.Errs))
-	}
-	var buf bytes.Buffer
-	RenderSuite(&buf, s)
-	out := buf.String()
-	for _, want := range []string{"Table 1", "Table 2", "Table 6", "error:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("suite rendering missing %q", want)
-		}
-	}
-}
-
 func TestPaperParams(t *testing.T) {
 	p := PaperParams()
 	if p.NP != 10000 || p.NP0 != 1000 {

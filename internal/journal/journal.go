@@ -1,10 +1,15 @@
 // Package journal is the engine's durable job journal: an append-only,
-// length-prefixed, CRC-checked write-ahead log of job lifecycle
-// records. Opening a journal replays it, truncating a torn or corrupt
-// tail (the expected artifact of a crash mid-write) instead of
-// erroring; Live distills the replayed records into the jobs a
+// length-prefixed, CRC-checked write-ahead log of job intent. A job
+// gets two records: submitted, carrying its Spec, and one terminal
+// record (done, failed or canceled). Jobs are seed-deterministic, so
+// that is all a restart needs: it re-runs every submitted job without
+// a terminal record. Opening a journal replays it, truncating a torn
+// or corrupt tail (the expected artifact of a crash mid-write) instead
+// of erroring; Live distills the replayed records into the jobs a
 // restarted engine must re-enqueue; Compact rewrites the log to just
-// those, bounding its growth.
+// those, bounding its growth. Journals written when the engine also
+// recorded started, stage and retrying ops still replay: Live skips
+// every op that is neither submitted nor terminal.
 //
 // On-disk framing, per record:
 //
@@ -12,10 +17,10 @@
 //	uint32 LE  CRC-32 (IEEE) of the payload
 //	n bytes    payload (JSON-encoded Record)
 //
-// Records of one job are appended by concurrent writers (submitter,
-// worker), so they may interleave out of lifecycle order; replay is
-// order-insensitive (a terminal record retires its job wherever it
-// sits).
+// The two records of one job are appended by concurrent writers
+// (submitter, worker), so a terminal record may land before its
+// submitted record; replay is order-insensitive (a terminal record
+// retires its job wherever it sits).
 package journal
 
 import (
@@ -30,15 +35,12 @@ import (
 	"sync"
 )
 
-// Op is a job lifecycle transition.
+// Op is a journaled job transition.
 type Op string
 
-// The journaled lifecycle transitions.
+// The journaled transitions.
 const (
 	OpSubmitted Op = "submitted" // job accepted; Spec and Seq recorded
-	OpStarted   Op = "started"   // an attempt began running
-	OpStage     Op = "stage"     // a pipeline stage completed
-	OpRetrying  Op = "retrying"  // attempt failed; backoff scheduled
 	OpDone      Op = "done"      // terminal: result produced (Digest = cache key)
 	OpFailed    Op = "failed"    // terminal: retries exhausted
 	OpCanceled  Op = "canceled"  // terminal: canceled by a caller
@@ -48,21 +50,14 @@ const (
 // stream contains a terminal op is not replayed.
 func (o Op) Terminal() bool { return o == OpDone || o == OpFailed || o == OpCanceled }
 
-// Record is one journal entry. Only Op and JobID are always set; the
-// rest depend on the op (see the Op constants).
+// Record is one journal entry. Op and JobID are always set; Spec only
+// on OpSubmitted, Digest only on OpDone.
 type Record struct {
-	Op    Op     `json:"op"`
-	JobID string `json:"job"`
-	Seq   int64  `json:"seq,omitempty"`
-	// Tenant is the job's scheduling tenant, recorded on OpSubmitted
-	// so replay tooling can partition a journal without decoding every
-	// Spec (the Spec's own tenant field is what Restore schedules by).
-	Tenant  string          `json:"tenant,omitempty"`
-	Spec    json.RawMessage `json:"spec,omitempty"`
-	Stage   string          `json:"stage,omitempty"`
-	Digest  string          `json:"digest,omitempty"`
-	Attempt int             `json:"attempt,omitempty"`
-	Error   string          `json:"error,omitempty"`
+	Op     Op              `json:"op"`
+	JobID  string          `json:"job"`
+	Seq    int64           `json:"seq,omitempty"`
+	Spec   json.RawMessage `json:"spec,omitempty"`
+	Digest string          `json:"digest,omitempty"`
 }
 
 const (

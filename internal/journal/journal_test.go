@@ -31,6 +31,14 @@ func submitted(id string, seq int64) Record {
 
 func walPath(dir string) string { return filepath.Join(dir, fileName) }
 
+// Ops an older engine journaled besides submitted and the terminal
+// ops. Replay must still skip them.
+const (
+	legacyStarted  Op = "started"
+	legacyStage    Op = "stage"
+	legacyRetrying Op = "retrying"
+)
+
 func TestJournalRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	l, recs := openT(t, dir)
@@ -39,15 +47,13 @@ func TestJournalRoundtrip(t *testing.T) {
 	}
 	want := []Record{
 		submitted("j1", 1),
-		{Op: OpStarted, JobID: "j1", Seq: 1, Attempt: 1},
-		{Op: OpStage, JobID: "j1", Seq: 1, Stage: "prepare"},
-		{Op: OpDone, JobID: "j1", Seq: 1, Digest: "abc/def/123", Attempt: 1},
+		{Op: OpDone, JobID: "j1", Seq: 1, Digest: "abc/def/123"},
 	}
 	appendT(t, l, want...)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{Op: OpStarted, JobID: "j9"}); err == nil {
+	if err := l.Append(Record{Op: OpCanceled, JobID: "j9"}); err == nil {
 		t.Error("Append after Close must fail")
 	}
 
@@ -58,8 +64,7 @@ func TestJournalRoundtrip(t *testing.T) {
 	}
 	for i := range want {
 		if got[i].Op != want[i].Op || got[i].JobID != want[i].JobID ||
-			got[i].Stage != want[i].Stage || got[i].Digest != want[i].Digest ||
-			got[i].Seq != want[i].Seq || got[i].Attempt != want[i].Attempt {
+			got[i].Digest != want[i].Digest || got[i].Seq != want[i].Seq {
 			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
@@ -118,7 +123,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 			l, _ := openT(t, dir)
 			appendT(t, l,
 				submitted("j1", 1),
-				Record{Op: OpStarted, JobID: "j1", Seq: 1},
+				Record{Op: legacyStarted, JobID: "j1", Seq: 1},
 				Record{Op: OpDone, JobID: "j1", Seq: 1},
 			)
 			if err := l.Close(); err != nil {
@@ -158,14 +163,14 @@ func TestJournalCompaction(t *testing.T) {
 	l, _ := openT(t, dir)
 	appendT(t, l,
 		submitted("j1", 1),
-		Record{Op: OpStarted, JobID: "j1", Seq: 1},
-		Record{Op: OpStage, JobID: "j1", Seq: 1, Stage: "prepare"},
+		Record{Op: legacyStarted, JobID: "j1", Seq: 1},
+		Record{Op: legacyStage, JobID: "j1", Seq: 1},
 		Record{Op: OpDone, JobID: "j1", Seq: 1},
 		submitted("j2", 2),
-		Record{Op: OpStarted, JobID: "j2", Seq: 2},
+		Record{Op: legacyStarted, JobID: "j2", Seq: 2},
 		submitted("j3", 3),
-		Record{Op: OpStarted, JobID: "j3", Seq: 3},
-		Record{Op: OpFailed, JobID: "j3", Seq: 3, Error: "boom"},
+		Record{Op: legacyStarted, JobID: "j3", Seq: 3},
+		Record{Op: OpFailed, JobID: "j3", Seq: 3},
 	)
 	before, err := l.Size()
 	if err != nil {
@@ -181,7 +186,7 @@ func TestJournalCompaction(t *testing.T) {
 	// Only j2 must survive compaction (j1 done, j3 failed).
 	keep := Live([]Record{
 		submitted("j1", 1), {Op: OpDone, JobID: "j1", Seq: 1},
-		submitted("j2", 2), {Op: OpStarted, JobID: "j2", Seq: 2},
+		submitted("j2", 2), {Op: legacyStarted, JobID: "j2", Seq: 2},
 		submitted("j3", 3), {Op: OpFailed, JobID: "j3", Seq: 3},
 	})
 	if len(keep) != 1 || keep[0].JobID != "j2" || keep[0].Op != OpSubmitted {
@@ -221,14 +226,15 @@ func TestJournalCompaction(t *testing.T) {
 
 func TestLiveOrderAndDedup(t *testing.T) {
 	recs := []Record{
-		// Out-of-lifecycle-order interleaving: started lands before
-		// submitted (concurrent writers), terminal in the middle.
-		{Op: OpStarted, JobID: "j2", Seq: 2},
+		// Out-of-lifecycle-order interleaving: a legacy started
+		// record lands before submitted (concurrent writers),
+		// terminal in the middle.
+		{Op: legacyStarted, JobID: "j2", Seq: 2},
 		submitted("j1", 1),
 		{Op: OpCanceled, JobID: "j1", Seq: 1},
 		submitted("j2", 2),
 		submitted("j3", 3),
-		{Op: OpRetrying, JobID: "j3", Seq: 3, Attempt: 1, Error: "flaky"},
+		{Op: legacyRetrying, JobID: "j3", Seq: 3},
 		submitted("j2", 2), // duplicate (replayed journal re-journaled)
 	}
 	live := Live(recs)
