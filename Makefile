@@ -4,7 +4,7 @@ GO ?= go
 # refresh it with `make bench` and commit the new file (see PERF.md).
 BENCH_BASELINE ?= BENCH_2026-08-06.json
 
-.PHONY: build test fmt lint race check paper-check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check bench-smoke go-bench engine-bench loc
+.PHONY: build test fmt lint race check paper-check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check bench-smoke fuzz-smoke go-bench engine-bench loc
 
 build:
 	$(GO) build ./...
@@ -90,7 +90,8 @@ tenant-smoke:
 # The CI gate: formatting + vet (perfbench too: it is a separate module
 # that compiles against internal APIs) + build + full suite under -race
 # + the paper-scale table golden + every go-test benchmark run once +
-# the performance regression gate against the committed baseline.
+# every fuzz target for a few seconds + the performance regression gate
+# against the committed baseline.
 check:
 	$(MAKE) fmt
 	$(GO) vet ./...
@@ -103,6 +104,7 @@ check:
 	$(MAKE) chaos-cluster
 	$(MAKE) paper-check
 	$(MAKE) bench-smoke
+	$(MAKE) fuzz-smoke
 	$(MAKE) bench-check
 
 # Run the perfreg suite and write a fresh BENCH_<date>.json snapshot
@@ -120,6 +122,19 @@ bench-check:
 # benchmarks, so this is what catches one that fails at run time.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Every fuzz target, 5 s of fuzzing each. The targets come from
+# `go test -list`, so a new one cannot be skipped; the go command takes
+# one target of one package per -fuzz run. A failing input is written
+# under the package's testdata/fuzz, where it becomes a seed.
+fuzz-smoke:
+	@set -e; out=$$($(GO) test -list '^Fuzz' ./...); \
+	list=$$(echo "$$out" | awk '/^Fuzz/ {f[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print $$2 "," f[i]; n = 0}'); \
+	[ -n "$$list" ] || { echo "fuzz-smoke: no fuzz targets listed"; exit 1; }; \
+	for t in $$list; do \
+		pkg=$${t%,*}; fn=$${t#*,}; echo "fuzz $$pkg $$fn"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 5s $$pkg; \
+	done
 
 # The stock go-test microbenchmarks (pre-perfreg behavior of `bench`).
 go-bench:

@@ -11,6 +11,14 @@
 // with results bit-identical to the scalar simulator (faultsim.Run).
 // It is the one fault simulator of the engine, the CLIs and the
 // experiments.
+//
+// Detection comes in two forms with one result. RunContext walks each
+// fault's cubes in every batch; it serves the CLIs and experiments,
+// and is the oracle of the tests. A Program, built by Compile, holds a
+// fault set's requirements as word offsets into the batch's one slab,
+// stable (plane-1) terms first, so an alternative is a run of ANDs
+// that stops once its mask is zero. The engine compiles one per
+// fault-set shape and keeps it in its prepared memo.
 package bitsim
 
 import (
@@ -30,8 +38,14 @@ const WordSize = 64
 type Batch struct {
 	c *circuit.Circuit
 	n int // tests in this batch
+	// w is the batch's one slab of words. Rail 0 of a plane is its H
+	// word per net, rail 1 its L word: the word of (plane, rail, net)
+	// is w[(2·plane+rail)·len(c.Lines)+net], the offset a Program
+	// compiles each requirement to.
+	w []uint64
 	// h[p][net] bit i: test i drives value 1 on plane p.
 	// l[p][net] bit i: test i drives value 0 on plane p.
+	// Both are views of w.
 	h, l [circuit.NumPlanes][]uint64
 }
 
@@ -45,31 +59,29 @@ func Simulate(c *circuit.Circuit, tests []circuit.TwoPattern) (*Batch, error) {
 }
 
 func newBatch(c *circuit.Circuit) *Batch {
-	b := &Batch{c: c}
+	n := len(c.Lines)
+	b := &Batch{c: c, w: make([]uint64, 2*circuit.NumPlanes*n)}
 	for p := 0; p < circuit.NumPlanes; p++ {
-		b.h[p] = make([]uint64, len(c.Lines))
-		b.l[p] = make([]uint64, len(c.Lines))
+		b.h[p] = b.w[2*p*n : (2*p+1)*n]
+		b.l[p] = b.w[(2*p+1)*n : (2*p+2)*n]
 	}
 	return b
 }
 
 // load replaces the batch's contents with the simulation of tests,
-// reusing the plane storage. base is the index of tests[0] in the
-// caller's test set, for error messages.
+// reusing the slab. base is the index of tests[0] in the caller's test
+// set, for error messages. A rejected batch is left as it was.
 func (b *Batch) load(tests []circuit.TwoPattern, base int) error {
 	c := b.c
 	if len(tests) == 0 || len(tests) > WordSize {
 		return fmt.Errorf("bitsim: batch of %d tests (want 1..%d)", len(tests), WordSize)
-	}
-	for p := 0; p < circuit.NumPlanes; p++ {
-		clear(b.h[p])
-		clear(b.l[p])
 	}
 	for ti, tp := range tests {
 		if len(tp.P1) != len(c.PIs) || len(tp.P3) != len(c.PIs) {
 			return fmt.Errorf("bitsim: test %d has %d/%d values for %d inputs", base+ti, len(tp.P1), len(tp.P3), len(c.PIs))
 		}
 	}
+	clear(b.w)
 	b.n = len(tests)
 	// One input at a time, gather the tests' values into its plane 0
 	// and 2 words. An input is stable, and so specified on plane 1,
@@ -204,10 +216,18 @@ func Run(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultCondi
 
 // RunContext is Run with cancellation: it returns ctx.Err() if ctx is
 // canceled, checked between 64-test batches. Each fault is dropped
-// from the scan after its first detection.
+// from the scan after its first detection. It walks every cube per
+// batch, and is the oracle Program.Run is tested against.
 func RunContext(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) ([]int, error) {
-	firstDet := make([]int, len(fcs))
-	active := make([]int, len(fcs))
+	return run(ctx, c, tests, len(fcs), func(b *Batch, fi int) uint64 { return b.Detects(&fcs[fi]) })
+}
+
+// run returns the first-detect index of each of n faults over tests,
+// asking detects for fault fi's mask in each batch until it is
+// nonzero.
+func run(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPattern, n int, detects func(b *Batch, fi int) uint64) ([]int, error) {
+	firstDet := make([]int, n)
+	active := make([]int, n)
 	for i := range firstDet {
 		firstDet[i] = -1
 		active[i] = i
@@ -222,7 +242,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPatt
 		}
 		kept := active[:0]
 		for _, fi := range active {
-			if mask := b.Detects(&fcs[fi]); mask != 0 {
+			if mask := detects(b, fi); mask != 0 {
 				firstDet[fi] = base + bits.TrailingZeros64(mask)
 			} else {
 				kept = append(kept, fi)
@@ -231,6 +251,83 @@ func RunContext(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPatt
 		active = kept
 	}
 	return firstDet, nil
+}
+
+// Program is a fault set's detection conditions compiled for one
+// circuit. Each requirement of each alternative cube becomes one
+// term: the offset of the word it needs set in a Batch's slab. An
+// alternative's mask is the AND of its terms' words, stopped once it
+// is zero, and a fault's mask is the OR over its alternatives, as in
+// Batch.Detects. The plane-1 (stable) terms of an alternative come
+// first: they fail most often, so the AND stops soonest. AND
+// commutes, so the order changes where the loop stops and never the
+// mask. A Program is not modified after Compile and may be shared.
+type Program struct {
+	c *circuit.Circuit
+	// Fault i's alternatives are a in [faults[i], faults[i+1]); the
+	// terms of alternative a are terms[alts[a]:alts[a+1]].
+	faults, alts []int32
+	terms        []int32
+}
+
+// Compile compiles the detection conditions of fcs on c.
+func Compile(c *circuit.Circuit, fcs []robust.FaultConditions) *Program {
+	n := len(c.Lines)
+	p := &Program{c: c, faults: make([]int32, 1, len(fcs)+1), alts: []int32{0}}
+	for i := range fcs {
+		for k := range fcs[i].Alts {
+			q := &fcs[i].Alts[k]
+			// The stable terms, then planes 0 and 2 in cube order.
+			for _, planes := range [...][]int{{1}, {0, 2}} {
+				for j, net := range q.Nets {
+					for _, pl := range planes {
+						switch q.Vals[j].At(pl) {
+						case tval.One:
+							p.terms = append(p.terms, int32(2*pl*n+net))
+						case tval.Zero:
+							p.terms = append(p.terms, int32((2*pl+1)*n+net))
+						}
+					}
+				}
+			}
+			p.alts = append(p.alts, int32(len(p.terms)))
+		}
+		p.faults = append(p.faults, int32(len(p.alts)-1))
+	}
+	return p
+}
+
+// Detects returns the mask of tests in b detecting fault i of the
+// compiled set, equal to b.Detects of that fault. b must have been
+// simulated on the program's circuit.
+func (p *Program) Detects(b *Batch, i int) uint64 {
+	full, w := batchMask(b.n), b.w
+	var det uint64
+	for a := p.faults[i]; a < p.faults[i+1]; a++ {
+		mask := full
+		ts := p.terms[p.alts[a]:p.alts[a+1]]
+		// Test for zero once per 8 terms. Most alternatives of a
+		// random batch are zero within their first 8, so this branch
+		// predicts well, where a test per term mispredicts once per
+		// alternative, at a random term; that cost twice the time.
+		for len(ts) >= 8 && mask != 0 {
+			mask &= w[ts[0]] & w[ts[1]] & w[ts[2]] & w[ts[3]] & w[ts[4]] & w[ts[5]] & w[ts[6]] & w[ts[7]]
+			ts = ts[8:]
+		}
+		if mask != 0 {
+			for _, off := range ts {
+				mask &= w[off]
+			}
+		}
+		det |= mask
+	}
+	return det
+}
+
+// Run is RunContext over the compiled set: the first-detect index of
+// each fault, with the same fault dropping, cancellation and errors.
+func (p *Program) Run(ctx context.Context, tests []circuit.TwoPattern) ([]int, error) {
+	return run(ctx, p.c, tests, len(p.faults)-1, p.Detects)
 }
 
 // Count returns how many faults the test set detects.

@@ -1117,7 +1117,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		res.AllTotal = len(all)
 		simCtx, sim := e.startStage(ctx, j, "simulation",
 			obs.Int("tests", len(gres.Tests)), obs.Int("faults", len(all)))
-		first, err := bitsim.RunContext(simCtx, c, gres.Tests, all)
+		first, err := ps.program(c).Run(simCtx, gres.Tests)
 		if err != nil {
 			sim.fail()
 			return nil, false, err
@@ -1149,7 +1149,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		all := ps.all
 		simCtx, sim := e.startStage(ctx, j, "simulation",
 			obs.Int("tests", len(tests)), obs.Int("faults", len(all)))
-		first, err := bitsim.RunContext(simCtx, c, tests, all)
+		first, err := ps.program(c).Run(simCtx, tests)
 		if err != nil {
 			sim.fail()
 			return nil, false, err
@@ -1240,13 +1240,24 @@ const preparedMemoSize = 16
 
 // preparedSets is everything execute derives from prepare for one
 // fault-set shape. One entry is shared by every job of its shape, so
-// nothing may modify it.
+// nothing may modify it but program, once.
 type preparedSets struct {
 	p0, p1                     []robust.FaultConditions // the targets, after collapse
 	all                        []robust.FaultConditions // P0 then P1, never collapsed
 	p0Size, p1Size             int                      // |P0| and |P1| before collapse
 	i0, enumerated, eliminated int
 	faultDigest                string // faultSetDigest(p0, p1)
+
+	compile sync.Once
+	prog    *bitsim.Program // detection of all, built by program
+}
+
+// program returns the compiled detection of all, compiled by the first
+// job of the shape that grades tests. Enrichment never builds it, and
+// the memo's bound bounds its memory.
+func (ps *preparedSets) program(c *circuit.Circuit) *bitsim.Program {
+	ps.compile.Do(func() { ps.prog = bitsim.Compile(c, ps.all) })
+	return ps.prog
 }
 
 // preparedKey is a fault-set shape: the full circuit digest, NP, NP0

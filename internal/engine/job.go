@@ -1,10 +1,10 @@
 // Package engine is the concurrent job-orchestration layer over the
 // paper's procedures: ATPG (core.Generate), test enrichment
-// (core.Enrich) and fault simulation (bitsim.Run) become *jobs*
-// executed on a bounded worker pool with per-job context cancellation
-// and deadlines, and a result cache keyed by
-// 02/<circuit16>/<spec16>: the result version, then the first 16 hex
-// digits of the circuit and spec digests. The fault sets derive from
+// (core.Enrich) and fault simulation (a bitsim.Program, compiled once
+// per fault-set shape) become *jobs* executed on a bounded worker pool
+// with per-job context cancellation and deadlines, and a result cache
+// keyed by 02/<circuit16>/<spec16>: the result version, then the first
+// 16 hex digits of the circuit and spec digests. The fault sets derive from
 // those two, so the key is known before prepare (see cacheKey).
 //
 // The engine is consumed two ways: programmatically (internal/cli

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitsim"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/robust"
@@ -288,5 +289,95 @@ func TestCircuitMemoConcurrent(t *testing.T) {
 	}
 	if n := e.circuits.Len(); n != 1 {
 		t.Errorf("memo holds %d circuits, want 1", n)
+	}
+}
+
+// A generation job and a fault simulation job of one shape grade with
+// one compiled program, built by the first and reused by the second;
+// an enrichment job of the shape builds none.
+func TestProgramSharedAcrossKinds(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	c, err := experiments.LoadCircuit("s27")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := Spec{Circuit: "s27", NP0: 4, NoCache: true}
+	key := preparedKey(CircuitDigest(c), shape)
+	var built *bitsim.Program
+	for i, kind := range []Kind{KindEnrich, KindGenerate, KindFaultSim} {
+		spec := shape
+		spec.Kind, spec.Seed = kind, int64(i+1)
+		if kind == KindFaultSim {
+			spec.Tests = []string{"0110100 -> 1010010", "0x10x01 -> 1100110"}
+		}
+		v, err := e.RunJob(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Status != StatusDone {
+			t.Fatalf("%s: status %s: %s", kind, v.Status, v.Error)
+		}
+		ps, ok := e.prepared.Get(key)
+		if !ok {
+			t.Fatalf("%s: shape not memoized", kind)
+		}
+		switch {
+		case kind == KindEnrich && ps.prog != nil:
+			t.Errorf("enrichment compiled a program")
+		case kind == KindGenerate:
+			built = ps.prog
+			if built == nil {
+				t.Errorf("generation graded without compiling")
+			}
+		case kind == KindFaultSim && ps.prog != built:
+			t.Errorf("fault simulation compiled a second program")
+		}
+	}
+}
+
+// Four workers grade one shape at once (run under the race detector by
+// make race): the memo holds one entry with one program, and every
+// result marshals byte-identical to the same spec on a fresh engine.
+func TestProgramMemoConcurrent(t *testing.T) {
+	c, err := experiments.LoadCircuit("s641")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	tests := make([]string, 150)
+	for i := range tests {
+		tests[i] = core.RandomTest(c, rng).String()
+	}
+	var specs []Spec
+	for k := 0; k < 4; k++ {
+		specs = append(specs,
+			Spec{Kind: KindFaultSim, Circuit: "s641", NP: 200, NP0: 50, Tests: tests[k*20:], NoCache: true},
+			Spec{Kind: KindGenerate, Circuit: "s641", NP: 200, NP0: 50, Seed: int64(k + 1), NoCache: true})
+	}
+	e := New(Config{Workers: 4})
+	defer e.Close()
+	jobs := make([]*Job, len(specs))
+	for i, s := range specs {
+		if jobs[i], err = e.Submit(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, j := range jobs {
+		v := waitDone(t, e, j.ID())
+		if v.Status != StatusDone {
+			t.Fatalf("%s job %d: status %s: %s", specs[i].Kind, i, v.Status, v.Error)
+		}
+		got, err := json.Marshal(v.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := runReport(t, specs[i], Config{Workers: 1}); !bytes.Equal(got, want) {
+			t.Errorf("%s job %d: result graded by the shared program differs from a fresh engine", specs[i].Kind, i)
+		}
+	}
+	ps, ok := e.prepared.Get(preparedKey(CircuitDigest(c), specs[0]))
+	if !ok || e.prepared.Len() != 1 || ps.prog == nil {
+		t.Errorf("memo holds %d entries; shape resident=%t with a program=%t", e.prepared.Len(), ok, ok && ps.prog != nil)
 	}
 }
