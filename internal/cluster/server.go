@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -116,9 +118,9 @@ type clusterServer struct {
 }
 
 func (s *clusterServer) submit(w http.ResponseWriter, r *http.Request) {
-	spec, err := engine.DecodeSpec(r.Body)
+	spec, err := engine.DecodeSpec(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
 	if err != nil {
-		engine.WriteError(w, http.StatusBadRequest, engine.CodeInvalidSpec, err.Error(), 0)
+		engine.WriteBodyError(w, err)
 		return
 	}
 	// The authenticated tenant owns the job, whatever the spec claims.
@@ -144,10 +146,10 @@ func (s *clusterServer) submit(w http.ResponseWriter, r *http.Request) {
 
 func (s *clusterServer) batch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		engine.WriteError(w, http.StatusBadRequest, engine.CodeInvalidSpec, "bad batch: "+err.Error(), 0)
+		engine.WriteBodyError(w, fmt.Errorf("bad batch: %w", err))
 		return
 	}
 	if len(req.Jobs) == 0 {

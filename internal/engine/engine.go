@@ -677,11 +677,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	live := e.liveRecordsLocked()
 	e.mu.Unlock()
 	if log := e.cfg.Journal; log != nil {
-		if err := log.Compact(live); err != nil {
-			e.metrics.journalErrors.Add(1)
-		} else {
-			e.metrics.journalCompactions.Add(1)
-		}
+		e.compactJournal(log, live)
 	}
 
 	// Shed queued and retrying jobs in memory only — no journal
@@ -919,6 +915,12 @@ func (e *Engine) maybeCompact() {
 	}
 	live := e.liveRecordsLocked()
 	e.mu.Unlock()
+	e.compactJournal(log, live)
+}
+
+// compactJournal rewrites the journal to live, counting and logging
+// the outcome; a failure leaves the old log in place.
+func (e *Engine) compactJournal(log *journal.Log, live []journal.Record) {
 	if err := log.Compact(live); err != nil {
 		e.metrics.journalErrors.Add(1)
 		e.log.Error("journal compaction failed", "live_jobs", len(live), "error", err.Error())

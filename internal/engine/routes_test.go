@@ -1,11 +1,16 @@
 package engine_test
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/durable"
 	"repro/internal/engine"
 )
 
@@ -51,6 +56,64 @@ func TestServerDeprecatedAliases(t *testing.T) {
 		}
 		if dep := resp.Header.Get("Deprecation"); dep != "" {
 			t.Errorf("%s %s %s carries Deprecation %q", tc.plane, tc.method, tc.path, dep)
+		}
+	}
+}
+
+// zeros yields '0' bytes forever: an oversized body streamed without
+// holding it in the test.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
+// A submission body past the frame bound is refused with 413
+// invalid_spec on both planes, as PUT /v1/cache refuses an oversized
+// result, instead of being decoded without limit.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	if raceBuild {
+		// The handlers decode on the request goroutine alone, so the
+		// detector has nothing to check, and its shadow of the buffers
+		// below peaks near 700 MB resident.
+		t.Skip("streams 64 MiB bodies; run without -race")
+	}
+	// Each decoder buffers up to the bound before it gives up; collect
+	// eagerly so the test's heap peaks near one body, not three.
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	e := engine.New(engine.Config{Workers: 1})
+	c, err := cluster.New(cluster.Config{Backends: []cluster.BackendConf{{Name: "b0", URL: "http://127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		e.Close()
+	})
+	spec := `{"kind":"faultsim","circuit":"s27","tests":["`
+	for _, tc := range []struct {
+		plane  string
+		h      http.Handler
+		path   string
+		prefix string
+	}{
+		{"pdfd", engine.NewServer(e), "/v1/jobs", spec},
+		{"coordinator", cluster.NewServer(c), "/v1/jobs", spec},
+		{"coordinator", cluster.NewServer(c), "/v1/jobs:batch", `{"jobs":[` + spec},
+	} {
+		body := io.MultiReader(strings.NewReader(tc.prefix), io.LimitReader(zeros{}, durable.MaxPayload))
+		rec := httptest.NewRecorder()
+		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, body))
+		var env struct {
+			Error engine.APIError `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusRequestEntityTooLarge ||
+			env.Error.Code != engine.CodeInvalidSpec {
+			t.Errorf("%s POST %s with a %d-byte body = %d %s, want 413 invalid_spec",
+				tc.plane, tc.path, durable.MaxPayload+len(tc.prefix), rec.Code, rec.Body.Bytes())
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
@@ -147,15 +149,27 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 		if m := unknownFieldRE.FindStringSubmatch(err.Error()); m != nil {
 			return Spec{}, errors.New("unknown field " + strconv.Quote(m[1]) + " in job spec")
 		}
-		return Spec{}, errors.New("bad job spec: " + err.Error())
+		return Spec{}, fmt.Errorf("bad job spec: %w", err)
 	}
 	return spec, nil
 }
 
+// WriteBodyError answers a request whose body did not read or decode:
+// 413 when it ran past its http.MaxBytesReader cap (durable.MaxPayload,
+// the journal's and the store's frame bound), 400 otherwise.
+func WriteBodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	WriteError(w, status, CodeInvalidSpec, err.Error(), 0)
+}
+
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
-	spec, err := DecodeSpec(r.Body)
+	spec, err := DecodeSpec(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error(), 0)
+		WriteBodyError(w, err)
 		return
 	}
 	// The resolved tenant (bearer auth, or a coordinator's forwarded
@@ -290,10 +304,6 @@ func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"id": id, "canceled": canceled})
 }
 
-// maxCachePayload bounds PUT /v1/cache bodies (matches the
-// coordinator's proxy body cap).
-const maxCachePayload = 64 << 20
-
 // cacheGet serves the raw result JSON cached under a key, from the
 // memory LRU or the durable store — the source side of cluster
 // replication and read-repair.
@@ -315,13 +325,9 @@ func (s *server) cacheGet(w http.ResponseWriter, r *http.Request) {
 // cache_key matches the path.
 func (s *server) cachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxCachePayload+1))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidSpec, "read body: "+err.Error(), 0)
-		return
-	}
-	if len(body) > maxCachePayload {
-		WriteError(w, http.StatusRequestEntityTooLarge, CodeInvalidSpec, "result payload too large", 0)
+		WriteBodyError(w, fmt.Errorf("read body: %w", err))
 		return
 	}
 	if err := s.e.InstallResult(key, body); err != nil {

@@ -1,21 +1,16 @@
 // Package journal is the engine's durable job journal: an append-only,
-// length-prefixed, CRC-checked write-ahead log of job intent. A job
-// gets two records: submitted, carrying its Spec, and one terminal
-// record (done, failed or canceled). Jobs are seed-deterministic, so
-// that is all a restart needs: it re-runs every submitted job without
-// a terminal record. Opening a journal replays it, truncating a torn
-// or corrupt tail (the expected artifact of a crash mid-write) instead
-// of erroring; Live distills the replayed records into the jobs a
-// restarted engine must re-enqueue; Compact rewrites the log to just
-// those, bounding its growth. Journals written when the engine also
-// recorded started, stage and retrying ops still replay: Live skips
-// every op that is neither submitted nor terminal.
-//
-// On-disk framing, per record:
-//
-//	uint32 LE  payload length n
-//	uint32 LE  CRC-32 (IEEE) of the payload
-//	n bytes    payload (JSON-encoded Record)
+// CRC-checked write-ahead log of job intent, one internal/durable frame
+// per JSON-encoded Record. A job gets two records: submitted, carrying
+// its Spec, and one terminal record (done, failed or canceled). Jobs
+// are seed-deterministic, so that is all a restart needs: it re-runs
+// every submitted job without a terminal record. Opening a journal
+// replays it, truncating a torn or corrupt tail (the expected artifact
+// of a crash mid-write) instead of erroring; Live distills the
+// replayed records into the jobs a restarted engine must re-enqueue;
+// Compact rewrites the log to just those, bounding its growth.
+// Journals written when the engine also recorded started, stage and
+// retrying ops still replay: Live skips every op that is neither
+// submitted nor terminal.
 //
 // The two records of one job are appended by concurrent writers
 // (submitter, worker), so a terminal record may land before its
@@ -25,14 +20,15 @@ package journal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+
+	"repro/internal/durable"
 )
 
 // Op is a journaled job transition.
@@ -60,13 +56,7 @@ type Record struct {
 	Digest string          `json:"digest,omitempty"`
 }
 
-const (
-	fileName = "journal.wal"
-	// maxRecord rejects absurd length prefixes when scanning a
-	// corrupted log (a 16MiB record is orders of magnitude beyond any
-	// real Spec).
-	maxRecord = 16 << 20
-)
+const fileName = "journal.wal"
 
 // Log is an open journal. All methods are safe for concurrent use.
 type Log struct {
@@ -127,51 +117,43 @@ func scan(f *os.File) ([]Record, int64, error) {
 		valid int64
 	)
 	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return recs, valid, nil // clean end or torn header
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxRecord {
-			return recs, valid, nil // garbage length prefix
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return recs, valid, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, valid, nil // corrupt payload
+		payload, err := durable.ReadFrame(br)
+		if err != nil {
+			return recs, valid, nil // clean end, torn or corrupt frame
 		}
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return recs, valid, nil // checksummed but undecodable
 		}
 		recs = append(recs, rec)
-		valid += int64(8 + n)
+		valid += int64(durable.HeaderSize + len(payload))
 	}
 }
 
-func frame(payload []byte) []byte {
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
-	return buf
+// appendRecord appends the frame of r to dst.
+func appendRecord(dst []byte, r Record) ([]byte, error) {
+	payload, err := json.Marshal(r)
+	if err == nil {
+		dst, err = durable.AppendHeader(slices.Grow(dst, durable.HeaderSize+len(payload)), payload)
+	}
+	if err != nil {
+		return dst, fmt.Errorf("journal: %w", err)
+	}
+	return append(dst, payload...), nil
 }
 
 // Append writes one record and syncs it to stable storage.
 func (l *Log) Append(r Record) error {
-	payload, err := json.Marshal(r)
+	frame, err := appendRecord(nil, r)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return fmt.Errorf("journal: closed")
 	}
-	if _, err := l.f.Write(frame(payload)); err != nil {
+	if _, err := l.f.Write(frame); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
@@ -189,53 +171,25 @@ func (l *Log) AppendedSinceCompact() int {
 	return l.appended
 }
 
-// Compact atomically replaces the log's contents with keep: the new
-// log is written beside the old one, synced, and renamed over it, so
-// a crash at any point leaves either the old or the new log intact.
+// Compact atomically replaces the log's contents with keep (see
+// durable.WriteFile), so a crash at any point leaves either the old
+// or the new log intact.
 func (l *Log) Compact(keep []Record) error {
+	var buf []byte
+	for _, r := range keep {
+		var err error
+		if buf, err = appendRecord(buf, r); err != nil {
+			return err
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return fmt.Errorf("journal: closed")
 	}
-	tmpPath := l.path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := durable.WriteFile(l.path, buf); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	w := bufio.NewWriter(tmp)
-	for _, r := range keep {
-		payload, err := json.Marshal(r)
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("journal: %w", err)
-		}
-		if _, err := w.Write(frame(payload)); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("journal: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(tmpPath, l.path); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("journal: %w", err)
-	}
-	syncDir(filepath.Dir(l.path))
 	// The old handle now points at the unlinked inode; reopen for
 	// appending at the end of the compacted log.
 	f, err := os.OpenFile(l.path, os.O_RDWR|os.O_APPEND, 0o644)
@@ -246,17 +200,6 @@ func (l *Log) Compact(keep []Record) error {
 	l.f = f
 	l.appended = 0
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives a crash;
-// failure is ignored (some filesystems reject directory syncs).
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }
 
 // Size returns the log's current byte size.

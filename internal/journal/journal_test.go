@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -259,5 +260,24 @@ func TestOpenCreatesDir(t *testing.T) {
 func TestOpenBadDir(t *testing.T) {
 	if _, _, err := Open("/dev/null/not-a-dir"); err == nil {
 		t.Error("Open under a non-directory must fail")
+	}
+}
+
+// A record longer than the old 16 MiB scan limit replays, and so does
+// every record after it: the writer and the scanner share one bound.
+func TestJournalLargeRecordReplays(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir)
+	spec := `{"kind":"faultsim","circuit":"s27","tests":["` + strings.Repeat("0", 17<<20) + `"]}`
+	big := Record{Op: OpSubmitted, JobID: "j1", Seq: 1, Spec: json.RawMessage(spec)}
+	appendT(t, l, big, submitted("j2", 2))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, recs := openT(t, dir)
+	defer l2.Close()
+	if len(recs) != 2 || recs[0].JobID != "j1" || len(recs[0].Spec) != len(spec) || recs[1].JobID != "j2" {
+		t.Fatalf("replayed %d records, want j1 (%d-byte spec) and j2", len(recs), len(spec))
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // AnalyzerFsyncDir polices the atomic-install idiom in the durable
-// packages (journal, store): a file becomes durable only when the
-// tmp-write + fsync + os.Rename sequence ends with an fsync of the
+// packages (durable, journal, store): a file becomes durable only when
+// the tmp-write + fsync + os.Rename sequence ends with an fsync of the
 // parent directory — the rename itself lives in the directory entry,
 // and a crash before the directory block reaches disk silently undoes
 // it. The analyzer flags any os.Rename in a durable package that is

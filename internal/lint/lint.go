@@ -254,6 +254,7 @@ func DefaultConfig() *Config {
 			"repro/internal/engine",
 		},
 		DurablePkgs: []string{
+			"repro/internal/durable",
 			"repro/internal/journal",
 			"repro/internal/store",
 		},

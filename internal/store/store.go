@@ -1,11 +1,10 @@
 // Package store is the digest-addressed on-disk result store the
 // engine's in-memory LRU spills to (ROADMAP item 5): one file per
-// cache key, written with the same atomic tmp+write+fsync+rename+
-// dir-fsync sequence internal/journal uses, payloads framed with a
-// magic header, length and CRC-32 so a torn or corrupted write is
-// detected on load and degrades to a clean miss — never a partial
-// read. The store is bounded (entry count and total bytes) with LRU
-// eviction, and safe for concurrent use.
+// cache key, installed with durable.WriteFile and holding a magic
+// header followed by one internal/durable frame, so a torn or
+// corrupted write is detected on load and degrades to a clean miss —
+// never a partial read. The store is bounded (entry count and total
+// bytes) with LRU eviction, and safe for concurrent use.
 //
 // Keys are the engine's composite cache keys
 // (02/<circuit16>/<spec16>: result version, circuit and spec digest
@@ -15,10 +14,8 @@ package store
 
 import (
 	"container/list"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
@@ -28,21 +25,18 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
-// Frame layout: magic, then a little-endian uint32 payload length,
-// a little-endian uint32 CRC-32 (IEEE) of the payload, then the
-// payload itself. Anything shorter, longer, or checksum-mismatched
-// is treated as corrupt.
+// An entry file is magic followed by one durable frame; anything
+// shorter, longer, or checksum-mismatched is treated as corrupt.
 const (
 	magic      = "pdfstor1"
-	headerSize = len(magic) + 8
+	headerSize = len(magic) + durable.HeaderSize
 
-	// suffix names complete entries; tmpSuffix names in-flight writes
-	// that a crash may leave behind (swept at Open).
-	suffix    = ".res"
-	tmpSuffix = ".tmp"
+	// suffix names complete entries.
+	suffix = ".res"
 
 	// DefaultMaxEntries bounds the store when Config.MaxEntries is 0.
 	DefaultMaxEntries = 4096
@@ -149,7 +143,7 @@ func (s *Store) scan() error {
 	var all []found
 	for _, de := range dirents {
 		name := de.Name()
-		if strings.HasSuffix(name, tmpSuffix) {
+		if strings.HasSuffix(name, durable.TmpSuffix) {
 			// A crash mid-write leaves a .tmp behind; it was never
 			// renamed into place, so it holds no committed data.
 			os.Remove(filepath.Join(s.cfg.Dir, name))
@@ -163,10 +157,7 @@ func (s *Store) scan() error {
 		if err != nil {
 			continue
 		}
-		size := info.Size() - int64(headerSize)
-		if size < 0 {
-			size = 0
-		}
+		size := max(info.Size()-int64(headerSize), 0)
 		all = append(all, found{entry{key: key, size: size}, info.ModTime().UnixNano()})
 	}
 	// Oldest first so the most recently touched entry ends up at the
@@ -221,10 +212,9 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return payload, true
 }
 
-// Put durably stores payload under key: write to a temporary file,
-// fsync it, rename into place, fsync the directory (the same
-// sequence internal/journal.Compact uses, so a crash at any point
-// leaves either the old entry or the new one, never a torn file).
+// Put durably stores payload under key with durable.WriteFile, so a
+// crash at any point leaves either the old entry or the new one,
+// never a torn file.
 func (s *Store) Put(key string, payload []byte) error {
 	if !validKey(key) {
 		s.metrics.PutErrors.Add(1)
@@ -311,44 +301,11 @@ func (s *Store) path(key string) string {
 
 // writeEntry performs the atomic durable write of one framed entry.
 func writeEntry(path string, payload []byte) error {
-	if len(payload) > int(^uint32(0)) {
-		return fmt.Errorf("store: payload too large (%d bytes)", len(payload))
-	}
-	hdr := make([]byte, headerSize)
-	copy(hdr, magic)
-	binary.LittleEndian.PutUint32(hdr[len(magic):], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[len(magic)+4:], crc32.ChecksumIEEE(payload))
-
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	hdr, err := durable.AppendHeader([]byte(magic), payload)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
+	return durable.WriteFile(path, hdr, payload)
 }
 
 // readEntry loads and verifies one framed entry. Any framing or
@@ -360,40 +317,20 @@ func readEntry(path string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, fmt.Errorf("short header: %w", err)
+	var m [len(magic)]byte
+	if _, err := io.ReadFull(f, m[:]); err != nil || string(m[:]) != magic {
+		return nil, fmt.Errorf("bad magic %q (%v)", m[:], err)
 	}
-	if string(hdr[:len(magic)]) != magic {
-		return nil, errors.New("bad magic")
-	}
-	n := binary.LittleEndian.Uint32(hdr[len(magic):])
-	want := binary.LittleEndian.Uint32(hdr[len(magic)+4:])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, fmt.Errorf("short payload: %w", err)
+	payload, err := durable.ReadFrame(f)
+	if err != nil {
+		return nil, err
 	}
 	// A trailing byte means the file is not the frame we wrote.
 	var one [1]byte
 	if _, err := f.Read(one[:]); err != io.EOF {
 		return nil, errors.New("trailing bytes after frame")
 	}
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, errors.New("checksum mismatch")
-	}
 	return payload, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives a
-// crash; failure is ignored (some filesystems refuse directory
-// fsync), matching internal/journal.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }
 
 // Cache keys are hex digests joined by '/'; the file name maps '/'

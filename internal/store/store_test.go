@@ -1,13 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/durable"
 )
 
 func mustOpen(t *testing.T, cfg Config) *Store {
@@ -184,7 +188,7 @@ func TestStoreReopenPreservesRecency(t *testing.T) {
 
 func TestStoreTmpFilesSweptAtOpen(t *testing.T) {
 	dir := t.TempDir()
-	leftover := filepath.Join(dir, fileFromKey(testKey(7))+tmpSuffix)
+	leftover := filepath.Join(dir, fileFromKey(testKey(7))+durable.TmpSuffix)
 	if err := os.WriteFile(leftover, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -322,5 +326,67 @@ func TestKeyFileMapping(t *testing.T) {
 	}
 	if _, ok := keyFromFile("README.md"); ok {
 		t.Fatal("non-entry file accepted")
+	}
+}
+
+// An entry whose header claims far more than the frame bound is a
+// clean miss, counted as corrupt (pdfd_store_corrupt_total), and the
+// read allocates nothing near the claimed length.
+func TestStoreHugeLengthClaim(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(3)
+	entry := append([]byte(magic), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 'a', 'b', 'c', 'd')
+	if err := os.WriteFile(filepath.Join(dir, fileFromKey(key)), entry, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, Config{Dir: dir})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok := s.Get(key)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("entry claiming 0x7fffffff bytes returned a hit")
+	}
+	if c := s.MetricsRef().Corrupt.Load(); c != 1 {
+		t.Errorf("corrupt count = %d, want 1", c)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= durable.MaxPayload {
+		t.Errorf("Get allocated %d bytes, want under the %d-byte frame bound", d, durable.MaxPayload)
+	}
+}
+
+// The entries under testdata were written by an earlier writeEntry:
+// each still reads back, and writing its payload again yields the same
+// bytes, so the on-disk format is unchanged.
+func TestStoreFixtureRoundTrip(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*"+suffix))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fixtures: %v", err)
+	}
+	dir := t.TempDir()
+	for _, f := range files {
+		want, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		key, ok := keyFromFile(filepath.Base(f))
+		if !ok {
+			t.Fatalf("fixture %s is not an entry file name", f)
+		}
+		s := mustOpen(t, Config{Dir: dir})
+		payload, ok := s.Get(key)
+		if !ok {
+			t.Fatalf("fixture %s did not read back", f)
+		}
+		out := filepath.Join(t.TempDir(), "entry")
+		if err := writeEntry(out, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("rewriting %s: got %q, %v; want %q", f, got, err, want)
+		}
 	}
 }
