@@ -242,28 +242,61 @@ func (s *Simulator) schedule(k, hi int) int {
 	return hi
 }
 
-// SimulateTriples fully simulates a two-pattern test given by the
-// first- and second-pattern values of the primary inputs (in PIs
-// order). The intermediate plane of a primary input is its pattern
-// value when both patterns agree and are specified, x otherwise.
-// The result maps every line ID to its value triple.
-func SimulateTriples(c *Circuit, p1, p3 []tval.V) []tval.Triple {
-	if len(p1) != len(c.PIs) || len(p3) != len(c.PIs) {
-		panic("circuit: SimulateTriples pattern length mismatch")
+// TripleSim fully simulates two-pattern tests on one circuit into
+// buffers it owns, so a caller that simulates test after test
+// allocates them once. It is the one full three-plane simulation:
+// SimulateTriples is a TripleSim used once.
+type TripleSim struct {
+	c      *Circuit
+	planes [NumPlanes][]tval.V
+	out    []tval.Triple
+}
+
+// NewTripleSim returns a TripleSim of c.
+func NewTripleSim(c *Circuit) *TripleSim {
+	s := &TripleSim{c: c, out: make([]tval.Triple, len(c.Lines))}
+	for p := range s.planes {
+		s.planes[p] = make([]tval.V, len(c.Lines))
 	}
-	mid := make([]tval.V, len(c.PIs))
-	for i := range mid {
-		mid[i] = tval.X
-		if p1[i] != tval.X && p1[i] == p3[i] {
-			mid[i] = p1[i]
+	return s
+}
+
+// Simulate fully simulates the two-pattern test given by the first-
+// and second-pattern values of the primary inputs (in PIs order). The
+// intermediate plane of a primary input is its pattern value when both
+// patterns agree and are specified, x otherwise. The result maps every
+// line ID to its value triple; it is s's buffer, valid until the next
+// call.
+func (s *TripleSim) Simulate(p1, p3 []tval.V) []tval.Triple {
+	c := s.c
+	if len(p1) != len(c.PIs) || len(p3) != len(c.PIs) {
+		panic("circuit: TripleSim.Simulate pattern length mismatch")
+	}
+	v1, v2, v3 := s.planes[0], s.planes[1], s.planes[2]
+	for _, vals := range s.planes {
+		for i := range vals {
+			vals[i] = tval.X
 		}
 	}
-	v1, v2, v3 := Evaluate(c, p1), Evaluate(c, mid), Evaluate(c, p3)
-	out := make([]tval.Triple, len(c.Lines))
-	for i := range out {
-		out[i] = tval.NewTriple(v1[i], v2[i], v3[i])
+	for i, pi := range c.PIs {
+		v1[pi], v3[pi] = p1[i], p3[i]
+		if p1[i] != tval.X && p1[i] == p3[i] {
+			v2[pi] = p1[i]
+		}
 	}
-	return out
+	for _, vals := range s.planes {
+		propagate(c, vals)
+	}
+	for i := range s.out {
+		s.out[i] = tval.NewTriple(v1[i], v2[i], v3[i])
+	}
+	return s.out
+}
+
+// SimulateTriples is TripleSim.Simulate into freshly allocated
+// buffers.
+func SimulateTriples(c *Circuit, p1, p3 []tval.V) []tval.Triple {
+	return NewTripleSim(c).Simulate(p1, p3)
 }
 
 // Evaluate returns the value of every line, indexed by line ID, under
@@ -276,6 +309,14 @@ func Evaluate(c *Circuit, pattern []tval.V) []tval.V {
 	for i, pi := range c.PIs {
 		vals[pi] = pattern[i]
 	}
+	propagate(c, vals)
+	return vals
+}
+
+// propagate evaluates one plane: vals holds the primary inputs' values
+// at their line IDs, and propagate sets every other line, gate outputs
+// in topological order and then each branch from its stem.
+func propagate(c *Circuit, vals []tval.V) {
 	for _, gi := range c.TopoGates() {
 		g := &c.Gates[gi]
 		vals[g.Out] = g.Type.Eval(g.InNets, vals)
@@ -284,5 +325,4 @@ func Evaluate(c *Circuit, pattern []tval.V) []tval.V {
 	for i := range c.Lines {
 		vals[i] = vals[c.Lines[i].Net]
 	}
-	return vals
 }

@@ -228,3 +228,30 @@ func TestStatsOnRandomCircuit(t *testing.T) {
 		t.Errorf("Lines mismatch")
 	}
 }
+
+// TestTripleSimReusesBuffers checks that one TripleSim simulating test
+// after test returns what a fresh simulation of each does, without
+// allocating: nothing of an earlier test survives in its buffers.
+func TestTripleSimReusesBuffers(t *testing.T) {
+	c := randomTestCircuit(t, 42, 12, 40)
+	r := rand.New(rand.NewSource(9))
+	s := NewTripleSim(c)
+	p1 := make([]tval.V, len(c.PIs))
+	p3 := make([]tval.V, len(c.PIs))
+	for trial := 0; trial < 50; trial++ {
+		for i := range p1 {
+			p1[i] = tval.V(r.Intn(3))
+			p3[i] = tval.V(r.Intn(3))
+		}
+		want := SimulateTriples(c, p1, p3)
+		if a := testing.AllocsPerRun(1, func() { s.Simulate(p1, p3) }); a != 0 {
+			t.Fatalf("trial %d: Simulate made %.0f allocations, want 0", trial, a)
+		}
+		got := s.Simulate(p1, p3)
+		for id := range c.Lines {
+			if got[id] != want[id] {
+				t.Fatalf("trial %d: line %s: reused %v != fresh %v", trial, c.Lines[id].Name, got[id], want[id])
+			}
+		}
+	}
+}

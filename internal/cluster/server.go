@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -118,7 +117,7 @@ type clusterServer struct {
 }
 
 func (s *clusterServer) submit(w http.ResponseWriter, r *http.Request) {
-	spec, err := engine.DecodeSpec(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
+	spec, err := engine.DecodeSpec(engine.Body(w, r))
 	if err != nil {
 		engine.WriteBodyError(w, err)
 		return
@@ -146,7 +145,7 @@ func (s *clusterServer) submit(w http.ResponseWriter, r *http.Request) {
 
 func (s *clusterServer) batch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
+	dec := json.NewDecoder(engine.Body(w, r))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		engine.WriteBodyError(w, fmt.Errorf("bad batch: %w", err))

@@ -184,10 +184,15 @@ type generator struct {
 	// im holds the implications of the current test's cube; nil when
 	// the backend does not seed from implications (see justifyFault).
 	im *robust.Implier
+	// nd orders the secondary candidates by nΔ; nil unless the
+	// heuristic is ValueBased.
+	nd *deltaIndex
+	// tsim simulates the current test, into buffers reused across
+	// tests.
+	tsim *circuit.TripleSim
 
-	// Scratch buffers of the secondary loop.
-	cand  []int
-	delta []int
+	// cand is the secondary loop's scratch candidate list.
+	cand []int
 }
 
 // canceled reports whether the run's context has been canceled; the
@@ -217,6 +222,7 @@ func newGenerator(ctx context.Context, c *circuit.Circuit, sets [][]robust.Fault
 		k:        len(sets),
 		detected: make([]bool, len(fcs)),
 		tried:    make([]bool, len(fcs)),
+		tsim:     circuit.NewTripleSim(c),
 	}
 	for s, set := range sets {
 		for range set {
@@ -235,6 +241,9 @@ func newGenerator(ctx context.Context, c *circuit.Circuit, sets [][]robust.Fault
 	}
 	if seeds {
 		g.im = robust.NewImplier(c)
+	}
+	if cfg.Heuristic == ValueBased {
+		g.nd = newDeltaIndex(len(c.Lines), fcs)
 	}
 	return g
 }
@@ -276,13 +285,14 @@ func run(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultCondition
 			res.PrimaryAborts++
 			continue
 		}
+		var sim []tval.Triple
 		if cfg.Heuristic != Uncompacted {
-			test = g.compactTest(ctx, pi, test, cube, res)
+			test, sim = g.compactTest(ctx, pi, test, cube, res)
 		} else {
 			res.RegenPerTest = append(res.RegenPerTest, 0)
 		}
 		res.Tests = append(res.Tests, test)
-		g.simDrop(ctx, test)
+		g.simDrop(ctx, test, sim)
 	}
 	res.Detected = g.detected
 	for _, d := range g.detected {
@@ -308,25 +318,28 @@ func (g *generator) pickPrimary() int {
 // compactTest is addSecondariesPhased under a "compaction" span on the
 // job timeline — one span per generated test, attributed with the
 // secondary accept/reject deltas.
-func (g *generator) compactTest(ctx context.Context, primary int, test circuit.TwoPattern, cube robust.Cube, res *Result) circuit.TwoPattern {
+func (g *generator) compactTest(ctx context.Context, primary int, test circuit.TwoPattern, cube robust.Cube, res *Result) (circuit.TwoPattern, []tval.Triple) {
 	accepts, rejects, cheap := res.SecondaryAccepts, res.SecondaryRejects, res.CheapAccepts
 	_, span := obs.StartSpan(ctx, "compaction",
 		obs.String("heuristic", g.cfg.Heuristic.String()), obs.Int("test", len(res.Tests)))
-	test = g.addSecondariesPhased(primary, test, cube, res)
+	test, sim := g.addSecondariesPhased(primary, test, cube, res)
 	// Every non-cheap accept regenerated the test under the grown cube.
 	res.RegenPerTest = append(res.RegenPerTest,
 		(res.SecondaryAccepts-accepts)-(res.CheapAccepts-cheap))
 	span.End(obs.Int("accepts", res.SecondaryAccepts-accepts),
 		obs.Int("rejects", res.SecondaryRejects-rejects))
-	return test
+	return test, sim
 }
 
 // simDrop fault simulates the finished test over all undetected target
 // faults and drops the ones it detects, under a "simulation" span on
-// the job timeline.
-func (g *generator) simDrop(ctx context.Context, test circuit.TwoPattern) {
+// the job timeline. sim is the test's simulation when its compaction
+// left one, or nil.
+func (g *generator) simDrop(ctx context.Context, test circuit.TwoPattern, sim []tval.Triple) {
 	_, span := obs.StartSpan(ctx, "simulation", obs.Int("faults", len(g.faults)))
-	sim := test.Simulate(g.c)
+	if sim == nil {
+		sim = g.tsim.Simulate(test.P1, test.P3)
+	}
 	for i := range g.faults {
 		if !g.detected[i] && g.faults[i].DetectedBy(sim) {
 			g.detected[i] = true

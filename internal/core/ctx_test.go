@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/faultsim"
 	"repro/internal/synth"
 )
 
@@ -69,4 +70,43 @@ func TestEnrichCtxCanceledMidRun(t *testing.T) {
 	if took > 2*time.Second {
 		t.Errorf("canceled run took %v", took)
 	}
+
+	// A run canceled at a chosen poll, which lands mid-compaction,
+	// must still drop exactly what its tests detect: the last test's
+	// fault simulation must be of that test, whatever state the
+	// compaction left behind.
+	p0, p1 := fcs[:mid], fcs[mid:]
+	for _, n := range []int{2, 40, 317, 1500} {
+		ctx := &pollCtx{Context: context.Background(), cancelAt: n}
+		res, err := EnrichCtx(ctx, c, p0, p1, Config{Seed: 1})
+		if err != context.Canceled {
+			t.Fatalf("cancel at poll %d: err = %v, want context.Canceled", n, err)
+		}
+		if len(res.Tests) == 0 {
+			t.Fatalf("cancel at poll %d: no test", n)
+		}
+		first := faultsim.Run(c, res.Tests, fcs)
+		for i, d := range res.Detected {
+			if d != (first[i] >= 0) {
+				t.Fatalf("cancel at poll %d: fault %d detected %v, resimulation of %d tests says %v",
+					n, i, d, len(res.Tests), first[i] >= 0)
+			}
+		}
+	}
+}
+
+// pollCtx is a context whose Err reports cancellation from its
+// cancelAt-th call on: the generation loop polls Err between
+// candidates, so the cancellation lands at a chosen point of a run.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/robust"
+	"repro/internal/tval"
 )
 
 // EnrichResult reports a run of the enrichment procedure: the run's
@@ -93,31 +93,26 @@ func EnrichKCtx(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultCo
 }
 
 // addSecondariesPhased runs the secondary loop over one phase per
-// target set.
-func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, cube robust.Cube, res *Result) circuit.TwoPattern {
-	sim := test.Simulate(g.c)
+// target set. It returns the compacted test and its simulation, in the
+// generator's buffer, or a nil simulation when the run was canceled.
+func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, cube robust.Cube, res *Result) (circuit.TwoPattern, []tval.Triple) {
+	sim := g.tsim.Simulate(test.P1, test.P3)
 	res.ensureSets(g.k)
+	if g.nd != nil {
+		g.nd.startTest(&cube)
+	}
 	for phase := 0; phase < g.k; phase++ {
 		cand := g.candidates(primary, phase)
-		// delta[i] is the best nΔ of cand[i] against cube, recomputed
-		// only when cube changes.
-		delta, stale := g.delta[:0], true
-		for len(cand) > 0 {
+		if g.nd != nil {
+			g.nd.startPhase(cand)
+		}
+		for next := range cand {
 			if g.canceled() {
-				return test
+				return test, nil
 			}
-			pick := 0
-			if g.cfg.Heuristic == ValueBased {
-				if stale {
-					delta, stale = g.deltas(cand, &cube, delta[:0]), false
-				}
-				pick = firstMin(delta)
-				delta = append(delta[:pick], delta[pick+1:]...)
-			}
-			fi := cand[pick]
-			cand = append(cand[:pick], cand[pick+1:]...)
-			if g.detected[fi] {
-				continue
+			fi := cand[next]
+			if g.nd != nil {
+				fi = g.nd.pop()
 			}
 			ok, cheap := false, false
 			var newTest circuit.TwoPattern
@@ -143,10 +138,13 @@ func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, c
 				newTest, newCube, ok = g.justifyFault(fi, &cube)
 			}
 			if ok {
-				cube, stale = newCube, true
+				if g.nd != nil {
+					g.nd.merged(&cube, &newCube)
+				}
+				cube = newCube
 				if !cheap {
 					test = newTest
-					sim = test.Simulate(g.c)
+					sim = g.tsim.Simulate(test.P1, test.P3)
 				}
 				res.SecondaryAccepts++
 				res.SecondaryAcceptsBySet[phase]++
@@ -158,33 +156,8 @@ func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, c
 				res.SecondaryRejectsBySet[phase]++
 			}
 		}
-		g.delta = delta
 	}
-	return test
-}
-
-// deltas appends to out, for each candidate, the fewest new value
-// positions any of its alternatives adds to the cube (nΔ, Section 2.2).
-func (g *generator) deltas(cand []int, cube *robust.Cube, out []int) []int {
-	for _, fi := range cand {
-		best := math.MaxInt
-		for a := range g.faults[fi].Alts {
-			best = min(best, cube.NewlySpecified(&g.faults[fi].Alts[a]))
-		}
-		out = append(out, best)
-	}
-	return out
-}
-
-// firstMin returns the first index of the smallest element.
-func firstMin(xs []int) int {
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
+	return test, sim
 }
 
 // candidates lists the secondary candidates of one set in g.order,

@@ -117,3 +117,56 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 		}
 	}
 }
+
+// TestDeclaredOversizeBodyRefused checks that every route with a
+// capped body answers 413 invalid_spec to a request whose
+// Content-Length already exceeds the bound, before it reads a byte.
+func TestDeclaredOversizeBodyRefused(t *testing.T) {
+	e := engine.New(engine.Config{Workers: 1})
+	c, err := cluster.New(cluster.Config{Backends: []cluster.BackendConf{{Name: "b0", URL: "http://127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		e.Close()
+	})
+	for _, tc := range []struct {
+		plane, method, path string
+		h                   http.Handler
+	}{
+		{"pdfd", http.MethodPost, "/v1/jobs", engine.NewServer(e)},
+		{"pdfd", http.MethodPut, "/v1/cache/02/0123456789abcdef/0123456789abcdef", engine.NewServer(e)},
+		{"coordinator", http.MethodPost, "/v1/jobs", cluster.NewServer(c)},
+		{"coordinator", http.MethodPost, "/v1/jobs:batch", cluster.NewServer(c)},
+	} {
+		body := &countingReader{r: zeros{}}
+		req := httptest.NewRequest(tc.method, tc.path, body)
+		req.ContentLength = durable.MaxPayload + 1
+		rec := httptest.NewRecorder()
+		tc.h.ServeHTTP(rec, req)
+		var env struct {
+			Error engine.APIError `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusRequestEntityTooLarge ||
+			env.Error.Code != engine.CodeInvalidSpec {
+			t.Errorf("%s %s %s declaring %d bytes = %d %s, want 413 invalid_spec",
+				tc.plane, tc.method, tc.path, req.ContentLength, rec.Code, rec.Body.Bytes())
+		}
+		if body.n != 0 {
+			t.Errorf("%s %s %s read %d body bytes before refusing it", tc.plane, tc.method, tc.path, body.n)
+		}
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}

@@ -154,9 +154,25 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 	return spec, nil
 }
 
+// Body returns r's body for a handler to read, capped by
+// http.MaxBytesReader at durable.MaxPayload, the journal's and the
+// store's frame bound. A request that declares a longer body gets a
+// reader that fails at once with *http.MaxBytesError: none of it is
+// read before the 413.
+func Body(w http.ResponseWriter, r *http.Request) io.Reader {
+	if r.ContentLength > durable.MaxPayload {
+		return errReader{&http.MaxBytesError{Limit: durable.MaxPayload}}
+	}
+	return http.MaxBytesReader(w, r.Body, durable.MaxPayload)
+}
+
+// errReader is a reader that fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
 // WriteBodyError answers a request whose body did not read or decode:
-// 413 when it ran past its http.MaxBytesReader cap (durable.MaxPayload,
-// the journal's and the store's frame bound), 400 otherwise.
+// 413 when it ran past Body's cap, 400 otherwise.
 func WriteBodyError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
@@ -167,7 +183,7 @@ func WriteBodyError(w http.ResponseWriter, err error) {
 }
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
-	spec, err := DecodeSpec(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
+	spec, err := DecodeSpec(Body(w, r))
 	if err != nil {
 		WriteBodyError(w, err)
 		return
@@ -325,7 +341,7 @@ func (s *server) cacheGet(w http.ResponseWriter, r *http.Request) {
 // cache_key matches the path.
 func (s *server) cachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
+	body, err := io.ReadAll(Body(w, r))
 	if err != nil {
 		WriteBodyError(w, fmt.Errorf("read body: %w", err))
 		return
