@@ -121,10 +121,7 @@ func (r *replicator) runWatch(ctx context.Context, backendName, rawID, digest st
 	}
 	// Long-poll inside the per-request timeout so a still-running job
 	// answers with its non-terminal view instead of timing out.
-	wait := c.cfg.RequestTimeout / 2
-	if wait < 50*time.Millisecond {
-		wait = 50 * time.Millisecond
-	}
+	wait := c.maxWait()
 	path := "/v1/jobs/" + rawID + "?wait=" + wait.String()
 	fails := 0
 	for ctx.Err() == nil {

@@ -71,15 +71,10 @@ func (c *Coordinator) Traces() *obs.TraceBuffer { return c.traces }
 // offerRouteTrace offers one finished routing trace to the retention
 // buffer and feeds the route-latency histogram, attaching the trace ID
 // as an exemplar when the trace was retained.
-func (c *Coordinator) offerRouteTrace(tr *obs.Trace, kind, circuit string, res SubmitResult, err error, d time.Duration) {
+func (c *Coordinator) offerRouteTrace(tr *obs.Trace, kind, circuit string, res SubmitResult, err *RoutedError, d time.Duration) {
 	outcome, errMsg := "ok", ""
-	switch {
-	case err != nil:
+	if err != nil {
 		outcome, errMsg = "error", err.Error()
-	case res.View == nil:
-		// The backend answered with an error envelope the coordinator
-		// relays; for retention purposes the routed submission failed.
-		outcome, errMsg = "error", fmt.Sprintf("backend envelope relayed with status %d", res.Status)
 	}
 	snap := tr.Snapshot()
 	rt := obs.RetainedTrace{

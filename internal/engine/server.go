@@ -80,13 +80,12 @@ type ServerConfig struct {
 //	DELETE /v1/jobs/{id}       cancel a queued or running job
 //	GET    /v1/jobs/{id}/trace the job's span timeline alone
 //	GET    /v1/jobs/{id}/events live job lifecycle stream (Server-Sent Events)
-//	GET    /v1/traces          list tail-retained traces; ?min_duration= ?outcome= ?limit=
 //	GET    /v1/traces/{trace_id} one retained trace with its full span timeline
 //	GET    /v1/healthz         liveness probe; 503 "overloaded" past the watermark
-//	GET    /v1/version         build version and toolchain from embedded build info
 //	GET    /v1/metrics         Prometheus text exposition (OpenMetrics with exemplars via Accept)
 //
-// Errors use one envelope everywhere — see APIError and WriteError.
+// plus GET /v1/traces and GET /v1/version (see Mux.Shared). Errors use
+// one envelope everywhere — see APIError and WriteError.
 func NewServer(e *Engine) http.Handler { return NewServerWith(e, ServerConfig{}) }
 
 // NewServerWith is NewServer with access logging and an SSE
@@ -102,11 +101,10 @@ func NewServerWith(e *Engine, sc ServerConfig) http.Handler {
 	mux.Route("GET /v1/jobs/{id}/events", "jobs.events", s.jobEvents)
 	mux.Route("GET /v1/cache/{key...}", "cache.get", s.cacheGet)
 	mux.Route("PUT /v1/cache/{key...}", "cache.put", s.cachePut)
-	mux.Route("GET /v1/traces", "traces.list", s.tracesList)
 	mux.Route("GET /v1/traces/{trace_id}", "traces.get", s.tracesGet)
 	mux.Open("GET /v1/healthz", "healthz", s.healthz)
-	mux.Open("GET /v1/version", "version", s.version)
 	mux.Open("GET /v1/metrics", "metrics", e.Registry().ServeHTTP)
+	mux.Shared(e.Traces())
 	return mux.ServeMux
 }
 
@@ -128,6 +126,24 @@ func (m Mux) Route(pattern, name string, h http.HandlerFunc) {
 // scrapeable by probes and Prometheus.
 func (m Mux) Open(pattern, name string, h http.HandlerFunc) {
 	m.Handle(pattern, obs.Middleware(name, m.Logger, m.Metrics, h))
+}
+
+// Shared registers the two routes pdfd and the coordinator serve
+// alike: GET /v1/traces, the summaries of traces newest first
+// (?min_duration= ?outcome= ?limit= narrow the set), and the open
+// GET /v1/version, the binary's module version and toolchain.
+func (m Mux) Shared(traces *obs.TraceBuffer) {
+	m.Route("GET /v1/traces", "traces.list", func(w http.ResponseWriter, r *http.Request) {
+		f, err := obs.ParseListFilter(r.URL.Query())
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error(), 0)
+			return
+		}
+		WriteJSON(w, http.StatusOK, map[string]any{"traces": traces.List(f)})
+	})
+	m.Open("GET /v1/version", "version", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, obs.Version())
+	})
 }
 
 type server struct {
@@ -171,21 +187,20 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-// WriteBodyError answers a request whose body did not read or decode:
-// 413 when it ran past Body's cap, 400 otherwise.
-func WriteBodyError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
+// BodyStatus is the status answering a request whose body did not
+// read or decode: 413 when it ran past Body's cap, 400 otherwise.
+func BodyStatus(err error) int {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		status = http.StatusRequestEntityTooLarge
+		return http.StatusRequestEntityTooLarge
 	}
-	WriteError(w, status, CodeInvalidSpec, err.Error(), 0)
+	return http.StatusBadRequest
 }
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	spec, err := DecodeSpec(Body(w, r))
 	if err != nil {
-		WriteBodyError(w, err)
+		WriteError(w, BodyStatus(err), CodeInvalidSpec, err.Error(), 0)
 		return
 	}
 	// The resolved tenant (bearer auth, or a coordinator's forwarded
@@ -343,7 +358,7 @@ func (s *server) cachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	body, err := io.ReadAll(Body(w, r))
 	if err != nil {
-		WriteBodyError(w, fmt.Errorf("read body: %w", err))
+		WriteError(w, BodyStatus(err), CodeInvalidSpec, "read body: "+err.Error(), 0)
 		return
 	}
 	if err := s.e.InstallResult(key, body); err != nil {
@@ -367,17 +382,6 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"job_id": id, "trace": j.TraceView()})
 }
 
-// tracesList serves GET /v1/traces: summaries of tail-retained traces,
-// newest first; ?min_duration= ?outcome= ?limit= narrow the set.
-func (s *server) tracesList(w http.ResponseWriter, r *http.Request) {
-	f, err := obs.ParseListFilter(r.URL.Query())
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error(), 0)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{"traces": s.e.Traces().List(f)})
-}
-
 // tracesGet serves GET /v1/traces/{trace_id}: one retained trace with
 // its full span timeline.
 func (s *server) tracesGet(w http.ResponseWriter, r *http.Request) {
@@ -388,12 +392,6 @@ func (s *server) tracesGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, rt)
-}
-
-// version serves GET /v1/version: the build's module version and
-// toolchain, from the binary's embedded build info.
-func (s *server) version(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, obs.Version())
 }
 
 // Health is the /v1/healthz response body.
