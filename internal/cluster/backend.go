@@ -143,6 +143,14 @@ func (k *breaker) success() {
 	k.mu.Unlock()
 }
 
+// release ends a half-open trial without a verdict, so the next
+// allow lets a new trial through.
+func (k *breaker) release() {
+	k.mu.Lock()
+	k.halfOpen = false
+	k.mu.Unlock()
+}
+
 // failure records a failed request at time now; it reports whether
 // this failure transitioned the breaker from closed to open (for the
 // breaker-opens counter — re-opens after a failed half-open trial
