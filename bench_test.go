@@ -222,11 +222,11 @@ func BenchmarkAblationCheapAccept(b *testing.B) {
 }
 
 // BenchmarkAblationDirtyTracking compares probe scheduling with
-// reachability-based dirty tracking against paper-literal full sweeps.
+// watched probes against paper-literal full sweeps.
 func BenchmarkAblationDirtyTracking(b *testing.B) {
 	d := prep(b, "b03")
 	for _, disable := range []bool{false, true} {
-		name := "dirty-tracking"
+		name := "watched-probes"
 		if disable {
 			name = "full-sweeps"
 		}

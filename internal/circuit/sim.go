@@ -144,6 +144,10 @@ func (s *Simulator) Slot(line int) int { return s.slot[s.c.Lines[line].Net] }
 // Net returns the net ID at slot k.
 func (s *Simulator) Net(k int) int { return s.nets[k] }
 
+// Readers returns the slots of the compiled gates reading slot k. The
+// slice is the simulator's own, valid until the next Compile.
+func (s *Simulator) Readers(k int) []int { return s.fo[s.foStart[k]:s.foStart[k+1]] }
+
 // Reset sets every value to x and clears the undo log.
 func (s *Simulator) Reset() {
 	for p := range s.val {
@@ -235,7 +239,7 @@ func (s *Simulator) set(plane, k int, v tval.V) {
 // schedule marks the readers of slot k for evaluation and returns the
 // highest scheduled word, at least hi.
 func (s *Simulator) schedule(k, hi int) int {
-	for _, r := range s.fo[s.foStart[k]:s.foStart[k+1]] {
+	for _, r := range s.Readers(k) {
 		s.sched[r/64] |= 1 << uint(r%64)
 		hi = max(hi, r/64)
 	}

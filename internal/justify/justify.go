@@ -27,20 +27,27 @@
 //
 //   - the justifier seeds the input values with the implications of
 //     the cube (necessary values by construction);
-//   - tentative probing is restricted to inputs whose probe outcome
-//     may have changed, tracked with precomputed reachability bitsets;
-//   - and among those, to inputs whose fanout cone holds a required
-//     net: a probe of any other input changes no required net, so it
-//     can never rule a value out;
+//   - tentative probing is restricted to inputs whose fanout cone
+//     holds a required net: a probe of any other input changes no
+//     required net, so it can never rule a value out;
+//   - and among those, to inputs whose probe outcome may have changed
+//     (watched probes, the watched literals of SAT solvers). A probe
+//     watches the gates its propagation evaluated, the readers of the
+//     slots it changed, per plane; a commit that changes one of them,
+//     or one of their inputs, marks the probed input dirty again. A
+//     consistent probe's outcome depends only on the values of those
+//     gates and their inputs, and on its input's other pattern (the
+//     stable rule), which a commit to that input marks. Forced values
+//     are monotone, so the fixpoint does not depend on probe order:
+//     tests, decisions and random draws are those of the paper's full
+//     sweeps (Config.DisableDirtyTracking), and only the probe count
+//     is lower;
 //   - every assignment, probe or commit, propagates only within the
 //     cube's cone, the transitive fanin of its required nets, which
 //     is compiled once per call with the primary inputs (reqSim). A
 //     conflict arises only on a required net, whose value the cone
-//     alone determines. A probe reads only cone nets, so a commit's
-//     change outside the cone could only mark an input dirty whose
-//     re-probe finds both values consistent, as before, and commits
-//     nothing. Tests, decisions and random draws are those of full
-//     propagation; only the probe count is lower.
+//     alone determines, so tests, decisions and random draws are
+//     those of full propagation.
 //
 // With implication seeding on, a cube whose implications conflict
 // fails before any probe or random draw. A caller that already holds
@@ -53,6 +60,7 @@ package justify
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/robust"
@@ -68,7 +76,8 @@ type Config struct {
 	// implications of the cube (useful for ablation studies).
 	DisableImplicationSeed bool
 	// DisableDirtyTracking makes every necessary-value pass probe all
-	// relevant inputs, as the paper's literal loop does (ablation).
+	// relevant inputs, as the paper's literal loop does: the ablation,
+	// and the reference that watched probes are tested against.
 	DisableDirtyTracking bool
 }
 
@@ -91,22 +100,18 @@ type Justifier struct {
 	rng *rand.Rand
 	cfg Config
 
-	words int
-	// support[net*words .. ] is the bitset of PI indices in the
-	// transitive fanin of net.
-	support []uint64
-	// dirtyMask[net*words ..] is the bitset of PI indices whose probe
-	// outcome can change when net changes value: the PIs reaching net
-	// or reaching any gate output fed by net.
-	dirtyMask []uint64
+	words int // bitset words over PI indices
 
-	// reqMask is the union of support[] over the current cube's nets:
-	// the PIs whose fanout cone holds a required net. A probe of any
-	// other PI changes no required net, so it can never conflict.
+	// reqMask is the set of primary inputs in the current cube's cone:
+	// those whose fanout cone holds a required net. A probe of any
+	// other input changes no required net, so it can never conflict.
 	reqMask []uint64
+	dirty   []uint64
+	// watch[q][k*words ..] is the set of inputs whose last probe
+	// evaluated the gate at slot k on plane q (markDirty, watchProbe).
+	watch [circuit.NumPlanes][]uint64
 
-	dirty []uint64
-	free  []piPos // pickDecision's scratch list
+	free []piPos // pickDecision's scratch list
 
 	stats Stats
 }
@@ -118,40 +123,9 @@ func New(c *circuit.Circuit, cfg Config) *Justifier {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		cfg:    cfg,
 	}
-	n := len(c.Lines)
 	j.words = (len(c.PIs) + 63) / 64
-	j.support = make([]uint64, n*j.words)
-	j.dirtyMask = make([]uint64, n*j.words)
 	j.dirty = make([]uint64, j.words)
 	j.reqMask = make([]uint64, j.words)
-
-	// support: forward pass in topological order.
-	for i, pi := range c.PIs {
-		j.support[pi*j.words+i/64] |= 1 << (uint(i) % 64)
-	}
-	for _, gi := range c.TopoGates() {
-		g := &c.Gates[gi]
-		out := g.Out * j.words
-		for _, in := range g.InNets {
-			net := in * j.words
-			for w := 0; w < j.words; w++ {
-				j.support[out+w] |= j.support[net+w]
-			}
-		}
-	}
-	// dirtyMask: own support plus the support of every gate output the
-	// net feeds.
-	copy(j.dirtyMask, j.support)
-	for _, gi := range c.TopoGates() {
-		g := &c.Gates[gi]
-		out := g.Out * j.words
-		for _, in := range g.InNets {
-			net := in * j.words
-			for w := 0; w < j.words; w++ {
-				j.dirtyMask[net+w] |= j.support[out+w]
-			}
-		}
-	}
 	return j
 }
 
@@ -174,14 +148,16 @@ func (j *Justifier) JustifyImplied(cube *robust.Cube, im *robust.Implier) (test 
 	j.stats.Calls++
 	j.load(cube)
 	defer j.clear()
-	for w := range j.dirty {
-		j.dirty[w] = 0
-		j.reqMask[w] = 0
-	}
-	for _, net := range cube.Nets {
-		for w, m := range j.support[net*j.words : (net+1)*j.words] {
-			j.reqMask[w] |= m
+	clear(j.reqMask)
+	for i, pi := range j.c.PIs {
+		if j.cone[pi] {
+			j.reqMask[i/64] |= 1 << uint(i%64)
 		}
+	}
+	n := j.sim.Len() * j.words
+	for q := range j.watch {
+		j.watch[q] = slices.Grow(j.watch[q][:0], n)[:n]
+		clear(j.watch[q])
 	}
 
 	// Seed with the implications of the cube, within the cone like
@@ -192,7 +168,11 @@ func (j *Justifier) JustifyImplied(cube *robust.Cube, im *robust.Implier) (test 
 	}
 
 	// Inputs that can influence a required net must be probed.
-	j.orDirty(j.reqMask)
+	if j.cfg.DisableDirtyTracking {
+		j.allDirty()
+	} else {
+		copy(j.dirty, j.reqMask)
+	}
 
 	if !j.assignNecessary() {
 		return test, false
@@ -221,22 +201,45 @@ func (j *Justifier) JustifyImplied(cube *robust.Cube, im *robust.Implier) (test 
 	return test, true
 }
 
-func (j *Justifier) orDirty(mask []uint64) {
+// markDirty fires the watches on the readers of the slots that an
+// assignment changed on one plane: it marks dirty every input whose
+// last probe evaluated such a reader, and clears those watches. A
+// changed gate is itself a reader of a changed slot, so this covers
+// the gates a probe evaluated that the assignment set. A changed input
+// also marks itself, as its probe of the other pattern reads it
+// through the stable rule.
+func (j *Justifier) markDirty(changed []int, plane int) {
 	if j.cfg.DisableDirtyTracking {
 		// Paper-literal mode: any change makes every input worth
 		// re-probing, reproducing the full sweeps of Section 2.1.
 		j.allDirty()
 		return
 	}
-	for w := 0; w < j.words; w++ {
-		j.dirty[w] |= mask[w] & j.reqMask[w]
+	watch := j.watch[plane]
+	for _, k := range changed {
+		for _, r := range j.sim.Readers(k) {
+			ws := watch[r*j.words : (r+1)*j.words]
+			for w, m := range ws {
+				j.dirty[w] |= m
+			}
+			clear(ws)
+		}
+		if k < len(j.c.PIs) {
+			j.dirty[k/64] |= j.reqMask[k/64] & (1 << uint(k%64))
+		}
 	}
 }
 
-// markDirty extends the dirty set by the slots an assignment changed.
-func (j *Justifier) markDirty(changed []int) {
-	for _, k := range changed {
-		j.orDirty(j.dirtyMask[j.sim.Net(k)*j.words:])
+// watchProbe registers the probe of input pi on the gates that its
+// propagation evaluated on one plane: the readers of the slots it
+// changed.
+func (j *Justifier) watchProbe(pi int, changed []int, plane int) {
+	w, bit := pi/64, uint64(1)<<uint(pi%64)
+	watch := j.watch[plane]
+	for _, c := range changed {
+		for _, r := range j.sim.Readers(c) {
+			watch[r*j.words+w] |= bit
+		}
 	}
 }
 
@@ -251,18 +254,23 @@ func (j *Justifier) allDirty() {
 }
 
 // commit permanently assigns a position value of the primary input
-// with index piIdx, extending the dirty set by every net it changes,
-// and reports conflict.
+// with index piIdx, marking dirty the inputs whose probes watch what
+// it changes, and reports conflict.
 func (j *Justifier) commit(piIdx, plane int, v tval.V) bool {
 	return j.apply(piIdx, plane, v, j.markDirty)
 }
 
 // probe tentatively applies a position value and reports conflict.
-// A probe is rolled back and marks nothing dirty.
+// A probe is rolled back and marks nothing dirty; it watches the gates
+// it evaluated, so that a change to one of them marks its input dirty.
 func (j *Justifier) probe(piIdx, plane int, v tval.V) bool {
 	j.stats.Probes++
+	var touch func(changed []int, plane int)
+	if !j.cfg.DisableDirtyTracking {
+		touch = func(changed []int, plane int) { j.watchProbe(piIdx, changed, plane) }
+	}
 	m := j.sim.Snapshot()
-	conflict := j.apply(piIdx, plane, v, nil)
+	conflict := j.apply(piIdx, plane, v, touch)
 	j.sim.RollbackTo(m)
 	return conflict
 }
@@ -323,31 +331,21 @@ type piPos struct{ pi, plane int }
 // stable), otherwise a random unspecified position with a random
 // value. done is true when every position is specified.
 func (j *Justifier) pickDecision() (piIdx, plane int, v tval.V, done bool) {
-	n := len(j.c.PIs)
-	for i := 0; i < n; i++ {
-		v1 := j.sim.At(i, 0)
-		v3 := j.sim.At(i, 2)
-		if v1 != tval.X && v3 == tval.X {
+	j.free = j.free[:0]
+	for i := range len(j.c.PIs) {
+		v1, v3 := j.sim.At(i, 0), j.sim.At(i, 2)
+		switch {
+		case v1 != tval.X && v3 == tval.X:
 			return i, 2, v1, false
-		}
-		if v1 == tval.X && v3 != tval.X {
+		case v1 == tval.X && v3 != tval.X:
 			return i, 0, v3, false
+		case v1 == tval.X:
+			j.free = append(j.free, piPos{i, 0}, piPos{i, 2})
 		}
 	}
-	// Random unspecified position.
-	free := j.free[:0]
-	for i := 0; i < n; i++ {
-		if j.sim.At(i, 0) == tval.X {
-			free = append(free, piPos{i, 0})
-		}
-		if j.sim.At(i, 2) == tval.X {
-			free = append(free, piPos{i, 2})
-		}
-	}
-	j.free = free
-	if len(free) == 0 {
+	if len(j.free) == 0 {
 		return 0, 0, tval.X, true
 	}
-	p := free[j.rng.Intn(len(free))]
+	p := j.free[j.rng.Intn(len(j.free))]
 	return p.pi, p.plane, tval.V(j.rng.Intn(2)), false
 }

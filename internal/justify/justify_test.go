@@ -199,40 +199,6 @@ func TestJustifySuccessRate(t *testing.T) {
 	}
 }
 
-func TestJustifyDirtyTrackingEquivalentQuality(t *testing.T) {
-	// Dirty tracking is an optimization; with it disabled the result
-	// quality must be in the same ballpark (not bit-identical: probe
-	// order differs, so random decisions differ).
-	c := bench.S27()
-	res, err := pathenum.Enumerate(c, pathenum.Config{Mode: pathenum.DistancePruned})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, _ := robust.Screen(c, res.Faults)
-	count := func(cfg Config) int {
-		j := New(c, cfg)
-		n := 0
-		for i := range kept {
-			if _, ok := j.Justify(&kept[i].Alts[0]); ok {
-				n++
-			}
-		}
-		return n
-	}
-	fast := count(Config{Seed: 5})
-	slow := count(Config{Seed: 5, DisableDirtyTracking: true})
-	if fast == 0 || slow == 0 {
-		t.Fatalf("degenerate counts: fast=%d slow=%d", fast, slow)
-	}
-	diff := fast - slow
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > len(kept)/4 {
-		t.Errorf("success counts diverge too much: fast=%d slow=%d of %d", fast, slow, len(kept))
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	c := bench.S27()
 	j := New(c, Config{Seed: 1})

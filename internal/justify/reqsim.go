@@ -90,8 +90,8 @@ func (r *reqSim) seed(cube *robust.Cube, im *robust.Implier) bool {
 // index in PIs) and reports whether a required value was contradicted.
 // When the other pattern position holds the same value, the
 // intermediate also becomes specified (the input is stable). touch,
-// when non-nil, sees the slots each propagation changed.
-func (r *reqSim) apply(pi, plane int, v tval.V, touch func(changed []int)) (conflict bool) {
+// when non-nil, sees the slots each propagation changed and its plane.
+func (r *reqSim) apply(pi, plane int, v tval.V, touch func(changed []int, plane int)) (conflict bool) {
 	if r.sim.At(pi, plane) == v {
 		return false
 	}
@@ -104,9 +104,9 @@ func (r *reqSim) apply(pi, plane int, v tval.V, touch func(changed []int)) (conf
 	return false
 }
 
-func (r *reqSim) check(changed []int, plane int, touch func([]int)) (conflict bool) {
+func (r *reqSim) check(changed []int, plane int, touch func([]int, int)) (conflict bool) {
 	if touch != nil {
-		touch(changed)
+		touch(changed, plane)
 	}
 	for _, k := range changed {
 		if want := r.req[k].At(plane); want != tval.X && r.sim.At(k, plane) != want {

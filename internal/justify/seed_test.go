@@ -75,15 +75,17 @@ func extend(t *testing.T, c *circuit.Circuit, im, ref *robust.Implier, sc *seedC
 // shows as a counter diff here. Calls, successes and decisions were
 // recorded before probes were limited to the requirement cone. The
 // probe count was recorded again when commits were limited to the cone
-// too, which removes only re-probes that commit nothing;
-// TestJustifyTestsDigest pins the tests across that change.
+// too, and again when a commit re-marked only the inputs whose last
+// probe read a gate it changed (watched probes); both remove only
+// re-probes that commit nothing, and TestJustifyTestsDigest pins the
+// tests across them.
 func TestJustifyImpliedMatchesJustify(t *testing.T) {
 	for _, tc := range []struct {
 		circuit string
 		want    justify.Stats
 	}{
-		{"s953", justify.Stats{Calls: 121, Successes: 92, Probes: 161406, Decisions: 6167}},
-		{"s641", justify.Stats{Calls: 100, Successes: 86, Probes: 123574, Decisions: 7781}},
+		{"s953", justify.Stats{Calls: 121, Successes: 92, Probes: 43876, Decisions: 6167}},
+		{"s641", justify.Stats{Calls: 100, Successes: 86, Probes: 33908, Decisions: 7781}},
 	} {
 		d := prepare(t, tc.circuit, 200)
 		c := d.Circuit
