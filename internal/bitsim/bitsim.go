@@ -12,13 +12,14 @@
 // It is the one fault simulator of the engine, the CLIs and the
 // experiments.
 //
-// Detection comes in two forms with one result. RunContext walks each
-// fault's cubes in every batch; it serves the CLIs and experiments,
-// and is the oracle of the tests. A Program, built by Compile, holds a
-// fault set's requirements as word offsets into the batch's one slab,
-// stable (plane-1) terms first, so an alternative is a run of ANDs
-// that stops once its mask is zero. The engine compiles one per
-// fault-set shape and keeps it in its prepared memo.
+// A test set is graded in one way: a Program, built by Compile, holds
+// a fault set's requirements as word offsets into the batch's one
+// slab, stable (plane-1) terms first, so an alternative is a run of
+// ANDs that stops once its mask is zero, and Program.Run scans the
+// tests against it. Run, RunContext and Count compile a Program per
+// call; the engine and the experiments compile one per fault set and
+// keep it. The cube walk the program is checked against lives only in
+// the package's tests.
 package bitsim
 
 import (
@@ -169,37 +170,6 @@ func (b *Batch) Value(line, plane, test int) tval.V {
 	return tval.X
 }
 
-// Covers returns the mask of tests in the batch whose simulated values
-// satisfy every requirement of the cube.
-func (b *Batch) Covers(cube *robust.Cube) uint64 {
-	mask := batchMask(b.n)
-	for i, net := range cube.Nets {
-		req := cube.Vals[i]
-		for p := 0; p < circuit.NumPlanes && mask != 0; p++ {
-			switch req.At(p) {
-			case tval.One:
-				mask &= b.h[p][net]
-			case tval.Zero:
-				mask &= b.l[p][net]
-			}
-		}
-		if mask == 0 {
-			return 0
-		}
-	}
-	return mask
-}
-
-// Detects returns the mask of tests detecting the fault (covering any
-// alternative).
-func (b *Batch) Detects(fc *robust.FaultConditions) uint64 {
-	var mask uint64
-	for i := range fc.Alts {
-		mask |= b.Covers(&fc.Alts[i])
-	}
-	return mask
-}
-
 func batchMask(n int) uint64 {
 	if n >= 64 {
 		return ^uint64(0)
@@ -207,61 +177,16 @@ func batchMask(n int) uint64 {
 	return (uint64(1) << uint(n)) - 1
 }
 
-// Run is the word-parallel equivalent of faultsim.Run: it returns, for
-// each fault, the index of the first detecting test, or -1. It fails
-// only on a test whose patterns do not match the circuit's inputs.
-func Run(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) ([]int, error) {
-	return RunContext(context.Background(), c, tests, fcs)
-}
-
-// RunContext is Run with cancellation: it returns ctx.Err() if ctx is
-// canceled, checked between 64-test batches. Each fault is dropped
-// from the scan after its first detection. It walks every cube per
-// batch, and is the oracle Program.Run is tested against.
-func RunContext(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) ([]int, error) {
-	return run(ctx, c, tests, len(fcs), func(b *Batch, fi int) uint64 { return b.Detects(&fcs[fi]) })
-}
-
-// run returns the first-detect index of each of n faults over tests,
-// asking detects for fault fi's mask in each batch until it is
-// nonzero.
-func run(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPattern, n int, detects func(b *Batch, fi int) uint64) ([]int, error) {
-	firstDet := make([]int, n)
-	active := make([]int, n)
-	for i := range firstDet {
-		firstDet[i] = -1
-		active[i] = i
-	}
-	b := newBatch(c)
-	for base := 0; base < len(tests) && len(active) > 0; base += WordSize {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := b.load(tests[base:min(base+WordSize, len(tests))], base); err != nil {
-			return nil, err
-		}
-		kept := active[:0]
-		for _, fi := range active {
-			if mask := detects(b, fi); mask != 0 {
-				firstDet[fi] = base + bits.TrailingZeros64(mask)
-			} else {
-				kept = append(kept, fi)
-			}
-		}
-		active = kept
-	}
-	return firstDet, nil
-}
-
 // Program is a fault set's detection conditions compiled for one
 // circuit. Each requirement of each alternative cube becomes one
 // term: the offset of the word it needs set in a Batch's slab. An
 // alternative's mask is the AND of its terms' words, stopped once it
-// is zero, and a fault's mask is the OR over its alternatives, as in
-// Batch.Detects. The plane-1 (stable) terms of an alternative come
-// first: they fail most often, so the AND stops soonest. AND
-// commutes, so the order changes where the loop stops and never the
-// mask. A Program is not modified after Compile and may be shared.
+// is zero, and a fault's mask is the OR over its alternatives: the
+// tests whose values cover one of the fault's alternatives. The
+// plane-1 (stable) terms of an alternative come first: they fail most
+// often, so the AND stops soonest. AND commutes, so the order changes
+// where the loop stops and never the mask. A Program is not modified
+// after Compile and may be shared.
 type Program struct {
 	c *circuit.Circuit
 	// Fault i's alternatives are a in [faults[i], faults[i+1]); the
@@ -272,24 +197,44 @@ type Program struct {
 
 // Compile compiles the detection conditions of fcs on c.
 func Compile(c *circuit.Circuit, fcs []robust.FaultConditions) *Program {
+	// Size the arrays first, so the program holds no slack.
+	nalts, nterms := 0, 0
+	for i := range fcs {
+		nalts += len(fcs[i].Alts)
+		for k := range fcs[i].Alts {
+			for _, v := range fcs[i].Alts[k].Vals {
+				nterms += v.NumSpecified()
+			}
+		}
+	}
 	n := len(c.Lines)
-	p := &Program{c: c, faults: make([]int32, 1, len(fcs)+1), alts: []int32{0}}
+	p := &Program{
+		c:      c,
+		faults: make([]int32, 1, len(fcs)+1),
+		alts:   make([]int32, 1, nalts+1),
+		terms:  make([]int32, 0, nterms),
+	}
+	// In one pass over an alternative's nets, its stable terms go
+	// straight to terms and its plane 0 and 2 terms, per net in that
+	// order, to rest, which follows them.
+	var rest []int32
 	for i := range fcs {
 		for k := range fcs[i].Alts {
 			q := &fcs[i].Alts[k]
-			// The stable terms, then planes 0 and 2 in cube order.
-			for _, planes := range [...][]int{{1}, {0, 2}} {
-				for j, net := range q.Nets {
-					for _, pl := range planes {
-						switch q.Vals[j].At(pl) {
-						case tval.One:
-							p.terms = append(p.terms, int32(2*pl*n+net))
-						case tval.Zero:
-							p.terms = append(p.terms, int32((2*pl+1)*n+net))
-						}
-					}
+			rest = rest[:0]
+			for j, net := range q.Nets {
+				v := q.Vals[j]
+				if m := v.Mid(); m.Specified() {
+					p.terms = append(p.terms, term(n, 1, m, net))
+				}
+				if a := v.P1(); a.Specified() {
+					rest = append(rest, term(n, 0, a, net))
+				}
+				if a := v.P3(); a.Specified() {
+					rest = append(rest, term(n, 2, a, net))
 				}
 			}
+			p.terms = append(p.terms, rest...)
 			p.alts = append(p.alts, int32(len(p.terms)))
 		}
 		p.faults = append(p.faults, int32(len(p.alts)-1))
@@ -297,9 +242,14 @@ func Compile(c *circuit.Circuit, fcs []robust.FaultConditions) *Program {
 	return p
 }
 
+// term is the slab offset of the word that must be set for a net to
+// hold v on plane pl: a 1 needs the H rail (0), a 0 the L rail (1).
+func term(n, pl int, v tval.V, net int) int32 {
+	return int32((2*pl+int(tval.One-v))*n + net)
+}
+
 // Detects returns the mask of tests in b detecting fault i of the
-// compiled set, equal to b.Detects of that fault. b must have been
-// simulated on the program's circuit.
+// compiled set. b must have been simulated on the program's circuit.
 func (p *Program) Detects(b *Batch, i int) uint64 {
 	full, w := batchMask(b.n), b.w
 	var det uint64
@@ -324,10 +274,50 @@ func (p *Program) Detects(b *Batch, i int) uint64 {
 	return det
 }
 
-// Run is RunContext over the compiled set: the first-detect index of
-// each fault, with the same fault dropping, cancellation and errors.
+// Run returns, for each fault of the compiled set, the index of the
+// first test detecting it, or -1. Each fault is dropped from the scan
+// after its first detection. It returns ctx.Err() if ctx is canceled,
+// checked between 64-test batches, and fails on a test whose patterns
+// do not match the circuit's inputs, naming its index, if a fault is
+// still undetected when its batch is reached.
 func (p *Program) Run(ctx context.Context, tests []circuit.TwoPattern) ([]int, error) {
-	return run(ctx, p.c, tests, len(p.faults)-1, p.Detects)
+	n := len(p.faults) - 1
+	firstDet := make([]int, n)
+	active := make([]int, n)
+	for i := range firstDet {
+		firstDet[i] = -1
+		active[i] = i
+	}
+	b := newBatch(p.c)
+	for base := 0; base < len(tests) && len(active) > 0; base += WordSize {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := b.load(tests[base:min(base+WordSize, len(tests))], base); err != nil {
+			return nil, err
+		}
+		kept := active[:0]
+		for _, fi := range active {
+			if mask := p.Detects(b, fi); mask != 0 {
+				firstDet[fi] = base + bits.TrailingZeros64(mask)
+			} else {
+				kept = append(kept, fi)
+			}
+		}
+		active = kept
+	}
+	return firstDet, nil
+}
+
+// Run is the word-parallel equivalent of faultsim.Run: it compiles fcs
+// and runs the program on tests.
+func Run(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) ([]int, error) {
+	return RunContext(context.Background(), c, tests, fcs)
+}
+
+// RunContext is Run with cancellation, as Program.Run.
+func RunContext(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) ([]int, error) {
+	return Compile(c, fcs).Run(ctx, tests)
 }
 
 // Count returns how many faults the test set detects.

@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/bitsim"
 	"repro/internal/circuit"
+	"repro/internal/faultsim"
 	"repro/internal/justify"
 	"repro/internal/pathenum"
 	"repro/internal/robust"
@@ -27,10 +30,11 @@ func screened(t testing.TB, c *circuit.Circuit, max int) []robust.FaultCondition
 	return kept
 }
 
-// checkProgram compares the compiled program of fcs against the
-// uncompiled oracle on tests: in every batch, each fault's program
-// mask against Batch.Detects, then Program.Run against RunContext. It
-// returns how many (batch, fault) masks were nonzero.
+// checkProgram compares the compiled program of fcs against two
+// independent oracles on tests: in every batch, each fault's program
+// mask against the cube walk (Batch.Detects), then Program.Run's
+// first-detect indices against the scalar simulator. It returns how
+// many (batch, fault) masks were nonzero.
 func checkProgram(t *testing.T, c *circuit.Circuit, fcs []robust.FaultConditions, tests []circuit.TwoPattern) int {
 	t.Helper()
 	prog := bitsim.Compile(c, fcs)
@@ -51,29 +55,27 @@ func checkProgram(t *testing.T, c *circuit.Circuit, fcs []robust.FaultConditions
 			}
 		}
 	}
-	checkRun(t, prog, c, fcs, tests)
+	got, err := prog.Run(context.Background(), tests)
+	if err != nil {
+		t.Fatalf("%s: Program.Run: %v", c.Name, err)
+	}
+	checkFirst(t, c, fcs, got, faultsim.Run(c, tests, fcs))
 	return nonzero
 }
 
-// checkRun compares Program.Run against RunContext: the same error,
-// or the same first-detect indices. It returns the error.
-func checkRun(t *testing.T, prog *bitsim.Program, c *circuit.Circuit, fcs []robust.FaultConditions, tests []circuit.TwoPattern) error {
+// checkFirst compares Program.Run's first-detect indices against the
+// scalar simulator's.
+func checkFirst(t *testing.T, c *circuit.Circuit, fcs []robust.FaultConditions, got, want []int) {
 	t.Helper()
-	got, gerr := prog.Run(context.Background(), tests)
-	want, werr := bitsim.RunContext(context.Background(), c, tests, fcs)
-	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) || (gerr != nil && got != nil) {
-		t.Fatalf("%s: Program.Run (%v, %v), RunContext err %v", c.Name, got, gerr, werr)
-	}
 	if len(got) != len(want) {
-		t.Fatalf("%s: Program.Run gives %d indices, RunContext %d", c.Name, len(got), len(want))
+		t.Fatalf("%s: Program.Run gives %d indices, faultsim.Run %d", c.Name, len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("%s fault %s: Program.Run first-detect %d, RunContext %d",
+			t.Fatalf("%s fault %s: Program.Run first-detect %d, faultsim.Run %d",
 				c.Name, fcs[i].Fault.Format(c), got[i], want[i])
 		}
 	}
-	return gerr
 }
 
 // programTestSets are the test sets the program is checked on: 130
@@ -116,15 +118,26 @@ func TestProgramMatchesDetects(t *testing.T) {
 			if len(c.PIs) == 0 {
 				return
 			}
-			// A test of the wrong width fails both the same way. In
-			// the first batch it fails whenever there is a fault to
-			// scan; in the second, only if one is left undetected.
+			// A test of the wrong width fails the run, naming its
+			// index, when its batch is scanned: in the first batch
+			// whenever there is a fault, in the second only if a
+			// fault is left undetected by the first.
 			prog := bitsim.Compile(c, fcs)
 			for _, at := range []int{3, 66} {
 				bad := randomTests(c, r, 70)
 				bad[at].P3 = bad[at].P3[1:]
-				if err := checkRun(t, prog, c, fcs, bad); at == 3 && len(fcs) > 0 && err == nil {
-					t.Errorf("test %d of the wrong width accepted", at)
+				before := bad[:at/bitsim.WordSize*bitsim.WordSize]
+				want := faultsim.Run(c, before, fcs)
+				got, err := prog.Run(context.Background(), bad)
+				switch {
+				case slices.Contains(want, -1):
+					if err == nil || got != nil || !strings.Contains(err.Error(), fmt.Sprintf("test %d has", at)) {
+						t.Errorf("test %d of the wrong width: Program.Run (%v, %v), want an error naming it", at, got, err)
+					}
+				case err != nil:
+					t.Errorf("test %d of the wrong width, every fault detected before it: %v", at, err)
+				default:
+					checkFirst(t, c, fcs, got, want)
 				}
 			}
 		})
@@ -193,9 +206,10 @@ func TestProgramRunCanceled(t *testing.T) {
 	}
 }
 
-// FuzzProgram checks the compiled program against the uncompiled
-// oracle on parsed circuits, seeded from the parser's corpus, with
-// tests read from the fuzzer's bytes: one value per byte, 0, 1 or x.
+// FuzzProgram checks the compiled program against the cube walk and
+// the scalar simulator on parsed circuits, seeded from the parser's
+// corpus, with tests read from the fuzzer's bytes: one value per byte,
+// 0, 1 or x.
 func FuzzProgram(f *testing.F) {
 	for i, src := range bench.Corpus {
 		f.Add(src, []byte{byte(i), 1, 2, 0, 1, 1, 0, 2, 1, 0, 0, 1, 2, 2, 1, 0})

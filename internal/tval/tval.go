@@ -201,15 +201,7 @@ func (t Triple) Merge(u Triple) (merged Triple, ok bool) {
 }
 
 // NumSpecified returns how many of the three positions are specified.
-func (t Triple) NumSpecified() int {
-	n := 0
-	for i := 0; i < 3; i++ {
-		if t.At(i) != X {
-			n++
-		}
-	}
-	return n
-}
+func (t Triple) NumSpecified() int { return bits.OnesCount8(t.SpecifiedMask()) }
 
 // specMask[t] has bit i set when position i of the packed triple t is
 // specified; precomputed because NewlySpecified sits on the ATPG's
