@@ -73,8 +73,8 @@ func ParseHeuristic(s string) (Heuristic, error) {
 
 // Config parameterizes a test generation run.
 type Config struct {
-	// Heuristic is the compaction heuristic (the enrichment procedure
-	// of Section 3.2 always uses ValueBased, as the paper selects).
+	// Heuristic is the compaction heuristic. Enrichment runs the zero
+	// value, Uncompacted, as ValueBased, the paper's choice.
 	Heuristic Heuristic
 	// Seed drives all random choices; equal seeds reproduce runs.
 	Seed int64
@@ -107,6 +107,14 @@ type Result struct {
 	Detected []bool
 	// DetectedCount is the number of detected target faults.
 	DetectedCount int
+	Work
+	// Elapsed is the wall-clock duration of the run.
+	Elapsed time.Duration
+}
+
+// Work is the effort of one run, the cost side of the paper's
+// cost/coverage argument.
+type Work struct {
 	// PrimaryAborts counts primary targets whose justification failed.
 	PrimaryAborts int
 	// SecondaryAccepts / SecondaryRejects count secondary target
@@ -114,29 +122,39 @@ type Result struct {
 	SecondaryAccepts, SecondaryRejects, CheapAccepts int
 	// SecondaryAcceptsBySet / SecondaryRejectsBySet split the
 	// secondary outcomes by the target set (phase) the candidate came
-	// from: index s counts candidates of sets[s] in EnrichK terms.
-	// Generate runs a single set, so only index 0 is populated, and
-	// both stay nil when no test was compacted.
+	// from, one entry per set: index s counts candidates of sets[s].
 	SecondaryAcceptsBySet, SecondaryRejectsBySet []int
 	// RegenPerTest[t] counts the test regenerations of test t: each
 	// accepted secondary whose conditions were not already covered
 	// re-justifies the whole cube (cheap accepts regenerate nothing).
 	// The paper's compaction cost argument is about exactly this loop.
 	RegenPerTest []int
-	// Elapsed is the wall-clock duration of the run.
-	Elapsed time.Duration
 	// JustifyStats are the accumulated justifier counters.
 	JustifyStats justify.Stats
 }
 
-// ensureSets sizes the per-set tallies for k target sets.
-func (r *Result) ensureSets(k int) {
-	for len(r.SecondaryAcceptsBySet) < k {
-		r.SecondaryAcceptsBySet = append(r.SecondaryAcceptsBySet, 0)
+// Counts calls f with each counter of w by name, in a fixed order:
+// target outcomes, secondary outcomes per set (suffixed p0, p1, ...),
+// regenerations summed over the tests, then the justifier's counters.
+func (w *Work) Counts(f func(name string, n int)) {
+	f("primary_aborts", w.PrimaryAborts)
+	f("secondary_accepts", w.SecondaryAccepts)
+	f("secondary_rejects", w.SecondaryRejects)
+	f("cheap_accepts", w.CheapAccepts)
+	for s := range w.SecondaryAcceptsBySet {
+		f(fmt.Sprintf("secondary_accepts_p%d", s), w.SecondaryAcceptsBySet[s])
+		f(fmt.Sprintf("secondary_rejects_p%d", s), w.SecondaryRejectsBySet[s])
 	}
-	for len(r.SecondaryRejectsBySet) < k {
-		r.SecondaryRejectsBySet = append(r.SecondaryRejectsBySet, 0)
+	regens := 0
+	for _, n := range w.RegenPerTest {
+		regens += n
 	}
+	f("regenerations", regens)
+	f("justify_calls", w.JustifyStats.Calls)
+	f("justify_successes", w.JustifyStats.Successes)
+	f("justify_probes", w.JustifyStats.Probes)
+	f("justify_decisions", w.JustifyStats.Decisions)
+	f("justify_backtracks", w.JustifyStats.Backtracks)
 }
 
 // backend abstracts the two justification procedures. im holds the
@@ -274,6 +292,7 @@ func run(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultCondition
 	start := time.Now() //lint:telemetry feeds Result.Elapsed only, never a generation decision
 	g := newGenerator(ctx, c, sets, cfg)
 	res := &Result{}
+	res.SecondaryAcceptsBySet, res.SecondaryRejectsBySet = make([]int, g.k), make([]int, g.k)
 	for !g.canceled() {
 		pi := g.pickPrimary()
 		if pi < 0 {

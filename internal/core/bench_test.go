@@ -33,8 +33,9 @@ func BenchmarkEnrichS953(b *testing.B) {
 // BenchmarkEnrichPaperB04 runs enrichment at the paper's budgets on
 // b04: N_P 10000, N_P0 1000, seed 1. Prepare runs once, outside the
 // timer; one iteration is one enrichment, whose justification effort
-// and secondary outcomes it reports, so runs of two versions show
-// whether their counters match. A CPU profile at the paper's scale:
+// and secondary outcomes it reports (every count of its Work), so runs
+// of two versions show whether their counters match. A CPU profile at
+// the paper's scale:
 //
 //	go test -run '^$' -bench EnrichPaperB04 -cpuprofile cpu.out ./internal/core/
 func BenchmarkEnrichPaperB04(b *testing.B) {
@@ -48,14 +49,5 @@ func BenchmarkEnrichPaperB04(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res = core.Enrich(d.Circuit, d.P0, d.P1, core.Config{Seed: 1})
 	}
-	b.ReportMetric(float64(res.JustifyStats.Calls), "calls")
-	b.ReportMetric(float64(res.JustifyStats.Probes), "probes")
-	b.ReportMetric(float64(res.SecondaryAccepts), "accepts")
-	b.ReportMetric(float64(res.SecondaryRejects), "rejects")
-	b.ReportMetric(float64(res.CheapAccepts), "cheap")
-	regens := 0
-	for _, n := range res.RegenPerTest {
-		regens += n
-	}
-	b.ReportMetric(float64(regens), "regens")
+	res.Counts(func(name string, n int) { b.ReportMetric(float64(n), name) })
 }

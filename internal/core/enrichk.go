@@ -72,7 +72,6 @@ func EnrichKCtx(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultCo
 		cfg.Heuristic = ValueBased
 	}
 	res, err := run(ctx, c, sets, cfg)
-	res.ensureSets(len(sets))
 	out := &EnrichKResult{
 		Result:         *res,
 		Detected:       make([][]bool, len(sets)),
@@ -97,7 +96,6 @@ func EnrichKCtx(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultCo
 // generator's buffer, or a nil simulation when the run was canceled.
 func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, cube robust.Cube, res *Result) (circuit.TwoPattern, []tval.Triple) {
 	sim := g.tsim.Simulate(test.P1, test.P3)
-	res.ensureSets(g.k)
 	if g.nd != nil {
 		g.nd.startTest(&cube)
 	}

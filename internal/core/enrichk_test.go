@@ -106,14 +106,7 @@ func TestEnrichKMatchesEnrich(t *testing.T) {
 		{"Tests", g.Tests, k.Tests},
 		{"Detected", g.Detected, k.Detected[0]},
 		{"DetectedCount", g.DetectedCount, k.DetectedCounts[0]},
-		{"PrimaryAborts", g.PrimaryAborts, k.PrimaryAborts},
-		{"SecondaryAccepts", g.SecondaryAccepts, k.SecondaryAccepts},
-		{"SecondaryRejects", g.SecondaryRejects, k.SecondaryRejects},
-		{"CheapAccepts", g.CheapAccepts, k.CheapAccepts},
-		{"SecondaryAcceptsBySet", g.SecondaryAcceptsBySet, k.SecondaryAcceptsBySet},
-		{"SecondaryRejectsBySet", g.SecondaryRejectsBySet, k.SecondaryRejectsBySet},
-		{"RegenPerTest", g.RegenPerTest, k.RegenPerTest},
-		{"JustifyStats", g.JustifyStats, k.JustifyStats},
+		{"Work", g.Work, k.Work},
 	} {
 		if !reflect.DeepEqual(f.gen, f.enr) {
 			t.Errorf("EnrichK(k=1) and Generate diverge on %s:\n%v\n%v", f.name, f.gen, f.enr)

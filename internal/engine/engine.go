@@ -1102,78 +1102,64 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		return nil, false, err
 	}
 	switch spec.Kind {
-	case KindGenerate:
-		genCtx, gen := e.startStage(ctx, j, "generation",
-			obs.String("heuristic", spec.Heuristic), obs.Int("targets", len(p0)))
-		gres, err := core.GenerateCtx(genCtx, c, p0, cfg)
+	case KindGenerate, KindEnrich:
+		genCtx, gen := e.startStage(ctx, j, "generation", obs.String("heuristic", spec.Heuristic))
+		// Both calls return their partial result with an error.
+		var out *core.Result
+		if spec.Kind == KindGenerate {
+			out, err = core.GenerateCtx(genCtx, c, p0, cfg)
+			res.P0Detected = out.DetectedCount
+		} else {
+			var er *core.EnrichResult
+			er, err = core.EnrichCtx(genCtx, c, p0, p1, cfg)
+			out = &er.Result
+			res.P0Detected, res.P1Detected = er.DetectedP0Count, er.DetectedP1Count
+			res.AllTotal, res.AllDetected = len(p0)+len(p1), er.DetectedCount
+		}
 		if err != nil {
 			gen.fail()
 			return nil, false, err
 		}
-		res.TestPatterns = gres.Tests
-		res.PrimaryAborts = gres.PrimaryAborts
-		res.P0Detected = gres.DetectedCount
-		e.metrics.observeATPG(gres.JustifyStats, gres.SecondaryAcceptsBySet, gres.SecondaryRejectsBySet, gres.RegenPerTest)
-		gen.done(obs.Int("tests", len(gres.Tests)), obs.Int("aborts", gres.PrimaryAborts))
-		all := ps.all
-		res.AllTotal = len(all)
-		simCtx, sim := e.startStage(ctx, j, "simulation",
-			obs.Int("tests", len(gres.Tests)), obs.Int("faults", len(all)))
-		first, err := ps.program(c).Run(simCtx, gres.Tests)
-		if err != nil {
-			sim.fail()
-			return nil, false, err
+		res.PrimaryAborts = out.PrimaryAborts
+		e.metrics.observeATPG(&out.Work)
+		attrs := []obs.Attr{obs.Int("tests", len(out.Tests))}
+		out.Counts(func(name string, n int) { attrs = append(attrs, obs.Int(name, n)) })
+		gen.done(attrs...)
+		res.TestPatterns = out.Tests
+		res.Tests = make([]string, len(out.Tests))
+		for i, tp := range out.Tests {
+			res.Tests[i] = tp.String()
 		}
-		res.AllDetected = bitsim.Detected(first)
-		sim.done(obs.Int("detected", res.AllDetected))
-	case KindEnrich:
-		genCtx, gen := e.startStage(ctx, j, "generation",
-			obs.String("heuristic", spec.Heuristic),
-			obs.Int("p0_targets", len(p0)), obs.Int("p1_targets", len(p1)))
-		er, err := core.EnrichCtx(genCtx, c, p0, p1, cfg)
-		if err != nil {
-			gen.fail()
-			return nil, false, err
-		}
-		res.TestPatterns = er.Tests
-		res.PrimaryAborts = er.PrimaryAborts
-		res.P0Detected = er.DetectedP0Count
-		res.P1Detected = er.DetectedP1Count
-		res.AllTotal = len(p0) + len(p1)
-		res.AllDetected = er.DetectedCount
-		e.metrics.observeATPG(er.JustifyStats, er.SecondaryAcceptsBySet, er.SecondaryRejectsBySet, er.RegenPerTest)
-		gen.done(obs.Int("tests", len(er.Tests)), obs.Int("aborts", er.PrimaryAborts))
 	case KindFaultSim:
 		tests, text, err := testio.ParseTests(spec.Tests, len(c.PIs))
 		if err != nil {
 			return nil, false, err
 		}
-		all := ps.all
-		simCtx, sim := e.startStage(ctx, j, "simulation",
-			obs.Int("tests", len(tests)), obs.Int("faults", len(all)))
-		first, err := ps.program(c).Run(simCtx, tests)
-		if err != nil {
-			sim.fail()
-			return nil, false, err
-		}
-		res.TestPatterns = tests
 		// Echo each canonical submitted line; render the others.
 		for i, t := range text {
 			if t == "" {
 				text[i] = tests[i].String()
 			}
 		}
-		res.Tests = text
-		res.FirstDetect = first
-		res.AllTotal = len(all)
-		res.Detected = bitsim.Detected(first)
-		sim.done(obs.Int("detected", res.Detected))
+		res.TestPatterns, res.Tests = tests, text
 	}
-	if spec.Kind != KindFaultSim { // fault simulation set its strings above
-		res.Tests = make([]string, len(res.TestPatterns))
-		for i, tp := range res.TestPatterns {
-			res.Tests[i] = tp.String()
+	// Generate and faultsim jobs grade their tests on P0 ∪ P1.
+	if spec.Kind != KindEnrich {
+		simCtx, sim := e.startStage(ctx, j, "simulation",
+			obs.Int("tests", len(res.TestPatterns)), obs.Int("faults", len(ps.all)))
+		first, err := ps.program(c).Run(simCtx, res.TestPatterns)
+		if err != nil {
+			sim.fail()
+			return nil, false, err
 		}
+		n := bitsim.Detected(first)
+		res.AllTotal = len(ps.all)
+		if spec.Kind == KindFaultSim {
+			res.FirstDetect, res.Detected = first, n
+		} else {
+			res.AllDetected = n
+		}
+		sim.done(obs.Int("detected", n))
 	}
 	res.TestCount = len(res.Tests)
 	if err := ctx.Err(); err != nil {

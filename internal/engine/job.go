@@ -52,7 +52,7 @@ type Spec struct {
 	NP0  int   `json:"np0,omitempty"`
 	Seed int64 `json:"seed,omitempty"`
 	// Heuristic is the compaction heuristic name (uncomp, arbit,
-	// length, values); empty means values.
+	// length, values); empty means values, and so does uncomp for enrich.
 	Heuristic string `json:"heuristic,omitempty"`
 	// UseBnB switches to the deterministic branch-and-bound justifier.
 	UseBnB bool `json:"bnb,omitempty"`
@@ -102,8 +102,8 @@ func (s Spec) normalized() (Spec, error) {
 	if s.Circ != nil && s.Circuit == "" {
 		s.Circuit = s.Circ.Name
 	}
-	if s.Heuristic == "" {
-		s.Heuristic = core.ValueBased.String()
+	if s.Heuristic == "" || s.Kind == KindEnrich && s.Heuristic == core.Uncompacted.String() {
+		s.Heuristic = core.ValueBased.String() // what core.EnrichKCtx runs for uncomp
 	}
 	if _, err := core.ParseHeuristic(s.Heuristic); err != nil {
 		return s, err

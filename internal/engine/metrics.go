@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/justify"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -106,23 +106,20 @@ func newMetrics() *Metrics {
 	}
 }
 
-// observeATPG folds one generation/enrichment run's algorithm-level
-// telemetry into the cumulative metrics.
-func (m *Metrics) observeATPG(js justify.Stats, acceptsBySet, rejectsBySet, regenPerTest []int) {
-	m.justifyCalls.Add(int64(js.Calls))
-	m.justifyProbes.Add(int64(js.Probes))
-	m.justifyBacktracks.Add(int64(js.Backtracks))
-	for s, n := range acceptsBySet {
+// observeATPG folds one generate or enrich run's work into the metrics.
+func (m *Metrics) observeATPG(w *core.Work) {
+	m.justifyCalls.Add(int64(w.JustifyStats.Calls))
+	m.justifyProbes.Add(int64(w.JustifyStats.Probes))
+	m.justifyBacktracks.Add(int64(w.JustifyStats.Backtracks))
+	for s, n := range w.SecondaryAcceptsBySet {
 		if n > 0 {
 			m.secondaryOutcomes.With(setLabel(s), "accept").Add(int64(n))
 		}
-	}
-	for s, n := range rejectsBySet {
-		if n > 0 {
+		if n := w.SecondaryRejectsBySet[s]; n > 0 {
 			m.secondaryOutcomes.With(setLabel(s), "reject").Add(int64(n))
 		}
 	}
-	for _, r := range regenPerTest {
+	for _, r := range w.RegenPerTest {
 		m.regenPerTest.Observe(float64(r))
 	}
 }
