@@ -89,9 +89,10 @@ tenant-smoke:
 
 # The CI gate: formatting + vet (perfbench too: it is a separate module
 # that compiles against internal APIs) + build + full suite under -race
-# + the paper-scale table golden + every go-test benchmark run once +
-# every fuzz target for a few seconds + the performance regression gate
-# against the committed baseline.
+# + the engine and cluster fault-injection suites + the paper-scale
+# table golden + every go-test benchmark run once + every fuzz target
+# for a few seconds + the performance regression gate against the
+# committed baseline.
 check:
 	$(MAKE) fmt
 	$(GO) vet ./...
@@ -101,6 +102,7 @@ check:
 	$(GO) test -race ./...
 	$(MAKE) cluster-smoke
 	$(MAKE) tenant-smoke
+	$(MAKE) chaos
 	$(MAKE) chaos-cluster
 	$(MAKE) paper-check
 	$(MAKE) bench-smoke

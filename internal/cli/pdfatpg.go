@@ -101,7 +101,7 @@ func PDFATPG(args []string, stdout, stderr io.Writer) error {
 	if *enrich {
 		fmt.Fprintf(stdout, "enrichment: %d tests, P0 detected %d/%d, P0∪P1 detected %d/%d (%.1fs)\n",
 			r.TestCount, r.P0Detected, r.P0Targets,
-			r.AllDetected, r.P0Targets+r.P1Targets, elapsed)
+			r.AllDetected, r.AllTotal, elapsed)
 	} else {
 		fmt.Fprintf(stdout, "basic (%s): %d tests, P0 detected %d/%d, aborts %d (%.1fs)\n",
 			*heuristic, r.TestCount, r.P0Detected, r.P0Targets, r.PrimaryAborts, elapsed)

@@ -168,7 +168,10 @@ func (r *replicator) runWatch(ctx context.Context, backendName, rawID, digest st
 }
 
 // replicate copies one completed result to every replica of its
-// digest that does not already hold it.
+// digest but the backend that executed the job. It does not ask
+// whether a replica already holds the result: every accepted
+// submission is watched, cache hits included, so a repeated spec's
+// result is installed again on replicas that have it.
 func (r *replicator) replicate(ctx context.Context, executedOn, digest string, res *engine.Result) {
 	c := r.c
 	payload, err := json.Marshal(res)

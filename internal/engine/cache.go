@@ -133,9 +133,10 @@ func SpecDigest(s Spec) string {
 }
 
 // resultVersion leads every cache key (hex: store keys are [0-9a-f/]).
-// Bump it whenever TestCrossVersionGoldens is re-recorded, so results
-// an older build stored are never addressed again.
-const resultVersion = "02"
+// Bump it whenever a change alters the result of an unchanged (circuit,
+// spec), as re-recording TestCrossVersionGoldens does, so results an
+// older build stored are never addressed again.
+const resultVersion = "03"
 
 // cacheKey is a result's identity. The fault sets derive
 // deterministically from the circuit and the spec, so the key is known

@@ -77,7 +77,7 @@ func TestSpecDigestNormalization(t *testing.T) {
 // written by the older build are never read as the new results.
 func TestCacheKeyGolden(t *testing.T) {
 	spec := Spec{Kind: KindEnrich, Circuit: "s27", NP0: 10, Seed: 1}
-	const want = "02/c5ecacf0d7512f2d/b2147016c03ff14e"
+	const want = "03/c5ecacf0d7512f2d/b2147016c03ff14e"
 	if got := cacheKey(CircuitDigest(bench.S27()), SpecDigest(spec)); got != want {
 		t.Fatalf("cacheKey = %s, want %s (bump resultVersion whenever TestCrossVersionGoldens changes)", got, want)
 	}

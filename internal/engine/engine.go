@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,7 +175,7 @@ type Engine struct {
 	closed bool
 	seq    int64
 	jobs   map[string]*Job
-	order  []string
+	order  []*Job // submission order
 }
 
 // New starts an engine with cfg's pool.
@@ -230,10 +231,10 @@ func New(cfg Config) *Engine {
 // /v1/metrics).
 func (e *Engine) Registry() *obs.Registry { return e.registry }
 
-// Events returns the engine's job lifecycle event bus. Every job
-// publishes queued, attempt, stage, retrying and terminal
-// (done/failed/canceled) events on its own stream; the server's SSE
-// endpoint subscribes here.
+// Events returns the engine's job lifecycle event bus: the counters of
+// every job's event stream. Each job publishes queued, attempt, stage,
+// retrying and terminal (done/failed/canceled) events on a stream of
+// its own, which the server's SSE endpoint subscribes to.
 func (e *Engine) Events() *events.Bus { return e.events }
 
 // Submit validates and enqueues a job, returning it immediately.
@@ -334,6 +335,7 @@ func (e *Engine) admit(spec Spec, remote obs.TraceContext, replay *journal.Recor
 		maxRetries: e.maxRetries(spec),
 		status:     StatusQueued,
 		created:    time.Now(),
+		stream:     e.events.NewStream(id),
 		done:       make(chan struct{}),
 	}
 	attrs := []obs.Attr{
@@ -364,7 +366,7 @@ func (e *Engine) admit(spec Spec, remote obs.TraceContext, replay *journal.Recor
 		return nil, err
 	}
 	e.jobs[j.id] = j
-	e.order = append(e.order, j.id)
+	e.order = append(e.order, j)
 	e.mu.Unlock()
 	data := map[string]string{
 		"kind": string(spec.Kind), "circuit": spec.Circuit,
@@ -373,30 +375,32 @@ func (e *Engine) admit(spec Spec, remote obs.TraceContext, replay *journal.Recor
 	if replay != nil {
 		data["replayed"] = "true"
 	}
-	e.events.Publish(j.id, "queued", data)
+	j.stream.Publish("queued", data)
 	e.updateWatermark()
 	e.log.Debug("job submitted", "job_id", j.id, "kind", spec.Kind, "circuit", spec.Circuit,
 		"tenant", j.spec.Tenant, "priority", spec.Priority, "replayed", replay != nil)
 	return j, nil
 }
 
-// finish performs a terminal transition through markDone and, when it
-// won, records the end-of-job observability: status counter, the
-// end-to-end latency histogram, the root span, and a log record.
-func (e *Engine) finish(j *Job, st Status, res *Result, hit bool, err error) bool {
-	if !j.markDone(st, res, hit, err) {
+// errShutdown is the error of a job that an engine shutdown canceled.
+// It reads and matches as context.Canceled, but end journals no
+// terminal record for it: the job stays live on disk and replays on
+// restart.
+var errShutdown = fmt.Errorf("%w", context.Canceled)
+
+// end is the one way a job ends. It makes the transition through
+// Job.end (see there for waiting) and, when this call won it, records
+// the status counter, the end-to-end latency histogram, the root span
+// and a log record, and publishes the terminal event; then it wakes the
+// job's waiters, so a client that scrapes right after Done sees the job
+// in every counter and histogram. The terminal journal record comes
+// last, its fsync outside the waiters' latency. Every ending journals
+// one except a cancellation by an engine shutdown (errShutdown). It
+// reports whether this call ended the job.
+func (e *Engine) end(j *Job, waiting bool, st Status, res *Result, hit bool, err error) bool {
+	if !j.end(waiting, st, res, hit, err) {
 		return false
 	}
-	e.afterTerminal(j, st, err)
-	return true
-}
-
-// afterTerminal records the observability of a terminal transition
-// that already happened (markDone or cancelQueued returned true), then
-// wakes the job's waiters: a client that scrapes right after Done sees
-// the job in every counter and histogram.
-func (e *Engine) afterTerminal(j *Job, st Status, err error) {
-	defer j.wake()
 	switch st {
 	case StatusDone:
 		e.metrics.jobsDone.Add(1)
@@ -430,8 +434,8 @@ func (e *Engine) afterTerminal(j *Job, st Status, err error) {
 	if err != nil {
 		data["error"] = err.Error()
 	}
-	e.events.Publish(j.id, string(st), data)
-	e.events.CloseJob(j.id)
+	j.stream.Publish(string(st), data)
+	j.stream.Close()
 	attrs := []any{
 		"job_id", j.id, "kind", j.spec.Kind, "circuit", j.spec.Circuit,
 		"tenant", j.spec.Tenant, "status", st, "attempts", j.attempts(),
@@ -439,9 +443,19 @@ func (e *Engine) afterTerminal(j *Job, st Status, err error) {
 	}
 	if err != nil && !errors.Is(err, context.Canceled) {
 		e.log.Error("job finished", append(attrs, "error", err.Error())...)
-		return
+	} else {
+		e.log.Info("job finished", attrs...)
 	}
-	e.log.Info("job finished", attrs...)
+	j.wake()
+	if !errors.Is(err, errShutdown) {
+		// The terminal statuses and journal ops share their names.
+		rec := journal.Record{Op: journal.Op(st), JobID: j.id, Seq: j.seq}
+		if res != nil {
+			rec.Digest = res.CacheKey
+		}
+		e.journalAppend(rec)
+	}
+	return true
 }
 
 // offerTrace hands a finished job's trace to the tail-retention
@@ -526,10 +540,7 @@ type JobsQuery struct {
 // or both — the listing is eventually consistent, never blocking.
 func (e *Engine) JobsPage(q JobsQuery) ([]JobView, int64) {
 	e.mu.Lock()
-	jobs := make([]*Job, 0, len(e.order))
-	for _, id := range e.order {
-		jobs = append(jobs, e.jobs[id])
-	}
+	jobs := slices.Clone(e.order)
 	e.mu.Unlock()
 	views := make([]JobView, 0, min(len(jobs), max(q.Limit, 0)))
 	for _, j := range jobs {
@@ -585,9 +596,7 @@ func (e *Engine) Cancel(id string) bool {
 	if !ok {
 		return false
 	}
-	if j.cancelQueued() {
-		e.afterTerminal(j, StatusCanceled, context.Canceled)
-		e.journalAppend(journal.Record{Op: journal.OpCanceled, JobID: j.id, Seq: j.seq})
+	if e.end(j, true, StatusCanceled, nil, false, context.Canceled) {
 		return true
 	}
 	j.mu.Lock()
@@ -666,10 +675,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	e.closed = true
-	jobs := make([]*Job, 0, len(e.order))
-	for _, id := range e.order {
-		jobs = append(jobs, e.jobs[id])
-	}
+	jobs := slices.Clone(e.order)
 	// Rewrite the journal to the jobs still in flight *before*
 	// canceling anything: jobs that drain below append their terminal
 	// records after this baseline, and jobs shed or interrupted keep
@@ -680,12 +686,10 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 		e.compactJournal(log, live)
 	}
 
-	// Shed queued and retrying jobs in memory only — no journal
-	// record, so they replay.
+	// Shed queued and retrying jobs; as shutdown cancellations they
+	// keep their live records and replay.
 	for _, j := range jobs {
-		if j.cancelQueued() {
-			e.afterTerminal(j, StatusCanceled, context.Canceled)
-		}
+		e.end(j, true, StatusCanceled, nil, false, errShutdown)
 	}
 	// Drain running jobs under the caller's deadline.
 	var err error
@@ -702,7 +706,7 @@ drain:
 	e.cancel()
 	e.wg.Wait()
 	for _, j := range e.sched.drain() {
-		e.finish(j, StatusCanceled, nil, false, context.Canceled)
+		e.end(j, true, StatusCanceled, nil, false, errShutdown)
 	}
 	return err
 }
@@ -779,7 +783,7 @@ func (e *Engine) runJob(j *Job) {
 	// timeline under the root span.
 	ctx = obs.Transplant(ctx, j.traceCtx)
 	ctx, attSpan := obs.StartSpan(ctx, "attempt", obs.Int("attempt", attempt))
-	e.events.Publish(j.id, "attempt", map[string]string{"attempt": fmt.Sprintf("%d", attempt)})
+	j.stream.Publish("attempt", map[string]string{"attempt": fmt.Sprintf("%d", attempt)})
 	e.log.Debug("job attempt started", "job_id", j.id, "attempt", attempt)
 
 	e.metrics.jobsRunning.Add(1)
@@ -788,18 +792,12 @@ func (e *Engine) runJob(j *Job) {
 	attSpan.End(obs.Bool("cache_hit", hit), obs.Bool("ok", err == nil))
 	switch {
 	case err == nil:
-		if e.finish(j, StatusDone, res, hit, nil) {
-			e.journalAppend(journal.Record{Op: journal.OpDone, JobID: j.id, Seq: j.seq, Digest: res.CacheKey})
-		}
+		e.end(j, false, StatusDone, res, hit, nil)
+	case e.ctx.Err() != nil:
+		// The engine is shutting down, which is what failed the attempt.
+		e.end(j, false, StatusCanceled, nil, false, errShutdown)
 	case errors.Is(err, context.Canceled):
-		if e.finish(j, StatusCanceled, nil, false, err) {
-			// An engine-shutdown cancellation is deliberately not
-			// journaled: the job stays live on disk and replays on
-			// restart. A caller's cancel is final.
-			if e.ctx.Err() == nil {
-				e.journalAppend(journal.Record{Op: journal.OpCanceled, JobID: j.id, Seq: j.seq})
-			}
-		}
+		e.end(j, false, StatusCanceled, nil, false, err) // the caller's cancel
 	default:
 		e.retryOrFail(j, attempt, err)
 	}
@@ -825,16 +823,8 @@ func (e *Engine) executeShielded(ctx context.Context, j *Job) (res *Result, hit 
 // retryOrFail routes a failed attempt: re-queue with backoff while
 // budget remains, otherwise fail terminally.
 func (e *Engine) retryOrFail(j *Job, attempt int, err error) {
-	if e.ctx.Err() != nil {
-		// Engine shutting down: cancel in memory, keep the journal
-		// record live for replay.
-		e.finish(j, StatusCanceled, nil, false, context.Canceled)
-		return
-	}
 	if attempt > j.maxRetries {
-		if e.finish(j, StatusFailed, nil, false, err) {
-			e.journalAppend(journal.Record{Op: journal.OpFailed, JobID: j.id, Seq: j.seq})
-		}
+		e.end(j, false, StatusFailed, nil, false, err)
 		return
 	}
 	if !j.markRetrying(err) {
@@ -842,7 +832,7 @@ func (e *Engine) retryOrFail(j *Job, attempt int, err error) {
 	}
 	e.metrics.jobsRetried.Add(1)
 	delay := e.retryDelay(attempt)
-	e.events.Publish(j.id, "retrying", map[string]string{
+	j.stream.Publish("retrying", map[string]string{
 		"attempt":    fmt.Sprintf("%d", attempt),
 		"error":      err.Error(),
 		"backoff_ms": fmt.Sprintf("%.0f", float64(delay)/float64(time.Millisecond)),
@@ -862,13 +852,13 @@ func (e *Engine) retryDelay(retryNum int) time.Duration {
 
 // requeue moves a job whose backoff expired back onto its tenant's
 // queue. A full queue re-arms the backoff instead of dropping the
-// job; a closed engine cancels it in memory only, leaving its journal
-// record live for replay after restart.
+// job; a closed engine cancels it as a shutdown cancellation, leaving
+// its journal record live for replay after restart.
 func (e *Engine) requeue(j *Job) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		e.finish(j, StatusCanceled, nil, false, context.Canceled)
+		e.end(j, true, StatusCanceled, nil, false, errShutdown)
 		return
 	}
 	if !j.swapStatus(StatusRetrying, StatusQueued) {
@@ -934,8 +924,7 @@ func (e *Engine) compactJournal(log *journal.Log, live []journal.Record) {
 // non-terminal job, in submission order. Caller holds e.mu.
 func (e *Engine) liveRecordsLocked() []journal.Record {
 	var live []journal.Record
-	for _, id := range e.order {
-		j := e.jobs[id]
+	for _, j := range e.order {
 		j.mu.Lock()
 		terminal := j.status.Terminal()
 		j.mu.Unlock()
@@ -1021,7 +1010,7 @@ func (st *stage) done(attrs ...obs.Attr) {
 	d := end.Sub(st.start)
 	e, j := st.e, st.j
 	e.metrics.stageSeconds.With(st.name).ObserveExemplar(d.Seconds(), j.exemplarID())
-	e.events.Publish(j.id, "stage", map[string]string{
+	j.stream.Publish("stage", map[string]string{
 		"stage":       st.name,
 		"duration_ms": fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond)),
 	})
@@ -1143,8 +1132,10 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		}
 		res.TestPatterns, res.Tests = tests, text
 	}
-	// Generate and faultsim jobs grade their tests on P0 ∪ P1.
-	if spec.Kind != KindEnrich {
+	// Generate and faultsim jobs grade their tests on P0 ∪ P1. So does
+	// an enrich job whose targets were collapsed: core counted only
+	// the collapsed sets.
+	if spec.Kind != KindEnrich || spec.Collapse {
 		simCtx, sim := e.startStage(ctx, j, "simulation",
 			obs.Int("tests", len(res.TestPatterns)), obs.Int("faults", len(ps.all)))
 		first, err := ps.program(c).Run(simCtx, res.TestPatterns)

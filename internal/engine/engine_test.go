@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitsim"
 	"repro/internal/experiments"
 	"repro/internal/faultsim"
 	"repro/internal/testio"
@@ -73,6 +74,41 @@ func TestEngineEnrichJob(t *testing.T) {
 	}
 	if r.P0Size+r.P1Size != r.AllTotal {
 		t.Errorf("partition sizes inconsistent: %+v", r)
+	}
+}
+
+// Collapse narrows an enrich job's targets, not the set its coverage is
+// measured on: all_total and all_detected are over the full P0 ∪ P1,
+// and all_detected matches an independent grade of the job's tests.
+func TestEnrichCollapseGradesFullSets(t *testing.T) {
+	spec := Spec{Kind: KindEnrich, Circuit: "s1423", NP: 2000, NP0: 300, Seed: 1, Collapse: true}
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	v, err := e.RunJob(context.Background(), spec)
+	if err != nil || v.Status != StatusDone {
+		t.Fatalf("run: %s %s, %v", v.Status, v.Error, err)
+	}
+	r := v.Result
+	if r.P0Detected != 287 || r.P1Detected != 444 {
+		t.Errorf("p0/p1 detected = %d/%d, want 287/444", r.P0Detected, r.P1Detected)
+	}
+	if r.AllTotal != 1063 {
+		t.Errorf("all_total = %d, want 1063 (the uncollapsed P0 ∪ P1)", r.AllTotal)
+	}
+	c, err := experiments.LoadCircuit(spec.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := experiments.PrepareCircuit(c, experiments.Params{NP: spec.NP, NP0: spec.NP0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := bitsim.Run(c, r.TestPatterns, d.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bitsim.Detected(first); r.AllDetected != want {
+		t.Errorf("all_detected = %d, want %d from grading the tests on P0 ∪ P1", r.AllDetected, want)
 	}
 }
 

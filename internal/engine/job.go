@@ -3,7 +3,7 @@
 // (core.Enrich) and fault simulation (a bitsim.Program, compiled once
 // per fault-set shape) become *jobs* executed on a bounded worker pool
 // with per-job context cancellation and deadlines, and a result cache
-// keyed by 02/<circuit16>/<spec16>: the result version, then the first
+// keyed by 03/<circuit16>/<spec16>: the result version, then the first
 // 16 hex digits of the circuit and spec digests. The fault sets derive from
 // those two, so the key is known before prepare (see cacheKey).
 //
@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/obs"
 )
 
@@ -214,6 +215,9 @@ type Job struct {
 	traceCtx   context.Context
 	rootSpan   *obs.Span
 	queuedSpan *obs.Span
+	// stream is the job's lifecycle event stream, made with the job and
+	// closed after its terminal event.
+	stream *events.Stream
 
 	mu         sync.Mutex
 	status     Status
@@ -379,42 +383,24 @@ func (j *Job) ViewLite() JobView {
 	return v
 }
 
-// markDone transitions the job to a terminal status. It reports whether
-// this call performed the transition; a job that is already terminal is
-// left untouched, so two racing finishers (e.g. Cancel and a worker)
-// cannot overwrite each other's terminal state or double-count metrics.
-// Waiters are woken later, by afterTerminal.
-func (j *Job) markDone(st Status, res *Result, hit bool, err error) bool {
+// end moves the job to the terminal status st and reports whether
+// this call did. A job that already ended is left untouched, so two
+// racing enders (e.g. Cancel and a worker) cannot overwrite each
+// other's terminal state or double-count metrics. Only the job's worker
+// ends a running job: every other ender sets waiting, which ends only a
+// queued or retrying job, so a running job is canceled through its
+// context, and a worker that dequeues a job ended here skips it. A
+// pending retry timer is stopped. Waiters are woken later, by
+// Engine.end.
+func (j *Job) end(waiting bool, st Status, res *Result, hit bool, err error) bool {
 	j.mu.Lock()
-	if j.status.Terminal() {
-		j.mu.Unlock()
-		return false
-	}
-	j.status = st
-	j.result = res
-	j.cacheHit = hit
-	j.err = err
-	j.finished = time.Now()
-	j.mu.Unlock()
-	return true
-}
-
-// cancelQueued moves a still-queued (or retrying, i.e. waiting out a
-// backoff) job to Canceled atomically under j.mu, so a worker that
-// dequeues it afterwards observes a terminal status and skips it — the
-// job can never be both canceled and run. A pending retry timer is
-// stopped. It reports whether the transition happened; waiters are
-// woken later, by afterTerminal.
-func (j *Job) cancelQueued() bool {
-	j.mu.Lock()
-	if j.status != StatusQueued && j.status != StatusRetrying {
+	if j.status.Terminal() || waiting && j.status == StatusRunning {
 		j.mu.Unlock()
 		return false
 	}
 	timer := j.retryTimer
 	j.retryTimer = nil
-	j.status = StatusCanceled
-	j.err = context.Canceled
+	j.status, j.result, j.cacheHit, j.err = st, res, hit, err
 	j.finished = time.Now()
 	j.mu.Unlock()
 	if timer != nil {

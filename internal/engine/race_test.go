@@ -115,25 +115,25 @@ func TestEngineCancelSubmitStress(t *testing.T) {
 	}
 }
 
-// A job's first terminal transition wins; later markDone calls are
+// A job's first terminal transition wins; later end calls are
 // no-ops.
 func TestJobMarkDoneIdempotent(t *testing.T) {
 	j := &Job{id: "j1", status: StatusQueued, done: make(chan struct{})}
-	if !j.cancelQueued() {
-		t.Fatal("cancelQueued on a queued job must succeed")
+	if !j.end(true, StatusCanceled, nil, false, context.Canceled) {
+		t.Fatal("waiting end on a queued job must succeed")
 	}
-	if j.cancelQueued() {
-		t.Error("second cancelQueued must be a no-op")
+	if j.end(true, StatusCanceled, nil, false, context.Canceled) {
+		t.Error("second waiting end must be a no-op")
 	}
-	if j.markDone(StatusDone, &Result{}, false, nil) {
-		t.Error("markDone after a terminal transition must be a no-op")
+	if j.end(false, StatusDone, &Result{}, false, nil) {
+		t.Error("end after a terminal transition must be a no-op")
 	}
 	v := j.View()
 	if v.Status != StatusCanceled || v.Result != nil {
 		t.Errorf("terminal state overwritten: status %s, result %v", v.Status, v.Result)
 	}
 	// Waiters wake only once the engine has recorded the terminal
-	// counters (afterTerminal), not at the transition itself.
+	// counters (Engine.end), not at the transition itself.
 	select {
 	case <-j.Done():
 		t.Error("done channel closed before the terminal counters were recorded")
@@ -151,7 +151,7 @@ func TestJobMarkDoneIdempotent(t *testing.T) {
 }
 
 // A waiter woken by Done must find the job in the terminal counters
-// and the end-to-end latency histogram: afterTerminal records them
+// and the end-to-end latency histogram: Engine.end records them
 // before it closes the channel.
 func TestTerminalCountersBeforeWake(t *testing.T) {
 	e := New(Config{Workers: 2})

@@ -32,7 +32,8 @@ const defaultHeartbeat = 15 * time.Second
 // job is idle (queued, mid-stage, or in a retry backoff).
 func (s *server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.e.Get(id); !ok {
+	j, ok := s.e.Get(id)
+	if !ok {
 		WriteError(w, http.StatusNotFound, CodeNotFound, "unknown job "+id, 0)
 		return
 	}
@@ -57,7 +58,7 @@ func (s *server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	rc.Flush()
 
-	sub := s.e.Events().Subscribe(id, after, 0)
+	sub := j.stream.Subscribe(after, 0)
 	defer sub.Cancel()
 
 	heartbeat := s.cfg.Heartbeat

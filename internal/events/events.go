@@ -1,7 +1,8 @@
-// Package events is a small in-process pub/sub bus for job lifecycle
-// events, built for the pdfd Server-Sent-Events endpoint: the engine
-// publishes one bounded stream per job; any number of subscribers
-// (HTTP clients watching a job) attach with a bounded buffer each.
+// Package events is a small in-process pub/sub layer for job lifecycle
+// events, built for the pdfd Server-Sent-Events endpoint: each job owns
+// one bounded Stream; any number of subscribers (HTTP clients watching
+// a job) attach to it with a bounded buffer each. A Bus holds only the
+// counters shared by every stream made from it.
 //
 // Three properties shape the design:
 //
@@ -47,35 +48,23 @@ type Event struct {
 	Data map[string]string `json:"data,omitempty"`
 }
 
-// Bus is a set of per-job event streams. All methods are safe for
-// concurrent use.
+// Bus counts what the streams made from it publish, drop and serve.
+// All methods are safe for concurrent use.
 type Bus struct {
 	history int
 
 	dropped     atomic.Int64
 	published   atomic.Int64
 	subscribers atomic.Int64
-
-	mu      sync.Mutex
-	streams map[string]*stream
 }
 
-type stream struct {
-	mu     sync.Mutex
-	seq    int64
-	ring   []Event // last len(ring) events, oldest first
-	max    int
-	closed bool
-	subs   map[*Subscription]struct{}
-}
-
-// NewBus returns an empty bus; history <= 0 uses DefaultHistory as the
-// per-job ring size.
+// NewBus returns a bus whose streams keep history events each;
+// history <= 0 uses DefaultHistory.
 func NewBus(history int) *Bus {
 	if history <= 0 {
 		history = DefaultHistory
 	}
-	return &Bus{history: history, streams: make(map[string]*stream)}
+	return &Bus{history: history}
 }
 
 // Dropped returns the total number of events dropped across all
@@ -88,70 +77,67 @@ func (b *Bus) Published() int64 { return b.published.Load() }
 // Subscribers returns the number of currently attached subscriptions.
 func (b *Bus) Subscribers() int64 { return b.subscribers.Load() }
 
-// get returns (creating if absent) the stream for jobID.
-func (b *Bus) get(jobID string) *stream {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st := b.streams[jobID]
-	if st == nil {
-		st = &stream{max: b.history, subs: make(map[*Subscription]struct{})}
-		b.streams[jobID] = st
-	}
-	return st
+// Stream is one job's event stream. Its history lives as long as the
+// stream does. All methods are safe for concurrent use.
+type Stream struct {
+	bus   *Bus
+	jobID string
+
+	mu     sync.Mutex
+	seq    int64
+	ring   []Event // last len(ring) events, oldest first
+	closed bool
+	subs   map[*Subscription]struct{}
 }
 
-// Publish appends one event to the job's stream and fans it out to the
+// NewStream returns an empty stream for jobID, counted on b.
+func (b *Bus) NewStream(jobID string) *Stream {
+	return &Stream{bus: b, jobID: jobID}
+}
+
+// Publish appends one event to the stream and fans it out to the
 // subscribers; it never blocks (full subscriber buffers drop the event
 // for that subscriber and count it). Publishing to a closed stream is
 // a no-op returning a zero Event.
-func (b *Bus) Publish(jobID, typ string, data map[string]string) Event {
-	st := b.get(jobID)
+func (st *Stream) Publish(typ string, data map[string]string) Event {
+	b := st.bus
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
 		return Event{}
 	}
 	st.seq++
-	ev := Event{Seq: st.seq, JobID: jobID, Type: typ, At: time.Now(), Data: data}
-	if len(st.ring) == st.max {
+	ev := Event{Seq: st.seq, JobID: st.jobID, Type: typ, At: time.Now(), Data: data}
+	if len(st.ring) == b.history {
 		copy(st.ring, st.ring[1:])
 		st.ring[len(st.ring)-1] = ev
 	} else {
 		st.ring = append(st.ring, ev)
 	}
 	for sub := range st.subs {
-		sub.send(ev, &b.dropped)
+		sub.send(ev)
 	}
 	st.mu.Unlock()
 	b.published.Add(1)
 	return ev
 }
 
-// CloseJob ends the job's stream: subscriber channels close and future
-// Publish calls become no-ops. History is kept, so late subscribers
-// still replay the recorded lifecycle (and then observe the closed
-// channel). Closing an unknown or already-closed stream is a no-op.
-func (b *Bus) CloseJob(jobID string) {
-	b.mu.Lock()
-	st := b.streams[jobID]
-	b.mu.Unlock()
-	if st == nil {
-		return
-	}
+// Close ends the stream: subscriber channels close and future Publish
+// calls become no-ops. History is kept, so late subscribers still
+// replay the recorded lifecycle (and then observe the closed channel).
+// Closing an already-closed stream is a no-op.
+func (st *Stream) Close() {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
 		return
 	}
 	st.closed = true
-	subs := make([]*Subscription, 0, len(st.subs))
-	for sub := range st.subs {
-		subs = append(subs, sub)
-		delete(st.subs, sub)
-	}
+	subs := st.subs
+	st.subs = nil
 	st.mu.Unlock()
-	for _, sub := range subs {
-		sub.detach(b)
+	for sub := range subs {
+		sub.detach()
 	}
 }
 
@@ -159,12 +145,10 @@ func (b *Bus) CloseJob(jobID string) {
 // from Events; call Cancel when done (Cancel after the channel closed
 // is fine and idempotent).
 type Subscription struct {
-	ch      chan Event
-	dropped atomic.Int64
-	cancel  func()
-
+	st        *Stream
+	ch        chan Event
+	dropped   atomic.Int64
 	closeOnce sync.Once
-	cancelled atomic.Bool
 }
 
 // Events is the subscription's delivery channel. It closes after the
@@ -176,64 +160,59 @@ func (s *Subscription) Events() <-chan Event { return s.ch }
 func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 
 // send delivers without blocking, counting drops locally and bus-wide.
-func (s *Subscription) send(ev Event, busDropped *atomic.Int64) {
+func (s *Subscription) send(ev Event) {
 	select {
 	case s.ch <- ev:
 	default:
 		s.dropped.Add(1)
-		busDropped.Add(1)
+		s.st.bus.dropped.Add(1)
 	}
 }
 
 // detach closes the delivery channel once.
-func (s *Subscription) detach(b *Bus) {
+func (s *Subscription) detach() {
 	s.closeOnce.Do(func() {
 		close(s.ch)
-		b.subscribers.Add(-1)
+		s.st.bus.subscribers.Add(-1)
 	})
 }
 
-// Subscribe attaches to the job's stream with a delivery buffer of
-// bufSize events (<= 0 uses the history size): recorded events with
-// Seq > afterSeq are replayed into the buffer first (dropping, with
-// counts, if it is too small), then live events follow. Subscribing
-// to a closed stream replays and returns a subscription whose channel
-// is already closed after the replayed events are drained.
-func (b *Bus) Subscribe(jobID string, afterSeq int64, bufSize int) *Subscription {
+// Subscribe attaches to the stream with a delivery buffer of bufSize
+// events (<= 0 uses the history size): recorded events with Seq >
+// afterSeq are replayed into the buffer first (dropping, with counts,
+// if it is too small), then live events follow. Subscribing to a
+// closed stream replays and returns a subscription whose channel is
+// already closed after the replayed events are drained.
+func (st *Stream) Subscribe(afterSeq int64, bufSize int) *Subscription {
+	b := st.bus
 	if bufSize <= 0 {
 		bufSize = b.history
 	}
-	sub := &Subscription{ch: make(chan Event, bufSize)}
-	st := b.get(jobID)
+	sub := &Subscription{st: st, ch: make(chan Event, bufSize)}
 	b.subscribers.Add(1)
 	st.mu.Lock()
 	for _, ev := range st.ring {
 		if ev.Seq > afterSeq {
-			sub.send(ev, &b.dropped)
+			sub.send(ev)
 		}
 	}
 	if st.closed {
 		st.mu.Unlock()
-		sub.detach(b)
+		sub.detach()
 		return sub
 	}
-	st.subs[sub] = struct{}{}
-	sub.cancel = func() {
-		st.mu.Lock()
-		delete(st.subs, sub)
-		st.mu.Unlock()
-		sub.detach(b)
+	if st.subs == nil {
+		st.subs = make(map[*Subscription]struct{})
 	}
+	st.subs[sub] = struct{}{}
 	st.mu.Unlock()
 	return sub
 }
 
 // Cancel detaches the subscription; its channel closes. Idempotent.
 func (s *Subscription) Cancel() {
-	if s.cancelled.Swap(true) {
-		return
-	}
-	if s.cancel != nil {
-		s.cancel()
-	}
+	s.st.mu.Lock()
+	delete(s.st.subs, s)
+	s.st.mu.Unlock()
+	s.detach()
 }

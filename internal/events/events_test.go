@@ -28,14 +28,15 @@ func collect(t *testing.T, sub *Subscription, timeout time.Duration) []Event {
 
 func TestPublishSubscribeLifecycle(t *testing.T) {
 	b := NewBus(0)
-	sub := b.Subscribe("j1", 0, 16)
+	st := b.NewStream("j1")
+	sub := st.Subscribe(0, 16)
 	defer sub.Cancel()
 
-	b.Publish("j1", "queued", nil)
-	b.Publish("j1", "attempt", map[string]string{"attempt": "1"})
-	b.Publish("j1", "stage", map[string]string{"stage": "prepare"})
-	b.Publish("j1", "done", nil)
-	b.CloseJob("j1")
+	st.Publish("queued", nil)
+	st.Publish("attempt", map[string]string{"attempt": "1"})
+	st.Publish("stage", map[string]string{"stage": "prepare"})
+	st.Publish("done", nil)
+	st.Close()
 
 	got := collect(t, sub, 2*time.Second)
 	want := []string{"queued", "attempt", "stage", "done"}
@@ -65,17 +66,18 @@ func TestPublishSubscribeLifecycle(t *testing.T) {
 // history and then sees a closed channel (no hang, no polling).
 func TestLateSubscriberReplaysClosedStream(t *testing.T) {
 	b := NewBus(0)
-	b.Publish("j1", "queued", nil)
-	b.Publish("j1", "done", nil)
-	b.CloseJob("j1")
+	st := b.NewStream("j1")
+	st.Publish("queued", nil)
+	st.Publish("done", nil)
+	st.Close()
 
-	sub := b.Subscribe("j1", 0, 8)
+	sub := st.Subscribe(0, 8)
 	got := collect(t, sub, 2*time.Second)
 	if len(got) != 2 || got[0].Type != "queued" || got[1].Type != "done" {
 		t.Fatalf("late replay = %+v", got)
 	}
 	// Publishing to a closed stream stays a no-op.
-	if ev := b.Publish("j1", "ghost", nil); ev.Seq != 0 {
+	if ev := st.Publish("ghost", nil); ev.Seq != 0 {
 		t.Errorf("publish after close returned %+v", ev)
 	}
 	sub.Cancel() // idempotent on a closed subscription
@@ -85,13 +87,14 @@ func TestLateSubscriberReplaysClosedStream(t *testing.T) {
 // afterSeq resumes mid-stream, the Last-Event-ID contract.
 func TestResumeAfterSeq(t *testing.T) {
 	b := NewBus(0)
+	st := b.NewStream("j1")
 	for i := 0; i < 5; i++ {
-		b.Publish("j1", fmt.Sprintf("e%d", i+1), nil)
+		st.Publish(fmt.Sprintf("e%d", i+1), nil)
 	}
-	sub := b.Subscribe("j1", 3, 8)
+	sub := st.Subscribe(3, 8)
 	defer sub.Cancel()
-	b.Publish("j1", "e6", nil)
-	b.CloseJob("j1")
+	st.Publish("e6", nil)
+	st.Close()
 	got := collect(t, sub, 2*time.Second)
 	want := []string{"e4", "e5", "e6"}
 	if len(got) != len(want) {
@@ -108,12 +111,13 @@ func TestResumeAfterSeq(t *testing.T) {
 // the publisher.
 func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	b := NewBus(0)
-	sub := b.Subscribe("j1", 0, 2) // tiny buffer, never drained
+	st := b.NewStream("j1")
+	sub := st.Subscribe(0, 2) // tiny buffer, never drained
 	defer sub.Cancel()
 	donePub := make(chan struct{})
 	go func() {
 		for i := 0; i < 50; i++ {
-			b.Publish("j1", "tick", nil)
+			st.Publish("tick", nil)
 		}
 		close(donePub)
 	}()
@@ -134,12 +138,13 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 // recent events for replay.
 func TestHistoryRingBounded(t *testing.T) {
 	b := NewBus(4)
+	st := b.NewStream("j1")
 	for i := 0; i < 10; i++ {
-		b.Publish("j1", fmt.Sprintf("e%d", i+1), nil)
+		st.Publish(fmt.Sprintf("e%d", i+1), nil)
 	}
-	sub := b.Subscribe("j1", 0, 16)
+	sub := st.Subscribe(0, 16)
 	defer sub.Cancel()
-	b.CloseJob("j1")
+	st.Close()
 	got := collect(t, sub, 2*time.Second)
 	if len(got) != 4 {
 		t.Fatalf("replayed %d events, want 4 (ring size)", len(got))
@@ -157,13 +162,14 @@ func TestHistoryRingBounded(t *testing.T) {
 // subscribers.
 func TestIndependentStreams(t *testing.T) {
 	b := NewBus(0)
-	s1 := b.Subscribe("j1", 0, 8)
-	s2 := b.Subscribe("j2", 0, 8)
+	st1, st2 := b.NewStream("j1"), b.NewStream("j2")
+	s1 := st1.Subscribe(0, 8)
+	s2 := st2.Subscribe(0, 8)
 	defer s1.Cancel()
 	defer s2.Cancel()
-	b.Publish("j1", "a", nil)
-	b.Publish("j2", "b", nil)
-	b.CloseJob("j1")
+	st1.Publish("a", nil)
+	st2.Publish("b", nil)
+	st1.Close()
 	if got := collect(t, s1, 2*time.Second); len(got) != 1 || got[0].Type != "a" {
 		t.Errorf("j1 stream = %+v", got)
 	}
@@ -178,7 +184,7 @@ func TestIndependentStreams(t *testing.T) {
 	select {
 	case _, ok := <-s2.Events():
 		if !ok {
-			t.Error("j2 channel closed by j1's CloseJob")
+			t.Error("j2 channel closed by j1's Close")
 		}
 	default:
 	}
@@ -187,14 +193,15 @@ func TestIndependentStreams(t *testing.T) {
 // Concurrent publishers, subscribers and cancels; run under -race.
 func TestConcurrentPubSub(t *testing.T) {
 	b := NewBus(0)
+	streams := []*Stream{b.NewStream("j0"), b.NewStream("j1")}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			job := fmt.Sprintf("j%d", g%2)
+			st := streams[g%2]
 			for i := 0; i < 200; i++ {
-				b.Publish(job, "tick", nil)
+				st.Publish("tick", nil)
 			}
 		}(g)
 	}
@@ -202,7 +209,7 @@ func TestConcurrentPubSub(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sub := b.Subscribe(fmt.Sprintf("j%d", g%2), 0, 4)
+			sub := streams[g%2].Subscribe(0, 4)
 			for i := 0; i < 20; i++ {
 				select {
 				case <-sub.Events():
@@ -213,8 +220,9 @@ func TestConcurrentPubSub(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	b.CloseJob("j0")
-	b.CloseJob("j1")
+	for _, st := range streams {
+		st.Close()
+	}
 	if n := b.Subscribers(); n != 0 {
 		t.Errorf("subscribers after cancel/close = %d, want 0", n)
 	}
@@ -224,19 +232,20 @@ func TestConcurrentPubSub(t *testing.T) {
 // publishers.
 func TestSeqDenseUnderConcurrency(t *testing.T) {
 	b := NewBus(1024)
+	st := b.NewStream("j1")
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				b.Publish("j1", "tick", nil)
+				st.Publish("tick", nil)
 			}
 		}()
 	}
 	wg.Wait()
-	sub := b.Subscribe("j1", 0, 512)
-	b.CloseJob("j1")
+	sub := st.Subscribe(0, 512)
+	st.Close()
 	got := collect(t, sub, 5*time.Second)
 	if len(got) != 400 {
 		t.Fatalf("replayed %d, want 400", len(got))

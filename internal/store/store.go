@@ -7,7 +7,7 @@
 // bytes) with LRU eviction, and safe for concurrent use.
 //
 // Keys are the engine's composite cache keys
-// (02/<circuit16>/<spec16>: result version, circuit and spec digest
+// (03/<circuit16>/<spec16>: result version, circuit and spec digest
 // hex separated by '/'); the slash is mapped to '-' for the file name,
 // which is reversible because the digest alphabet is hex.
 package store
