@@ -16,12 +16,13 @@ const (
 	StateHealthy State = "healthy"
 	// StateDraining backends answered /v1/healthz with 503
 	// "overloaded" (shed watermark tripped, or a graceful drain in
-	// progress): they stop receiving new jobs but stay on the ring and
+	// progress): they stop receiving new jobs but keep their keys and
 	// keep serving status, trace and SSE reads for the jobs they hold.
 	StateDraining State = "draining"
 	// StateDown backends failed Config.DownAfter consecutive health
-	// probes: they are removed from the ring (their arcs move to the
-	// ring successors) and receive no new jobs. Reads are still
+	// probes: routing skips them in their keys' owner chains on the
+	// static ring, so only their keys move, to the next backend in each
+	// chain, and return when they recover. Reads are still
 	// attempted — the backend may be back before the next probe — and
 	// fail with backend_down if not.
 	StateDown State = "down"

@@ -74,3 +74,27 @@ func TestBackendLoad(t *testing.T) {
 		t.Fatalf("load = %d, want 7", got)
 	}
 }
+
+// Ranking spillover candidates takes no half-open breaker trial: only
+// the backend spillTarget returns is asked, so a candidate past its
+// cooldown that loses on load keeps its trial for the next request.
+func TestSpillTargetTakesOnlyItsTrial(t *testing.T) {
+	c := &Coordinator{backends: map[string]*backend{}}
+	for _, name := range []string{"b0", "b1", "b2"} {
+		c.backends[name] = newBackend(name, "http://"+name, 3, time.Second)
+		c.order = append(c.order, name)
+	}
+	b1, b2 := c.backends["b1"], c.backends["b2"]
+	b1.queueDepth.Store(5)
+	b2.queueDepth.Store(1)
+	past := time.Now().Add(-time.Minute)
+	for range 3 {
+		b1.brk.failure(past)
+	}
+	if got := c.spillTarget("b0"); got != b2 {
+		t.Fatalf("spillTarget = %v, want b2", got)
+	}
+	if !b1.brk.allow(time.Now()) {
+		t.Fatal("ranking b1 took its half-open trial")
+	}
+}

@@ -90,12 +90,12 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// specOwnedBy scans seeds until one's full-ring primary owner is name.
+// specOwnedBy scans seeds until one's ring primary owner is name.
 func (f *chaosFleet) specOwnedBy(t *testing.T, name string, from int64) engine.Spec {
 	t.Helper()
 	for seed := from; seed < from+10_000; seed++ {
 		s := enrichSpec(seed)
-		if f.c.fullRing.Owner(engine.SpecDigest(s)) == name {
+		if f.c.ring.Owner(engine.SpecDigest(s)) == name {
 			return s
 		}
 	}
@@ -241,7 +241,7 @@ func TestChaosReplicationSurvivesBackendDeath(t *testing.T) {
 
 	// Kill the owner of the first spec outright — process death, not a
 	// partition: its memory cache and any unreplicated state are gone.
-	victim := f.c.fullRing.Owner(engine.SpecDigest(specs[0]))
+	victim := f.c.ring.Owner(engine.SpecDigest(specs[0]))
 	for _, tb := range f.backs {
 		if tb.name == victim {
 			tb.srv.Close()
@@ -277,7 +277,7 @@ func TestChaosHintedHandoff(t *testing.T) {
 	// A spec whose primary owner is b0; its replica target is the full
 	// ring successor.
 	spec := f.specOwnedBy(t, "b0", 1)
-	owners := f.c.fullRing.Owners(engine.SpecDigest(spec), 2)
+	owners := f.c.ring.Owners(engine.SpecDigest(spec), 2)
 	replica := owners[1]
 
 	// Take the replica down before the job runs.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -515,5 +516,101 @@ func TestClusterMetricsExposition(t *testing.T) {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("exposition lacks %q", want)
 		}
+	}
+}
+
+// ringNodes reads the pdfd_cluster_ring_nodes gauge off the
+// coordinator's exposition.
+func ringNodes(t *testing.T, c *Coordinator) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "pdfd_cluster_ring_nodes "); ok {
+			return v
+		}
+	}
+	t.Fatal("exposition lacks pdfd_cluster_ring_nodes")
+	return ""
+}
+
+// Placement follows health: with the ring owner down its successor
+// owns the key (affinity owner); with the owner draining the successor
+// takes the job as failover; the ring-nodes gauge counts the backends
+// that are not down.
+func TestClusterPlacementFollowsHealth(t *testing.T) {
+	names := []string{"b0", "b1", "b2"}
+	health := make([]atomic.Int32, len(names))
+	confs := make([]BackendConf, len(names))
+	for i, name := range names {
+		health[i].Store(http.StatusOK)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/healthz" {
+				engine.WriteJSON(w, int(health[i].Load()), engine.Health{Status: "ok"})
+				return
+			}
+			engine.WriteJSON(w, http.StatusAccepted, engine.JobView{ID: "j1", Status: engine.StatusQueued})
+		}))
+		t.Cleanup(srv.Close)
+		confs[i] = BackendConf{Name: name, URL: srv.URL}
+	}
+	c, err := New(Config{Backends: confs, HealthInterval: 20 * time.Millisecond, DownAfter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	spec := enrichSpec(1)
+	digest := engine.SpecDigest(spec)
+	ref := NewRing(0)
+	for _, n := range names {
+		ref.Add(n)
+	}
+	chain := ref.Owners(digest, len(names))
+	owner, succ := chain[0], chain[1]
+	idx := map[string]int{"b0": 0, "b1": 1, "b2": 2}[owner]
+	route := func() Route {
+		t.Helper()
+		res, rerr := c.Submit(context.Background(), spec)
+		if rerr != nil {
+			t.Fatalf("submit: %v", rerr)
+		}
+		return res.Route
+	}
+	settle := func(st State, wantOwner string) {
+		t.Helper()
+		waitFor(t, 5*time.Second, "owner "+string(st), func() bool {
+			return c.Backends()[owner].State == st && c.Owner(digest) == wantOwner
+		})
+	}
+
+	if got := route(); got != (Route{Backend: owner, Owner: owner, Affinity: "owner"}) {
+		t.Fatalf("all healthy: route %+v, want owner %s", got, owner)
+	}
+
+	health[idx].Store(http.StatusInternalServerError)
+	settle(StateDown, succ)
+	if got := route(); got != (Route{Backend: succ, Owner: succ, Affinity: "owner"}) {
+		t.Fatalf("owner down: route %+v, want successor %s as owner", got, succ)
+	}
+	if got := ringNodes(t, c); got != "2" {
+		t.Fatalf("ring nodes with one backend down = %s, want 2", got)
+	}
+
+	health[idx].Store(http.StatusOK)
+	settle(StateHealthy, owner)
+	if got := ringNodes(t, c); got != "3" {
+		t.Fatalf("ring nodes after recovery = %s, want 3", got)
+	}
+
+	health[idx].Store(http.StatusServiceUnavailable)
+	settle(StateDraining, owner)
+	if got := route(); got != (Route{Backend: succ, Owner: owner, Affinity: "failover"}) {
+		t.Fatalf("owner draining: route %+v, want failover to %s", got, succ)
+	}
+	if got := ringNodes(t, c); got != "3" {
+		t.Fatalf("ring nodes with one backend draining = %s, want 3", got)
 	}
 }

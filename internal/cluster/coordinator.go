@@ -6,12 +6,14 @@
 //
 // The subsystem is built from four pieces:
 //
-//   - a consistent-hash ring with virtual nodes (Ring): deterministic
-//     placement, ~1/N of the key space moves per membership change;
+//   - one consistent-hash ring with virtual nodes (Ring), built in New
+//     and never edited: deterministic placement of jobs and replicas;
 //   - per-backend health checking against /v1/healthz: an overloaded
 //     or draining backend stops receiving new jobs but keeps serving
 //     status/trace/SSE reads; a backend that fails consecutive probes
-//     is removed from the ring until it answers again;
+//     is skipped in its keys' owner chains until it answers again, so
+//     only its keys move (~1/N of the key space) and they return when
+//     it recovers;
 //   - an HTTP client per backend with request timeouts, transient-error
 //     retry (internal/retry) and a circuit breaker, plus least-loaded
 //     spillover when the ring owner sheds a submission (503);
@@ -28,6 +30,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,6 +39,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -70,8 +74,8 @@ type BackendConf struct {
 
 // Config sizes the coordinator.
 type Config struct {
-	// Backends is the fixed fleet. Membership health is dynamic (the
-	// ring follows probe results) but the configured set is not.
+	// Backends is the fixed fleet. Backend health is dynamic (routing
+	// follows probe results) but the configured set is not.
 	Backends []BackendConf
 	// VNodes is the virtual-node count per backend on the hash ring;
 	// 0 uses DefaultVNodes.
@@ -83,7 +87,9 @@ type Config struct {
 	HealthInterval time.Duration
 	HealthTimeout  time.Duration
 	// DownAfter is the consecutive probe failures before a backend is
-	// marked down and removed from the ring; 0 uses 3.
+	// marked down; 0 uses 3. Routing skips a down backend in its keys'
+	// owner chains, so only its keys move, and they return when it
+	// recovers.
 	DownAfter int
 
 	// Tenants is the coordinator's tenant roster: entries with bearer
@@ -95,8 +101,8 @@ type Config struct {
 	Tenants []engine.TenantConfig
 
 	// ReplicationFactor is the number of backends each completed
-	// result is stored on: the executing backend plus enough
-	// successors on the static full ring to reach this count. A
+	// result is stored on: the executing backend plus enough of the
+	// key's ring owners, down or not, to reach this count. A
 	// backend that is down when its copy is due gets a hinted handoff,
 	// delivered when it recovers. 0 or 1 disables replication (the
 	// pre-replication single-copy behavior); pdfd -coordinator enables
@@ -188,13 +194,10 @@ type Coordinator struct {
 	backends map[string]*backend
 	order    []string // configured order, for stable iteration
 
-	mu   sync.Mutex // guards ring
+	// ring holds every configured backend and is never edited after
+	// New: routing skips the down backends in a key's owner chain;
+	// replica placement does not, so copies stay put as backends fail.
 	ring *Ring
-
-	// fullRing places every configured backend regardless of health:
-	// replica placement must be stable across failures, or the copies
-	// walk the ring every time membership changes. Immutable after New.
-	fullRing *Ring
 
 	// repl drives result replication; nil when ReplicationFactor < 2.
 	repl *replicator
@@ -207,7 +210,7 @@ type Coordinator struct {
 	wg     sync.WaitGroup
 }
 
-// New validates cfg, builds the ring with every backend initially
+// New validates cfg, builds the ring of every backend, all initially
 // healthy, and starts one health-probe goroutine per backend.
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
@@ -233,7 +236,6 @@ func New(cfg Config) (*Coordinator, error) {
 		client:   &http.Client{Transport: transport},
 		backends: make(map[string]*backend, len(cfg.Backends)),
 		ring:     NewRing(cfg.VNodes),
-		fullRing: NewRing(cfg.VNodes),
 		traces:   obs.NewTraceBuffer(cfg.TraceBufferCount, obs.DefaultTraceBufferBytes),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -258,7 +260,6 @@ func New(cfg Config) (*Coordinator, error) {
 		c.backends[bc.Name] = b
 		c.order = append(c.order, bc.Name)
 		c.ring.Add(bc.Name)
-		c.fullRing.Add(bc.Name)
 		c.metrics.setBackendGauges(b)
 	}
 	if cfg.ReplicationFactor > 1 {
@@ -292,16 +293,23 @@ func (c *Coordinator) Close() {
 // Owner returns the backend name currently owning routing key digest
 // (an engine.SpecDigest), or "" when every backend is down.
 func (c *Coordinator) Owner(digest string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ring.Owner(digest)
+	if chain := c.ownerChain(digest); len(chain) > 0 {
+		return chain[0]
+	}
+	return ""
 }
 
-// ownerChain snapshots the routing preference list for digest.
+// ownerChain is the routing preference list for digest: its owner
+// chain on the ring without the backends that are down.
 func (c *Coordinator) ownerChain(digest string) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ring.Owners(digest, c.ring.Len())
+	chain := c.ring.Owners(digest, c.ring.Len())
+	up := chain[:0]
+	for _, name := range chain {
+		if c.backends[name].State() != StateDown {
+			up = append(up, name)
+		}
+	}
+	return up
 }
 
 // RoutedError is the coordinator's one failure shape: a routing
@@ -491,20 +499,24 @@ func (c *Coordinator) admit(res SubmitResult, route Route, digest string, noCach
 }
 
 // spillTarget picks the least-loaded healthy backend other than
-// exclude (ties broken by name for determinism), or nil.
+// exclude (ties in configured order) whose breaker lets the request
+// through, or nil. The breakers are asked in load order and only up to
+// the pick, so ranking takes no other backend's half-open trial.
 func (c *Coordinator) spillTarget(exclude string) *backend {
-	var best *backend
-	now := time.Now()
+	var cands []*backend
 	for _, name := range c.order {
-		b := c.backends[name]
-		if name == exclude || b.State() != StateHealthy || !b.brk.allow(now) {
-			continue
-		}
-		if best == nil || b.load() < best.load() {
-			best = b
+		if b := c.backends[name]; name != exclude && b.State() == StateHealthy {
+			cands = append(cands, b)
 		}
 	}
-	return best
+	slices.SortStableFunc(cands, func(a, b *backend) int { return cmp.Compare(a.load(), b.load()) })
+	now := time.Now()
+	for _, b := range cands {
+		if b.brk.allow(now) {
+			return b
+		}
+	}
+	return nil
 }
 
 // forwardSubmit POSTs the spec to one backend inside a span named

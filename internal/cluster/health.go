@@ -13,8 +13,8 @@ import (
 
 // healthLoop probes one backend roughly every HealthInterval until
 // the coordinator closes. Each backend has exactly one health
-// goroutine; it is the sole writer of that backend's state, load
-// snapshot and ring membership.
+// goroutine; it is the sole writer of that backend's state and load
+// snapshot.
 //
 // The sleep between probes is jittered ±20% with a per-backend
 // deterministic source, so a fleet of coordinators started together
@@ -39,12 +39,12 @@ func (c *Coordinator) healthLoop(b *backend) {
 // probe performs one /v1/healthz round trip and applies the state
 // transition:
 //
-//	200 ok                      -> healthy (on the ring, takes jobs)
-//	503 overloaded/draining     -> draining (on the ring, reads only)
-//	error or other status xDownAfter -> down (off the ring)
+//	200 ok                           -> healthy (owns its keys, takes jobs)
+//	503 overloaded/draining          -> draining (owns its keys, reads only)
+//	error or other status xDownAfter -> down (skipped in its keys' owner chains)
 //
 // A single failed probe does not change state — transient blips must
-// not reshuffle the ring.
+// not move keys.
 //
 // Each successful probe doubles as a clock-skew measurement: the
 // backend reports its wall clock (Health.NowUnixMS), and assuming the
@@ -87,8 +87,8 @@ func (c *Coordinator) probe(b *backend) {
 		c.setState(b, StateHealthy)
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		// The backend is alive but shedding (watermark tripped or a
-		// graceful drain): keep it on the ring for reads, stop routing
-		// new jobs to it.
+		// graceful drain): it keeps its keys and serves reads, but new
+		// jobs go to its successors.
 		b.consecFails = 0
 		c.setState(b, StateDraining)
 	default:
@@ -107,10 +107,10 @@ func (c *Coordinator) probeFailed(b *backend) {
 	}
 }
 
-// setState applies next to b: records the transition, keeps the ring
-// membership in line (down backends leave the ring, their arcs move to
-// the ring successors; recovered backends reclaim exactly their old
-// arcs), and refreshes the per-backend gauges.
+// setState records b's transition to next and refreshes its gauges.
+// Placement is one static ring it does not touch: routing skips a down
+// backend in its keys' owner chains, so only its keys move, and they
+// return when it recovers.
 func (c *Coordinator) setState(b *backend, next State) {
 	prev := b.State()
 	if prev != next {
@@ -127,12 +127,5 @@ func (c *Coordinator) setState(b *backend, next State) {
 			c.repl.backendRecovered(b)
 		}
 	}
-	c.mu.Lock()
-	if next == StateDown {
-		c.ring.Remove(b.name)
-	} else {
-		c.ring.Add(b.name)
-	}
-	c.mu.Unlock()
 	c.metrics.setBackendGauges(b)
 }

@@ -99,9 +99,13 @@ func newClusterMetrics(reg *obs.Registry, c *Coordinator) *metrics {
 		obs.NewGaugeFunc("pdfd_cluster_ring_nodes",
 			"Backends currently on the hash ring (healthy plus draining).",
 			func() float64 {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				return float64(c.ring.Len())
+				n := 0
+				for _, b := range c.backends {
+					if b.State() != StateDown {
+						n++
+					}
+				}
+				return float64(n)
 			}),
 		obs.NewGaugeFunc("pdfd_cluster_traces_retained",
 			"Routing traces currently tail-retained.",

@@ -16,10 +16,10 @@ import (
 // coordinator accepts a job, a watcher goroutine follows it to its
 // terminal state and copies the completed result's JSON to the
 // replica set — the first ReplicationFactor owners of the job's
-// SpecDigest on the *static full ring* (every configured backend,
-// regardless of health, so replica placement never walks as nodes
-// flap). The executing backend already holds the result; each other
-// replica gets a PUT /v1/cache/{key}. A replica that is down or
+// SpecDigest on the coordinator's ring, down backends included, so
+// replica placement never walks as nodes flap. The executing backend
+// already holds the result; each other replica gets a
+// PUT /v1/cache/{key}. A replica that is down or
 // unreachable gets a *hinted handoff*: the copy is queued and
 // delivered when the health loop sees the backend recover. When the
 // executing backend was not the primary owner (failover/spillover),
@@ -168,10 +168,11 @@ func (r *replicator) runWatch(ctx context.Context, backendName, rawID, digest st
 }
 
 // replicate copies one completed result to every replica of its
-// digest but the backend that executed the job. It does not ask
-// whether a replica already holds the result: every accepted
+// digest but the backend that executed the job. Every accepted
 // submission is watched, cache hits included, so a repeated spec's
-// result is installed again on replicas that have it.
+// result is offered again to replicas that hold it; such a replica
+// answers the PUT from its store's index without writing the entry
+// again.
 func (r *replicator) replicate(ctx context.Context, executedOn, digest string, res *engine.Result) {
 	c := r.c
 	payload, err := json.Marshal(res)
@@ -179,7 +180,7 @@ func (r *replicator) replicate(ctx context.Context, executedOn, digest string, r
 		r.failures.Add(1)
 		return
 	}
-	owners := c.fullRing.Owners(digest, r.rf)
+	owners := c.ring.Owners(digest, r.rf)
 	for i, name := range owners {
 		if name == executedOn {
 			continue // the executing backend stored it locally already
@@ -226,11 +227,9 @@ func (r *replicator) install(ctx context.Context, name, key string, payload []by
 		return unreachable
 	case status < 300:
 		return installed
-	case status == http.StatusNotImplemented:
-		// The backend runs without a durable store: a hint would never
-		// deliver either.
-		return rejected
 	default:
+		// A refusal, or no store (501): a hint would never deliver
+		// either.
 		return rejected
 	}
 }

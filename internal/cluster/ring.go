@@ -9,23 +9,24 @@ import (
 
 // DefaultVNodes is the virtual-node count per backend when Config
 // leaves VNodes zero: enough points that a 3–16 node fleet balances
-// within a few percent, few enough that membership changes stay cheap.
+// within a few percent.
 const DefaultVNodes = 64
 
 // Ring is a consistent-hash ring with virtual nodes. Keys (SpecDigest
 // strings) map to the first virtual node clockwise from the key's
-// hash; adding or removing a node only moves the keys in that node's
-// arcs, so a membership change reshuffles ~1/N of the space instead of
-// all of it — the property that keeps result-cache affinity intact
-// across backend restarts.
+// hash, and Owners walks on from there: the key's owner chain. A
+// caller that skips a node in the chain moves only the keys in that
+// node's arcs, to their next distinct node; the other keys keep their
+// owner — the property that keeps result-cache affinity intact across
+// a backend failure, and gives the node exactly its keys back when it
+// stops being skipped.
 //
 // Placement is fully deterministic: virtual-node positions hash only
 // the node name and index, so two coordinators configured with the
-// same fleet agree on every assignment, and a node that leaves and
-// returns reclaims exactly its old arcs.
+// same fleet agree on every assignment.
 //
-// A Ring is not safe for concurrent use; the Coordinator guards its
-// ring with the routing mutex.
+// A Ring is built with Add and read-only after that, so concurrent
+// reads are safe.
 type Ring struct {
 	vnodes int
 	points []ringPoint // sorted by (hash, node)
@@ -69,38 +70,8 @@ func (r *Ring) Add(node string) {
 	})
 }
 
-// Remove deletes node's virtual points; removing an absent node is a
-// no-op. The remaining nodes' points are untouched, so only keys the
-// removed node owned move.
-func (r *Ring) Remove(node string) {
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Has reports whether node is on the ring.
-func (r *Ring) Has(node string) bool { return r.nodes[node] }
-
 // Len returns the number of (real) nodes on the ring.
 func (r *Ring) Len() int { return len(r.nodes) }
-
-// Nodes returns the node names in sorted order.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Owner returns the node owning key: the first virtual point at or
 // clockwise past the key's hash. An empty ring returns "".

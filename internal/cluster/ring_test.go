@@ -31,42 +31,72 @@ func TestRingDeterministic(t *testing.T) {
 	}
 }
 
-// Removing a node moves only that node's keys; the others keep their
+// skipChain is the owner chain of key with the nodes in skip left
+// out: how the coordinator routes around down backends.
+func skipChain(r *Ring, key string, skip map[string]bool) []string {
+	var out []string
+	for _, n := range r.Owners(key, r.Len()) {
+		if !skip[n] {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// Skipping a node moves only that node's keys; the others keep their
 // owner — the property that preserves result-cache affinity across a
-// backend failure.
+// backend failure. The ring itself is untouched, so the node reclaims
+// exactly its keys when it stops being skipped.
 func TestRingMinimalMovement(t *testing.T) {
 	r := NewRing(0)
 	for _, n := range []string{"b0", "b1", "b2"} {
 		r.Add(n)
 	}
-	keys := testKeys(2000)
-	before := make(map[string]string, len(keys))
-	for _, k := range keys {
-		before[k] = r.Owner(k)
-	}
-	r.Remove("b1")
+	skip := map[string]bool{"b1": true}
 	moved := 0
-	for _, k := range keys {
-		after := r.Owner(k)
+	for _, k := range testKeys(2000) {
+		before := r.Owner(k)
+		after := skipChain(r, k, skip)[0]
 		if after == "b1" {
-			t.Fatalf("removed node still owns %s", k)
+			t.Fatalf("skipped node still owns %s", k)
 		}
-		if before[k] != "b1" && after != before[k] {
-			t.Errorf("key %s moved %s -> %s though its owner stayed up", k, before[k], after)
+		if before != "b1" && after != before {
+			t.Errorf("key %s moved %s -> %s though its owner stayed up", k, before, after)
 		}
-		if before[k] == "b1" {
+		if before == "b1" {
 			moved++
 		}
 	}
 	if moved == 0 {
-		t.Fatal("b1 owned no keys before removal; balance is broken")
+		t.Fatal("b1 owned no keys before it was skipped; balance is broken")
 	}
+}
 
-	// Re-adding the node restores the original assignment exactly.
-	r.Add("b1")
-	for _, k := range keys {
-		if got := r.Owner(k); got != before[k] {
-			t.Fatalf("after re-add, owner(%s) = %q, want %q", k, got, before[k])
+// For every set D of skipped nodes, the filtered chain of the full
+// ring equals the chain of a ring built from the remaining nodes: one
+// static ring serves routing under any failure pattern.
+func TestRingSkipEqualsRebuild(t *testing.T) {
+	nodes := []string{"b0", "b1", "b2", "b3", "b4"}
+	full := NewRing(0)
+	for _, n := range nodes {
+		full.Add(n)
+	}
+	keys := testKeys(2000)
+	for mask := 0; mask < 1<<len(nodes); mask++ {
+		skip := map[string]bool{}
+		rest := NewRing(0)
+		for i, n := range nodes {
+			if mask&(1<<i) != 0 {
+				skip[n] = true
+			} else {
+				rest.Add(n)
+			}
+		}
+		for _, k := range keys {
+			got, want := skipChain(full, k, skip), rest.Owners(k, rest.Len())
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("skip %v, key %s: filtered chain %v, rebuilt ring %v", skip, k, got, want)
+			}
 		}
 	}
 }
@@ -124,7 +154,6 @@ func TestRingEmpty(t *testing.T) {
 	if got := r.Owners("k", 3); got != nil {
 		t.Fatalf("empty ring Owners = %v", got)
 	}
-	r.Remove("ghost") // no-op
 	r.Add("b0")
 	r.Add("b0") // idempotent
 	if r.Len() != 1 || len(r.points) != 8 {

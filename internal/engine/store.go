@@ -68,7 +68,9 @@ func (e *Engine) storePut(key string, res *Result) {
 // The payload must decode to a Result whose CacheKey matches key; it
 // lands in the durable store only, and is promoted into the memory
 // LRU (with its test patterns rehydrated) the first time a job for
-// the same key reads through.
+// the same key reads through. A key the store already holds is
+// answered as installed without writing it again: the payload is a
+// function of the key.
 func (e *Engine) InstallResult(key string, payload []byte) error {
 	st := e.cfg.Store
 	if st == nil {
@@ -80,6 +82,9 @@ func (e *Engine) InstallResult(key string, payload []byte) error {
 	}
 	if res.CacheKey != key {
 		return fmt.Errorf("engine: install: payload cache_key %q does not match %q", res.CacheKey, key)
+	}
+	if st.Has(key) {
+		return nil
 	}
 	return st.Put(key, payload)
 }

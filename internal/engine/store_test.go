@@ -287,6 +287,43 @@ func TestCacheEndpoints(t *testing.T) {
 	}
 }
 
+// A replica copy is written once: a second PUT of a key the store
+// already holds answers 200 without rewriting the entry.
+func TestCachePutWritesOnce(t *testing.T) {
+	src := New(Config{Workers: 1})
+	defer src.Close()
+	v, err := src.RunJob(context.Background(), storeSpec(6))
+	if err != nil || v.Status != StatusDone {
+		t.Fatalf("run: %+v, %v", v, err)
+	}
+	key := v.Result.CacheKey
+	payload, _ := src.CachedResult(key)
+
+	st := openTestStore(t, t.TempDir())
+	e := New(Config{Workers: 1, Store: st})
+	defer e.Close()
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+	put := func() {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/cache/"+key, bytes.NewReader(payload))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("PUT cache = %d, want 200", resp.StatusCode)
+		}
+	}
+	put()
+	puts := st.MetricsRef().Puts.Load()
+	put()
+	if got := st.MetricsRef().Puts.Load(); got != puts {
+		t.Fatalf("second PUT wrote the entry again: store puts %d -> %d", puts, got)
+	}
+}
+
 // TestStoreMetricsExposed pins the pdfd_store_* family registration.
 func TestStoreMetricsExposed(t *testing.T) {
 	st := openTestStore(t, t.TempDir())

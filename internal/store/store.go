@@ -212,6 +212,16 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return payload, true
 }
 
+// Has reports whether the store holds an entry under key. It looks at
+// the index only: it reads no file and moves no counter or LRU
+// position.
+func (s *Store) Has(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.entries[key]
+	return ok && !s.closed
+}
+
 // Put durably stores payload under key with durable.WriteFile, so a
 // crash at any point leaves either the old entry or the new one,
 // never a torn file.

@@ -91,6 +91,32 @@ func TestStoreMissAndOverwrite(t *testing.T) {
 	}
 }
 
+// Has answers from the index alone: it reads no file and moves no
+// counter.
+func TestStoreHas(t *testing.T) {
+	s := mustOpen(t, Config{})
+	key := testKey(3)
+	if s.Has(key) {
+		t.Fatal("Has on empty store")
+	}
+	if err := s.Put(key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(s.path(key)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Has(key) {
+		t.Fatal("Has missed an indexed key")
+	}
+	if m := s.MetricsRef(); m.Hits.Load() != 0 || m.Misses.Load() != 0 || m.Corrupt.Load() != 0 {
+		t.Fatalf("Has moved counters: hits=%d misses=%d corrupt=%d", m.Hits.Load(), m.Misses.Load(), m.Corrupt.Load())
+	}
+	s.Close()
+	if s.Has(key) {
+		t.Fatal("Has after Close")
+	}
+}
+
 func TestStoreInvalidKeys(t *testing.T) {
 	s := mustOpen(t, Config{})
 	for _, key := range []string{"", "UPPER", "../../etc/passwd", "a b", "abc\x00"} {
