@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/faultsim"
 	"repro/internal/pathenum"
 	"repro/internal/perfreg"
@@ -129,8 +131,23 @@ func TestPDFATPGAndPDFSimCLIPipeline(t *testing.T) {
 			t.Errorf("pdfatpg output missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := os.Stat(testsFile); err != nil {
+	got, err := os.ReadFile(testsFile)
+	if err != nil {
 		t.Fatal("tests file not written")
+	}
+	// The file is the procedure's tests as testio.WriteTests renders
+	// them, byte for byte.
+	d, err := experiments.Prepare("s27", experiments.Params{NP: 0, NP0: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	er := core.Enrich(d.Circuit, d.P0, d.P1, core.Config{Heuristic: core.ValueBased, Seed: 1})
+	var want bytes.Buffer
+	if err := testio.WriteTests(&want, er.Tests); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("tests file differs from testio.WriteTests of the job's tests:\n%s\nvs\n%s", got, want.Bytes())
 	}
 
 	simOut, _, err := run(t, func(a []string, o, e *bytes.Buffer) error {
@@ -139,8 +156,8 @@ func TestPDFATPGAndPDFSimCLIPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(simOut, "detected") {
-		t.Errorf("pdfsim output missing detection summary:\n%s", simOut)
+	if summary := fmt.Sprintf(", %d detected (", er.DetectedCount); !strings.Contains(simOut, summary) {
+		t.Errorf("pdfsim output missing %q, the enrichment's P0 ∪ P1 detection:\n%s", summary, simOut)
 	}
 }
 

@@ -114,17 +114,21 @@ func PDFATPG(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rp, err := report.Build(c, r.TestPatterns, d.All())
+		tests, _, err := testio.ParseTests(r.Tests, len(c.PIs))
+		if err != nil {
+			return err
+		}
+		rp, err := report.Build(c, tests, d.All())
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout)
 		rp.Render(stdout)
 	}
-	return writeTestsFile(stdout, *testsOut, r.TestPatterns)
+	return writeTestsFile(stdout, *testsOut, r.Tests)
 }
 
-func writeTestsFile(stdout io.Writer, path string, tests []circuit.TwoPattern) error {
+func writeTestsFile[T circuit.TwoPattern | string](stdout io.Writer, path string, tests []T) error {
 	if path == "" {
 		return nil
 	}

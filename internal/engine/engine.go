@@ -1090,6 +1090,9 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	if err := e.inject(ctx, SiteRun, j.id); err != nil {
 		return nil, false, err
 	}
+	// The parsed tests stay local, so they are garbage once the job
+	// ends: the result keeps only their wire strings.
+	var tests []circuit.TwoPattern
 	switch spec.Kind {
 	case KindGenerate, KindEnrich:
 		genCtx, gen := e.startStage(ctx, j, "generation", obs.String("heuristic", spec.Heuristic))
@@ -1114,31 +1117,30 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		attrs := []obs.Attr{obs.Int("tests", len(out.Tests))}
 		out.Counts(func(name string, n int) { attrs = append(attrs, obs.Int(name, n)) })
 		gen.done(attrs...)
-		res.TestPatterns = out.Tests
-		res.Tests = make([]string, len(out.Tests))
-		for i, tp := range out.Tests {
+		tests = out.Tests
+		res.Tests = make([]string, len(tests))
+		for i, tp := range tests {
 			res.Tests[i] = tp.String()
 		}
 	case KindFaultSim:
-		tests, text, err := testio.ParseTests(spec.Tests, len(c.PIs))
+		tests, res.Tests, err = testio.ParseTests(spec.Tests, len(c.PIs))
 		if err != nil {
 			return nil, false, err
 		}
 		// Echo each canonical submitted line; render the others.
-		for i, t := range text {
+		for i, t := range res.Tests {
 			if t == "" {
-				text[i] = tests[i].String()
+				res.Tests[i] = tests[i].String()
 			}
 		}
-		res.TestPatterns, res.Tests = tests, text
 	}
 	// Generate and faultsim jobs grade their tests on P0 ∪ P1. So does
 	// an enrich job whose targets were collapsed: core counted only
 	// the collapsed sets.
 	if spec.Kind != KindEnrich || spec.Collapse {
 		simCtx, sim := e.startStage(ctx, j, "simulation",
-			obs.Int("tests", len(res.TestPatterns)), obs.Int("faults", len(ps.all)))
-		first, err := ps.program(c).Run(simCtx, res.TestPatterns)
+			obs.Int("tests", len(tests)), obs.Int("faults", len(ps.all)))
+		first, err := ps.program(c).Run(simCtx, tests)
 		if err != nil {
 			sim.fail()
 			return nil, false, err

@@ -50,12 +50,38 @@ func TestEngineGenerateJob(t *testing.T) {
 	if r.P0Detected == 0 || r.AllTotal < r.P0Size || r.AllDetected < r.P0Detected {
 		t.Errorf("implausible detection counts: %+v", r)
 	}
-	if len(r.TestPatterns) != r.TestCount {
-		t.Errorf("TestPatterns not mirrored: %d vs %d", len(r.TestPatterns), r.TestCount)
-	}
 	if r.CacheKey == "" || r.CircuitHash == "" || r.FaultDigest == "" {
 		t.Error("missing identity digests")
 	}
+	if got := gradeAll(t, s27Spec(KindGenerate), r.Tests); got != r.AllDetected {
+		t.Errorf("all_detected = %d, want %d from grading the wire tests on P0 ∪ P1", r.AllDetected, got)
+	}
+}
+
+// gradeAll parses the wire tests of a job run under spec and returns
+// how many faults of its full P0 ∪ P1 they detect.
+func gradeAll(t *testing.T, spec Spec, lines []string) int {
+	t.Helper()
+	c, err := experiments.LoadCircuit(spec.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := experiments.PrepareCircuit(c, experiments.Params{NP: spec.NP, NP0: spec.NP0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests, _, err := testio.ParseTests(lines, len(c.PIs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tests) != len(lines) {
+		t.Fatalf("parsed %d tests from %d lines", len(tests), len(lines))
+	}
+	first, err := bitsim.Run(c, tests, d.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bitsim.Detected(first)
 }
 
 func TestEngineEnrichJob(t *testing.T) {
@@ -95,19 +121,7 @@ func TestEnrichCollapseGradesFullSets(t *testing.T) {
 	if r.AllTotal != 1063 {
 		t.Errorf("all_total = %d, want 1063 (the uncollapsed P0 ∪ P1)", r.AllTotal)
 	}
-	c, err := experiments.LoadCircuit(spec.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := experiments.PrepareCircuit(c, experiments.Params{NP: spec.NP, NP0: spec.NP0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := bitsim.Run(c, r.TestPatterns, d.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := bitsim.Detected(first); r.AllDetected != want {
+	if want := gradeAll(t, spec, r.Tests); r.AllDetected != want {
 		t.Errorf("all_detected = %d, want %d from grading the tests on P0 ∪ P1", r.AllDetected, want)
 	}
 }

@@ -135,7 +135,8 @@ func (s Spec) timeout() time.Duration {
 	return time.Duration(s.TimeoutMS) * time.Millisecond
 }
 
-// Result is the outcome of a completed job. It contains no wall-clock
+// Result is the outcome of a completed job: only what it serves on the
+// wire, the tests as their canonical strings. It contains no wall-clock
 // fields, so equal computations marshal to identical bytes — the
 // determinism golden tests and the cache both rely on this.
 type Result struct {
@@ -171,10 +172,6 @@ type Result struct {
 	// undetected) and the detected count.
 	FirstDetect []int `json:"first_detect,omitempty"`
 	Detected    int   `json:"detected,omitempty"`
-
-	// TestPatterns mirrors Tests in parsed form for programmatic
-	// consumers; not part of the serialized report.
-	TestPatterns []circuit.TwoPattern `json:"-"`
 }
 
 // Status is a job's lifecycle state.

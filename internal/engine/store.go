@@ -13,17 +13,17 @@ import (
 // through on a memory miss, so a restarted process (same -store dir)
 // serves cache hits for everything it computed before dying. The
 // store's payload is the Result's canonical JSON — the same bytes the
-// determinism golden tests pin — so a rehydrated result is
-// byte-identical to the originally computed one.
+// determinism golden tests pin — and a Result holds nothing else, so a
+// restored result is byte-identical to the originally computed one.
 
 // ErrNoStore is returned by InstallResult when the engine has no
 // durable store configured.
 var ErrNoStore = errors.New("engine: no durable store configured")
 
 // storeGet is the read-through path: on an in-memory miss, load the
-// result's JSON from the durable store, rehydrate the parsed test
-// patterns (piCount is the loaded circuit's input width), and promote
-// it into the memory LRU. Any decode failure degrades to a miss.
+// result's JSON from the durable store, check that its tests parse at
+// the loaded circuit's input width (piCount), and promote it into the
+// memory LRU. Any decode failure degrades to a miss.
 func (e *Engine) storeGet(key string, piCount int) (*Result, bool) {
 	st := e.cfg.Store
 	if st == nil {
@@ -67,8 +67,8 @@ func (e *Engine) storePut(key string, res *Result) {
 // — the cluster coordinator's replication path (PUT /v1/cache/{key}).
 // The payload must decode to a Result whose CacheKey matches key; it
 // lands in the durable store only, and is promoted into the memory
-// LRU (with its test patterns rehydrated) the first time a job for
-// the same key reads through. A key the store already holds is
+// LRU (once its tests parse at the circuit's width) the first time a
+// job for the same key reads through. A key the store already holds is
 // answered as installed without writing it again: the payload is a
 // function of the key.
 func (e *Engine) InstallResult(key string, payload []byte) error {
@@ -105,9 +105,8 @@ func (e *Engine) CachedResult(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// decodeStoredResult unmarshals a stored payload and rebuilds the
-// derived TestPatterns field (json:"-") from the serialized test
-// strings.
+// decodeStoredResult unmarshals a stored payload and checks that its
+// tests parse at piCount inputs; the parsed tests are discarded.
 func decodeStoredResult(key string, payload []byte, piCount int) (*Result, error) {
 	res := &Result{}
 	if err := json.Unmarshal(payload, res); err != nil {
@@ -116,12 +115,8 @@ func decodeStoredResult(key string, payload []byte, piCount int) (*Result, error
 	if res.CacheKey != key {
 		return nil, fmt.Errorf("cache_key %q does not match %q", res.CacheKey, key)
 	}
-	if len(res.Tests) > 0 {
-		tps, _, err := testio.ParseTests(res.Tests, piCount)
-		if err != nil {
-			return nil, fmt.Errorf("rehydrate tests: %w", err)
-		}
-		res.TestPatterns = tps
+	if _, _, err := testio.ParseTests(res.Tests, piCount); err != nil {
+		return nil, fmt.Errorf("stored tests: %w", err)
 	}
 	return res, nil
 }

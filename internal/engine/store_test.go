@@ -72,8 +72,9 @@ func TestEngineStoreWarmRestart(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatalf("restored result differs:\n%s\nvs\n%s", first, second)
 	}
-	if len(v2.Result.TestPatterns) != len(v2.Result.Tests) {
-		t.Fatalf("rehydrated TestPatterns = %d, want %d", len(v2.Result.TestPatterns), len(v2.Result.Tests))
+	// The restored wire tests parse and grade to the original coverage.
+	if got := gradeAll(t, storeSpec(7), v2.Result.Tests); got != v1.Result.AllDetected {
+		t.Fatalf("restored tests detect %d of P0 ∪ P1, want %d", got, v1.Result.AllDetected)
 	}
 	if hits := st2.MetricsRef().Hits.Load(); hits != 1 {
 		t.Fatalf("store hits = %d, want 1", hits)
@@ -136,6 +137,54 @@ func TestEngineStoreOldKeyMisses(t *testing.T) {
 	}
 	if st.Len() != 2 {
 		t.Fatalf("store Len = %d, want the old entry plus the new one", st.Len())
+	}
+}
+
+// A stored payload under the right key whose tests do not parse at the
+// circuit's width is a miss: the job recomputes, returns the bytes a
+// fresh engine computes, and overwrites the bad entry.
+func TestEngineStoreMalformedTestsMiss(t *testing.T) {
+	ctx := context.Background()
+	spec := storeSpec(3)
+	fresh := New(Config{Workers: 1})
+	defer fresh.Close()
+	v, err := fresh.RunJob(ctx, spec)
+	if err != nil || v.Status != StatusDone {
+		t.Fatalf("fresh run: %+v, %v", v, err)
+	}
+	want, err := json.Marshal(v.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bad := *v.Result
+	bad.Tests = append([]string{"01 -> 10"}, v.Result.Tests[1:]...)
+	payload, err := json.Marshal(&bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t, t.TempDir())
+	if err := st.Put(bad.CacheKey, payload); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Workers: 1, Store: st})
+	defer e.Close()
+	got, err := e.RunJob(ctx, spec)
+	if err != nil || got.Status != StatusDone {
+		t.Fatalf("run over the malformed entry: %+v, %v", got, err)
+	}
+	if got.CacheHit {
+		t.Fatal("a stored result with a malformed test line was served as a hit")
+	}
+	b, err := json.Marshal(got.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, want) {
+		t.Fatalf("recomputed result differs from a fresh engine's:\n%s\nvs\n%s", b, want)
+	}
+	if stored, ok := st.Get(bad.CacheKey); !ok || !bytes.Equal(stored, want) {
+		t.Fatalf("store entry after the miss = %s, want the fresh result", stored)
 	}
 }
 

@@ -27,8 +27,9 @@ import (
 	"repro/internal/tval"
 )
 
-// WriteTests writes a test set, one test per line.
-func WriteTests(w io.Writer, tests []circuit.TwoPattern) error {
+// WriteTests writes a test set, one test per line: a TwoPattern as its
+// String, or a line already in that form.
+func WriteTests[T circuit.TwoPattern | string](w io.Writer, tests []T) error {
 	bw := bufio.NewWriter(w)
 	for _, tp := range tests {
 		if _, err := fmt.Fprintln(bw, tp); err != nil {
