@@ -72,32 +72,59 @@ func newBatch(c *circuit.Circuit) *Batch {
 // load replaces the batch's contents with the simulation of tests,
 // reusing the slab. base is the index of tests[0] in the caller's test
 // set, for error messages. A rejected batch is left as it was.
+//
+// The inputs are gathered in blocks of 8 inputs by 8 tests. A
+// pattern's values for a block's inputs are one word, a value per
+// byte, and word operations find the bytes that are One and Zero: a
+// block's 8 tests give, per rail, a word whose byte k holds input k's
+// bits for those tests. Transposing the 8 such words of 64 tests gives
+// each input's rail word. Inputs past the last whole block are
+// gathered one by one. A byte that is neither One nor Zero, x or not
+// a valid tval.V, is x on every plane.
 func (b *Batch) load(tests []circuit.TwoPattern, base int) error {
 	c := b.c
 	if len(tests) == 0 || len(tests) > WordSize {
 		return fmt.Errorf("bitsim: batch of %d tests (want 1..%d)", len(tests), WordSize)
 	}
+	m := len(c.PIs)
 	for ti, tp := range tests {
-		if len(tp.P1) != len(c.PIs) || len(tp.P3) != len(c.PIs) {
-			return fmt.Errorf("bitsim: test %d has %d/%d values for %d inputs", base+ti, len(tp.P1), len(tp.P3), len(c.PIs))
+		if len(tp.P1) != m || len(tp.P3) != m {
+			return fmt.Errorf("bitsim: test %d has %d/%d values for %d inputs", base+ti, len(tp.P1), len(tp.P3), m)
 		}
 	}
 	clear(b.w)
 	b.n = len(tests)
-	// One input at a time, gather the tests' values into its plane 0
-	// and 2 words. An input is stable, and so specified on plane 1,
-	// in the tests whose two patterns give it one value.
-	for i, pi := range c.PIs {
+	for i0 := 0; i0+8 <= m; i0 += 8 {
+		// rail[r][tb] byte k: input i0+k's rail r bits (H0, L0, H2,
+		// L2) for tests 8·tb to 8·tb+7.
+		var rail [4][8]uint64
+		for tb := 0; 8*tb < len(tests); tb++ {
+			var h0, l0, h2, l2 uint64
+			for j, tp := range tests[8*tb : min(8*tb+8, len(tests))] {
+				v1, v3 := lanes(tp.P1[i0:]), lanes(tp.P3[i0:])
+				h0 |= isZero(v1^allOne) << j
+				l0 |= isZero(v1^allZero) << j
+				h2 |= isZero(v3^allOne) << j
+				l2 |= isZero(v3^allZero) << j
+			}
+			rail[0][tb], rail[1][tb], rail[2][tb], rail[3][tb] = h0, l0, h2, l2
+		}
+		for r := range rail {
+			transpose(&rail[r])
+		}
+		for k, pi := range c.PIs[i0 : i0+8] {
+			b.setInput(pi, rail[0][k], rail[1][k], rail[2][k], rail[3][k])
+		}
+	}
+	for i := m &^ 7; i < m; i++ {
 		var h0, l0, h2, l2 uint64
 		for ti, tp := range tests {
-			h0 |= bitIf(tp.P1[i] == tval.One, ti)
-			l0 |= bitIf(tp.P1[i] == tval.Zero, ti)
-			h2 |= bitIf(tp.P3[i] == tval.One, ti)
-			l2 |= bitIf(tp.P3[i] == tval.Zero, ti)
+			h0 |= is(tp.P1[i], tval.One) << ti
+			l0 |= is(tp.P1[i], tval.Zero) << ti
+			h2 |= is(tp.P3[i], tval.One) << ti
+			l2 |= is(tp.P3[i], tval.Zero) << ti
 		}
-		b.h[0][pi], b.l[0][pi] = h0, l0
-		b.h[1][pi], b.l[1][pi] = h0&h2, l0&l2
-		b.h[2][pi], b.l[2][pi] = h2, l2
+		b.setInput(c.PIs[i], h0, l0, h2, l2)
 	}
 	for _, gi := range c.TopoGates() {
 		g := &c.Gates[gi]
@@ -108,13 +135,64 @@ func (b *Batch) load(tests []circuit.TwoPattern, base int) error {
 	return nil
 }
 
-// bitIf returns bit i set if cond holds, else 0.
-func bitIf(cond bool, i int) uint64 {
-	var v uint64
-	if cond {
-		v = 1
+// setInput sets input net pi's words from its plane 0 and 2 rails. An
+// input is stable, and so specified on plane 1, in the tests whose two
+// patterns give it one value.
+func (b *Batch) setInput(pi int, h0, l0, h2, l2 uint64) {
+	b.h[0][pi], b.l[0][pi] = h0, l0
+	b.h[1][pi], b.l[1][pi] = h0&h2, l0&l2
+	b.h[2][pi], b.l[2][pi] = h2, l2
+}
+
+const (
+	// allOne and allZero hold One and Zero in every byte: a byte of
+	// w^allOne is 0 exactly where w holds One.
+	allOne  = 0x0101010101010101 * uint64(tval.One)
+	allZero = 0x0101010101010101 * uint64(tval.Zero)
+	low7    = 0x7f7f7f7f7f7f7f7f // the low 7 bits of every byte
+)
+
+// lanes returns vs[0:8] as one word, vs[k] in byte k.
+func lanes(vs []tval.V) uint64 {
+	_ = vs[7]
+	// Byte loads and shifts the compiler combines into one load.
+	return uint64(vs[0]) | uint64(vs[1])<<8 | uint64(vs[2])<<16 | uint64(vs[3])<<24 |
+		uint64(vs[4])<<32 | uint64(vs[5])<<40 | uint64(vs[6])<<48 | uint64(vs[7])<<56
+}
+
+// isZero returns bit 0 of byte k set exactly when byte k of w is 0.
+// Adding 0x7f to a byte's low 7 bits carries into its bit 7 unless
+// they are all 0, and never into the next byte.
+func isZero(w uint64) uint64 {
+	return ^((w&low7 + low7) | w | low7) >> 7
+}
+
+// is returns 1 if v is want, else 0: v^want-1 wraps to all ones
+// exactly when v^want is 0.
+func is(v, want tval.V) uint64 {
+	return (uint64(v^want) - 1) >> 63
+}
+
+// transpose transposes the 8×8 byte matrix whose row i is w[i], byte
+// k of w[i] being column k: afterwards byte k of w[i] is what byte i
+// of w[k] was. It swaps the off-diagonal 4×4 blocks, then the
+// off-diagonal 2×2 blocks within each quadrant, then single bytes.
+func transpose(w *[8]uint64) {
+	for i := 0; i < 4; i++ {
+		swapBlocks(&w[i], &w[i+4], 32, 0x00000000ffffffff)
 	}
-	return v << uint(i)
+	for _, i := range [4]int{0, 1, 4, 5} {
+		swapBlocks(&w[i], &w[i+2], 16, 0x0000ffff0000ffff)
+	}
+	for i := 0; i < 8; i += 2 {
+		swapBlocks(&w[i], &w[i+1], 8, 0x00ff00ff00ff00ff)
+	}
+}
+
+// swapBlocks swaps the blocks of *x that keep does not cover with the
+// blocks of *y that it does, shift bits apart.
+func swapBlocks(x, y *uint64, shift uint, keep uint64) {
+	*x, *y = *x&keep|*y<<shift&^keep, *x>>shift&keep|*y&^keep
 }
 
 func (b *Batch) evalGate(g *circuit.Gate, p int) {

@@ -1127,7 +1127,9 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		// Echo each canonical submitted line; render the others.
+		// Echo each canonical submitted line; render the others. When
+		// every line is canonical, res.Tests is spec.Tests itself and
+		// has no "" slot, so the submitted lines are never written.
 		for i, t := range res.Tests {
 			if t == "" {
 				res.Tests[i] = tests[i].String()

@@ -151,6 +151,43 @@ func TestEngineFaultSimJob(t *testing.T) {
 	}
 }
 
+// A faultsim job whose lines are all canonical returns them as
+// Result.Tests without a copy; one with a mixed-case line returns its
+// canonical rendering, and the submitted lines are left as they were.
+func TestEngineFaultSimSharesCanonicalTests(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	gen, err := e.RunJob(context.Background(), s27Spec(KindGenerate))
+	if err != nil || gen.Status != StatusDone {
+		t.Fatalf("generate: %v %s", err, gen.Status)
+	}
+	spec := s27Spec(KindFaultSim)
+	spec.Tests = append([]string(nil), gen.Result.Tests...)
+	sim, err := e.RunJob(context.Background(), spec)
+	if err != nil || sim.Status != StatusDone {
+		t.Fatalf("faultsim: %v %s", err, sim.Status)
+	}
+	if got := sim.Result.Tests; len(got) != len(spec.Tests) || &got[0] != &spec.Tests[0] {
+		t.Errorf("canonical faultsim job copied its tests")
+	}
+
+	mixed := s27Spec(KindFaultSim)
+	mixed.Tests = append([]string(nil), gen.Result.Tests...)
+	mixed.Tests[0] = strings.ToUpper(strings.ReplaceAll(mixed.Tests[0], "0", "x"))
+	submitted := append([]string(nil), mixed.Tests...)
+	sim, err = e.RunJob(context.Background(), mixed)
+	if err != nil || sim.Status != StatusDone {
+		t.Fatalf("mixed faultsim: %v %s", err, sim.Status)
+	}
+	want := strings.ToLower(submitted[0])
+	if got := sim.Result.Tests; &got[0] == &mixed.Tests[0] || got[0] != want || !reflect.DeepEqual(got[1:], submitted[1:]) {
+		t.Errorf("mixed-case job returned tests %q, want %q then %q", got, want, submitted[1:])
+	}
+	if !reflect.DeepEqual(mixed.Tests, submitted) {
+		t.Errorf("job changed its submitted tests to %q", mixed.Tests)
+	}
+}
+
 func TestEngineCacheHit(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer e.Close()

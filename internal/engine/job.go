@@ -67,7 +67,9 @@ type Spec struct {
 	// this many times. 0 uses the engine default (Config.MaxRetries).
 	MaxRetries int `json:"max_retries,omitempty"`
 	// Tests is the input test set of a faultsim job, one "p1 -> p2"
-	// line per test in the testio format.
+	// line per test in the testio format. The engine may share the
+	// slice with the job's Result.Tests, so a caller must not modify
+	// it after submission.
 	Tests []string `json:"tests,omitempty"`
 	// NoCache bypasses the result cache (both lookup and store).
 	NoCache bool `json:"no_cache,omitempty"`

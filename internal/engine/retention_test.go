@@ -12,15 +12,16 @@ import (
 
 // A finished grading job keeps only its wire result. Forty s1423
 // faultsim jobs of 2,048 random tests each, finished and held, must
-// grow the post-GC heap by less than 64 KiB per job: the result's test
-// strings slice, its first-detect list and the job's bookkeeping. A
-// result that also kept the parsed tests (two value slices per test)
-// holds about half a megabyte per job.
+// grow the post-GC heap by less than 24 KiB per job: the result's
+// first-detect list and the job's bookkeeping. The result's tests
+// share the submitted lines' array; a copy of it, 32 KiB of string
+// headers, breaks the bound, and a result that also kept the parsed
+// tests (two value slices per test) holds about half a megabyte.
 func TestFinishedGradeJobRetention(t *testing.T) {
 	const (
 		jobs     = 40
 		tests    = 2048
-		perJobKB = 64
+		perJobKB = 24
 	)
 	c, err := experiments.LoadCircuit("s1423")
 	if err != nil {

@@ -1,6 +1,7 @@
 package testio
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,8 +54,9 @@ func FuzzReadTests(f *testing.F) {
 
 // FuzzParseTests checks that ParseTests over src split at sep reads
 // what ReadTests reads from the pieces joined by '\n', or fails with
-// the same error, and that it marks a test canonical exactly when its
-// trimmed line is the test's String.
+// the same error, that it marks a test canonical exactly when its
+// trimmed line is the test's String, and that it leaves its input as
+// it was.
 func FuzzParseTests(f *testing.F) {
 	for _, s := range testSetSeeds {
 		f.Add(s.src, s.n, byte('\n'))
@@ -66,9 +68,13 @@ func FuzzParseTests(f *testing.F) {
 			return
 		}
 		lines := strings.Split(src, string(sep))
+		in := slices.Clone(lines)
 		joined := strings.Join(lines, "\n")
 		want, wantErr := ReadTests(strings.NewReader(joined), n)
 		got, canon, err := ParseTests(lines, n)
+		if !slices.Equal(lines, in) {
+			t.Fatalf("ParseTests changed its input %q to %q", in, lines)
+		}
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("ParseTests error %v, ReadTests error %v", err, wantErr)
 		}

@@ -58,7 +58,7 @@ func ReadTests(r io.Reader, nInputs int) ([]circuit.TwoPattern, error) {
 	p := testParser{n: nInputs}
 	sc := newScanner(r)
 	for sc.Scan() {
-		if err := p.line(sc.Text()); err != nil {
+		if _, _, err := p.line(sc.Text()); err != nil {
 			return nil, err
 		}
 	}
@@ -70,25 +70,48 @@ func ReadTests(r io.Reader, nInputs int) ([]circuit.TwoPattern, error) {
 // ReadTests returns for the lines joined by '\n', without the joining.
 // canon[i] is the line that held tests[i], trimmed, when it is
 // byte-equal to tests[i].String(), and "" otherwise, so a caller can
-// echo canonical input without rendering it again. The tests' values
-// share one allocation.
+// echo canonical input without rendering it again. When every element
+// of lines is exactly one canonical test line, canon is lines itself,
+// not a copy: the caller must not modify either while it uses the
+// other. The tests' values share one allocation.
 func ParseTests(lines []string, nInputs int) (tests []circuit.TwoPattern, canon []string, err error) {
 	p := testParser{
 		n:     nInputs,
 		slab:  make([]tval.V, 0, 2*max(nInputs, 0)*len(lines)),
 		tests: make([]circuit.TwoPattern, 0, len(lines)),
-		canon: make([]string, 0, len(lines)),
 	}
-	for _, l := range lines {
+	// While shared, canon is lines[:len(canon)]: every element so far
+	// was one canonical line. At the first that is not, canon gets
+	// its own array.
+	shared := true
+	own := func() {
+		if shared {
+			canon, shared = append(make([]string, 0, len(lines)), canon...), false
+		}
+	}
+	for i, l := range lines {
 		for more := true; more; {
 			var line string
 			line, l, more = strings.Cut(l, "\n")
-			if err := p.line(line); err != nil {
+			c, ok, err := p.line(line)
+			if err != nil {
 				return nil, nil, err
 			}
+			if !ok {
+				continue
+			}
+			if shared && len(canon) == i && c == lines[i] {
+				canon = lines[:i+1]
+				continue
+			}
+			own()
+			canon = append(canon, c)
+		}
+		if len(canon) != i+1 {
+			own()
 		}
 	}
-	return p.tests, p.canon, nil
+	return p.tests, canon, nil
 }
 
 // testParser is the one test-line grammar. It numbers the lines it is
@@ -98,37 +121,37 @@ type testParser struct {
 	lineNo int
 	slab   []tval.V
 	tests  []circuit.TwoPattern
-	canon  []string
 }
 
 // slabTests is how many tests' values a slab grown by the parser
 // holds, at least.
 const slabTests = 64
 
-func (p *testParser) line(raw string) error {
+// line parses one line. It reports whether the line held a test, and
+// for a test the trimmed line when it is the test's String, else "".
+func (p *testParser) line(raw string) (canon string, ok bool, err error) {
 	p.lineNo++
 	line := strings.TrimSpace(raw)
 	if line == "" || line[0] == '#' {
-		return nil
+		return "", false, nil
 	}
 	arrow := strings.Index(line, "->")
 	if arrow < 0 || strings.Contains(line[arrow+2:], "->") {
-		return fmt.Errorf("testio: line %d: expected 'p1 -> p2', got %q", p.lineNo, line)
+		return "", false, fmt.Errorf("testio: line %d: expected 'p1 -> p2', got %q", p.lineNo, line)
 	}
 	p1, canon1, err := p.pattern(strings.TrimSpace(line[:arrow]))
 	if err != nil {
-		return fmt.Errorf("testio: line %d: %v", p.lineNo, err)
+		return "", false, fmt.Errorf("testio: line %d: %v", p.lineNo, err)
 	}
 	p3, canon3, err := p.pattern(strings.TrimSpace(line[arrow+2:]))
 	if err != nil {
-		return fmt.Errorf("testio: line %d: %v", p.lineNo, err)
+		return "", false, fmt.Errorf("testio: line %d: %v", p.lineNo, err)
 	}
 	p.tests = append(p.tests, circuit.TwoPattern{P1: p1, P3: p3})
 	if n := p.n; !canon1 || !canon3 || len(line) != 2*n+4 || line[n:n+4] != " -> " {
 		line = ""
 	}
-	p.canon = append(p.canon, line)
-	return nil
+	return line, true, nil
 }
 
 // badChar marks the bytes that are not a pattern character in

@@ -1,6 +1,7 @@
 package testio
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,5 +159,41 @@ func TestParseTests(t *testing.T) {
 	_, _, err = ParseTests([]string{"0000 -> 1111", "# a\n0000 -> 111"}, 4)
 	if err == nil || !strings.Contains(err.Error(), "line 3:") {
 		t.Errorf("error %v, want one on line 3", err)
+	}
+}
+
+// When every element is one canonical test line, canon is the input
+// slice itself; any other element gives canon an array of its own.
+func TestParseTestsSharesCanonicalLines(t *testing.T) {
+	canonical := []string{"0110 -> 1010", "01x1 -> 1111", "0000 -> 1111"}
+	_, canon, err := ParseTests(canonical, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(canon) != len(canonical) || &canon[0] != &canonical[0] {
+		t.Fatalf("canon %q does not share the input's array", canon)
+	}
+	for _, odd := range []string{
+		"01X1 -> 1111",
+		" 01x1 -> 1111",
+		"01x1 -> 1111\n0000 -> 0000",
+		"# comment",
+		"",
+	} {
+		for at := range canonical {
+			lines := slices.Clone(canonical)
+			lines[at] = odd
+			in := slices.Clone(lines)
+			_, canon, err := ParseTests(lines, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(canon) > 0 && &canon[0] == &lines[0] {
+				t.Errorf("%q at %d: canon shares the input's array", odd, at)
+			}
+			if !slices.Equal(lines, in) {
+				t.Errorf("%q at %d: ParseTests changed its input to %q", odd, at, lines)
+			}
+		}
 	}
 }
