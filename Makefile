@@ -54,11 +54,14 @@ paper-check:
 	echo "$$out" | awk '/rt_ratio/{t=1} t{sub(/,[^,]*$$/, "")} 1' | diff -u cmd/tables/testdata/paper_np10000_np0_1000.csv -; \
 	echo "paper-check: tables match cmd/tables/testdata/paper_np10000_np0_1000.csv"
 
-# The fault-injection suite: panic containment, retry/backoff, crash +
-# journal replay, load shedding — twice under the race detector.
+# The fault-injection suite: panic containment (a panicking job fails
+# once), crash + journal replay, load shedding, plus all of the retry
+# package the coordinator's forwarded calls use — twice under the race
+# detector.
 chaos:
-	$(GO) test -race -count=2 -run 'TestChaos|TestWait|TestRetry|TestDo|TestDelay|TestJournal|TestLive|TestOpen' \
-		./internal/engine/ ./internal/journal/ ./internal/retry/
+	$(GO) test -race -count=2 -run 'TestChaos|TestWait|TestJournal|TestLive|TestOpen' \
+		./internal/engine/ ./internal/journal/
+	$(GO) test -race -count=2 ./internal/retry/
 
 # The cluster chaos suite: partitions, injected error rates and backend
 # death via the chaosnet fault-injecting transport, pinning no-job-lost,

@@ -4,10 +4,10 @@
 // result cache keyed by (result version, circuit hash, spec hash),
 // looked up before prepare.
 //
-// The engine is crash-safe: job panics are contained and retried with
-// backoff (-max-retries), submissions past the -shed-watermark are
-// shed with 503 before the queue hard-fills, and with -journal the job
-// lifecycle is written to a durable WAL — a restart on the same
+// The engine is crash-safe: a job runs once, and a panic is contained
+// to its job, which ends failed; submissions past the -shed-watermark
+// are shed with 503 before the queue hard-fills, and with -journal the
+// job lifecycle is written to a durable WAL — a restart on the same
 // directory replays whatever was queued or running when the process
 // died. SIGINT/SIGTERM drain running jobs for up to -drain before
 // exiting.
@@ -25,7 +25,7 @@
 //
 //	pdfd [-addr :8344] [-debug-addr ""] [-log-format text] [-log-level info]
 //	     [-workers 0] [-queue 64] [-cache 128]
-//	     [-timeout 10m] [-max-retries 0] [-shed-watermark 0]
+//	     [-timeout 10m] [-shed-watermark 0]
 //	     [-trace-spans 512] [-trace-sample 1] [-trace-buffer 256]
 //	     [-journal DIR] [-drain 30s]
 //

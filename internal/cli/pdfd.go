@@ -44,7 +44,6 @@ func PDFD(args []string, stdout, stderr io.Writer) error {
 		queue       = fs.Int("queue", 64, "maximum queued jobs (submissions beyond it get 503)")
 		cacheSize   = fs.Int("cache", 128, "result cache entries")
 		timeout     = fs.Duration("timeout", 10*time.Minute, "default per-job deadline (0 = none)")
-		maxRetries  = fs.Int("max-retries", 0, "default retry budget for jobs that panic or fail transiently")
 		shed        = fs.Int("shed-watermark", 0, "queue depth at which submissions are shed with 503 before the queue is full (0 = disabled)")
 		spanLimit   = fs.Int("trace-spans", obs.DefaultSpanLimit, "per-job span timeline cap (0 disables span collection entirely); excess spans are counted, not kept")
 		traceSample = fs.Float64("trace-sample", 1, "head-sampling rate for distributed traces in [0,1] (0 keeps none); error and slowest-percentile traces are tail-retained regardless")
@@ -99,7 +98,6 @@ func PDFD(args []string, stdout, stderr io.Writer) error {
 		Tenants:          tenants,
 		CacheSize:        *cacheSize,
 		DefaultTimeout:   *timeout,
-		MaxRetries:       *maxRetries,
 		ShedWatermark:    *shed,
 		TraceSpanLimit:   *spanLimit,
 		TraceSample:      *traceSample,

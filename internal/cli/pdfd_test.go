@@ -19,6 +19,14 @@ func TestPDFDBadFlags(t *testing.T) {
 	}, "-nosuchflag"); err == nil {
 		t.Error("unknown flag must fail")
 	}
+	// Jobs run once: the retry budget flag is gone. The address is
+	// unlistenable, so a daemon that took the flag fails fast instead
+	// of serving.
+	if _, stderr, err := run(t, func(a []string, o, e *bytes.Buffer) error {
+		return PDFD(a, o, e)
+	}, "-max-retries", "2", "-addr", "999.999.999.999:0"); err == nil || !strings.Contains(stderr, "flag provided but not defined: -max-retries") {
+		t.Errorf("removed -max-retries flag = %v, stderr %q; want a usage error", err, stderr)
+	}
 	if _, _, err := run(t, func(a []string, o, e *bytes.Buffer) error {
 		return PDFD(a, o, e)
 	}, "-addr", "999.999.999.999:0"); err == nil {
@@ -104,7 +112,7 @@ func TestPDFDLifecycleWithJournal(t *testing.T) {
 	dir := t.TempDir()
 	var out syncBuffer
 	base, exit := startPDFD(t, &out,
-		"-journal", dir, "-max-retries", "2", "-shed-watermark", "32", "-drain", "30s")
+		"-journal", dir, "-shed-watermark", "32", "-drain", "30s")
 	if !strings.Contains(out.String(), `msg="journal replayed"`) || !strings.Contains(out.String(), "jobs=0") {
 		t.Errorf("fresh journal replay record missing:\n%s", out.String())
 	}

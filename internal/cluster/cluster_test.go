@@ -286,6 +286,7 @@ func TestClusterSpecErrorsMatchPDFD(t *testing.T) {
 	_, srv, backs := newFleet(t, 1)
 	for _, tc := range []struct{ body, msg string }{
 		{`{"kind":"enrich","circuit":"s27","workers":4}`, `unknown field "workers" in job spec`},
+		{`{"kind":"enrich","circuit":"s27","max_retries":2}`, `unknown field "max_retries" in job spec`},
 		{`{"kind":"enrich","circuit":"s27","np0":"ten"}`, ""},
 	} {
 		message := func(base string) string {

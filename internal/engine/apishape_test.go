@@ -53,7 +53,7 @@ func TestGoldenAPIShapes(t *testing.T) {
 	}
 	assertShape(t, "JobView", jobBody,
 		[]string{"id", "kind", "circuit", "tenant", "priority", "status", "cache_hit", "queued_ms", "run_ms"},
-		[]string{"error", "attempts", "panic_stack", "result", "trace", "trace_id"})
+		[]string{"error", "panic_stack", "result", "trace", "trace_id"})
 	if jobBody["tenant"] != DefaultTenant {
 		t.Errorf("anonymous job tenant = %v, want %q", jobBody["tenant"], DefaultTenant)
 	}

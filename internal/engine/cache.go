@@ -105,8 +105,8 @@ func faultSetDigest(sets ...[]robust.FaultConditions) string {
 
 // SpecDigest hashes every Spec field that selects a job's computation
 // — the named circuit, the config parameters and the input test list —
-// into a stable hex digest. Execution knobs (TimeoutMS, MaxRetries,
-// NoCache, tenant, priority) cannot change a result and are excluded.
+// into a stable hex digest. Execution knobs (TimeoutMS, NoCache,
+// tenant, priority) cannot change a result and are excluded.
 //
 // The engine's cache key and the coordinator's ring placement both use
 // it, so a resubmitted spec routes to the backend holding its result.

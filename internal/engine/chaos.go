@@ -8,14 +8,14 @@ import "context"
 // ordinary `go test -race` binary; a nil injector costs one nil check
 // per site. Tests use it to
 //
-//   - panic — exercises the per-job recover/retry path;
+//   - panic — exercises the per-job recover, which fails the job;
 //   - sleep (honoring ctx) — injects stage latency;
 //   - block until ctx is canceled — holds a job mid-run so the test
 //     can crash the engine (Close without drain) and assert journal
 //     replay re-runs it.
 //
-// Returning a non-nil error fails the stage with that error, which
-// the retry budget treats like any other transient failure.
+// Returning a non-nil error fails the stage with that error, and the
+// job ends failed like any other failed run.
 
 // Site names a fault-injection point in the job pipeline.
 type Site string

@@ -17,11 +17,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/retry"
 )
-
-// fastRetry keeps chaos-test backoffs in the microsecond range.
-var fastRetry = retry.Policy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Jitter: -1}
 
 // openJournal opens (or reopens) the journal under dir.
 func openJournal(t *testing.T, dir string) (*journal.Log, []journal.Record) {
@@ -33,17 +29,19 @@ func openJournal(t *testing.T, dir string) (*journal.Log, []journal.Record) {
 	return log, recs
 }
 
-// A panic in one attempt is confined to that job, the attempt is
-// retried, and the retry succeeds — the worker and the engine survive.
-func TestChaosPanicRetriedToSuccess(t *testing.T) {
-	var panics atomic.Int64
+// A panic is confined to its job, which fails once with the panic and
+// its stack: the job is not run again, and the worker and the engine
+// carry on with the next job.
+func TestChaosPanicFailsOnce(t *testing.T) {
+	var runs atomic.Int64
 	inj := InjectorFunc(func(ctx context.Context, site Site, jobID string) error {
-		if site == SiteRun && panics.CompareAndSwap(0, 1) {
+		if site == SiteRun && jobID == "j1" {
+			runs.Add(1)
 			panic("injected chaos panic")
 		}
 		return nil
 	})
-	e := New(Config{Workers: 1, MaxRetries: 2, RetryPolicy: fastRetry, Injector: inj})
+	e := New(Config{Workers: 1, Injector: inj})
 	defer e.Close()
 
 	j, err := e.Submit(s27Spec(KindEnrich))
@@ -51,30 +49,33 @@ func TestChaosPanicRetriedToSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := waitDone(t, e, j.ID())
-	if v.Status != StatusDone {
-		t.Fatalf("status = %s (%s), want done after retry", v.Status, v.Error)
-	}
-	if v.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2 (panic + retry)", v.Attempts)
+	want := (&PanicError{Value: "injected chaos panic"}).Error()
+	if v.Status != StatusFailed || v.Error != want {
+		t.Fatalf("job = %s %q, want failed %q", v.Status, v.Error, want)
 	}
 	if v.PanicStack == "" {
-		t.Error("PanicStack not captured from the panicking attempt")
+		t.Error("PanicStack not captured from the panicking run")
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("panicking job ran %d times, want 1", n)
 	}
 	m := e.Metrics()
-	if m.JobPanics != 1 || m.JobsRetried != 1 || m.JobsDone != 1 {
-		t.Errorf("metrics = panics %d retried %d done %d, want 1/1/1", m.JobPanics, m.JobsRetried, m.JobsDone)
+	if m.JobPanics != 1 || m.JobsFailed != 1 || m.JobsDone != 0 {
+		t.Errorf("metrics = panics %d failed %d done %d, want 1/1/0", m.JobPanics, m.JobsFailed, m.JobsDone)
 	}
 
 	// The worker that recovered still runs jobs.
-	v2, err := e.RunJob(context.Background(), s27Spec(KindGenerate))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	v2, err := e.RunJob(ctx, s27Spec(KindGenerate))
 	if err != nil || v2.Status != StatusDone {
-		t.Fatalf("engine wedged after contained panic: %v %s", err, v2.Status)
+		t.Fatalf("engine wedged after contained panic: %v %s (%s)", err, v2.Status, v2.Error)
 	}
 }
 
-// A persistently failing job consumes its retry budget and fails
-// terminally, preserving the last error.
-func TestChaosRetryBudgetExhausted(t *testing.T) {
+// An injected error fails the job on its first run, with the injected
+// text: a deterministic job is not run again.
+func TestChaosInjectedErrorFailsFirstRun(t *testing.T) {
 	injected := errors.New("injected transient failure")
 	var tries atomic.Int64
 	inj := InjectorFunc(func(ctx context.Context, site Site, jobID string) error {
@@ -84,12 +85,10 @@ func TestChaosRetryBudgetExhausted(t *testing.T) {
 		}
 		return nil
 	})
-	e := New(Config{Workers: 1, RetryPolicy: fastRetry, Injector: inj})
+	e := New(Config{Workers: 1, Injector: inj})
 	defer e.Close()
 
-	spec := s27Spec(KindEnrich)
-	spec.MaxRetries = 2 // per-job budget overrides the engine default (0)
-	j, err := e.Submit(spec)
+	j, err := e.Submit(s27Spec(KindEnrich))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +96,14 @@ func TestChaosRetryBudgetExhausted(t *testing.T) {
 	if v.Status != StatusFailed {
 		t.Fatalf("status = %s, want failed", v.Status)
 	}
-	if v.Attempts != 3 || tries.Load() != 3 {
-		t.Errorf("attempts = %d (injector saw %d), want 3", v.Attempts, tries.Load())
+	if n := tries.Load(); n != 1 {
+		t.Errorf("injector saw %d calls, want 1", n)
 	}
 	if !strings.Contains(v.Error, injected.Error()) {
 		t.Errorf("job error = %q, want the injected failure", v.Error)
 	}
-	m := e.Metrics()
-	if m.JobsFailed != 1 || m.JobsRetried != 2 {
-		t.Errorf("metrics = failed %d retried %d, want 1/2", m.JobsFailed, m.JobsRetried)
+	if m := e.Metrics(); m.JobsFailed != 1 {
+		t.Errorf("JobsFailed = %d, want 1", m.JobsFailed)
 	}
 }
 
@@ -152,7 +150,9 @@ func TestJournalReplaysLegacyWorkersSpec(t *testing.T) {
 // A journal recorded when the engine still appended started, stage and
 // retrying records restores through the one admission path: the live
 // jobs come back under their journaled IDs, seqs and specs, counted
-// once each in jobs_submitted, and run to done.
+// once each in jobs_submitted, and each runs once to done. j4's
+// journaled spec carries the removed max_retries field, which the
+// lenient replay decode drops.
 func TestJournalLegacyRestore(t *testing.T) {
 	b, err := os.ReadFile("../journal/testdata/legacy.wal")
 	if err != nil {
@@ -169,7 +169,17 @@ func TestJournalLegacyRestore(t *testing.T) {
 		t.Fatalf("legacy journal live set = %+v, want 2 jobs", live)
 	}
 
-	e := New(Config{Workers: 1, Journal: log})
+	var mu sync.Mutex
+	runs := map[string]int{}
+	count := InjectorFunc(func(ctx context.Context, site Site, id string) error {
+		if site == SitePrepare {
+			mu.Lock()
+			runs[id]++
+			mu.Unlock()
+		}
+		return nil
+	})
+	e := New(Config{Workers: 1, Journal: log, Injector: count})
 	defer e.Close()
 	n, err := e.Restore(recs)
 	if err != nil || n != len(live) {
@@ -178,18 +188,29 @@ func TestJournalLegacyRestore(t *testing.T) {
 	if got := e.Metrics().JobsSubmitted; got != int64(n) {
 		t.Errorf("JobsSubmitted = %d, want the %d restored jobs", got, n)
 	}
+	// j4's spec is the journaled one without max_retries; j5's is the
+	// journaled one byte for byte.
+	wantSpecs := map[string]string{
+		"j4": `{"kind":"faultsim","circuit":"s27","np0":10,"seed":4,"heuristic":"values","tests":["0010010 -\u003e 1010010","1111111 -\u003e 0000000"],"tenant":"default","priority":"interactive"}`,
+		"j5": string(live[1].Spec),
+	}
 	for _, r := range live {
 		j, ok := e.Get(r.JobID)
 		if !ok {
 			t.Fatalf("restored job %s missing", r.JobID)
 		}
-		if j.seq != r.Seq || !bytes.Equal(marshalSpec(j.spec), r.Spec) {
-			t.Errorf("restored %s = seq %d spec %s, want seq %d spec %s", r.JobID, j.seq, marshalSpec(j.spec), r.Seq, r.Spec)
+		if got := string(marshalSpec(j.spec)); j.seq != r.Seq || got != wantSpecs[r.JobID] {
+			t.Errorf("restored %s = seq %d spec %s, want seq %d spec %s", r.JobID, j.seq, got, r.Seq, wantSpecs[r.JobID])
 		}
 		if v := waitDone(t, e, r.JobID); v.Status != StatusDone {
 			t.Errorf("restored %s = %s (%s), want done", r.JobID, v.Status, v.Error)
 		}
 	}
+	mu.Lock()
+	if runs["j4"] != 1 || runs["j5"] != 1 {
+		t.Errorf("restored jobs ran %v times, want j4 and j5 once each", runs)
+	}
+	mu.Unlock()
 	// A second replay of the same records finds every job registered.
 	if n2, err := e.Restore(recs); err != nil || n2 != 0 {
 		t.Errorf("second Restore = %d, %v, want 0 (duplicates skipped)", n2, err)

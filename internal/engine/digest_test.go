@@ -54,10 +54,9 @@ func TestSpecDigestNormalization(t *testing.T) {
 		t.Fatalf("default and explicit heuristic digests differ: %s vs %s", a, b)
 	}
 
-	// Fields outside the digest identity (retry/timeout plumbing) must
-	// not move the key.
+	// Fields outside the digest identity (timeout plumbing) must not
+	// move the key.
 	tuned := raw
-	tuned.MaxRetries = 5
 	tuned.TimeoutMS = 9000
 	if a, b := SpecDigest(raw), SpecDigest(tuned); a != b {
 		t.Fatalf("execution knobs changed the digest: %s vs %s", a, b)
@@ -132,7 +131,6 @@ func TestCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 		t.Fatalf("run: %+v, %v", first, err)
 	}
 	spec.TimeoutMS = 60000
-	spec.MaxRetries = 3
 	again, err := e.RunJob(ctx, spec)
 	if err != nil || again.Status != StatusDone {
 		t.Fatalf("rerun: %+v, %v", again, err)

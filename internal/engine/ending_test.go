@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/retry"
 )
 
 // endingRig is an engine over a fresh journal, served over HTTP so a
@@ -101,7 +100,7 @@ func ops(recs []journal.Record) string {
 	return fmt.Sprint(out)
 }
 
-// holdRun holds every attempt at SiteRun until its context ends.
+// holdRun holds every run at SiteRun until its context ends.
 var holdRun = InjectorFunc(func(ctx context.Context, site Site, id string) error {
 	if site == SiteRun {
 		<-ctx.Done()
@@ -112,20 +111,13 @@ var holdRun = InjectorFunc(func(ctx context.Context, site Site, id string) error
 
 var errInjected = errors.New("injected failure")
 
-// failRun fails every attempt at SiteRun.
-var failRun = InjectorFunc(func(ctx context.Context, site Site, id string) error {
-	if site == SiteRun {
-		return errInjected
-	}
-	return nil
-})
-
 // TestJournalTerminalRecords pins what every way a job can end leaves
 // behind: its status and error, the last event of its stream (which
 // closes for a late subscriber), the terminal counters, and the
-// journal. A job ended by its caller, its result or its retry budget
-// journals a terminal record; a job ended by an engine shutdown stays
-// live in the journal and replays on restart.
+// journal. A job ended by its caller or by its run (a result or an
+// error) journals a terminal record, even while Shutdown drains; a job
+// ended by an engine shutdown stays live in the journal and replays on
+// restart.
 func TestJournalTerminalRecords(t *testing.T) {
 	type delta struct{ done, failed, canceled int64 }
 	check := func(t *testing.T, r *endingRig, j *Job, before Snapshot, st Status, errText string, want delta) JobView {
@@ -186,13 +178,23 @@ func TestJournalTerminalRecords(t *testing.T) {
 		callerEnded(t, r, j, "[submitted done "+v.Result.CacheKey+"]")
 	})
 	t.Run("failed", func(t *testing.T) {
-		r := newEndingRig(t, Config{Workers: 1, MaxRetries: 1, RetryPolicy: fastRetry, Injector: failRun})
+		// Submit journals the submitted record outside the engine lock,
+		// so a run that fails at once may journal its terminal record
+		// first (replay is order-insensitive). Hold the run until Submit
+		// has returned, so the journal's order is fixed.
+		submitted := make(chan struct{})
+		inj := InjectorFunc(func(ctx context.Context, site Site, id string) error {
+			if site == SiteRun {
+				<-submitted
+				return errInjected
+			}
+			return nil
+		})
+		r := newEndingRig(t, Config{Workers: 1, Injector: inj})
 		before := r.e.Metrics()
 		j := r.submit(s27Spec(KindEnrich))
-		v := check(t, r, j, before, StatusFailed, errInjected.Error(), delta{0, 1, 0})
-		if v.Attempts != 2 {
-			t.Errorf("attempts = %d, want 2", v.Attempts)
-		}
+		close(submitted)
+		check(t, r, j, before, StatusFailed, errInjected.Error(), delta{0, 1, 0})
 		callerEnded(t, r, j, "[submitted failed]")
 	})
 	t.Run("cancel-queued", func(t *testing.T) {
@@ -214,18 +216,6 @@ func TestJournalTerminalRecords(t *testing.T) {
 		before := r.e.Metrics()
 		if !r.e.Cancel(j.ID()) {
 			t.Fatal("Cancel of a running job reported false")
-		}
-		check(t, r, j, before, StatusCanceled, canceled, delta{0, 0, 1})
-		callerEnded(t, r, j, "[submitted canceled]")
-	})
-	t.Run("cancel-backoff", func(t *testing.T) {
-		slow := retry.Policy{BaseDelay: time.Hour, MaxDelay: time.Hour, Jitter: -1}
-		r := newEndingRig(t, Config{Workers: 1, MaxRetries: 1, RetryPolicy: slow, Injector: failRun})
-		j := r.submit(s27Spec(KindEnrich))
-		waitForStatus(t, j, StatusRetrying, 10*time.Second)
-		before := r.e.Metrics()
-		if !r.e.Cancel(j.ID()) {
-			t.Fatal("Cancel of a retrying job reported false")
 		}
 		check(t, r, j, before, StatusCanceled, canceled, delta{0, 0, 1})
 		callerEnded(t, r, j, "[submitted canceled]")
@@ -252,9 +242,10 @@ func TestJournalTerminalRecords(t *testing.T) {
 		check(t, r, j, before, StatusCanceled, canceled, delta{0, 0, 1})
 		shutdownEnded(t, r, j, recs)
 	})
-	t.Run("backoff-after-close", func(t *testing.T) {
-		// The attempt fails only once Shutdown has closed the engine,
-		// while it drains; the backoff then expires on a closed engine.
+	t.Run("fail-while-draining", func(t *testing.T) {
+		// The run fails only once Shutdown has closed the engine, while
+		// it drains: the job ends failed and journals it, so it does not
+		// replay.
 		release := make(chan struct{})
 		inj := InjectorFunc(func(ctx context.Context, site Site, id string) error {
 			if site == SiteRun {
@@ -263,10 +254,9 @@ func TestJournalTerminalRecords(t *testing.T) {
 			}
 			return nil
 		})
-		r := newEndingRig(t, Config{Workers: 1, MaxRetries: 1, RetryPolicy: fastRetry, Injector: inj})
+		r := newEndingRig(t, Config{Workers: 1, Injector: inj})
 		j := r.submit(s27Spec(KindEnrich))
 		waitForStatus(t, j, StatusRunning, 10*time.Second)
-		recs := r.journal(j.ID())
 		before := r.e.Metrics()
 		shut := make(chan error, 1)
 		go func() {
@@ -287,7 +277,13 @@ func TestJournalTerminalRecords(t *testing.T) {
 		if err := <-shut; err != nil {
 			t.Errorf("Shutdown = %v, want the job drained", err)
 		}
-		check(t, r, j, before, StatusCanceled, canceled, delta{0, 0, 1})
-		shutdownEnded(t, r, j, recs)
+		check(t, r, j, before, StatusFailed, errInjected.Error(), delta{0, 1, 0})
+		recs := r.journal(j.ID())
+		if got := ops(recs); got != "[submitted failed]" {
+			t.Errorf("journal = %s, want [submitted failed]", got)
+		}
+		if live := journal.Live(recs); len(live) != 0 {
+			t.Errorf("job %s live after failing while draining: %s", j.ID(), ops(recs))
+		}
 	})
 }

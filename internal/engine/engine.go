@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/retry"
 	"repro/internal/robust"
 	"repro/internal/store"
 	"repro/internal/testio"
@@ -43,10 +41,9 @@ var (
 	ErrUnknownTenant = errors.New("engine: unknown tenant")
 )
 
-// PanicError is a panic captured from a job attempt by the engine's
-// per-job recover. It is confined to the job: the worker goroutine,
-// the other jobs and the process survive, and the job is retried if it
-// has budget left.
+// PanicError is a panic captured from a job's run by the engine's
+// per-job recover. It is confined to the job, which ends failed: the
+// worker goroutine, the other jobs and the process survive.
 type PanicError struct {
 	Value string // the panic value, stringified
 	Stack string // the goroutine stack at the panic site
@@ -82,17 +79,6 @@ type Config struct {
 	// 0 means no deadline.
 	DefaultTimeout time.Duration
 
-	// MaxRetries is the default retry budget of jobs that do not set
-	// Spec.MaxRetries: an attempt that panics or fails with a
-	// non-cancellation error is re-queued with backoff up to this
-	// many times before the job goes to StatusFailed. 0 means a
-	// first failure is final.
-	MaxRetries int
-	// RetryPolicy shapes the backoff between retries; zero fields use
-	// the retry package defaults (100ms base, 30s cap, 2x growth,
-	// ±20% jitter).
-	RetryPolicy retry.Policy
-
 	// ShedWatermark is the queue depth at which the engine starts
 	// shedding new submissions with ErrOverloaded, before the queue
 	// is hard-full (ErrBusy at QueueDepth). Shedding stops once the
@@ -124,7 +110,7 @@ type Config struct {
 	Injector FaultInjector
 
 	// Logger receives the engine's structured job-lifecycle records
-	// (submit, start, retry, finish, journal health), each correlated
+	// (submit, start, finish, journal health), each correlated
 	// by job_id. nil discards them.
 	Logger *slog.Logger
 	// TraceSpanLimit bounds each job's span timeline; 0 uses
@@ -168,9 +154,6 @@ type Engine struct {
 
 	overloaded atomic.Bool
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	mu     sync.Mutex
 	closed bool
 	seq    int64
@@ -210,7 +193,6 @@ func New(cfg Config) *Engine {
 		ctx:          ctx,
 		cancel:       cancel,
 		sched:        newSched(cfg, m.tenantQueued, m.tenantRunning),
-		rng:          rand.New(rand.NewSource(time.Now().UnixNano())),
 		jobs:         make(map[string]*Job),
 		events:       events.NewBus(events.DefaultHistory),
 		traces:       obs.NewTraceBuffer(cfg.TraceBufferCount, obs.DefaultTraceBufferBytes),
@@ -232,9 +214,9 @@ func New(cfg Config) *Engine {
 func (e *Engine) Registry() *obs.Registry { return e.registry }
 
 // Events returns the engine's job lifecycle event bus: the counters of
-// every job's event stream. Each job publishes queued, attempt, stage,
-// retrying and terminal (done/failed/canceled) events on a stream of
-// its own, which the server's SSE endpoint subscribes to.
+// every job's event stream. Each job publishes queued, attempt, stage
+// and terminal (done/failed/canceled) events on a stream of its own,
+// which the server's SSE endpoint subscribes to.
 func (e *Engine) Events() *events.Bus { return e.events }
 
 // Submit validates and enqueues a job, returning it immediately.
@@ -329,14 +311,13 @@ func (e *Engine) admit(spec Spec, remote obs.TraceContext, replay *journal.Recor
 		id, seq = replay.JobID, replay.Seq
 	}
 	j := &Job{
-		id:         id,
-		seq:        seq,
-		spec:       spec,
-		maxRetries: e.maxRetries(spec),
-		status:     StatusQueued,
-		created:    time.Now(),
-		stream:     e.events.NewStream(id),
-		done:       make(chan struct{}),
+		id:      id,
+		seq:     seq,
+		spec:    spec,
+		status:  StatusQueued,
+		created: time.Now(),
+		stream:  e.events.NewStream(id),
+		done:    make(chan struct{}),
 	}
 	attrs := []obs.Attr{
 		obs.String("job_id", id),
@@ -418,8 +399,8 @@ func (e *Engine) end(j *Job, waiting bool, st Status, res *Result, hit bool, err
 	exemplarID := e.offerTrace(j, st, d, err)
 	e.metrics.jobSeconds.With(string(j.spec.Kind), string(st)).ObserveExemplar(d.Seconds(), exemplarID)
 	if j.startTime().IsZero() {
-		// Shed before ever running (canceled while queued or retrying,
-		// e.g. at shutdown): its whole life was queue wait, which the
+		// Shed before ever running (canceled while queued, e.g. at
+		// shutdown): its whole life was queue wait, which the
 		// "ran" series in runJob will never record.
 		e.metrics.queueSeconds.With("shed").Observe(d.Seconds())
 		e.metrics.tenantQueueWait.With(j.spec.Tenant).Observe(d.Seconds())
@@ -427,7 +408,6 @@ func (e *Engine) end(j *Job, waiting bool, st Status, res *Result, hit bool, err
 	j.endQueued() // a job canceled while queued never reached runJob
 	j.endRoot(st)
 	data := map[string]string{
-		"attempts":    fmt.Sprintf("%d", j.attempts()),
 		"duration_ms": fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond)),
 		"tenant":      j.spec.Tenant,
 	}
@@ -438,7 +418,7 @@ func (e *Engine) end(j *Job, waiting bool, st Status, res *Result, hit bool, err
 	j.stream.Close()
 	attrs := []any{
 		"job_id", j.id, "kind", j.spec.Kind, "circuit", j.spec.Circuit,
-		"tenant", j.spec.Tenant, "status", st, "attempts", j.attempts(),
+		"tenant", j.spec.Tenant, "status", st,
 		"duration_ms", float64(d) / float64(time.Millisecond),
 	}
 	if err != nil && !errors.Is(err, context.Canceled) {
@@ -494,14 +474,6 @@ func (e *Engine) offerTrace(j *Job, st Status, d time.Duration, err error) strin
 // Traces returns the engine's tail-retention trace buffer (the store
 // behind GET /v1/traces).
 func (e *Engine) Traces() *obs.TraceBuffer { return e.traces }
-
-// maxRetries resolves a job's retry budget.
-func (e *Engine) maxRetries(spec Spec) int {
-	if spec.MaxRetries > 0 {
-		return spec.MaxRetries
-	}
-	return e.cfg.MaxRetries
-}
 
 func marshalSpec(spec Spec) json.RawMessage {
 	b, err := json.Marshal(spec)
@@ -589,7 +561,7 @@ func (e *Engine) Wait(ctx context.Context, id string) (JobView, error) {
 	}
 }
 
-// Cancel cancels a queued, retrying or running job. It reports whether
+// Cancel cancels a queued or running job. It reports whether
 // the job existed and was still cancelable.
 func (e *Engine) Cancel(id string) bool {
 	j, ok := e.Get(id)
@@ -654,8 +626,8 @@ func (e *Engine) updateWatermark() {
 	}
 }
 
-// Close stops accepting jobs, cancels queued, retrying and running
-// ones immediately, and waits for the workers. Journaled jobs that
+// Close stops accepting jobs, cancels queued and running ones
+// immediately, and waits for the workers. Journaled jobs that
 // were still in flight keep their live records and are replayed by
 // Restore on the next start.
 func (e *Engine) Close() {
@@ -686,8 +658,8 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 		e.compactJournal(log, live)
 	}
 
-	// Shed queued and retrying jobs; as shutdown cancellations they
-	// keep their live records and replay.
+	// Shed queued jobs; as shutdown cancellations they keep their live
+	// records and replay.
 	for _, j := range jobs {
 		e.end(j, true, StatusCanceled, nil, false, errShutdown)
 	}
@@ -732,9 +704,9 @@ func (e *Engine) worker() {
 				}
 				e.updateWatermark()
 				e.runJob(j)
-				// The dispatch's inflight charge ends with the attempt
-				// (terminal, retry backoff, or canceled-while-queued
-				// skip); releasing may unblock a tenant at its quota.
+				// The dispatch's inflight charge ends with the run (or
+				// the canceled-while-queued skip); releasing may unblock
+				// a tenant at its quota.
 				e.sched.release(j.spec.Tenant)
 				if e.ctx.Err() != nil {
 					return
@@ -760,31 +732,26 @@ func (e *Engine) runJob(j *Job) {
 		ctx, cancel = context.WithTimeout(e.ctx, timeout)
 	}
 	j.status = StatusRunning
-	first := j.started.IsZero()
-	if first {
-		j.started = time.Now() // first attempt; retries keep the origin
-	}
-	j.attempt++
-	attempt := j.attempt
+	j.started = time.Now()
 	j.cancel = cancel
-	created, started := j.created, j.started
+	queued := j.started.Sub(j.created).Seconds()
 	j.mu.Unlock()
 	defer cancel()
 
-	if first {
-		j.endQueued()
-		// Queue-wait exemplars use the head-sampling decision — the
-		// tail verdict is not known until the job finishes.
-		e.metrics.queueSeconds.With("ran").ObserveExemplar(started.Sub(created).Seconds(), j.exemplarID())
-		e.metrics.tenantQueueWait.With(j.spec.Tenant).ObserveExemplar(started.Sub(created).Seconds(), j.exemplarID())
-	}
+	j.endQueued()
+	// Queue-wait exemplars use the head-sampling decision — the tail
+	// verdict is not known until the job finishes.
+	e.metrics.queueSeconds.With("ran").ObserveExemplar(queued, j.exemplarID())
+	e.metrics.tenantQueueWait.With(j.spec.Tenant).ObserveExemplar(queued, j.exemplarID())
 	// The run context keeps the engine's cancellation but gains the
 	// job's trace correlation, so every span below lands on the job
-	// timeline under the root span.
+	// timeline under the root span. The span and the event keep the
+	// name "attempt" (always attempt 1) that trace and SSE readers key
+	// on.
 	ctx = obs.Transplant(ctx, j.traceCtx)
-	ctx, attSpan := obs.StartSpan(ctx, "attempt", obs.Int("attempt", attempt))
-	j.stream.Publish("attempt", map[string]string{"attempt": fmt.Sprintf("%d", attempt)})
-	e.log.Debug("job attempt started", "job_id", j.id, "attempt", attempt)
+	ctx, attSpan := obs.StartSpan(ctx, "attempt", obs.Int("attempt", 1))
+	j.stream.Publish("attempt", map[string]string{"attempt": "1"})
+	e.log.Debug("job attempt started", "job_id", j.id)
 
 	e.metrics.jobsRunning.Add(1)
 	res, hit, err := e.executeShielded(ctx, j)
@@ -794,12 +761,12 @@ func (e *Engine) runJob(j *Job) {
 	case err == nil:
 		e.end(j, false, StatusDone, res, hit, nil)
 	case e.ctx.Err() != nil:
-		// The engine is shutting down, which is what failed the attempt.
+		// The engine is shutting down, which is what failed the run.
 		e.end(j, false, StatusCanceled, nil, false, errShutdown)
 	case errors.Is(err, context.Canceled):
 		e.end(j, false, StatusCanceled, nil, false, err) // the caller's cancel
 	default:
-		e.retryOrFail(j, attempt, err)
+		e.end(j, false, StatusFailed, nil, false, err)
 	}
 	e.maybeCompact()
 }
@@ -818,61 +785,6 @@ func (e *Engine) executeShielded(ctx context.Context, j *Job) (res *Result, hit 
 		}
 	}()
 	return e.execute(ctx, j)
-}
-
-// retryOrFail routes a failed attempt: re-queue with backoff while
-// budget remains, otherwise fail terminally.
-func (e *Engine) retryOrFail(j *Job, attempt int, err error) {
-	if attempt > j.maxRetries {
-		e.end(j, false, StatusFailed, nil, false, err)
-		return
-	}
-	if !j.markRetrying(err) {
-		return // a cancel won the race
-	}
-	e.metrics.jobsRetried.Add(1)
-	delay := e.retryDelay(attempt)
-	j.stream.Publish("retrying", map[string]string{
-		"attempt":    fmt.Sprintf("%d", attempt),
-		"error":      err.Error(),
-		"backoff_ms": fmt.Sprintf("%.0f", float64(delay)/float64(time.Millisecond)),
-	})
-	e.log.Warn("job attempt failed, retrying", "job_id", j.id, "attempt", attempt,
-		"max_retries", j.maxRetries, "error", err.Error(), "backoff_ms", float64(delay)/float64(time.Millisecond))
-	j.setRetryTimer(time.AfterFunc(delay, func() { e.requeue(j) }))
-}
-
-// retryDelay returns the jittered backoff before retry number retryNum.
-func (e *Engine) retryDelay(retryNum int) time.Duration {
-	e.rngMu.Lock()
-	d := e.cfg.RetryPolicy.Delay(retryNum, e.rng)
-	e.rngMu.Unlock()
-	return d
-}
-
-// requeue moves a job whose backoff expired back onto its tenant's
-// queue. A full queue re-arms the backoff instead of dropping the
-// job; a closed engine cancels it as a shutdown cancellation, leaving
-// its journal record live for replay after restart.
-func (e *Engine) requeue(j *Job) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		e.end(j, true, StatusCanceled, nil, false, errShutdown)
-		return
-	}
-	if !j.swapStatus(StatusRetrying, StatusQueued) {
-		e.mu.Unlock()
-		return // canceled during backoff
-	}
-	if err := e.sched.enqueue(j); err != nil {
-		// No room: back to the retry window, try again shortly.
-		j.swapStatus(StatusQueued, StatusRetrying)
-		e.mu.Unlock()
-		j.setRetryTimer(time.AfterFunc(e.retryDelay(1), func() { e.requeue(j) }))
-		return
-	}
-	e.mu.Unlock()
 }
 
 // journalAppend writes one submitted or terminal record, if a journal
@@ -937,15 +849,15 @@ func (e *Engine) liveRecordsLocked() []journal.Record {
 }
 
 // Restore re-enqueues the live jobs of a replayed journal (the record
-// slice returned by journal.Open): jobs that were queued, running or
-// waiting out a retry backoff when the previous process died are
-// re-run from their journaled Spec under their original IDs. The ID
-// counter advances past every journaled sequence number so restored
-// and new jobs never collide. Call Restore once, before serving
-// traffic; it reports how many jobs were re-enqueued. Records whose
-// Spec no longer validates are skipped (counted as journal errors),
-// not fatal. Replayed jobs are admitted like submissions (see admit),
-// without the shed check and without a second journal record.
+// slice returned by journal.Open): jobs that were queued or running
+// when the previous process died are re-run from their journaled Spec
+// under their original IDs. The ID counter advances past every
+// journaled sequence number so restored and new jobs never collide.
+// Call Restore once, before serving traffic; it reports how many jobs
+// were re-enqueued. Records whose Spec no longer validates are skipped
+// (counted as journal errors), not fatal. Replayed jobs are admitted
+// like submissions (see admit), without the shed check and without a
+// second journal record.
 func (e *Engine) Restore(recs []journal.Record) (int, error) {
 	if maxSeq := journal.MaxSeq(recs); maxSeq > 0 {
 		e.mu.Lock()

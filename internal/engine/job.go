@@ -62,10 +62,6 @@ type Spec struct {
 	Collapse bool `json:"collapse,omitempty"`
 	// TimeoutMS bounds the job's run time; 0 uses the engine default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MaxRetries is the job's retry budget: a run that panics or fails
-	// with a non-cancellation error is re-queued with backoff up to
-	// this many times. 0 uses the engine default (Config.MaxRetries).
-	MaxRetries int `json:"max_retries,omitempty"`
 	// Tests is the input test set of a faultsim job, one "p1 -> p2"
 	// line per test in the testio format. The engine may share the
 	// slice with the job's Result.Tests, so a caller must not modify
@@ -114,7 +110,7 @@ func (s Spec) normalized() (Spec, error) {
 	if s.Kind == KindFaultSim && len(s.Tests) == 0 {
 		return s, fmt.Errorf("engine: faultsim job needs tests")
 	}
-	if s.NP < 0 || s.NP0 < 0 || s.TimeoutMS < 0 || s.MaxRetries < 0 {
+	if s.NP < 0 || s.NP0 < 0 || s.TimeoutMS < 0 {
 		return s, fmt.Errorf("engine: negative spec parameter")
 	}
 	if s.Tenant == "" {
@@ -179,15 +175,12 @@ type Result struct {
 // Status is a job's lifecycle state.
 type Status string
 
-// Job statuses. Queued, Running and Retrying are transient; the rest
-// are terminal.
+// Job statuses. Queued and Running are transient; the rest are
+// terminal. A job runs at most once: a run that fails or panics ends
+// it failed.
 const (
-	StatusQueued  Status = "queued"
-	StatusRunning Status = "running"
-	// StatusRetrying is the backoff window between a failed attempt
-	// and its re-queue; the job still terminates (done, failed once
-	// the retry budget is spent, or canceled).
-	StatusRetrying Status = "retrying"
+	StatusQueued   Status = "queued"
+	StatusRunning  Status = "running"
 	StatusDone     Status = "done"
 	StatusFailed   Status = "failed"
 	StatusCanceled Status = "canceled"
@@ -201,14 +194,13 @@ func (s Status) Terminal() bool {
 // Job is one submitted unit of work. All fields are guarded by mu;
 // read them through View.
 type Job struct {
-	id         string
-	seq        int64
-	spec       Spec
-	maxRetries int
+	id   string
+	seq  int64
+	spec Spec
 
 	// trace collects the job's span timeline; traceCtx carries the
-	// trace with the root "job" span current, so attempt contexts
-	// derived from it parent their spans correctly. Both are set once
+	// trace with the root "job" span current, so the run context
+	// derived from it parents its spans correctly. Both are set once
 	// before the job is published and immutable after.
 	trace      *obs.Trace
 	traceCtx   context.Context
@@ -223,9 +215,7 @@ type Job struct {
 	err        error
 	result     *Result
 	cacheHit   bool
-	attempt    int // runs started (1 on the first run)
 	panicStack string
-	retryTimer *time.Timer
 	created    time.Time
 	started    time.Time
 	finished   time.Time
@@ -281,8 +271,7 @@ func (j *Job) exemplarID() string {
 // traceSampled reports the trace's head-sampling flag.
 func (j *Job) traceSampled() bool { return j.trace.Context().Sampled }
 
-// endQueued closes the queue-wait span (idempotent; retries re-enter
-// the queue but the span covers only the initial wait).
+// endQueued closes the queue-wait span (idempotent).
 func (j *Job) endQueued() { j.queuedSpan.End() }
 
 // endRoot closes the root span with the terminal status.
@@ -290,13 +279,6 @@ func (j *Job) endRoot(st Status) { j.rootSpan.End(obs.String("status", string(st
 
 // TraceView snapshots the job's span timeline; safe while running.
 func (j *Job) TraceView() obs.TraceView { return j.trace.Snapshot() }
-
-// attempts returns the number of runs started so far.
-func (j *Job) attempts() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempt
-}
 
 // ID returns the job's engine-unique identifier.
 func (j *Job) ID() string { return j.id }
@@ -320,10 +302,8 @@ type JobView struct {
 	Status   Status `json:"status"`
 	Error    string `json:"error,omitempty"`
 	CacheHit bool   `json:"cache_hit"`
-	// Attempts counts runs started; >1 means the job was retried.
-	Attempts int `json:"attempts,omitempty"`
-	// PanicStack is the captured stack of the most recent attempt
-	// that panicked (empty if no attempt did).
+	// PanicStack is the captured stack of a run that panicked (empty
+	// if it did not).
 	PanicStack string  `json:"panic_stack,omitempty"`
 	QueuedMS   float64 `json:"queued_ms"`
 	RunMS      float64 `json:"run_ms"`
@@ -363,7 +343,6 @@ func (j *Job) ViewLite() JobView {
 		Priority:   j.spec.Priority,
 		Status:     j.status,
 		CacheHit:   j.cacheHit,
-		Attempts:   j.attempt,
 		PanicStack: j.panicStack,
 		TraceID:    j.trace.ID(),
 		Result:     j.result,
@@ -387,78 +366,29 @@ func (j *Job) ViewLite() JobView {
 // racing enders (e.g. Cancel and a worker) cannot overwrite each
 // other's terminal state or double-count metrics. Only the job's worker
 // ends a running job: every other ender sets waiting, which ends only a
-// queued or retrying job, so a running job is canceled through its
-// context, and a worker that dequeues a job ended here skips it. A
-// pending retry timer is stopped. Waiters are woken later, by
-// Engine.end.
+// queued job, so a running job is canceled through its context, and a
+// worker that dequeues a job ended here skips it. Waiters are woken
+// later, by Engine.end.
 func (j *Job) end(waiting bool, st Status, res *Result, hit bool, err error) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.status.Terminal() || waiting && j.status == StatusRunning {
-		j.mu.Unlock()
 		return false
 	}
-	timer := j.retryTimer
-	j.retryTimer = nil
 	j.status, j.result, j.cacheHit, j.err = st, res, hit, err
 	j.finished = time.Now()
-	j.mu.Unlock()
-	if timer != nil {
-		timer.Stop()
-	}
 	return true
 }
 
-// markRetrying moves a running job whose attempt just failed into the
-// backoff window, recording the error. It reports whether the
-// transition happened (a racing cancel wins).
-func (j *Job) markRetrying(err error) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != StatusRunning {
-		return false
-	}
-	j.status = StatusRetrying
-	j.err = err
-	return true
-}
-
-// swapStatus transitions from → to atomically, reporting whether the
-// job was in from. Used for the retrying ⇄ queued handoff around the
-// re-enqueue, where a racing cancel must win.
-func (j *Job) swapStatus(from, to Status) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != from {
-		return false
-	}
-	j.status = to
-	return true
-}
-
-// setRetryTimer records the pending backoff timer so a cancel can stop
-// it; if the job already left Retrying (canceled in the gap), the
-// timer is stopped immediately.
-func (j *Job) setRetryTimer(t *time.Timer) {
-	j.mu.Lock()
-	stale := j.status != StatusRetrying
-	if !stale {
-		j.retryTimer = t
-	}
-	j.mu.Unlock()
-	if stale {
-		t.Stop()
-	}
-}
-
-// startTime returns when the job first began running (zero if it
-// never reached a worker).
+// startTime returns when the job began running (zero if it never
+// reached a worker).
 func (j *Job) startTime() time.Time {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.started
 }
 
-// setPanicStack records the stack of a panicking attempt for JobView.
+// setPanicStack records the stack of a panicking run for JobView.
 func (j *Job) setPanicStack(stack string) {
 	j.mu.Lock()
 	j.panicStack = stack

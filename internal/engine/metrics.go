@@ -18,7 +18,6 @@ type Metrics struct {
 	jobsDone      atomic.Int64
 	jobsFailed    atomic.Int64
 	jobsCanceled  atomic.Int64
-	jobsRetried   atomic.Int64
 	jobsShed      atomic.Int64
 	jobPanics     atomic.Int64
 	cacheHits     atomic.Int64
@@ -137,12 +136,10 @@ type Snapshot struct {
 	JobsDone      int64 `json:"jobs_done"`
 	JobsFailed    int64 `json:"jobs_failed"`
 	JobsCanceled  int64 `json:"jobs_canceled"`
-	// JobsRetried counts attempts re-queued with backoff; JobsShed
-	// counts submissions rejected past the shed watermark; JobPanics
-	// counts attempts that panicked and were contained.
-	JobsRetried int64 `json:"jobs_retried"`
-	JobsShed    int64 `json:"jobs_shed"`
-	JobPanics   int64 `json:"job_panics"`
+	// JobsShed counts submissions rejected past the shed watermark;
+	// JobPanics counts runs that panicked and were contained.
+	JobsShed  int64 `json:"jobs_shed"`
+	JobPanics int64 `json:"job_panics"`
 	// QueueDepth is the instantaneous run-queue occupancy; Overloaded
 	// reports the shed watermark state feeding /v1/healthz.
 	QueueDepth  int   `json:"queue_depth"`
@@ -181,11 +178,10 @@ func buildRegistry(e *Engine) *obs.Registry {
 	reg.MustRegister(
 		ctr("pdfd_jobs_submitted_total", "Jobs accepted by Submit.", &m.jobsSubmitted),
 		ctr("pdfd_jobs_done_total", "Jobs that reached status done.", &m.jobsDone),
-		ctr("pdfd_jobs_failed_total", "Jobs that exhausted their retry budget.", &m.jobsFailed),
+		ctr("pdfd_jobs_failed_total", "Jobs whose run failed or panicked.", &m.jobsFailed),
 		ctr("pdfd_jobs_canceled_total", "Jobs canceled before completing.", &m.jobsCanceled),
-		ctr("pdfd_jobs_retried_total", "Attempts re-queued with backoff.", &m.jobsRetried),
 		ctr("pdfd_jobs_shed_total", "Submissions rejected past the shed watermark.", &m.jobsShed),
-		ctr("pdfd_job_panics_total", "Job attempts that panicked and were contained.", &m.jobPanics),
+		ctr("pdfd_job_panics_total", "Job runs that panicked and were contained.", &m.jobPanics),
 		ctr("pdfd_cache_hits_total", "Result cache hits.", &m.cacheHits),
 		ctr("pdfd_cache_misses_total", "Result cache misses.", &m.cacheMisses),
 		ctr("pdfd_cache_puts_total", "Result cache stores.", &m.cachePuts),
@@ -268,7 +264,6 @@ func (m *Metrics) snapshot(cacheLen int) Snapshot {
 		JobsDone:      m.jobsDone.Load(),
 		JobsFailed:    m.jobsFailed.Load(),
 		JobsCanceled:  m.jobsCanceled.Load(),
-		JobsRetried:   m.jobsRetried.Load(),
 		JobsShed:      m.jobsShed.Load(),
 		JobPanics:     m.jobPanics.Load(),
 		CacheHits:     m.cacheHits.Load(),

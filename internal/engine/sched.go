@@ -221,10 +221,9 @@ func (s *sched) dequeue() (*Job, bool) {
 	return nil, false
 }
 
-// release undoes a dequeue's inflight charge once the attempt ends
-// (terminal, canceled-while-queued skip, or back into a retry
-// backoff), then wakes the workers: a tenant parked at its quota may
-// now dispatch.
+// release undoes a dequeue's inflight charge once the run ends (or the
+// canceled-while-queued skip), then wakes the workers: a tenant parked
+// at its quota may now dispatch.
 func (s *sched) release(tenant string) {
 	s.mu.Lock()
 	if t := s.tenants[tenant]; t != nil && t.inflight > 0 {

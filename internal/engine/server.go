@@ -246,7 +246,7 @@ func (s *server) list(w http.ResponseWriter, r *http.Request) {
 	qs := r.URL.Query()
 	if v := qs.Get("status"); v != "" {
 		switch st := Status(v); st {
-		case StatusQueued, StatusRunning, StatusRetrying, StatusDone, StatusFailed, StatusCanceled:
+		case StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCanceled:
 			q.Status = st
 		default:
 			WriteError(w, http.StatusBadRequest, CodeInvalidSpec, "unknown status "+strconv.Quote(v), 0)

@@ -300,6 +300,9 @@ func TestServerErrorEnvelope(t *testing.T) {
 		{"removed workers field", http.MethodPost, "/v1/jobs",
 			map[string]any{"kind": "generate", "circuit": "s27", "workers": 4},
 			http.StatusBadRequest, CodeInvalidSpec, `unknown field "workers"`},
+		{"removed max_retries field", http.MethodPost, "/v1/jobs",
+			map[string]any{"kind": "generate", "circuit": "s27", "max_retries": 2},
+			http.StatusBadRequest, CodeInvalidSpec, `unknown field "max_retries" in job spec`},
 		{"unknown job", http.MethodGet, "/v1/jobs/j999", nil,
 			http.StatusNotFound, CodeNotFound, "j999"},
 		{"unknown job trace", http.MethodGet, "/v1/jobs/j999/trace", nil,
@@ -310,6 +313,8 @@ func TestServerErrorEnvelope(t *testing.T) {
 			http.StatusNotFound, CodeNotFound, ""}, // unknown id wins over bad wait
 		{"bad status filter", http.MethodGet, "/v1/jobs?status=exploded", nil,
 			http.StatusBadRequest, CodeInvalidSpec, "exploded"},
+		{"removed retrying status filter", http.MethodGet, "/v1/jobs?status=retrying", nil,
+			http.StatusBadRequest, CodeInvalidSpec, `unknown status "retrying"`},
 		{"bad kind filter", http.MethodGet, "/v1/jobs?kind=exploded", nil,
 			http.StatusBadRequest, CodeInvalidSpec, "exploded"},
 		{"bad limit", http.MethodGet, "/v1/jobs?limit=-3", nil,
@@ -808,7 +813,7 @@ func TestServerMetricsResilienceFields(t *testing.T) {
 	}
 	samples, _ := parsePromText(t, string(readBody(t, resp)))
 	for _, name := range []string{
-		"pdfd_jobs_retried_total", "pdfd_jobs_shed_total", "pdfd_job_panics_total",
+		"pdfd_jobs_shed_total", "pdfd_job_panics_total",
 		"pdfd_queue_depth", "pdfd_overloaded", "pdfd_journal_appends_total",
 		"pdfd_journal_errors_total", "pdfd_journal_compactions_total",
 	} {

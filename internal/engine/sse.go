@@ -21,15 +21,15 @@ const defaultHeartbeat = 15 * time.Second
 //	GET /v1/jobs/{id}/events
 //
 // Each event frame carries the per-job sequence number as its SSE id,
-// the event type (queued, attempt, stage, retrying, done, failed,
-// canceled) as its event name, and the JSON-encoded events.Event as
+// the event type (queued, attempt, stage, done, failed, canceled) as
+// its event name, and the JSON-encoded events.Event as
 // its data. A reconnecting client sends the standard Last-Event-ID
 // header (or ?after= for curl) to resume past the events it already
 // saw; the stream replays from the job's bounded history ring, then
 // follows live. The response ends after the job's terminal event; a
 // client watching a job that already finished replays the recorded
 // lifecycle and gets a clean EOF. Heartbeat comments flow while the
-// job is idle (queued, mid-stage, or in a retry backoff).
+// job is idle (queued or mid-stage).
 func (s *server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.e.Get(id)

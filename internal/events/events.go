@@ -27,8 +27,7 @@ import (
 
 // DefaultHistory bounds the per-job history ring when NewBus is given
 // no explicit size: enough for every lifecycle + stage event of a
-// retried job, small enough that thousands of finished jobs stay
-// cheap.
+// job, small enough that thousands of finished jobs stay cheap.
 const DefaultHistory = 256
 
 // Event is one job lifecycle occurrence.
@@ -38,8 +37,8 @@ type Event struct {
 	Seq int64 `json:"seq"`
 	// JobID names the stream the event belongs to.
 	JobID string `json:"job_id"`
-	// Type is the event kind: queued, attempt, stage, retrying, done,
-	// failed, canceled (the engine's vocabulary; the bus is agnostic).
+	// Type is the event kind: queued, attempt, stage, done, failed,
+	// canceled (the engine's vocabulary; the bus is agnostic).
 	Type string `json:"type"`
 	// At is the publication time.
 	At time.Time `json:"at"`

@@ -38,7 +38,7 @@ type Op string
 const (
 	OpSubmitted Op = "submitted" // job accepted; Spec and Seq recorded
 	OpDone      Op = "done"      // terminal: result produced (Digest = cache key)
-	OpFailed    Op = "failed"    // terminal: retries exhausted
+	OpFailed    Op = "failed"    // terminal: the run failed or panicked
 	OpCanceled  Op = "canceled"  // terminal: canceled by a caller
 )
 
