@@ -55,11 +55,11 @@ paper-check:
 	echo "paper-check: tables match cmd/tables/testdata/paper_np10000_np0_1000.csv"
 
 # The fault-injection suite: panic containment (a panicking job fails
-# once), crash + journal replay, load shedding, plus all of the retry
-# package the coordinator's forwarded calls use — twice under the race
-# detector.
+# once), crash + journal replay, load shedding, the bounded job table,
+# plus all of the retry package the coordinator's forwarded calls use —
+# twice under the race detector.
 chaos:
-	$(GO) test -race -count=2 -run 'TestChaos|TestWait|TestJournal|TestLive|TestOpen' \
+	$(GO) test -race -count=2 -run 'TestChaos|TestWait|TestJournal|TestLive|TestOpen|TestJobTableBounded' \
 		./internal/engine/ ./internal/journal/
 	$(GO) test -race -count=2 ./internal/retry/
 

@@ -364,10 +364,10 @@ type Route struct {
 }
 
 // SubmitResult is where a routed submission went: the accepted JobView
-// with its rewritten "{backend}/{id}" ID, or, beside a backend's error,
+// with its routable "{backend}/{id}" ID, or, beside a backend's error,
 // the backend that answered.
 type SubmitResult struct {
-	// View is the accepted job, ID rewritten; nil on error.
+	// View is the accepted job, ID routable; nil on error.
 	View *engine.JobView
 	// BackendRequestID is the X-Request-ID the backend answered with,
 	// echoed to the client as X-Pdfd-Backend-Request-ID so one request
@@ -521,16 +521,16 @@ func (c *Coordinator) spillTarget(exclude string) *backend {
 
 // forwardSubmit POSTs the spec to one backend inside a span named
 // span, retrying transient transport errors under the configured
-// policy. It returns the accepted view with its ID made routable, or
-// the backend's answer as a *RoutedError; any other error is a
-// transport failure. BackendRequestID is set whenever the backend
-// answered.
+// policy. It returns the accepted view, which the backend gave a
+// routable ID, or the backend's answer as a *RoutedError; any other
+// error is a transport failure. BackendRequestID is set whenever the
+// backend answered.
 func (c *Coordinator) forwardSubmit(ctx context.Context, span string, b *backend, body []byte, fwdHdr http.Header) (SubmitResult, error) {
 	ctx, sp := obs.StartSpan(ctx, span, obs.String("backend", b.name))
 	var res SubmitResult
 	var status int
 	var reply []byte
-	err := retry.Do(ctx, c.cfg.RetryPolicy, nil, nil, func(attempt int) error {
+	err := retry.Do(ctx, c.cfg.RetryPolicy, nil, func(attempt int) error {
 		var hdr http.Header
 		var err error
 		status, reply, hdr, err = c.do(ctx, b, http.MethodPost, "/v1/jobs", "jobs.submit", body, fwdHdr)
@@ -546,7 +546,6 @@ func (c *Coordinator) forwardSubmit(ctx context.Context, span string, b *backend
 		} else if jerr := json.Unmarshal(reply, &v); jerr != nil {
 			err = backendDown(b, "returned an unreadable job view: %v", jerr)
 		} else {
-			v.ID = b.name + "/" + v.ID
 			res.View = &v
 		}
 	}
@@ -611,12 +610,14 @@ func (c *Coordinator) do(ctx context.Context, b *backend, method, path, route st
 	return resp.StatusCode, respBody, resp.Header, nil
 }
 
-// send sends req to b, maintaining the per-backend inflight gauge and
-// the proxy latency histogram, and counts a transport failure against
-// b. Success is the caller's to record once it has read what it needs
-// of the reply. ctx is the caller's context: a failure after it ended
-// is not the backend's.
+// send sends req to b, naming b's job prefix in
+// engine.JobPrefixHeader, maintaining the per-backend inflight gauge
+// and the proxy latency histogram, and counts a transport failure
+// against b. Success is the caller's to record once it has read what
+// it needs of the reply. ctx is the caller's context: a failure after
+// it ended is not the backend's.
 func (c *Coordinator) send(ctx context.Context, b *backend, req *http.Request, route string) (*http.Response, error) {
+	req.Header.Set(engine.JobPrefixHeader, b.name+"/")
 	b.proxied.Add(1)
 	c.metrics.proxyInflight.With(b.name).Set(float64(b.proxied.Load()))
 	start := time.Now()

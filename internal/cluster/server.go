@@ -223,11 +223,10 @@ func (s *clusterServer) resolve(w http.ResponseWriter, r *http.Request) (*backen
 	return b, r.PathValue("id"), true
 }
 
-// proxyGet relays GET /v1/jobs/{id} from the owning backend, rewriting
-// the job ID to its routable form. Query parameters pass through, but
-// a ?wait= past maxWait is cut to it, so a long-poll answers the
-// current view instead of timing out (and counting against the
-// backend). Down backends are still attempted — they may be back
+// proxyGet relays GET /v1/jobs/{id} from the owning backend. Query
+// parameters pass through, but a ?wait= past maxWait is cut to it, so
+// a long-poll answers the current view instead of timing out (and
+// counting against the backend). Down backends are still attempted — they may be back
 // before the next health probe — and fail with backend_down if not.
 func (s *clusterServer) proxyGet(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
@@ -239,33 +238,24 @@ func (s *clusterServer) proxyGet(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		suffix = "?" + r.URL.RawQuery
 	}
-	var v engine.JobView
-	s.relay(w, r, http.MethodGet, suffix, "jobs.get", "job view", &v, func(prefix string) { v.ID = prefix + v.ID })
+	s.relay(w, r, http.MethodGet, suffix, "jobs.get")
 }
 
 func (s *clusterServer) proxyCancel(w http.ResponseWriter, r *http.Request) {
-	var out struct {
-		ID       string `json:"id"`
-		Canceled bool   `json:"canceled"`
-	}
-	s.relay(w, r, http.MethodDelete, "", "jobs.cancel", "cancel result", &out, func(prefix string) { out.ID = prefix + out.ID })
+	s.relay(w, r, http.MethodDelete, "", "jobs.cancel")
 }
 
 func (s *clusterServer) proxyTrace(w http.ResponseWriter, r *http.Request) {
-	var out struct {
-		JobID string          `json:"job_id"`
-		Trace json.RawMessage `json:"trace"`
-	}
-	s.relay(w, r, http.MethodGet, "/trace", "jobs.trace", "trace", &out, func(prefix string) { out.JobID = prefix + out.JobID })
+	s.relay(w, r, http.MethodGet, "/trace", "jobs.trace")
 }
 
 // relay forwards method /v1/jobs/{id}<suffix> to the job's backend and
 // answers with its reply: 502 backend_down when the backend cannot be
-// reached, a non-200 reply as the backend's error, otherwise the reply
-// decoded into out with its job ID made routable by
-// routable("<backend>/"). noun names out in the unreadable-reply error.
-// The backend's request ID is echoed once the backend answered.
-func (s *clusterServer) relay(w http.ResponseWriter, r *http.Request, method, suffix, route, noun string, out any, routable func(prefix string)) {
+// reached, a non-200 reply as the backend's error, otherwise the
+// reply's bytes as they came, the job IDs in it already routable (see
+// engine.JobPrefixHeader). The backend's request ID is echoed once the
+// backend answered.
+func (s *clusterServer) relay(w http.ResponseWriter, r *http.Request, method, suffix, route string) {
 	b, id, ok := s.resolve(w, r)
 	if !ok {
 		return
@@ -280,12 +270,9 @@ func (s *clusterServer) relay(w http.ResponseWriter, r *http.Request, method, su
 		writeRouted(w, backendError(b, status, body))
 		return
 	}
-	if err := json.Unmarshal(body, out); err != nil {
-		writeRouted(w, backendDown(b, "returned an unreadable %s", noun))
-		return
-	}
-	routable(b.name + "/")
-	engine.WriteJSON(w, http.StatusOK, out)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // proxyEvents streams the backend's SSE feed through to the client,

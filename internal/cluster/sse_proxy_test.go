@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -156,6 +157,18 @@ func TestClusterSSEProxyResume(t *testing.T) {
 	}
 	if frames[len(frames)-1].event != "done" {
 		t.Fatalf("resumed stream did not end on the terminal event: %+v", frames)
+	}
+	// The backend names the job in each event as the coordinator's
+	// client does.
+	for _, line := range strings.Split(string(body), "\n") {
+		if data, ok := strings.CutPrefix(line, "data: "); ok {
+			var ev struct {
+				JobID string `json:"job_id"`
+			}
+			if err := json.Unmarshal([]byte(data), &ev); err != nil || ev.JobID != v.ID {
+				t.Fatalf("event %s names job %q, want %q", data, ev.JobID, v.ID)
+			}
+		}
 	}
 
 	// Both hops wound down: no stranded proxy or subscription

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -157,9 +158,21 @@ type Engine struct {
 	mu     sync.Mutex
 	closed bool
 	seq    int64
-	jobs   map[string]*Job
-	order  []*Job // submission order
+	// jobs is the job table: every live job and the last
+	// retainFinished jobs to end. live is its non-terminal part, and
+	// tail rings the finished part in ending order, tail[next] the
+	// oldest.
+	jobs map[string]*Job
+	live map[string]*Job
+	tail [retainFinished]*Job
+	next int
 }
+
+// retainFinished is how many finished jobs the job table keeps. A job
+// leaves it once this many jobs have ended after it, taking its event
+// stream and trace with it; its result stays reachable by cache key
+// and in the store.
+const retainFinished = 1024
 
 // New starts an engine with cfg's pool.
 func New(cfg Config) *Engine {
@@ -194,6 +207,7 @@ func New(cfg Config) *Engine {
 		cancel:       cancel,
 		sched:        newSched(cfg, m.tenantQueued, m.tenantRunning),
 		jobs:         make(map[string]*Job),
+		live:         make(map[string]*Job),
 		events:       events.NewBus(events.DefaultHistory),
 		traces:       obs.NewTraceBuffer(cfg.TraceBufferCount, obs.DefaultTraceBufferBytes),
 	}
@@ -287,7 +301,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 // its own is no longer configured.
 //
 // Registration and enqueue share one critical section: a rejected job
-// leaves no trace in jobs/order, and a job never lands in a tenant
+// leaves no trace in the job table, and a job never lands in a tenant
 // queue after Close (which flips closed under the same mutex) has
 // started draining. jobsSubmitted is bumped before the enqueue so the
 // derived queued gauge never goes negative if a worker finishes the
@@ -347,7 +361,7 @@ func (e *Engine) admit(spec Spec, remote obs.TraceContext, replay *journal.Recor
 		return nil, err
 	}
 	e.jobs[j.id] = j
-	e.order = append(e.order, j)
+	e.live[j.id] = j
 	e.mu.Unlock()
 	data := map[string]string{
 		"kind": string(spec.Kind), "circuit": spec.Circuit,
@@ -370,18 +384,20 @@ func (e *Engine) admit(spec Spec, remote obs.TraceContext, replay *journal.Recor
 var errShutdown = fmt.Errorf("%w", context.Canceled)
 
 // end is the one way a job ends. It makes the transition through
-// Job.end (see there for waiting) and, when this call won it, records
-// the status counter, the end-to-end latency histogram, the root span
-// and a log record, and publishes the terminal event; then it wakes the
-// job's waiters, so a client that scrapes right after Done sees the job
-// in every counter and histogram. The terminal journal record comes
-// last, its fsync outside the waiters' latency. Every ending journals
-// one except a cancellation by an engine shutdown (errShutdown). It
-// reports whether this call ended the job.
+// Job.end (see there for waiting) and, when this call won it, retires
+// the job to the table's finished tail, records the status counter,
+// the end-to-end latency histogram, the root span and a log record,
+// and publishes the terminal event; then it wakes the job's waiters,
+// so a client that scrapes right after Done sees the job in every
+// counter and histogram. The terminal journal record comes last, its
+// fsync outside the waiters' latency. Every ending journals one except
+// a cancellation by an engine shutdown (errShutdown). It reports
+// whether this call ended the job.
 func (e *Engine) end(j *Job, waiting bool, st Status, res *Result, hit bool, err error) bool {
 	if !j.end(waiting, st, res, hit, err) {
 		return false
 	}
+	e.retire(j)
 	switch st {
 	case StatusDone:
 		e.metrics.jobsDone.Add(1)
@@ -438,6 +454,33 @@ func (e *Engine) end(j *Job, waiting bool, st Status, res *Result, hit bool, err
 	return true
 }
 
+// retire moves an ended job from the live set to the finished tail,
+// evicting from the job table the job that ended retainFinished
+// endings before it.
+func (e *Engine) retire(j *Job) {
+	e.mu.Lock()
+	delete(e.live, j.id)
+	if old := e.tail[e.next]; old != nil {
+		delete(e.jobs, old.id)
+	}
+	e.tail[e.next] = j
+	e.next = (e.next + 1) % retainFinished
+	e.mu.Unlock()
+}
+
+// bySeq returns the jobs of m past seq after, in submission order.
+// Caller holds e.mu.
+func bySeq(m map[string]*Job, after int64) []*Job {
+	var jobs []*Job
+	for _, j := range m {
+		if j.seq > after {
+			jobs = append(jobs, j)
+		}
+	}
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
+	return jobs
+}
+
 // offerTrace hands a finished job's trace to the tail-retention
 // buffer and returns the trace ID if it was retained ("" otherwise) —
 // the exemplar the latency histograms attach.
@@ -483,7 +526,8 @@ func marshalSpec(spec Spec) json.RawMessage {
 	return b
 }
 
-// Get returns a submitted job by ID.
+// Get returns a job of the job table by ID: a live job or one of the
+// last retainFinished to finish.
 func (e *Engine) Get(id string) (*Job, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -505,20 +549,17 @@ type JobsQuery struct {
 	AfterSeq int64
 }
 
-// JobsPage returns one page of job snapshots in submission order plus
-// the sequence number to resume after (0 when the listing is
-// exhausted). Status filtering reflects each job's status at snapshot
-// time; a job that changes status between pages may appear in neither
+// JobsPage returns one page of snapshots of the job table's jobs in
+// submission order plus the sequence number to resume after (0 when
+// the listing is exhausted). Status filtering reflects each job's
+// status at snapshot time; a job that changes status between pages may appear in neither
 // or both — the listing is eventually consistent, never blocking.
 func (e *Engine) JobsPage(q JobsQuery) ([]JobView, int64) {
 	e.mu.Lock()
-	jobs := slices.Clone(e.order)
+	jobs := bySeq(e.jobs, q.AfterSeq)
 	e.mu.Unlock()
 	views := make([]JobView, 0, min(len(jobs), max(q.Limit, 0)))
 	for _, j := range jobs {
-		if j.seq <= q.AfterSeq {
-			continue
-		}
 		v := j.ViewLite()
 		if q.Status != "" && v.Status != q.Status {
 			continue
@@ -545,6 +586,11 @@ func (e *Engine) Wait(ctx context.Context, id string) (JobView, error) {
 	if !ok {
 		return JobView{}, ErrUnknownJob
 	}
+	return wait(ctx, j)
+}
+
+// wait is Wait on a job the caller holds.
+func wait(ctx context.Context, j *Job) (JobView, error) {
 	select {
 	case <-j.done:
 		return j.View(), nil
@@ -647,15 +693,14 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	e.closed = true
-	jobs := slices.Clone(e.order)
+	jobs := bySeq(e.live, 0)
 	// Rewrite the journal to the jobs still in flight *before*
 	// canceling anything: jobs that drain below append their terminal
 	// records after this baseline, and jobs shed or interrupted keep
 	// a live record to be replayed on restart.
-	live := e.liveRecordsLocked()
 	e.mu.Unlock()
 	if log := e.cfg.Journal; log != nil {
-		e.compactJournal(log, live)
+		e.compactJournal(log, jobs)
 	}
 
 	// Shed queued jobs; as shutdown cancellations they keep their live
@@ -815,14 +860,19 @@ func (e *Engine) maybeCompact() {
 		e.mu.Unlock()
 		return
 	}
-	live := e.liveRecordsLocked()
+	live := bySeq(e.live, 0)
 	e.mu.Unlock()
 	e.compactJournal(log, live)
 }
 
-// compactJournal rewrites the journal to live, counting and logging
-// the outcome; a failure leaves the old log in place.
-func (e *Engine) compactJournal(log *journal.Log, live []journal.Record) {
+// compactJournal rewrites the journal to the submitted records of the
+// live jobs, counting and logging the outcome; a failure leaves the
+// old log in place.
+func (e *Engine) compactJournal(log *journal.Log, jobs []*Job) {
+	live := make([]journal.Record, len(jobs))
+	for i, j := range jobs {
+		live[i] = journal.Record{Op: journal.OpSubmitted, JobID: j.id, Seq: j.seq, Spec: marshalSpec(j.spec)}
+	}
 	if err := log.Compact(live); err != nil {
 		e.metrics.journalErrors.Add(1)
 		e.log.Error("journal compaction failed", "live_jobs", len(live), "error", err.Error())
@@ -830,22 +880,6 @@ func (e *Engine) compactJournal(log *journal.Log, live []journal.Record) {
 	}
 	e.metrics.journalCompactions.Add(1)
 	e.log.Debug("journal compacted", "live_jobs", len(live))
-}
-
-// liveRecordsLocked rebuilds the OpSubmitted records of every
-// non-terminal job, in submission order. Caller holds e.mu.
-func (e *Engine) liveRecordsLocked() []journal.Record {
-	var live []journal.Record
-	for _, j := range e.order {
-		j.mu.Lock()
-		terminal := j.status.Terminal()
-		j.mu.Unlock()
-		if terminal {
-			continue
-		}
-		live = append(live, journal.Record{Op: journal.OpSubmitted, JobID: j.id, Seq: j.seq, Spec: marshalSpec(j.spec)})
-	}
-	return live
 }
 
 // Restore re-enqueues the live jobs of a replayed journal (the record
@@ -1214,5 +1248,5 @@ func (e *Engine) RunJob(ctx context.Context, spec Spec) (JobView, error) {
 	if err != nil {
 		return JobView{}, err
 	}
-	return e.Wait(ctx, j.ID())
+	return wait(ctx, j)
 }

@@ -54,6 +54,15 @@ type errorEnvelope struct {
 	Error APIError `json:"error"`
 }
 
+// JobPrefixHeader carries the prefix a cluster coordinator puts on
+// the job IDs it proxies ("b0/"). A backend renders every job ID of the
+// reply with it, so the coordinator passes the reply on as it came.
+const JobPrefixHeader = "X-Pdfd-Job-Prefix"
+
+// routableID is job id as the request's client names it: behind a
+// coordinator, prefixed with the request's JobPrefixHeader.
+func routableID(r *http.Request, id string) string { return r.Header.Get(JobPrefixHeader) + id }
+
 // JobListPage is the /v1/jobs response: one page of jobs in submission
 // order plus the token to resume from (absent on the last page).
 type JobListPage struct {
@@ -217,7 +226,9 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 				"request_id", obs.RequestID(r.Context()), "job_id", j.ID(),
 				"kind", spec.Kind, "circuit", spec.Circuit, "tenant", spec.Tenant)
 		}
-		WriteJSON(w, http.StatusAccepted, j.View())
+		v := j.View()
+		v.ID = routableID(r, v.ID)
+		WriteJSON(w, http.StatusAccepted, v)
 	case errors.Is(err, ErrQuotaExceeded):
 		// Per-tenant backpressure: only this tenant is over its bound.
 		WriteError(w, http.StatusTooManyRequests, CodeQuotaExceeded, err.Error(), time.Second)
@@ -322,7 +333,9 @@ func (s *server) get(w http.ResponseWriter, r *http.Request) {
 		}
 		timer.Stop()
 	}
-	WriteJSON(w, http.StatusOK, j.View())
+	v := j.View()
+	v.ID = routableID(r, v.ID)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
@@ -332,7 +345,7 @@ func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	canceled := s.e.Cancel(id)
-	WriteJSON(w, http.StatusOK, map[string]any{"id": id, "canceled": canceled})
+	WriteJSON(w, http.StatusOK, map[string]any{"id": routableID(r, id), "canceled": canceled})
 }
 
 // cacheGet serves the raw result JSON cached under a key, from the
@@ -379,7 +392,7 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, CodeNotFound, "unknown job "+id, 0)
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{"job_id": id, "trace": j.TraceView()})
+	WriteJSON(w, http.StatusOK, map[string]any{"job_id": routableID(r, id), "trace": j.TraceView()})
 }
 
 // tracesGet serves GET /v1/traces/{trace_id}: one retained trace with

@@ -28,8 +28,9 @@ const defaultHeartbeat = 15 * time.Second
 // saw; the stream replays from the job's bounded history ring, then
 // follows live. The response ends after the job's terminal event; a
 // client watching a job that already finished replays the recorded
-// lifecycle and gets a clean EOF. Heartbeat comments flow while the
-// job is idle (queued or mid-stage).
+// lifecycle and gets a clean EOF. Each event's job_id is the routable
+// ID (see JobPrefixHeader). Heartbeat comments flow while the job is
+// idle (queued or mid-stage).
 func (s *server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.e.Get(id)
@@ -58,6 +59,7 @@ func (s *server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	rc.Flush()
 
+	prefix := r.Header.Get(JobPrefixHeader)
 	sub := j.stream.Subscribe(after, 0)
 	defer sub.Cancel()
 
@@ -83,7 +85,7 @@ func (s *server) jobEvents(w http.ResponseWriter, r *http.Request) {
 				rc.Flush()
 				return
 			}
-			if err := writeSSEEvent(w, ev); err != nil {
+			if err := writeSSEEvent(w, ev, prefix); err != nil {
 				return
 			}
 			rc.Flush()
@@ -96,8 +98,10 @@ func (s *server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSEEvent serializes one bus event as an SSE frame.
-func writeSSEEvent(w io.Writer, ev events.Event) error {
+// writeSSEEvent serializes one bus event as an SSE frame, its job ID
+// prefixed with prefix.
+func writeSSEEvent(w io.Writer, ev events.Event, prefix string) error {
+	ev.JobID = prefix + ev.JobID
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return err

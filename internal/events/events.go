@@ -27,7 +27,8 @@ import (
 
 // DefaultHistory bounds the per-job history ring when NewBus is given
 // no explicit size: enough for every lifecycle + stage event of a
-// job, small enough that thousands of finished jobs stay cheap.
+// job. The engine holds the streams of its live jobs and of its last
+// 1,024 finished ones, so the rings it keeps are bounded too.
 const DefaultHistory = 256
 
 // Event is one job lifecycle occurrence.

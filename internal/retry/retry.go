@@ -1,14 +1,13 @@
-// Package retry provides context-aware retry with jittered
-// exponential backoff. The engine uses Policy.Delay to schedule job
-// re-runs without holding a worker; Do is the synchronous form for
-// callers that can afford to block. Time is abstracted behind Clock so
-// the backoff schedule is unit-testable with a fake clock.
+// Package retry provides context-aware retry with exponential
+// backoff: Do calls a function until it succeeds, the policy's retries
+// are exhausted or its context ends. The cluster coordinator retries
+// its forwarded submissions with it. Time is abstracted behind Clock
+// so the backoff schedule is unit-testable with a fake clock.
 package retry
 
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"time"
 )
 
@@ -27,29 +26,22 @@ var System Clock = systemClock{}
 
 // Backoff defaults, used for zero-valued Policy fields.
 const (
-	DefaultBaseDelay  = 100 * time.Millisecond
-	DefaultMaxDelay   = 30 * time.Second
-	DefaultMultiplier = 2.0
-	DefaultJitter     = 0.2
+	DefaultBaseDelay = 100 * time.Millisecond
+	DefaultMaxDelay  = 30 * time.Second
 )
 
 // Policy shapes an exponential backoff schedule. The zero value is a
-// usable policy: no retries, 100ms→30s doubling delays with ±20%
-// jitter (relevant once MaxRetries is raised).
+// usable policy: no retries, 100ms→30s doubling delays (relevant once
+// MaxRetries is raised).
 type Policy struct {
 	// MaxRetries is the number of re-attempts after the first try;
 	// 0 means the first failure is final.
 	MaxRetries int
-	// BaseDelay is the backoff before the first retry.
+	// BaseDelay is the backoff before the first retry; each later one
+	// doubles it.
 	BaseDelay time.Duration
 	// MaxDelay caps the grown delay.
 	MaxDelay time.Duration
-	// Multiplier grows the delay between consecutive retries;
-	// values <= 1 select the default (2).
-	Multiplier float64
-	// Jitter randomizes each delay by ±Jitter·delay. Negative
-	// disables jitter; 0 selects the default (0.2).
-	Jitter float64
 }
 
 func (p Policy) withDefaults() Policy {
@@ -62,66 +54,25 @@ func (p Policy) withDefaults() Policy {
 	if p.MaxDelay < p.BaseDelay {
 		p.MaxDelay = p.BaseDelay
 	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = DefaultMultiplier
-	}
-	if p.Jitter == 0 {
-		p.Jitter = DefaultJitter
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
 	return p
 }
 
 // Delay returns the backoff preceding retry number retry (1-based:
-// retry 1 follows the first failed attempt). rng supplies the jitter;
-// nil yields the deterministic un-jittered schedule.
-func (p Policy) Delay(retry int, rng *rand.Rand) time.Duration {
+// retry 1 follows the first failed attempt).
+func (p Policy) Delay(retry int) time.Duration {
 	p = p.withDefaults()
-	if retry < 1 {
-		retry = 1
+	d := p.BaseDelay
+	for i := 1; i < retry && d < p.MaxDelay; i++ {
+		d *= 2
 	}
-	d := float64(p.BaseDelay)
-	for i := 1; i < retry; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxDelay) {
-			break
-		}
-	}
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if rng != nil && p.Jitter > 0 {
-		d *= 1 + p.Jitter*(2*rng.Float64()-1)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
-}
-
-type stopError struct{ err error }
-
-func (s *stopError) Error() string { return s.err.Error() }
-func (s *stopError) Unwrap() error { return s.err }
-
-// Stop wraps err so Do returns it immediately instead of retrying;
-// use it for permanent failures (validation errors, not-found).
-func Stop(err error) error { return &stopError{err} }
-
-// IsPermanent reports whether err carries a Stop marker.
-func IsPermanent(err error) bool {
-	var s *stopError
-	return errors.As(err, &s)
+	return min(d, p.MaxDelay)
 }
 
 // Do calls fn (passing the 1-based attempt number) until it succeeds,
-// returns a Stop-wrapped or context error, the policy's attempts are
-// exhausted, or ctx expires during a backoff. It returns nil on
-// success and the last error otherwise. A nil clock uses System; a
-// nil rng disables jitter.
-func Do(ctx context.Context, p Policy, clock Clock, rng *rand.Rand, fn func(attempt int) error) error {
+// returns a context error, the policy's attempts are exhausted, or ctx
+// expires during a backoff. It returns nil on success and the last
+// error otherwise. A nil clock uses System.
+func Do(ctx context.Context, p Policy, clock Clock, fn func(attempt int) error) error {
 	if clock == nil {
 		clock = System
 	}
@@ -134,10 +85,6 @@ func Do(ctx context.Context, p Policy, clock Clock, rng *rand.Rand, fn func(atte
 		if err == nil {
 			return nil
 		}
-		var s *stopError
-		if errors.As(err, &s) {
-			return s.err
-		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
@@ -145,7 +92,7 @@ func Do(ctx context.Context, p Policy, clock Clock, rng *rand.Rand, fn func(atte
 			return err
 		}
 		select {
-		case <-clock.After(p.Delay(attempt, rng)):
+		case <-clock.After(p.Delay(attempt)):
 		case <-ctx.Done():
 			return ctx.Err()
 		}

@@ -3,7 +3,6 @@ package retry
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -36,7 +35,7 @@ func (c *fakeClock) recorded() []time.Duration {
 }
 
 func TestDelayGrowthAndCap(t *testing.T) {
-	p := Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: 1 * time.Second, Multiplier: 2, Jitter: -1}
+	p := Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: 1 * time.Second}
 	want := []time.Duration{
 		100 * time.Millisecond, // retry 1
 		200 * time.Millisecond,
@@ -46,41 +45,22 @@ func TestDelayGrowthAndCap(t *testing.T) {
 		1 * time.Second,
 	}
 	for i, w := range want {
-		if got := p.Delay(i+1, nil); got != w {
+		if got := p.Delay(i + 1); got != w {
 			t.Errorf("Delay(%d) = %v, want %v", i+1, got, w)
 		}
 	}
 	// Out-of-range retry numbers clamp to the first delay.
-	if got := p.Delay(0, nil); got != want[0] {
+	if got := p.Delay(0); got != want[0] {
 		t.Errorf("Delay(0) = %v, want %v", got, want[0])
-	}
-}
-
-func TestDelayJitterBoundedAndSeeded(t *testing.T) {
-	p := Policy{BaseDelay: 1 * time.Second, MaxDelay: time.Minute, Jitter: 0.5}
-	r1 := rand.New(rand.NewSource(7))
-	r2 := rand.New(rand.NewSource(7))
-	for retry := 1; retry <= 6; retry++ {
-		base := p.Delay(retry, nil)
-		d1 := p.Delay(retry, r1)
-		d2 := p.Delay(retry, r2)
-		if d1 != d2 {
-			t.Fatalf("same seed gave different jitter: %v vs %v", d1, d2)
-		}
-		lo := time.Duration(float64(base) * 0.5)
-		hi := time.Duration(float64(base) * 1.5)
-		if d1 < lo || d1 > hi {
-			t.Errorf("retry %d: jittered delay %v outside [%v, %v]", retry, d1, lo, hi)
-		}
 	}
 }
 
 func TestZeroPolicyDefaults(t *testing.T) {
 	var p Policy
-	if got := p.Delay(1, nil); got != DefaultBaseDelay {
+	if got := p.Delay(1); got != DefaultBaseDelay {
 		t.Errorf("zero policy first delay = %v, want %v", got, DefaultBaseDelay)
 	}
-	if got := p.Delay(100, nil); got != DefaultMaxDelay {
+	if got := p.Delay(100); got != DefaultMaxDelay {
 		t.Errorf("zero policy capped delay = %v, want %v", got, DefaultMaxDelay)
 	}
 }
@@ -88,8 +68,8 @@ func TestZeroPolicyDefaults(t *testing.T) {
 func TestDoSucceedsAfterFailures(t *testing.T) {
 	clock := &fakeClock{}
 	calls := 0
-	err := Do(context.Background(), Policy{MaxRetries: 3, BaseDelay: 10 * time.Millisecond, Jitter: -1},
-		clock, nil, func(attempt int) error {
+	err := Do(context.Background(), Policy{MaxRetries: 3, BaseDelay: 10 * time.Millisecond},
+		clock, func(attempt int) error {
 			calls++
 			if attempt != calls {
 				t.Errorf("attempt %d reported on call %d", attempt, calls)
@@ -115,8 +95,8 @@ func TestDoSucceedsAfterFailures(t *testing.T) {
 func TestDoExhaustsRetries(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	err := Do(context.Background(), Policy{MaxRetries: 2, BaseDelay: time.Millisecond, Jitter: -1},
-		&fakeClock{}, nil, func(int) error { calls++; return boom })
+	err := Do(context.Background(), Policy{MaxRetries: 2, BaseDelay: time.Millisecond},
+		&fakeClock{}, func(int) error { calls++; return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("Do = %v, want the last error", err)
 	}
@@ -125,22 +105,9 @@ func TestDoExhaustsRetries(t *testing.T) {
 	}
 }
 
-func TestDoStopIsPermanent(t *testing.T) {
-	bad := errors.New("bad input")
-	calls := 0
-	err := Do(context.Background(), Policy{MaxRetries: 5}, &fakeClock{}, nil,
-		func(int) error { calls++; return Stop(bad) })
-	if !errors.Is(err, bad) || calls != 1 {
-		t.Errorf("Stop: err %v after %d calls, want %v after 1", err, calls, bad)
-	}
-	if !IsPermanent(Stop(bad)) || IsPermanent(bad) {
-		t.Error("IsPermanent misclassifies")
-	}
-}
-
 func TestDoContextErrorsNotRetried(t *testing.T) {
 	calls := 0
-	err := Do(context.Background(), Policy{MaxRetries: 5}, &fakeClock{}, nil,
+	err := Do(context.Background(), Policy{MaxRetries: 5}, &fakeClock{},
 		func(int) error { calls++; return context.DeadlineExceeded })
 	if !errors.Is(err, context.DeadlineExceeded) || calls != 1 {
 		t.Errorf("deadline error retried: err %v, %d calls", err, calls)
@@ -152,7 +119,7 @@ func TestDoCanceledDuringBackoff(t *testing.T) {
 	clock := &fakeClock{block: true}
 	done := make(chan error, 1)
 	go func() {
-		done <- Do(ctx, Policy{MaxRetries: 5, BaseDelay: time.Hour}, clock, nil,
+		done <- Do(ctx, Policy{MaxRetries: 5, BaseDelay: time.Hour}, clock,
 			func(int) error { return errors.New("flaky") })
 	}()
 	// Give Do time to enter the backoff wait, then cancel.
@@ -172,7 +139,7 @@ func TestDoPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	err := Do(ctx, Policy{}, &fakeClock{}, nil, func(int) error { calls++; return nil })
+	err := Do(ctx, Policy{}, &fakeClock{}, func(int) error { calls++; return nil })
 	if !errors.Is(err, context.Canceled) || calls != 0 {
 		t.Errorf("pre-canceled ctx: err %v, %d calls", err, calls)
 	}
