@@ -25,7 +25,6 @@ import (
 	"repro/internal/robust"
 	"repro/internal/synth"
 	"repro/internal/timingsim"
-	"repro/internal/yield"
 )
 
 // benchParams are the scaled budgets used by the benchmark suite.
@@ -430,20 +429,6 @@ func BenchmarkAblationBnBBackend(b *testing.B) {
 	}
 }
 
-// BenchmarkStaticCompaction measures the reverse-order pass over an
-// uncompacted test set.
-func BenchmarkStaticCompaction(b *testing.B) {
-	d := prep(b, "b09")
-	res := core.Generate(d.Circuit, d.P0, core.Config{Heuristic: core.Uncompacted, Seed: benchParams.Seed})
-	b.ResetTimer()
-	var kept int
-	for i := 0; i < b.N; i++ {
-		kept = len(core.StaticCompact(d.Circuit, res.Tests, d.P0))
-	}
-	b.ReportMetric(float64(len(res.Tests)), "tests-before")
-	b.ReportMetric(float64(kept), "tests-after")
-}
-
 // BenchmarkTimingSimulation measures the event-driven timing simulator.
 func BenchmarkTimingSimulation(b *testing.B) {
 	d := prep(b, "b09")
@@ -475,17 +460,6 @@ func BenchmarkLineCoverSelection(b *testing.B) {
 	b.ReportMetric(float64(n), "selected-faults")
 }
 
-// BenchmarkSweepNP0 runs the N_P0 sensitivity sweep on the b09
-// stand-in (the paper's knob for trading test generation effort).
-func BenchmarkSweepNP0(b *testing.B) {
-	d := prep(b, "b09")
-	kept := d.All()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.SweepNP0(d.Circuit, kept, []int{50, 150, 300}, 1)
-		b.ReportMetric(float64(rows[len(rows)-1].AllDetected), "detected-at-max")
-	}
-}
-
 // BenchmarkDiagnosis measures syndrome-based fault ranking.
 func BenchmarkDiagnosis(b *testing.B) {
 	d := prep(b, "b09")
@@ -503,27 +477,6 @@ func BenchmarkDiagnosis(b *testing.B) {
 		cands := diagnose.Diagnose(d.Circuit, er.Tests, all, obs)
 		if len(cands) == 0 {
 			b.Fatal("no candidates")
-		}
-	}
-}
-
-// BenchmarkYieldMonteCarlo measures the delay-variation analysis.
-func BenchmarkYieldMonteCarlo(b *testing.B) {
-	d := prep(b, "b09")
-	seen := make(map[string]bool)
-	var paths [][]int
-	for _, fc := range d.All() {
-		k := fc.Fault.Key()[3:]
-		if !seen[k] {
-			seen[k] = true
-			paths = append(paths, fc.Fault.Path)
-		}
-	}
-	m := yield.UniformVariation(d.Circuit, 0.2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := yield.MonteCarlo(d.Circuit, paths, m, 200, 1); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

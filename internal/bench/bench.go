@@ -13,7 +13,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/circuit"
@@ -298,17 +297,4 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, g.Type, strings.Join(ins, ", "))
 	}
 	return bw.Flush()
-}
-
-// SortedSignalNames returns all net-level signal names sorted; useful
-// for deterministic reporting and tests.
-func SortedSignalNames(c *circuit.Circuit) []string {
-	var names []string
-	for i := range c.Lines {
-		if c.Lines[i].Kind != circuit.LineBranch {
-			names = append(names, c.Lines[i].Name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -254,4 +255,16 @@ func TestC17FullyRobustlyTestable(t *testing.T) {
 			t.Fatalf("unexpected line kind %v", l.Kind)
 		}
 	}
+}
+
+// SortedSignalNames returns all net-level signal names sorted.
+func SortedSignalNames(c *circuit.Circuit) []string {
+	var names []string
+	for i := range c.Lines {
+		if c.Lines[i].Kind != circuit.LineBranch {
+			names = append(names, c.Lines[i].Name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }

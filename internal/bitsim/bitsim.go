@@ -51,6 +51,8 @@ type Batch struct {
 }
 
 // Simulate simulates up to 64 tests in one pass.
+//
+//lint:ignore testonly the circuit package tests its simulators against one batch
 func Simulate(c *circuit.Circuit, tests []circuit.TwoPattern) (*Batch, error) {
 	b := newBatch(c)
 	if err := b.load(tests, 0); err != nil {

@@ -94,14 +94,6 @@ func (b *Builder) MarkOutput(net int) {
 	b.outputs = append(b.outputs, net)
 }
 
-// NetByName returns the handle of a previously declared net, or -1.
-func (b *Builder) NetByName(name string) int {
-	if id, ok := b.byName[name]; ok {
-		return id
-	}
-	return -1
-}
-
 // Build expands the net list into the line-level Circuit.
 func (b *Builder) Build() (*Circuit, error) {
 	if b.err != nil {

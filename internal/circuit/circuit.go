@@ -244,9 +244,6 @@ type Circuit struct {
 // NumLines returns the total number of lines.
 func (c *Circuit) NumLines() int { return len(c.Lines) }
 
-// NumGates returns the number of gates.
-func (c *Circuit) NumGates() int { return len(c.Gates) }
-
 // TopoGates returns gate indices in topological (evaluation) order.
 // The returned slice must not be modified.
 func (c *Circuit) TopoGates() []int { return c.order }
@@ -257,10 +254,6 @@ func (c *Circuit) TopoGates() []int { return c.order }
 func (c *Circuit) Fanout(net int) []int {
 	return c.fanout[c.fanoutStart[net]:c.fanoutStart[net+1]]
 }
-
-// Level returns the topological level of gate gi; every gate sits at a
-// higher level than the gates driving its inputs.
-func (c *Circuit) Level(gi int) int { return c.level[gi] }
 
 // PIIndex returns the position of PI line id within PIs, or -1.
 func (c *Circuit) PIIndex(id int) int {

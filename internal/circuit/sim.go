@@ -70,9 +70,6 @@ func NewSimulator(c *Circuit) *Simulator {
 	return s
 }
 
-// Circuit returns the simulated circuit.
-func (s *Simulator) Circuit() *Circuit { return s.c }
-
 // Compile restricts the simulator to the given nets plus every primary
 // input and resets every value to x. The nets must be closed under
 // fanin: a gate output in the set reads only nets in the set or primary
@@ -141,9 +138,6 @@ func (s *Simulator) Len() int { return len(s.nets) }
 // compiled.
 func (s *Simulator) Slot(line int) int { return s.slot[s.c.Lines[line].Net] }
 
-// Net returns the net ID at slot k.
-func (s *Simulator) Net(k int) int { return s.nets[k] }
-
 // Readers returns the slots of the compiled gates reading slot k. The
 // slice is the simulator's own, valid until the next Compile.
 func (s *Simulator) Readers(k int) []int { return s.fo[s.foStart[k]:s.foStart[k+1]] }
@@ -186,10 +180,6 @@ func (s *Simulator) RollbackTo(m Mark) {
 	}
 	s.undo = s.undo[:int(m)]
 }
-
-// ClearUndo discards undo history (states before this call can no
-// longer be rolled back to).
-func (s *Simulator) ClearUndo() { s.undo = s.undo[:0] }
 
 // Assign sets the value of primary input pi (its index in PIs, which is
 // also its slot) on one plane and propagates the consequences through

@@ -1,6 +1,9 @@
 package diagnose
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -251,4 +254,21 @@ func TestReadSyndromeErrors(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Errorf("comment handling broken: %v %v", got, err)
 	}
+}
+
+// WriteSyndrome writes observations in the format ReadSyndrome reads.
+func WriteSyndrome(w io.Writer, c *circuit.Circuit, obs []Observation) error {
+	bw := bufio.NewWriter(w)
+	for _, o := range obs {
+		if !o.Failed {
+			fmt.Fprintln(bw, "PASS")
+			continue
+		}
+		fmt.Fprint(bw, "FAIL")
+		for _, po := range o.FailingPOs {
+			fmt.Fprintf(bw, " %s", c.Lines[po].Name)
+		}
+		fmt.Fprintln(bw)
+	}
+	return bw.Flush()
 }

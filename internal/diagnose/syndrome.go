@@ -9,30 +9,14 @@ import (
 	"repro/internal/circuit"
 )
 
-// WriteSyndrome writes tester observations, one line per test:
+// ReadSyndrome reads tester observations, one line per test:
 //
 //	PASS
 //	FAIL G17 G10->PO
 //
 // Failing output names are optional (a bare FAIL records pass/fail
-// only). PO-end lines are named like any other line.
-func WriteSyndrome(w io.Writer, c *circuit.Circuit, obs []Observation) error {
-	bw := bufio.NewWriter(w)
-	for _, o := range obs {
-		if !o.Failed {
-			fmt.Fprintln(bw, "PASS")
-			continue
-		}
-		fmt.Fprint(bw, "FAIL")
-		for _, po := range o.FailingPOs {
-			fmt.Fprintf(bw, " %s", c.Lines[po].Name)
-		}
-		fmt.Fprintln(bw)
-	}
-	return bw.Flush()
-}
-
-// ReadSyndrome reads observations written by WriteSyndrome.
+// only). PO-end lines are named like any other line. Blank lines and
+// lines starting with # are skipped.
 func ReadSyndrome(r io.Reader, c *circuit.Circuit) ([]Observation, error) {
 	byName := make(map[string]int)
 	for _, po := range c.POs {

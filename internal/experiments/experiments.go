@@ -45,11 +45,6 @@ func DefaultParams() Params {
 	return Params{NP: 2000, NP0: 300, Seed: 1}
 }
 
-// PaperParams returns the paper's parameters (slow on the full suite).
-func PaperParams() Params {
-	return Params{NP: 10000, NP0: 1000, Seed: 1}
-}
-
 // CircuitData is the prepared input of the generation experiments: the
 // circuit, the screened fault sets and the partition index.
 type CircuitData struct {

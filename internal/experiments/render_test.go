@@ -50,10 +50,3 @@ func TestRenderTables3Through7(t *testing.T) {
 		t.Error("Table 6 numbers missing")
 	}
 }
-
-func TestPaperParams(t *testing.T) {
-	p := PaperParams()
-	if p.NP != 10000 || p.NP0 != 1000 {
-		t.Errorf("paper params wrong: %+v", p)
-	}
-}

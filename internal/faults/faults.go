@@ -59,9 +59,6 @@ func (f Fault) Key() string {
 	return sb.String()
 }
 
-// Source returns the first line of the path.
-func (f *Fault) Source() int { return f.Path[0] }
-
 // Sink returns the last line of the path.
 func (f *Fault) Sink() int { return f.Path[len(f.Path)-1] }
 
@@ -141,6 +138,8 @@ func Partition(fs []Fault, nP0 int) (p0, p1 []Fault, i0 int) {
 // that "it is possible to partition P into a larger number of
 // subsets"). sizes[i] is the minimum cumulative fault count of sets
 // 0..i; the k-th set receives the remainder. len(sizes) must be k-1.
+//
+//lint:ignore testonly EnrichK's k-set partition, kept with it
 func PartitionK(fs []Fault, sizes []int) [][]Fault {
 	if len(fs) == 0 {
 		return nil

@@ -38,8 +38,8 @@ func TestKeyDistinguishes(t *testing.T) {
 
 func TestSourceSink(t *testing.T) {
 	f := mkFault(4, 10, SlowToRise)
-	if f.Source() != 10 || f.Sink() != 13 {
-		t.Errorf("Source/Sink = %d/%d, want 10/13", f.Source(), f.Sink())
+	if f.Path[0] != 10 || f.Sink() != 13 {
+		t.Errorf("source/Sink = %d/%d, want 10/13", f.Path[0], f.Sink())
 	}
 }
 

@@ -10,9 +10,9 @@
 //
 // This is the scalar simulator: one test at a time, with
 // robust.FaultConditions.DetectedBy as the detection predicate (the
-// one core's fault dropping, static compaction and diagnosis also
-// call). Run is the reference that the word-parallel bitsim, which
-// simulates whole test sets everywhere else, is tested against.
+// one core's fault dropping and diagnosis also call). Run is the
+// reference that the word-parallel bitsim, which simulates whole test
+// sets everywhere else, is tested against.
 package faultsim
 
 import (
@@ -24,6 +24,8 @@ import (
 )
 
 // Detects simulates one test and reports whether it detects the fault.
+//
+//lint:ignore testonly the scalar oracle that other packages' tests compare against
 func Detects(c *circuit.Circuit, test circuit.TwoPattern, fc *robust.FaultConditions) bool {
 	return fc.DetectedBy(test.Simulate(c))
 }
@@ -61,6 +63,8 @@ func Run(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultCondi
 }
 
 // Count returns how many faults the test set detects.
+//
+//lint:ignore testonly the scalar oracle that other packages' tests compare against
 func Count(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) int {
 	return bitsim.Detected(Run(c, tests, fcs))
 }

@@ -202,20 +202,6 @@ func (l *Log) Compact(keep []Record) error {
 	return nil
 }
 
-// Size returns the log's current byte size.
-func (l *Log) Size() (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return 0, fmt.Errorf("journal: closed")
-	}
-	st, err := l.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
 // Close syncs and closes the log. Appends after Close fail.
 func (l *Log) Close() error {
 	l.mu.Lock()

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -280,4 +281,18 @@ func TestJournalLargeRecordReplays(t *testing.T) {
 	if len(recs) != 2 || recs[0].JobID != "j1" || len(recs[0].Spec) != len(spec) || recs[1].JobID != "j2" {
 		t.Fatalf("replayed %d records, want j1 (%d-byte spec) and j2", len(recs), len(spec))
 	}
+}
+
+// Size returns the log's current byte size.
+func (l *Log) Size() (int64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
+		return 0, fmt.Errorf("journal: closed")
+	}
+	st, err := l.f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return st.Size(), nil
 }

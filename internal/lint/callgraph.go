@@ -96,9 +96,6 @@ type CallGraph struct {
 	SCCs [][]*FuncNode
 }
 
-// NodeByKey resolves a FuncKey, or nil.
-func (g *CallGraph) NodeByKey(k FuncKey) *FuncNode { return g.byKey[k] }
-
 func (g *CallGraph) nodeByObj(o *types.Func) *FuncNode {
 	if o == nil {
 		return nil

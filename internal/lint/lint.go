@@ -351,6 +351,7 @@ func Analyzers() []*Analyzer {
 		AnalyzerCtxFlow,
 		AnalyzerNondetFlow,
 		AnalyzerCloseLeak,
+		AnalyzerTestOnly,
 	}
 }
 

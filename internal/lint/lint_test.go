@@ -22,6 +22,7 @@ var fixtureNames = []string{
 	"coordenvelope", "fsyncdir", "tracepropagation",
 	"lockorder", "ctxflow", "ctxflow/dep",
 	"nondetflow", "nondetflow/dep", "closeleak",
+	"testonly", "testonly/dep",
 }
 
 const fixturePathPrefix = "repro/internal/lint/testdata/src/"

@@ -92,3 +92,13 @@ func checkGolden(t *testing.T, path, got string) {
 		t.Errorf("%s differs from the golden:\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
+
+// Add adjusts the gauge by d (negative to decrease).
+func (g *Gauge) Add(d float64) {
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+			return
+		}
+	}
+}

@@ -26,9 +26,6 @@ func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
 
-// Int64 builds an integer attribute.
-func Int64(k string, v int64) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
-
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: fmt.Sprintf("%t", v)} }
 
@@ -209,16 +206,6 @@ func (s *Span) EndAt(end time.Time, attrs ...Attr) {
 	if s.end.IsZero() {
 		s.end = end
 	}
-	s.attrs = append(s.attrs, attrs...)
-	s.t.mu.Unlock()
-}
-
-// SetAttrs attaches attributes to an open span. Nil-safe.
-func (s *Span) SetAttrs(attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.t.mu.Lock()
 	s.attrs = append(s.attrs, attrs...)
 	s.t.mu.Unlock()
 }

@@ -47,14 +47,6 @@ func (tc TraceContext) Traceparent() string {
 	return "00-" + tc.TraceID + "-" + tc.SpanID + "-" + flags
 }
 
-// Child keeps the trace identity and sampling decision but mints a
-// fresh span ID, for handing to the next hop so its spans graft under
-// this one.
-func (tc TraceContext) Child() TraceContext {
-	tc.SpanID = randHex(8)
-	return tc
-}
-
 // NewTraceContext mints a fresh root identity with the given sampling
 // decision.
 func NewTraceContext(sampled bool) TraceContext {

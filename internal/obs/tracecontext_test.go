@@ -60,17 +60,6 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestTraceContextChild(t *testing.T) {
-	tc := NewTraceContext(true)
-	child := tc.Child()
-	if child.TraceID != tc.TraceID || !child.Sampled {
-		t.Fatalf("Child changed trace identity: %+v vs %+v", child, tc)
-	}
-	if child.SpanID == tc.SpanID {
-		t.Fatalf("Child kept parent span ID %q", tc.SpanID)
-	}
-}
-
 func TestWithTraceContext(t *testing.T) {
 	if _, ok := TraceContextFrom(context.Background()); ok {
 		t.Fatal("empty context reported a trace identity")

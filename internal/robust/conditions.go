@@ -31,36 +31,11 @@ const MaxAlternatives = 16
 // means the fault is undetectable because its conditions conflict
 // directly (the first kind of undetectable fault eliminated in Section
 // 3.1).
+//
+// Conditions walks the path of f, extending every alternative through
+// each on-path gate. It is the one-path case of the level step the
+// screen walks a trie with.
 func Conditions(c *circuit.Circuit, f *faults.Fault) []Cube {
-	return conditions(c, f, true)
-}
-
-// NonRobustConditions computes the necessary assignments for
-// *non-robust* detection of a path delay fault. The paper restricts
-// itself to robust tests; non-robust tests are the natural extension
-// supported by the same machinery (the whole downstream flow —
-// justification, compaction, enrichment — is condition-set agnostic).
-//
-// A non-robust test only requires every off-path input to present the
-// non-controlling value under the second pattern (xx,nc); the test is
-// invalidated if other paths are also slow, which is exactly the
-// guarantee robust tests add by demanding hazard-free stable side
-// inputs on transitions toward the controlling value. XOR/XNOR side
-// inputs still need a stable final value to define the propagated
-// transition's polarity; we require the value only under the second
-// pattern and enumerate both polarities as alternatives.
-//
-// Every robust test is also a non-robust test: the robust cube of a
-// fault covers (is a superset of) one of its non-robust cubes, which
-// TestNonRobustSubsumption verifies.
-func NonRobustConditions(c *circuit.Circuit, f *faults.Fault) []Cube {
-	return conditions(c, f, false)
-}
-
-// conditions walks the path of f, extending every alternative through
-// each on-path gate under the robust or the non-robust criterion. It
-// is the one-path case of the level step the screen walks a trie with.
-func conditions(c *circuit.Circuit, f *faults.Fault, robust bool) []Cube {
 	var cur, next level
 	cur.start(c, f)
 	for i := 1; i < len(f.Path); i++ {
@@ -68,7 +43,7 @@ func conditions(c *circuit.Circuit, f *faults.Fault, robust bool) []Cube {
 			// Stem to branch: same signal, same transition.
 			continue
 		}
-		next.step(c, &cur, f.Path[i-1], f.Path[i], robust)
+		next.step(c, &cur, f.Path[i-1], f.Path[i])
 		cur, next = next, cur
 		if len(cur.alts) == 0 {
 			return nil
@@ -82,7 +57,7 @@ func conditions(c *circuit.Circuit, f *faults.Fault, robust bool) []Cube {
 }
 
 // level is the A(p) alternative list of one path prefix, in the order
-// conditions reports it. A slot keeps its slices when the level is
+// Conditions reports it. A slot keeps its slices when the level is
 // refilled, so a walk that reuses one level per depth allocates only
 // while the lists grow.
 type level struct {
@@ -111,11 +86,11 @@ func (l *level) start(c *circuit.Circuit, f *faults.Fault) {
 // line, the output of a gate whose input onPath ends the prefix: each
 // alternative of parent in turn, extended through the gate, with the
 // list cut at MaxAlternatives.
-func (l *level) step(c *circuit.Circuit, parent *level, onPath, line int, robust bool) {
+func (l *level) step(c *circuit.Circuit, parent *level, onPath, line int) {
 	l.alts = l.alts[:0]
 	g := &c.Gates[c.Lines[line].Gate]
 	for k := range parent.alts {
-		stepGate(c, g, onPath, l, &parent.alts[k], k, robust)
+		stepGate(c, g, onPath, l, &parent.alts[k], k)
 		if len(l.alts) > MaxAlternatives {
 			l.alts = l.alts[:MaxAlternatives]
 			return
@@ -154,11 +129,8 @@ func (a *alt) require(net int, v tval.Triple) bool {
 // stepGate appends to l the extensions through gate g of p, alternative
 // from of the parent level, whose transition the on-path input line
 // onPath carries: zero alternatives when the side requirements
-// conflict with p's cube, several for an XOR/XNOR gate. The two
-// criteria differ only in the side-input values: where robust
-// detection needs a stable, hazard-free value, non-robust detection
-// needs that value under the second pattern only.
-func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, l *level, p *alt, from int, robust bool) {
+// conflict with p's cube, several for an XOR/XNOR gate.
+func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, l *level, p *alt, from int) {
 	switch g.Type {
 	case circuit.Not:
 		l.push(p, from, p.tr.Not())
@@ -169,9 +141,9 @@ func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, l *level, p *alt,
 		nc := ctrl.Not()
 		// Off-path inputs need the non-controlling value under the
 		// second pattern; on a transition toward the controlling value,
-		// robust detection needs it stable and hazard-free.
+		// they need it stable and hazard-free.
 		side := tval.NewTriple(tval.X, tval.X, nc)
-		if robust && p.tr.P3() == ctrl {
+		if p.tr.P3() == ctrl {
 			side = tval.NewTriple(nc, nc, nc)
 		}
 		out := p.tr
@@ -186,10 +158,9 @@ func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, l *level, p *alt,
 			}
 		}
 	case circuit.Xor, circuit.Xnor:
-		// Every off-path input must hold a value (stable and
-		// hazard-free for robust detection, final otherwise), tried 0
-		// then 1 with the first input most significant; each choice
-		// preserves or flips the transition.
+		// Every off-path input must hold a stable, hazard-free value,
+		// tried 0 then 1 with the first input most significant; each
+		// choice preserves or flips the transition.
 		sides := 0
 		for _, in := range g.In {
 			if in != onPath {
@@ -214,11 +185,7 @@ func stepGate(c *circuit.Circuit, g *circuit.Gate, onPath int, l *level, p *alt,
 					v = tval.One
 					a.tr = a.tr.Not()
 				}
-				sv := tval.TX.With(2, v)
-				if robust {
-					sv = tval.NewTriple(v, v, v)
-				}
-				if !a.require(c.Lines[in].Net, sv) {
+				if !a.require(c.Lines[in].Net, tval.NewTriple(v, v, v)) {
 					l.pop()
 					continue choices
 				}

@@ -27,32 +27,21 @@ type FaultConditions struct {
 //
 // It returns the surviving faults with their alternatives, preserving
 // input order, plus the number eliminated.
-func Screen(c *circuit.Circuit, fs []faults.Fault) (kept []FaultConditions, eliminated int) {
-	return ScreenWith(c, fs, true)
-}
-
-// ScreenWith is Screen under the robust (robust == true) or the
-// non-robust criterion; the non-robust one builds the target list of a
-// non-robust ATPG run. The whole downstream flow (justification,
-// compaction, enrichment, fault simulation) is condition-agnostic, so
-// the returned FaultConditions feed core.Generate / core.Enrich
-// unchanged.
 //
 // The faults are screened along the trie of their paths, with one
 // Implier: the closure of every (path prefix, alternative) pair is
 // extended once from its parent's, by the requirements the prefix's
 // last gate added, and a conflict prunes every fault below the pair.
 // Since the closure is unique and monotone, a fault keeps exactly the
-// alternatives of Conditions (or NonRobustConditions) whose own
-// closure is consistent, in the same order.
-func ScreenWith(c *circuit.Circuit, fs []faults.Fault, robust bool) (kept []FaultConditions, eliminated int) {
+// alternatives of Conditions whose own closure is consistent, in the
+// same order.
+func Screen(c *circuit.Circuit, fs []faults.Fault) (kept []FaultConditions, eliminated int) {
 	s := &screener{
-		c:      c,
-		fs:     fs,
-		ord:    make([]int, len(fs)),
-		robust: robust,
-		im:     NewImplier(c),
-		out:    make([]FaultConditions, len(fs)),
+		c:   c,
+		fs:  fs,
+		ord: make([]int, len(fs)),
+		im:  NewImplier(c),
+		out: make([]FaultConditions, len(fs)),
 	}
 	depth := 0
 	for i := range fs {
@@ -95,12 +84,11 @@ func ScreenWith(c *circuit.Circuit, fs []faults.Fault, robust bool) (kept []Faul
 	return kept, eliminated
 }
 
-// screener is the state of one ScreenWith walk.
+// screener is the state of one Screen walk.
 type screener struct {
 	c      *circuit.Circuit
 	fs     []faults.Fault
 	ord    []int // fault indices in (Dir, Path) order
-	robust bool
 	im     *Implier
 	levels []level // the alternative list of the visited prefix, by depth
 	out    []FaultConditions
@@ -125,7 +113,7 @@ func (s *screener) visit(d, lo, hi int, l *level, a int) {
 			s.visit(d+1, lo, end, l, a)
 		} else {
 			next := &s.levels[d+1]
-			next.step(s.c, l, path[d], path[d+1], s.robust)
+			next.step(s.c, l, path[d], path[d+1])
 			for b := range next.alts {
 				if next.alts[b].from != a {
 					continue

@@ -44,11 +44,11 @@ func screenFaults(t testing.TB, c *circuit.Circuit, np int) []faults.Fault {
 // screenOracle is the screen as Section 3.1 states it, one fault at a
 // time: generate the fault's alternatives, then keep each one whose
 // implication closure, computed from scratch, is consistent.
-func screenOracle(c *circuit.Circuit, fs []faults.Fault, robust bool) (kept []FaultConditions, eliminated int) {
+func screenOracle(c *circuit.Circuit, fs []faults.Fault) (kept []FaultConditions, eliminated int) {
 	im := NewImplier(c)
 	for i := range fs {
 		var ok []Cube
-		for _, alt := range conditions(c, &fs[i], robust) {
+		for _, alt := range Conditions(c, &fs[i]) {
 			if im.ImplyConsistent(&alt) {
 				ok = append(ok, alt)
 			}
@@ -62,68 +62,51 @@ func screenOracle(c *circuit.Circuit, fs []faults.Fault, robust bool) (kept []Fa
 	return kept, eliminated
 }
 
-// TestScreenGolden pins the output of Screen and of non-robust
-// ScreenWith on three synthetic circuits with XOR gates: the SHA-256
+// TestScreenGolden pins the output of Screen on three synthetic circuits with XOR gates: the SHA-256
 // of each kept fault's input index, every alternative's nets and
 // values in order, and the eliminated count. The digests were
 // recorded with the per-fault screen that screenOracle restates.
 func TestScreenGolden(t *testing.T) {
 	cases := []struct {
-		circuit   string
-		np        int
-		robust    string
-		nonRobust string
+		circuit string
+		np      int
+		robust  string
 	}{
 		{"s953", 1000,
-			"77f62f12876d3602cf874403416316837e81c02e573fcef717c9c750af48c4e4",
-			"bde81734d1bac9bfded4cad8aa5a2a790ed80e753a6f15d07182d524842d05fc"},
+			"77f62f12876d3602cf874403416316837e81c02e573fcef717c9c750af48c4e4"},
 		{"s1196", 1000,
-			"d885f0651663a194261f478f2dc09f02191463f63865271d2f712cd69e480008",
-			"74a0a53d95c4ff7563a4294e26d8f028026fb7baaf7b25887fc2394b0873a00e"},
+			"d885f0651663a194261f478f2dc09f02191463f63865271d2f712cd69e480008"},
 		{"s1423", 2000,
-			"25937cd6fac1c5d20a7fef3a243a675787a52059c9c36cc930a5f75b28e6ee05",
-			"d57eda65cb7a76ba5e4dafdd0ee57c58185aed6a4d60b4b7daa0ee2fa97b9700"},
+			"25937cd6fac1c5d20a7fef3a243a675787a52059c9c36cc930a5f75b28e6ee05"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.circuit, func(t *testing.T) {
 			c := screenCircuit(t, tc.circuit)
 			fs := screenFaults(t, c, tc.np)
-			for _, k := range []struct {
-				name   string
-				robust bool
-				want   string
-			}{{"robust", true, tc.robust}, {"nonrobust", false, tc.nonRobust}} {
-				var kept []FaultConditions
-				var elim int
-				if k.robust {
-					kept, elim = Screen(c, fs)
-				} else {
-					kept, elim = ScreenWith(c, fs, false)
-				}
-				h := sha256.New()
-				j := 0
-				for i := range fs {
-					if j < len(kept) && reflect.DeepEqual(kept[j].Fault, fs[i]) {
-						for a, q := range kept[j].Alts {
-							fmt.Fprintln(h, i, a, q.Nets, q.Vals)
-						}
-						j++
+			kept, elim := Screen(c, fs)
+			h := sha256.New()
+			j := 0
+			for i := range fs {
+				if j < len(kept) && reflect.DeepEqual(kept[j].Fault, fs[i]) {
+					for a, q := range kept[j].Alts {
+						fmt.Fprintln(h, i, a, q.Nets, q.Vals)
 					}
+					j++
 				}
-				if j != len(kept) {
-					t.Fatalf("%s: kept faults are not an in-order subsequence of the input", k.name)
-				}
-				fmt.Fprintln(h, "eliminated", elim)
-				if got := hex.EncodeToString(h.Sum(nil)); got != k.want {
-					t.Errorf("%s: %d kept, %d eliminated, sha=%s, want %s", k.name, len(kept), elim, got, k.want)
-				}
+			}
+			if j != len(kept) {
+				t.Fatalf("kept faults are not an in-order subsequence of the input")
+			}
+			fmt.Fprintln(h, "eliminated", elim)
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.robust {
+				t.Errorf("%d kept, %d eliminated, sha=%s, want %s", len(kept), elim, got, tc.robust)
 			}
 		})
 	}
 }
 
 // TestScreenMatchesPerFault checks the screen against screenOracle
-// under both criteria, on enumerated faults and on a shuffled input
+// on enumerated faults and on a shuffled input
 // with duplicated faults, and checks that every kept cube owns its
 // slices.
 func TestScreenMatchesPerFault(t *testing.T) {
@@ -149,31 +132,29 @@ func TestScreenMatchesPerFault(t *testing.T) {
 				name string
 				fs   []faults.Fault
 			}{{"enumerated", fs}, {"shuffled", shuffled}} {
-				for _, robust := range []bool{true, false} {
-					want, wantElim := screenOracle(c, in.fs, robust)
-					got, gotElim := ScreenWith(c, in.fs, robust)
-					if gotElim != wantElim || !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s robust=%v: %d kept, %d eliminated; oracle %d kept, %d eliminated",
-							in.name, robust, len(got), gotElim, len(want), wantElim)
+				want, wantElim := screenOracle(c, in.fs)
+				got, gotElim := Screen(c, in.fs)
+				if gotElim != wantElim || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %d kept, %d eliminated; oracle %d kept, %d eliminated",
+						in.name, len(got), gotElim, len(want), wantElim)
+				}
+				// Append to every kept cube: if two cubes shared a
+				// backing array, one append would overwrite the
+				// other's values.
+				for i := range got {
+					for a := range got[i].Alts {
+						q := &got[i].Alts[a]
+						q.Nets = append(q.Nets, -1)
+						q.Vals = append(q.Vals, 0)
 					}
-					// Append to every kept cube: if two cubes shared a
-					// backing array, one append would overwrite the
-					// other's values.
-					for i := range got {
-						for a := range got[i].Alts {
-							q := &got[i].Alts[a]
-							q.Nets = append(q.Nets, -1)
-							q.Vals = append(q.Vals, 0)
-						}
-					}
-					for i := range got {
-						for a, q := range got[i].Alts {
-							w := want[i].Alts[a]
-							n := len(q.Nets) - 1
-							if q.Nets[n] != -1 || q.Vals[n] != 0 ||
-								!reflect.DeepEqual(q.Nets[:n], w.Nets) || !reflect.DeepEqual(q.Vals[:n], w.Vals) {
-								t.Fatalf("%s robust=%v: kept cubes share backing arrays", in.name, robust)
-							}
+				}
+				for i := range got {
+					for a, q := range got[i].Alts {
+						w := want[i].Alts[a]
+						n := len(q.Nets) - 1
+						if q.Nets[n] != -1 || q.Vals[n] != 0 ||
+							!reflect.DeepEqual(q.Nets[:n], w.Nets) || !reflect.DeepEqual(q.Vals[:n], w.Vals) {
+							t.Fatalf("%s: kept cubes share backing arrays", in.name)
 						}
 					}
 				}

@@ -184,6 +184,8 @@ func Generate(p Profile) (*circuit.Circuit, error) {
 }
 
 // MustGenerate is Generate for known-good profiles; it panics on error.
+//
+//lint:ignore testonly tests in several packages build their circuits with it
 func MustGenerate(p Profile) *circuit.Circuit {
 	c, err := Generate(p)
 	if err != nil {

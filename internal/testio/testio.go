@@ -193,6 +193,8 @@ func (p *testParser) pattern(s string) (vals []tval.V, canonical bool, err error
 }
 
 // WriteFaults writes a fault list using line names.
+//
+//lint:ignore testonly the module's integration test writes fault lists with it
 func WriteFaults(w io.Writer, c *circuit.Circuit, fs []faults.Fault) error {
 	bw := bufio.NewWriter(w)
 	for i := range fs {

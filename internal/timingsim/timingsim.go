@@ -39,15 +39,6 @@ func UniformDelays(c *circuit.Circuit, d int) Delays {
 	return out
 }
 
-// PathDelay returns the total delay of a path under the assignment.
-func (d Delays) PathDelay(path []int) int {
-	total := 0
-	for _, l := range path {
-		total += d[l]
-	}
-	return total
-}
-
 // WithExtraOnPath returns a copy of the assignment with extra delay
 // added to the last line of the path — one concrete mechanism by which
 // exactly the faulty path (and every path through that line) becomes

@@ -324,3 +324,12 @@ func TestDistributedDefectStillRobustlyDetected(t *testing.T) {
 		t.Fatal("nothing checked")
 	}
 }
+
+// PathDelay returns the total delay of a path under the assignment.
+func (d Delays) PathDelay(path []int) int {
+	total := 0
+	for _, l := range path {
+		total += d[l]
+	}
+	return total
+}

@@ -30,9 +30,6 @@ const (
 	X    V = 2
 )
 
-// Valid reports whether v is one of Zero, One, X.
-func (v V) Valid() bool { return v <= X }
-
 // Specified reports whether v is a definite 0 or 1.
 func (v V) Specified() bool { return v < X }
 
@@ -134,38 +131,9 @@ func (t Triple) With(i int, v V) Triple {
 	return t&^(3<<sh) | Triple(v)<<sh
 }
 
-// Valid reports whether all three positions hold valid values.
-func (t Triple) Valid() bool {
-	return t.P1().Valid() && t.Mid().Valid() && t.P3().Valid()
-}
-
-// FullySpecified reports whether no position is x.
-func (t Triple) FullySpecified() bool {
-	return t.P1() != X && t.Mid() != X && t.P3() != X
-}
-
 // Not returns the positionwise complement of t.
 func (t Triple) Not() Triple {
 	return NewTriple(t.P1().Not(), t.Mid().Not(), t.P3().Not())
-}
-
-// Stable reports whether t is a fully specified stable value (S0 or S1).
-func (t Triple) Stable() bool { return t == S0 || t == S1 }
-
-// IsTransition reports whether t is R or F.
-func (t Triple) IsTransition() bool { return t == R || t == F }
-
-// Compatible reports whether a value u observed (or simulated) on a line
-// can coexist with a requirement t: they conflict only when some
-// position is specified in both and differs.
-func (t Triple) Compatible(u Triple) bool {
-	for i := 0; i < 3; i++ {
-		a, b := t.At(i), u.At(i)
-		if a != X && b != X && a != b {
-			return false
-		}
-	}
-	return true
 }
 
 // Covers reports whether the simulated value u satisfies the
@@ -233,6 +201,8 @@ func (t Triple) String() string {
 
 // ParseTriple parses a three-character string such as "0x1" into a
 // Triple.
+//
+//lint:ignore testonly tests in several packages spell their triples with it
 func ParseTriple(s string) (Triple, error) {
 	if len(s) != 3 {
 		return TX, fmt.Errorf("tval: triple %q must have exactly 3 characters", s)

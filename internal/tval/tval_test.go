@@ -181,38 +181,6 @@ func TestTripleNot(t *testing.T) {
 	}
 }
 
-func TestCompatible(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want bool
-	}{
-		{"000", "000", true},
-		{"000", "111", false},
-		{"xx0", "000", true},
-		{"xx0", "0x0", true},
-		{"xx0", "xx1", false},
-		{"0x1", "0xx", true},
-		{"0x1", "1xx", false},
-		{"xxx", "101", true},
-	}
-	for _, c := range cases {
-		a, err := ParseTriple(c.a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ParseTriple(c.b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := a.Compatible(b); got != c.want {
-			t.Errorf("Compatible(%s,%s) = %v, want %v", c.a, c.b, got, c.want)
-		}
-		if got := b.Compatible(a); got != c.want {
-			t.Errorf("Compatible(%s,%s) = %v, want %v (symmetry)", c.b, c.a, got, c.want)
-		}
-	}
-}
-
 func TestCovers(t *testing.T) {
 	cases := []struct {
 		req, sim string

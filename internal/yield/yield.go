@@ -7,10 +7,9 @@
 //
 // Each line receives a delay distribution; samples draw every line
 // once (so paths sharing lines stay correlated) and the analysis
-// reports, per path, the probability of being critical, plus the
-// probability that the nominally-longest path is displaced — the
-// number that justifies enriching test sets with next-to-longest-path
-// faults.
+// reports the probability that a path of P1 is slower than one of P0 —
+// the number that justifies enriching test sets with
+// next-to-longest-path faults.
 package yield
 
 import (
@@ -76,100 +75,6 @@ func UniformVariation(c *circuit.Circuit, rel float64) Model {
 		m[i] = Uniform{Lo: 1 - rel, Hi: 1 + rel}
 	}
 	return m
-}
-
-// Result reports a Monte-Carlo run over a set of paths.
-type Result struct {
-	Samples int
-	// NominalDelay[i] is path i's delay under nominal line delays.
-	NominalDelay []float64
-	// MeanDelay[i] is the sampled mean.
-	MeanDelay []float64
-	// CriticalProb[i] is the fraction of samples in which path i was
-	// (one of) the longest of the set.
-	CriticalProb []float64
-	// NominalCritical indexes the nominally longest path.
-	NominalCritical int
-	// DisplacedProb is the fraction of samples whose longest path was
-	// NOT the nominally longest — the paper's motivating risk.
-	DisplacedProb float64
-}
-
-// MonteCarlo samples the model and analyzes path criticality.
-func MonteCarlo(c *circuit.Circuit, paths [][]int, m Model, samples int, seed int64) (*Result, error) {
-	if len(m) != len(c.Lines) {
-		return nil, fmt.Errorf("yield: model covers %d lines, circuit has %d", len(m), len(c.Lines))
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("yield: no paths")
-	}
-	if samples <= 0 {
-		return nil, fmt.Errorf("yield: samples must be positive")
-	}
-	for _, p := range paths {
-		if err := c.ValidatePath(p); err != nil {
-			return nil, err
-		}
-	}
-	r := rand.New(rand.NewSource(seed))
-	res := &Result{
-		Samples:      samples,
-		NominalDelay: make([]float64, len(paths)),
-		MeanDelay:    make([]float64, len(paths)),
-		CriticalProb: make([]float64, len(paths)),
-	}
-	for i, p := range paths {
-		for _, l := range p {
-			res.NominalDelay[i] += m[l].Nominal()
-		}
-	}
-	res.NominalCritical = argmax(res.NominalDelay)
-
-	lineDelay := make([]float64, len(c.Lines))
-	delays := make([]float64, len(paths))
-	displaced := 0
-	for s := 0; s < samples; s++ {
-		for l := range lineDelay {
-			lineDelay[l] = m[l].Sample(r)
-		}
-		for i, p := range paths {
-			d := 0.0
-			for _, l := range p {
-				d += lineDelay[l]
-			}
-			delays[i] = d
-			res.MeanDelay[i] += d
-		}
-		maxD := delays[argmax(delays)]
-		displacedThis := true
-		for i, d := range delays {
-			if d >= maxD-1e-12 {
-				res.CriticalProb[i]++
-				if i == res.NominalCritical {
-					displacedThis = false
-				}
-			}
-		}
-		if displacedThis {
-			displaced++
-		}
-	}
-	for i := range paths {
-		res.MeanDelay[i] /= float64(samples)
-		res.CriticalProb[i] /= float64(samples)
-	}
-	res.DisplacedProb = float64(displaced) / float64(samples)
-	return res, nil
-}
-
-func argmax(v []float64) int {
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // BoundaryCrossProb estimates the probability that the P0/P1 ranking

@@ -1,7 +1,6 @@
 package yield
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -34,70 +33,6 @@ func enumeratedPaths(t *testing.T, c *circuit.Circuit) [][]int {
 		t.Fatal(err)
 	}
 	return uniquePaths(res.Faults)
-}
-
-func TestZeroVariancePreservesNominalOrder(t *testing.T) {
-	c := bench.S27()
-	paths := enumeratedPaths(t, c)
-	m := make(Model, len(c.Lines))
-	for i := range m {
-		m[i] = Fixed(1)
-	}
-	res, err := MonteCarlo(c, paths, m, 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DisplacedProb != 0 {
-		t.Errorf("no variance but displacement probability %f", res.DisplacedProb)
-	}
-	// The nominal critical path has probability 1 (ties included).
-	if res.CriticalProb[res.NominalCritical] != 1 {
-		t.Errorf("nominal critical path probability %f, want 1",
-			res.CriticalProb[res.NominalCritical])
-	}
-	// Nominal delays equal path line counts under unit delays.
-	for i, p := range paths {
-		if res.NominalDelay[i] != float64(len(p)) {
-			t.Errorf("path %d nominal %f, want %d", i, res.NominalDelay[i], len(p))
-		}
-		if math.Abs(res.MeanDelay[i]-res.NominalDelay[i]) > 1e-9 {
-			t.Errorf("path %d mean %f differs from nominal under zero variance", i, res.MeanDelay[i])
-		}
-	}
-}
-
-func TestVariationDisplacesCriticalPath(t *testing.T) {
-	// The paper's motivation quantified: with ±30% per-line variation,
-	// the nominally-longest path of s27 is often not the actually
-	// longest one.
-	c := bench.S27()
-	paths := enumeratedPaths(t, c)
-	m := UniformVariation(c, 0.3)
-	res, err := MonteCarlo(c, paths, m, 2000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DisplacedProb <= 0.05 {
-		t.Errorf("displacement probability %f suspiciously low for ±30%% variation",
-			res.DisplacedProb)
-	}
-	if res.DisplacedProb >= 1 {
-		t.Errorf("displacement probability %f cannot be 1", res.DisplacedProb)
-	}
-	// Criticality probabilities are probabilities.
-	total := 0.0
-	for _, p := range res.CriticalProb {
-		if p < 0 || p > 1 {
-			t.Fatalf("probability out of range: %f", p)
-		}
-		total += p
-	}
-	// Ties can push the sum slightly above 1.
-	if total < 0.99 {
-		t.Errorf("criticality probabilities sum to %f, want ≥ ~1", total)
-	}
-	t.Logf("s27 ±30%%: displaced %.1f%%, nominal critical keeps %.1f%%",
-		100*res.DisplacedProb, 100*res.CriticalProb[res.NominalCritical])
 }
 
 // chains builds a circuit of two disjoint buffer chains of the given
@@ -170,24 +105,6 @@ func TestDisplacementBySetNestedPathsAreSafe(t *testing.T) {
 	}
 	if risk != 0 {
 		t.Errorf("nested s27 paths produced escape risk %f, expected 0", risk)
-	}
-}
-
-func TestMonteCarloErrors(t *testing.T) {
-	c := bench.S27()
-	paths := enumeratedPaths(t, c)
-	if _, err := MonteCarlo(c, paths, Model{Fixed(1)}, 10, 1); err == nil {
-		t.Error("short model must fail")
-	}
-	if _, err := MonteCarlo(c, nil, UniformVariation(c, 0.1), 10, 1); err == nil {
-		t.Error("no paths must fail")
-	}
-	if _, err := MonteCarlo(c, paths, UniformVariation(c, 0.1), 0, 1); err == nil {
-		t.Error("zero samples must fail")
-	}
-	bad := [][]int{{paths[0][0], paths[0][0]}}
-	if _, err := MonteCarlo(c, bad, UniformVariation(c, 0.1), 10, 1); err == nil {
-		t.Error("invalid path must fail")
 	}
 }
 
