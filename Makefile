@@ -59,7 +59,7 @@ paper-check:
 # plus all of the retry package the coordinator's forwarded calls use —
 # twice under the race detector.
 chaos:
-	$(GO) test -race -count=2 -run 'TestChaos|TestWait|TestJournal|TestLive|TestOpen|TestJobTableBounded' \
+	$(GO) test -race -count=2 -run 'TestChaos|TestWait|TestJournal|TestLive|TestOpen|TestJobTableBounded|TestIdleTenantsLeave' \
 		./internal/engine/ ./internal/journal/
 	$(GO) test -race -count=2 ./internal/retry/
 

@@ -520,21 +520,58 @@ func TestClusterMetricsExposition(t *testing.T) {
 	}
 }
 
-// ringNodes reads the pdfd_cluster_ring_nodes gauge off the
-// coordinator's exposition.
-func ringNodes(t *testing.T, c *Coordinator) string {
+// sample reads the value of one series, written as in the exposition
+// (name{labels}), off the coordinator's exposition.
+func sample(t *testing.T, c *Coordinator, series string) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := c.Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(buf.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, "pdfd_cluster_ring_nodes "); ok {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
 			return v
 		}
 	}
-	t.Fatal("exposition lacks pdfd_cluster_ring_nodes")
+	t.Fatalf("exposition lacks %s", series)
 	return ""
+}
+
+// The proxy inflight gauge reads the requests in flight to a backend:
+// 1 while a proxied long-poll is held, 0 once it returned.
+func TestClusterProxyInflightGauge(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	bsrv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+		close(held)
+		<-release
+		engine.WriteJSON(w, http.StatusOK, engine.JobView{ID: "j1", Status: engine.StatusDone})
+	})
+	c, srv := coordinatorOver(t, bsrv.URL, Config{})
+	const series = `pdfd_cluster_proxy_inflight{backend="b0"}`
+	if got := sample(t, c, series); got != "0" {
+		t.Fatalf("%s = %s before any request, want 0", series, got)
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get(srv.URL + "/v1/jobs/b0/j1?wait=10s")
+		if err != nil {
+			done <- reply{}
+			return
+		}
+		resp.Body.Close()
+		done <- reply{status: resp.StatusCode}
+	}()
+	<-held
+	if got := sample(t, c, series); got != "1" {
+		t.Errorf("%s = %s while the long-poll is held, want 1", series, got)
+	}
+	close(release)
+	if got := <-done; got.status != http.StatusOK {
+		t.Fatalf("long-poll = %d, want 200", got.status)
+	}
+	if got := sample(t, c, series); got != "0" {
+		t.Errorf("%s = %s after the long-poll returned, want 0", series, got)
+	}
 }
 
 // Placement follows health: with the ring owner down its successor
@@ -596,13 +633,13 @@ func TestClusterPlacementFollowsHealth(t *testing.T) {
 	if got := route(); got != (Route{Backend: succ, Owner: succ, Affinity: "owner"}) {
 		t.Fatalf("owner down: route %+v, want successor %s as owner", got, succ)
 	}
-	if got := ringNodes(t, c); got != "2" {
+	if got := sample(t, c, "pdfd_cluster_ring_nodes"); got != "2" {
 		t.Fatalf("ring nodes with one backend down = %s, want 2", got)
 	}
 
 	health[idx].Store(http.StatusOK)
 	settle(StateHealthy, owner)
-	if got := ringNodes(t, c); got != "3" {
+	if got := sample(t, c, "pdfd_cluster_ring_nodes"); got != "3" {
 		t.Fatalf("ring nodes after recovery = %s, want 3", got)
 	}
 
@@ -611,7 +648,7 @@ func TestClusterPlacementFollowsHealth(t *testing.T) {
 	if got := route(); got != (Route{Backend: succ, Owner: owner, Affinity: "failover"}) {
 		t.Fatalf("owner draining: route %+v, want failover to %s", got, succ)
 	}
-	if got := ringNodes(t, c); got != "3" {
+	if got := sample(t, c, "pdfd_cluster_ring_nodes"); got != "3" {
 		t.Fatalf("ring nodes with one backend draining = %s, want 3", got)
 	}
 }

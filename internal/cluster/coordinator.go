@@ -260,7 +260,6 @@ func New(cfg Config) (*Coordinator, error) {
 		c.backends[bc.Name] = b
 		c.order = append(c.order, bc.Name)
 		c.ring.Add(bc.Name)
-		c.metrics.setBackendGauges(b)
 	}
 	if cfg.ReplicationFactor > 1 {
 		c.repl = newReplicator(c, cfg.ReplicationFactor)
@@ -611,19 +610,17 @@ func (c *Coordinator) do(ctx context.Context, b *backend, method, path, route st
 }
 
 // send sends req to b, naming b's job prefix in
-// engine.JobPrefixHeader, maintaining the per-backend inflight gauge
-// and the proxy latency histogram, and counts a transport failure
-// against b. Success is the caller's to record once it has read what
-// it needs of the reply. ctx is the caller's context: a failure after
+// engine.JobPrefixHeader, maintaining b's proxied count and the proxy
+// latency histogram, and counts a transport failure against b. Success
+// is the caller's to record once it has read what it needs of the
+// reply. ctx is the caller's context: a failure after
 // it ended is not the backend's.
 func (c *Coordinator) send(ctx context.Context, b *backend, req *http.Request, route string) (*http.Response, error) {
 	req.Header.Set(engine.JobPrefixHeader, b.name+"/")
 	b.proxied.Add(1)
-	c.metrics.proxyInflight.With(b.name).Set(float64(b.proxied.Load()))
 	start := time.Now()
 	resp, err := c.client.Do(req)
 	b.proxied.Add(-1)
-	c.metrics.proxyInflight.With(b.name).Set(float64(b.proxied.Load()))
 	c.metrics.proxySeconds.With(route).Observe(time.Since(start).Seconds())
 	if err != nil {
 		c.noteFailure(ctx, b)

@@ -102,15 +102,13 @@ func (c *Coordinator) probeFailed(b *backend) {
 	b.consecFails++
 	if b.consecFails >= c.cfg.DownAfter {
 		c.setState(b, StateDown)
-	} else {
-		c.setState(b, b.State()) // refresh gauges, no transition
 	}
 }
 
-// setState records b's transition to next and refreshes its gauges.
-// Placement is one static ring it does not touch: routing skips a down
-// backend in its keys' owner chains, so only its keys move, and they
-// return when it recovers.
+// setState records b's transition to next, if it is one. Placement
+// is one static ring it does not touch: routing skips a down backend
+// in its keys' owner chains, so only its keys move, and they return
+// when it recovers.
 func (c *Coordinator) setState(b *backend, next State) {
 	prev := b.State()
 	if prev != next {
@@ -127,5 +125,4 @@ func (c *Coordinator) setState(b *backend, next State) {
 			c.repl.backendRecovered(b)
 		}
 	}
-	c.metrics.setBackendGauges(b)
 }

@@ -31,14 +31,6 @@ type metrics struct {
 	// routing traces attach as OpenMetrics exemplars.
 	routeSeconds *obs.HistogramVec
 
-	// Per-backend gauges, refreshed by the health loop (and, for
-	// proxyInflight, on every proxied request).
-	backendUp         *obs.GaugeVec
-	backendDraining   *obs.GaugeVec
-	backendQueueDepth *obs.GaugeVec
-	backendInflight   *obs.GaugeVec
-	proxyInflight     *obs.GaugeVec
-
 	// Scalar counters exposed through func collectors.
 	spillovers atomic.Int64
 	batches    atomic.Int64
@@ -65,22 +57,41 @@ func newClusterMetrics(reg *obs.Registry, c *Coordinator) *metrics {
 			"Latency of proxied backend requests, by route.", obs.DefBuckets, "route"),
 		routeSeconds: obs.NewHistogramVec("pdfd_cluster_route_duration_seconds",
 			"End-to-end latency of routed submissions, by outcome.", obs.DefBuckets, "outcome"),
-		backendUp: obs.NewGaugeVec("pdfd_cluster_backend_up",
-			"1 when the backend is healthy (taking new jobs).", "backend"),
-		backendDraining: obs.NewGaugeVec("pdfd_cluster_backend_draining",
-			"1 when the backend is draining (on the ring, reads only).", "backend"),
-		backendQueueDepth: obs.NewGaugeVec("pdfd_cluster_backend_queue_depth",
-			"Queued jobs reported by the backend's last health probe.", "backend"),
-		backendInflight: obs.NewGaugeVec("pdfd_cluster_backend_inflight",
-			"Running jobs reported by the backend's last health probe.", "backend"),
-		proxyInflight: obs.NewGaugeVec("pdfd_cluster_proxy_inflight",
-			"Coordinator requests currently in flight to the backend.", "backend"),
+	}
+	// perBackend is a gauge family with one row per backend, read from
+	// the backend's state and atomics at scrape time.
+	perBackend := func(name, help string, read func(*backend) float64) obs.Collector {
+		//lint:ignore metricname name is forwarded verbatim from the constant strings below; MustRegister re-validates the grammar at registration
+		return obs.NewGaugeVecFunc(name, help, func(set func(float64, ...string)) {
+			for _, name := range c.order {
+				set(read(c.backends[name]), name)
+			}
+		}, "backend")
+	}
+	inState := func(st State) func(*backend) float64 {
+		return func(b *backend) float64 {
+			if b.State() == st {
+				return 1
+			}
+			return 0
+		}
 	}
 	reg.MustRegister(
 		m.routed, m.tenantRouted, m.sheds, m.backendErrors, m.breakerOpens,
 		m.healthTransitions, m.proxySeconds, m.routeSeconds,
-		m.backendUp, m.backendDraining, m.backendQueueDepth,
-		m.backendInflight, m.proxyInflight,
+		perBackend("pdfd_cluster_backend_up",
+			"1 when the backend is healthy (taking new jobs).", inState(StateHealthy)),
+		perBackend("pdfd_cluster_backend_draining",
+			"1 when the backend is draining (on the ring, reads only).", inState(StateDraining)),
+		perBackend("pdfd_cluster_backend_queue_depth",
+			"Queued jobs reported by the backend's last health probe.",
+			func(b *backend) float64 { return float64(b.queueDepth.Load()) }),
+		perBackend("pdfd_cluster_backend_inflight",
+			"Running jobs reported by the backend's last health probe.",
+			func(b *backend) float64 { return float64(b.inflight.Load()) }),
+		perBackend("pdfd_cluster_proxy_inflight",
+			"Coordinator requests currently in flight to the backend.",
+			func(b *backend) float64 { return float64(b.proxied.Load()) }),
 		obs.NewCounterFunc("pdfd_cluster_spillovers_total",
 			"Submissions redirected to the least-loaded backend after the ring owner shed.",
 			func() float64 { return float64(m.spillovers.Load()) }),
@@ -124,22 +135,4 @@ func newClusterMetrics(reg *obs.Registry, c *Coordinator) *metrics {
 			func() float64 { return float64(c.traces.Stats().Evicted) }),
 	)
 	return m
-}
-
-// setBackendGauges refreshes b's health and load gauges from its
-// atomics.
-func (m *metrics) setBackendGauges(b *backend) {
-	st := b.State()
-	up, draining := 0.0, 0.0
-	if st == StateHealthy {
-		up = 1
-	}
-	if st == StateDraining {
-		draining = 1
-	}
-	m.backendUp.With(b.name).Set(up)
-	m.backendDraining.With(b.name).Set(draining)
-	m.backendQueueDepth.With(b.name).Set(float64(b.queueDepth.Load()))
-	m.backendInflight.With(b.name).Set(float64(b.inflight.Load()))
-	m.proxyInflight.With(b.name).Set(float64(b.proxied.Load()))
 }

@@ -46,9 +46,6 @@ func NewTenantAuth(tenants []TenantConfig) *TenantAuth {
 	return a
 }
 
-// Required reports whether the /v1 surface demands bearer auth.
-func (a *TenantAuth) Required() bool { return a.required }
-
 // Resolve maps a request to its tenant, reporting ok=false when auth
 // is required and the credential is missing or unknown.
 func (a *TenantAuth) Resolve(r *http.Request) (tenant string, ok bool) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -172,12 +173,18 @@ func TestQuotaExceededEnvelope(t *testing.T) {
 		t.Errorf("retry_after_ms = %d, want > 0", env.Error.RetryAfterMS)
 	}
 
-	snap := e.Metrics().Tenants
-	if snap["acme"].Shed != 1 {
-		t.Errorf("acme shed counter = %d, want 1 (%+v)", snap["acme"].Shed, snap)
+	var expo strings.Builder
+	if err := e.Registry().WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
 	}
-	if snap["zeta"].Shed != 0 {
-		t.Errorf("zeta shed counter = %d, want 0", snap["zeta"].Shed)
+	samples, _ := parsePromText(t, expo.String())
+	if got := promValue(samples, "pdfd_tenant_shed_total", `tenant="acme",reason="quota"`); got != 1 {
+		t.Errorf("acme quota sheds = %v, want 1", got)
+	}
+	for _, s := range samples["pdfd_tenant_shed_total"] {
+		if strings.Contains(s.labels, `tenant="zeta"`) {
+			t.Errorf("zeta has a shed series {%s} %v, want none", s.labels, s.value)
+		}
 	}
 	// The other tenant is unaffected by acme's quota.
 	if resp, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", specBody(fairnessSeq.Add(1)),
@@ -188,8 +195,17 @@ func TestQuotaExceededEnvelope(t *testing.T) {
 
 // Without configured keys the engine trusts the forwarded tenant
 // header — the coordinator authenticates upstream and relays identity.
+//
+// The job is held mid-run while the tenant is checked: an anonymous
+// tenant is known only while it has work, and leaves once released.
 func TestTenantHeaderTrustedWhenUnkeyed(t *testing.T) {
-	e, srv := newTestServer(t)
+	rec := &dispatchRecorder{gate: make(chan struct{})}
+	e := New(Config{Workers: 1, Injector: InjectorFunc(rec.inject)})
+	srv := httptest.NewServer(NewServer(e))
+	defer func() {
+		srv.Close()
+		e.Close()
+	}()
 	resp, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", specBody(fairnessSeq.Add(1)),
 		map[string]string{TenantHeader: "forwarded"})
 	if resp.StatusCode != http.StatusAccepted {
@@ -204,5 +220,16 @@ func TestTenantHeaderTrustedWhenUnkeyed(t *testing.T) {
 	}
 	if _, ok := e.TenantDepths()["forwarded"]; !ok {
 		t.Errorf("tenant forwarded missing from depths %v", e.TenantDepths())
+	}
+	rec.waitLen(t, 1)
+	close(rec.gate)
+	waitDone(t, e, v.ID)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := e.TenantDepths()["forwarded"]; !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("idle tenant forwarded still in depths %v", e.TenantDepths())
+		}
 	}
 }

@@ -205,7 +205,7 @@ func New(cfg Config) *Engine {
 		log:          logger,
 		ctx:          ctx,
 		cancel:       cancel,
-		sched:        newSched(cfg, m.tenantQueued, m.tenantRunning),
+		sched:        newSched(cfg),
 		jobs:         make(map[string]*Job),
 		live:         make(map[string]*Job),
 		events:       events.NewBus(events.DefaultHistory),
@@ -262,7 +262,6 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 		if e.overloaded.Load() {
 			e.metrics.jobsShed.Add(1)
 			e.metrics.tenantShed.With(spec.Tenant, "overloaded").Add(1)
-			e.sched.recordShed(spec.Tenant)
 			e.log.Warn("job shed", "kind", spec.Kind, "circuit", spec.Circuit, "tenant", spec.Tenant,
 				"queue_depth", e.sched.len(), "watermark", e.cfg.ShedWatermark)
 			return nil, ErrOverloaded

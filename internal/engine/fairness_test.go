@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -336,4 +338,67 @@ func TestMaxInflightQuota(t *testing.T) {
 	for _, id := range rec.waitLen(t, 4) {
 		_ = id
 	}
+}
+
+// In anonymous mode a tenant leaves the scheduler once it has nothing
+// queued or running. Through 10,000 cache-hit jobs, each under a new
+// name, the scheduler holds at most the default tenant and the last
+// job's, which also bounds dequeue's scan of the round-robin order.
+// Once the last job is released no anonymous tenant has a queued or
+// running row.
+func TestIdleTenantsLeave(t *testing.T) {
+	const n, window = 10_000, 1_000
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	var firstWindow time.Duration
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		spec := s27Spec(KindGenerate)
+		spec.Tenant = fmt.Sprintf("anon-%d", i)
+		v, err := e.RunJob(context.Background(), spec)
+		if err != nil || v.Status != StatusDone || (i > 0 && !v.CacheHit) {
+			t.Fatalf("job %d: %s cache_hit=%t %s, %v", i, v.Status, v.CacheHit, v.Error, err)
+		}
+		switch i + 1 {
+		case window:
+			firstWindow = time.Since(start)
+		case n - window:
+			start = time.Now()
+		}
+	}
+	t.Logf("per-job time: first %d jobs %v, last %d jobs %v",
+		window, firstWindow/window, window, time.Since(start)/window)
+
+	tenants := func() (int, int) {
+		e.sched.mu.Lock()
+		defer e.sched.mu.Unlock()
+		return len(e.sched.tenants), len(e.sched.order)
+	}
+	if ts, order := tenants(); ts > 2 || order > 2 {
+		t.Fatalf("scheduler holds %d tenants and %d order entries after %d names, want at most 2", ts, order, n)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if ts, _ := tenants(); ts == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the last job's tenant never left: %v", e.TenantDepths())
+		}
+	}
+	var expo strings.Builder
+	if err := e.Registry().WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(expo.String(), "\n") {
+		if !strings.HasPrefix(line, "pdfd_tenant_") {
+			continue
+		}
+		rows++
+		gauge := strings.HasPrefix(line, "pdfd_tenant_queued{") || strings.HasPrefix(line, "pdfd_tenant_running{")
+		if gauge && !strings.Contains(line, `tenant="`+DefaultTenant+`"`) {
+			t.Errorf("idle anonymous tenant still has a gauge row: %s", line)
+		}
+	}
+	t.Logf("%d pdfd_tenant_ exposition rows", rows)
 }

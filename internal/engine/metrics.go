@@ -55,13 +55,10 @@ type Metrics struct {
 	// were computed (miss).
 	prepareMemo *obs.CounterVec
 
-	// The pdfd_tenant_* families of the multi-tenant scheduler: live
-	// queue depth and inflight count per tenant (kept current by the
-	// scheduler at every mutation), completed jobs, submit-time sheds
-	// by reason (quota, queue_full, overloaded), and the per-tenant
-	// queue-wait distribution.
-	tenantQueued    *obs.GaugeVec
-	tenantRunning   *obs.GaugeVec
+	// The written pdfd_tenant_* families of the multi-tenant scheduler:
+	// completed jobs, submit-time sheds by reason (quota, queue_full,
+	// overloaded), and the per-tenant queue-wait distribution. The
+	// queued and running gauges read the scheduler at scrape time.
 	tenantDone      *obs.CounterVec
 	tenantShed      *obs.CounterVec
 	tenantQueueWait *obs.HistogramVec
@@ -90,10 +87,6 @@ func newMetrics() *Metrics {
 		prepareMemo: obs.NewCounterVec("pdfd_prepare_memo_total",
 			"Completed prepare stages by result: hit = prepared sets reused from the memo of the job's fault-set shape, miss = enumerated, screened and partitioned.",
 			"result"),
-		tenantQueued: obs.NewGaugeVec("pdfd_tenant_queued",
-			"Queued jobs per tenant.", "tenant"),
-		tenantRunning: obs.NewGaugeVec("pdfd_tenant_running",
-			"Executing jobs per tenant.", "tenant"),
 		tenantDone: obs.NewCounterVec("pdfd_tenant_jobs_done_total",
 			"Jobs that reached status done, per tenant.", "tenant"),
 		tenantShed: obs.NewCounterVec("pdfd_tenant_shed_total",
@@ -154,7 +147,7 @@ type Snapshot struct {
 	JournalErrors      int64 `json:"journal_errors"`
 	JournalCompactions int64 `json:"journal_compactions"`
 	// Tenants reports each tenant's live scheduler state (queued,
-	// running, sheds, weight). Filled by Engine.Metrics.
+	// running, weight). Filled by Engine.Metrics.
 	Tenants map[string]TenantSnapshot `json:"tenants"`
 }
 
@@ -219,8 +212,18 @@ func buildRegistry(e *Engine) *obs.Registry {
 		m.secondaryOutcomes,
 		m.regenPerTest,
 		m.prepareMemo,
-		m.tenantQueued,
-		m.tenantRunning,
+		obs.NewGaugeVecFunc("pdfd_tenant_queued", "Queued jobs per tenant.",
+			func(set func(float64, ...string)) {
+				for name, t := range e.sched.snapshot() {
+					set(float64(t.Queued), name)
+				}
+			}, "tenant"),
+		obs.NewGaugeVecFunc("pdfd_tenant_running", "Executing jobs per tenant.",
+			func(set func(float64, ...string)) {
+				for name, t := range e.sched.snapshot() {
+					set(float64(t.Running), name)
+				}
+			}, "tenant"),
 		m.tenantDone,
 		m.tenantShed,
 		m.tenantQueueWait,

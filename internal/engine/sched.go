@@ -1,10 +1,9 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // priIndex maps a normalized Spec.Priority to its band in a tenant's
@@ -29,7 +28,6 @@ type tenantQueue struct {
 	// credit and later burst past its weight.
 	deficit  int
 	inflight int
-	shed     int64 // submissions rejected (quota, queue_full or overloaded)
 }
 
 func (t *tenantQueue) queued() int { return len(t.queues[0]) + len(t.queues[1]) }
@@ -91,25 +89,17 @@ type sched struct {
 	wake         chan struct{}
 	depth        atomic.Int64 // total queued, all tenants
 
-	// queuedGauge / runningGauge are the pdfd_tenant_queued and
-	// pdfd_tenant_running metric families, kept current at every
-	// mutation (gauge stores are atomic; no blocking under mu).
-	queuedGauge  *obs.GaugeVec
-	runningGauge *obs.GaugeVec
-
 	mu      sync.Mutex
 	tenants map[string]*tenantQueue
 	order   []string // round-robin order: configured order, then first-seen
 	cursor  int
 }
 
-func newSched(cfg Config, queued, running *obs.GaugeVec) *sched {
+func newSched(cfg Config) *sched {
 	s := &sched{
 		strict:       len(cfg.Tenants) > 0,
 		defaultDepth: cfg.QueueDepth,
 		wake:         make(chan struct{}, 1),
-		queuedGauge:  queued,
-		runningGauge: running,
 		tenants:      make(map[string]*tenantQueue),
 	}
 	for _, tc := range cfg.Tenants {
@@ -131,8 +121,6 @@ func (s *sched) addLocked(tc TenantConfig) *tenantQueue {
 	t := &tenantQueue{cfg: tc}
 	s.tenants[tc.Name] = t
 	s.order = append(s.order, tc.Name)
-	s.queuedGauge.With(tc.Name).Set(0)
-	s.runningGauge.With(tc.Name).Set(0)
 	return t
 }
 
@@ -161,7 +149,6 @@ func (s *sched) enqueue(j *Job) error {
 		t = s.addLocked(TenantConfig{Name: name})
 	}
 	if t.queued() >= t.bound(s.defaultDepth) {
-		t.shed++
 		strict := s.strict
 		s.mu.Unlock()
 		if strict {
@@ -172,7 +159,6 @@ func (s *sched) enqueue(j *Job) error {
 	i := priIndex(j.spec.Priority)
 	t.queues[i] = append(t.queues[i], j)
 	s.depth.Add(1)
-	s.queuedGauge.With(name).Set(float64(t.queued()))
 	s.mu.Unlock()
 	s.signal()
 	return nil
@@ -210,9 +196,6 @@ func (s *sched) dequeue() (*Job, bool) {
 		t.deficit--
 		t.inflight++
 		s.depth.Add(-1)
-		name := t.cfg.Name
-		s.queuedGauge.With(name).Set(float64(t.queued()))
-		s.runningGauge.With(name).Set(float64(t.inflight))
 		if t.deficit < 1 || t.queued() == 0 {
 			s.cursor = (s.cursor + 1) % n // quantum spent or queue drained
 		}
@@ -224,38 +207,59 @@ func (s *sched) dequeue() (*Job, bool) {
 // release undoes a dequeue's inflight charge once the run ends (or the
 // canceled-while-queued skip), then wakes the workers: a tenant parked
 // at its quota may now dispatch.
+//
+// In anonymous mode a tenant other than the default one leaves the
+// scheduler here once it has nothing queued or running, so the names
+// clients invent do not accumulate. Only release can leave a tenant
+// idle: dequeue always leaves it one job in flight.
 func (s *sched) release(tenant string) {
 	s.mu.Lock()
 	if t := s.tenants[tenant]; t != nil && t.inflight > 0 {
 		t.inflight--
-		s.runningGauge.With(tenant).Set(float64(t.inflight))
+		if !s.strict && tenant != DefaultTenant && t.inflight == 0 && t.queued() == 0 {
+			s.removeLocked(tenant)
+		}
 	}
 	s.mu.Unlock()
 	s.signal()
 }
 
+// removeLocked drops an idle tenant from the map and the round-robin
+// order, keeping the cursor on the tenant whose turn it was. Caller
+// holds s.mu.
+func (s *sched) removeLocked(name string) {
+	delete(s.tenants, name)
+	i := slices.Index(s.order, name)
+	s.order = slices.Delete(s.order, i, i+1)
+	if i < s.cursor {
+		s.cursor--
+	}
+	if s.cursor >= len(s.order) {
+		s.cursor = 0
+	}
+}
+
 // len returns the total queued-job count across all tenants.
 func (s *sched) len() int { return int(s.depth.Load()) }
 
-// depths snapshots every tenant's queued-job count — the per-tenant
-// queue depths of /v1/healthz and the metrics snapshot.
+// depths reports every tenant's queued-job count — the per-tenant
+// queue depths of /v1/healthz.
 func (s *sched) depths() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.tenants))
-	for name, t := range s.tenants {
-		out[name] = t.queued()
+	snap := s.snapshot()
+	out := make(map[string]int, len(snap))
+	for name, t := range snap {
+		out[name] = t.Queued
 	}
 	return out
 }
 
-// TenantSnapshot is one tenant's live scheduler state in the metrics
-// JSON snapshot.
+// TenantSnapshot is one tenant's live scheduler state: the source of
+// Snapshot.Tenants and of the pdfd_tenant_queued and
+// pdfd_tenant_running gauges.
 type TenantSnapshot struct {
-	Queued  int   `json:"queued"`
-	Running int   `json:"running"`
-	Shed    int64 `json:"shed"`
-	Weight  int   `json:"weight"`
+	Queued  int `json:"queued"`
+	Running int `json:"running"`
+	Weight  int `json:"weight"`
 }
 
 // snapshot reports every tenant's scheduler state.
@@ -264,19 +268,9 @@ func (s *sched) snapshot() map[string]TenantSnapshot {
 	defer s.mu.Unlock()
 	out := make(map[string]TenantSnapshot, len(s.tenants))
 	for name, t := range s.tenants {
-		out[name] = TenantSnapshot{Queued: t.queued(), Running: t.inflight, Shed: t.shed, Weight: t.weight()}
+		out[name] = TenantSnapshot{Queued: t.queued(), Running: t.inflight, Weight: t.weight()}
 	}
 	return out
-}
-
-// recordShed counts a submit-time shed (watermark or queue bound) on
-// the tenant, so per-tenant shed counters see 503s as well as 429s.
-func (s *sched) recordShed(tenant string) {
-	s.mu.Lock()
-	if t := s.tenants[tenant]; t != nil {
-		t.shed++
-	}
-	s.mu.Unlock()
 }
 
 // drain empties every tenant queue, returning the jobs in no
@@ -293,7 +287,6 @@ func (s *sched) drain() []*Job {
 			t.queues[i] = nil
 		}
 		t.deficit = 0
-		s.queuedGauge.With(name).Set(0)
 	}
 	s.depth.Store(0)
 	return out

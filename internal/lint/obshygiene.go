@@ -19,7 +19,7 @@ var obsConstructors = map[string]int{
 	"NewCounterVec":   0,
 	"NewCounterFunc":  0,
 	"NewGaugeFunc":    0,
-	"NewGaugeVec":     0,
+	"NewGaugeVecFunc": 0,
 	"NewHistogram":    0,
 	"NewHistogramVec": 0,
 }
@@ -94,10 +94,10 @@ func obsConstructorCall(pass *Pass, file *ast.File, call *ast.CallExpr) (string,
 func checkLabelArgs(pass *Pass, ctor string, call *ast.CallExpr) {
 	var labelStart int
 	switch ctor {
-	case "NewCounterVec", "NewGaugeVec":
+	case "NewCounterVec":
 		labelStart = 2 // (name, help, labels...)
-	case "NewHistogramVec":
-		labelStart = 3 // (name, help, buckets, labels...)
+	case "NewHistogramVec", "NewGaugeVecFunc":
+		labelStart = 3 // (name, help, buckets or read, labels...)
 	default:
 		return
 	}

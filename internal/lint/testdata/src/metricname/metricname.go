@@ -15,7 +15,7 @@ func Good() *obs.Registry {
 		obs.NewCounterVec(prefix+"_requests_total", "Requests.", "route"),
 		obs.NewHistogram("pdfd_fixture_latency_seconds", "Latency.", obs.DefBuckets),
 		obs.NewGaugeFunc("pdfd_fixture:queue_depth", "Depth.", func() float64 { return 0 }),
-		obs.NewGaugeVec(prefix+"_backend_up", "Backend health.", "backend"),
+		obs.NewGaugeVecFunc(prefix+"_backend_up", "Backend health.", nil, "backend"),
 	)
 	return reg
 }
@@ -25,7 +25,7 @@ func BadGrammar() {
 	obs.NewCounterVec("pdfd-fixture-total", "Dashes are invalid.", "route")              // want `metric name "pdfd-fixture-total" does not match the Prometheus grammar`
 	obs.NewHistogram("0starts_with_digit", "Digit start is invalid.", obs.DefBuckets)    // want `metric name "0starts_with_digit" does not match the Prometheus grammar`
 	obs.NewCounterVec("pdfd_fixture_bad_label_total", "Label with colon.", "route:name") // want `label name "route:name" does not match the Prometheus grammar`
-	obs.NewGaugeVec("pdfd fixture gauge", "Spaces are invalid.", "backend-id")           // want `metric name "pdfd fixture gauge" does not match the Prometheus grammar` `label name "backend-id" does not match the Prometheus grammar`
+	obs.NewGaugeVecFunc("pdfd fixture gauge", "Spaces are invalid.", nil, "backend-id")  // want `metric name "pdfd fixture gauge" does not match the Prometheus grammar` `label name "backend-id" does not match the Prometheus grammar`
 }
 
 // BadDynamic assembles the name at runtime, so the exposition cannot
@@ -40,8 +40,8 @@ func BadDynamic(kind string) {
 func GoodTenantFamily() *obs.Registry {
 	reg := obs.NewRegistry()
 	reg.MustRegister(
-		obs.NewGaugeVec("pdfd_tenant_queued", "Queued jobs by tenant.", "tenant"),
-		obs.NewGaugeVec("pdfd_tenant_running", "Running jobs by tenant.", "tenant"),
+		obs.NewGaugeVecFunc("pdfd_tenant_queued", "Queued jobs by tenant.", nil, "tenant"),
+		obs.NewGaugeVecFunc("pdfd_tenant_running", "Running jobs by tenant.", nil, "tenant"),
 		obs.NewCounterVec("pdfd_tenant_jobs_done_total", "Completed jobs by tenant.", "tenant"),
 		obs.NewCounterVec("pdfd_tenant_shed_total", "Shed submissions by tenant and reason.", "tenant", "reason"),
 		obs.NewHistogramVec("pdfd_tenant_queue_wait_seconds", "Queue wait by tenant.", obs.DefBuckets, "tenant"),

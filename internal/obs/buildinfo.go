@@ -47,9 +47,8 @@ func Version() VersionInfo {
 // instance). Both the engine and the coordinator register it.
 func RegisterBuildInfo(r *Registry) {
 	v := Version()
-	g := NewGaugeVec("pdfd_build_info",
+	r.MustRegister(NewGaugeVecFunc("pdfd_build_info",
 		"Build identity of the running binary; constant 1.",
-		"version", "go_version")
-	g.With(v.Version, v.GoVersion).Set(1)
-	r.MustRegister(g)
+		func(set func(float64, ...string)) { set(1, v.Version, v.GoVersion) },
+		"version", "go_version"))
 }

@@ -26,11 +26,12 @@ func goldenRegistry() *Registry {
 	cv.With("/v1/healthz", "200").Add(3)
 	cv.With(`back\slash "quoted"`+"\nnewline", "200").Inc()
 
-	gv := NewGaugeVec("golden_backend_up", "Backend health by name.", "backend")
-	gv.With("b1").Set(0.5)
-	gv.With("b0").Set(1)
-	gv.With("b2").Set(math.Inf(-1))
-	gv.With("b3").Add(-2.25)
+	gv := NewGaugeVecFunc("golden_backend_up", "Backend health by name.", func(set func(float64, ...string)) {
+		set(0.5, "b1")
+		set(1, "b0")
+		set(math.Inf(-1), "b2")
+		set(-2.25, "b3")
+	}, "backend")
 
 	empty := NewCounterVec("golden_empty_total", "A family with no children.", "reason")
 
@@ -90,15 +91,5 @@ func checkGolden(t *testing.T, path, got string) {
 	}
 	if got != string(want) {
 		t.Errorf("%s differs from the golden:\n--- got ---\n%s--- want ---\n%s", path, got, want)
-	}
-}
-
-// Add adjusts the gauge by d (negative to decrease).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
 	}
 }

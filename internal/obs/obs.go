@@ -17,7 +17,10 @@
 //     near-free no-op.
 //   - Metrics: a Registry of counters, gauges and fixed-bucket
 //     histograms that serializes itself in the Prometheus text format
-//     (version 0.0.4), served by pdfd on /metrics and /v1/metrics.
+//     (version 0.0.4) or OpenMetrics, served on /v1/metrics. Counters
+//     and histograms are written as events happen; a gauge is always a
+//     read of the state it reports (NewGaugeFunc, NewGaugeVecFunc), so
+//     no gauge series outlives its state.
 package obs
 
 import (

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -164,13 +165,13 @@ func labelPairs(names, values []string) string {
 }
 
 func header(w io.Writer, name, help, typ string) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	_, err := io.WriteString(w, "# HELP "+name+" "+help+"\n# TYPE "+name+" "+typ+"\n")
 	return err
 }
 
 // ---- Labeled families ----
 
-// vec is the one labeled metric family. Counters, gauges and
+// vec is the one labeled family of written metrics. Counters and
 // histograms differ only in their TYPE, how a child is made and how
 // one child writes its rows; the child map, the cardinality check and
 // the sorted exposition are shared.
@@ -196,9 +197,6 @@ type vecChild[M any] struct {
 // CounterVec is a family of counters keyed by label values.
 type CounterVec = vec[*Counter]
 
-// GaugeVec is a family of gauges keyed by label values.
-type GaugeVec = vec[*Gauge]
-
 // HistogramVec is a family of histograms keyed by label values.
 type HistogramVec = vec[*Histogram]
 
@@ -210,11 +208,6 @@ func newVec[M rowWriter](name, help, typ string, labels []string, newChild func(
 // NewCounterVec builds a labeled counter family.
 func NewCounterVec(name, help string, labels ...string) *CounterVec {
 	return newVec(name, help, "counter", labels, func() *Counter { return &Counter{} })
-}
-
-// NewGaugeVec builds a labeled gauge family.
-func NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return newVec(name, help, "gauge", labels, func() *Gauge { return &Gauge{} })
 }
 
 // NewHistogramVec builds a labeled histogram family (nil buckets uses
@@ -289,54 +282,72 @@ func (c *Counter) writeRows(w io.Writer, name string, labels, values []string, _
 	return err
 }
 
-// ---- Gauge ----
+// ---- Read-at-scrape families ----
 
-// Gauge is a settable instantaneous value. Prefer NewGaugeFunc when
-// the value can be read from existing state at scrape time; a Gauge
-// is for values only the writer knows (per-backend health states in
-// the cluster coordinator).
-type Gauge struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) writeRows(w io.Writer, name string, labels, values []string, _ bool) error {
-	_, err := fmt.Fprintf(w, "%s%s %s\n", name, labelPairs(labels, values), formatFloat(g.Value()))
-	return err
-}
-
-// ---- Counter / gauge funcs ----
-
-type funcMetric struct {
+// funcVec is a family whose rows are read from existing state at
+// scrape time: read calls set once per row. A gauge is always one of
+// these, so no series outlives the state it reports.
+type funcVec struct {
 	name, help, typ string
-	fn              func() float64
+	labels          []string
+	read            func(set func(v float64, values ...string))
 }
 
-func (f *funcMetric) familyName() string { return f.name }
+// funcRow is one labeled row of a funcVec, held until the rows are
+// sorted.
+type funcRow struct {
+	values []string
+	v      float64
+}
 
-func (f *funcMetric) expose(w io.Writer, _ bool) error {
-	if err := header(w, f.name, f.help, f.typ); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.fn()))
-	return err
+// NewGaugeVecFunc exposes a gauge family read at scrape time: read
+// calls set(v, values...) once per row, the label values matching the
+// label names positionally (a mismatch panics, as With does). Rows are
+// written sorted by label values; a member the state no longer holds
+// has no row.
+func NewGaugeVecFunc(name, help string, read func(set func(v float64, values ...string)), labels ...string) Collector {
+	return &funcVec{name: name, help: help, typ: "gauge", labels: labels, read: read}
 }
 
 // NewCounterFunc exposes a counter whose value is read from fn at
 // scrape time — the bridge for pre-existing atomic counters.
 func NewCounterFunc(name, help string, fn func() float64) Collector {
-	return &funcMetric{name: name, help: help, typ: "counter", fn: fn}
+	return &funcVec{name: name, help: help, typ: "counter", read: func(set func(float64, ...string)) { set(fn()) }}
 }
 
 // NewGaugeFunc exposes a gauge whose value is read from fn at scrape
 // time (queue depth, cache occupancy, overload state).
 func NewGaugeFunc(name, help string, fn func() float64) Collector {
-	return &funcMetric{name: name, help: help, typ: "gauge", fn: fn}
+	return &funcVec{name: name, help: help, typ: "gauge", read: func(set func(float64, ...string)) { set(fn()) }}
+}
+
+func (f *funcVec) familyName() string { return f.name }
+
+func (f *funcVec) expose(w io.Writer, _ bool) error {
+	if err := header(w, f.name, f.help, f.typ); err != nil {
+		return err
+	}
+	var rows []funcRow
+	var err error
+	f.read(func(v float64, values ...string) {
+		if len(values) != len(f.labels) {
+			panic("obs: label cardinality mismatch on " + f.name)
+		}
+		if len(values) > 0 {
+			rows = append(rows, funcRow{values: values, v: v})
+		} else if err == nil {
+			_, err = io.WriteString(w, f.name+" "+formatFloat(v)+"\n")
+		}
+	})
+	// Labeled rows go out sorted by label values, as vec sorts its
+	// children.
+	sort.Slice(rows, func(i, j int) bool { return slices.Compare(rows[i].values, rows[j].values) < 0 })
+	for _, r := range rows {
+		if err == nil {
+			_, err = io.WriteString(w, f.name+labelPairs(f.labels, r.values)+" "+formatFloat(r.v)+"\n")
+		}
+	}
+	return err
 }
 
 // ---- Histogram ----

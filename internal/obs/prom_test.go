@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"regexp"
 	"strconv"
 	"strings"
@@ -200,5 +201,61 @@ func TestLabelEscaping(t *testing.T) {
 	want := fmt.Sprintf(`t_esc_total{v="a\"b\\c\nd"} 1`)
 	if !strings.Contains(b.String(), want) {
 		t.Errorf("escaped output:\n%s\nwant line %s", b.String(), want)
+	}
+}
+
+// A gauge family read at scrape time has one row per member of the
+// state it reads, sorted by label values: a member added to the state
+// appears, and a removed one has no row.
+func TestGaugeVecFuncFollowsState(t *testing.T) {
+	state := map[string]float64{"b2": 2, "b0": 0.5}
+	g := NewGaugeVecFunc("t_backend_load", "Load.", func(set func(float64, ...string)) {
+		for name, v := range state {
+			set(v, name, "x")
+		}
+	}, "backend", "zone")
+	scrape := func() string {
+		var b strings.Builder
+		if err := g.expose(&b, false); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	const head = "# HELP t_backend_load Load.\n# TYPE t_backend_load gauge\n"
+	if got, want := scrape(), head+
+		`t_backend_load{backend="b0",zone="x"} 0.5`+"\n"+
+		`t_backend_load{backend="b2",zone="x"} 2`+"\n"; got != want {
+		t.Errorf("first scrape:\n%s\nwant\n%s", got, want)
+	}
+	state["b1"] = 1
+	delete(state, "b2")
+	if got, want := scrape(), head+
+		`t_backend_load{backend="b0",zone="x"} 0.5`+"\n"+
+		`t_backend_load{backend="b1",zone="x"} 1`+"\n"; got != want {
+		t.Errorf("after the state changed:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// A row whose label values do not match the label names panics, as
+// With does on a written family.
+func TestGaugeVecFuncCardinalityPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		labels []string
+		values []string
+	}{
+		{"too few values", []string{"backend", "zone"}, []string{"b0"}},
+		{"too many values", []string{"backend"}, []string{"b0", "x"}},
+		{"values on an unlabeled family", nil, []string{"b0"}},
+	} {
+		g := NewGaugeVecFunc("t_bad", "Bad.", func(set func(float64, ...string)) { set(1, tc.values...) }, tc.labels...)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			g.expose(io.Discard, false)
+		}()
 	}
 }

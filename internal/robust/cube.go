@@ -21,9 +21,6 @@ type Cube struct {
 	Vals []tval.Triple
 }
 
-// Len returns the number of constrained nets.
-func (q *Cube) Len() int { return len(q.Nets) }
-
 // Get returns the requirement on a net (TX when unconstrained).
 func (q *Cube) Get(net int) tval.Triple {
 	i := sort.SearchInts(q.Nets, net)

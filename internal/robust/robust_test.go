@@ -40,8 +40,8 @@ func TestConditionsPaperExample(t *testing.T) {
 	}
 	q := alts[0]
 	want := map[string]string{"G1": "0x1", "G7": "000", "G2": "xx0"}
-	if q.Len() != len(want) {
-		t.Fatalf("cube %s has %d requirements, want %d", q.Format(c), q.Len(), len(want))
+	if len(q.Nets) != len(want) {
+		t.Fatalf("cube %s has %d requirements, want %d", q.Format(c), len(q.Nets), len(want))
 	}
 	for name, tw := range want {
 		net := c.LineByName(name).ID
@@ -88,7 +88,7 @@ func TestConditionsInverterChain(t *testing.T) {
 		Dir:  faults.SlowToRise, Length: 3,
 	}
 	alts := Conditions(c, &f)
-	if len(alts) != 1 || alts[0].Len() != 1 {
+	if len(alts) != 1 || len(alts[0].Nets) != 1 {
 		t.Fatalf("inverter chain A(p) = %v, want only the source requirement", alts)
 	}
 	if got := alts[0].Get(c.LineByName("a").ID); got != tval.R {
@@ -175,8 +175,8 @@ func TestCubeMergeAndDelta(t *testing.T) {
 	if !ok {
 		t.Fatal("merge must succeed")
 	}
-	if m.Len() != 3 {
-		t.Fatalf("merged cube has %d nets, want 3", m.Len())
+	if len(m.Nets) != 3 {
+		t.Fatalf("merged cube has %d nets, want 3", len(m.Nets))
 	}
 	if m.Get(g7) != tval.S0 {
 		t.Errorf("G7 = %v, want 000", m.Get(g7))
@@ -205,7 +205,7 @@ func TestCubeGetAndClone(t *testing.T) {
 	}
 	cl := q.Clone()
 	cl.add(3, tval.S0)
-	if q.Len() != 2 {
+	if len(q.Nets) != 2 {
 		t.Error("clone must not alias the original")
 	}
 }
