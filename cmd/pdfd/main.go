@@ -26,14 +26,12 @@
 //	pdfd [-addr :8344] [-debug-addr ""] [-log-format text] [-log-level info]
 //	     [-workers 0] [-queue 64] [-cache 128]
 //	     [-timeout 10m] [-shed-watermark 0]
-//	     [-trace-spans 512] [-trace-sample 1] [-trace-buffer 256]
 //	     [-journal DIR] [-drain 30s]
 //
-// -trace-spans caps each job's span timeline; 0 disables span
-// collection entirely. -trace-sample head-samples distributed traces
-// (W3C traceparent; the decision hashes the trace ID so the fleet
-// agrees) and -trace-buffer bounds the tail-retention store that
-// always keeps error and slowest-percentile traces.
+// Tracing has no flags: every job is traced (at most 512 spans), a
+// trace minted here or at the coordinator edge is sampled, a caller's
+// W3C traceparent is adopted with its own sampled flag, and a bounded
+// tail-retention store keeps error and slowest-percentile traces.
 //
 // Endpoints (the versioned /v1 surface; see API.md for the contract):
 //

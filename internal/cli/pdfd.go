@@ -36,30 +36,26 @@ import (
 func PDFD(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("pdfd", stderr)
 	var (
-		addr        = fs.String("addr", ":8344", "listen address")
-		debugAddr   = fs.String("debug-addr", "", "listen address of the pprof debug server (empty = disabled)")
-		logFormat   = fs.String("log-format", "text", "log output format: text or json")
-		logLevel    = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		workers     = fs.Int("workers", 0, "job worker pool size (0 = GOMAXPROCS)")
-		queue       = fs.Int("queue", 64, "maximum queued jobs (submissions beyond it get 503)")
-		cacheSize   = fs.Int("cache", 128, "result cache entries")
-		timeout     = fs.Duration("timeout", 10*time.Minute, "default per-job deadline (0 = none)")
-		shed        = fs.Int("shed-watermark", 0, "queue depth at which submissions are shed with 503 before the queue is full (0 = disabled)")
-		spanLimit   = fs.Int("trace-spans", obs.DefaultSpanLimit, "per-job span timeline cap (0 disables span collection entirely); excess spans are counted, not kept")
-		traceSample = fs.Float64("trace-sample", 1, "head-sampling rate for distributed traces in [0,1] (0 keeps none); error and slowest-percentile traces are tail-retained regardless")
-		traceBuf    = fs.Int("trace-buffer", obs.DefaultTraceBufferCount, "retained trace cap of the tail-sampling buffer served on /v1/traces")
-		journalDir  = fs.String("journal", "", "directory of the durable job journal; queued and running jobs survive a crash and replay on restart (empty = no journal)")
-		storeDir    = fs.String("store", "", "directory of the durable result store; completed results survive a crash and serve cache hits after restart (empty = memory cache only)")
-		storeSize   = fs.Int("store-entries", store.DefaultMaxEntries, "durable store entry cap before LRU eviction (negative = unbounded)")
-		storeBytes  = fs.Int64("store-bytes", store.DefaultMaxBytes, "durable store payload byte cap before LRU eviction (negative = unbounded)")
-		drain       = fs.Duration("drain", 30*time.Second, "graceful shutdown: how long running jobs may finish after a signal")
+		addr       = fs.String("addr", ":8344", "listen address")
+		debugAddr  = fs.String("debug-addr", "", "listen address of the pprof debug server (empty = disabled)")
+		logFormat  = fs.String("log-format", "text", "log output format: text or json")
+		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
+		workers    = fs.Int("workers", 0, "job worker pool size (0 = GOMAXPROCS)")
+		queue      = fs.Int("queue", 64, "maximum queued jobs (submissions beyond it get 503)")
+		cacheSize  = fs.Int("cache", 128, "result cache entries")
+		timeout    = fs.Duration("timeout", 10*time.Minute, "default per-job deadline (0 = none)")
+		shed       = fs.Int("shed-watermark", 0, "queue depth at which submissions are shed with 503 before the queue is full (0 = disabled)")
+		journalDir = fs.String("journal", "", "directory of the durable job journal; queued and running jobs survive a crash and replay on restart (empty = no journal)")
+		storeDir   = fs.String("store", "", "directory of the durable result store; completed results survive a crash and serve cache hits after restart (empty = memory cache only)")
+		storeSize  = fs.Int("store-entries", store.DefaultMaxEntries, "durable store entry cap before LRU eviction (negative = unbounded)")
+		storeBytes = fs.Int64("store-bytes", store.DefaultMaxBytes, "durable store payload byte cap before LRU eviction (negative = unbounded)")
+		drain      = fs.Duration("drain", 30*time.Second, "graceful shutdown: how long running jobs may finish after a signal")
 
 		tenantsFile = fs.String("tenants", "", `tenant roster JSON file ({"tenants":[{"name":...,"key":...,"weight":...,"queue_depth":...,"max_inflight":...}]}); enables per-tenant fair scheduling, quotas and (with keys) bearer auth`)
 
 		coordinator = fs.Bool("coordinator", false, "run as a cluster coordinator fronting -backends instead of a local engine")
 		backendsArg = fs.String("backends", "", "coordinator: comma-separated backends, each name=url or a bare url (auto-named b0, b1, ...)")
 		healthIvl   = fs.Duration("health-interval", 2*time.Second, "coordinator: backend health probe interval")
-		vnodes      = fs.Int("vnodes", cluster.DefaultVNodes, "coordinator: virtual nodes per backend on the hash ring")
 		replication = fs.Int("replication", 2, "coordinator: backends each completed result is stored on (needs backends running with -store; 1 = no replication)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -79,30 +75,17 @@ func PDFD(args []string, stdout, stderr io.Writer) error {
 		}
 		log.Info("tenant roster loaded", "file", *tenantsFile, "tenants", len(tenants))
 	}
-	// The flags speak operator language (0 = off); the engine and the
-	// coordinator use a negative value for "none" and 0 for their own
-	// defaults.
-	if *spanLimit == 0 {
-		*spanLimit = -1
-	}
-	if *traceSample == 0 {
-		*traceSample = -1
-	}
 	if *coordinator {
-		return runCoordinator(*addr, *debugAddr, *backendsArg, *healthIvl, *vnodes, *replication,
-			*traceSample, *traceBuf, tenants, log)
+		return runCoordinator(*addr, *debugAddr, *backendsArg, *healthIvl, *replication, tenants, log)
 	}
 	cfg := engine.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		Tenants:          tenants,
-		CacheSize:        *cacheSize,
-		DefaultTimeout:   *timeout,
-		ShedWatermark:    *shed,
-		TraceSpanLimit:   *spanLimit,
-		TraceSample:      *traceSample,
-		TraceBufferCount: *traceBuf,
-		Logger:           log,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		Tenants:        tenants,
+		CacheSize:      *cacheSize,
+		DefaultTimeout: *timeout,
+		ShedWatermark:  *shed,
+		Logger:         log,
 	}
 	var replay []journal.Record
 	if *journalDir != "" {
@@ -212,18 +195,15 @@ func serve(log *slog.Logger, addr, debugAddr string, handler http.Handler, liste
 // consistent hashing on each job's SpecDigest. It blocks until the
 // listener fails or a SIGINT / SIGTERM arrives; shutdown stops the
 // listener, then the health loops.
-func runCoordinator(addr, debugAddr, backendsArg string, healthIvl time.Duration, vnodes, replication int, traceSample float64, traceBuf int, tenants []engine.TenantConfig, log *slog.Logger) error {
+func runCoordinator(addr, debugAddr, backendsArg string, healthIvl time.Duration, replication int, tenants []engine.TenantConfig, log *slog.Logger) error {
 	confs, err := parseBackends(backendsArg)
 	if err != nil {
 		return err
 	}
 	coord, err := cluster.New(cluster.Config{
 		Backends:          confs,
-		VNodes:            vnodes,
 		HealthInterval:    healthIvl,
 		ReplicationFactor: replication,
-		TraceSample:       traceSample,
-		TraceBufferCount:  traceBuf,
 		Tenants:           tenants,
 		Logger:            log,
 	})

@@ -3,7 +3,6 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"regexp"
 	"strings"
@@ -19,13 +18,16 @@ func TestPDFDBadFlags(t *testing.T) {
 	}, "-nosuchflag"); err == nil {
 		t.Error("unknown flag must fail")
 	}
-	// Jobs run once: the retry budget flag is gone. The address is
-	// unlistenable, so a daemon that took the flag fails fast instead
-	// of serving.
-	if _, stderr, err := run(t, func(a []string, o, e *bytes.Buffer) error {
-		return PDFD(a, o, e)
-	}, "-max-retries", "2", "-addr", "999.999.999.999:0"); err == nil || !strings.Contains(stderr, "flag provided but not defined: -max-retries") {
-		t.Errorf("removed -max-retries flag = %v, stderr %q; want a usage error", err, stderr)
+	// Removed flags are usage errors: jobs run once (no retry budget),
+	// every job is traced under fixed bounds, and the ring's vnode count
+	// is a constant. The address is unlistenable, so a daemon that took
+	// a flag fails fast instead of serving.
+	for _, flag := range []string{"-max-retries", "-trace-spans", "-trace-sample", "-trace-buffer", "-vnodes"} {
+		if _, stderr, err := run(t, func(a []string, o, e *bytes.Buffer) error {
+			return PDFD(a, o, e)
+		}, flag, "2", "-addr", "999.999.999.999:0"); err == nil || !strings.Contains(stderr, "flag provided but not defined: "+flag) {
+			t.Errorf("removed %s flag = %v, stderr %q; want a usage error", flag, err, stderr)
+		}
 	}
 	if _, _, err := run(t, func(a []string, o, e *bytes.Buffer) error {
 		return PDFD(a, o, e)
@@ -338,76 +340,4 @@ func TestPDFSimWorkersIdenticalOutput(t *testing.T) {
 	if _, _, err := run(t, pdfsim, append(args, "-workers", "4")...); err == nil {
 		t.Error("removed -workers flag accepted")
 	}
-}
-
-// -trace-spans=0 disables span collection entirely: the finished job
-// carries no timeline (and paid no span bookkeeping), while the event
-// stream still works.
-func TestPDFDTraceDisabled(t *testing.T) {
-	var out syncBuffer
-	base, exit := startPDFD(t, &out, "-trace-spans", "0")
-
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"kind":"generate","circuit":"s27","np":8,"seed":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	resp, err = http.Get(base + "/v1/jobs/" + v.ID + "?wait=30s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var view map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if string(view["status"]) != `"done"` {
-		t.Fatalf("job status = %s, want done", view["status"])
-	}
-	if _, ok := view["trace"]; ok {
-		t.Errorf("disabled tracing still produced a trace: %s", view["trace"])
-	}
-
-	resp, err = http.Get(base + "/v1/jobs/" + v.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr struct {
-		Trace struct {
-			Spans []json.RawMessage `json:"spans"`
-		} `json:"trace"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(tr.Trace.Spans) != 0 {
-		t.Errorf("disabled tracing recorded %d spans", len(tr.Trace.Spans))
-	}
-
-	// The SSE stream is independent of tracing.
-	resp, err = http.Get(base + "/v1/jobs/" + v.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"event: queued", "event: attempt", "event: stage", "event: done"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("event stream missing %q:\n%s", want, body)
-		}
-	}
-
-	stopPDFD(t, exit)
 }

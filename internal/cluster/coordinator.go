@@ -77,9 +77,6 @@ type Config struct {
 	// Backends is the fixed fleet. Backend health is dynamic (routing
 	// follows probe results) but the configured set is not.
 	Backends []BackendConf
-	// VNodes is the virtual-node count per backend on the hash ring;
-	// 0 uses DefaultVNodes.
-	VNodes int
 
 	// HealthInterval paces the per-backend /v1/healthz probes; 0 uses
 	// 2s. HealthTimeout bounds one probe; 0 uses half the interval
@@ -114,18 +111,6 @@ type Config struct {
 	// nil uses a pooled default.
 	Transport http.RoundTripper
 
-	// TraceSample is the head-sampling rate applied when the
-	// coordinator mints a trace at the edge (a request arriving without
-	// a traceparent): 0 keeps every trace, negative keeps none, values
-	// in (0,1] sample that fraction deterministically by trace ID.
-	// Error and slowest-percentile routing traces are tail-retained
-	// regardless.
-	TraceSample float64
-	// TraceBufferCount caps the tail-retention buffer of routing
-	// traces; 0 uses obs.DefaultTraceBufferCount. Its byte cap is
-	// obs.DefaultTraceBufferBytes.
-	TraceBufferCount int
-
 	// RequestTimeout bounds one proxied (non-SSE) backend request;
 	// 0 uses 30s. A forwarded long-poll waits at most half of it (see
 	// maxWait).
@@ -145,9 +130,6 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
-	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 2 * time.Second
 	}
@@ -235,8 +217,8 @@ func New(cfg Config) (*Coordinator, error) {
 		registry: reg,
 		client:   &http.Client{Transport: transport},
 		backends: make(map[string]*backend, len(cfg.Backends)),
-		ring:     NewRing(cfg.VNodes),
-		traces:   obs.NewTraceBuffer(cfg.TraceBufferCount, obs.DefaultTraceBufferBytes),
+		ring:     NewRing(DefaultVNodes),
+		traces:   obs.NewTraceBuffer(obs.DefaultTraceBufferCount, obs.DefaultTraceBufferBytes),
 		ctx:      ctx,
 		cancel:   cancel,
 	}
@@ -269,7 +251,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.wg.Add(1)
 		go c.healthLoop(c.backends[name])
 	}
-	c.log.Info("cluster coordinator up", "backends", len(c.order), "vnodes", cfg.VNodes,
+	c.log.Info("cluster coordinator up", "backends", len(c.order), "vnodes", DefaultVNodes,
 		"replication_factor", cfg.ReplicationFactor)
 	return c, nil
 }
@@ -392,7 +374,7 @@ type SubmitResult struct {
 // timeline grafts under this hop.
 func (c *Coordinator) Submit(ctx context.Context, spec engine.Spec) (SubmitResult, *RoutedError) {
 	ctx, edge := c.ensureTraceContext(ctx)
-	tr := obs.NewTrace(0)
+	tr := obs.NewTrace(obs.DefaultSpanLimit)
 	tr.Adopt(edge)
 	ctx = obs.WithTraceContext(obs.NewContext(ctx, tr), tr.Context())
 	digest := engine.SpecDigest(spec)

@@ -7,9 +7,10 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the virtual-node count per backend when Config
-// leaves VNodes zero: enough points that a 3–16 node fleet balances
-// within a few percent.
+// DefaultVNodes is the virtual-node count per backend on the
+// coordinator's ring: enough points that a 3–16 node fleet balances
+// within a few percent. It is a constant, so every coordinator in
+// front of one fleet places keys alike.
 const DefaultVNodes = 64
 
 // Ring is a consistent-hash ring with virtual nodes. Keys (SpecDigest

@@ -86,9 +86,9 @@ func NewServer(c *Coordinator) http.Handler {
 	s := &clusterServer{c: c, auth: engine.NewTenantAuth(c.cfg.Tenants)}
 	// The job routes sit behind tenant auth (a no-op resolver when
 	// Config.Tenants carries no keys) and the trace edge: a request
-	// arriving without a traceparent gets one minted here, head-sampled
-	// at the configured rate, so every backend hop it fans into shares
-	// one trace ID. The liveness and metrics planes stay open.
+	// arriving without a traceparent gets a sampled one minted here,
+	// so every backend hop it fans into shares one trace ID. The
+	// liveness and metrics planes stay open.
 	edge := func(h http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			ctx, _ := c.ensureTraceContext(r.Context())

@@ -14,11 +14,11 @@ import (
 )
 
 // Fleet-wide tracing, coordinator side. The coordinator is the trace
-// edge: a request that arrives without a W3C traceparent gets one
-// minted here (head-sampled by Config.TraceSample), and every outbound
-// backend request — submissions, proxied reads, SSE, health probes,
-// replication watcher polls, hinted-handoff flushes, cache copies —
-// carries the current trace identity plus the caller's X-Request-ID.
+// edge: a request that arrives without a W3C traceparent gets a
+// sampled one minted here, and every outbound backend request —
+// submissions, proxied reads, SSE, health probes, replication watcher
+// polls, hinted-handoff flushes, cache copies — carries the current
+// trace identity plus the caller's X-Request-ID.
 // Each routed submission records its own routing trace (route /
 // forward / spillover spans) and offers it to a tail-retention buffer
 // at completion; GET /v1/traces/{trace_id} stitches a retained routing
@@ -52,15 +52,14 @@ func (c *Coordinator) newOutboundRequest(ctx context.Context, method, url string
 }
 
 // ensureTraceContext returns ctx carrying a trace identity: the one it
-// already has, or a freshly minted one head-sampled at the configured
-// rate. This is the edge-minting step — it runs once per inbound
-// coordinator request, never again downstream.
+// already has, or a freshly minted sampled one. This is the
+// edge-minting step — it runs once per inbound coordinator request,
+// never again downstream.
 func (c *Coordinator) ensureTraceContext(ctx context.Context) (context.Context, obs.TraceContext) {
 	if tc, ok := obs.TraceContextFrom(ctx); ok {
 		return ctx, tc
 	}
-	tc := obs.NewTraceContext(false)
-	tc.Sampled = obs.SampleDecision(tc.TraceID, obs.SampleRate(c.cfg.TraceSample))
+	tc := obs.NewTraceContext(true)
 	return obs.WithTraceContext(ctx, tc), tc
 }
 

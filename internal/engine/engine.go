@@ -114,23 +114,6 @@ type Config struct {
 	// (submit, start, finish, journal health), each correlated
 	// by job_id. nil discards them.
 	Logger *slog.Logger
-	// TraceSpanLimit bounds each job's span timeline; 0 uses
-	// obs.DefaultSpanLimit. Spans past the limit are dropped and
-	// counted in the trace snapshot. A negative limit disables span
-	// collection entirely: jobs carry no trace and pay no span cost.
-	TraceSpanLimit int
-
-	// TraceSample is the head-sampling rate for traces the engine
-	// roots itself (submissions without a caller traceparent): the
-	// fraction of trace IDs whose completed traces the tail buffer
-	// keeps even when fast and successful. 0 means 1.0 (keep
-	// everything; error and slowest-percentile traces are kept
-	// regardless of this rate); negative means 0.
-	TraceSample float64
-	// TraceBufferCount caps the tail-retention trace buffer; 0 uses
-	// obs.DefaultTraceBufferCount. Its byte cap is
-	// obs.DefaultTraceBufferBytes.
-	TraceBufferCount int
 }
 
 // Engine runs jobs on a bounded worker pool. Create with New, release
@@ -205,11 +188,11 @@ func New(cfg Config) *Engine {
 		log:          logger,
 		ctx:          ctx,
 		cancel:       cancel,
-		sched:        newSched(cfg),
+		sched:        newSched(cfg, m),
 		jobs:         make(map[string]*Job),
 		live:         make(map[string]*Job),
 		events:       events.NewBus(events.DefaultHistory),
-		traces:       obs.NewTraceBuffer(cfg.TraceBufferCount, obs.DefaultTraceBufferBytes),
+		traces:       obs.NewTraceBuffer(obs.DefaultTraceBufferCount, obs.DefaultTraceBufferBytes),
 	}
 	e.registry = buildRegistry(e)
 	e.httpMetrics = obs.NewHTTPMetrics(e.registry, "pdfd")
@@ -324,13 +307,12 @@ func (e *Engine) admit(spec Spec, remote obs.TraceContext, replay *journal.Recor
 		id, seq = replay.JobID, replay.Seq
 	}
 	j := &Job{
-		id:      id,
-		seq:     seq,
-		spec:    spec,
-		status:  StatusQueued,
-		created: time.Now(),
-		stream:  e.events.NewStream(id),
-		done:    make(chan struct{}),
+		id:     id,
+		seq:    seq,
+		spec:   spec,
+		status: StatusQueued,
+		stream: e.events.NewStream(id),
+		done:   make(chan struct{}),
 	}
 	attrs := []obs.Attr{
 		obs.String("job_id", id),
@@ -342,7 +324,7 @@ func (e *Engine) admit(spec Spec, remote obs.TraceContext, replay *journal.Recor
 	if replay != nil {
 		attrs = append(attrs, obs.Bool("replayed", true))
 	}
-	j.initTrace(e.cfg.TraceSpanLimit, remote, obs.SampleRate(e.cfg.TraceSample), attrs...)
+	j.initTrace(remote, attrs...)
 	e.metrics.jobsSubmitted.Add(1)
 	err := e.sched.enqueue(j)
 	if replay != nil && errors.Is(err, ErrUnknownTenant) {
@@ -385,15 +367,17 @@ var errShutdown = fmt.Errorf("%w", context.Canceled)
 // end is the one way a job ends. It makes the transition through
 // Job.end (see there for waiting) and, when this call won it, retires
 // the job to the table's finished tail, records the status counter,
-// the end-to-end latency histogram, the root span and a log record,
-// and publishes the terminal event; then it wakes the job's waiters,
-// so a client that scrapes right after Done sees the job in every
-// counter and histogram. The terminal journal record comes last, its
+// the root span (closed before its trace is offered for retention),
+// the end-to-end latency histogram and a log record, all timed by the
+// finish instant Job.end recorded, and publishes the terminal event;
+// then it wakes the job's waiters, so a client that scrapes right
+// after Done sees the job in every counter and histogram. The terminal journal record comes last, its
 // fsync outside the waiters' latency. Every ending journals one except
 // a cancellation by an engine shutdown (errShutdown). It reports
 // whether this call ended the job.
 func (e *Engine) end(j *Job, waiting bool, st Status, res *Result, hit bool, err error) bool {
-	if !j.end(waiting, st, res, hit, err) {
+	finished, ok := j.end(waiting, st, res, hit, err)
+	if !ok {
 		return false
 	}
 	e.retire(j)
@@ -406,7 +390,9 @@ func (e *Engine) end(j *Job, waiting bool, st Status, res *Result, hit bool, err
 	case StatusCanceled:
 		e.metrics.jobsCanceled.Add(1)
 	}
-	d := time.Since(j.created)
+	d := finished.Sub(j.created)
+	j.endQueued(finished) // a job canceled while queued never reached runJob
+	j.endRoot(st, finished)
 	// Tail-based retention decides now, with the outcome known; the
 	// end-to-end latency histogram then carries the retained trace ID
 	// as its exemplar so a slow/error bucket links straight to a trace
@@ -420,8 +406,6 @@ func (e *Engine) end(j *Job, waiting bool, st Status, res *Result, hit bool, err
 		e.metrics.queueSeconds.With("shed").Observe(d.Seconds())
 		e.metrics.tenantQueueWait.With(j.spec.Tenant).Observe(d.Seconds())
 	}
-	j.endQueued() // a job canceled while queued never reached runJob
-	j.endRoot(st)
 	data := map[string]string{
 		"duration_ms": fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond)),
 		"tenant":      j.spec.Tenant,
@@ -484,9 +468,6 @@ func bySeq(m map[string]*Job, after int64) []*Job {
 // buffer and returns the trace ID if it was retained ("" otherwise) —
 // the exemplar the latency histograms attach.
 func (e *Engine) offerTrace(j *Job, st Status, d time.Duration, err error) string {
-	if j.trace == nil {
-		return ""
-	}
 	outcome := "ok"
 	switch st {
 	case StatusFailed:
@@ -775,14 +756,13 @@ func (e *Engine) runJob(j *Job) {
 		cancel()
 		ctx, cancel = context.WithTimeout(e.ctx, timeout)
 	}
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.cancel = cancel
-	queued := j.started.Sub(j.created).Seconds()
+	started := time.Now()
+	j.status, j.started, j.cancel = StatusRunning, started, cancel
 	j.mu.Unlock()
 	defer cancel()
 
-	j.endQueued()
+	j.endQueued(started)
+	queued := started.Sub(j.created).Seconds()
 	// Queue-wait exemplars use the head-sampling decision — the tail
 	// verdict is not known until the job finishes.
 	e.metrics.queueSeconds.With("ran").ObserveExemplar(queued, j.exemplarID())

@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bitsim"
 	"repro/internal/experiments"
 	"repro/internal/faultsim"
+	"repro/internal/obs"
 	"repro/internal/testio"
 )
 
@@ -435,5 +437,78 @@ func TestEngineFaultSimMatchesScalar(t *testing.T) {
 			t.Logf("%s: %d tests, %d/%d detected, %d first by an x-bearing test",
 				spec.Circuit, len(tests), sim.Result.Detected, len(want), byX)
 		})
+	}
+}
+
+// A job reads each of its instants (created, started, finished) once,
+// and every reading shares them. The queued span ends at the start
+// instant, so its duration is the view's queued_ms to the bit; the
+// root span ends at the finish instant, so its duration is the
+// retained trace's duration_ms. A job canceled while queued ends both
+// spans at its finish instant.
+func TestJobOneClock(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e := New(Config{Workers: 1, Injector: InjectorFunc(func(ctx context.Context, site Site, id string) error {
+		if site == SiteRun {
+			once.Do(func() {
+				close(held)
+				<-release
+			})
+		}
+		return nil
+	})})
+	defer e.Close()
+	ran, err := e.Submit(s27Spec(KindGenerate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	queued, err := e.Submit(s27Spec(KindEnrich))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.Cancel(queued.ID()) {
+		t.Fatal("cancel of a queued job failed")
+	}
+	close(release)
+	spans := func(v JobView) (root, wait obs.SpanView) {
+		t.Helper()
+		for _, s := range v.Trace.Spans {
+			switch s.Name {
+			case "job":
+				root = s
+			case "queued":
+				wait = s
+			}
+		}
+		if root.Name == "" || wait.Name == "" || root.DurMS < 0 || wait.DurMS < 0 {
+			t.Fatalf("job %s: root %+v, queued %+v; want both spans closed", v.ID, root, wait)
+		}
+		return root, wait
+	}
+
+	v := waitDone(t, e, ran.ID())
+	root, wait := spans(v)
+	if wait.DurMS != v.QueuedMS {
+		t.Errorf("queued span dur_ms %v, view queued_ms %v; want equal", wait.DurMS, v.QueuedMS)
+	}
+	rt, ok := e.Traces().Get(v.TraceID)
+	if !ok {
+		t.Fatalf("trace %s not retained", v.TraceID)
+	}
+	if root.DurMS != rt.DurationMS {
+		t.Errorf("root span dur_ms %v, retained duration_ms %v; want equal", root.DurMS, rt.DurationMS)
+	}
+	if rtRoot, _ := spans(JobView{ID: v.ID, Trace: rt.Trace}); rtRoot.DurMS != rt.DurationMS {
+		t.Errorf("retained root span dur_ms %v, duration_ms %v; want equal", rtRoot.DurMS, rt.DurationMS)
+	}
+
+	v = waitDone(t, e, queued.ID())
+	if v.Status != StatusCanceled {
+		t.Fatalf("queued job = %s, want canceled", v.Status)
+	}
+	if root, wait := spans(v); wait.DurMS != root.DurMS {
+		t.Errorf("canceled while queued: queued span dur_ms %v, root %v; want equal", wait.DurMS, root.DurMS)
 	}
 }

@@ -344,8 +344,9 @@ func TestMaxInflightQuota(t *testing.T) {
 // queued or running. Through 10,000 cache-hit jobs, each under a new
 // name, the scheduler holds at most the default tenant and the last
 // job's, which also bounds dequeue's scan of the round-robin order.
-// Once the last job is released no anonymous tenant has a queued or
-// running row.
+// Once the last job is released no anonymous tenant has a row in any
+// pdfd_tenant_ family: neither the queued and running gauges nor the
+// written jobs-done and queue-wait families.
 func TestIdleTenantsLeave(t *testing.T) {
 	const n, window = 10_000, 1_000
 	e := New(Config{Workers: 1})
@@ -389,16 +390,21 @@ func TestIdleTenantsLeave(t *testing.T) {
 	if err := e.Registry().WritePrometheus(&expo); err != nil {
 		t.Fatal(err)
 	}
-	rows := 0
+	rows, stale := 0, 0
 	for _, line := range strings.Split(expo.String(), "\n") {
 		if !strings.HasPrefix(line, "pdfd_tenant_") {
 			continue
 		}
 		rows++
-		gauge := strings.HasPrefix(line, "pdfd_tenant_queued{") || strings.HasPrefix(line, "pdfd_tenant_running{")
-		if gauge && !strings.Contains(line, `tenant="`+DefaultTenant+`"`) {
-			t.Errorf("idle anonymous tenant still has a gauge row: %s", line)
+		if strings.Contains(line, `tenant="anon-`) {
+			if stale == 0 {
+				t.Errorf("departed tenant still has a row: %s", line)
+			}
+			stale++
 		}
+	}
+	if stale > 0 {
+		t.Errorf("%d pdfd_tenant_ rows name departed tenants, want 0", stale)
 	}
 	t.Logf("%d pdfd_tenant_ exposition rows", rows)
 }

@@ -225,44 +225,35 @@ type Job struct {
 	doneOnce sync.Once
 }
 
-// initTrace starts the job's span timeline: a root "job" span opened
-// at submit time with a "queued" child covering the wait for a worker.
-// Called once before the job is published to the engine maps. A
-// negative limit disables tracing for the job: no trace is allocated,
-// traceCtx carries none, and every span operation below degrades to
-// the obs package's nil no-ops.
+// initTrace stamps the job's creation instant and starts its span
+// timeline: a root "job" span and a "queued" child covering the wait
+// for a worker, both starting at created. Called once before the job
+// is published to the engine maps; the trace is made first, so its
+// origin never follows created.
 //
 // remote is the caller's W3C trace context (zero when the submission
 // arrived without one): when valid, the job's trace adopts the
 // caller's trace ID and sampling decision so its spans graft under
 // the cross-node trace instead of starting a fresh one. Otherwise the
-// job roots a new trace and sampleRate decides the head-sampling flag
-// (<= 0 keeps nothing, >= 1 everything) by hashing the trace ID.
-func (j *Job) initTrace(limit int, remote obs.TraceContext, sampleRate float64, attrs ...obs.Attr) {
-	if limit < 0 {
-		j.traceCtx = context.Background()
-		return
-	}
-	j.trace = obs.NewTrace(limit)
-	if remote.Valid() {
-		j.trace.Adopt(remote)
-	} else {
-		j.trace.SetSampled(obs.SampleDecision(j.trace.ID(), sampleRate))
-	}
+// job roots a new, sampled trace.
+func (j *Job) initTrace(remote obs.TraceContext, attrs ...obs.Attr) {
+	j.trace = obs.NewTrace(obs.DefaultSpanLimit)
+	j.trace.Adopt(remote)
+	j.created = time.Now()
 	ctx := obs.NewContext(context.Background(), j.trace)
-	ctx, j.rootSpan = obs.StartSpan(ctx, "job", attrs...)
+	ctx, j.rootSpan = obs.StartSpanAt(ctx, "job", j.created, attrs...)
 	j.traceCtx = ctx
-	_, j.queuedSpan = obs.StartSpan(ctx, "queued")
+	_, j.queuedSpan = obs.StartSpanAt(ctx, "queued", j.created)
 }
 
-// traceID returns the job's W3C trace ID ("" when tracing is off).
+// traceID returns the job's W3C trace ID.
 func (j *Job) traceID() string { return j.trace.ID() }
 
 // exemplarID is the trace ID histogram exemplars should carry for
 // this job: its trace ID when the trace is head-sampled (and so
 // likely retained), "" otherwise.
 func (j *Job) exemplarID() string {
-	if j.trace == nil || !j.traceSampled() {
+	if !j.traceSampled() {
 		return ""
 	}
 	return j.traceID()
@@ -271,11 +262,15 @@ func (j *Job) exemplarID() string {
 // traceSampled reports the trace's head-sampling flag.
 func (j *Job) traceSampled() bool { return j.trace.Context().Sampled }
 
-// endQueued closes the queue-wait span (idempotent).
-func (j *Job) endQueued() { j.queuedSpan.End() }
+// endQueued closes the queue-wait span at the instant the wait ended
+// (idempotent: the first end is kept).
+func (j *Job) endQueued(at time.Time) { j.queuedSpan.EndAt(at) }
 
-// endRoot closes the root span with the terminal status.
-func (j *Job) endRoot(st Status) { j.rootSpan.End(obs.String("status", string(st))) }
+// endRoot closes the root span at the job's finish instant with the
+// terminal status.
+func (j *Job) endRoot(st Status, at time.Time) {
+	j.rootSpan.EndAt(at, obs.String("status", string(st)))
+}
 
 // TraceView snapshots the job's span timeline; safe while running.
 func (j *Job) TraceView() obs.TraceView { return j.trace.Snapshot() }
@@ -323,10 +318,8 @@ type JobView struct {
 // View snapshots the job, span timeline included.
 func (j *Job) View() JobView {
 	v := j.ViewLite()
-	if j.trace != nil {
-		tv := j.trace.Snapshot()
-		v.Trace = &tv
-	}
+	tv := j.trace.Snapshot()
+	v.Trace = &tv
 	return v
 }
 
@@ -368,16 +361,18 @@ func (j *Job) ViewLite() JobView {
 // ends a running job: every other ender sets waiting, which ends only a
 // queued job, so a running job is canceled through its context, and a
 // worker that dequeues a job ended here skips it. Waiters are woken
-// later, by Engine.end.
-func (j *Job) end(waiting bool, st Status, res *Result, hit bool, err error) bool {
+// later, by Engine.end. When this call ended the job it also returns
+// the finish instant it recorded, the one every reading of the job's
+// end shares.
+func (j *Job) end(waiting bool, st Status, res *Result, hit bool, err error) (time.Time, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status.Terminal() || waiting && j.status == StatusRunning {
-		return false
+		return time.Time{}, false
 	}
 	j.status, j.result, j.cacheHit, j.err = st, res, hit, err
 	j.finished = time.Now()
-	return true
+	return j.finished, true
 }
 
 // startTime returns when the job began running (zero if it never

@@ -58,7 +58,8 @@ type Metrics struct {
 	// The written pdfd_tenant_* families of the multi-tenant scheduler:
 	// completed jobs, submit-time sheds by reason (quota, queue_full,
 	// overloaded), and the per-tenant queue-wait distribution. The
-	// queued and running gauges read the scheduler at scrape time.
+	// queued and running gauges read the scheduler at scrape time; an
+	// anonymous tenant's written rows leave with it (dropTenant).
 	tenantDone      *obs.CounterVec
 	tenantShed      *obs.CounterVec
 	tenantQueueWait *obs.HistogramVec
@@ -96,6 +97,16 @@ func newMetrics() *Metrics {
 			"Wait between submission and first run (or cancellation for jobs shed before running), per tenant.",
 			obs.DefBuckets, "tenant"),
 	}
+}
+
+// dropTenant removes a tenant's rows from the per-tenant written
+// families once the scheduler no longer holds it, so distinct
+// anonymous names do not accumulate series; a name that comes back
+// starts its counters at 0.
+func (m *Metrics) dropTenant(name string) {
+	m.tenantDone.DeleteFirst(name)
+	m.tenantShed.DeleteFirst(name)
+	m.tenantQueueWait.DeleteFirst(name)
 }
 
 // observeATPG folds one generate or enrich run's work into the metrics.

@@ -119,13 +119,13 @@ func TestEngineCancelSubmitStress(t *testing.T) {
 // no-ops.
 func TestJobMarkDoneIdempotent(t *testing.T) {
 	j := &Job{id: "j1", status: StatusQueued, done: make(chan struct{})}
-	if !j.end(true, StatusCanceled, nil, false, context.Canceled) {
+	if _, ok := j.end(true, StatusCanceled, nil, false, context.Canceled); !ok {
 		t.Fatal("waiting end on a queued job must succeed")
 	}
-	if j.end(true, StatusCanceled, nil, false, context.Canceled) {
+	if _, ok := j.end(true, StatusCanceled, nil, false, context.Canceled); ok {
 		t.Error("second waiting end must be a no-op")
 	}
-	if j.end(false, StatusDone, &Result{}, false, nil) {
+	if _, ok := j.end(false, StatusDone, &Result{}, false, nil); ok {
 		t.Error("end after a terminal transition must be a no-op")
 	}
 	v := j.View()

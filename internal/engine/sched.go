@@ -93,14 +93,18 @@ type sched struct {
 	tenants map[string]*tenantQueue
 	order   []string // round-robin order: configured order, then first-seen
 	cursor  int
+	// metrics holds the per-tenant rows a leaving tenant drops, under
+	// mu so that a returning name's rows are never the ones dropped.
+	metrics *Metrics
 }
 
-func newSched(cfg Config) *sched {
+func newSched(cfg Config, m *Metrics) *sched {
 	s := &sched{
 		strict:       len(cfg.Tenants) > 0,
 		defaultDepth: cfg.QueueDepth,
 		wake:         make(chan struct{}, 1),
 		tenants:      make(map[string]*tenantQueue),
+		metrics:      m,
 	}
 	for _, tc := range cfg.Tenants {
 		if !ValidTenantName(tc.Name) || s.tenants[tc.Name] != nil {
@@ -225,9 +229,10 @@ func (s *sched) release(tenant string) {
 }
 
 // removeLocked drops an idle tenant from the map and the round-robin
-// order, keeping the cursor on the tenant whose turn it was. Caller
-// holds s.mu.
+// order, keeping the cursor on the tenant whose turn it was, and drops
+// its metric rows. Caller holds s.mu.
 func (s *sched) removeLocked(name string) {
+	s.metrics.dropTenant(name)
 	delete(s.tenants, name)
 	i := slices.Index(s.order, name)
 	s.order = slices.Delete(s.order, i, i+1)

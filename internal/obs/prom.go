@@ -236,6 +236,20 @@ func (v *vec[M]) With(values ...string) M {
 	return c.metric
 }
 
+// DeleteFirst drops every child whose first label value is first: the
+// rows of an entity that has gone, such as an anonymous tenant that
+// left the engine's scheduler. A later With of the same values starts
+// a fresh child, so a counter restarts at 0.
+func (v *vec[M]) DeleteFirst(first string) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for k, c := range v.children {
+		if c.values[0] == first {
+			delete(v.children, k)
+		}
+	}
+}
+
 func (v *vec[M]) familyName() string { return v.name }
 
 func (v *vec[M]) expose(w io.Writer, om bool) error {

@@ -180,6 +180,34 @@ func TestHistogramVecExposition(t *testing.T) {
 	}
 }
 
+// DeleteFirst drops every row whose first label value matches, and
+// only those; a child made again afterwards starts from zero.
+func TestVecDeleteFirst(t *testing.T) {
+	cv := NewCounterVec("t_shed_total", "Shed.", "tenant", "reason")
+	cv.With("a", "quota").Add(2)
+	cv.With("a", "overloaded").Inc()
+	cv.With("b", "quota").Inc()
+	cv.With("ab", "quota").Inc()
+	cv.DeleteFirst("a")
+	scrape := func() string {
+		var b strings.Builder
+		if err := cv.expose(&b, false); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	const head = "# HELP t_shed_total Shed.\n# TYPE t_shed_total counter\n"
+	if got, want := scrape(), head+
+		`t_shed_total{tenant="ab",reason="quota"} 1`+"\n"+
+		`t_shed_total{tenant="b",reason="quota"} 1`+"\n"; got != want {
+		t.Errorf("after DeleteFirst(a):\n%s\nwant\n%s", got, want)
+	}
+	cv.With("a", "quota").Inc()
+	if got := scrape(); !strings.Contains(got, `t_shed_total{tenant="a",reason="quota"} 1`+"\n") {
+		t.Errorf("a returning name does not restart from 0:\n%s", got)
+	}
+}
+
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
 	r.MustRegister(NewGaugeFunc("dup", "x", func() float64 { return 0 }))

@@ -88,17 +88,6 @@ func (t *Trace) Context() TraceContext {
 // ID returns the W3C trace ID (32 hex chars), or "" on a nil trace.
 func (t *Trace) ID() string { return t.Context().TraceID }
 
-// SetSampled overrides the sampling decision (the engine applies its
-// head-sampling rate to root traces it mints itself).
-func (t *Trace) SetSampled(v bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.tc.Sampled = v
-	t.mu.Unlock()
-}
-
 // Span is one timed operation inside a trace. A nil *Span is a valid
 // no-op receiver, so instrumented code never branches on whether
 // tracing is enabled.

@@ -96,15 +96,9 @@ type TraceBuffer struct {
 }
 
 // NewTraceBuffer builds a buffer capped at maxCount traces and
-// maxBytes of (approximate) retained payload; <= 0 picks the default
-// for either cap.
+// maxBytes of (approximate) retained payload. The engine and the
+// coordinator pass DefaultTraceBufferCount and DefaultTraceBufferBytes.
 func NewTraceBuffer(maxCount int, maxBytes int64) *TraceBuffer {
-	if maxCount <= 0 {
-		maxCount = DefaultTraceBufferCount
-	}
-	if maxBytes <= 0 {
-		maxBytes = DefaultTraceBufferBytes
-	}
 	return &TraceBuffer{
 		maxCount: maxCount,
 		maxBytes: maxBytes,

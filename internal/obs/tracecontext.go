@@ -96,40 +96,6 @@ func TraceContextFrom(ctx context.Context) (TraceContext, bool) {
 	return tc, ok && tc.Valid()
 }
 
-// SampleRate resolves a configured TraceSample (engine and coordinator
-// alike) to the rate SampleDecision takes: 0 (unset) keeps every
-// trace, negative keeps none, above 1 clamps to 1.
-func SampleRate(configured float64) float64 {
-	switch {
-	case configured == 0 || configured > 1:
-		return 1
-	case configured < 0:
-		return 0
-	}
-	return configured
-}
-
-// SampleDecision is the fleet's head-sampling rule: whether a trace
-// with this ID is kept at the given rate (0 keeps nothing, 1 keeps
-// everything). The decision hashes the trace ID itself, so every node
-// that sees the same trace reaches the same verdict without
-// coordination — a prerequisite for assembling cross-node traces.
-func SampleDecision(traceID string, rate float64) bool {
-	if rate >= 1 {
-		return true
-	}
-	if rate <= 0 {
-		return false
-	}
-	b, err := hex.DecodeString(traceID)
-	if err != nil || len(b) < 8 {
-		return false
-	}
-	// The low 8 bytes: some tracers mint low-entropy high bytes.
-	v := binary.BigEndian.Uint64(b[len(b)-8:])
-	return float64(v) < rate*float64(^uint64(0))
-}
-
 func randHex(n int) string {
 	b := make([]byte, n)
 	if _, err := rand.Read(b); err != nil {

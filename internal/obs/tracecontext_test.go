@@ -76,34 +76,3 @@ func TestWithTraceContext(t *testing.T) {
 		t.Fatal("invalid identity reported from context")
 	}
 }
-
-func TestSampleDecision(t *testing.T) {
-	id := NewTraceContext(false).TraceID
-	if !SampleDecision(id, 1) || !SampleDecision(id, 2) {
-		t.Fatal("rate >= 1 must keep everything")
-	}
-	if SampleDecision(id, 0) || SampleDecision(id, -1) {
-		t.Fatal("rate <= 0 must keep nothing")
-	}
-	if SampleDecision("nothex", 0.5) {
-		t.Fatal("malformed trace ID must not sample in")
-	}
-	// The decision is a pure function of the ID: every node agrees.
-	for i := 0; i < 64; i++ {
-		tid := NewTraceContext(false).TraceID
-		if SampleDecision(tid, 0.37) != SampleDecision(tid, 0.37) {
-			t.Fatalf("non-deterministic verdict for %s", tid)
-		}
-	}
-	// At 50% the keep fraction over many IDs should be roughly half.
-	kept := 0
-	const n = 2000
-	for i := 0; i < n; i++ {
-		if SampleDecision(NewTraceContext(false).TraceID, 0.5) {
-			kept++
-		}
-	}
-	if kept < n/3 || kept > 2*n/3 {
-		t.Fatalf("50%% sampling kept %d of %d", kept, n)
-	}
-}
