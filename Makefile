@@ -55,17 +55,16 @@ paper-check:
 	echo "paper-check: tables match cmd/tables/testdata/paper_np10000_np0_1000.csv"
 
 # The fault-injection suite: panic containment (a panicking job fails
-# once), crash + journal replay, load shedding, the bounded job table,
-# plus all of the retry package the coordinator's forwarded calls use —
+# once), crash + journal replay, load shedding, the bounded job table —
 # twice under the race detector.
 chaos:
 	$(GO) test -race -count=2 -run 'TestChaos|TestWait|TestJournal|TestLive|TestOpen|TestJobTableBounded|TestIdleTenantsLeave' \
 		./internal/engine/ ./internal/journal/
-	$(GO) test -race -count=2 ./internal/retry/
 
 # The cluster chaos suite: partitions, injected error rates and backend
 # death via the chaosnet fault-injecting transport, pinning no-job-lost,
-# breaker open/close, replication and hinted handoff — plus the durable
+# request-driven down and recovery, replication and hinted handoff
+# (including hints flushed on a healthy probe) — plus the durable
 # store's kill -9 warm-restart acceptance test.
 chaos-cluster:
 	$(GO) test -race ./internal/chaosnet/

@@ -9,7 +9,7 @@
 //
 // Injected failures surface as transport errors (no HTTP response),
 // which is exactly what a real partition looks like to the
-// coordinator: its retry budget, circuit breakers and failover paths
+// coordinator: its failure counting, health states and failover paths
 // all exercise their production code.
 package chaosnet
 

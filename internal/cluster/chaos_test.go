@@ -3,16 +3,18 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaosnet"
 	"repro/internal/engine"
-	"repro/internal/retry"
 	"repro/internal/store"
 )
 
@@ -31,8 +33,15 @@ type chaosFleet struct {
 
 func newChaosFleet(t *testing.T, n, rf int) *chaosFleet {
 	t.Helper()
+	return newChaosFleetOver(t, n, rf, nil)
+}
+
+// newChaosFleetOver is newChaosFleet with the chaos transport wrapping
+// base (nil uses http.DefaultTransport).
+func newChaosFleetOver(t *testing.T, n, rf int, base http.RoundTripper) *chaosFleet {
+	t.Helper()
 	f := &chaosFleet{
-		tr:    chaosnet.NewTransport(nil, 0xc0ffee),
+		tr:    chaosnet.NewTransport(base, 0xc0ffee),
 		hosts: make(map[string]string, n),
 	}
 	confs := make([]BackendConf, n)
@@ -57,14 +66,9 @@ func newChaosFleet(t *testing.T, n, rf int) *chaosFleet {
 	c, err := New(Config{
 		Backends:          confs,
 		HealthInterval:    50 * time.Millisecond,
-		HealthTimeout:     500 * time.Millisecond,
-		DownAfter:         2,
 		ReplicationFactor: rf,
 		Transport:         f.tr,
 		RequestTimeout:    5 * time.Second,
-		RetryPolicy:       retry.Policy{MaxRetries: 1, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
-		BreakerThreshold:  3,
-		BreakerCooldown:   200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,39 +182,41 @@ func TestChaosPartitionLosesNoJob(t *testing.T) {
 	}
 }
 
-// Chaos pin 2: the per-backend circuit breaker opens when the injected
-// error rate crosses its threshold and closes again after the fault
-// clears and the cooldown elapses.
+// Chaos pin 2: a backend whose proxied requests keep failing goes
+// down, and comes back with the first probe that finds it healthy once
+// the fault clears.
 func TestChaosBreakerOpensAndCloses(t *testing.T) {
 	f := newChaosFleet(t, 2, 0)
 	target := f.backs[1]
 	b, _ := f.c.backendFor(target.name)
+	nope := f.srv.URL + "/v1/jobs/" + target.name + "/nope"
 
+	// Every read fails in transport. A probe sent before the fault may
+	// still answer healthy once, so read until the state settles.
 	f.tr.SetRule(f.hosts[target.name], chaosnet.Rule{ErrorRate: 1.0})
-	// Proxied reads drive the breaker (health probes do not touch it).
-	for i := 0; i < 5; i++ {
-		resp, err := http.Get(f.srv.URL + "/v1/jobs/" + target.name + "/nope")
+	waitFor(t, 5*time.Second, "backend down under injected transport errors", func() bool {
+		resp, err := http.Get(nope)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-	}
-	if b.brk.allow(time.Now()) {
-		t.Fatal("breaker still closed after 5 injected transport errors (threshold 3)")
-	}
-
-	// Heal and wait out the cooldown: the half-open trial succeeds (the
-	// backend answers 404 over HTTP, which is a transport success) and
-	// the breaker closes.
-	f.tr.Clear()
-	waitFor(t, 5*time.Second, "breaker to close after heal", func() bool {
-		resp, err := http.Get(f.srv.URL + "/v1/jobs/" + target.name + "/nope")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return b.brk.allow(time.Now())
+		return b.State() == StateDown
 	})
+
+	// Heal: a probe brings the backend back, and reads reach it again
+	// (it answers 404 over HTTP).
+	f.tr.Clear()
+	waitFor(t, 5*time.Second, "backend healthy after heal", func() bool {
+		return b.State() == StateHealthy
+	})
+	resp, err := http.Get(nope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("read after heal = %d, want the backend's 404", resp.StatusCode)
+	}
 }
 
 // Chaos pin 3 (acceptance): with RF=2, killing a backend mid-sweep
@@ -326,6 +332,48 @@ func TestChaosHintedHandoff(t *testing.T) {
 	var res engine.Result
 	if err := json.Unmarshal(body, &res); err != nil || res.CacheKey != key {
 		t.Fatalf("replica served a bad result: %v\n%s", err, body)
+	}
+}
+
+// failFirstInstall fails the first PUT /v1/cache/ the coordinator sends
+// in transport, and passes every other request through.
+type failFirstInstall struct{ failed atomic.Bool }
+
+func (f *failFirstInstall) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPut && strings.HasPrefix(req.URL.Path, "/v1/cache/") && f.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("injected install failure")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// Chaos pin 5: a replica copy hinted while the replica stayed healthy
+// (one install failed in transport) is delivered after the next probe
+// that finds the replica healthy; it is not stranded until the replica
+// goes down and comes back.
+func TestChaosHintFlushedOnHealthyProbe(t *testing.T) {
+	f := newChaosFleetOver(t, 3, 2, &failFirstInstall{})
+	spec := f.specOwnedBy(t, "b0", 1)
+	replica := f.c.ring.Owners(engine.SpecDigest(spec), 2)[1]
+
+	v, _ := submitVia(t, f.srv.URL, spec)
+	if got := waitVia(t, f.srv.URL, v.ID); got.Status != engine.StatusDone {
+		t.Fatalf("job = %s (%s)", got.Status, got.Error)
+	}
+	waitFor(t, 10*time.Second, "the failed install hinted", func() bool {
+		return f.c.repl.hintsQueued.Load() >= 1
+	})
+	waitFor(t, 5*time.Second, "the hint delivered to the healthy replica", func() bool {
+		return f.c.repl.hintsDelivered.Load() >= 1 && f.c.repl.pendingHints() == 0
+	})
+	if st := f.c.Backends()[replica].State; st != StateHealthy {
+		t.Fatalf("replica %s = %s, want healthy", replica, st)
+	}
+	var buf bytes.Buffer
+	if err := f.c.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if down := fmt.Sprintf(`pdfd_cluster_health_transitions_total{backend=%q,to="down"}`, replica); strings.Contains(buf.String(), down) {
+		t.Fatalf("replica %s went down; the hint must flush while it stays healthy", replica)
 	}
 }
 

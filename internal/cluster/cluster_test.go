@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/retry"
 )
 
 // testBackend is one in-process pdfd node: a real engine behind a real
@@ -63,9 +62,6 @@ func newFleet(t *testing.T, n int) (*Coordinator, *httptest.Server, []*testBacke
 	c, err := New(Config{
 		Backends:       confs,
 		HealthInterval: 50 * time.Millisecond,
-		HealthTimeout:  500 * time.Millisecond,
-		DownAfter:      2,
-		RetryPolicy:    retry.Policy{MaxRetries: 1, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -594,7 +590,7 @@ func TestClusterPlacementFollowsHealth(t *testing.T) {
 		t.Cleanup(srv.Close)
 		confs[i] = BackendConf{Name: name, URL: srv.URL}
 	}
-	c, err := New(Config{Backends: confs, HealthInterval: 20 * time.Millisecond, DownAfter: 2})
+	c, err := New(Config{Backends: confs, HealthInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

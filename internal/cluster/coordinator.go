@@ -8,15 +8,16 @@
 //
 //   - one consistent-hash ring with virtual nodes (Ring), built in New
 //     and never edited: deterministic placement of jobs and replicas;
-//   - per-backend health checking against /v1/healthz: an overloaded
-//     or draining backend stops receiving new jobs but keeps serving
-//     status/trace/SSE reads; a backend that fails consecutive probes
-//     is skipped in its keys' owner chains until it answers again, so
-//     only its keys move (~1/N of the key space) and they return when
-//     it recovers;
-//   - an HTTP client per backend with request timeouts, transient-error
-//     retry (internal/retry) and a circuit breaker, plus least-loaded
-//     spillover when the ring owner sheds a submission (503);
+//   - one health state per backend, the only thing routing reads: an
+//     overloaded or draining backend stops receiving new jobs but keeps
+//     serving status/trace/SSE reads; a backend that fails consecutive
+//     /v1/healthz probes, or consecutive proxied requests, is skipped
+//     in its keys' owner chains until a probe finds it healthy, so only
+//     its keys move (~1/N of the key space) and they return when it
+//     recovers;
+//   - an HTTP client with request timeouts: a submission that fails in
+//     transport goes to the next backend in its owner chain, and one
+//     the ring owner sheds (503) spills to the least-loaded backend;
 //   - cluster observability through internal/obs: per-backend
 //     health/load gauges, routing and spillover counters, and proxied
 //     request histograms, all on the coordinator's /v1/metrics.
@@ -30,7 +31,6 @@ package cluster
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,7 +39,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -47,7 +46,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/retry"
 )
 
 // Error codes the coordinator adds to the /v1 error envelope, beside
@@ -55,7 +53,7 @@ import (
 // not_found, invalid_spec, engine_closed).
 const (
 	// CodeNoBackend: no healthy backend is available to take the job
-	// (all down, draining, or circuit-broken). Retryable.
+	// (all down or draining). Retryable.
 	CodeNoBackend = "no_backend"
 	// CodeBackendDown: the backend owning the requested job (or every
 	// routing candidate for a submission) did not answer.
@@ -79,15 +77,11 @@ type Config struct {
 	Backends []BackendConf
 
 	// HealthInterval paces the per-backend /v1/healthz probes; 0 uses
-	// 2s. HealthTimeout bounds one probe; 0 uses half the interval
-	// (capped at 1s).
+	// 2s. Three consecutive failed probes, or three consecutive proxied
+	// requests that fail in transport, mark a backend down. Routing
+	// skips a down backend in its keys' owner chains, so only its keys
+	// move, and they return when a probe finds it healthy again.
 	HealthInterval time.Duration
-	HealthTimeout  time.Duration
-	// DownAfter is the consecutive probe failures before a backend is
-	// marked down; 0 uses 3. Routing skips a down backend in its keys'
-	// owner chains, so only its keys move, and they return when it
-	// recovers.
-	DownAfter int
 
 	// Tenants is the coordinator's tenant roster: entries with bearer
 	// keys turn on auth for the /v1 job routes (same contract as the
@@ -115,14 +109,6 @@ type Config struct {
 	// 0 uses 30s. A forwarded long-poll waits at most half of it (see
 	// maxWait).
 	RequestTimeout time.Duration
-	// RetryPolicy shapes the transient-error retries of a forwarded
-	// submission (connection refused, request timeout — never an HTTP
-	// response). Zero fields use 2 retries, 50ms base, 2s cap.
-	RetryPolicy retry.Policy
-	// BreakerThreshold consecutive request failures open a backend's
-	// circuit breaker for BreakerCooldown; 0 uses 3 and 5s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 
 	// Logger receives routing and health-transition records; nil
 	// discards them.
@@ -133,29 +119,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 2 * time.Second
 	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = min(cfg.HealthInterval/2, time.Second)
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 3
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.RetryPolicy.MaxRetries <= 0 {
-		cfg.RetryPolicy.MaxRetries = 2
-	}
-	if cfg.RetryPolicy.BaseDelay <= 0 {
-		cfg.RetryPolicy.BaseDelay = 50 * time.Millisecond
-	}
-	if cfg.RetryPolicy.MaxDelay <= 0 {
-		cfg.RetryPolicy.MaxDelay = 2 * time.Second
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 5 * time.Second
 	}
 	return cfg
 }
@@ -238,7 +203,7 @@ func New(cfg Config) (*Coordinator, error) {
 			cancel()
 			return nil, fmt.Errorf("cluster: bad backend URL %q (need http(s)://host[:port])", bc.URL)
 		}
-		b := newBackend(bc.Name, strings.TrimSuffix(bc.URL, "/"), cfg.BreakerThreshold, cfg.BreakerCooldown)
+		b := newBackend(bc.Name, strings.TrimSuffix(bc.URL, "/"))
 		c.backends[bc.Name] = b
 		c.order = append(c.order, bc.Name)
 		c.ring.Add(bc.Name)
@@ -419,7 +384,7 @@ func (c *Coordinator) routeSubmit(ctx context.Context, spec engine.Spec, digest 
 	tried := 0
 	for _, name := range chain {
 		b := c.backends[name]
-		if b.State() != StateHealthy || !b.brk.allow(time.Now()) {
+		if b.State() != StateHealthy {
 			continue
 		}
 		tried++
@@ -461,7 +426,7 @@ func (c *Coordinator) routeSubmit(ctx context.Context, spec engine.Spec, digest 
 	}
 	return SubmitResult{}, &RoutedError{
 		Status: http.StatusServiceUnavailable, Code: CodeNoBackend,
-		Message: "no healthy backend (all draining, down or circuit-broken)", RetryAfter: time.Second,
+		Message: "no healthy backend (all draining or down)", RetryAfter: time.Second,
 	}
 }
 
@@ -480,47 +445,35 @@ func (c *Coordinator) admit(res SubmitResult, route Route, digest string, noCach
 }
 
 // spillTarget picks the least-loaded healthy backend other than
-// exclude (ties in configured order) whose breaker lets the request
-// through, or nil. The breakers are asked in load order and only up to
-// the pick, so ranking takes no other backend's half-open trial.
+// exclude (ties in configured order), or nil.
 func (c *Coordinator) spillTarget(exclude string) *backend {
-	var cands []*backend
+	var pick *backend
+	var least int64
 	for _, name := range c.order {
-		if b := c.backends[name]; name != exclude && b.State() == StateHealthy {
-			cands = append(cands, b)
+		b := c.backends[name]
+		if name == exclude || b.State() != StateHealthy {
+			continue
+		}
+		if l := b.load(); pick == nil || l < least {
+			pick, least = b, l
 		}
 	}
-	slices.SortStableFunc(cands, func(a, b *backend) int { return cmp.Compare(a.load(), b.load()) })
-	now := time.Now()
-	for _, b := range cands {
-		if b.brk.allow(now) {
-			return b
-		}
-	}
-	return nil
+	return pick
 }
 
 // forwardSubmit POSTs the spec to one backend inside a span named
-// span, retrying transient transport errors under the configured
-// policy. It returns the accepted view, which the backend gave a
+// span. It returns the accepted view, which the backend gave a
 // routable ID, or the backend's answer as a *RoutedError; any other
-// error is a transport failure. BackendRequestID is set whenever the
-// backend answered.
+// error is a transport failure, which the caller answers by trying the
+// next backend: results are seed-deterministic, so that backend's
+// reply is the one this one would have given. BackendRequestID is set
+// whenever the backend answered.
 func (c *Coordinator) forwardSubmit(ctx context.Context, span string, b *backend, body []byte, fwdHdr http.Header) (SubmitResult, error) {
 	ctx, sp := obs.StartSpan(ctx, span, obs.String("backend", b.name))
 	var res SubmitResult
-	var status int
-	var reply []byte
-	err := retry.Do(ctx, c.cfg.RetryPolicy, nil, func(attempt int) error {
-		var hdr http.Header
-		var err error
-		status, reply, hdr, err = c.do(ctx, b, http.MethodPost, "/v1/jobs", "jobs.submit", body, fwdHdr)
-		if err == nil {
-			res.BackendRequestID = hdr.Get("X-Request-ID")
-		}
-		return err
-	})
+	status, reply, hdr, err := c.do(ctx, b, http.MethodPost, "/v1/jobs", "jobs.submit", body, fwdHdr)
 	if err == nil {
+		res.BackendRequestID = hdr.Get("X-Request-ID")
 		var v engine.JobView
 		if status != http.StatusAccepted {
 			err = backendError(b, status, reply)
@@ -547,9 +500,7 @@ func (c *Coordinator) maxWait() time.Duration {
 
 // do performs one proxied request against b under the request timeout
 // and reads its reply, which must fit durable.MaxPayload. A transport
-// failure (no HTTP response) returns an error that never matches
-// context.DeadlineExceeded, so retry.Do treats a per-request timeout as
-// retryable while a caller cancellation still aborts the retry loop.
+// failure (no HTTP response, or a reply cut short) counts against b.
 func (c *Coordinator) do(ctx context.Context, b *backend, method, path, route string, body []byte, hdr http.Header) (int, []byte, http.Header, error) {
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
@@ -571,11 +522,6 @@ func (c *Coordinator) do(ctx context.Context, b *backend, method, path, route st
 	}
 	resp, err := c.send(ctx, b, req, route)
 	if err != nil {
-		if rctx.Err() != nil && ctx.Err() == nil {
-			// Per-request timeout, not a caller cancellation: surface it
-			// without the context sentinel so retry.Do retries it.
-			return 0, nil, nil, fmt.Errorf("cluster: %s %s on %s timed out after %v", method, path, b.name, c.cfg.RequestTimeout)
-		}
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
@@ -587,7 +533,7 @@ func (c *Coordinator) do(ctx context.Context, b *backend, method, path, route st
 		c.noteFailure(ctx, b)
 		return 0, nil, nil, err
 	}
-	b.brk.success()
+	b.reqFails.Store(0)
 	return resp.StatusCode, respBody, resp.Header, nil
 }
 
@@ -611,18 +557,17 @@ func (c *Coordinator) send(ctx context.Context, b *backend, req *http.Request, r
 	return resp, nil
 }
 
-// noteFailure records one transport failure against b's breaker and
-// error counter. If the caller's ctx ended first it counts nothing, but
-// still frees a half-open trial slot the request may have held.
+// noteFailure records one transport failure against b: its error
+// counter, and its consecutive request failures, of which downAfter
+// mark it down. If the caller's ctx ended first it counts nothing: the
+// failure is not the backend's.
 func (c *Coordinator) noteFailure(ctx context.Context, b *backend) {
 	if ctx.Err() != nil {
-		b.brk.release()
 		return
 	}
 	c.metrics.backendErrors.With(b.name).Inc()
-	if b.brk.failure(time.Now()) {
-		c.metrics.breakerOpens.With(b.name).Inc()
-		c.log.Warn("circuit breaker opened", "backend", b.name, "cooldown", c.cfg.BreakerCooldown.String())
+	if b.reqFails.Add(1) >= downAfter {
+		c.setState(b, StateDown)
 	}
 }
 

@@ -181,7 +181,7 @@ func TestClusterUnreadableBackendError(t *testing.T) {
 
 // A long-poll through the coordinator is capped below the per-request
 // timeout: it answers the running job's view instead of timing out, and
-// repeating it does not open the backend's breaker.
+// repeating it counts nothing against the backend.
 func TestClusterLongPollCappedByRequestTimeout(t *testing.T) {
 	release := make(chan struct{})
 	e := engine.New(engine.Config{Workers: 1, Injector: engine.InjectorFunc(func(ctx context.Context, site engine.Site, id string) error {
@@ -214,8 +214,8 @@ func TestClusterLongPollCappedByRequestTimeout(t *testing.T) {
 			t.Fatalf("long-poll %d answered %s in %s, want the held job still running", i, view.ID, view.Status)
 		}
 	}
-	if b, _ := c.backendFor("b0"); !b.brk.allow(time.Now()) {
-		t.Fatal("long-polls opened the backend's breaker")
+	if b, _ := c.backendFor("b0"); b.State() != StateHealthy || b.reqFails.Load() != 0 {
+		t.Fatalf("long-polls left the backend %s with %d request failures", b.State(), b.reqFails.Load())
 	}
 }
 
@@ -247,18 +247,18 @@ func TestClusterOverlongReplyNamesBound(t *testing.T) {
 
 // An SSE connect that cannot reach its backend counts against the
 // backend like any other proxied request: the error counter rises and
-// the breaker opens.
+// the backend goes down.
 func TestClusterSSEProxyFailureCounts(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	c, srv := coordinatorOver(t, dead.URL, Config{HealthInterval: time.Hour, BreakerThreshold: 3})
+	c, srv := coordinatorOver(t, dead.URL, Config{HealthInterval: time.Hour})
 	for i := 0; i < 3; i++ {
 		if got := call(t, http.MethodGet, srv.URL+"/v1/jobs/b0/j1/events", nil); got.status != http.StatusBadGateway {
 			t.Fatalf("SSE connect to a dead backend = %d: %s", got.status, got.body)
 		}
 	}
-	if b, _ := c.backendFor("b0"); b.brk.allow(time.Now()) {
-		t.Fatal("breaker still closed after 3 failed SSE connects")
+	if b, _ := c.backendFor("b0"); b.State() != StateDown {
+		t.Fatalf("state after 3 failed SSE connects = %s, want down", b.State())
 	}
 	metrics := call(t, http.MethodGet, srv.URL+"/v1/metrics", nil)
 	if want := `pdfd_cluster_backend_errors_total{backend="b0"} 3`; !strings.Contains(string(metrics.body), want) {
@@ -277,50 +277,62 @@ func TestClusterCallerCancelNotCounted(t *testing.T) {
 			t.Fatal("request on a canceled context succeeded")
 		}
 	}
-	if !b.brk.allow(time.Now()) {
-		t.Fatal("canceled callers opened the backend's breaker")
-	}
-}
-
-// A half-open trial whose caller went away frees the trial slot: the
-// next request after the cooldown is let through as a new trial.
-func TestClusterCanceledTrialReleasesBreaker(t *testing.T) {
-	c, _, _ := newFleet(t, 1)
-	b, _ := c.backendFor("b0")
-	now := time.Now()
-	for i := 0; i < c.cfg.BreakerThreshold; i++ {
-		b.brk.failure(now.Add(-c.cfg.BreakerCooldown))
-	}
-	if !b.brk.allow(now) {
-		t.Fatal("breaker let no trial through after its cooldown")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, _, err := c.do(ctx, b, http.MethodGet, "/v1/healthz", "healthz", nil, nil); err == nil {
-		t.Fatal("request on a canceled context succeeded")
-	}
-	if !b.brk.allow(time.Now()) {
-		t.Fatal("a canceled half-open trial left the breaker shut")
+	if b.State() != StateHealthy || b.reqFails.Load() != 0 {
+		t.Fatalf("canceled callers left the backend %s with %d request failures", b.State(), b.reqFails.Load())
 	}
 }
 
 // A backend that answers headers and then breaks mid-body fails every
-// request: the breaker opens after the threshold.
+// request: it goes down after the threshold. Its probes are cut the
+// same way, so no successful probe can bring it back meanwhile.
 func TestClusterMidBodyFailureOpensBreaker(t *testing.T) {
-	bsrv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+	bsrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", "1024")
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte(`{"id":`))
 		http.NewResponseController(w).Flush()
 		panic(http.ErrAbortHandler) // drop the connection short of the body
-	})
-	c, srv := coordinatorOver(t, bsrv.URL, Config{HealthInterval: time.Hour, BreakerThreshold: 3})
+	}))
+	t.Cleanup(bsrv.Close)
+	c, srv := coordinatorOver(t, bsrv.URL, Config{HealthInterval: time.Hour})
 	for i := 0; i < 3; i++ {
 		if got := call(t, http.MethodGet, srv.URL+"/v1/jobs/b0/j1", nil); got.status != http.StatusBadGateway {
 			t.Fatalf("read cut mid-body = %d: %s", got.status, got.body)
 		}
 	}
-	if b, _ := c.backendFor("b0"); b.brk.allow(time.Now()) {
-		t.Fatal("breaker still closed after 3 replies cut mid-body")
+	if b, _ := c.backendFor("b0"); b.State() != StateDown {
+		t.Fatalf("state after 3 replies cut mid-body = %s, want down", b.State())
+	}
+}
+
+// Failed proxied requests mark a backend down without waiting for a
+// probe: with probes an hour apart, 3 failed reads take it down, which
+// shows in the health transitions and backend_up, and new submissions
+// find no backend.
+func TestClusterRequestFailuresMarkDown(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	c, srv := coordinatorOver(t, dead.URL, Config{HealthInterval: time.Hour})
+	b, _ := c.backendFor("b0")
+	for i := 1; i <= 3; i++ {
+		if got := call(t, http.MethodGet, srv.URL+"/v1/jobs/b0/j1", nil); got.status != http.StatusBadGateway {
+			t.Fatalf("read %d of a dead backend = %d: %s", i, got.status, got.body)
+		}
+		want := StateHealthy
+		if i == 3 {
+			want = StateDown
+		}
+		if b.State() != want {
+			t.Fatalf("state after %d failed reads = %s, want %s", i, b.State(), want)
+		}
+	}
+	if got := sample(t, c, `pdfd_cluster_health_transitions_total{backend="b0",to="down"}`); got != "1" {
+		t.Fatalf("down transitions = %s, want 1", got)
+	}
+	if got := sample(t, c, `pdfd_cluster_backend_up{backend="b0"}`); got != "0" {
+		t.Fatalf("backend_up = %s, want 0", got)
+	}
+	if resp, body := postSpec(t, srv.URL, enrichSpec(1)); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit with the only backend down = %d: %s", resp.StatusCode, body)
 	}
 }

@@ -11,10 +11,18 @@ import (
 	"repro/internal/engine"
 )
 
+const (
+	// healthTimeout bounds one /v1/healthz probe.
+	healthTimeout = time.Second
+	// downAfter is the number of consecutive failed probes, or of
+	// consecutive failed proxied requests, that marks a backend down.
+	downAfter = 3
+)
+
 // healthLoop probes one backend roughly every HealthInterval until
 // the coordinator closes. Each backend has exactly one health
-// goroutine; it is the sole writer of that backend's state and load
-// snapshot.
+// goroutine; it is the sole writer of that backend's load snapshot
+// and the only one that brings a down backend back.
 //
 // The sleep between probes is jittered ±20% with a per-backend
 // deterministic source, so a fleet of coordinators started together
@@ -41,10 +49,12 @@ func (c *Coordinator) healthLoop(b *backend) {
 //
 //	200 ok                           -> healthy (owns its keys, takes jobs)
 //	503 overloaded/draining          -> draining (owns its keys, reads only)
-//	error or other status xDownAfter -> down (skipped in its keys' owner chains)
+//	error or other status xdownAfter -> down (skipped in its keys' owner chains)
 //
 // A single failed probe does not change state — transient blips must
-// not move keys.
+// not move keys. Every probe that finds the backend healthy also
+// flushes the replica copies hinted for it: a hint may have been
+// queued by one failed install while the backend never left healthy.
 //
 // Each successful probe doubles as a clock-skew measurement: the
 // backend reports its wall clock (Health.NowUnixMS), and assuming the
@@ -53,7 +63,7 @@ func (c *Coordinator) healthLoop(b *backend) {
 // minus the round-trip midpoint. Trace assembly uses the estimate to
 // rebase backend span timelines onto the coordinator clock.
 func (c *Coordinator) probe(b *backend) {
-	ctx, cancel := context.WithTimeout(c.ctx, c.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(c.ctx, healthTimeout)
 	defer cancel()
 	req, err := c.newOutboundRequest(ctx, http.MethodGet, b.baseURL+"/v1/healthz", nil)
 	if err != nil {
@@ -83,13 +93,16 @@ func (c *Coordinator) probe(b *backend) {
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK && parseOK:
-		b.consecFails = 0
+		b.probeFails = 0
 		c.setState(b, StateHealthy)
+		if c.repl != nil {
+			c.repl.flushHints(b)
+		}
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		// The backend is alive but shedding (watermark tripped or a
 		// graceful drain): it keeps its keys and serves reads, but new
 		// jobs go to its successors.
-		b.consecFails = 0
+		b.probeFails = 0
 		c.setState(b, StateDraining)
 	default:
 		c.probeFailed(b)
@@ -97,32 +110,37 @@ func (c *Coordinator) probe(b *backend) {
 }
 
 // probeFailed counts one failed probe, demoting the backend to down
-// at the DownAfter threshold.
+// at the downAfter threshold.
 func (c *Coordinator) probeFailed(b *backend) {
-	b.consecFails++
-	if b.consecFails >= c.cfg.DownAfter {
+	b.probeFails++
+	if b.probeFails >= downAfter {
 		c.setState(b, StateDown)
 	}
 }
 
-// setState records b's transition to next, if it is one. Placement
+// setState records b's transition to next, if it is one. The health
+// loop and request goroutines both call it, so the transition is a
+// compare-and-swap: whichever caller makes it counts and logs it, once.
+// Leaving down clears the request-failure count, so a recovered
+// backend needs downAfter fresh failures to go down again. Placement
 // is one static ring it does not touch: routing skips a down backend
 // in its keys' owner chains, so only its keys move, and they return
 // when it recovers.
 func (c *Coordinator) setState(b *backend, next State) {
 	prev := b.State()
-	if prev != next {
-		b.state.Store(next)
-		c.metrics.healthTransitions.With(b.name, string(next)).Inc()
-		if next == StateHealthy {
-			c.log.Info("backend state changed", "backend", b.name, "from", string(prev), "to", string(next))
-		} else {
-			c.log.Warn("backend state changed", "backend", b.name, "from", string(prev), "to", string(next))
-		}
-		if prev == StateDown && next == StateHealthy && c.repl != nil {
-			// The backend is reachable again: flush any replica copies
-			// that were hinted while it was down.
-			c.repl.backendRecovered(b)
-		}
+	for prev != next && !b.state.CompareAndSwap(prev, next) {
+		prev = b.State()
+	}
+	if prev == next {
+		return
+	}
+	if prev == StateDown {
+		b.reqFails.Store(0)
+	}
+	c.metrics.healthTransitions.With(b.name, string(next)).Inc()
+	if next == StateHealthy {
+		c.log.Info("backend state changed", "backend", b.name, "from", string(prev), "to", string(next))
+	} else {
+		c.log.Warn("backend state changed", "backend", b.name, "from", string(prev), "to", string(next))
 	}
 }

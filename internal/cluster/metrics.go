@@ -20,9 +20,6 @@ type metrics struct {
 	// backendErrors counts transport failures (no HTTP response), per
 	// backend.
 	backendErrors *obs.CounterVec
-	// breakerOpens counts closed->open breaker transitions, per
-	// backend.
-	breakerOpens *obs.CounterVec
 	// healthTransitions counts state changes by backend and new state.
 	healthTransitions *obs.CounterVec
 	// proxySeconds times proxied backend round trips by route.
@@ -49,8 +46,6 @@ func newClusterMetrics(reg *obs.Registry, c *Coordinator) *metrics {
 			"Forwarded submissions a backend shed with 503.", "backend"),
 		backendErrors: obs.NewCounterVec("pdfd_cluster_backend_errors_total",
 			"Proxied requests that failed without an HTTP response.", "backend"),
-		breakerOpens: obs.NewCounterVec("pdfd_cluster_breaker_opens_total",
-			"Circuit breaker open transitions.", "backend"),
 		healthTransitions: obs.NewCounterVec("pdfd_cluster_health_transitions_total",
 			"Backend health-state transitions, by new state.", "backend", "to"),
 		proxySeconds: obs.NewHistogramVec("pdfd_cluster_proxy_request_duration_seconds",
@@ -77,7 +72,7 @@ func newClusterMetrics(reg *obs.Registry, c *Coordinator) *metrics {
 		}
 	}
 	reg.MustRegister(
-		m.routed, m.tenantRouted, m.sheds, m.backendErrors, m.breakerOpens,
+		m.routed, m.tenantRouted, m.sheds, m.backendErrors,
 		m.healthTransitions, m.proxySeconds, m.routeSeconds,
 		perBackend("pdfd_cluster_backend_up",
 			"1 when the backend is healthy (taking new jobs).", inState(StateHealthy)),

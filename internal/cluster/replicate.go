@@ -21,7 +21,7 @@ import (
 // already holds the result; each other replica gets a
 // PUT /v1/cache/{key}. A replica that is down or
 // unreachable gets a *hinted handoff*: the copy is queued and
-// delivered when the health loop sees the backend recover. When the
+// delivered after the next probe that finds the backend healthy. When the
 // executing backend was not the primary owner (failover/spillover),
 // the copy back to the owner is *read-repair* — the next submission
 // of the same spec routes to the owner and hits its cache.
@@ -218,7 +218,7 @@ func (r *replicator) install(ctx context.Context, name, key string, payload []by
 	if !ok {
 		return rejected
 	}
-	if b.State() == StateDown || !b.brk.allow(time.Now()) {
+	if b.State() == StateDown {
 		return unreachable
 	}
 	status, _, _, err := c.do(ctx, b, http.MethodPut, "/v1/cache/"+key, "cache.replicate", payload, nil)
@@ -255,10 +255,10 @@ func (r *replicator) queueHint(target string, h hint) {
 	r.hintsQueued.Add(1)
 }
 
-// backendRecovered drains the backend's hint queue in a tracked
-// goroutine; called by the health loop on a down → healthy
-// transition.
-func (r *replicator) backendRecovered(b *backend) {
+// flushHints drains the backend's hint queue in a tracked goroutine;
+// called by the health loop after every probe that finds b healthy.
+// It returns at once when nothing is queued for b.
+func (r *replicator) flushHints(b *backend) {
 	r.mu.Lock()
 	pending := r.hints[b.name]
 	delete(r.hints, b.name)
@@ -275,11 +275,12 @@ func (r *replicator) backendRecovered(b *backend) {
 }
 
 // deliverHints fetches each hinted result from its source backend and
-// installs it on the recovered target. A delivery that fails (the
-// target flapped again) is re-queued.
+// installs it on the healthy target. A delivery that fails in transport
+// re-queues that hint and the ones after it for the target's next
+// healthy probe; a refusal is final, as it is for install.
 func (r *replicator) deliverHints(ctx context.Context, b *backend, pending []hint) {
 	c := r.c
-	for _, h := range pending {
+	for i, h := range pending {
 		if ctx.Err() != nil {
 			return
 		}
@@ -297,11 +298,17 @@ func (r *replicator) deliverHints(ctx context.Context, b *backend, pending []hin
 			continue
 		}
 		status, _, _, err := c.do(ctx, b, http.MethodPut, "/v1/cache/"+h.key, "cache.hint_deliver", payload, nil)
-		if err != nil || status >= 300 {
-			r.queueHint(b.name, h)
-			continue
+		switch {
+		case err != nil:
+			for _, rest := range pending[i:] {
+				r.queueHint(b.name, rest)
+			}
+			return
+		case status >= 300:
+			r.failures.Add(1)
+		default:
+			r.hintsDelivered.Add(1)
 		}
-		r.hintsDelivered.Add(1)
 	}
 }
 

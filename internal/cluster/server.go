@@ -306,7 +306,7 @@ func (s *clusterServer) proxyEvents(w http.ResponseWriter, r *http.Request) {
 		writeRouted(w, backendDown(b, "%v", err))
 		return
 	}
-	b.brk.success() // the backend answered; the stream itself may run for hours
+	b.reqFails.Store(0) // the backend answered; the stream itself may run for hours
 	defer resp.Body.Close()
 	echoBackendRequestID(w, resp.Header)
 	if resp.StatusCode != http.StatusOK {

@@ -244,7 +244,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 		e.updateWatermark()
 		if e.overloaded.Load() {
 			e.metrics.jobsShed.Add(1)
-			e.metrics.tenantShed.With(spec.Tenant, "overloaded").Add(1)
+			e.sched.shed(spec.Tenant, "overloaded")
 			e.log.Warn("job shed", "kind", spec.Kind, "circuit", spec.Circuit, "tenant", spec.Tenant,
 				"queue_depth", e.sched.len(), "watermark", e.cfg.ShedWatermark)
 			return nil, ErrOverloaded
@@ -256,11 +256,11 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 		switch {
 		case errors.Is(err, ErrQuotaExceeded):
 			e.metrics.jobsShed.Add(1)
-			e.metrics.tenantShed.With(spec.Tenant, "quota").Add(1)
+			e.sched.shed(spec.Tenant, "quota")
 			e.log.Warn("job shed", "kind", spec.Kind, "circuit", spec.Circuit,
 				"tenant", spec.Tenant, "reason", "quota")
 		case errors.Is(err, ErrBusy):
-			e.metrics.tenantShed.With(spec.Tenant, "queue_full").Add(1)
+			e.sched.shed(spec.Tenant, "queue_full")
 		}
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -407,4 +408,69 @@ func TestIdleTenantsLeave(t *testing.T) {
 		t.Errorf("%d pdfd_tenant_ rows name departed tenants, want 0", stale)
 	}
 	t.Logf("%d pdfd_tenant_ exposition rows", rows)
+}
+
+// A submission shed at the watermark under a name the scheduler does
+// not hold leaves no per-tenant row: removeLocked could never drop it.
+// The shed still counts in pdfd_jobs_shed_total, and a held tenant's
+// shed keeps its row.
+func TestShedUnheldTenantLeavesNoRow(t *testing.T) {
+	const n = 100
+	running, release := make(chan struct{}, 1), make(chan struct{})
+	e := New(Config{Workers: 1, ShedWatermark: 1, Injector: InjectorFunc(func(ctx context.Context, site Site, id string) error {
+		if site != SiteRun {
+			return nil
+		}
+		running <- struct{}{}
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})})
+	defer e.Close()
+	defer close(release)
+	held := s27Spec(KindGenerate)
+	held.NoCache = true
+	if _, err := e.Submit(held); err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	// The worker holds the first job; the second queues and trips the
+	// watermark.
+	if _, err := e.Submit(held); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		spec := s27Spec(KindGenerate)
+		spec.Tenant = fmt.Sprintf("anon-%d", i)
+		if _, err := e.Submit(spec); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("submission %d: %v, want ErrOverloaded", i, err)
+		}
+	}
+	if _, err := e.Submit(s27Spec(KindGenerate)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("default-tenant submission: %v, want ErrOverloaded", err)
+	}
+	var expo strings.Builder
+	if err := e.Registry().WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	stale := 0
+	for _, line := range strings.Split(expo.String(), "\n") {
+		if strings.HasPrefix(line, "pdfd_tenant_") && strings.Contains(line, `tenant="anon-`) {
+			stale++
+		}
+	}
+	if stale > 0 {
+		t.Errorf("%d pdfd_tenant_ rows name tenants the scheduler never held, want 0", stale)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("pdfd_jobs_shed_total %d\n", n+1),
+		`pdfd_tenant_shed_total{tenant="default",reason="overloaded"} 1` + "\n",
+	} {
+		if !strings.Contains(expo.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
 }

@@ -244,6 +244,19 @@ func (s *sched) removeLocked(name string) {
 	}
 }
 
+// shed counts a submission shed at submit time in its tenant's
+// pdfd_tenant_shed_total row, but only while the scheduler holds the
+// tenant: removeLocked drops rows under the same mutex, so a row
+// written for a tenant it never held, or already let go, would never
+// leave.
+func (s *sched) shed(tenant, reason string) {
+	s.mu.Lock()
+	if s.tenants[tenant] != nil {
+		s.metrics.tenantShed.With(tenant, reason).Add(1)
+	}
+	s.mu.Unlock()
+}
+
 // len returns the total queued-job count across all tenants.
 func (s *sched) len() int { return int(s.depth.Load()) }
 

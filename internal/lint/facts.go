@@ -566,7 +566,7 @@ func (fw *factWalker) clauses(body *ast.BlockStmt, held lockState) {
 
 // literal walks a function literal as its own frame with an empty
 // held-set. A non-go literal may run synchronously (deferred,
-// immediately invoked, passed to retry.Do): its calls count for the
+// immediately invoked, passed as a callback): its calls count for the
 // enclosing summary — when it actually runs is unknown, hence the
 // empty held-set. A goroutine body is walked async.
 func (fw *factWalker) literal(lit *ast.FuncLit, async bool) {

@@ -6,7 +6,7 @@ import (
 )
 
 // AnalyzerGoFunc enforces goroutine hygiene in the long-lived
-// packages (engine, events, journal, retry, obs): every `go`
+// packages (cluster, engine, events, journal, obs): every `go`
 // statement must be cancelable or tracked — the spawned function
 // takes or captures a context.Context, or its lifetime is accounted
 // for by a sync.WaitGroup (Add before the spawn / Done inside the

@@ -246,7 +246,6 @@ func DefaultConfig() *Config {
 			"repro/internal/engine",
 			"repro/internal/events",
 			"repro/internal/journal",
-			"repro/internal/retry",
 			"repro/internal/obs",
 		},
 		EnginePkgs: []string{
