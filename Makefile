@@ -64,11 +64,14 @@ chaos:
 # The cluster chaos suite: partitions, injected error rates and backend
 # death via the chaosnet fault-injecting transport, pinning no-job-lost,
 # request-driven down and recovery, replication and hinted handoff
-# (including hints flushed on a healthy probe) — plus the durable
-# store's kill -9 warm-restart acceptance test.
+# (including hints flushed on a healthy probe); the streamed relay's
+# bounds (an over-long reply cut at durable.MaxPayload with the heap
+# flat, an SSE connect that never answers failing at the request
+# timeout) — plus the durable store's kill -9 warm-restart acceptance
+# test.
 chaos-cluster:
 	$(GO) test -race ./internal/chaosnet/
-	$(GO) test -race -count=1 -run 'TestChaos' -v ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestChaos|TestClusterOverlongReplyNamesBound|TestClusterSSEConnectDeadline' -v ./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestPDFDStoreWarmRestart' -v ./internal/cli/
 
 # Observability smoke: boot pdfd, run a compacted c17 job, assert the

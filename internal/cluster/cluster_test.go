@@ -648,3 +648,44 @@ func TestClusterPlacementFollowsHealth(t *testing.T) {
 		t.Fatalf("ring nodes with one backend draining = %s, want 3", got)
 	}
 }
+
+// Tenant names a client invents get no per-tenant routing row: 200
+// submissions under distinct anonymous names leave only the rows of
+// the default tenant and the roster's, while every one counts in
+// jobs_routed_total.
+func TestClusterInventedTenantsLeaveNoRow(t *testing.T) {
+	const n = 200
+	bsrv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+		engine.WriteJSON(w, http.StatusAccepted, engine.JobView{ID: "b0/j1", Status: engine.StatusQueued})
+	})
+	c, srv := coordinatorOver(t, bsrv.URL, Config{Tenants: []engine.TenantConfig{{Name: "gold"}}})
+	submitVia(t, srv.URL, enrichSpec(1))
+	gold := enrichSpec(1)
+	gold.Tenant = "gold"
+	submitVia(t, srv.URL, gold)
+	for i := 0; i < n; i++ {
+		spec := enrichSpec(1)
+		spec.Tenant = fmt.Sprintf("anon-%d", i)
+		submitVia(t, srv.URL, spec)
+	}
+	var buf bytes.Buffer
+	if err := c.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "pdfd_cluster_tenant_routed_total{") {
+			rows = append(rows, line)
+		}
+	}
+	want := []string{
+		`pdfd_cluster_tenant_routed_total{tenant="default",affinity="owner"} 1`,
+		`pdfd_cluster_tenant_routed_total{tenant="gold",affinity="owner"} 1`,
+	}
+	if strings.Join(rows, "\n") != strings.Join(want, "\n") {
+		t.Errorf("tenant routing rows = %q, want %q", rows, want)
+	}
+	if got, want := sample(t, c, `pdfd_cluster_jobs_routed_total{backend="b0",affinity="owner"}`), fmt.Sprint(n+2); got != want {
+		t.Errorf("jobs routed = %s, want %s", got, want)
+	}
+}

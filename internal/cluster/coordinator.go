@@ -23,10 +23,11 @@
 //     request histograms, all on the coordinator's /v1/metrics.
 //
 // Job IDs become routable: the coordinator returns "{backend}/{id}"
-// and proxies GET /v1/jobs/{backend}/{id} (and /trace, /events SSE)
-// to the owning backend. POST /v1/jobs:batch fans a job list across
-// the fleet and reports per-job accept/shed outcomes. See server.go
-// for the HTTP surface and API.md for the contract.
+// and streams GET and DELETE /v1/jobs/{backend}/{id} (and /trace,
+// /events SSE) through from the owning backend, never holding a
+// reply. POST /v1/jobs:batch fans a job list across the fleet and
+// reports per-job accept/shed outcomes. See server.go for the HTTP
+// surface and API.md for the contract.
 package cluster
 
 import (
@@ -39,6 +40,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -105,8 +107,10 @@ type Config struct {
 	// nil uses a pooled default.
 	Transport http.RoundTripper
 
-	// RequestTimeout bounds one proxied (non-SSE) backend request;
-	// 0 uses 30s. A forwarded long-poll waits at most half of it (see
+	// RequestTimeout bounds one of the coordinator's own backend
+	// requests, and the wait for a proxied reply's headers (SSE
+	// included; the body then runs as long as the client stays); 0
+	// uses 30s. A forwarded long-poll waits at most half of it (see
 	// maxWait).
 	RequestTimeout time.Duration
 
@@ -434,10 +438,14 @@ func (c *Coordinator) routeSubmit(ctx context.Context, spec engine.Spec, digest 
 // and the replication hook — once the job is acknowledged, a watcher
 // follows it to completion and copies the result to the replica set
 // (no-op when replication is disabled or the spec bypasses the cache).
+// Only the default tenant and the roster's names get a tenant row, so
+// names clients invent cannot grow the exposition.
 func (c *Coordinator) admit(res SubmitResult, route Route, digest string, noCache bool, tenant string) SubmitResult {
 	res.Route = route
 	c.metrics.routed.With(route.Backend, route.Affinity).Inc()
-	c.metrics.tenantRouted.With(tenant, route.Affinity).Inc()
+	if tenant == engine.DefaultTenant || slices.ContainsFunc(c.cfg.Tenants, func(t engine.TenantConfig) bool { return t.Name == tenant }) {
+		c.metrics.tenantRouted.With(tenant, route.Affinity).Inc()
+	}
 	if c.repl != nil && !noCache {
 		c.repl.watch(route.Backend, strings.TrimPrefix(res.View.ID, route.Backend+"/"), digest)
 	}
@@ -498,7 +506,8 @@ func (c *Coordinator) maxWait() time.Duration {
 	return max(c.cfg.RequestTimeout/2, 50*time.Millisecond)
 }
 
-// do performs one proxied request against b under the request timeout
+// do performs one of the coordinator's own small requests against b
+// (submit, replication, hints, trace fetch) under the request timeout
 // and reads its reply, which must fit durable.MaxPayload. A transport
 // failure (no HTTP response, or a reply cut short) counts against b.
 func (c *Coordinator) do(ctx context.Context, b *backend, method, path, route string, body []byte, hdr http.Header) (int, []byte, http.Header, error) {

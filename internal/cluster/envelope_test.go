@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,11 +221,15 @@ func TestClusterLongPollCappedByRequestTimeout(t *testing.T) {
 	}
 }
 
-// A backend reply longer than durable.MaxPayload fails with an error
-// naming the bound instead of being cut short.
+// A backend reply longer than durable.MaxPayload never reaches the
+// client whole. One that declares its length answers 502 backend_down
+// naming the bound before a byte is written. A chunked one is streamed
+// up to the bound and then cut: the client's connection is aborted, the
+// backend is charged one failure, and the coordinator's heap does not
+// grow with the reply.
 func TestClusterOverlongReplyNamesBound(t *testing.T) {
-	bsrv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+	// overlong writes MaxPayload+1 bytes in 64 KiB chunks.
+	overlong := func(w http.ResponseWriter) {
 		chunk := bytes.Repeat([]byte(" "), 1<<16)
 		for n := 0; n < durable.MaxPayload; n += len(chunk) {
 			if _, err := w.Write(chunk); err != nil {
@@ -231,17 +237,104 @@ func TestClusterOverlongReplyNamesBound(t *testing.T) {
 			}
 		}
 		w.Write([]byte(" "))
+	}
+	t.Run("declared", func(t *testing.T) {
+		bsrv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Length", strconv.Itoa(durable.MaxPayload+1))
+			overlong(w)
+		})
+		_, srv := coordinatorOver(t, bsrv.URL, Config{})
+		got := call(t, http.MethodGet, srv.URL+"/v1/jobs/b0/j1", nil)
+		var env struct {
+			Error engine.APIError `json:"error"`
+		}
+		if got.status != http.StatusBadGateway || json.Unmarshal(got.body, &env) != nil || env.Error.Code != CodeBackendDown {
+			t.Fatalf("over-long reply = %d: %s, want 502 backend_down", got.status, got.body)
+		}
+		if !strings.Contains(env.Error.Message, strconv.Itoa(durable.MaxPayload)) {
+			t.Fatalf("message %q does not name the %d-byte bound", env.Error.Message, durable.MaxPayload)
+		}
 	})
-	_, srv := coordinatorOver(t, bsrv.URL, Config{})
-	got := call(t, http.MethodGet, srv.URL+"/v1/jobs/b0/j1", nil)
+	t.Run("chunked", func(t *testing.T) {
+		bsrv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			http.NewResponseController(w).Flush() // no declared length
+			overlong(w)
+		})
+		c, srv := coordinatorOver(t, bsrv.URL, Config{HealthInterval: time.Hour})
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		base := ms.HeapInuse
+		var peak atomic.Uint64
+		stop := make(chan struct{})
+		sampled := make(chan struct{})
+		go func() {
+			defer close(sampled)
+			var ms runtime.MemStats
+			for {
+				runtime.ReadMemStats(&ms)
+				if ms.HeapInuse > peak.Load() {
+					peak.Store(ms.HeapInuse)
+				}
+				select {
+				case <-stop:
+					return
+				case <-time.After(2 * time.Millisecond):
+				}
+			}
+		}()
+		resp, err := http.Get(srv.URL + "/v1/jobs/b0/j1")
+		if err != nil {
+			close(stop)
+			t.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		close(stop)
+		<-sampled
+		if grew := int64(peak.Load()) - int64(base); grew >= 16<<20 {
+			t.Errorf("heap in use grew by %d bytes during the transfer, want under 16 MiB", grew)
+		}
+		if resp.StatusCode != http.StatusOK || err == nil || n > durable.MaxPayload {
+			t.Fatalf("over-long chunked reply = %d, %d bytes, read error %v; want 200, at most %d bytes, then an aborted connection",
+				resp.StatusCode, n, err, durable.MaxPayload)
+		}
+		if got := sample(t, c, `pdfd_cluster_backend_errors_total{backend="b0"}`); got != "1" {
+			t.Errorf("backend errors = %s, want 1", got)
+		}
+	})
+}
+
+// An SSE connect to a backend that never sends its headers answers
+// 502 backend_down within RequestTimeout, charged to the backend.
+func TestClusterSSEConnectDeadline(t *testing.T) {
+	bsrv := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	})
+	const timeout = 200 * time.Millisecond
+	c, srv := coordinatorOver(t, bsrv.URL, Config{RequestTimeout: timeout, HealthInterval: time.Hour})
+	client := &http.Client{Timeout: 10 * time.Second}
+	start := time.Now()
+	resp, err := client.Get(srv.URL + "/v1/jobs/b0/j1/events")
+	if err != nil {
+		t.Fatalf("SSE connect to a silent backend: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	elapsed := time.Since(start)
 	var env struct {
 		Error engine.APIError `json:"error"`
 	}
-	if got.status != http.StatusBadGateway || json.Unmarshal(got.body, &env) != nil || env.Error.Code != CodeBackendDown {
-		t.Fatalf("over-long reply = %d: %s, want 502 backend_down", got.status, got.body)
+	if resp.StatusCode != http.StatusBadGateway || json.Unmarshal(body, &env) != nil || env.Error.Code != CodeBackendDown {
+		t.Fatalf("SSE connect to a silent backend = %d: %s, want 502 backend_down", resp.StatusCode, body)
 	}
-	if !strings.Contains(env.Error.Message, strconv.Itoa(durable.MaxPayload)) {
-		t.Fatalf("message %q does not name the %d-byte bound", env.Error.Message, durable.MaxPayload)
+	if elapsed > timeout+time.Second {
+		t.Errorf("answered after %v, want about the %v request timeout", elapsed, timeout)
+	}
+	if b, _ := c.backendFor("b0"); b.reqFails.Load() != 1 {
+		t.Errorf("missed deadline left %d request failures, want 1", b.reqFails.Load())
 	}
 }
 
@@ -283,9 +376,10 @@ func TestClusterCallerCancelNotCounted(t *testing.T) {
 }
 
 // A backend that answers headers and then breaks mid-body fails every
-// request: it goes down after the threshold. Its probes are cut the
-// same way, so no successful probe can bring it back meanwhile.
-func TestClusterMidBodyFailureOpensBreaker(t *testing.T) {
+// read: the client's read fails rather than ending early and cleanly,
+// and 3 cut replies mark the backend down. Its probes are cut the same
+// way, so no successful probe can bring it back meanwhile.
+func TestClusterMidBodyFailureMarksDown(t *testing.T) {
 	bsrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", "1024")
 		w.WriteHeader(http.StatusOK)
@@ -296,8 +390,13 @@ func TestClusterMidBodyFailureOpensBreaker(t *testing.T) {
 	t.Cleanup(bsrv.Close)
 	c, srv := coordinatorOver(t, bsrv.URL, Config{HealthInterval: time.Hour})
 	for i := 0; i < 3; i++ {
-		if got := call(t, http.MethodGet, srv.URL+"/v1/jobs/b0/j1", nil); got.status != http.StatusBadGateway {
-			t.Fatalf("read cut mid-body = %d: %s", got.status, got.body)
+		resp, err := http.Get(srv.URL + "/v1/jobs/b0/j1")
+		if err == nil {
+			body, rerr := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if rerr == nil {
+				t.Fatalf("read cut mid-body = %d: %q read as complete", resp.StatusCode, body)
+			}
 		}
 	}
 	if b, _ := c.backendFor("b0"); b.State() != StateDown {

@@ -13,7 +13,8 @@ type metrics struct {
 	// (owner / failover / spillover).
 	routed *obs.CounterVec
 	// tenantRouted counts accepted submissions by tenant and affinity
-	// — the fleet-level mirror of the engines' pdfd_tenant_* families.
+	// — the fleet-level mirror of the engines' pdfd_tenant_* families —
+	// for the default tenant and the roster's names only (see admit).
 	tenantRouted *obs.CounterVec
 	// sheds counts 503 answers to forwarded submissions, per backend.
 	sheds *obs.CounterVec

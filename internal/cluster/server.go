@@ -2,15 +2,18 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/engine"
 )
 
@@ -98,10 +101,10 @@ func NewServer(c *Coordinator) http.Handler {
 	mux := engine.Mux{ServeMux: http.NewServeMux(), Logger: c.cfg.Logger, Metrics: c.httpMetrics, Auth: s.auth}
 	mux.Route("POST /v1/jobs", "jobs.submit", edge(s.submit))
 	mux.Route("POST /v1/jobs:batch", "jobs.batch", edge(s.batch))
-	mux.Route("GET /v1/jobs/{backend}/{id}", "jobs.get", edge(s.proxyGet))
-	mux.Route("DELETE /v1/jobs/{backend}/{id}", "jobs.cancel", edge(s.proxyCancel))
-	mux.Route("GET /v1/jobs/{backend}/{id}/trace", "jobs.trace", edge(s.proxyTrace))
-	mux.Route("GET /v1/jobs/{backend}/{id}/events", "jobs.events", edge(s.proxyEvents))
+	mux.Route("GET /v1/jobs/{backend}/{id}", "jobs.get", edge(s.proxy("", "jobs.get")))
+	mux.Route("DELETE /v1/jobs/{backend}/{id}", "jobs.cancel", edge(s.proxy("", "jobs.cancel")))
+	mux.Route("GET /v1/jobs/{backend}/{id}/trace", "jobs.trace", edge(s.proxy("/trace", "jobs.trace")))
+	mux.Route("GET /v1/jobs/{backend}/{id}/events", "jobs.events", edge(s.proxy("/events", "jobs.events")))
 	mux.Route("GET /v1/traces/{trace_id}", "traces.get", edge(s.tracesGet))
 	mux.Open("GET /v1/healthz", "healthz", s.healthz)
 	mux.Open("GET /v1/metrics", "metrics", c.registry.ServeHTTP)
@@ -211,128 +214,131 @@ func (s *clusterServer) submitOne(r *http.Request, i int, spec engine.Spec) Batc
 	return item
 }
 
-// resolve maps the {backend}/{id} path values to the backend and its
-// local job ID, answering 404 itself when the backend name is unknown.
-func (s *clusterServer) resolve(w http.ResponseWriter, r *http.Request) (*backend, string, bool) {
-	name := r.PathValue("backend")
-	b, ok := s.c.backendFor(name)
-	if !ok {
-		writeRouted(w, &RoutedError{Status: http.StatusNotFound, Code: engine.CodeNotFound, Message: "unknown backend " + strconv.Quote(name)})
-		return nil, "", false
-	}
-	return b, r.PathValue("id"), true
-}
+// copyBufs holds the buffers proxied replies are copied through: most
+// are small job views, which a fresh 32 KiB buffer apiece would dwarf.
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 
-// proxyGet relays GET /v1/jobs/{id} from the owning backend. Query
-// parameters pass through, but a ?wait= past maxWait is cut to it, so
-// a long-poll answers the current view instead of timing out (and
-// counting against the backend). Down backends are still attempted — they may be back
-// before the next health probe — and fail with backend_down if not.
-func (s *clusterServer) proxyGet(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if d, err := time.ParseDuration(q.Get("wait")); err == nil && d > s.c.maxWait() {
-		q.Set("wait", s.c.maxWait().String())
-		r.URL.RawQuery = q.Encode()
-	}
-	suffix := ""
-	if r.URL.RawQuery != "" {
-		suffix = "?" + r.URL.RawQuery
-	}
-	s.relay(w, r, http.MethodGet, suffix, "jobs.get")
-}
-
-func (s *clusterServer) proxyCancel(w http.ResponseWriter, r *http.Request) {
-	s.relay(w, r, http.MethodDelete, "", "jobs.cancel")
-}
-
-func (s *clusterServer) proxyTrace(w http.ResponseWriter, r *http.Request) {
-	s.relay(w, r, http.MethodGet, "/trace", "jobs.trace")
-}
-
-// relay forwards method /v1/jobs/{id}<suffix> to the job's backend and
-// answers with its reply: 502 backend_down when the backend cannot be
-// reached, a non-200 reply as the backend's error, otherwise the
-// reply's bytes as they came, the job IDs in it already routable (see
-// engine.JobPrefixHeader). The backend's request ID is echoed once the
-// backend answered.
-func (s *clusterServer) relay(w http.ResponseWriter, r *http.Request, method, suffix, route string) {
-	b, id, ok := s.resolve(w, r)
-	if !ok {
-		return
-	}
-	status, body, hdr, err := s.c.do(r.Context(), b, method, "/v1/jobs/"+id+suffix, route, nil, nil)
-	if err != nil {
-		writeRouted(w, backendDown(b, "%v", err))
-		return
-	}
-	echoBackendRequestID(w, hdr)
-	if status != http.StatusOK {
-		writeRouted(w, backendError(b, status, body))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-}
-
-// proxyEvents streams the backend's SSE feed through to the client,
-// byte for byte, flushing per chunk. The standard Last-Event-ID header
-// (and the ?after= query alias) pass through, so a client that
-// reconnects through the coordinator resumes exactly where it left
-// off. The stream runs on the client's request context — no timeout —
-// and ends when the backend closes (terminal event), the client
-// disconnects, or the backend connection drops. The connect counts
-// against the backend like any proxied request.
-func (s *clusterServer) proxyEvents(w http.ResponseWriter, r *http.Request) {
-	b, id, ok := s.resolve(w, r)
-	if !ok {
-		return
-	}
-	u := b.baseURL + "/v1/jobs/" + id + "/events"
-	if r.URL.RawQuery != "" {
-		u += "?" + r.URL.RawQuery
-	}
-	req, err := s.c.newOutboundRequest(r.Context(), http.MethodGet, u, nil)
-	if err != nil {
-		writeRouted(w, backendDown(b, "%v", err))
-		return
-	}
-	if lid := r.Header.Get("Last-Event-ID"); lid != "" {
-		req.Header.Set("Last-Event-ID", lid)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := s.c.send(r.Context(), b, req, "jobs.events")
-	if err != nil {
-		writeRouted(w, backendDown(b, "%v", err))
-		return
-	}
-	b.reqFails.Store(0) // the backend answered; the stream itself may run for hours
-	defer resp.Body.Close()
-	echoBackendRequestID(w, resp.Header)
-	if resp.StatusCode != http.StatusOK {
-		// An error envelope is small; a cut-short reply does not decode
-		// and answers as unreadable.
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		writeRouted(w, backendError(b, resp.StatusCode, body))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	rc.Flush()
-	buf := make([]byte, 4096)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			rc.Flush()
-		}
-		if rerr != nil {
+// proxy returns the handler of one proxied job route. It forwards the
+// method, query and Last-Event-ID to /v1/jobs/{id}<suffix> on the
+// job's backend (a ?wait= past maxWait cut to it, so a long-poll
+// answers before the deadline) and answers the backend's reply, its
+// job IDs already routable (see engine.JobPrefixHeader). Down backends
+// are still tried: they may be back before the next probe.
+//
+// RequestTimeout bounds the wait for the reply's headers; the body then
+// runs under the client's context. No reply in time, or one declaring
+// more than durable.MaxPayload, answers 502 backend_down; a non-200
+// one answers as the backend's error; a 200 one is streamed.
+func (s *clusterServer) proxy(suffix, route string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		b, ok := s.c.backendFor(r.PathValue("backend"))
+		if !ok {
+			writeRouted(w, &RoutedError{Status: http.StatusNotFound, Code: engine.CodeNotFound,
+				Message: "unknown backend " + strconv.Quote(r.PathValue("backend"))})
 			return
+		}
+		u := b.baseURL + "/v1/jobs/" + r.PathValue("id") + suffix
+		if r.URL.RawQuery != "" {
+			q := r.URL.Query()
+			if d, err := time.ParseDuration(q.Get("wait")); err == nil && d > s.c.maxWait() {
+				q.Set("wait", s.c.maxWait().String())
+				r.URL.RawQuery = q.Encode()
+			}
+			u += "?" + r.URL.RawQuery
+		}
+		ctx, cancel := context.WithCancelCause(r.Context())
+		defer cancel(nil)
+		req, err := s.c.newOutboundRequest(ctx, r.Method, u, nil)
+		if err != nil {
+			writeRouted(w, backendDown(b, "%v", err))
+			return
+		}
+		if lid := r.Header.Get("Last-Event-ID"); lid != "" {
+			req.Header.Set("Last-Event-ID", lid)
+		}
+		timer := time.AfterFunc(s.c.cfg.RequestTimeout, func() { cancel(context.DeadlineExceeded) })
+		resp, err := s.c.send(r.Context(), b, req, route)
+		if !timer.Stop() && err == nil { // the deadline fired as the headers arrived
+			resp.Body.Close()
+			s.c.noteFailure(r.Context(), b)
+			err = context.DeadlineExceeded
+		}
+		if err != nil {
+			writeRouted(w, backendDown(b, "%v", err))
+			return
+		}
+		defer resp.Body.Close()
+		// One proxied request can be chased through both access logs.
+		if rid := resp.Header.Get("X-Request-ID"); rid != "" {
+			w.Header().Set("X-Pdfd-Backend-Request-ID", rid)
+		}
+		if resp.StatusCode != http.StatusOK {
+			// An error envelope is small; a cut-short one does not
+			// decode and answers as unreadable.
+			body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+			if err != nil {
+				s.c.noteFailure(r.Context(), b)
+			} else {
+				b.reqFails.Store(0)
+			}
+			writeRouted(w, backendError(b, resp.StatusCode, body))
+			return
+		}
+		if resp.ContentLength > durable.MaxPayload {
+			s.c.noteFailure(r.Context(), b)
+			writeRouted(w, backendDown(b, "reply of %d bytes exceeds the %d-byte bound", resp.ContentLength, durable.MaxPayload))
+			return
+		}
+		s.stream(r.Context(), w, b, route, resp)
+	}
+}
+
+// stream copies a 200 reply to the client as it arrives, flushing
+// after each chunk of an SSE stream, and clears b's request failures
+// at its clean end. A reply that runs past durable.MaxPayload is cut
+// at the bound, and one the backend cuts short ends there: either
+// counts against b (unless the client's ctx ended first) and aborts
+// the client's connection, so no client reads a cut body as whole.
+func (s *clusterServer) stream(ctx context.Context, w http.ResponseWriter, b *backend, route string, resp *http.Response) {
+	for _, k := range [...]string{"Content-Type", "Cache-Control", "X-Accel-Buffering"} {
+		if v := resp.Header.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
+	}
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
+	w.WriteHeader(http.StatusOK)
+	var rc *http.ResponseController
+	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
+		rc = http.NewResponseController(w)
+		rc.Flush()
+	}
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	for total := int64(0); ; {
+		n, err := resp.Body.Read(*bp)
+		if total += int64(n); total > durable.MaxPayload {
+			w.Write((*bp)[:n-int(total-durable.MaxPayload)])
+			s.c.log.Warn("proxied reply cut at the bound", "backend", b.name, "route", route, "bound", durable.MaxPayload)
+			s.c.noteFailure(ctx, b)
+			panic(http.ErrAbortHandler)
+		}
+		if n > 0 {
+			if _, werr := w.Write((*bp)[:n]); werr != nil {
+				return // the client went away
+			}
+			if rc != nil {
+				rc.Flush()
+			}
+		}
+		if err == io.EOF {
+			b.reqFails.Store(0)
+			return
+		}
+		if err != nil {
+			s.c.noteFailure(ctx, b)
+			panic(http.ErrAbortHandler)
 		}
 	}
 }
@@ -359,15 +365,6 @@ func (s *clusterServer) tracesGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	engine.WriteJSON(w, http.StatusOK, s.c.AssembleTrace(r.Context(), rt))
-}
-
-// echoBackendRequestID relays the backend's request ID beside the
-// coordinator's own X-Request-ID, so one proxied request can be chased
-// through both access logs.
-func echoBackendRequestID(w http.ResponseWriter, hdr http.Header) {
-	if id := hdr.Get("X-Request-ID"); id != "" {
-		w.Header().Set("X-Pdfd-Backend-Request-ID", id)
-	}
 }
 
 // writeRouted answers a failure in the engine's envelope.

@@ -289,7 +289,7 @@ func run(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultCondition
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now() //lint:telemetry feeds Result.Elapsed only, never a generation decision
+	start := time.Now() //lint:ignore timenow feeds Result.Elapsed only, never a generation decision
 	g := newGenerator(ctx, c, sets, cfg)
 	res := &Result{}
 	res.SecondaryAcceptsBySet, res.SecondaryRejectsBySet = make([]int, g.k), make([]int, g.k)
@@ -319,7 +319,7 @@ func run(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultCondition
 			res.DetectedCount++
 		}
 	}
-	res.Elapsed = time.Since(start) //lint:telemetry wall-clock report, not part of the digest
+	res.Elapsed = time.Since(start) //lint:ignore timenow wall-clock report, not part of the digest
 	res.JustifyStats = g.just.stats()
 	return res, ctx.Err()
 }

@@ -79,7 +79,7 @@ func TestGeneratePerSetTallies(t *testing.T) {
 }
 
 // The one pair of wall-clock reads, in the generation loop that
-// Generate and EnrichK share, is annotated //lint:telemetry: it may
+// Generate and EnrichK share, carries //lint:ignore timenow: it may
 // feed the Elapsed field and nothing else.
 // This pins that invariant — two same-seed runs must be deep-equal in
 // every field once Elapsed is zeroed, so the clock demonstrably never

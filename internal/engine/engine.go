@@ -243,10 +243,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 	if e.cfg.ShedWatermark > 0 {
 		e.updateWatermark()
 		if e.overloaded.Load() {
-			e.metrics.jobsShed.Add(1)
-			e.sched.shed(spec.Tenant, "overloaded")
-			e.log.Warn("job shed", "kind", spec.Kind, "circuit", spec.Circuit, "tenant", spec.Tenant,
-				"queue_depth", e.sched.len(), "watermark", e.cfg.ShedWatermark)
+			e.shed(spec, "overloaded")
 			return nil, ErrOverloaded
 		}
 	}
@@ -255,12 +252,9 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQuotaExceeded):
-			e.metrics.jobsShed.Add(1)
-			e.sched.shed(spec.Tenant, "quota")
-			e.log.Warn("job shed", "kind", spec.Kind, "circuit", spec.Circuit,
-				"tenant", spec.Tenant, "reason", "quota")
+			e.shed(spec, "quota")
 		case errors.Is(err, ErrBusy):
-			e.sched.shed(spec.Tenant, "queue_full")
+			e.shed(spec, "queue_full")
 		}
 		return nil, err
 	}
@@ -272,6 +266,17 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 		e.journalAppend(journal.Record{Op: journal.OpSubmitted, JobID: j.id, Seq: j.seq, Spec: marshalSpec(spec)})
 	}
 	return j, nil
+}
+
+// shed records one submission shed at submit time for reason
+// (overloaded, quota or queue_full): pdfd_jobs_shed_total, the
+// tenant's pdfd_tenant_shed_total row while the scheduler holds the
+// tenant (sched.shed), and one "job shed" warning.
+func (e *Engine) shed(spec Spec, reason string) {
+	e.metrics.jobsShed.Add(1)
+	e.sched.shed(spec.Tenant, reason)
+	e.log.Warn("job shed", "kind", spec.Kind, "circuit", spec.Circuit, "tenant", spec.Tenant,
+		"reason", reason, "queue_depth", e.sched.len())
 }
 
 // admit builds a queued job for a normalized spec, registers it and

@@ -474,3 +474,48 @@ func TestShedUnheldTenantLeavesNoRow(t *testing.T) {
 		}
 	}
 }
+
+// An anonymous-mode submission past the tenant queue bound (ErrBusy)
+// is a shed like the others: it counts in pdfd_jobs_shed_total beside
+// its tenant's queue_full row.
+func TestQueueFullShedCounts(t *testing.T) {
+	running, release := make(chan struct{}, 1), make(chan struct{})
+	e := New(Config{Workers: 1, QueueDepth: 1, Injector: InjectorFunc(func(ctx context.Context, site Site, id string) error {
+		if site != SiteRun {
+			return nil
+		}
+		running <- struct{}{}
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})})
+	defer e.Close()
+	defer close(release)
+	spec := s27Spec(KindGenerate)
+	spec.NoCache = true
+	if _, err := e.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	if _, err := e.Submit(spec); err != nil { // fills the one queue slot
+		t.Fatal(err)
+	}
+	if _, err := e.Submit(spec); !errors.Is(err, ErrBusy) {
+		t.Fatalf("third submission: %v, want ErrBusy", err)
+	}
+	var expo strings.Builder
+	if err := e.Registry().WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"pdfd_jobs_shed_total 1\n",
+		`pdfd_tenant_shed_total{tenant="default",reason="queue_full"} 1` + "\n",
+	} {
+		if !strings.Contains(expo.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+}

@@ -140,7 +140,7 @@ type Snapshot struct {
 	JobsDone      int64 `json:"jobs_done"`
 	JobsFailed    int64 `json:"jobs_failed"`
 	JobsCanceled  int64 `json:"jobs_canceled"`
-	// JobsShed counts submissions rejected past the shed watermark;
+	// JobsShed counts submissions shed at submit time, for any reason;
 	// JobPanics counts runs that panicked and were contained.
 	JobsShed  int64 `json:"jobs_shed"`
 	JobPanics int64 `json:"job_panics"`
@@ -184,7 +184,7 @@ func buildRegistry(e *Engine) *obs.Registry {
 		ctr("pdfd_jobs_done_total", "Jobs that reached status done.", &m.jobsDone),
 		ctr("pdfd_jobs_failed_total", "Jobs whose run failed or panicked.", &m.jobsFailed),
 		ctr("pdfd_jobs_canceled_total", "Jobs canceled before completing.", &m.jobsCanceled),
-		ctr("pdfd_jobs_shed_total", "Submissions rejected past the shed watermark.", &m.jobsShed),
+		ctr("pdfd_jobs_shed_total", "Submissions shed at submit time, for any reason (overloaded, quota or queue_full).", &m.jobsShed),
 		ctr("pdfd_job_panics_total", "Job runs that panicked and were contained.", &m.jobPanics),
 		ctr("pdfd_cache_hits_total", "Result cache hits.", &m.cacheHits),
 		ctr("pdfd_cache_misses_total", "Result cache misses.", &m.cacheMisses),

@@ -27,13 +27,14 @@ var randConstructors = map[string]bool{
 }
 
 // AnalyzerTimeNow flags time.Now and time.Since in the deterministic
-// packages unless the call site carries a //lint:telemetry annotation
-// (same line or the line above). Wall-clock reads are fine for spans
-// and Elapsed fields — and nothing else: a timestamp that leaks into
-// a generated test, ordering decision or digest makes replay diverge.
+// packages. Wall-clock reads are fine for spans and Elapsed fields —
+// and nothing else: a timestamp that leaks into a generated test,
+// ordering decision or digest makes replay diverge. An observational
+// read is kept with `//lint:ignore timenow <reason>`, like any other
+// suppression, so it shows in the report's suppression list.
 var AnalyzerTimeNow = &Analyzer{
 	Name: "timenow",
-	Doc:  "time.Now/time.Since outside //lint:telemetry call sites in a deterministic package",
+	Doc:  "time.Now/time.Since in a deterministic package",
 	Run:  runNondetSources,
 }
 
@@ -54,9 +55,9 @@ func runNondetSources(pass *Pass) {
 			case analyzer == "rand":
 				pass.Reportf(call.Pos(),
 					"%s: use a *rand.Rand seeded from Config.Seed so runs are reproducible", why)
-			case !telemetryAnnotated(pass.Pkg, file, pass.Pkg.Fset.Position(call.Pos()).Line):
+			default:
 				pass.Reportf(call.Pos(),
-					"%s in deterministic package %s: results must not depend on the wall clock (annotate //lint:telemetry if observational only)",
+					"%s in deterministic package %s: results must not depend on the wall clock (suppress with //lint:ignore timenow <reason> if observational only)",
 					why, pass.Pkg.PkgPath)
 			}
 			return true

@@ -118,23 +118,3 @@ func (s *ignoreSet) match(d Diagnostic) (string, bool) {
 	}
 	return dir.reason, true
 }
-
-// telemetryAnnotated reports whether the source line at the given
-// file:line, or the line directly above it, carries a
-// //lint:telemetry annotation — the marker that a time.Now call site
-// is observational only (spans, Elapsed fields, logs) and cannot
-// influence generated tests, digests or journal replay.
-func telemetryAnnotated(pkg *Package, file *ast.File, line int) bool {
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, "//lint:telemetry") {
-				continue
-			}
-			cl := pkg.Fset.Position(c.Pos()).Line
-			if cl == line || cl == line-1 {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -1,6 +1,6 @@
 // Package timenowfix is the pdflint fixture for the timenow analyzer:
-// wall-clock reads in deterministic packages need a //lint:telemetry
-// annotation proving they are observational only.
+// wall-clock reads in deterministic packages need a
+// //lint:ignore timenow directive saying why they are observational only.
 package timenowfix
 
 import "time"
@@ -27,9 +27,9 @@ func BadSince(start time.Time) time.Duration {
 
 // Good annotates the observational read.
 func Good() *Result {
-	start := time.Now() //lint:telemetry feeds Elapsed only
+	start := time.Now() //lint:ignore timenow feeds Elapsed only
 	res := &Result{Tests: []int{1}}
-	//lint:telemetry wall-clock report, not part of the digest
+	//lint:ignore timenow wall-clock report, not part of the digest
 	res.Elapsed = time.Since(start)
 	return res
 }

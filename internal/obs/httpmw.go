@@ -30,7 +30,8 @@ func NewHTTPMetrics(r *Registry, namePrefix string) *HTTPMetrics {
 	return m
 }
 
-// statusRecorder captures the response status for the access log.
+// statusRecorder captures the response status for the access log:
+// 200 until the handler writes another.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -39,13 +40,6 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
 }
 
 // Unwrap exposes the underlying writer to http.ResponseController, so
@@ -82,26 +76,27 @@ func Middleware(route string, log *slog.Logger, metrics *HTTPMetrics, next http.
 		if tc, ok := ParseTraceparent(r.Header.Get(TraceparentHeader)); ok {
 			ctx = WithTraceContext(ctx, tc)
 		}
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		// Deferred: a handler that aborts (panic(http.ErrAbortHandler))
+		// is still logged and counted, with the status it wrote.
+		defer func() {
+			elapsed := time.Since(start)
+			if metrics != nil {
+				metrics.Requests.With(route, r.Method, strconv.Itoa(rec.status)).Inc()
+				metrics.Duration.With(route).Observe(elapsed.Seconds())
+			}
+			if log != nil {
+				log.Info("http request",
+					"route", route,
+					"method", r.Method,
+					"path", r.URL.Path,
+					"status", rec.status,
+					"duration_ms", float64(elapsed)/float64(time.Millisecond),
+					"remote", r.RemoteAddr,
+					"request_id", reqID,
+				)
+			}
+		}()
 		next.ServeHTTP(rec, r.WithContext(ctx))
-		if rec.status == 0 {
-			rec.status = http.StatusOK
-		}
-		elapsed := time.Since(start)
-		if metrics != nil {
-			metrics.Requests.With(route, r.Method, strconv.Itoa(rec.status)).Inc()
-			metrics.Duration.With(route).Observe(elapsed.Seconds())
-		}
-		if log != nil {
-			log.Info("http request",
-				"route", route,
-				"method", r.Method,
-				"path", r.URL.Path,
-				"status", rec.status,
-				"duration_ms", float64(elapsed)/float64(time.Millisecond),
-				"remote", r.RemoteAddr,
-				"request_id", reqID,
-			)
-		}
 	})
 }

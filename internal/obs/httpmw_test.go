@@ -66,6 +66,32 @@ func TestMiddlewareImplicit200(t *testing.T) {
 	}
 }
 
+// A handler that aborts its connection after writing its status is
+// still logged and counted with that status; the abort goes on.
+func TestMiddlewareRecordsAbortedRequest(t *testing.T) {
+	reg := NewRegistry()
+	hm := NewHTTPMetrics(reg, "t3")
+	var logBuf bytes.Buffer
+	h := Middleware("jobs.events", NewLogger(&logBuf, "text", "info"), hm, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		panic(http.ErrAbortHandler)
+	}))
+	func() {
+		defer func() {
+			if p := recover(); p != http.ErrAbortHandler {
+				t.Errorf("recovered %v, want http.ErrAbortHandler to pass through", p)
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
+	}()
+	if v := hm.Requests.With("jobs.events", "GET", "200").Value(); v != 1 {
+		t.Errorf("aborted request counted %d times, want 1", v)
+	}
+	if !strings.Contains(logBuf.String(), "status=200") {
+		t.Errorf("aborted request not in the access log:\n%s", logBuf.String())
+	}
+}
+
 func TestNewLoggerLevels(t *testing.T) {
 	var b bytes.Buffer
 	log := NewLogger(&b, "json", "warn")
