@@ -21,10 +21,10 @@ fmt:
 # The project-invariant static analysis (internal/lint + cmd/pdflint):
 # determinism, lock discipline, goroutine hygiene, obs hygiene, plus
 # the interprocedural facts engine (lockorder, ctxflow, nondetflow,
-# closeleak). Nonzero exit on any finding; also emits pdflint.sarif
-# for CI code-scanning upload. See README "Static analysis".
+# closeleak). Prints each finding with its provenance chain; nonzero
+# exit on any finding. See README "Static analysis".
 lint:
-	$(GO) run ./cmd/pdflint -sarif pdflint.sarif ./...
+	$(GO) run ./cmd/pdflint ./...
 
 # The concurrency-bearing packages under the race detector (cheap;
 # always part of check). The list is derived from the module itself:

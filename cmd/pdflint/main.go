@@ -8,17 +8,21 @@
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 //
-// Findings are suppressed in place with
+// Each finding prints as file:line:col: [analyzer] message, with the
+// interprocedural provenance chain behind it (if any) indented
+// beneath, one frame per line. Findings are suppressed in place with
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// on the offending line or alone on the line above; reasons are
-// recorded in the output (always in -json, with -v in text mode).
+// on the offending line or alone on the line above; -v lists the
+// suppressions with their reasons.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,49 +31,38 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pdflint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		jsonOut = flag.Bool("json", false, "emit the machine-readable report (schema v2 in API.md)")
-		format  = flag.String("format", "", "output format: text, json, or sarif (overrides -json)")
-		sarifTo = flag.String("sarif", "", "also write a SARIF 2.1.0 report to this file")
-		enable  = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable = flag.String("disable", "", "comma-separated analyzers to skip")
-		list    = flag.Bool("list", false, "list analyzers and exit")
-		verbose = flag.Bool("v", false, "also print suppressed findings with their reasons")
-		root    = flag.String("root", "", "module root (default: walk up from cwd to go.mod)")
-		facts   = flag.Bool("facts", false, "dump the interprocedural per-function summaries and exit")
-		whyID   = flag.String("why", "", "print the propagation chain behind the finding with this id")
-		conc    = flag.Bool("concurrent", false, "print import paths of concurrency-bearing packages and exit (make race)")
+		list    = fs.Bool("list", false, "list analyzers and exit")
+		verbose = fs.Bool("v", false, "also print suppressed findings with their reasons")
+		root    = fs.String("root", "", "module root (default: walk up from cwd to go.mod)")
+		conc    = fs.Bool("concurrent", false, "print import paths of concurrency-bearing packages and exit (make race)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	switch *format {
-	case "", "text", "json", "sarif":
-	default:
-		fmt.Fprintf(os.Stderr, "pdflint: unknown -format %q (text, json, sarif)\n", *format)
-		return 2
-	}
-
-	analyzers, err := lint.Select(*enable, *disable)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
 	}
 
 	modRoot := *root
 	if modRoot == "" {
+		var err error
 		modRoot, err = findModuleRoot()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pdflint:", err)
+			fmt.Fprintln(stderr, "pdflint:", err)
 			return 2
 		}
 	}
@@ -77,7 +70,7 @@ func run() int {
 	// Package arguments: "./..." (or nothing) means the whole module;
 	// "./internal/core/..." or a plain directory restricts the walk.
 	var only []string
-	for _, arg := range flag.Args() {
+	for _, arg := range fs.Args() {
 		if arg == "./..." || arg == "..." {
 			only = nil
 			break
@@ -89,91 +82,23 @@ func run() int {
 
 	pkgs, err := lint.LoadModule(modRoot, &lint.LoadOptions{Only: only})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pdflint: load:", err)
+		fmt.Fprintln(stderr, "pdflint: load:", err)
 		return 2
 	}
 
 	if *conc {
 		for _, path := range lint.ConcurrentPackages(pkgs) {
-			fmt.Println(path)
+			fmt.Fprintln(stdout, path)
 		}
 		return 0
 	}
-	if *facts {
-		f := lint.BuildFacts(pkgs, lint.DefaultConfig())
-		f.Dump(os.Stdout, modRoot)
-		return 0
-	}
 
-	res := lint.Run(pkgs, analyzers, lint.DefaultConfig())
-	rep := res.Report(modRoot)
-
-	if *whyID != "" {
-		return explain(rep, *whyID)
-	}
-	if *sarifTo != "" {
-		sf, err := os.Create(*sarifTo)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pdflint:", err)
-			return 2
-		}
-		if err := rep.WriteSARIF(sf); err != nil {
-			sf.Close()
-			fmt.Fprintln(os.Stderr, "pdflint:", err)
-			return 2
-		}
-		if err := sf.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "pdflint:", err)
-			return 2
-		}
-	}
-
-	out := *format
-	if out == "" {
-		if *jsonOut {
-			out = "json"
-		} else {
-			out = "text"
-		}
-	}
-	switch out {
-	case "json":
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "pdflint:", err)
-			return 2
-		}
-	case "sarif":
-		if err := rep.WriteSARIF(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "pdflint:", err)
-			return 2
-		}
-	default:
-		rep.WriteText(os.Stdout, *verbose)
-	}
-	if !rep.Clean {
+	res := lint.Run(pkgs, lint.Analyzers(), lint.DefaultConfig())
+	res.WriteText(stdout, modRoot, *verbose)
+	if len(res.Diags) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// explain prints the provenance chain behind one finding (-why).
-func explain(rep *lint.JSONReport, id string) int {
-	for _, d := range rep.Diagnostics {
-		if d.ID != id {
-			continue
-		}
-		fmt.Printf("%s:%d:%d: [%s] %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
-		if len(d.Chain) == 0 {
-			fmt.Println("  (no interprocedural chain: intra-procedural finding)")
-			return 0
-		}
-		for i, f := range d.Chain {
-			fmt.Printf("  %d. %s (%s:%d)\n     %s\n", i+1, f.Func, f.File, f.Line, f.Note)
-		}
-		return 0
-	}
-	fmt.Fprintf(os.Stderr, "pdflint: no finding with id %q in this run (ids change when findings move)\n", id)
-	return 2
 }
 
 func findModuleRoot() (string, error) {

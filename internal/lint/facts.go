@@ -1,11 +1,9 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"maps"
 	"sort"
 	"strings"
@@ -1233,53 +1231,7 @@ func shortLock(key string) string {
 }
 
 // ---------------------------------------------------------------------------
-// Facts dump (pdflint -facts).
-
-// Dump writes every function summary in deterministic order — the
-// debugging view behind `pdflint -facts`.
-func (f *Facts) Dump(w io.Writer, root string) {
-	for _, n := range f.Graph.Nodes {
-		s := n.Summary
-		interesting := s.Blocking || len(s.Acquires) > 0 || s.TaintedReturn ||
-			len(s.CtxParams) > 0 || s.ClosesParams != 0 || len(s.Returns) > 0
-		if !interesting {
-			continue
-		}
-		pos := f.Fset.Position(n.Decl.Pos())
-		fmt.Fprintf(w, "%s\n  at %s:%d\n", shortKey(n.Key), relPath(root, pos.Filename), pos.Line)
-		if s.Blocking {
-			fmt.Fprintf(w, "  blocking: %s\n", s.BlockingWhy)
-		}
-		if len(s.Acquires) > 0 {
-			keys := make([]string, 0, len(s.Acquires))
-			for k := range s.Acquires {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for i := range keys {
-				keys[i] = shortLock(keys[i])
-			}
-			fmt.Fprintf(w, "  acquires: %s\n", strings.Join(keys, ", "))
-		}
-		if len(s.CtxParams) > 0 {
-			fmt.Fprintf(w, "  ctx params: %v\n", s.CtxParams)
-		}
-		if s.TaintedReturn {
-			fmt.Fprintf(w, "  tainted return: %s\n", s.TaintWhy)
-		}
-		if s.ParamToReturn != 0 {
-			fmt.Fprintf(w, "  param->return mask: %#x\n", s.ParamToReturn)
-		}
-		for i, kind := range s.Returns {
-			if kind != NoResource {
-				fmt.Fprintf(w, "  returns fresh %s (result %d)\n", kind, i)
-			}
-		}
-		if s.ClosesParams != 0 {
-			fmt.Fprintf(w, "  closes params mask: %#x\n", s.ClosesParams)
-		}
-	}
-}
+// Concurrency-bearing packages (pdflint -concurrent).
 
 // ConcurrentPackages returns the import paths of loaded packages that
 // bear concurrency — a go statement, channel operation, select, or a

@@ -28,7 +28,8 @@
 //	//lint:ignore <analyzer> <reason>
 //
 // on the offending line or the line above; the reason is recorded in
-// the run result (and in -json output) so suppressions stay auditable.
+// the run result (and listed by pdflint -v) so suppressions stay
+// auditable.
 package lint
 
 import (
@@ -64,36 +65,33 @@ type Package struct {
 
 // ChainFrame is one step of a diagnostic's provenance: the function a
 // propagated fact passed through and why. Interprocedural analyzers
-// attach the full call chain that produced a finding (JSON schema v2,
-// SARIF codeFlows, pdflint -why).
+// attach the full call chain that produced a finding; the text report
+// prints it under the finding.
 type ChainFrame struct {
 	// Func is the function key in short form ("(*engine.Engine).Submit").
-	Func string `json:"func"`
+	Func string
 	// File/Line position the relevant call or operation.
-	File string `json:"file"`
-	Line int    `json:"line"`
+	File string
+	Line int
 	// Note says what the frame contributes ("calls journal.Append",
 	// "time.Sleep", "acquires engine.Engine.mu").
-	Note string `json:"note"`
+	Note string
 }
 
 // Diagnostic is one finding, positioned at file:line:col.
 type Diagnostic struct {
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Analyzer string         `json:"analyzer"`
-	Message  string         `json:"message"`
-	// ID is the stable finding identifier (hash of analyzer, relative
-	// path, position and message), filled in by Result.Report; pdflint
-	// -why resolves it back to this diagnostic's Chain.
-	ID string `json:"id,omitempty"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 	// Chain is the interprocedural provenance, outermost frame first.
 	// Empty for the intra-procedural analyzers.
-	Chain []ChainFrame `json:"chain,omitempty"`
+	Chain []ChainFrame
 }
 
+// String is the one line format of a finding:
+// file:line:col: [analyzer] message.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 }
@@ -101,11 +99,11 @@ func (d Diagnostic) String() string {
 // Suppression records a diagnostic that a //lint:ignore directive
 // silenced, together with the contributor-supplied reason.
 type Suppression struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
-	Reason   string `json:"reason"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Analyzer string
+	Reason   string
+	Message  string
 }
 
 // Analyzer is one named check. Exactly one of Run and RunModule is
@@ -137,7 +135,6 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Pkg.Fset.Position(pos)
 	p.diags = append(p.diags, Diagnostic{
-		Pos:      position,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
@@ -161,7 +158,6 @@ type ModulePass struct {
 func (mp *ModulePass) Report(pos token.Pos, chain []ChainFrame, format string, args ...any) {
 	position := mp.Facts.Fset.Position(pos)
 	mp.diags = append(mp.diags, Diagnostic{
-		Pos:      position,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
@@ -354,66 +350,11 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Select returns the analyzers to run given comma-separated enable
-// and disable lists (empty enable means all). Unknown names error so
-// a typo in -enable/-disable cannot silently skip a check.
-func Select(enable, disable string) ([]*Analyzer, error) {
-	all := Analyzers()
-	byName := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	split := func(s string) ([]string, error) {
-		var out []string
-		for _, f := range strings.Split(s, ",") {
-			f = strings.TrimSpace(f)
-			if f == "" {
-				continue
-			}
-			if _, ok := byName[f]; !ok {
-				return nil, fmt.Errorf("lint: unknown analyzer %q (run pdflint -list)", f)
-			}
-			out = append(out, f)
-		}
-		return out, nil
-	}
-	en, err := split(enable)
-	if err != nil {
-		return nil, err
-	}
-	dis, err := split(disable)
-	if err != nil {
-		return nil, err
-	}
-	disabled := make(map[string]bool, len(dis))
-	for _, n := range dis {
-		disabled[n] = true
-	}
-	var sel []*Analyzer
-	if len(en) == 0 {
-		for _, a := range all {
-			if !disabled[a.Name] {
-				sel = append(sel, a)
-			}
-		}
-		return sel, nil
-	}
-	for _, n := range en {
-		if !disabled[n] {
-			sel = append(sel, byName[n])
-		}
-	}
-	return sel, nil
-}
-
 // Result is one full run: surviving diagnostics (sorted by position)
 // plus the suppressions that //lint:ignore directives recorded.
 type Result struct {
 	Diags      []Diagnostic
 	Suppressed []Suppression
-	// Facts is the interprocedural fact base, present when a module
-	// analyzer ran (pdflint -facts dumps it).
-	Facts *Facts
 }
 
 // Run executes the analyzers over the packages, applies //lint:ignore
@@ -462,7 +403,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) *Result {
 	}
 	if len(modAnalyzers) > 0 {
 		facts := BuildFacts(pkgs, cfg)
-		res.Facts = facts
 		for _, a := range modAnalyzers {
 			mp := &ModulePass{Analyzer: a, Facts: facts, Config: cfg}
 			a.RunModule(mp)

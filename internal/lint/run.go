@@ -1,77 +1,11 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
 	"sort"
 )
-
-// JSONReport is the stable `pdflint -json` schema (documented in
-// API.md, "Tooling appendix"). Version bumps only on breaking shape
-// changes; the bench harness archives this object verbatim alongside
-// BENCH snapshots. v2 adds per-finding stable IDs and interprocedural
-// provenance chains (the `id` and `chain` fields on diagnostics).
-type JSONReport struct {
-	// Version is the schema version (currently 2).
-	Version int `json:"version"`
-	// Clean is true when no diagnostic survived suppression.
-	Clean bool `json:"clean"`
-	// Diagnostics are the surviving findings, sorted by file, line,
-	// column, analyzer.
-	Diagnostics []Diagnostic `json:"diagnostics"`
-	// Suppressed are the //lint:ignore'd findings with their recorded
-	// reasons, same order.
-	Suppressed []Suppression `json:"suppressed"`
-	// Counts maps analyzer name to surviving-diagnostic count; absent
-	// analyzers found nothing.
-	Counts map[string]int `json:"counts"`
-}
-
-// Report converts a run result into the JSON schema, with file paths
-// rewritten relative to root (so output is stable across checkouts)
-// and finding IDs computed over the relativized position.
-func (r *Result) Report(root string) *JSONReport {
-	rep := &JSONReport{
-		Version:     2,
-		Clean:       len(r.Diags) == 0,
-		Diagnostics: make([]Diagnostic, 0, len(r.Diags)),
-		Suppressed:  make([]Suppression, 0, len(r.Suppressed)),
-		Counts:      make(map[string]int),
-	}
-	for _, d := range r.Diags {
-		d.File = relPath(root, d.File)
-		if len(d.Chain) > 0 {
-			chain := make([]ChainFrame, len(d.Chain))
-			for i, f := range d.Chain {
-				f.File = relPath(root, f.File)
-				chain[i] = f
-			}
-			d.Chain = chain
-		}
-		d.ID = FindingID(d)
-		rep.Diagnostics = append(rep.Diagnostics, d)
-		rep.Counts[d.Analyzer]++
-	}
-	for _, s := range r.Suppressed {
-		s.File = relPath(root, s.File)
-		rep.Suppressed = append(rep.Suppressed, s)
-	}
-	return rep
-}
-
-// FindingID derives the stable identifier of a diagnostic: the first
-// 12 hex digits of a SHA-256 over analyzer, (relative) file, position
-// and message. Stable across runs and checkouts; changes only when
-// the finding itself moves or reworded.
-func FindingID(d Diagnostic) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d|%s",
-		d.Analyzer, d.File, d.Line, d.Col, d.Message)))
-	return hex.EncodeToString(h[:6])
-}
 
 func relPath(root, path string) string {
 	if root == "" {
@@ -88,37 +22,39 @@ func hasDotDotPrefix(rel string) bool {
 	return len(rel) >= 3 && rel[:3] == ".."+string(filepath.Separator)
 }
 
-// WriteText renders the report in the classic file:line:col form,
-// one diagnostic per line, followed by a summary.
-func (rep *JSONReport) WriteText(w io.Writer, verbose bool) {
-	for _, d := range rep.Diagnostics {
-		fmt.Fprintf(w, "%s:%d:%d: [%s] %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
+// WriteText renders the result, with every path rewritten relative to
+// root so the output is stable across checkouts: one file:line:col
+// line per finding, its provenance chain (if any) indented beneath it
+// one frame per line, then a summary. verbose also lists the
+// suppressions with their recorded reasons.
+func (r *Result) WriteText(w io.Writer, root string, verbose bool) {
+	counts := make(map[string]int)
+	for _, d := range r.Diags {
+		d.File = relPath(root, d.File)
+		fmt.Fprintln(w, d)
+		for _, f := range d.Chain {
+			fmt.Fprintf(w, "    %s (%s:%d): %s\n", f.Func, relPath(root, f.File), f.Line, f.Note)
+		}
+		counts[d.Analyzer]++
 	}
 	if verbose {
-		for _, s := range rep.Suppressed {
+		for _, s := range r.Suppressed {
 			fmt.Fprintf(w, "%s:%d: [%s] suppressed: %s (reason: %s)\n",
-				s.File, s.Line, s.Analyzer, s.Message, s.Reason)
+				relPath(root, s.File), s.Line, s.Analyzer, s.Message, s.Reason)
 		}
 	}
-	if len(rep.Diagnostics) == 0 {
-		fmt.Fprintf(w, "pdflint: clean (%d suppression(s) on file)\n", len(rep.Suppressed))
+	if len(r.Diags) == 0 {
+		fmt.Fprintf(w, "pdflint: clean (%d suppression(s) on file)\n", len(r.Suppressed))
 		return
 	}
-	names := make([]string, 0, len(rep.Counts))
-	for n := range rep.Counts {
+	names := make([]string, 0, len(counts))
+	for n := range counts {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fmt.Fprintf(w, "pdflint: %d finding(s):", len(rep.Diagnostics))
+	fmt.Fprintf(w, "pdflint: %d finding(s):", len(r.Diags))
 	for _, n := range names {
-		fmt.Fprintf(w, " %s=%d", n, rep.Counts[n])
+		fmt.Fprintf(w, " %s=%d", n, counts[n])
 	}
 	fmt.Fprintln(w)
-}
-
-// WriteJSON renders the report as indented JSON.
-func (rep *JSONReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
