@@ -102,53 +102,50 @@ func (t GateType) Controlling() (tval.V, bool) {
 }
 
 // Eval evaluates the gate function over three-valued inputs: input
-// pin k carries vals[in[k]]. Net-indexed callers pass Gate.InNets and a
-// value plane; line-indexed callers pass Gate.In.
+// pin k carries vals[in[k]], a value in {0, 1, x}. Net-indexed callers
+// pass Gate.InNets and a value plane; line-indexed callers pass
+// Gate.In.
+//
+// Eval does not branch on the inputs: it folds them into the set of
+// values present and their XOR parity, and reads the output from the
+// type's row of evalTable.
 func (t GateType) Eval(in []int, vals []tval.V) tval.V {
-	switch t {
-	case Not:
-		return vals[in[0]].Not()
-	case Buf:
-		return vals[in[0]]
-	case And, Nand:
-		v := tval.One
-		for _, k := range in {
-			v = tval.And(v, vals[k])
-			if v == tval.Zero {
-				break
-			}
-		}
-		if t == Nand {
-			v = v.Not()
-		}
-		return v
-	case Or, Nor:
-		v := tval.Zero
-		for _, k := range in {
-			v = tval.Or(v, vals[k])
-			if v == tval.One {
-				break
-			}
-		}
-		if t == Nor {
-			v = v.Not()
-		}
-		return v
-	case Xor, Xnor:
-		v := tval.Zero
-		for _, k := range in {
-			v = tval.Xor(v, vals[k])
-			if v == tval.X {
-				return tval.X
-			}
-		}
-		if t == Xnor {
-			v = v.Not()
-		}
-		return v
+	var m, p uint8
+	for _, k := range in {
+		v := vals[k]
+		m |= 1 << v
+		p ^= uint8(v)
 	}
-	return tval.X
+	return evalTable[t][(m<<1|p&1)&15]
 }
+
+// evalTable[t][m<<1|p] is the output of a gate of type t whose inputs
+// hold the values in the set m (bit v set when some input is v), p
+// being the parity of their ones: a controlling value dominates,
+// otherwise any x gives x; a gate without a controlling value (XOR,
+// and BUF and NOT as one-input XORs) gives the parity.
+var evalTable = func() (tab [numGateTypes][16]tval.V) {
+	for t := range numGateTypes {
+		ctrl, hasCtrl := t.Controlling()
+		for i := range tab[t] {
+			m, p := i>>1, tval.V(i&1)
+			v := p
+			switch {
+			case hasCtrl && m&(1<<ctrl) != 0:
+				v = ctrl
+			case m&(1<<tval.X) != 0:
+				v = tval.X
+			case hasCtrl:
+				v = ctrl.Not()
+			}
+			if t.Inverting() {
+				v = v.Not()
+			}
+			tab[t][i] = v
+		}
+	}
+	return
+}()
 
 // LineKind distinguishes the three kinds of circuit lines.
 type LineKind uint8

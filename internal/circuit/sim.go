@@ -236,87 +236,110 @@ func (s *Simulator) schedule(k, hi int) int {
 	return hi
 }
 
-// TripleSim fully simulates two-pattern tests on one circuit into
-// buffers it owns, so a caller that simulates test after test
-// allocates them once. It is the one full three-plane simulation:
-// SimulateTriples is a TripleSim used once.
+// TripleSim fully simulates two-pattern tests on one circuit into a
+// buffer it owns, so a caller that simulates test after test allocates
+// it once. It is the one full three-plane simulation: SimulateTriples
+// is a TripleSim used once, and Evaluate reads its first plane.
 type TripleSim struct {
-	c      *Circuit
-	planes [NumPlanes][]tval.V
-	out    []tval.Triple
+	c   *Circuit
+	out []tval.Triple
 }
 
 // NewTripleSim returns a TripleSim of c.
 func NewTripleSim(c *Circuit) *TripleSim {
-	s := &TripleSim{c: c, out: make([]tval.Triple, len(c.Lines))}
-	for p := range s.planes {
-		s.planes[p] = make([]tval.V, len(c.Lines))
-	}
-	return s
+	return &TripleSim{c: c, out: make([]tval.Triple, len(c.Lines))}
 }
 
 // Simulate fully simulates the two-pattern test given by the first-
-// and second-pattern values of the primary inputs (in PIs order). The
-// intermediate plane of a primary input is its pattern value when both
-// patterns agree and are specified, x otherwise. The result maps every
-// line ID to its value triple; it is s's buffer, valid until the next
-// call.
+// and second-pattern values of the primary inputs (in PIs order),
+// values in {0, 1, x}. The intermediate plane of a primary input is
+// its pattern value when both patterns agree and are specified, x
+// otherwise. The result maps every line ID to its value triple; it is
+// s's buffer, valid until the next call.
+//
+// The three planes are simulated at once, one gate at a time on the
+// packed triples (laneKernel), gate outputs in topological order and
+// then each branch from its stem.
 func (s *TripleSim) Simulate(p1, p3 []tval.V) []tval.Triple {
-	c := s.c
+	c, out := s.c, s.out
 	if len(p1) != len(c.PIs) || len(p3) != len(c.PIs) {
 		panic("circuit: TripleSim.Simulate pattern length mismatch")
 	}
-	v1, v2, v3 := s.planes[0], s.planes[1], s.planes[2]
-	for _, vals := range s.planes {
-		for i := range vals {
-			vals[i] = tval.X
-		}
-	}
 	for i, pi := range c.PIs {
-		v1[pi], v3[pi] = p1[i], p3[i]
+		mid := tval.X
 		if p1[i] != tval.X && p1[i] == p3[i] {
-			v2[pi] = p1[i]
+			mid = p1[i]
 		}
+		out[pi] = tval.NewTriple(p1[i], mid, p3[i])
 	}
-	for _, vals := range s.planes {
-		propagate(c, vals)
+	for _, gi := range c.TopoGates() {
+		g := &c.Gates[gi]
+		out[g.Out] = laneKernel(g.Type, g.InNets, out)
 	}
-	for i := range s.out {
-		s.out[i] = tval.NewTriple(v1[i], v2[i], v3[i])
+	// Nets are PI and stem line IDs; a branch reads its stem's value.
+	for i := range c.Lines {
+		out[i] = out[c.Lines[i].Net]
 	}
-	return s.out
+	return out
 }
 
-// SimulateTriples is TripleSim.Simulate into freshly allocated
-// buffers.
+// lanes has the low bit of each position of a packed tval.Triple set.
+// A position holds 0 as 00, 1 as 01 and x as 10, so a triple's own
+// bits mark the positions holding 1, and its bits shifted right by one
+// those holding x.
+const lanes = 0b010101
+
+// laneOp selects a gate type's function in laneKernel, as masks over
+// the positions. A position with an input holding the controlling
+// value (0 under ctrl0, 1 under ctrl1) outputs 1; otherwise it outputs
+// x when an input is x, and else the parity of the ones under par, 0
+// without. flip then complements the specified outputs.
+type laneOp struct{ ctrl0, ctrl1, par, flip uint8 }
+
+var laneOps = [numGateTypes]laneOp{
+	And:  {ctrl0: lanes, flip: lanes},
+	Nand: {ctrl0: lanes},
+	Or:   {ctrl1: lanes},
+	Nor:  {ctrl1: lanes, flip: lanes},
+	Xor:  {par: lanes},
+	Xnor: {par: lanes, flip: lanes},
+	Buf:  {par: lanes},
+	Not:  {par: lanes, flip: lanes},
+}
+
+// laneKernel evaluates a gate of type t reading the packed triples
+// vals[in[k]] on all three positions at once, without branching on
+// the values: the same function as Eval on each position.
+func laneKernel(t GateType, in []int, vals []tval.Triple) tval.Triple {
+	var or, xor uint8
+	and := uint8(lanes) // positions where every input is 1 or x
+	for _, k := range in {
+		v := uint8(vals[k])
+		or |= v
+		and &= v | v>>1
+		xor ^= v
+	}
+	op := &laneOps[t]
+	has0, has1, hasX := lanes&^and, or&lanes, or>>1&lanes
+	ctrl := has0&op.ctrl0 | has1&op.ctrl1
+	x := hasX &^ ctrl
+	one := (ctrl | xor&op.par ^ op.flip) &^ x
+	return tval.Triple(one | x<<1)
+}
+
+// SimulateTriples is TripleSim.Simulate into a freshly allocated
+// buffer.
 func SimulateTriples(c *Circuit, p1, p3 []tval.V) []tval.Triple {
 	return NewTripleSim(c).Simulate(p1, p3)
 }
 
 // Evaluate returns the value of every line, indexed by line ID, under
-// one pattern of the primary-input values (in PIs order).
+// one pattern of the primary-input values (in PIs order): the first
+// plane of the two-pattern test that applies the pattern twice.
 func Evaluate(c *Circuit, pattern []tval.V) []tval.V {
 	vals := make([]tval.V, len(c.Lines))
-	for i := range vals {
-		vals[i] = tval.X
+	for i, t := range SimulateTriples(c, pattern, pattern) {
+		vals[i] = t.P1()
 	}
-	for i, pi := range c.PIs {
-		vals[pi] = pattern[i]
-	}
-	propagate(c, vals)
 	return vals
-}
-
-// propagate evaluates one plane: vals holds the primary inputs' values
-// at their line IDs, and propagate sets every other line, gate outputs
-// in topological order and then each branch from its stem.
-func propagate(c *Circuit, vals []tval.V) {
-	for _, gi := range c.TopoGates() {
-		g := &c.Gates[gi]
-		vals[g.Out] = g.Type.Eval(g.InNets, vals)
-	}
-	// Nets are PI and stem line IDs; a branch reads its stem's value.
-	for i := range c.Lines {
-		vals[i] = vals[c.Lines[i].Net]
-	}
 }

@@ -56,28 +56,6 @@ func (v V) String() string {
 	}
 }
 
-// And returns the three-valued AND of a and b.
-func And(a, b V) V {
-	if a == Zero || b == Zero {
-		return Zero
-	}
-	if a == One && b == One {
-		return One
-	}
-	return X
-}
-
-// Or returns the three-valued OR of a and b.
-func Or(a, b V) V {
-	if a == One || b == One {
-		return One
-	}
-	if a == Zero && b == Zero {
-		return Zero
-	}
-	return X
-}
-
 // Xor returns the three-valued XOR of a and b.
 func Xor(a, b V) V {
 	if a == X || b == X {

@@ -29,32 +29,6 @@ func TestVSpecified(t *testing.T) {
 	}
 }
 
-func TestAndTruthTable(t *testing.T) {
-	cases := []struct{ a, b, want V }{
-		{Zero, Zero, Zero}, {Zero, One, Zero}, {Zero, X, Zero},
-		{One, Zero, Zero}, {One, One, One}, {One, X, X},
-		{X, Zero, Zero}, {X, One, X}, {X, X, X},
-	}
-	for _, c := range cases {
-		if got := And(c.a, c.b); got != c.want {
-			t.Errorf("And(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestOrTruthTable(t *testing.T) {
-	cases := []struct{ a, b, want V }{
-		{Zero, Zero, Zero}, {Zero, One, One}, {Zero, X, X},
-		{One, Zero, One}, {One, One, One}, {One, X, One},
-		{X, Zero, X}, {X, One, One}, {X, X, X},
-	}
-	for _, c := range cases {
-		if got := Or(c.a, c.b); got != c.want {
-			t.Errorf("Or(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestXorTruthTable(t *testing.T) {
 	cases := []struct{ a, b, want V }{
 		{Zero, Zero, Zero}, {Zero, One, One},
@@ -74,27 +48,14 @@ func TestThreeValuedProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
 		a, b, c := randV(r), randV(r), randV(r)
-		if And(a, b) != And(b, a) {
-			t.Fatalf("And not commutative for %v,%v", a, b)
-		}
-		if Or(a, b) != Or(b, a) {
-			t.Fatalf("Or not commutative for %v,%v", a, b)
-		}
 		if Xor(a, b) != Xor(b, a) {
 			t.Fatalf("Xor not commutative for %v,%v", a, b)
 		}
-		if And(And(a, b), c) != And(a, And(b, c)) {
-			t.Fatalf("And not associative for %v,%v,%v", a, b, c)
+		if Xor(Xor(a, b), c) != Xor(a, Xor(b, c)) {
+			t.Fatalf("Xor not associative for %v,%v,%v", a, b, c)
 		}
-		if Or(Or(a, b), c) != Or(a, Or(b, c)) {
-			t.Fatalf("Or not associative for %v,%v,%v", a, b, c)
-		}
-		// De Morgan holds in Kleene three-valued logic.
-		if And(a, b).Not() != Or(a.Not(), b.Not()) {
-			t.Fatalf("De Morgan (AND) fails for %v,%v", a, b)
-		}
-		if Or(a, b).Not() != And(a.Not(), b.Not()) {
-			t.Fatalf("De Morgan (OR) fails for %v,%v", a, b)
+		if Xor(a, b).Not() != Xor(a.Not(), b) {
+			t.Fatalf("Xor does not commute with Not for %v,%v", a, b)
 		}
 	}
 }
@@ -111,12 +72,6 @@ func TestMonotonicity(t *testing.T) {
 				for _, b2 := range vs {
 					if !lessDefined(a1, a2) || !lessDefined(b1, b2) {
 						continue
-					}
-					if !lessDefined(And(a1, b1), And(a2, b2)) {
-						t.Errorf("And not monotone: (%v,%v) vs (%v,%v)", a1, b1, a2, b2)
-					}
-					if !lessDefined(Or(a1, b1), Or(a2, b2)) {
-						t.Errorf("Or not monotone: (%v,%v) vs (%v,%v)", a1, b1, a2, b2)
 					}
 					if !lessDefined(Xor(a1, b1), Xor(a2, b2)) {
 						t.Errorf("Xor not monotone: (%v,%v) vs (%v,%v)", a1, b1, a2, b2)
