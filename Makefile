@@ -75,9 +75,13 @@ chaos-cluster:
 	$(GO) test -race -count=1 -run 'TestPDFDStoreWarmRestart' -v ./internal/cli/
 
 # Observability smoke: boot pdfd, run a compacted c17 job, assert the
-# Prometheus exposition and the job's span timeline are well-formed.
+# Prometheus exposition and the job's span timeline are well-formed;
+# then the stage-tree golden (span names and parents of an s27 enrich
+# miss and its cache hit, and the stage labels of the histogram and the
+# SSE stream).
 obs-smoke:
 	$(GO) test -race -count=1 -run 'TestObsSmoke' -v ./internal/cli/
+	$(GO) test -race -count=1 -run 'TestStageTree' -v ./internal/engine/
 
 # Cluster smoke: boot two pdfd backends and a pdfd -coordinator over
 # them, batch-submit across the fleet, assert owner affinity and a

@@ -186,8 +186,8 @@ func TestClusterUnreadableBackendError(t *testing.T) {
 // repeating it counts nothing against the backend.
 func TestClusterLongPollCappedByRequestTimeout(t *testing.T) {
 	release := make(chan struct{})
-	e := engine.New(engine.Config{Workers: 1, Injector: engine.InjectorFunc(func(ctx context.Context, site engine.Site, id string) error {
-		if site != engine.SiteRun {
+	e := engine.New(engine.Config{Workers: 1, Injector: engine.InjectorFunc(func(ctx context.Context, stage engine.Stage, id string) error {
+		if stage != engine.StagePrepare {
 			return nil
 		}
 		select { // hold the job mid-run

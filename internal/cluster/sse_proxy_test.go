@@ -56,8 +56,8 @@ func parseSSEFrames(t *testing.T, body string) []sseFrame {
 // past the last frame seen, and neither hop leaks goroutines.
 func TestClusterSSEProxyResume(t *testing.T) {
 	release := make(chan struct{})
-	injector := engine.InjectorFunc(func(ctx context.Context, site engine.Site, id string) error {
-		if site != engine.SiteRun {
+	injector := engine.InjectorFunc(func(ctx context.Context, stage engine.Stage, id string) error {
+		if stage != engine.StagePrepare {
 			return nil
 		}
 		select { // hold the job mid-run so the first stream is live
@@ -93,8 +93,9 @@ func TestClusterSSEProxyResume(t *testing.T) {
 
 	v, _ := submitVia(t, srv.URL, engine.Spec{Kind: engine.KindGenerate, Circuit: "s27", NP: 8, Seed: 1})
 
-	// Live stream through the coordinator: read up to the attempt
-	// event, remember its id, disconnect.
+	// Live stream through the coordinator: read up to the first stage
+	// event (load, before the held prepare), remember its id,
+	// disconnect.
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+v.ID+"/events", nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -105,22 +106,22 @@ func TestClusterSSEProxyResume(t *testing.T) {
 		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
 	}
 	var lastID int64
-	sawAttempt := false
+	sawStage := false
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
 		if strings.HasPrefix(line, "id: ") {
 			lastID, _ = strconv.ParseInt(strings.TrimPrefix(line, "id: "), 10, 64)
 		}
-		if line == "event: attempt" {
-			sawAttempt = true
+		if line == "event: stage" {
+			sawStage = true
 		}
-		if sawAttempt && line == "" {
-			break // full attempt frame delivered
+		if sawStage && line == "" {
+			break // full stage frame delivered
 		}
 	}
-	if !sawAttempt || lastID == 0 {
-		t.Fatalf("live stream ended early: attempt=%v lastID=%d", sawAttempt, lastID)
+	if !sawStage || lastID == 0 {
+		t.Fatalf("live stream ended early: stage=%v lastID=%d", sawStage, lastID)
 	}
 	cancel()
 	resp.Body.Close()

@@ -81,7 +81,7 @@ func TestClusterTraceAssembly(t *testing.T) {
 			t.Fatalf("coordinator spans %v missing %q", byNode["coordinator"], want)
 		}
 	}
-	for _, want := range []string{"job", "attempt", "prepare", "generation"} {
+	for _, want := range []string{"job", "load", "prepare", "generation"} {
 		if !containsStr(byNode[backendName], want) {
 			t.Fatalf("backend spans %v missing %q", byNode[backendName], want)
 		}

@@ -311,7 +311,7 @@ func run(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultCondition
 			res.RegenPerTest = append(res.RegenPerTest, 0)
 		}
 		res.Tests = append(res.Tests, test)
-		g.simDrop(ctx, test, sim)
+		g.simDrop(test, sim)
 	}
 	res.Detected = g.detected
 	for _, d := range g.detected {
@@ -351,11 +351,9 @@ func (g *generator) compactTest(ctx context.Context, primary int, test circuit.T
 }
 
 // simDrop fault simulates the finished test over all undetected target
-// faults and drops the ones it detects, under a "simulation" span on
-// the job timeline. sim is the test's simulation when its compaction
-// left one, or nil.
-func (g *generator) simDrop(ctx context.Context, test circuit.TwoPattern, sim []tval.Triple) {
-	_, span := obs.StartSpan(ctx, "simulation", obs.Int("faults", len(g.faults)))
+// faults and drops the ones it detects. sim is the test's simulation
+// when its compaction left one, or nil.
+func (g *generator) simDrop(test circuit.TwoPattern, sim []tval.Triple) {
 	if sim == nil {
 		sim = g.tsim.Simulate(test.P1, test.P3)
 	}
@@ -364,7 +362,6 @@ func (g *generator) simDrop(ctx context.Context, test circuit.TwoPattern, sim []
 			g.detected[i] = true
 		}
 	}
-	span.End()
 }
 
 // justifyFault tries the fault's alternatives (merged into base when

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -34,8 +33,8 @@ func openJournal(t *testing.T, dir string) (*journal.Log, []journal.Record) {
 // carry on with the next job.
 func TestChaosPanicFailsOnce(t *testing.T) {
 	var runs atomic.Int64
-	inj := InjectorFunc(func(ctx context.Context, site Site, jobID string) error {
-		if site == SiteRun && jobID == "j1" {
+	inj := InjectorFunc(func(ctx context.Context, stage Stage, jobID string) error {
+		if stage == StagePrepare && jobID == "j1" {
 			runs.Add(1)
 			panic("injected chaos panic")
 		}
@@ -78,8 +77,8 @@ func TestChaosPanicFailsOnce(t *testing.T) {
 func TestChaosInjectedErrorFailsFirstRun(t *testing.T) {
 	injected := errors.New("injected transient failure")
 	var tries atomic.Int64
-	inj := InjectorFunc(func(ctx context.Context, site Site, jobID string) error {
-		if site == SiteRun {
+	inj := InjectorFunc(func(ctx context.Context, stage Stage, jobID string) error {
+		if stage == StagePrepare {
 			tries.Add(1)
 			return injected
 		}
@@ -171,8 +170,8 @@ func TestJournalLegacyRestore(t *testing.T) {
 
 	var mu sync.Mutex
 	runs := map[string]int{}
-	count := InjectorFunc(func(ctx context.Context, site Site, id string) error {
-		if site == SitePrepare {
+	count := InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+		if stage == StageLoad {
 			mu.Lock()
 			runs[id]++
 			mu.Unlock()
@@ -240,8 +239,8 @@ func TestChaosCrashReplayByteIdentical(t *testing.T) {
 	// engine is torn down, simulating a crash with work in flight.
 	var crash atomic.Bool
 	crash.Store(true)
-	inj := InjectorFunc(func(ctx context.Context, site Site, jobID string) error {
-		if site == SiteRun && crash.Load() {
+	inj := InjectorFunc(func(ctx context.Context, stage Stage, jobID string) error {
+		if stage == StagePrepare && crash.Load() {
 			<-ctx.Done()
 			return ctx.Err()
 		}
@@ -331,8 +330,8 @@ func TestChaosShutdownShedsAndReplays(t *testing.T) {
 	var crash atomic.Bool
 	crash.Store(true)
 	release := make(chan struct{})
-	inj := InjectorFunc(func(ctx context.Context, site Site, jobID string) error {
-		if site == SiteRun && crash.Load() {
+	inj := InjectorFunc(func(ctx context.Context, stage Stage, jobID string) error {
+		if stage == StagePrepare && crash.Load() {
 			select {
 			case <-release:
 				return nil
@@ -391,8 +390,8 @@ func TestChaosShutdownShedsAndReplays(t *testing.T) {
 func TestChaosShutdownDrains(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
-	e := New(Config{Workers: 2, Injector: InjectorFunc(func(ctx context.Context, site Site, id string) error {
-		if site == SitePrepare {
+	e := New(Config{Workers: 2, Injector: InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+		if stage == StageLoad {
 			once.Do(func() { close(started) })
 		}
 		return nil
@@ -425,8 +424,8 @@ func TestChaosShutdownDrains(t *testing.T) {
 // it clears once the queue drains.
 func TestChaosOverloadShedAndRecover(t *testing.T) {
 	release := make(chan struct{})
-	inj := InjectorFunc(func(ctx context.Context, site Site, jobID string) error {
-		if site != SiteRun {
+	inj := InjectorFunc(func(ctx context.Context, stage Stage, jobID string) error {
+		if stage != StagePrepare {
 			return nil
 		}
 		select {
@@ -526,8 +525,8 @@ func TestWaitTerminalBeatsExpiredContext(t *testing.T) {
 		}
 	}
 	// A job that is genuinely still pending does surface the ctx error.
-	e2 := New(Config{Workers: 1, Injector: InjectorFunc(func(ctx context.Context, site Site, id string) error {
-		if site == SiteRun {
+	e2 := New(Config{Workers: 1, Injector: InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+		if stage == StagePrepare {
 			<-ctx.Done()
 			return ctx.Err()
 		}
@@ -571,18 +570,5 @@ func TestChaosJournalCompactionUnderChurn(t *testing.T) {
 	}
 	if len(recs) > 40 {
 		t.Errorf("journal kept %d records for 10 finished jobs; compaction not bounding growth", len(recs))
-	}
-}
-
-// The injector site constants keep their names: injectors key on them
-// (a rename would silently disarm every chaos test).
-func TestChaosSiteNames(t *testing.T) {
-	for _, s := range []Site{SitePrepare, SiteRun, SiteStore, SiteDone} {
-		if s == "" {
-			t.Fatal("empty site name")
-		}
-	}
-	if got := fmt.Sprint(SiteRun); got != "run" {
-		t.Errorf("SiteRun = %q", got)
 	}
 }

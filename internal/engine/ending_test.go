@@ -100,9 +100,9 @@ func ops(recs []journal.Record) string {
 	return fmt.Sprint(out)
 }
 
-// holdRun holds every run at SiteRun until its context ends.
-var holdRun = InjectorFunc(func(ctx context.Context, site Site, id string) error {
-	if site == SiteRun {
+// holdRun holds every run at the prepare stage until its context ends.
+var holdRun = InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+	if stage == StagePrepare {
 		<-ctx.Done()
 		return ctx.Err()
 	}
@@ -183,8 +183,8 @@ func TestJournalTerminalRecords(t *testing.T) {
 		// first (replay is order-insensitive). Hold the run until Submit
 		// has returned, so the journal's order is fixed.
 		submitted := make(chan struct{})
-		inj := InjectorFunc(func(ctx context.Context, site Site, id string) error {
-			if site == SiteRun {
+		inj := InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+			if stage == StagePrepare {
 				<-submitted
 				return errInjected
 			}
@@ -247,8 +247,8 @@ func TestJournalTerminalRecords(t *testing.T) {
 		// it drains: the job ends failed and journals it, so it does not
 		// replay.
 		release := make(chan struct{})
-		inj := InjectorFunc(func(ctx context.Context, site Site, id string) error {
-			if site == SiteRun {
+		inj := InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+			if stage == StagePrepare {
 				<-release
 				return errInjected
 			}

@@ -105,9 +105,9 @@ type Config struct {
 	// computed before it died. nil keeps results in memory only.
 	Store *store.Store
 
-	// Injector, when set, is invoked at named pipeline sites; the
-	// chaos tests use it to inject panics, latency and simulated
-	// crashes (see chaos.go). nil disables injection.
+	// Injector, when set, is invoked as each Stage opens; the chaos
+	// tests use it to inject panics, latency and simulated crashes.
+	// nil disables injection.
 	Injector FaultInjector
 
 	// Logger receives the engine's structured job-lifecycle records
@@ -211,8 +211,8 @@ func New(cfg Config) *Engine {
 func (e *Engine) Registry() *obs.Registry { return e.registry }
 
 // Events returns the engine's job lifecycle event bus: the counters of
-// every job's event stream. Each job publishes queued, attempt, stage
-// and terminal (done/failed/canceled) events on a stream of its own,
+// every job's event stream. Each job publishes queued, stage and
+// terminal (done/failed/canceled) events on a stream of its own,
 // which the server's SSE endpoint subscribes to.
 func (e *Engine) Events() *events.Bus { return e.events }
 
@@ -319,6 +319,11 @@ func (e *Engine) admit(spec Spec, remote obs.TraceContext, replay *journal.Recor
 		stream: e.events.NewStream(id),
 		done:   make(chan struct{}),
 	}
+	// Hold j.mu until the queued event is out: runJob takes it first,
+	// so a job dispatched at once cannot publish a stage event before
+	// its queued event.
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	attrs := []obs.Attr{
 		obs.String("job_id", id),
 		obs.String("kind", string(spec.Kind)),
@@ -773,19 +778,14 @@ func (e *Engine) runJob(j *Job) {
 	e.metrics.queueSeconds.With("ran").ObserveExemplar(queued, j.exemplarID())
 	e.metrics.tenantQueueWait.With(j.spec.Tenant).ObserveExemplar(queued, j.exemplarID())
 	// The run context keeps the engine's cancellation but gains the
-	// job's trace correlation, so every span below lands on the job
-	// timeline under the root span. The span and the event keep the
-	// name "attempt" (always attempt 1) that trace and SSE readers key
-	// on.
+	// job's trace correlation, so every stage's span hangs from the
+	// root "job" span.
 	ctx = obs.Transplant(ctx, j.traceCtx)
-	ctx, attSpan := obs.StartSpan(ctx, "attempt", obs.Int("attempt", 1))
-	j.stream.Publish("attempt", map[string]string{"attempt": "1"})
-	e.log.Debug("job attempt started", "job_id", j.id)
+	e.log.Debug("job started", "job_id", j.id)
 
 	e.metrics.jobsRunning.Add(1)
 	res, hit, err := e.executeShielded(ctx, j)
 	e.metrics.jobsRunning.Add(-1)
-	attSpan.End(obs.Bool("cache_hit", hit), obs.Bool("ok", err == nil))
 	switch {
 	case err == nil:
 		e.end(j, false, StatusDone, res, hit, nil)
@@ -909,22 +909,62 @@ func (e *Engine) Restore(recs []journal.Record) (int, error) {
 	return n, nil
 }
 
-// stage is one timed pipeline stage of a job: prepare, generation
-// (dynamic compaction) or simulation. Its span and its record share
+// Stage names one stage of the job pipeline. The name is the stage's
+// span, its pdfd_stage_duration_seconds label, the "stage" of its SSE
+// stage event and the point at which the FaultInjector is called.
+type Stage string
+
+// The stages, in pipeline order. A cache hit ends after cache_lookup;
+// a no_cache job has no cache_lookup and no store.
+const (
+	StageLoad        Stage = "load"         // the circuit, and the cache key
+	StageCacheLookup Stage = "cache_lookup" // the memory LRU, then the durable store
+	StagePrepare     Stage = "prepare"      // the fault sets, or their memo entry
+	StageGeneration  Stage = "generation"   // generate or enrich
+	StageSimulation  Stage = "simulation"   // grading on P0 ∪ P1 (not enrich without collapse)
+	StageStore       Stage = "store"        // the memory put, and the durable store's write
+)
+
+// FaultInjector is called as each stage opens, before its span and
+// clock start; an error fails the job there. It is a configuration
+// hook, not a build tag, so the chaos tests run in the ordinary
+// `go test -race` binary, where it panics, sleeps or blocks until ctx
+// (the job's run context) ends. Implementations must be safe for
+// concurrent use.
+type FaultInjector interface {
+	Inject(ctx context.Context, stage Stage, jobID string) error
+}
+
+// InjectorFunc adapts a function to FaultInjector.
+type InjectorFunc func(ctx context.Context, stage Stage, jobID string) error
+
+// Inject implements FaultInjector.
+func (f InjectorFunc) Inject(ctx context.Context, stage Stage, jobID string) error {
+	return f(ctx, stage, jobID)
+}
+
+// stage is one timed stage of a job. Its span and its record share
 // one name, one start and one end time.
 type stage struct {
 	e     *Engine
 	j     *Job
-	name  string
+	name  Stage
 	start time.Time
 	span  *obs.Span // nil past the trace's span cap
 }
 
-// startStage opens the span of stage name and starts its clock.
-func (e *Engine) startStage(ctx context.Context, j *Job, name string, attrs ...obs.Attr) (context.Context, *stage) {
+// startStage calls the FaultInjector at stage name, then opens the
+// stage's span and starts its clock. An injector error is returned
+// before anything opens.
+func (e *Engine) startStage(ctx context.Context, j *Job, name Stage, attrs ...obs.Attr) (context.Context, *stage, error) {
+	if inj := e.cfg.Injector; inj != nil {
+		if err := inj.Inject(ctx, name, j.id); err != nil {
+			return ctx, nil, err
+		}
+	}
 	st := &stage{e: e, j: j, name: name, start: time.Now()}
-	ctx, st.span = obs.StartSpanAt(ctx, name, st.start, attrs...)
-	return ctx, st
+	ctx, st.span = obs.StartSpanAt(ctx, string(name), st.start, attrs...)
+	return ctx, st, nil
 }
 
 // fail ends the span of a stage that did not complete; the stage is
@@ -939,40 +979,43 @@ func (st *stage) done(attrs ...obs.Attr) {
 	st.span.EndAt(end, attrs...)
 	d := end.Sub(st.start)
 	e, j := st.e, st.j
-	e.metrics.stageSeconds.With(st.name).ObserveExemplar(d.Seconds(), j.exemplarID())
+	e.metrics.stageSeconds.With(string(st.name)).ObserveExemplar(d.Seconds(), j.exemplarID())
 	j.stream.Publish("stage", map[string]string{
-		"stage":       st.name,
+		"stage":       string(st.name),
 		"duration_ms": fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond)),
 	})
 }
 
-// execute runs one job through the load → cache → prepare → run →
-// store pipeline; a cache hit returns before prepare. It never stores
-// a result for a canceled or failed run.
+// execute runs one job through the load → cache_lookup → prepare →
+// generation → simulation → store pipeline; a cache hit returns after
+// cache_lookup. It never stores a result for a canceled or failed run.
 func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	spec := j.spec
-	if err := e.inject(ctx, SitePrepare, j.id); err != nil {
+	// Stage 1: load the circuit; digest it and the spec into the key.
+	_, load, err := e.startStage(ctx, j, StageLoad, obs.String("circuit", spec.Circuit))
+	if err != nil {
 		return nil, false, err
 	}
-	// Stage 1: load the circuit; digest it and the spec into the key.
-	_, lspan := obs.StartSpan(ctx, "load", obs.String("circuit", spec.Circuit))
 	lc, hit, err := e.loadCircuit(spec)
 	if err != nil {
-		lspan.End()
+		load.fail()
 		return nil, false, err
 	}
 	c, circuitHash := lc.c, lc.digest
 	key := cacheKey(circuitHash, SpecDigest(spec))
-	lspan.End(obs.String("memo", memoResult(hit)))
+	load.done(obs.String("memo", memoResult(hit)))
 
 	// Stage 2: memory LRU, then read through the durable store.
 	if !spec.NoCache {
-		_, lookup := obs.StartSpan(ctx, "cache_lookup")
+		_, lookup, err := e.startStage(ctx, j, StageCacheLookup)
+		if err != nil {
+			return nil, false, err
+		}
 		res, ok := e.cache.Get(key)
 		if !ok {
 			res, ok = e.storeGet(key, len(c.PIs))
 		}
-		lookup.End(obs.Bool("hit", ok))
+		lookup.done(obs.Bool("hit", ok))
 		if ok {
 			e.metrics.cacheHits.Add(1)
 			return res, true, nil
@@ -980,9 +1023,11 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		e.metrics.cacheMisses.Add(1)
 	}
 
-	// Stage 3: prepare — enumerate, screen and partition the fault
-	// sets, or take them from the memo of this fault-set shape.
-	prepCtx, prep := e.startStage(ctx, j, "prepare")
+	// Stage 3: prepare.
+	prepCtx, prep, err := e.startStage(ctx, j, StagePrepare)
+	if err != nil {
+		return nil, false, err
+	}
 	ps, hit, err := e.prepare(prepCtx, c, circuitHash, spec)
 	if err != nil {
 		prep.fail()
@@ -1016,16 +1061,16 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	}
 	cfg := core.Config{Heuristic: h, Seed: spec.Seed, UseBnB: spec.UseBnB}
 
-	// Stage 4: run the procedure.
-	if err := e.inject(ctx, SiteRun, j.id); err != nil {
-		return nil, false, err
-	}
-	// The parsed tests stay local, so they are garbage once the job
-	// ends: the result keeps only their wire strings.
+	// Stage 4: run the procedure. The parsed tests stay local, so they
+	// are garbage once the job ends: the result keeps only their wire
+	// strings.
 	var tests []circuit.TwoPattern
 	switch spec.Kind {
 	case KindGenerate, KindEnrich:
-		genCtx, gen := e.startStage(ctx, j, "generation", obs.String("heuristic", spec.Heuristic))
+		genCtx, gen, err := e.startStage(ctx, j, StageGeneration, obs.String("heuristic", spec.Heuristic))
+		if err != nil {
+			return nil, false, err
+		}
 		// Both calls return their partial result with an error.
 		var out *core.Result
 		if spec.Kind == KindGenerate {
@@ -1070,8 +1115,11 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	// an enrich job whose targets were collapsed: core counted only
 	// the collapsed sets.
 	if spec.Kind != KindEnrich || spec.Collapse {
-		simCtx, sim := e.startStage(ctx, j, "simulation",
+		simCtx, sim, err := e.startStage(ctx, j, StageSimulation,
 			obs.Int("tests", len(tests)), obs.Int("faults", len(ps.all)))
+		if err != nil {
+			return nil, false, err
+		}
 		first, err := ps.program(c).Run(simCtx, tests)
 		if err != nil {
 			sim.fail()
@@ -1092,16 +1140,15 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	}
 
 	// Stage 5: store. Only complete, uncanceled results reach here.
-	if err := e.inject(ctx, SiteStore, j.id); err != nil {
-		return nil, false, err
-	}
 	if !spec.NoCache {
+		_, put, err := e.startStage(ctx, j, StageStore)
+		if err != nil {
+			return nil, false, err
+		}
 		e.cache.Put(key, res)
 		e.metrics.cachePuts.Add(1)
 		e.storePut(key, res)
-	}
-	if err := e.inject(ctx, SiteDone, j.id); err != nil {
-		return nil, false, err
+		put.done()
 	}
 	return res, false, nil
 }

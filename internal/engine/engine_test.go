@@ -449,8 +449,8 @@ func TestEngineFaultSimMatchesScalar(t *testing.T) {
 func TestJobOneClock(t *testing.T) {
 	held, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	e := New(Config{Workers: 1, Injector: InjectorFunc(func(ctx context.Context, site Site, id string) error {
-		if site == SiteRun {
+	e := New(Config{Workers: 1, Injector: InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+		if stage == StagePrepare {
 			once.Do(func() {
 				close(held)
 				<-release

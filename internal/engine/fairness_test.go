@@ -14,17 +14,17 @@ import (
 )
 
 // dispatchRecorder is an Injector that records the order jobs reach
-// SiteRun in (i.e. the scheduler's dispatch order) and optionally
-// holds every attempt on a gate channel so a test can queue a backlog
-// behind a single busy worker before letting dispatch proceed.
+// the prepare stage in (i.e. the scheduler's dispatch order) and
+// optionally holds every run on a gate channel so a test can queue a
+// backlog behind a single busy worker before letting dispatch proceed.
 type dispatchRecorder struct {
 	mu    sync.Mutex
 	order []string
 	gate  chan struct{} // nil: never block
 }
 
-func (d *dispatchRecorder) inject(ctx context.Context, site Site, id string) error {
-	if site != SiteRun {
+func (d *dispatchRecorder) inject(ctx context.Context, stage Stage, id string) error {
+	if stage != StagePrepare {
 		return nil
 	}
 	d.mu.Lock()
@@ -63,7 +63,7 @@ func (d *dispatchRecorder) waitLen(t *testing.T, n int) []string {
 }
 
 // fairnessSeq makes every spec unique so no job is served from the
-// result cache — dispatch-order tests need each job to reach SiteRun.
+// result cache — dispatch-order tests need each job to reach prepare.
 var fairnessSeq atomic.Int64
 
 func tenantSpec(tenant, priority string) Spec {
@@ -417,8 +417,8 @@ func TestIdleTenantsLeave(t *testing.T) {
 func TestShedUnheldTenantLeavesNoRow(t *testing.T) {
 	const n = 100
 	running, release := make(chan struct{}, 1), make(chan struct{})
-	e := New(Config{Workers: 1, ShedWatermark: 1, Injector: InjectorFunc(func(ctx context.Context, site Site, id string) error {
-		if site != SiteRun {
+	e := New(Config{Workers: 1, ShedWatermark: 1, Injector: InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+		if stage != StagePrepare {
 			return nil
 		}
 		running <- struct{}{}
@@ -480,8 +480,8 @@ func TestShedUnheldTenantLeavesNoRow(t *testing.T) {
 // its tenant's queue_full row.
 func TestQueueFullShedCounts(t *testing.T) {
 	running, release := make(chan struct{}, 1), make(chan struct{})
-	e := New(Config{Workers: 1, QueueDepth: 1, Injector: InjectorFunc(func(ctx context.Context, site Site, id string) error {
-		if site != SiteRun {
+	e := New(Config{Workers: 1, QueueDepth: 1, Injector: InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+		if stage != StagePrepare {
 			return nil
 		}
 		running <- struct{}{}

@@ -48,8 +48,8 @@ func TestHealthzBodyShapes(t *testing.T) {
 // status "overloaded", Retry-After) and still reports the load fields.
 func TestHealthzOverloaded(t *testing.T) {
 	release := make(chan struct{})
-	inj := InjectorFunc(func(ctx context.Context, site Site, id string) error {
-		if site != SiteRun {
+	inj := InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+		if stage != StagePrepare {
 			return nil
 		}
 		select {

@@ -117,8 +117,8 @@ func TestJobTablePagination(t *testing.T) {
 // shutdown writes exactly the live jobs' submitted records.
 func TestJobTableCompaction(t *testing.T) {
 	var hold atomic.Bool
-	inj := InjectorFunc(func(ctx context.Context, site Site, id string) error {
-		if site == SiteRun && hold.Load() {
+	inj := InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+		if stage == StagePrepare && hold.Load() {
 			<-ctx.Done()
 			return ctx.Err()
 		}

@@ -706,7 +706,7 @@ func TestServerJobTraceSpans(t *testing.T) {
 
 	// The acceptance stage names, all present.
 	for _, name := range []string{
-		"queued", "attempt", "prepare", "pathenum", "screen", "partition",
+		"queued", "load", "cache_lookup", "prepare", "pathenum", "screen", "partition",
 		"collapse", "generation", "compaction", "simulation",
 	} {
 		if len(byName[name]) == 0 {
@@ -714,11 +714,10 @@ func TestServerJobTraceSpans(t *testing.T) {
 		}
 	}
 
-	// Structural spot checks: prepare is a child of attempt, pathenum
-	// a child of prepare, compaction children of generation.
-	attempt := byName["attempt"][0]
-	if p := byName["prepare"][0]; p.Parent != attempt.ID {
-		t.Errorf("prepare parent %d, want attempt %d", p.Parent, attempt.ID)
+	// Structural spot checks: prepare is a child of the root job span,
+	// pathenum a child of prepare, compaction children of generation.
+	if p := byName["prepare"][0]; p.Parent != spans[0].ID {
+		t.Errorf("prepare parent %d, want job %d", p.Parent, spans[0].ID)
 	}
 	if pe := byName["pathenum"][0]; pe.Parent != byName["prepare"][0].ID {
 		t.Errorf("pathenum parent %d, want prepare %d", pe.Parent, byName["prepare"][0].ID)

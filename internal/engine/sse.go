@@ -21,7 +21,7 @@ const defaultHeartbeat = 15 * time.Second
 //	GET /v1/jobs/{id}/events
 //
 // Each event frame carries the per-job sequence number as its SSE id,
-// the event type (queued, attempt, stage, done, failed, canceled) as
+// the event type (queued, stage, done, failed, canceled) as
 // its event name, and the JSON-encoded events.Event as
 // its data. A reconnecting client sends the standard Last-Event-ID
 // header (or ?after= for curl) to resume past the events it already

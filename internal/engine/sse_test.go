@@ -82,7 +82,7 @@ func TestServerJobEventsReplay(t *testing.T) {
 	body := readBody(t, resp) // job finished: the stream must EOF
 	frames := parseSSEFrames(t, string(body))
 
-	want := map[string]bool{"queued": false, "attempt": false, "stage": false, "done": false}
+	want := map[string]bool{"queued": false, "stage": false, "done": false}
 	last := int64(0)
 	for _, f := range frames {
 		if f.id <= last {
@@ -184,8 +184,8 @@ func TestServerJobEventsErrors(t *testing.T) {
 // goroutines leak, while the job itself keeps running.
 func TestServerJobEventsDisconnect(t *testing.T) {
 	release := make(chan struct{})
-	injector := InjectorFunc(func(ctx context.Context, site Site, id string) error {
-		if site != SiteRun {
+	injector := InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
+		if stage != StagePrepare {
 			return nil
 		}
 		select { // hold the job mid-run so the stream stays live
@@ -212,20 +212,21 @@ func TestServerJobEventsDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Read until the live attempt event and one heartbeat have flushed,
-	// proving the stream is being delivered incrementally.
-	sawAttempt, sawHeartbeat := false, false
+	// Read until a live stage event (load, before the held prepare)
+	// and one heartbeat have flushed, proving the stream is being
+	// delivered incrementally.
+	sawStage, sawHeartbeat := false, false
 	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() && !(sawAttempt && sawHeartbeat) {
+	for sc.Scan() && !(sawStage && sawHeartbeat) {
 		switch line := sc.Text(); {
-		case line == "event: attempt":
-			sawAttempt = true
+		case line == "event: stage":
+			sawStage = true
 		case strings.HasPrefix(line, ": heartbeat"):
 			sawHeartbeat = true
 		}
 	}
-	if !sawAttempt || !sawHeartbeat {
-		t.Fatalf("stream ended early: attempt=%v heartbeat=%v", sawAttempt, sawHeartbeat)
+	if !sawStage || !sawHeartbeat {
+		t.Fatalf("stream ended early: stage=%v heartbeat=%v", sawStage, sawHeartbeat)
 	}
 	if got := e.Events().Subscribers(); got != 1 {
 		t.Fatalf("subscribers = %d while streaming, want 1", got)

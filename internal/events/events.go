@@ -38,13 +38,13 @@ type Event struct {
 	Seq int64 `json:"seq"`
 	// JobID names the stream the event belongs to.
 	JobID string `json:"job_id"`
-	// Type is the event kind: queued, attempt, stage, done, failed,
-	// canceled (the engine's vocabulary; the bus is agnostic).
+	// Type is the event kind: queued, stage, done, failed, canceled
+	// (the engine's vocabulary; the bus is agnostic).
 	Type string `json:"type"`
 	// At is the publication time.
 	At time.Time `json:"at"`
-	// Data carries small string attributes (stage name, attempt
-	// number, error text); nil for events without any.
+	// Data carries small string attributes (stage name, error text);
+	// nil for events without any.
 	Data map[string]string `json:"data,omitempty"`
 }
 

@@ -213,8 +213,8 @@ func runCase(ctx context.Context, e *engine.Engine, c Case, reps int, log io.Wri
 }
 
 // stageSeconds folds a job's span timeline into per-name totals in
-// seconds. The structural spans (job, queued, attempt) are skipped:
-// they measure the engine, not the pipeline.
+// seconds. The structural spans (job, queued) are skipped: they
+// measure the engine, not the pipeline.
 func stageSeconds(tv *obs.TraceView) map[string]float64 {
 	out := make(map[string]float64)
 	if tv == nil {
@@ -222,7 +222,7 @@ func stageSeconds(tv *obs.TraceView) map[string]float64 {
 	}
 	for _, s := range tv.Spans {
 		switch s.Name {
-		case "job", "queued", "attempt":
+		case "job", "queued":
 			continue
 		}
 		if s.DurMS < 0 {

@@ -10,9 +10,9 @@ import (
 // BenchmarkProfiles are the stand-in profiles for the circuits of the
 // DATE 2002 paper's experiments (Tables 3-7). Input counts match the
 // combinational logic of the originals (primary inputs plus flip-flop
-// outputs); gate counts and depths are scaled so that the full table
-// suite runs in minutes while keeping well over 1000 paths per circuit,
-// the paper's circuit-selection criterion.
+// outputs); gate counts (130–460) and depths are scaled down so that
+// the full table suite runs in seconds while keeping well over 1000
+// paths per circuit, the paper's circuit-selection criterion.
 //
 // Names ending in "*" in the paper (resynthesized-for-testability
 // circuits from DAC 1995) are spelled with an "r" suffix here.
