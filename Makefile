@@ -67,18 +67,18 @@ chaos:
 # (including hints flushed on a healthy probe); the streamed relay's
 # bounds (an over-long reply cut at durable.MaxPayload with the heap
 # flat, an SSE connect that never answers failing at the request
-# timeout) — plus the durable store's kill -9 warm-restart acceptance
-# test.
+# timeout); a 16 MiB result replicated as a stream with the heap flat
+# — plus the durable store's kill -9 warm-restart acceptance test.
 chaos-cluster:
 	$(GO) test -race ./internal/chaosnet/
-	$(GO) test -race -count=1 -run 'TestChaos|TestClusterOverlongReplyNamesBound|TestClusterSSEConnectDeadline' -v ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestChaos|TestClusterOverlongReplyNamesBound|TestClusterSSEConnectDeadline|TestClusterReplicationStreams' -v ./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestPDFDStoreWarmRestart' -v ./internal/cli/
 
 # Observability smoke: boot pdfd, run a compacted c17 job, assert the
 # Prometheus exposition and the job's span timeline are well-formed;
 # then the stage-tree golden (span names and parents of an s27 enrich
-# miss and its cache hit, and the stage labels of the histogram and the
-# SSE stream).
+# miss, its cache hit and an s27 faultsim miss, and the stage labels of
+# the histogram and the SSE stream).
 obs-smoke:
 	$(GO) test -race -count=1 -run 'TestObsSmoke' -v ./internal/cli/
 	$(GO) test -race -count=1 -run 'TestStageTree' -v ./internal/engine/

@@ -507,9 +507,10 @@ func (c *Coordinator) maxWait() time.Duration {
 }
 
 // do performs one of the coordinator's own small requests against b
-// (submit, replication, hints, trace fetch) under the request timeout
-// and reads its reply, which must fit durable.MaxPayload. A transport
-// failure (no HTTP response, or a reply cut short) counts against b.
+// (a submission, a trace read) under the request timeout and reads its
+// reply, which must fit durable.MaxPayload. A transport failure (no
+// HTTP response, or a reply cut short) counts against b. Replication
+// buffers nothing: it streams (see copyResult).
 func (c *Coordinator) do(ctx context.Context, b *backend, method, path, route string, body []byte, hdr http.Header) (int, []byte, http.Header, error) {
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
@@ -564,6 +565,23 @@ func (c *Coordinator) send(ctx context.Context, b *backend, req *http.Request, r
 		return nil, err
 	}
 	return resp, nil
+}
+
+// open is send for a reply read as it arrives (a proxied read, an
+// event stream): RequestTimeout bounds only the wait for the reply's
+// headers. When it passes first, cancel, which must end req's
+// context, aborts the request, and a reply whose headers arrive just
+// then is closed; either counts against b. The body then runs until
+// req's context ends.
+func (c *Coordinator) open(ctx context.Context, b *backend, req *http.Request, route string, cancel context.CancelCauseFunc) (*http.Response, error) {
+	timer := time.AfterFunc(c.cfg.RequestTimeout, func() { cancel(context.DeadlineExceeded) })
+	resp, err := c.send(ctx, b, req, route)
+	if !timer.Stop() && err == nil { // the deadline fired as the headers arrived
+		resp.Body.Close()
+		c.noteFailure(ctx, b)
+		err = context.DeadlineExceeded
+	}
+	return resp, err
 }
 
 // noteFailure records one transport failure against b: its error

@@ -263,38 +263,19 @@ func TestClusterOverlongReplyNamesBound(t *testing.T) {
 			overlong(w)
 		})
 		c, srv := coordinatorOver(t, bsrv.URL, Config{HealthInterval: time.Hour})
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		base := ms.HeapInuse
-		var peak atomic.Uint64
-		stop := make(chan struct{})
-		sampled := make(chan struct{})
-		go func() {
-			defer close(sampled)
-			var ms runtime.MemStats
-			for {
-				runtime.ReadMemStats(&ms)
-				if ms.HeapInuse > peak.Load() {
-					peak.Store(ms.HeapInuse)
-				}
-				select {
-				case <-stop:
-					return
-				case <-time.After(2 * time.Millisecond):
-				}
+		var resp *http.Response
+		var n int64
+		var err error
+		grew := heapGrowth(func() {
+			if resp, err = http.Get(srv.URL + "/v1/jobs/b0/j1"); err == nil {
+				n, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
 			}
-		}()
-		resp, err := http.Get(srv.URL + "/v1/jobs/b0/j1")
-		if err != nil {
-			close(stop)
+		})
+		if resp == nil {
 			t.Fatal(err)
 		}
-		n, err := io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		close(stop)
-		<-sampled
-		if grew := int64(peak.Load()) - int64(base); grew >= 16<<20 {
+		if grew >= 16<<20 {
 			t.Errorf("heap in use grew by %d bytes during the transfer, want under 16 MiB", grew)
 		}
 		if resp.StatusCode != http.StatusOK || err == nil || n > durable.MaxPayload {
@@ -305,6 +286,37 @@ func TestClusterOverlongReplyNamesBound(t *testing.T) {
 			t.Errorf("backend errors = %s, want 1", got)
 		}
 	})
+}
+
+// heapGrowth runs fn and returns how far the heap in use rose above
+// its level before fn, sampled every 2 ms.
+func heapGrowth(fn func()) int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapInuse
+	var peak atomic.Uint64
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		var ms runtime.MemStats
+		for {
+			runtime.ReadMemStats(&ms)
+			if ms.HeapInuse > peak.Load() {
+				peak.Store(ms.HeapInuse)
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+	}()
+	fn()
+	close(stop)
+	<-sampled
+	return int64(peak.Load()) - int64(base)
 }
 
 // An SSE connect to a backend that never sends its headers answers

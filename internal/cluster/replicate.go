@@ -2,29 +2,33 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/engine"
+	"repro/internal/events"
 	"repro/internal/obs"
 )
 
-// Result replication (Config.ReplicationFactor >= 2): after the
-// coordinator accepts a job, a watcher goroutine follows it to its
-// terminal state and copies the completed result's JSON to the
-// replica set — the first ReplicationFactor owners of the job's
-// SpecDigest on the coordinator's ring, down backends included, so
-// replica placement never walks as nodes flap. The executing backend
-// already holds the result; each other replica gets a
-// PUT /v1/cache/{key}. A replica that is down or
-// unreachable gets a *hinted handoff*: the copy is queued and
-// delivered after the next probe that finds the backend healthy. When the
-// executing backend was not the primary owner (failover/spillover),
-// the copy back to the owner is *read-repair* — the next submission
-// of the same spec routes to the owner and hits its cache.
+// Result replication (Config.ReplicationFactor >= 2): a watcher
+// follows each accepted job's event stream to its terminal event,
+// whose data names a done job's cache key. A result is a pure function
+// of its key, so copyResult streams it as opaque bytes from the
+// executing backend to each other replica — the first
+// ReplicationFactor owners of the job's SpecDigest on the ring, down
+// backends included, so placement never walks as nodes flap. A
+// replica that is down or unreachable gets a *hinted handoff*: the
+// same copy, after the next probe that finds it healthy. A source
+// that no longer holds the key by then loses the copy; the result is
+// recomputed on demand. When the executing backend was not the
+// primary owner (failover/spillover), the copy back to the owner is
+// *read-repair* — the next submission of the same spec routes to the
+// owner and hits its cache.
 const (
 	// maxWatchers bounds concurrent completion watchers; beyond it new
 	// submissions skip replication (counted) rather than queue.
@@ -32,15 +36,15 @@ const (
 	// maxHintsPerBackend bounds one backend's hinted-handoff queue;
 	// overflow drops the oldest hint (counted).
 	maxHintsPerBackend = 1024
-	// watchFailureBudget consecutive poll failures end a watch.
+	// watchFailureBudget failed event streams end a watch.
 	watchFailureBudget = 10
 )
 
 // hint is one deferred replica copy: key names the result, source the
-// backend to fetch it from at delivery time.
+// backend to copy it from at delivery time.
 type hint struct {
 	key    string
-	source string
+	source *backend
 }
 
 type replicator struct {
@@ -110,128 +114,174 @@ func (r *replicator) watch(backendName, rawID, digest string) {
 	}()
 }
 
-// runWatch long-polls the executing backend until the job terminates,
-// then replicates a done job's result.
+// runWatch follows the job's event stream on the executing backend to
+// its terminal event, then replicates a done job's result. A stream
+// that fails to open or ends early is opened again after a backoff.
 func (r *replicator) runWatch(ctx context.Context, backendName, rawID, digest string) {
 	r.watches.Add(1)
-	c := r.c
-	b, ok := c.backends[backendName]
+	b, ok := r.c.backends[backendName]
 	if !ok {
 		return
 	}
-	// Long-poll inside the per-request timeout so a still-running job
-	// answers with its non-terminal view instead of timing out.
-	wait := c.maxWait()
-	path := "/v1/jobs/" + rawID + "?wait=" + wait.String()
-	fails := 0
-	for ctx.Err() == nil {
-		status, body, _, err := c.do(ctx, b, http.MethodGet, path, "cache.replwait", nil, nil)
-		if err != nil {
-			fails++
-			if fails >= watchFailureBudget {
-				r.failures.Add(1)
-				return
+	for fails := 1; ctx.Err() == nil; fails++ {
+		key, err := r.follow(ctx, b, rawID)
+		if err == nil {
+			if key != "" {
+				r.replicate(ctx, b, digest, key)
 			}
-			// A timer per retry (not time.After) so the cancel path does
-			// not leave a running timer behind for the full wait.
-			retry := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				retry.Stop()
-				return
-			case <-retry.C:
-			}
-			continue
+			return
 		}
-		fails = 0
-		if status != http.StatusOK {
-			// Job gone (backend restarted and lost it) or an error view;
-			// nothing to replicate.
+		if fails >= watchFailureBudget {
 			r.failures.Add(1)
 			return
 		}
-		var v engine.JobView
-		if err := json.Unmarshal(body, &v); err != nil {
-			r.failures.Add(1)
+		// A timer per retry (not time.After) so the cancel path does
+		// not leave a running timer behind for the full wait.
+		retry := time.NewTimer(r.c.maxWait())
+		select {
+		case <-ctx.Done():
+			retry.Stop()
 			return
-		}
-		switch v.Status {
-		case engine.StatusDone:
-			if v.Result != nil && v.Result.CacheKey != "" {
-				r.replicate(ctx, backendName, digest, v.Result)
-			}
-			return
-		case engine.StatusFailed, engine.StatusCanceled:
-			return
+		case <-retry.C:
 		}
 	}
 }
 
-// replicate copies one completed result to every replica of its
-// digest but the backend that executed the job. Every accepted
-// submission is watched, cache hits included, so a repeated spec's
-// result is offered again to replicas that hold it; such a replica
-// answers the PUT from its store's index without writing the entry
-// again.
-func (r *replicator) replicate(ctx context.Context, executedOn, digest string, res *engine.Result) {
+// follow reads the job's event stream on b to its terminal event, with
+// the header deadline of a proxied stream, and returns the cache key
+// that a done event names: "" for a failed or canceled job, or one the
+// backend no longer knows (it restarted and lost it), which counts as
+// a failure. An error is a stream that failed to open or ended early.
+func (r *replicator) follow(ctx context.Context, b *backend, rawID string) (string, error) {
 	c := r.c
-	payload, err := json.Marshal(res)
+	sctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	req, err := c.newOutboundRequest(sctx, http.MethodGet, b.baseURL+"/v1/jobs/"+rawID+"/events", nil)
 	if err != nil {
-		r.failures.Add(1)
-		return
+		return "", err
 	}
-	owners := c.ring.Owners(digest, r.rf)
-	for i, name := range owners {
-		if name == executedOn {
+	resp, err := c.open(ctx, b, req, "cache.replwait", cancel)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	b.reqFails.Store(0)
+	if resp.StatusCode != http.StatusOK {
+		r.failures.Add(1)
+		return "", nil
+	}
+	key := ""
+	if err := engine.ReadEvents(resp.Body, func(ev events.Event) bool {
+		key = ev.Data["cache_key"]
+		return !engine.Status(ev.Type).Terminal()
+	}); err != nil {
+		c.noteFailure(ctx, b)
+		return "", err
+	}
+	return key, nil
+}
+
+// replicate hands every replica of the job's digest but src, the
+// backend that executed it, a hint for the result cached under key,
+// delivered at once. Every accepted submission is watched, cache hits
+// included, so a repeated spec's result is offered again to replicas
+// that hold it; such a replica answers the PUT from its store's index
+// without writing the entry again.
+func (r *replicator) replicate(ctx context.Context, src *backend, digest, key string) {
+	for i, name := range r.c.ring.Owners(digest, r.rf) {
+		if name == src.name {
 			continue // the executing backend stored it locally already
 		}
-		switch r.install(ctx, name, res.CacheKey, payload) {
-		case installed:
-			r.installs.Add(1)
-			if i == 0 {
-				// The primary owner missed the job (it executed on a
-				// failover or spillover backend): this copy is the
-				// read-repair that restores owner affinity.
-				r.repairs.Add(1)
-			}
-		case unreachable:
-			r.queueHint(name, hint{key: res.CacheKey, source: executedOn})
-		case rejected:
-			r.failures.Add(1)
+		n := r.deliver(ctx, r.c.backends[name], []hint{{key: key, source: src}})
+		r.installs.Add(n)
+		if n > 0 && i == 0 {
+			// The primary owner missed the job (it executed on a
+			// failover or spillover backend): this copy is the
+			// read-repair that restores owner affinity.
+			r.repairs.Add(1)
 		}
 	}
 }
 
-// install outcomes.
-type installOutcome int
+// copyOutcome is how one copy of a result to a replica ended.
+type copyOutcome int
 
 const (
-	installed   installOutcome = iota // the replica holds the copy
-	unreachable                       // down / transport failure: hint it
-	rejected                          // the replica can never take it
+	installed   copyOutcome = iota // the target holds the result
+	unreachable                    // target down or failed in transport: hint it
+	refused                        // the target can never take it
+	sourceLost                     // the source no longer holds the key, or broke mid-body
 )
 
-// install PUTs one result copy to a replica.
-func (r *replicator) install(ctx context.Context, name, key string, payload []byte) installOutcome {
+// copyResult streams the result cached under key from src to dst, the
+// body of GET /v1/cache/{key} on src as the body of PUT
+// /v1/cache/{key} on dst, all under the request timeout. The
+// coordinator never decodes the result nor holds more of it than a
+// copy buffer.
+func (r *replicator) copyResult(ctx context.Context, key string, src, dst *backend) copyOutcome {
 	c := r.c
-	b, ok := c.backends[name]
-	if !ok {
-		return rejected
-	}
-	if b.State() == StateDown {
+	if dst.State() == StateDown {
 		return unreachable
 	}
-	status, _, _, err := c.do(ctx, b, http.MethodPut, "/v1/cache/"+key, "cache.replicate", payload, nil)
-	switch {
-	case err != nil:
-		return unreachable
-	case status < 300:
-		return installed
-	default:
-		// A refusal, or no store (501): a hint would never deliver
-		// either.
-		return rejected
+	// srcCtx ends when the source breaks mid-body, so the PUT that
+	// aborts is not charged to dst.
+	srcCtx, srcBroke := context.WithCancelCause(ctx)
+	defer srcBroke(nil)
+	rctx, cancel := context.WithTimeout(srcCtx, c.cfg.RequestTimeout)
+	defer cancel()
+	get, err := c.newOutboundRequest(rctx, http.MethodGet, src.baseURL+"/v1/cache/"+key, nil)
+	if err != nil {
+		return sourceLost
 	}
+	resp, err := c.send(ctx, src, get, "cache.get")
+	if err != nil {
+		return sourceLost
+	}
+	defer resp.Body.Close()
+	src.reqFails.Store(0)
+	if resp.StatusCode != http.StatusOK {
+		return sourceLost
+	}
+	put, err := c.newOutboundRequest(rctx, http.MethodPut, dst.baseURL+"/v1/cache/"+key, &sourceBody{r: resp.Body, broke: srcBroke})
+	if err != nil {
+		return refused
+	}
+	put.ContentLength = resp.ContentLength
+	presp, err := c.send(srcCtx, dst, put, "cache.put")
+	if err != nil {
+		if srcCtx.Err() != nil && ctx.Err() == nil {
+			c.noteFailure(ctx, src)
+			return sourceLost
+		}
+		return unreachable
+	}
+	defer presp.Body.Close()
+	io.Copy(io.Discard, presp.Body) // read out, so the connection is reused
+	dst.reqFails.Store(0)
+	if presp.StatusCode >= 300 {
+		return refused
+	}
+	return installed
+}
+
+// sourceBody is a result on its way from its source. A read error
+// other than io.EOF, or a body past durable.MaxPayload, ends the
+// copy's source context: the source broke, not the replica.
+type sourceBody struct {
+	r     io.Reader
+	n     int64
+	broke context.CancelCauseFunc
+}
+
+func (s *sourceBody) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if s.n += int64(n); s.n > durable.MaxPayload {
+		err = fmt.Errorf("cluster: cached result exceeds the %d-byte bound", durable.MaxPayload)
+	}
+	if err != nil && err != io.EOF {
+		s.broke(err)
+	}
+	return n, err
 }
 
 // queueHint defers a replica copy until target recovers. Same-key
@@ -270,46 +320,33 @@ func (r *replicator) flushHints(b *backend) {
 	r.mu.Unlock()
 	go func() {
 		defer r.wg.Done()
-		r.deliverHints(r.c.ctx, b, pending)
+		r.hintsDelivered.Add(r.deliver(r.c.ctx, b, pending))
 	}()
 }
 
-// deliverHints fetches each hinted result from its source backend and
-// installs it on the healthy target. A delivery that fails in transport
-// re-queues that hint and the ones after it for the target's next
-// healthy probe; a refusal is final, as it is for install.
-func (r *replicator) deliverHints(ctx context.Context, b *backend, pending []hint) {
-	c := r.c
+// deliver copies each hinted result from its source backend to b and
+// returns how many b installed. A copy that finds b down or fails in
+// transport re-queues that hint and the ones after it for b's next
+// healthy probe; a refusal or a lost source is final.
+func (r *replicator) deliver(ctx context.Context, b *backend, pending []hint) int64 {
+	n := int64(0)
 	for i, h := range pending {
 		if ctx.Err() != nil {
-			return
+			return n
 		}
-		var payload []byte
-		if src, ok := c.backends[h.source]; ok {
-			status, body, _, err := c.do(ctx, src, http.MethodGet, "/v1/cache/"+h.key, "cache.hint_fetch", nil, nil)
-			if err == nil && status == http.StatusOK {
-				payload = body
-			}
-		}
-		if payload == nil {
-			// The source no longer holds the result (evicted, or itself
-			// died); the copy is lost — it will be recomputed on demand.
-			r.failures.Add(1)
-			continue
-		}
-		status, _, _, err := c.do(ctx, b, http.MethodPut, "/v1/cache/"+h.key, "cache.hint_deliver", payload, nil)
-		switch {
-		case err != nil:
+		switch r.copyResult(ctx, h.key, h.source, b) {
+		case installed:
+			n++
+		case unreachable:
 			for _, rest := range pending[i:] {
 				r.queueHint(b.name, rest)
 			}
-			return
-		case status >= 300:
-			r.failures.Add(1)
+			return n
 		default:
-			r.hintsDelivered.Add(1)
+			r.failures.Add(1)
 		}
 	}
+	return n
 }
 
 // pendingHints counts queued hinted handoffs across all backends.

@@ -256,13 +256,7 @@ func (s *clusterServer) proxy(suffix, route string) http.HandlerFunc {
 		if lid := r.Header.Get("Last-Event-ID"); lid != "" {
 			req.Header.Set("Last-Event-ID", lid)
 		}
-		timer := time.AfterFunc(s.c.cfg.RequestTimeout, func() { cancel(context.DeadlineExceeded) })
-		resp, err := s.c.send(r.Context(), b, req, route)
-		if !timer.Stop() && err == nil { // the deadline fired as the headers arrived
-			resp.Body.Close()
-			s.c.noteFailure(r.Context(), b)
-			err = context.DeadlineExceeded
-		}
+		resp, err := s.c.open(r.Context(), b, req, route, cancel)
 		if err != nil {
 			writeRouted(w, backendDown(b, "%v", err))
 			return

@@ -191,7 +191,7 @@ func New(cfg Config) *Engine {
 		sched:        newSched(cfg, m),
 		jobs:         make(map[string]*Job),
 		live:         make(map[string]*Job),
-		events:       events.NewBus(events.DefaultHistory),
+		events:       events.NewBus(jobEvents),
 		traces:       obs.NewTraceBuffer(obs.DefaultTraceBufferCount, obs.DefaultTraceBufferBytes),
 	}
 	e.registry = buildRegistry(e)
@@ -422,6 +422,11 @@ func (e *Engine) end(j *Job, waiting bool, st Status, res *Result, hit bool, err
 	}
 	if err != nil {
 		data["error"] = err.Error()
+	}
+	if res != nil {
+		// A done event names the result's key, so a watcher can copy
+		// the result by key without reading the job.
+		data["cache_key"] = res.CacheKey
 	}
 	j.stream.Publish(string(st), data)
 	j.stream.Close()
@@ -925,6 +930,11 @@ const (
 	StageStore       Stage = "store"        // the memory put, and the durable store's write
 )
 
+// jobEvents bounds one job's event stream: queued, one stage event per
+// Stage, and the terminal event. It sizes each stream's history and
+// each SSE subscriber's buffer, so neither ever drops an event.
+const jobEvents = 8
+
 // FaultInjector is called as each stage opens, before its span and
 // clock start; an error fails the job there. It is a configuration
 // hook, not a build tag, so the chaos tests run in the ordinary
@@ -1065,8 +1075,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 	// are garbage once the job ends: the result keeps only their wire
 	// strings.
 	var tests []circuit.TwoPattern
-	switch spec.Kind {
-	case KindGenerate, KindEnrich:
+	if spec.Kind != KindFaultSim {
 		genCtx, gen, err := e.startStage(ctx, j, StageGeneration, obs.String("heuristic", spec.Heuristic))
 		if err != nil {
 			return nil, false, err
@@ -1097,28 +1106,36 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		for i, tp := range tests {
 			res.Tests[i] = tp.String()
 		}
-	case KindFaultSim:
-		tests, res.Tests, err = testio.ParseTests(spec.Tests, len(c.PIs))
-		if err != nil {
-			return nil, false, err
-		}
-		// Echo each canonical submitted line; render the others. When
-		// every line is canonical, res.Tests is spec.Tests itself and
-		// has no "" slot, so the submitted lines are never written.
-		for i, t := range res.Tests {
-			if t == "" {
-				res.Tests[i] = tests[i].String()
-			}
-		}
 	}
 	// Generate and faultsim jobs grade their tests on P0 ∪ P1. So does
 	// an enrich job whose targets were collapsed: core counted only
-	// the collapsed sets.
+	// the collapsed sets. A faultsim job's submitted lines are parsed
+	// inside the stage.
 	if spec.Kind != KindEnrich || spec.Collapse {
+		ntests := len(tests)
+		if spec.Kind == KindFaultSim {
+			ntests = len(spec.Tests)
+		}
 		simCtx, sim, err := e.startStage(ctx, j, StageSimulation,
-			obs.Int("tests", len(tests)), obs.Int("faults", len(ps.all)))
+			obs.Int("tests", ntests), obs.Int("faults", len(ps.all)))
 		if err != nil {
 			return nil, false, err
+		}
+		if spec.Kind == KindFaultSim {
+			tests, res.Tests, err = testio.ParseTests(spec.Tests, len(c.PIs))
+			if err != nil {
+				sim.fail()
+				return nil, false, err
+			}
+			// Echo each canonical submitted line; render the others.
+			// When every line is canonical, res.Tests is spec.Tests
+			// itself and has no "" slot, so the submitted lines are
+			// never written.
+			for i, t := range res.Tests {
+				if t == "" {
+					res.Tests[i] = tests[i].String()
+				}
+			}
 		}
 		first, err := ps.program(c).Run(simCtx, tests)
 		if err != nil {

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -108,4 +110,28 @@ func writeSSEEvent(w io.Writer, ev events.Event, prefix string) error {
 	}
 	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
 	return err
+}
+
+// ReadEvents reads the frames writeSSEEvent writes from r and passes
+// each event to fn until fn returns false; heartbeats are skipped. A
+// stream that ends first is io.ErrUnexpectedEOF.
+func ReadEvents(r io.Reader, fn func(events.Event) bool) error {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: "))
+		if !ok {
+			continue // the id and event lines repeat what the data holds
+		}
+		var ev events.Event
+		if err := json.Unmarshal(data, &ev); err != nil {
+			return fmt.Errorf("engine: bad event data: %w", err)
+		}
+		if !fn(ev) {
+			return nil
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	return io.ErrUnexpectedEOF
 }

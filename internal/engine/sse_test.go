@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -59,54 +62,72 @@ func eventTypes(frames []sseFrame) []string {
 }
 
 // A finished job's stream replays its whole recorded lifecycle from
-// history and then ends with a clean EOF.
+// history and then ends with a clean EOF on the terminal event. A done
+// event carries the result's cache_key; a failed one carries none.
 func TestServerJobEventsReplay(t *testing.T) {
 	e, srv := newTestServer(t)
-	j, err := e.Submit(Spec{Kind: KindGenerate, Circuit: "s27", NP: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := e.Wait(ctx, j.ID()); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(srv.URL + "/v1/jobs/" + j.ID() + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
-	}
-	body := readBody(t, resp) // job finished: the stream must EOF
-	frames := parseSSEFrames(t, string(body))
-
-	want := map[string]bool{"queued": false, "stage": false, "done": false}
-	last := int64(0)
-	for _, f := range frames {
-		if f.id <= last {
-			t.Errorf("non-increasing SSE ids: %d after %d", f.id, last)
+	for _, tc := range []struct {
+		spec     Spec
+		terminal string
+	}{
+		{Spec{Kind: KindGenerate, Circuit: "s27", NP: 8, Seed: 1}, "done"},
+		{Spec{Kind: KindFaultSim, Circuit: "s27", NP: 8, Seed: 1, Tests: []string{"01 -> 10"}}, "failed"},
+	} {
+		j, err := e.Submit(tc.spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		last = f.id
-		if _, ok := want[f.event]; ok {
-			want[f.event] = true
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		v, err := e.Wait(ctx, j.ID())
+		cancel()
+		if err != nil {
+			t.Fatal(err)
 		}
+
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + j.ID() + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+			t.Fatalf("Content-Type = %q, want text/event-stream", ct)
+		}
+		body := readBody(t, resp) // job finished: the stream must EOF
+		frames := parseSSEFrames(t, string(body))
+
+		want := map[string]bool{"queued": false, "stage": false, tc.terminal: false}
+		last := int64(0)
 		var ev events.Event
-		if err := json.Unmarshal([]byte(f.data), &ev); err != nil {
-			t.Fatalf("frame data is not an events.Event: %v\n%s", err, f.data)
+		for _, f := range frames {
+			if f.id <= last {
+				t.Errorf("non-increasing SSE ids: %d after %d", f.id, last)
+			}
+			last = f.id
+			if _, ok := want[f.event]; ok {
+				want[f.event] = true
+			}
+			ev = events.Event{}
+			if err := json.Unmarshal([]byte(f.data), &ev); err != nil {
+				t.Fatalf("frame data is not an events.Event: %v\n%s", err, f.data)
+			}
+			if ev.JobID != j.ID() || ev.Seq != f.id {
+				t.Errorf("frame/id mismatch: frame id %d event %+v", f.id, ev)
+			}
 		}
-		if ev.JobID != j.ID() || ev.Seq != f.id {
-			t.Errorf("frame/id mismatch: frame id %d event %+v", f.id, ev)
+		for typ, ok := range want {
+			if !ok {
+				t.Errorf("lifecycle event %q missing from stream %v", typ, eventTypes(frames))
+			}
 		}
-	}
-	for typ, ok := range want {
-		if !ok {
-			t.Errorf("lifecycle event %q missing from stream %v", typ, eventTypes(frames))
+		if frames[len(frames)-1].event != tc.terminal {
+			t.Errorf("stream did not end on the terminal event %s: %v", tc.terminal, eventTypes(frames))
 		}
-	}
-	if frames[len(frames)-1].event != "done" {
-		t.Errorf("stream did not end on the terminal event: %v", eventTypes(frames))
+		key, ok := ev.Data["cache_key"]
+		if tc.terminal == "done" && (v.Result == nil || key != v.Result.CacheKey || key == "") {
+			t.Errorf("done event data %v, want the result's cache_key", ev.Data)
+		}
+		if tc.terminal != "done" && ok {
+			t.Errorf("%s event carries cache_key %q", tc.terminal, key)
+		}
 	}
 }
 
@@ -259,5 +280,34 @@ func TestServerJobEventsDisconnect(t *testing.T) {
 	}
 	if v.Status != StatusDone {
 		t.Fatalf("job status after disconnect = %s, want done", v.Status)
+	}
+}
+
+// ReadEvents reads back what writeSSEEvent wrote, heartbeats between
+// frames skipped, and stops where fn says; a stream cut before that is
+// io.ErrUnexpectedEOF.
+func TestReadEventsRoundTrip(t *testing.T) {
+	st := events.NewBus(jobEvents).NewStream("j1")
+	var b strings.Builder
+	for _, ev := range []events.Event{
+		st.Publish("queued", nil),
+		st.Publish("done", map[string]string{"cache_key": "k1"}),
+	} {
+		if err := writeSSEEvent(&b, ev, "b0/"); err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(": heartbeat\n\n")
+	}
+	var got []string
+	err := ReadEvents(strings.NewReader(b.String()), func(ev events.Event) bool {
+		got = append(got, fmt.Sprintf("%d %s %s %v", ev.Seq, ev.JobID, ev.Type, ev.Data))
+		return ev.Type != "done"
+	})
+	if want := "[1 b0/j1 queued map[] 2 b0/j1 done map[cache_key:k1]]"; err != nil || fmt.Sprint(got) != want {
+		t.Fatalf("read %v (%v), want %s", got, err, want)
+	}
+	cut := b.String()[:strings.Index(b.String(), "event: done")]
+	if err := ReadEvents(strings.NewReader(cut), func(ev events.Event) bool { return ev.Type != "done" }); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("cut stream: %v, want io.ErrUnexpectedEOF", err)
 	}
 }

@@ -78,8 +78,8 @@ func stageLabels(t *testing.T, e *Engine) []string {
 
 // stageTreeGolden is the stage tree of an s27 enrich miss with
 // collapse on an engine with a store, then of the same spec again, a
-// cache hit: the injector's calls, the span tree (names and parents)
-// and the SSE stream.
+// cache hit, then of an s27 faultsim miss: the injector's calls, the
+// span tree (names and parents) and the SSE stream.
 const stageTreeGolden = `miss
 injector: load cache_lookup prepare generation simulation store
 job
@@ -103,12 +103,31 @@ job
   load
   cache_lookup
 events: queued stage:load stage:cache_lookup done
+faultsim
+injector: load cache_lookup prepare simulation store
+job
+  queued
+  load
+  cache_lookup
+  prepare
+    pathenum
+    screen
+    partition
+  simulation
+  store
+events: queued stage:load stage:cache_lookup stage:prepare stage:simulation stage:store done
 `
 
 // TestStageTree pins the one stage vocabulary: the injector is called
 // at each stage, the stage's span hangs from the job's root span, and
-// the histogram label and SSE stage event carry the same name.
+// the histogram label and SSE stage event carry the same name. A
+// miss's stream fits jobEvents, and a faultsim job parses its tests
+// inside the simulation stage, whose tests attribute counts the
+// submitted lines.
 func TestStageTree(t *testing.T) {
+	if n := 1 + len(allStages) + 1; jobEvents != n {
+		t.Fatalf("jobEvents = %d, want queued, %d stages and the terminal event: %d", jobEvents, len(allStages), n)
+	}
 	var mu sync.Mutex
 	var calls []string
 	inj := InjectorFunc(func(ctx context.Context, stage Stage, id string) error {
@@ -120,25 +139,52 @@ func TestStageTree(t *testing.T) {
 	e := New(Config{Workers: 1, Store: openTestStore(t, t.TempDir()), Injector: inj})
 	defer e.Close()
 	spec := Spec{Kind: KindEnrich, Circuit: "s27", NP0: 10, Seed: 1, Collapse: true}
+	tests := []string{"0010010 -> 1010010", "1111111 -> 0000000", "0000000 -> 1111111"}
 	var b strings.Builder
-	for _, run := range []string{"miss", "hit"} {
+	for _, run := range []struct {
+		name string
+		spec Spec
+	}{
+		{"miss", spec},
+		{"hit", spec},
+		{"faultsim", Spec{Kind: KindFaultSim, Circuit: "s27", NP0: 10, Seed: 1, Tests: tests}},
+	} {
 		mu.Lock()
 		calls = nil
 		mu.Unlock()
-		v, err := e.RunJob(context.Background(), spec)
-		if err != nil || v.Status != StatusDone || v.CacheHit != (run == "hit") {
-			t.Fatalf("%s run: %s cache_hit=%t %v", run, v.Status, v.CacheHit, err)
+		published := e.Events().Published()
+		v, err := e.RunJob(context.Background(), run.spec)
+		if err != nil || v.Status != StatusDone || v.CacheHit != (run.name == "hit") {
+			t.Fatalf("%s run: %s cache_hit=%t %v", run.name, v.Status, v.CacheHit, err)
 		}
 		j, _ := e.Get(v.ID)
 		tv := j.TraceView()
 		if tv.Dropped != 0 {
-			t.Errorf("%s run dropped %d spans", run, tv.Dropped)
+			t.Errorf("%s run dropped %d spans", run.name, tv.Dropped)
 		}
 		mu.Lock()
-		fmt.Fprintf(&b, "%s\ninjector: %s\n", run, strings.Join(calls, " "))
+		fmt.Fprintf(&b, "%s\ninjector: %s\n", run.name, strings.Join(calls, " "))
 		mu.Unlock()
 		b.WriteString(stageTree(tv.Spans))
 		fmt.Fprintf(&b, "events: %s\n", eventLine(t, j))
+		if n := e.Events().Published() - published; n > jobEvents {
+			t.Errorf("%s run published %d events, past the bound of %d", run.name, n, jobEvents)
+		}
+		for _, sp := range tv.Spans {
+			if sp.Name == string(StageSimulation) && run.spec.Kind == KindFaultSim && sp.Attrs["tests"] != fmt.Sprint(len(tests)) {
+				t.Errorf("faultsim simulation span tests = %q, want the %d submitted lines", sp.Attrs["tests"], len(tests))
+			}
+		}
+	}
+	mu.Lock()
+	calls = nil
+	mu.Unlock()
+	v, err := e.RunJob(context.Background(), Spec{Kind: KindFaultSim, Circuit: "s27", NP0: 10, Seed: 1, Tests: []string{"01 -> 10"}})
+	mu.Lock()
+	got := strings.Join(calls, " ")
+	mu.Unlock()
+	if err != nil || v.Status != StatusFailed || got != "load cache_lookup prepare simulation" {
+		t.Errorf("malformed faultsim job: %s (%v), injector %q; want it failed inside the simulation stage", v.Status, err, got)
 	}
 	if got := b.String(); got != stageTreeGolden {
 		t.Errorf("stage tree differs from the golden:\n--- got ---\n%s--- want ---\n%s", got, stageTreeGolden)

@@ -25,10 +25,9 @@ import (
 	"time"
 )
 
-// DefaultHistory bounds the per-job history ring when NewBus is given
-// no explicit size: enough for every lifecycle + stage event of a
-// job. The engine holds the streams of its live jobs and of its last
-// 1,024 finished ones, so the rings it keeps are bounded too.
+// DefaultHistory bounds the per-job history ring, and the default
+// subscriber buffer, when NewBus is given no explicit size. The engine
+// passes its own bound, the most events one job publishes.
 const DefaultHistory = 256
 
 // Event is one job lifecycle occurrence.
